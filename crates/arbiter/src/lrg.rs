@@ -127,6 +127,11 @@ impl Lrg {
     /// Panics if the arbiter has more than 64 inputs (one-word radix
     /// premise) or a candidate bit is out of range.
     #[must_use]
+    //
+    // The two asserts ARE the documented contract; they bound every set
+    // candidate bit below `n`, the length of `rows` when `stride == 1`,
+    // and the bit clear is on a checked-nonzero word.
+    // ssq-lint: allow(panic-freedom-reachability)
     pub fn peek_mask(&self, candidates: u64) -> Option<usize> {
         assert!(
             self.stride == 1,
@@ -137,6 +142,7 @@ impl Lrg {
             return None;
         }
         assert!(
+            // ssq-lint: allow(mask-width-safety) — `stride == 1` (asserted above) means n <= 64, and the n == 64 case short-circuits before the shift
             self.n == 64 || candidates >> self.n == 0,
             "candidate bits above radix {}",
             self.n

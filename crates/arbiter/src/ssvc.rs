@@ -338,6 +338,45 @@ impl SsvcArbiter {
         self.lrg.peek(&tied)
     }
 
+    /// Word-wide [`SsvcArbiter::peek`] over a request *word* (bit `i` ⇔
+    /// input `i` requests): one pass finds the lowest occupied
+    /// thermometer lane and the word of requesters sensing it, then
+    /// [`Lrg::peek_mask`] breaks the tie — the arbitration of Figs. 1–3
+    /// as word arithmetic, with no candidate list. Agrees with `peek` on
+    /// every request word (held exhaustively by the tests).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a candidate bit is out of range or the arbiter has more
+    /// than 64 inputs (see [`Lrg::peek_mask`]).
+    #[must_use]
+    //
+    // `i` is the index of a set candidate bit; the LRG tie-break asserts
+    // every candidate bit lies below the radix that sizes `aux`, which is
+    // the documented contract. The bit clear is on a checked-nonzero word.
+    // ssq-lint: allow(panic-freedom-reachability)
+    pub fn peek_mask(&self, candidates: u64) -> Option<usize> {
+        let lsb_bits = self.config.lsb_bits();
+        let mut min_msb = u64::MAX;
+        let mut tied = 0u64;
+        let mut rest = candidates;
+        while rest != 0 {
+            let i = rest.trailing_zeros() as usize;
+            let msb = self.aux[i] >> lsb_bits;
+            if msb < min_msb {
+                min_msb = msb;
+                tied = 0;
+            }
+            if msb == min_msb {
+                // ssq-lint: allow(mask-width-safety) — `i` = trailing_zeros of a nonzero u64, hence < 64
+                tied |= 1u64 << i;
+            }
+            // ssq-lint: allow(mask-width-safety) — lowest-set-bit clear on a checked-nonzero word
+            rest &= rest - 1;
+        }
+        self.lrg.peek_mask(tied)
+    }
+
     /// Predicts the counter outcome of a win without mutating state:
     /// `(aux_after, saturated)`, where `aux_after` is the winner's `auxVC`
     /// after the `Vtick` charge **and** any saturation-triggered policy
@@ -939,6 +978,91 @@ mod tests {
                 );
             }
         }
+    }
+
+    const POLICIES: [CounterPolicy; 3] = [
+        CounterPolicy::SubtractRealClock,
+        CounterPolicy::Halve,
+        CounterPolicy::Reset,
+    ];
+
+    /// The candidate list `peek` takes for a request word.
+    fn list_of(word: u64) -> Vec<usize> {
+        (0..64).filter(|&i| word & (1u64 << i) != 0).collect()
+    }
+
+    #[test]
+    fn peek_mask_matches_peek_on_every_request_word_up_to_radix_6() {
+        use ssq_types::rng::Xoshiro256StarStar;
+
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0x5EED_3A5C);
+        for policy in POLICIES {
+            for n in 1..=6usize {
+                let vticks: Vec<u64> = (0..n).map(|_| 1 + rng.below(900)).collect();
+                let mut s = SsvcArbiter::new(cfg(policy), &vticks);
+                // Evolve the counters, lanes and LRG order between sweeps:
+                // ticks decay, wins charge, saturations halve or reset.
+                for _ in 0..60 {
+                    for word in 0..1u64 << n {
+                        assert_eq!(
+                            s.peek_mask(word),
+                            s.peek(&list_of(word)),
+                            "{policy} n={n} word={word:#b}"
+                        );
+                    }
+                    for _ in 0..rng.below(700) {
+                        s.tick();
+                    }
+                    let word = 1 + rng.below((1u64 << n) - 1);
+                    let winner = s.peek_mask(word).expect("non-empty word");
+                    s.commit_win(winner);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn peek_mask_matches_peek_seeded_at_radix_64() {
+        use ssq_types::rng::Xoshiro256StarStar;
+
+        for policy in POLICIES {
+            let mut rng = Xoshiro256StarStar::seed_from_u64(0x64 + policy as u64);
+            let vticks: Vec<u64> = (0..64).map(|_| 1 + rng.below(400)).collect();
+            let mut s = SsvcArbiter::new(cfg(policy), &vticks);
+            for round in 0..2_000 {
+                // Dense, sparse and single-bit words alike.
+                let word = match round % 3 {
+                    0 => rng.next_u64(),
+                    1 => rng.next_u64() & rng.next_u64() & rng.next_u64(),
+                    _ => 1u64 << rng.index(64),
+                };
+                let by_mask = s.peek_mask(word);
+                assert_eq!(
+                    by_mask,
+                    s.peek(&list_of(word)),
+                    "{policy} round={round} word={word:#x}"
+                );
+                for _ in 0..rng.below(40) {
+                    s.tick();
+                }
+                if let Some(w) = by_mask {
+                    s.commit_win(w);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn peek_mask_ranks_a_corrupted_counter_by_its_raw_lane() {
+        // An upset above the counter width puts the input in a lane the
+        // thermometer cannot express; both entry points must still agree
+        // that it loses to every healthy requester.
+        let mut s = SsvcArbiter::new(cfg(CounterPolicy::SubtractRealClock), &[1, 1, 1]);
+        let _ = s.fault_flip_aux_bit(0, 40);
+        assert_eq!(s.peek_mask(0b111), s.peek(&[0, 1, 2]));
+        assert_eq!(s.peek_mask(0b111), Some(1));
+        assert_eq!(s.peek_mask(0b001), Some(0));
+        assert_eq!(s.peek_mask(0), None);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Word-wide port sets: the bit-parallel request/blocked/eligible
-//! representation behind the `bitpar` engine.
+//! representation the cycle kernel decides on.
 //!
 //! The paper's premise — a high-radix switch tops out at radix 64 —
 //! means every per-output set of ports (requesters, blocked inputs,
@@ -7,9 +7,9 @@
 //! bitline lanes take. A [`PortSet`] is that word with a typed rim:
 //! membership is one shift+AND, population is one `count_ones`, and
 //! iteration walks set bits in ascending port order with
-//! `trailing_zeros` — the same order the scalar `gather` loop visits
-//! ports, which is what keeps the mask-built request vectors
-//! byte-identical to the gathered ones.
+//! `trailing_zeros` — the same order the scalar reference `gather`
+//! visits ports, which is what keeps mask-built request lists and
+//! event orders byte-identical to the gathered ones.
 
 use std::fmt;
 

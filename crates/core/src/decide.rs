@@ -1,13 +1,19 @@
-//! The pure per-output arbitration kernel shared by the sequential and
-//! sharded engines.
+//! The pure per-output arbitration kernel behind every `step`.
 //!
-//! [`QosSwitch::decide_output`] predicts everything one output will do
-//! this cycle — the gathered request sets, the arbitration winner, the
-//! inhibit-fabric cross-check outcome, and the exact trace events a
-//! grant would emit — **without mutating any switch state**. The
-//! sequential `step` and the parallel `shard_decide`/`shard_merge` pair
-//! both drive this one kernel, so their grant streams agree bit for bit
-//! by construction; the serial commit side lives in `switch.rs`.
+//! [`QosSwitch::decide_output`] predicts what one output will do this
+//! cycle — transmit, idle, wait out the arbitration latency, or run one
+//! arbitration round and who wins it — **without mutating any switch
+//! state**, and does it as word arithmetic: the output's three class
+//! request words (`xreq`) ANDed with the word of inputs allowed to
+//! compete, then the mask-native arbiters (`SsvcArbiter::peek_mask`,
+//! `Lrg::peek_mask`). The result is a small `Copy` [`OutputPlan`]; the
+//! serial commit side in `switch.rs` applies its predicted winner.
+//!
+//! `CycleModel::step`, `EventModel::step_fast`, the profiled step and
+//! the sharded `shard_decide`/`shard_merge` pair all drive this one
+//! kernel, so their grant streams agree bit for bit by construction;
+//! the scalar gather-and-slice implementation in `reference.rs` is the
+//! oracle the differential batteries compare it against.
 //!
 //! Purity here is load-bearing twice over: the sharded engine calls
 //! this concurrently from several workers through a shared `&self`, and
@@ -19,540 +25,315 @@
 //! engine exists to remove.
 
 use ssq_arbiter::{Arbiter, Request};
-use ssq_circuit::ArbitrationOutcome;
-use ssq_trace::{Event, EventKind, ShardBuffer};
 use ssq_types::{Cycle, OutputId, TrafficClass};
 
-use super::{wire, GbEngine, QosSwitch};
+use super::{GbEngine, QosSwitch};
 use crate::bitmask::PortSet;
 use crate::channel::ChannelState;
 use crate::config::Policy;
 
-/// One output's precomputed cycle plan: what the output will do when the
-/// serial merge phase reaches it. Opaque outside the crate — a plan is
-/// only meaningful to the switch that produced it, and only for the
-/// cycle it was produced in.
-pub struct OutputPlan {
-    pub(crate) action: PlanAction,
-}
-
-impl OutputPlan {
-    /// Rough work estimate for load accounting: one unit plus the number
-    /// of *distinct* requesting inputs the decision had to weigh — a
-    /// `count_ones` over the requester word. (Counting gathered request
-    /// vectors instead would tally an input once per class it requests
-    /// in, and the mask-built bitpar plans would then disagree with the
-    /// gathered seq/par plans on cost; the set population is
-    /// representation-independent.)
-    #[must_use]
-    pub fn cost(&self) -> u64 {
-        match &self.action {
-            PlanAction::Transmit | PlanAction::NoRequests => 1,
-            PlanAction::AwaitLatency { inputs } => 1 + u64::from(inputs.len()),
-            PlanAction::Arbitrate(arb) => 1 + u64::from(arb.inputs.len()),
-        }
-    }
-}
-
-/// What [`QosSwitch::decide_output`] found the output doing this cycle.
-pub(crate) enum PlanAction {
+/// What [`QosSwitch::decide_output`] found the output doing this cycle:
+/// one of three non-arbitrating states, or the arbitration round the
+/// strict-priority ladder (or flat policy) selected.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PlanKind {
     /// The channel is mid-packet; the commit phase moves one flit (and
     /// handles delivery/chaining) with live state.
     Transmit,
     /// No input requests this output: the arbitration-latency clock
     /// resets.
     NoRequests,
-    /// Requests are waiting but the arbitration latency has not elapsed;
-    /// `inputs` lists the requesters seen (the staleness probe).
-    AwaitLatency {
-        /// Inputs that contributed at least one request at decide time.
-        inputs: PortSet,
-    },
-    /// The latency gate is open: a full arbitration decision, ready to
-    /// commit.
-    Arbitrate(Box<ArbPlan>),
-}
-
-/// A complete predicted arbitration for one output.
-pub(crate) struct ArbPlan {
-    /// Every input that contributed a request at decide time. If any of
-    /// them wins an earlier output during the merge, this plan is stale
-    /// and the kernel re-decides with the updated blocked set.
-    pub(crate) inputs: PortSet,
-    /// Whether the GL policer withheld GL priority this cycle (the
-    /// commit phase counts it).
-    pub(crate) gl_policed: bool,
-    /// Which arbitration round the strict-priority ladder (or flat
-    /// policy) selected, with the request set that round weighs.
-    pub(crate) route: Route,
-    /// The predicted `(winner, class)`, for cross-checking the commit.
-    pub(crate) predicted: Option<(usize, TrafficClass)>,
-    /// Trace events this decision emits, in canonical order.
-    pub(crate) events: ShardBuffer,
-    /// Events below this index (the `GlPoliced` notice) are emitted as
-    /// soon as the commit reaches the arbitration; the rest only on a
-    /// clean grant (a detected fault suppresses them, exactly as the
-    /// sequential path never reaches its emission sites).
-    pub(crate) pre_events: usize,
-}
-
-/// The arbitration round a plan resolved to. Each variant carries the
-/// request set its commit-side twin feeds to the (mutating) arbiter.
-pub(crate) enum Route {
-    /// `Policy::LrgOnly`: class-blind LRG over deduplicated requesters.
-    FlatLrg {
-        /// One unit-length request per distinct requesting input.
-        reqs: Vec<Request>,
-    },
-    /// `Policy::FourLevel`: one leveled request per input.
-    FourLevel {
-        /// Requests tagged with the 4-level priority of their class.
-        reqs: Vec<Request>,
-    },
+    /// Requests are waiting but the arbitration latency has not elapsed.
+    AwaitLatency,
+    /// `Policy::LrgOnly`: class-blind LRG over every requester; the
+    /// winner sends its highest-class head.
+    FlatLrg,
+    /// `Policy::FourLevel`: per input, only its highest-class head
+    /// competes, at that class's level.
+    FourLevel,
     /// GL preempts everything (not policed, lane intact).
-    GlPreempt {
-        /// The GL request set.
-        gl: Vec<Request>,
-        /// The inhibit-fabric outcome on the same requests, if checked.
-        circuit: Option<ArbitrationOutcome>,
-    },
+    GlPreempt,
     /// Degraded mode: the GB round runs on pure LRG.
-    GbFallback {
-        /// The GB request set (demoted GL merged in).
-        gb: Vec<Request>,
-        /// Inputs competing as demoted GL (win as GL class).
-        demoted_gl: Vec<usize>,
-    },
+    GbFallback,
     /// The reservation-weighing GB round.
-    GbRound {
-        /// The GB request set (demoted GL merged in).
-        gb: Vec<Request>,
-        /// Inputs competing as demoted GL (win as GL class).
-        demoted_gl: Vec<usize>,
-        /// The inhibit-fabric outcome on the same requests, if checked.
-        circuit: Option<ArbitrationOutcome>,
-    },
+    GbRound,
     /// Policed GL serves below GB (here: no GB waiting).
-    GlBelowGb {
-        /// The GL request set.
-        gl: Vec<Request>,
-    },
+    GlBelowGb,
     /// Best effort, when no guaranteed class requests.
-    Be {
-        /// The BE request set.
-        be: Vec<Request>,
-    },
+    Be,
 }
 
-impl QosSwitch {
-    /// Predicts `output`'s action for cycle `now` against the `blocked`
-    /// input set, without mutating anything. The serial commit phase
-    /// (`commit_output` in `switch.rs`) applies the returned plan — or
-    /// re-calls this with an updated `blocked` when an earlier output's
-    /// grant invalidated it.
-    pub(crate) fn decide_output(
-        &self,
-        output: OutputId,
-        now: Cycle,
-        blocked: &[bool],
-    ) -> OutputPlan {
-        let o = output.index();
-        // ssq-lint: allow(unchecked-hot-arith) — per-output channel Vec sized num_ports at construction; `o` is a port id < radix
-        if matches!(self.channels[o].state(), ChannelState::Transmitting { .. }) {
-            return OutputPlan {
-                action: PlanAction::Transmit,
-            };
-        }
-        let (gl, gb, be) = self.gather(output, blocked);
-        if gl.is_empty() && gb.is_empty() && be.is_empty() {
-            return OutputPlan {
-                action: PlanAction::NoRequests,
-            };
-        }
-        let mut inputs = PortSet::EMPTY;
-        for r in gl.iter().chain(&gb).chain(&be) {
-            inputs.insert(r.input());
-        }
-        let arb_latency = self.config.policy().arbitration_cycles();
-        // ssq-lint: allow(unchecked-hot-arith) — `arb_wait` is sized num_ports and held below `arbitration_cycles` by commit; `o` is a port id < radix
-        if self.arb_wait[o] + 1 < arb_latency {
-            return OutputPlan {
-                action: PlanAction::AwaitLatency { inputs },
-            };
-        }
-        self.decide_gathered(output, now, gl, gb, be, inputs)
-    }
+/// One output's precomputed cycle plan: what the output will do when the
+/// serial commit phase reaches it. Opaque outside the crate — a plan is
+/// only meaningful to the switch that produced it, and only for the
+/// cycle it was produced in.
+#[derive(Debug, Clone, Copy)]
+pub struct OutputPlan {
+    pub(crate) kind: PlanKind,
+    /// Whether the GL policer withheld GL priority this cycle (the
+    /// commit phase counts and traces it).
+    pub(crate) gl_policed: bool,
+    /// Whether GL lost its lane and competes inside the GB round.
+    pub(crate) demoted: bool,
+    /// The class request words the decision weighed: bit `i` ⇔ input `i`
+    /// was allowed to compete and held a head of that class for this
+    /// output. All zero for `Transmit` and `NoRequests`.
+    pub(crate) gl: u64,
+    pub(crate) gb: u64,
+    pub(crate) be: u64,
+    /// The predicted `(winner, class)` of an arbitration round.
+    pub(crate) predicted: Option<(usize, TrafficClass)>,
+}
 
-    /// The word-wide twin of [`QosSwitch::decide_output`]: identical
-    /// contract (pure, per-output, returns the same plan byte for byte),
-    /// but the request sets come from the transposed request words
-    /// instead of `radix × 3` queue-head probes. `avail` is the word of
-    /// inputs allowed to compete — `!blocked & live_links` — so the two
-    /// cheap outcomes (`NoRequests`, `AwaitLatency`) resolve in a few
-    /// word ops without touching a single port, and only actual
-    /// requesters are probed to materialize the request vectors the
-    /// shared policy kernel consumes.
-    pub(crate) fn decide_output_fast(
-        &self,
-        output: OutputId,
-        now: Cycle,
-        avail: u64,
-    ) -> OutputPlan {
-        let o = output.index();
-        // ssq-lint: allow(unchecked-hot-arith) — per-output channel Vec sized num_ports at construction; `o` is a port id < radix
-        if matches!(self.channels[o].state(), ChannelState::Transmitting { .. }) {
-            return OutputPlan {
-                action: PlanAction::Transmit,
-            };
-        }
-        // ssq-lint: allow(unchecked-hot-arith) — per-output request-word Vecs sized num_ports at construction; `o` is a port id < radix
-        let glm = self.xreq[TrafficClass::GuaranteedLatency.priority() as usize][o] & avail;
-        // ssq-lint: allow(unchecked-hot-arith) — per-output request-word Vecs sized num_ports at construction; `o` is a port id < radix
-        let gbm = self.xreq[TrafficClass::GuaranteedBandwidth.priority() as usize][o] & avail;
-        // ssq-lint: allow(unchecked-hot-arith) — per-output request-word Vecs sized num_ports at construction; `o` is a port id < radix
-        let bem = self.xreq[TrafficClass::BestEffort.priority() as usize][o] & avail;
-        let all = glm | gbm | bem;
-        if all == 0 {
-            return OutputPlan {
-                action: PlanAction::NoRequests,
-            };
-        }
-        let inputs = PortSet::from_bits(all);
-        let arb_latency = self.config.policy().arbitration_cycles();
-        // ssq-lint: allow(unchecked-hot-arith) — `arb_wait` is sized num_ports and held below `arbitration_cycles` by commit; `o` is a port id < radix
-        if self.arb_wait[o] + 1 < arb_latency {
-            return OutputPlan {
-                action: PlanAction::AwaitLatency { inputs },
-            };
-        }
-        let gl = self.requests_from_mask(output, TrafficClass::GuaranteedLatency, glm);
-        let gb = self.requests_from_mask(output, TrafficClass::GuaranteedBandwidth, gbm);
-        let be = self.requests_from_mask(output, TrafficClass::BestEffort, bem);
-        self.decide_gathered(output, now, gl, gb, be, inputs)
-    }
-
-    /// Materializes one class's request vector from its requester word,
-    /// in ascending input order — the order the scalar `gather` loop
-    /// produces, which is what keeps mask-built plans byte-identical.
-    fn requests_from_mask(&self, output: OutputId, class: TrafficClass, mask: u64) -> Vec<Request> {
-        PortSet::from_bits(mask)
-            .iter()
-            .map(|i| {
-                // ssq-lint: allow(unchecked-hot-arith) — port Vec sized num_ports at construction; mask bits are port ids < radix by the sync invariant
-                let head = self.ports[i]
-                    .head(class, output)
-                    // ssq-lint: allow(no-unwrap) — a set request bit with no matching head means the incremental mask desynced from the queues: an invariant breach, not a recoverable condition
-                    .expect("request word set without a matching queue head");
-                Request::new(i, head.spec().len_flits())
-            })
-            .collect()
-    }
-
-    /// The gate + policy dispatch shared by the gathered and mask-built
-    /// request paths. `inputs` is the set of distinct requesters.
-    fn decide_gathered(
-        &self,
-        output: OutputId,
-        now: Cycle,
-        gl: Vec<Request>,
-        gb: Vec<Request>,
-        be: Vec<Request>,
-        inputs: PortSet,
-    ) -> OutputPlan {
-        let arb = match self.config.policy() {
-            Policy::LrgOnly => self.decide_flat_lrg(output, now, &gl, &gb, &be, inputs),
-            Policy::FourLevel => self.decide_four_level(output, now, &gl, &gb, &be, inputs),
-            _ => self.decide_strict_priority(output, now, gl, gb, be, inputs),
-        };
+impl OutputPlan {
+    fn idle(kind: PlanKind) -> Self {
         OutputPlan {
-            action: PlanAction::Arbitrate(Box::new(arb)),
-        }
-    }
-
-    /// `Policy::LrgOnly`: class-blind LRG over every requester; a winner
-    /// sends its highest-class head.
-    fn decide_flat_lrg(
-        &self,
-        output: OutputId,
-        now: Cycle,
-        gl: &[Request],
-        gb: &[Request],
-        be: &[Request],
-        inputs: PortSet,
-    ) -> ArbPlan {
-        let o = output.index();
-        let mut requesters: Vec<usize> = Vec::new();
-        for r in gl.iter().chain(gb).chain(be) {
-            if !requesters.contains(&r.input()) {
-                requesters.push(r.input());
-            }
-        }
-        let reqs: Vec<Request> = requesters.into_iter().map(|i| Request::new(i, 1)).collect();
-        let mut events = ShardBuffer::new(o);
-        // ssq-lint: allow(unchecked-hot-arith) — per-output arbiter Vec sized num_ports at construction; `o` is a port id < radix
-        let predicted = self.flat_lrg[o]
-            .decide(now, &reqs)
-            .map(|w| (w, self.best_class_of(w, output)));
-        if let Some((w, class)) = predicted {
-            push_decision(&mut events, now, o, class, reqs.len(), w, self.watching());
-        }
-        ArbPlan {
-            inputs,
+            kind,
             gl_policed: false,
-            route: Route::FlatLrg { reqs },
-            predicted,
-            events,
-            pre_events: 0,
+            demoted: false,
+            gl: 0,
+            gb: 0,
+            be: 0,
+            predicted: None,
         }
     }
 
-    /// `Policy::FourLevel`: GL -> level 3, GB -> level 1, BE -> level 0;
-    /// per input, only its highest-class head competes.
-    fn decide_four_level(
-        &self,
-        output: OutputId,
-        now: Cycle,
-        gl: &[Request],
-        gb: &[Request],
-        be: &[Request],
-        inputs: PortSet,
-    ) -> ArbPlan {
-        let o = output.index();
-        let mut reqs: Vec<Request> = Vec::new();
-        let add = |r: &Request, level: u8, reqs: &mut Vec<Request>| {
-            if !reqs.iter().any(|q| q.input() == r.input()) {
-                reqs.push(Request::new(r.input(), r.len_flits()).with_level(level));
-            }
-        };
-        for r in gl {
-            add(r, 3, &mut reqs);
-        }
-        for r in gb {
-            add(r, 1, &mut reqs);
-        }
-        for r in be {
-            add(r, 0, &mut reqs);
-        }
-        let mut events = ShardBuffer::new(o);
-        // ssq-lint: allow(unchecked-hot-arith) — per-output arbiter Vec sized num_ports at construction; `o` is a port id < radix
-        let predicted = self.four_level[o].decide(now, &reqs).and_then(|w| {
-            reqs.iter()
-                .find(|r| r.input() == w)
-                .map(|r| (w, four_level_class(r.level())))
-        });
-        if let Some((w, class)) = predicted {
-            push_decision(&mut events, now, o, class, reqs.len(), w, self.watching());
-        }
-        ArbPlan {
-            inputs,
-            gl_policed: false,
-            route: Route::FourLevel { reqs },
-            predicted,
-            events,
-            pre_events: 0,
-        }
+    /// Every input that contributed a request at decide time. If an
+    /// earlier output's grant blocks one of them during the merge, the
+    /// plan is stale and the kernel re-decides.
+    pub(crate) fn requesters(&self) -> u64 {
+        self.gl | self.gb | self.be
     }
 
-    /// The strict class-priority ladder: GL > GB > policed (or demoted)
-    /// GL > BE, mirroring the sequential branch structure condition for
-    /// condition.
-    fn decide_strict_priority(
-        &self,
-        output: OutputId,
-        now: Cycle,
-        gl: Vec<Request>,
-        mut gb: Vec<Request>,
-        be: Vec<Request>,
-        inputs: PortSet,
-    ) -> ArbPlan {
-        let o = output.index();
-        let watch = self.watching();
-        let mut events = ShardBuffer::new(o);
-        // ssq-lint: allow(unchecked-hot-arith) — per-output policer Vec sized num_ports at construction; `o` is a port id < radix
-        let policed = self.gl_policers[o].policed();
-        let demoted = self.faultctl.gl_demoted(o);
-        let gl_policed = policed && !gl.is_empty();
-        if gl_policed && watch {
-            events.push(Event {
-                cycle: now.value(),
-                kind: EventKind::GlPoliced {
-                    output: wire(o),
-                    backlog: gl.len() as u32,
-                },
-            });
-        }
-        let pre_events = events.len();
-        // Demotion means GL lost its dedicated lane, not its service:
-        // demoted GL competes inside the GB round.
-        let mut demoted_gl: Vec<usize> = Vec::new();
-        if demoted {
-            for r in &gl {
-                if !gb.iter().any(|q| q.input() == r.input()) {
-                    demoted_gl.push(r.input());
-                    gb.push(Request::new(r.input(), r.len_flits()));
-                }
-            }
-        }
-
-        let (route, predicted) = if !gl.is_empty() && !policed && !demoted {
-            let circuit = self.fabric_decision(o, &gl, &[]);
-            // ssq-lint: allow(unchecked-hot-arith) — per-output arbiter Vec sized num_ports at construction; `o` is a port id < radix
-            let predicted = self.gl_lrg[o]
-                .decide(now, &gl)
-                .map(|w| (w, TrafficClass::GuaranteedLatency));
-            if let Some((w, class)) = predicted {
-                push_decision(&mut events, now, o, class, gl.len(), w, watch);
-            }
-            (Route::GlPreempt { gl, circuit }, predicted)
-        } else if !gb.is_empty() && self.faultctl.lrg_fallback(o) {
-            // ssq-lint: allow(unchecked-hot-arith) — per-output arbiter Vec sized num_ports at construction; `o` is a port id < radix
-            let predicted = self.flat_lrg[o].decide(now, &gb).map(|w| {
-                if demoted_gl.contains(&w) {
-                    (w, TrafficClass::GuaranteedLatency)
-                } else {
-                    (w, TrafficClass::GuaranteedBandwidth)
-                }
-            });
-            if let Some((w, class)) = predicted {
-                push_decision(&mut events, now, o, class, gb.len(), w, watch);
-            }
-            (Route::GbFallback { gb, demoted_gl }, predicted)
-        } else if !gb.is_empty() {
-            let circuit = self.fabric_decision(o, &[], &gb);
-            // Snapshot the MSB lanes before the (future) commit mutates
-            // auxVC state, so inhibit events carry the values the losers
-            // are actually defeated with.
-            // ssq-lint: allow(unchecked-hot-arith) — per-output engine Vec sized num_ports at construction; `o` is a port id < radix
-            let msbs: Vec<(usize, u64)> = match &self.gb_engines[o] {
-                GbEngine::Ssvc(ssvc) if watch => gb
-                    .iter()
-                    .map(|r| (r.input(), ssvc.msb_value(r.input())))
-                    .collect(),
-                _ => Vec::new(),
-            };
-            // ssq-lint: allow(unchecked-hot-arith) — per-output engine Vec sized num_ports at construction; `o` is a port id < radix
-            let predicted_w = self.gb_engines[o]
-                .as_arbiter_ref()
-                .and_then(|e| e.decide(now, &gb));
-            let predicted = predicted_w.map(|w| {
-                // ssq-lint: allow(unchecked-hot-arith) — per-output engine Vec sized num_ports at construction; `o` is a port id < radix
-                if let GbEngine::Ssvc(ssvc) = &self.gb_engines[o] {
-                    if watch {
-                        let winner_msb = msbs.iter().find(|&&(i, _)| i == w).map_or(0, |&(_, m)| m);
-                        let (aux, saturated) = ssvc.preview_win(w);
-                        for &(i, msb) in msbs.iter().filter(|&&(i, _)| i != w) {
-                            events.push(Event {
-                                cycle: now.value(),
-                                kind: EventKind::Inhibit {
-                                    output: wire(o),
-                                    input: wire(i),
-                                    msb,
-                                    winner_msb,
-                                },
-                            });
-                        }
-                        events.push(Event {
-                            cycle: now.value(),
-                            kind: EventKind::AuxVc {
-                                output: wire(o),
-                                input: wire(w),
-                                aux,
-                                saturated,
-                            },
-                        });
-                    }
-                }
-                let class = if demoted_gl.contains(&w) {
-                    TrafficClass::GuaranteedLatency
-                } else {
-                    TrafficClass::GuaranteedBandwidth
-                };
-                push_decision(&mut events, now, o, class, gb.len(), w, watch);
-                (w, class)
-            });
-            (
-                Route::GbRound {
-                    gb,
-                    demoted_gl,
-                    circuit,
-                },
-                predicted,
-            )
-        } else if !gl.is_empty() {
-            // ssq-lint: allow(unchecked-hot-arith) — per-output arbiter Vec sized num_ports at construction; `o` is a port id < radix
-            let predicted = self.gl_lrg[o]
-                .decide(now, &gl)
-                .map(|w| (w, TrafficClass::GuaranteedLatency));
-            if let Some((w, class)) = predicted {
-                push_decision(&mut events, now, o, class, gl.len(), w, watch);
-            }
-            (Route::GlBelowGb { gl }, predicted)
-        } else {
-            // ssq-lint: allow(unchecked-hot-arith) — per-output arbiter Vec sized num_ports at construction; `o` is a port id < radix
-            let predicted = self.be_lrg[o]
-                .decide(now, &be)
-                .map(|w| (w, TrafficClass::BestEffort));
-            if let Some((w, class)) = predicted {
-                push_decision(&mut events, now, o, class, be.len(), w, watch);
-            }
-            (Route::Be { be }, predicted)
-        };
-        ArbPlan {
-            inputs,
-            gl_policed,
-            route,
-            predicted,
-            events,
-            pre_events,
-        }
+    /// Rough work estimate for load accounting: one unit plus the number
+    /// of *distinct* requesting inputs the decision had to weigh — a
+    /// `count_ones` over the requester word.
+    #[must_use]
+    pub fn cost(&self) -> u64 {
+        1 + u64::from(self.requesters().count_ones())
     }
 
-    /// Whether any trace sink is attached (event prediction is skipped
-    /// entirely when off, exactly like the sequential emission sites).
-    fn watching(&self) -> bool {
-        !self.tracer.is_off()
-    }
-}
-
-impl ArbPlan {
     /// Whether an earlier output's grant blocked one of this plan's
     /// requesters since it was decided. Blocking is monotone within a
     /// cycle, so this is the *only* way a plan can go stale.
-    pub(crate) fn stale(&self, blocked: &[bool]) -> bool {
-        // ssq-lint: allow(unchecked-hot-arith) — `inputs` holds port ids < radix and `blocked` is sized num_ports by commit_cycle; the len==radix relation is outside the interval domain
-        self.inputs.iter().any(|i| blocked[i])
+    pub(crate) fn stale(&self, blocked: u64) -> bool {
+        self.requesters() & blocked != 0
+    }
+
+    /// The GL inputs competing inside the GB round (they win as GL).
+    pub(crate) fn demoted_gl(&self) -> u64 {
+        if self.demoted {
+            self.gl & !self.gb
+        } else {
+            0
+        }
+    }
+
+    /// The word of inputs the selected round weighs.
+    pub(crate) fn contenders(&self) -> u64 {
+        match self.kind {
+            PlanKind::Transmit | PlanKind::NoRequests | PlanKind::AwaitLatency => 0,
+            PlanKind::FlatLrg | PlanKind::FourLevel => self.requesters(),
+            PlanKind::GlPreempt | PlanKind::GlBelowGb => self.gl,
+            PlanKind::GbFallback | PlanKind::GbRound => self.gb | self.demoted_gl(),
+            PlanKind::Be => self.be,
+        }
+    }
+
+    /// The class a GB-round winner sends: demoted GL wins as GL.
+    pub(crate) fn gb_round_class(&self, winner: usize) -> TrafficClass {
+        if PortSet::from_bits(self.gb).contains(winner) {
+            TrafficClass::GuaranteedBandwidth
+        } else {
+            TrafficClass::GuaranteedLatency
+        }
+    }
+
+    /// The highest class `input` requests with.
+    pub(crate) fn best_class_of(&self, input: usize) -> TrafficClass {
+        if PortSet::from_bits(self.gl).contains(input) {
+            TrafficClass::GuaranteedLatency
+        } else if PortSet::from_bits(self.gb).contains(input) {
+            TrafficClass::GuaranteedBandwidth
+        } else {
+            TrafficClass::BestEffort
+        }
     }
 }
 
-/// Maps a 4-level priority back to its traffic class.
-fn four_level_class(level: u8) -> TrafficClass {
-    match level {
-        3 => TrafficClass::GuaranteedLatency,
-        1 => TrafficClass::GuaranteedBandwidth,
-        _ => TrafficClass::BestEffort,
+/// Stack scratch for the engines that only speak the slice-of-requests
+/// [`Arbiter`] protocol (the non-SSVC baselines): at most one request
+/// per input, so radix ≤ 64 bounds it.
+pub(crate) struct RequestBuf {
+    reqs: [Request; 64],
+    len: usize,
+}
+
+impl RequestBuf {
+    fn new() -> Self {
+        RequestBuf {
+            reqs: [Request::new(0, 1); 64],
+            len: 0,
+        }
+    }
+
+    pub(crate) fn as_slice(&self) -> &[Request] {
+        self.reqs.get(..self.len).unwrap_or(&[])
     }
 }
 
-/// Buffers the `Decision` event a committed arbitration emits.
-fn push_decision(
-    events: &mut ShardBuffer,
-    now: Cycle,
-    o: usize,
-    class: TrafficClass,
-    contenders: usize,
-    winner: usize,
-    watch: bool,
-) {
-    if !watch {
-        return;
+impl QosSwitch {
+    /// Predicts `output`'s action for cycle `now` without mutating
+    /// anything. `avail` is the word of inputs allowed to compete —
+    /// `live_links & !blocked` — so the two cheap outcomes
+    /// (`NoRequests`, `AwaitLatency`) resolve in a few word ops without
+    /// touching a single port. The serial commit phase (`commit_output`
+    /// in `switch.rs`) applies the returned plan — or re-calls this with
+    /// an updated `avail` when an earlier output's grant invalidated it.
+    pub(crate) fn decide_output(&self, output: OutputId, now: Cycle, avail: u64) -> OutputPlan {
+        let o = output.index();
+        let (Some(channel), Some(&wait), Some(&[be, gb, gl])) =
+            (self.channels.get(o), self.arb_wait.get(o), self.xreq.get(o))
+        else {
+            return OutputPlan::idle(PlanKind::NoRequests);
+        };
+        if matches!(channel.state(), ChannelState::Transmitting { .. }) {
+            return OutputPlan::idle(PlanKind::Transmit);
+        }
+        // `xreq` rows are indexed by `TrafficClass::priority()`.
+        let (gl, gb, be) = (gl & avail, gb & avail, be & avail);
+        if gl | gb | be == 0 {
+            return OutputPlan::idle(PlanKind::NoRequests);
+        }
+        let mut plan = OutputPlan {
+            gl,
+            gb,
+            be,
+            ..OutputPlan::idle(PlanKind::AwaitLatency)
+        };
+        if wait.saturating_add(1) < self.config.policy().arbitration_cycles() {
+            return plan;
+        }
+        match self.config.policy() {
+            Policy::LrgOnly => {
+                plan.kind = PlanKind::FlatLrg;
+                plan.predicted = self
+                    .flat_lrg
+                    .get(o)
+                    .and_then(|lrg| lrg.peek_mask(plan.requesters()))
+                    .map(|w| (w, plan.best_class_of(w)));
+            }
+            Policy::FourLevel => {
+                plan.kind = PlanKind::FourLevel;
+                let reqs = self.four_level_requests(output, &plan);
+                plan.predicted = self
+                    .four_level
+                    .get(o)
+                    .and_then(|arb| arb.decide(now, reqs.as_slice()))
+                    .map(|w| (w, plan.best_class_of(w)));
+            }
+            _ => self.decide_strict_priority(output, now, &mut plan),
+        }
+        plan
     }
-    events.push(Event {
-        cycle: now.value(),
-        kind: EventKind::Decision {
-            output: wire(o),
-            class,
-            contenders: contenders as u32,
-            winner: wire(winner),
-        },
-    });
+
+    /// The strict class-priority ladder: GL > GB > policed (or demoted)
+    /// GL > BE. Demotion means GL lost its dedicated lane, not its
+    /// service: demoted GL competes inside the GB round.
+    fn decide_strict_priority(&self, output: OutputId, now: Cycle, plan: &mut OutputPlan) {
+        let o = output.index();
+        let policed = self.gl_policers.get(o).is_some_and(|p| p.policed());
+        plan.demoted = self.faultctl.gl_demoted(o);
+        plan.gl_policed = policed && plan.gl != 0;
+        let round = plan.gb | plan.demoted_gl();
+        let lrg_winner = |lanes: &[ssq_arbiter::Lrg], word: u64| {
+            lanes.get(o).and_then(|lrg| lrg.peek_mask(word))
+        };
+        let (kind, winner, class) = if plan.gl != 0 && !policed && !plan.demoted {
+            let w = lrg_winner(&self.gl_lrg, plan.gl);
+            (PlanKind::GlPreempt, w, TrafficClass::GuaranteedLatency)
+        } else if round != 0 {
+            let (kind, w) = if self.faultctl.lrg_fallback(o) {
+                (PlanKind::GbFallback, lrg_winner(&self.flat_lrg, round))
+            } else {
+                let w = match self.gb_engines.get(o) {
+                    Some(GbEngine::Ssvc(ssvc)) => ssvc.peek_mask(round),
+                    Some(engine) => engine.as_arbiter_ref().and_then(|arb| {
+                        let reqs = self.gb_round_requests(output, plan);
+                        arb.decide(now, reqs.as_slice())
+                    }),
+                    None => None,
+                };
+                (PlanKind::GbRound, w)
+            };
+            let class = w.map_or(TrafficClass::GuaranteedBandwidth, |w| {
+                plan.gb_round_class(w)
+            });
+            (kind, w, class)
+        } else if plan.gl != 0 {
+            let w = lrg_winner(&self.gl_lrg, plan.gl);
+            (PlanKind::GlBelowGb, w, TrafficClass::GuaranteedLatency)
+        } else {
+            let w = lrg_winner(&self.be_lrg, plan.be);
+            (PlanKind::Be, w, TrafficClass::BestEffort)
+        };
+        plan.kind = kind;
+        plan.predicted = winner.map(|w| (w, class));
+    }
+
+    /// Appends one request per set bit of `word`, in ascending input
+    /// order, carrying the length of that input's `class` head toward
+    /// `output`.
+    fn push_requests(
+        &self,
+        buf: &mut RequestBuf,
+        output: OutputId,
+        class: TrafficClass,
+        word: u64,
+        level: u8,
+    ) {
+        for i in PortSet::from_bits(word) {
+            let head = self.ports.get(i).and_then(|p| p.head(class, output));
+            let (Some(head), Some(slot)) = (head, buf.reqs.get_mut(buf.len)) else {
+                // A set request bit with no matching head means the
+                // incremental masks desynced from the queues.
+                debug_assert!(false, "request word set without a matching queue head");
+                continue;
+            };
+            *slot = Request::new(i, head.spec().len_flits()).with_level(level);
+            buf.len = buf.len.saturating_add(1);
+        }
+    }
+
+    /// The `Policy::FourLevel` request list: GL -> level 3, GB -> level
+    /// 1, BE -> level 0; per input, only its highest-class head competes.
+    pub(crate) fn four_level_requests(&self, output: OutputId, plan: &OutputPlan) -> RequestBuf {
+        let mut buf = RequestBuf::new();
+        let (gl, gb, be) = (plan.gl, plan.gb & !plan.gl, plan.be & !(plan.gl | plan.gb));
+        self.push_requests(&mut buf, output, TrafficClass::GuaranteedLatency, gl, 3);
+        self.push_requests(&mut buf, output, TrafficClass::GuaranteedBandwidth, gb, 1);
+        self.push_requests(&mut buf, output, TrafficClass::BestEffort, be, 0);
+        buf
+    }
+
+    /// The GB round's request list for the slice-protocol engines: the
+    /// GB requesters, then the demoted GL inputs merged in behind them.
+    pub(crate) fn gb_round_requests(&self, output: OutputId, plan: &OutputPlan) -> RequestBuf {
+        let mut buf = RequestBuf::new();
+        self.push_requests(
+            &mut buf,
+            output,
+            TrafficClass::GuaranteedBandwidth,
+            plan.gb,
+            0,
+        );
+        self.push_requests(
+            &mut buf,
+            output,
+            TrafficClass::GuaranteedLatency,
+            plan.demoted_gl(),
+            0,
+        );
+        buf
+    }
 }

@@ -94,4 +94,6 @@ pub use port::InputPort;
 pub use prof::CycleProf;
 pub use reservations::{GbReservation, ReadmitAction, ReadmitDecision, Reservations};
 pub use ssq_check::{Preflight, Report};
+#[doc(hidden)]
+pub use switch::ReferenceKernel;
 pub use switch::{OutputPlan, QosSwitch, SwitchCounters};

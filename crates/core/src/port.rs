@@ -238,7 +238,11 @@ impl InputPort {
             self.input
         );
         let done = self.queue_mut(class, output).transmit_head_flit();
-        self.refresh_bit(class, output);
+        if done.is_some() {
+            // Only a popped packet can change which head (if any) the
+            // queue presents; a flit leaving mid-packet cannot.
+            self.refresh_bit(class, output);
+        }
         done
     }
 

@@ -6,7 +6,8 @@
 //! the two-outcome oracle ([`crate::detect::judge`]). The smoke tier
 //! ([`run_smoke`]) runs every scenario through **all three** execution
 //! engines — the sequential [`Runner`], the sharded [`ParRunner`], and
-//! the word-wide [`BitparRunner`] — and asserts none ends in a silent
+//! the idle-skipping [`BitparRunner`] — plus the scalar reference
+//! kernel they are all held to, and asserts none ends in a silent
 //! violation; an engine divergence (verdict, counters, or trace bytes
 //! differing between the runs) is itself reported as a silent
 //! violation, making every smoke run a differential test of the fast
@@ -138,10 +139,24 @@ pub fn run_scenario(name: &str, seed: u64) -> Option<ScenarioResult> {
     Some(finish(name, chaos, &outcome))
 }
 
+/// [`run_scenario`] on the scalar reference kernel
+/// (`QosSwitch::step_reference`) — the oracle every engine's result must
+/// match exactly, which [`run_smoke`] enforces on every scenario. The
+/// engines share one arbitration kernel, so they cannot vouch for each
+/// other; the reference path shares no decision code with it.
+#[must_use]
+pub fn run_scenario_reference(name: &str, seed: u64) -> Option<ScenarioResult> {
+    let (switch, plan) = build_scenario(name, seed)?;
+    let mut chaos = arm(switch, plan).on_reference_kernel();
+    let outcome = Runner::new(Schedule::new(Cycles::new(WARMUP), Cycles::new(MEASURE)))
+        .run_monitored(&mut chaos, Cycles::new(2_000), |_, _| {});
+    Some(finish(name, chaos, &outcome))
+}
+
 /// [`run_scenario`] on the sharded parallel engine with `threads`
-/// compute threads. The result must match [`run_scenario`] exactly —
-/// same verdict, same counters, same trace — which [`run_smoke`]
-/// enforces on every scenario.
+/// compute threads. The result must match [`run_scenario_reference`]
+/// exactly — same verdict, same counters, same trace — which
+/// [`run_smoke`] enforces on every scenario.
 #[must_use]
 pub fn run_scenario_par(name: &str, seed: u64, threads: usize) -> Option<ScenarioResult> {
     let (switch, plan) = build_scenario(name, seed)?;
@@ -154,10 +169,10 @@ pub fn run_scenario_par(name: &str, seed: u64, threads: usize) -> Option<Scenari
     Some(finish(name, chaos, &outcome))
 }
 
-/// [`run_scenario`] on the word-wide bitpar engine. Monitored runs step
-/// densely (the watchdog is per executed cycle), so this exercises the
-/// mask-gather fast path under every fault in the catalog; the result
-/// must match [`run_scenario`] exactly, which [`run_smoke`] enforces.
+/// [`run_scenario`] on the bitpar engine. Monitored runs step densely
+/// (the watchdog is per executed cycle), so this drives `step_fast`
+/// under every fault in the catalog; the result must match
+/// [`run_scenario_reference`] exactly, which [`run_smoke`] enforces.
 #[must_use]
 pub fn run_scenario_bitpar(name: &str, seed: u64) -> Option<ScenarioResult> {
     let (switch, plan) = build_scenario(name, seed)?;
@@ -373,29 +388,33 @@ fn build_scenario(name: &str, seed: u64) -> Option<(QosSwitch, FaultPlan)> {
     Some((switch, plan))
 }
 
-/// Runs every catalog scenario with `seed` on all three engines.
+/// Runs every catalog scenario with `seed` on the reference kernel and
+/// all three engines.
 ///
-/// Each scenario executes under the sequential runner and again under
-/// the parallel engine (two threads) and the bitpar engine; the
-/// sequential result is returned, except that any divergence between
-/// the runs — verdict, injection or delivery counters, or the event
-/// trace — replaces the verdict with a [`Verdict::SilentViolation`]
-/// naming the differential failure.
+/// Each scenario executes on the scalar reference kernel and again under
+/// the sequential runner, the parallel engine (two threads) and the
+/// bitpar engine; the reference result is returned, except that any
+/// divergence of an engine from it — verdict, injection or delivery
+/// counters, or the event trace — replaces the verdict with a
+/// [`Verdict::SilentViolation`] naming the differential failure.
 #[must_use]
 pub fn run_smoke(seed: u64) -> Vec<ScenarioResult> {
     SCENARIOS
         .iter()
         .map(|(name, _)| {
-            let seq = run_scenario(name, seed).expect("catalog names are valid");
-            let par = run_scenario_par(name, seed, 2).expect("catalog names are valid");
-            let seq = differential(seq, &par, "parallel");
-            let bit = run_scenario_bitpar(name, seed).expect("catalog names are valid");
-            differential(seq, &bit, "bitpar")
+            let valid = "catalog names are valid";
+            let reference = run_scenario_reference(name, seed).expect(valid);
+            let seq = run_scenario(name, seed).expect(valid);
+            let reference = differential(reference, &seq, "sequential");
+            let par = run_scenario_par(name, seed, 2).expect(valid);
+            let reference = differential(reference, &par, "parallel");
+            let bit = run_scenario_bitpar(name, seed).expect(valid);
+            differential(reference, &bit, "bitpar")
         })
         .collect()
 }
 
-/// Folds a fast-engine rerun into the sequential result: identical runs
+/// Folds an engine's rerun into the reference result: identical runs
 /// pass through; any observable difference is the one failure mode this
 /// subsystem exists to rule out, reported loudly.
 fn differential(mut seq: ScenarioResult, other: &ScenarioResult, engine: &str) -> ScenarioResult {
@@ -425,7 +444,7 @@ fn differential(mut seq: ScenarioResult, other: &ScenarioResult, engine: &str) -
     if !diffs.is_empty() {
         seq.verdict = Verdict::SilentViolation {
             reason: format!(
-                "{engine} engine diverged from sequential: {}",
+                "{engine} engine diverged from the reference kernel: {}",
                 diffs.join("; ")
             ),
         };
@@ -522,6 +541,7 @@ mod tests {
     #[test]
     fn unknown_scenario_is_none() {
         assert!(run_scenario("no-such-scenario", 0).is_none());
+        assert!(run_scenario_reference("no-such-scenario", 0).is_none());
         assert!(run_scenario_par("no-such-scenario", 0, 2).is_none());
         assert!(run_scenario_bitpar("no-such-scenario", 0).is_none());
     }
@@ -530,10 +550,14 @@ mod tests {
     fn parallel_engine_matches_sequential_under_faults() {
         // The armed-fault paths (fabric corruption classification,
         // degraded-mode scans) are the hardest cases for the shared
-        // decide/commit kernel: they mutate mid-arbitration. Hold the
-        // parallel engine bit-exact through them at 1 and 4 threads.
+        // decide/commit kernel: they mutate mid-arbitration. Hold every
+        // engine bit-exact to the reference kernel through them, the
+        // parallel one at 1 and 4 threads.
         for name in ["bitline-stuck-0", "bitline-stuck-1", "gl-lane-lost"] {
-            let seq = run_scenario(name, 7).unwrap();
+            let seq = run_scenario_reference(name, 7).unwrap();
+            let dense = run_scenario(name, 7).unwrap();
+            assert_eq!(seq.verdict, dense.verdict, "{name} @ seq");
+            assert_eq!(seq.events, dense.events, "{name} @ seq");
             for threads in [1, 4] {
                 let par = run_scenario_par(name, 7, threads).unwrap();
                 assert_eq!(seq.verdict, par.verdict, "{name} @ {threads} threads");

@@ -18,6 +18,8 @@ pub struct ChaosSwitch {
     switch: QosSwitch,
     plan: FaultPlan,
     cursor: usize,
+    /// Whether [`CycleModel::step`] drives the scalar reference kernel.
+    reference: bool,
 }
 
 impl ChaosSwitch {
@@ -28,7 +30,17 @@ impl ChaosSwitch {
             switch,
             plan,
             cursor: 0,
+            reference: false,
         }
+    }
+
+    /// Routes [`CycleModel::step`] through the scalar reference kernel
+    /// (`QosSwitch::step_reference`) — the oracle side of the smoke
+    /// tier's engine differential.
+    #[must_use]
+    pub fn on_reference_kernel(mut self) -> Self {
+        self.reference = true;
+        self
     }
 
     /// The wrapped switch.
@@ -58,7 +70,11 @@ impl ChaosSwitch {
 impl CycleModel for ChaosSwitch {
     fn step(&mut self, now: Cycle) {
         self.plan.apply_due(&mut self.cursor, now, &mut self.switch);
-        self.switch.step(now);
+        if self.reference {
+            self.switch.step_reference(now);
+        } else {
+            self.switch.step(now);
+        }
     }
 
     fn begin_measurement(&mut self, now: Cycle) {

@@ -22,9 +22,15 @@ use std::fmt;
 /// assert_eq!(h.max(), Some(400));
 /// assert_eq!(h.overflow(), 1); // 400 exceeds the binned range
 /// ```
+///
+/// The bin vector is allocated by the first [`Histogram::record`] (or a
+/// [`Histogram::merge`] that brings samples in): a switch keeps one
+/// histogram per flow and class, and most of them never see a sample.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     bin_width: u64,
+    num_bins: usize,
+    /// Empty until the first sample arrives, then `num_bins` long.
     bins: Vec<u64>,
     overflow: u64,
     count: u64,
@@ -45,7 +51,8 @@ impl Histogram {
         assert!(num_bins > 0, "need at least one bin");
         Histogram {
             bin_width,
-            bins: vec![0; num_bins],
+            num_bins,
+            bins: Vec::new(),
             overflow: 0,
             count: 0,
             sum: 0,
@@ -56,6 +63,9 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
+        if self.bins.is_empty() {
+            self.bins = vec![0; self.num_bins];
+        }
         self.count = self.count.saturating_add(1);
         self.sum = self.sum.saturating_add(u128::from(value));
         self.max = self.max.max(value);
@@ -160,9 +170,13 @@ impl Histogram {
     /// Panics if the bin widths or counts differ.
     pub fn merge(&mut self, other: &Histogram) {
         assert_eq!(self.bin_width, other.bin_width, "bin width mismatch");
-        assert_eq!(self.bins.len(), other.bins.len(), "bin count mismatch");
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a += b;
+        assert_eq!(self.num_bins, other.num_bins, "bin count mismatch");
+        if self.bins.is_empty() {
+            self.bins.clone_from(&other.bins);
+        } else {
+            for (a, b) in self.bins.iter_mut().zip(&other.bins) {
+                *a += b;
+            }
         }
         self.overflow += other.overflow;
         self.count += other.count;
@@ -258,6 +272,64 @@ mod tests {
         assert_eq!(a.overflow(), 1);
         assert_eq!(a.max(), Some(500));
         assert_eq!(a.min(), Some(5));
+    }
+
+    #[test]
+    fn never_recorded_histogram_reads_like_an_all_zero_one() {
+        let h = Histogram::new(4, 1024);
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.overflow(), 0);
+        assert_eq!(h.iter().count(), 0);
+        assert_eq!(h.percentile(99.0), None);
+        assert_eq!(h, Histogram::new(4, 1024));
+        assert_ne!(h, Histogram::new(4, 512), "layout is part of equality");
+    }
+
+    #[test]
+    fn first_sample_lands_in_the_right_bin() {
+        let mut h = Histogram::new(10, 4);
+        h.record(39);
+        assert_eq!(h.iter().collect::<Vec<_>>(), vec![(30, 1)]);
+        assert_eq!(h.percentile(50.0), Some(39));
+        let mut over = Histogram::new(10, 4);
+        over.record(40);
+        assert_eq!(over.overflow(), 1);
+        assert_eq!(over.iter().count(), 0);
+        assert_eq!(over.percentile(50.0), Some(40));
+    }
+
+    #[test]
+    fn merge_into_and_from_empty_histograms() {
+        let mut filled = Histogram::new(10, 4);
+        filled.record(5);
+        filled.record(25);
+        filled.record(99);
+
+        // Into a never-recorded histogram: a copy of the other side.
+        let mut a = Histogram::new(10, 4);
+        a.merge(&filled);
+        assert_eq!(a, filled);
+        // ...and recording afterwards keeps both sets of samples.
+        a.record(7);
+        assert_eq!(a.iter().collect::<Vec<_>>(), vec![(0, 2), (20, 1)]);
+
+        // From a never-recorded histogram: nothing changes.
+        let mut b = filled.clone();
+        b.merge(&Histogram::new(10, 4));
+        assert_eq!(b, filled);
+
+        // Empty into empty stays empty (and unallocated).
+        let mut c = Histogram::new(10, 4);
+        c.merge(&Histogram::new(10, 4));
+        assert_eq!(c, Histogram::new(10, 4));
+        assert_eq!(c.min(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "bin count mismatch")]
+    fn merge_rejects_bin_count_mismatch_even_when_empty() {
+        let mut a = Histogram::new(10, 4);
+        a.merge(&Histogram::new(10, 8));
     }
 
     #[test]

@@ -1,23 +1,26 @@
-//! Inline three-way engine differential battery for `xtask verify`.
+//! Inline engine differential battery for `xtask verify`.
 //!
 //! The fast verify tier model-checks the switch's invariants; this
-//! battery checks the *engines* against each other. Each scenario builds
-//! the same switch several times and drives the copies with the
-//! sequential [`Runner`], the sharded [`ParRunner`] at several thread
-//! counts, and the word-wide [`BitparRunner`], then compares every
-//! observable: the aggregate counters, the GB metrics table (as CSV
-//! bytes), and the full event trace. Any difference is a verify failure
-//! — the fast engines' contract is bit-exactness, not statistical
-//! agreement.
+//! battery checks the *engines* against the scalar reference kernel
+//! (`QosSwitch::step_reference`). The engines share one mask-native
+//! decide/commit kernel, so they are not each other's oracle; the
+//! reference path probes queue heads and arbitrates over request slices.
+//! Each scenario builds the same switch several times and drives the
+//! copies with the reference loop, the sequential [`Runner`], the
+//! sharded [`ParRunner`] at several thread counts, and the
+//! [`BitparRunner`], then compares every observable: the aggregate
+//! counters, the per-flow metrics table (as CSV bytes), and the full
+//! event trace. Any difference is a verify failure — the engines'
+//! contract is bit-exactness, not statistical agreement.
 
 use std::fmt::Write as _;
 
 use ssq_arbiter::CounterPolicy;
-use ssq_core::{Policy, QosSwitch, SwitchConfig, SwitchCounters};
+use ssq_core::{Policy, QosSwitch, ReferenceKernel, SwitchConfig, SwitchCounters};
 use ssq_sim::{BitparRunner, ParRunner, Runner, Schedule};
 use ssq_trace::{Event, RingSink};
 use ssq_traffic::{Bernoulli, FixedDest, Injector, Periodic, Saturating, UniformDest};
-use ssq_types::{Cycles, FlowId, Geometry, InputId, OutputId, Rate, TrafficClass};
+use ssq_types::{Cycle, Cycles, FlowId, Geometry, InputId, OutputId, Rate, TrafficClass};
 
 /// Warm-up cycles per battery scenario.
 const WARMUP: u64 = 200;
@@ -44,14 +47,28 @@ fn scenarios() -> Vec<(&'static str, fn() -> QosSwitch)> {
         ("ssvc-halve-gb-be-mix", ssvc_halve_gb_be_mix),
         ("ssvc-reset-three-class", ssvc_reset_three_class),
         ("four-level-contended", four_level_contended),
+        (
+            "ssvc-fabric-checked-policed-gl",
+            ssvc_fabric_checked_policed_gl,
+        ),
+        ("ssvc-demoted-gl-lrg-fallback", ssvc_demoted_gl_lrg_fallback),
+        ("wfq-three-class", wfq_three_class),
     ]
 }
 
 fn base_config(policy: Policy) -> SwitchConfig {
+    checked_config(policy, false)
+}
+
+/// [`base_config`], optionally with the inhibit-fabric cross-check and
+/// the GL policer on.
+fn checked_config(policy: Policy, checked_and_policed: bool) -> SwitchConfig {
     SwitchConfig::builder(Geometry::new(8, 128).expect("valid geometry"))
         .policy(policy)
         .gb_buffer_flits(16)
         .sig_bits(3)
+        .fabric_checked(checked_and_policed)
+        .gl_policing(checked_and_policed)
         .build()
         .expect("valid config")
 }
@@ -131,7 +148,39 @@ fn ssvc_halve_gb_be_mix() -> QosSwitch {
 }
 
 fn ssvc_reset_three_class() -> QosSwitch {
-    let mut config = base_config(Policy::Ssvc(CounterPolicy::Reset));
+    three_class(base_config(Policy::Ssvc(CounterPolicy::Reset)), 100)
+}
+
+/// Every arbitration cross-checked against the inhibit fabric, with a
+/// GL flow busy enough to trip its policer (policed GL below GB).
+fn ssvc_fabric_checked_policed_gl() -> QosSwitch {
+    three_class(
+        checked_config(Policy::Ssvc(CounterPolicy::SubtractRealClock), true),
+        2,
+    )
+}
+
+/// Both degraded modes at once: GL competes inside the GB round, which
+/// runs on the pure-LRG fallback.
+fn ssvc_demoted_gl_lrg_fallback() -> QosSwitch {
+    let mut switch = three_class(base_config(Policy::Ssvc(CounterPolicy::Halve)), 60);
+    // xtask's manifest turns `ssq-core/faults` on for exactly these calls.
+    // ssq-lint: allow(feature-gate-hygiene)
+    switch.fault_demote_gl(OutputId::new(0), Cycle::ZERO);
+    // ssq-lint: allow(feature-gate-hygiene)
+    switch.fault_degrade_to_lrg(OutputId::new(0), Cycle::ZERO);
+    switch
+}
+
+/// A slice-protocol baseline: reaches the kernel through the stack
+/// request buffer.
+fn wfq_three_class() -> QosSwitch {
+    three_class(base_config(Policy::Wfq), 100)
+}
+
+/// Two saturating GB flows, a periodic GL flow and a BE flow, all at
+/// output 0.
+fn three_class(mut config: SwitchConfig, gl_interval: u64) -> QosSwitch {
     reserve(&mut config, &[0.4, 0.3]);
     config
         .reservations_mut()
@@ -150,7 +199,7 @@ fn ssvc_reset_three_class() -> QosSwitch {
     }
     switch.add_injector(
         Injector::new(
-            Box::new(Periodic::new(100, 0, 1)),
+            Box::new(Periodic::new(gl_interval, 0, 1)),
             Box::new(FixedDest::new(OutputId::new(0))),
             TrafficClass::GuaranteedLatency,
         )
@@ -237,6 +286,16 @@ fn observe(switch: &QosSwitch) -> Observation {
     }
 }
 
+/// The oracle run: the battery schedule stepped densely on the scalar
+/// reference kernel.
+fn run_reference(build: fn() -> QosSwitch) -> Observation {
+    let mut switch = build();
+    switch.tracer_mut().attach_ring(1 << 16);
+    Runner::new(Schedule::new(Cycles::new(WARMUP), Cycles::new(MEASURE)))
+        .run(&mut ReferenceKernel(&mut switch));
+    observe(&switch)
+}
+
 fn run_sequential(build: fn() -> QosSwitch) -> Observation {
     let mut switch = build();
     switch.tracer_mut().attach_ring(1 << 16);
@@ -262,27 +321,28 @@ fn run_bitpar(build: fn() -> QosSwitch) -> Observation {
     observe(&switch)
 }
 
-/// Compares two observations; `None` when identical, else what differed.
-fn diff(seq: &Observation, par: &Observation) -> Option<String> {
-    if seq.counters != par.counters {
+/// Compares an engine's observation with the reference's; `None` when
+/// identical, else what differed.
+fn diff(reference: &Observation, engine: &Observation) -> Option<String> {
+    if reference.counters != engine.counters {
         return Some(format!(
             "counters differ: {:?} vs {:?}",
-            seq.counters, par.counters
+            reference.counters, engine.counters
         ));
     }
-    if seq.metrics_csv != par.metrics_csv {
-        return Some("GB metrics CSV differs".to_string());
+    if reference.metrics_csv != engine.metrics_csv {
+        return Some("per-flow metrics CSV differs".to_string());
     }
-    if seq.events != par.events {
-        let first = seq
+    if reference.events != engine.events {
+        let first = reference
             .events
             .iter()
-            .zip(par.events.iter())
+            .zip(engine.events.iter())
             .position(|(a, b)| a != b);
         return Some(format!(
             "event traces differ ({} vs {} events, first divergence at {:?})",
-            seq.events.len(),
-            par.events.len(),
+            reference.events.len(),
+            engine.events.len(),
             first
         ));
     }
@@ -298,29 +358,30 @@ pub struct DiffReport {
     pub failures: Vec<String>,
 }
 
-/// Runs every scenario through all three engines (the sharded one at
-/// each of [`THREADS`]).
+/// Runs every scenario through the reference kernel and all three
+/// engines (the sharded one at each of [`THREADS`]).
 #[must_use]
 pub fn run_battery() -> DiffReport {
     let mut lines = Vec::new();
     let mut failures = Vec::new();
     for (name, build) in scenarios() {
-        let seq = run_sequential(build);
+        let reference = run_reference(build);
+        if let Some(what) = diff(&reference, &run_sequential(build)) {
+            failures.push(format!("{name} @ seq: {what}"));
+        }
         for &threads in THREADS {
-            let par = run_parallel(build, threads);
-            if let Some(what) = diff(&seq, &par) {
+            if let Some(what) = diff(&reference, &run_parallel(build, threads)) {
                 failures.push(format!("{name} @ {threads} threads: {what}"));
             }
         }
-        let bit = run_bitpar(build);
-        if let Some(what) = diff(&seq, &bit) {
+        if let Some(what) = diff(&reference, &run_bitpar(build)) {
             failures.push(format!("{name} @ bitpar: {what}"));
         }
         lines.push(format!(
-            "verify[diff] {:<28} {:>7} events {:>8} flits  seq == par @ {THREADS:?} threads == bitpar",
+            "verify[diff] {:<30} {:>7} events {:>8} flits  reference == seq == par @ {THREADS:?} threads == bitpar",
             name,
-            seq.events.len(),
-            seq.counters.delivered_flits,
+            reference.events.len(),
+            reference.counters.delivered_flits,
         ));
     }
     DiffReport { lines, failures }

@@ -39,9 +39,10 @@ else
 fi
 
 echo "== model check + engine conformance, fast tier (xtask) =="
-# The fast tier ends with the three-way engine differential battery:
-# every scenario must be bit-identical on the sequential, sharded
-# parallel, and word-wide bitpar engines.
+# The fast tier ends with the engine differential battery: every
+# scenario must be bit-identical to the scalar reference kernel
+# (QosSwitch::step_reference) on the sequential, sharded parallel, and
+# bitpar engines, which all run the one mask-native kernel.
 cargo run --quiet -p xtask -- verify
 
 echo "== release build =="
@@ -50,8 +51,9 @@ cargo build --workspace --release
 echo "== fault smoke tier (ssq faults) =="
 # Every single-fault chaos scenario must either preserve its bounds or
 # revoke loudly; a silent violation fails the gate. Each scenario runs
-# on all three engines (sequential, sharded parallel, bitpar) — any
-# divergence between them is reported as a silent violation.
+# on the reference kernel and all three engines (sequential, sharded
+# parallel, bitpar) — any divergence from the reference is reported as
+# a silent violation.
 ./target/release/ssq faults --smoke --csv
 
 echo "== multi-hop fabric smoke tier (ssq net) =="
@@ -65,16 +67,12 @@ echo "== multi-hop fabric smoke tier (ssq net) =="
 echo "== tests =="
 cargo test -q --workspace
 
-echo "== perf regression gate (xtask bench --quick --diff) =="
-# A shortened release-profile probe of the bench matrix (including the
-# bitpar engine cells and the periodic idle-skip load), diffed against
-# the newest recorded results/BENCH_<n>.json: any cell slower than
-# 0.3x its recorded rate fails the gate. Thresholds are deliberately
-# loose — this catches order-of-magnitude cliffs, not CI jitter (the
-# idle-skipping bitpar cell structurally measures ~0.4x its full-matrix
-# rate at the quick schedule, since a 500-cycle run amortizes fixed
-# costs poorly when skipping makes the measured window tiny); the
-# full matrix is recorded once per PR with `bench --json --diff`.
-cargo run --quiet --release -p xtask -- bench --quick --diff --threshold 0.3
+echo "== frozen benchmark against this tree (qosbench) =="
+# benchmark/ is a package of its own with a path dependency on this
+# tree and may not change with it: building and testing it here catches
+# public-API drift (CycleModel, EventModel, ShardedModel, the runners,
+# the arbiter peeks) before the benchmark pipeline does. qosbench is
+# also the source of every performance claim (benchmark/README.md).
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "All checks passed."

@@ -121,7 +121,8 @@ OBSERVABILITY OPTIONS (simulate):
                           watchdog trips (default 10000)
   --gl-bound N            arm the GL wait watchdog at N cycles (Eq. 1)
   --prof                  time every measured cycle's phases and print the
-                          prepare/decide/commit (seq) or gather/decide/
+                          prepare/decide/commit (seq, bitpar: the cycles
+                          idle skipping still executes) or gather/decide/
                           merge (par) breakdown; needs a build with
                           `--features prof`, and is incompatible with the
                           monitored modes (--flight-recorder, --gl-bound)
@@ -443,13 +444,6 @@ fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
         ),
     };
     let profiling = opts.flag("prof");
-    if profiling && engine == EngineChoice::Bitpar {
-        return Err(err(
-            "--prof instruments the dense per-port cycle loop; the bitpar \
-             engine's word-wide fast path bypasses it — profile with \
-             --engine seq or par",
-        ));
-    }
     if profiling && (flight || gl_bound.is_some()) {
         return Err(err(
             "--prof times the plain measurement loop; drop --flight-recorder/--gl-bound \
@@ -706,6 +700,9 @@ fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
                 at = at.next();
             }
             switch.begin_measurement(at);
+            if profiling {
+                switch.prof_arm(1);
+            }
             for _ in 0..cycles {
                 switch.step_fast(at);
                 if let Some(rec) = &mut vcd {
@@ -715,6 +712,28 @@ fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
                     p.observe(&switch, at);
                 }
                 at = at.next();
+            }
+            now = at;
+        } else if profiling {
+            // `BitparRunner::run`'s loop, spelled out so the profiler
+            // arms at the measurement boundary; skipped cycles execute
+            // no phase, so the breakdown covers the stepped ones.
+            let warm_end = Cycle::ZERO + Cycles::new(warmup);
+            let mut at = Cycle::ZERO;
+            for phase_end in [warm_end, warm_end + Cycles::new(cycles)] {
+                while at < phase_end {
+                    let next = switch.skip_idle(at, phase_end);
+                    if next > at {
+                        at = next;
+                    } else {
+                        switch.step_fast(at);
+                        at = at.next();
+                    }
+                }
+                if phase_end == warm_end {
+                    switch.begin_measurement(at);
+                    switch.prof_arm(1);
+                }
             }
             now = at;
         } else {
@@ -1435,7 +1454,7 @@ mod tests {
     fn profiled_simulate_runs_on_both_engines() {
         // Feature-off builds print the rebuild hint; feature-on builds
         // print the phase table. Either way the run must succeed, on
-        // the sequential and the sharded engine alike.
+        // every engine.
         let base = [
             "--radix",
             "4",
@@ -1451,6 +1470,9 @@ mod tests {
         let mut par = strs(&base);
         par.extend(strs(&["--engine", "par", "--threads", "2"]));
         simulate(&par).unwrap();
+        let mut bitpar = strs(&base);
+        bitpar.extend(strs(&["--engine", "bitpar"]));
+        simulate(&bitpar).unwrap();
         // The monitored runner owns its own schedule, so --prof with a
         // watchdog mode is refused rather than silently mismeasured.
         let mut monitored = strs(&base);

@@ -1,18 +1,20 @@
-//! Bitpar-engine conformance beyond the shared three-way battery:
+//! Kernel and bitpar-engine conformance beyond the shared battery in
+//! `par_conformance.rs`, every baseline taken from the scalar reference
+//! kernel (`QosSwitch::step_reference`):
 //!
 //! * A seeded property test fuzzing random request patterns over radices
 //!   2–64 — random class mixes, buffer shapes, per-port feature toggles,
-//!   and **mid-run reservation renegotiation** — stepping the sequential
-//!   and word-wide paths in lockstep and demanding identical grants.
+//!   and **mid-run reservation renegotiation** — stepping the reference
+//!   and word-wide kernels in lockstep and demanding identical grants.
 //! * Idle-skip conformance: event-driven stepping must produce
-//!   byte-identical observables to dense stepping — decay-epoch events
-//!   and flight-recorder cycle stamps included — while provably skipping
-//!   most cycles at low load.
+//!   byte-identical observables to dense reference stepping —
+//!   decay-epoch events and flight-recorder cycle stamps included —
+//!   while provably skipping most cycles at low load.
 //! * A negative control: unpredictable (Bernoulli) sources must never
 //!   allow a skip, degrading the runner to the dense fast path.
 
 use swizzle_qos::arbiter::CounterPolicy;
-use swizzle_qos::core::{Policy, QosSwitch, SwitchConfig};
+use swizzle_qos::core::{Policy, QosSwitch, ReferenceKernel, SwitchConfig};
 use swizzle_qos::sim::{BitparRunner, CycleModel, EventModel, Runner, Schedule};
 use swizzle_qos::trace::{Event, RingSink};
 use swizzle_qos::traffic::{Bernoulli, FixedDest, Injector, Periodic, Saturating, UniformDest};
@@ -178,9 +180,10 @@ fn build_fuzz(seed: u64) -> (QosSwitch, usize) {
     (switch, radix)
 }
 
-/// The property: for any seeded scenario, stepping the word-wide fast
-/// path produces the same observables as the sequential loop — through
-/// a mid-run reservation renegotiation applied identically to both.
+/// The property: for any seeded scenario, stepping the word-wide kernel
+/// produces the same observables as the scalar reference kernel —
+/// through a mid-run reservation renegotiation applied identically to
+/// both.
 #[test]
 fn fuzzed_patterns_with_reservation_churn_match_seq() {
     const TRIALS: u64 = 40;
@@ -210,7 +213,7 @@ fn fuzzed_patterns_with_reservation_churn_match_seq() {
                     let _ = sw.update_gb_reservation(input, output, new_rate, len);
                 }
             }
-            seq.step(at);
+            seq.step_reference(at);
             bit.step_fast(at);
             at = at.next();
         }
@@ -300,7 +303,7 @@ fn idle_schedule() -> Schedule {
 fn idle_skipping_is_byte_identical_to_dense_stepping() {
     let mut dense = periodic_switch();
     dense.tracer_mut().attach_ring(1 << 16);
-    Runner::new(idle_schedule()).run(&mut dense);
+    Runner::new(idle_schedule()).run(&mut ReferenceKernel(&mut dense));
 
     let mut skipping = periodic_switch();
     skipping.tracer_mut().attach_ring(1 << 16);
@@ -359,7 +362,7 @@ fn unpredictable_sources_disable_skipping() {
     let schedule = Schedule::new(Cycles::new(100), Cycles::new(4_000));
 
     let mut dense = build();
-    Runner::new(schedule).run(&mut dense);
+    Runner::new(schedule).run(&mut ReferenceKernel(&mut dense));
 
     let mut fast = build();
     let mut counted = Counting {

@@ -1,32 +1,36 @@
-//! Differential conformance: the sharded parallel engine AND the
-//! word-wide bitpar engine must be **byte-identical** to the sequential
-//! runner — same grants, same counters, same per-flow metrics, same
-//! trace events — on every scenario.
+//! Differential conformance: every engine — sequential, sharded
+//! parallel, bitpar — must be **byte-identical** to the scalar
+//! reference kernel (`QosSwitch::step_reference`): same grants, same
+//! counters, same per-flow metrics, same trace events, on every
+//! scenario. The engines all run the one mask-native decide/commit
+//! kernel, so comparing them with each other would compare the kernel
+//! with itself; the reference path probes queue heads and arbitrates
+//! over request slices, sharing no decision code with it.
 //!
 //! The battery sweeps seeded random request matrices across all three
 //! SSVC counter policies and {BE, GB, GL} class mixes (216 scenarios),
-//! runs each through the sequential [`Runner`], the [`ParRunner`] at 1,
-//! 2, and 8 threads, and the [`BitparRunner`], and compares the
-//! complete observable state. The final test exports the fig4-style
-//! scenario's JSONL trace through all three engines and compares the
-//! files byte for byte.
+//! runs each through the reference loop, the sequential [`Runner`], the
+//! [`ParRunner`] at 1, 2, and 8 threads, and the [`BitparRunner`], and
+//! compares the complete observable state. Further batteries cover the
+//! non-SSVC policies and the fabric-checked, GL-policed, demoted-GL and
+//! LRG-fallback modes; the final test exports the fig4-style scenario's
+//! JSONL trace through every engine and compares the files byte for
+//! byte.
 
 use std::io::Read as _;
 
 use swizzle_qos::arbiter::CounterPolicy;
-use swizzle_qos::core::{Policy, QosSwitch, SwitchConfig, SwitchCounters};
+use swizzle_qos::core::{Policy, QosSwitch, ReferenceKernel, SwitchConfig, SwitchCounters};
 use swizzle_qos::sim::{BitparRunner, ParRunner, Runner, Schedule};
 use swizzle_qos::trace::{Event, RingSink};
 use swizzle_qos::traffic::{Bernoulli, FixedDest, Injector, Periodic, Saturating, UniformDest};
 use swizzle_qos::types::{
-    Cycles, FlowId, Geometry, InputId, OutputId, Rate, TrafficClass, Xoshiro256StarStar,
+    Cycle, Cycles, FlowId, Geometry, InputId, OutputId, Rate, TrafficClass, Xoshiro256StarStar,
 };
 
 const RADIX: usize = 8;
 const WARMUP: u64 = 50;
 const MEASURE: u64 = 400;
-/// Thread counts the parallel engine is held to, per scenario.
-const THREADS: &[usize] = &[1, 2, 8];
 
 /// Which traffic classes a scenario mixes.
 #[derive(Clone, Copy, Debug)]
@@ -50,12 +54,31 @@ const SEEDS_PER_CELL: u64 = 24;
 /// deterministic generator, so a scenario is a pure function of
 /// `(policy, mix, seed)` and both engines receive identical copies.
 fn build(policy: CounterPolicy, mix: Mix, seed: u64) -> QosSwitch {
+    build_with(Policy::Ssvc(policy), Mode::default(), mix, seed)
+}
+
+/// Switch-level modes the seeded scenarios can be built in.
+#[derive(Clone, Copy, Debug, Default)]
+struct Mode {
+    /// Cross-check every GB/GL arbitration against the inhibit fabric.
+    fabric_checked: bool,
+    /// Police GL, and make the GL flow abusive enough to trip it.
+    gl_policing: bool,
+    /// GL lost its lane at the hot output: it competes inside GB rounds.
+    gl_demoted: bool,
+    /// The hot output's GB rounds run on the pure-LRG fallback.
+    lrg_fallback: bool,
+}
+
+fn build_with(policy: Policy, mode: Mode, mix: Mix, seed: u64) -> QosSwitch {
     let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
     let mut config = SwitchConfig::builder(Geometry::new(RADIX, 128).expect("valid geometry"))
-        .policy(Policy::Ssvc(policy))
+        .policy(policy)
         .gb_buffer_flits(16)
         .be_buffer_flits(16)
         .sig_bits(3)
+        .fabric_checked(mode.fabric_checked)
+        .gl_policing(mode.gl_policing)
         .build()
         .expect("valid config");
 
@@ -91,6 +114,12 @@ fn build(policy: CounterPolicy, mix: Mix, seed: u64) -> QosSwitch {
     }
 
     let mut switch = QosSwitch::new(config).expect("valid switch");
+    if mode.gl_demoted {
+        switch.fault_demote_gl(hot, Cycle::ZERO);
+    }
+    if mode.lrg_fallback {
+        switch.fault_degrade_to_lrg(hot, Cycle::ZERO);
+    }
 
     // GB traffic: saturating sources pinned to the reserved output.
     for &input in &gb_inputs {
@@ -110,14 +139,33 @@ fn build(policy: CounterPolicy, mix: Mix, seed: u64) -> QosSwitch {
         while gb_inputs.contains(&input) {
             input = InputId::new(rng.index(RADIX));
         }
+        let (interval, phase) = (rng.range(40, 150), rng.below(20));
+        let source: Box<dyn swizzle_qos::traffic::TrafficSource + Send + Sync> = if mode.gl_policing
+        {
+            Box::new(Saturating::new(2))
+        } else {
+            Box::new(Periodic::new(interval, phase, 1))
+        };
         switch.add_injector(
             Injector::new(
-                Box::new(Periodic::new(rng.range(40, 150), rng.below(20), 1)),
+                source,
                 Box::new(FixedDest::new(hot)),
                 TrafficClass::GuaranteedLatency,
             )
             .for_input(input),
         );
+        if mode.gl_demoted {
+            // A GB requester that also holds GL heads: inside the GB
+            // round it must compete (and win) as GB, not as demoted GL.
+            switch.add_injector(
+                Injector::new(
+                    Box::new(Periodic::new(interval + 7, phase, 1)),
+                    Box::new(FixedDest::new(hot)),
+                    TrafficClass::GuaranteedLatency,
+                )
+                .for_input(gb_inputs[0]),
+            );
+        }
         gb_inputs.push(input);
     }
     // BE background: every remaining input fires with some probability,
@@ -201,55 +249,79 @@ fn observe(switch: &QosSwitch) -> Observation {
 /// Which engine drives a run.
 #[derive(Clone, Copy, Debug)]
 enum Sel {
+    /// The scalar oracle: `QosSwitch::step_reference` in a dense loop.
+    Reference,
     Seq,
     Par(usize),
     Bitpar,
 }
 
-fn run_engine(mut switch: QosSwitch, sel: Sel) -> Observation {
-    switch.tracer_mut().attach_ring(1 << 16);
-    let schedule = Schedule::new(Cycles::new(WARMUP), Cycles::new(MEASURE));
+/// The engines held to the reference, per scenario.
+const ENGINES: &[Sel] = &[Sel::Seq, Sel::Par(1), Sel::Par(2), Sel::Par(8), Sel::Bitpar];
+
+fn drive(switch: &mut QosSwitch, schedule: Schedule, sel: Sel) {
     match sel {
+        Sel::Reference => {
+            Runner::new(schedule).run(&mut ReferenceKernel(switch));
+        }
         Sel::Seq => {
-            Runner::new(schedule).run(&mut switch);
+            Runner::new(schedule).run(switch);
         }
         Sel::Par(t) => {
-            ParRunner::new(schedule, t).run(&mut switch);
+            ParRunner::new(schedule, t).run(switch);
         }
         Sel::Bitpar => {
-            BitparRunner::new(schedule).run(&mut switch);
+            BitparRunner::new(schedule).run(switch);
         }
     }
+}
+
+fn run_engine(mut switch: QosSwitch, sel: Sel) -> Observation {
+    switch.tracer_mut().attach_ring(1 << 16);
+    drive(
+        &mut switch,
+        Schedule::new(Cycles::new(WARMUP), Cycles::new(MEASURE)),
+        sel,
+    );
     observe(&switch)
 }
 
-fn assert_identical(
-    seq: &Observation,
-    other: &Observation,
-    policy: CounterPolicy,
-    mix: Mix,
-    seed: u64,
-    sel: Sel,
-) {
-    let tag = format!("[{policy:?}/{mix:?}/seed {seed} @ {sel:?}]");
-    assert_eq!(seq.counters, other.counters, "{tag} counters diverged");
+fn assert_identical(reference: &Observation, other: &Observation, tag: &str) {
     assert_eq!(
-        seq.metrics, other.metrics,
+        reference.counters, other.counters,
+        "{tag} counters diverged"
+    );
+    assert_eq!(
+        reference.metrics, other.metrics,
         "{tag} per-flow metrics diverged"
     );
     assert_eq!(
-        seq.events.len(),
+        reference.events.len(),
         other.events.len(),
         "{tag} event counts diverged"
     );
-    for (n, (a, b)) in seq.events.iter().zip(other.events.iter()).enumerate() {
+    for (n, (a, b)) in reference.events.iter().zip(&other.events).enumerate() {
         assert_eq!(a, b, "{tag} first event divergence at index {n}");
     }
 }
 
+/// Holds every engine to the reference kernel on one scenario.
+fn assert_engines_match_reference(build: &dyn Fn() -> QosSwitch, scenario: &str) {
+    let reference = run_engine(build(), Sel::Reference);
+    assert!(
+        reference.counters.delivered_flits > 0,
+        "[{scenario}] scenario delivered nothing"
+    );
+    for &sel in ENGINES {
+        let other = run_engine(build(), sel);
+        assert_identical(&reference, &other, &format!("[{scenario} @ {sel:?}]"));
+    }
+}
+
 /// The headline battery: 216 seeded scenarios, each run through the
-/// sequential engine, the sharded engine at 3 thread counts, and the
-/// bitpar engine — every observable identical across all five runs.
+/// reference kernel, the sequential engine, the sharded engine at 3
+/// thread counts, and the bitpar engine — every observable identical
+/// across all six runs.
 #[test]
 fn engines_are_bit_identical_across_seeded_scenarios() {
     for &policy in POLICIES {
@@ -260,50 +332,187 @@ fn engines_are_bit_identical_across_seeded_scenarios() {
                 let seed = s
                     .wrapping_add(0x9E37_79B9 * (policy as u64 + 1))
                     .wrapping_add(0xC2B2_AE35 * (mix as u64 + 1));
-                let seq = run_engine(build(policy, mix, seed), Sel::Seq);
-                for &threads in THREADS {
-                    let par = run_engine(build(policy, mix, seed), Sel::Par(threads));
-                    assert_identical(&seq, &par, policy, mix, seed, Sel::Par(threads));
-                }
-                let bit = run_engine(build(policy, mix, seed), Sel::Bitpar);
-                assert_identical(&seq, &bit, policy, mix, seed, Sel::Bitpar);
+                assert_engines_match_reference(
+                    &|| build(policy, mix, seed),
+                    &format!("{policy:?}/{mix:?}/seed {seed}"),
+                );
             }
         }
     }
 }
 
+/// The policies the headline battery never builds: the slice-protocol
+/// baselines reach the kernel through the stack request buffer, and the
+/// flat/four-level policies through their own rounds.
+#[test]
+fn non_ssvc_policies_match_the_reference() {
+    for policy in [
+        Policy::LrgOnly,
+        Policy::FourLevel,
+        Policy::ExactVirtualClock,
+        Policy::Gsf,
+        Policy::Wrr,
+        Policy::Dwrr,
+        Policy::Wfq,
+    ] {
+        for seed in 0..6 {
+            assert_engines_match_reference(
+                &|| build_with(policy, Mode::default(), Mix::GbGlBe, 0xBA5E + seed),
+                &format!("{policy:?}/seed {seed}"),
+            );
+        }
+    }
+    // Demoted GL joins the baselines' GB request list behind the GB
+    // requesters; the list order is part of their arbitration state.
+    let demoted = Mode {
+        gl_demoted: true,
+        ..Mode::default()
+    };
+    for policy in [Policy::ExactVirtualClock, Policy::Dwrr, Policy::Wfq] {
+        assert_engines_match_reference(
+            &|| build_with(policy, demoted, Mix::GbGlBe, 0xDE40),
+            &format!("{policy:?}/demoted"),
+        );
+    }
+}
+
+/// The kernel's remaining branches: the fabric cross-check at commit,
+/// the GL policer (policed GL below GB), demoted GL inside the GB round,
+/// and the pure-LRG fallback — alone and stacked.
+#[test]
+fn checked_policed_and_degraded_modes_match_the_reference() {
+    let modes = [
+        Mode {
+            fabric_checked: true,
+            ..Mode::default()
+        },
+        Mode {
+            gl_policing: true,
+            ..Mode::default()
+        },
+        Mode {
+            gl_demoted: true,
+            ..Mode::default()
+        },
+        Mode {
+            lrg_fallback: true,
+            ..Mode::default()
+        },
+        Mode {
+            fabric_checked: true,
+            gl_policing: true,
+            ..Mode::default()
+        },
+        Mode {
+            gl_demoted: true,
+            lrg_fallback: true,
+            ..Mode::default()
+        },
+    ];
+    for mode in modes {
+        for &policy in POLICIES {
+            for seed in 0..4 {
+                let build = || build_with(Policy::Ssvc(policy), mode, Mix::GbGlBe, 0x30DE + seed);
+                assert_engines_match_reference(&build, &format!("{mode:?}/{policy:?}/seed {seed}"));
+                if mode.gl_policing {
+                    let probe = run_engine(build(), Sel::Seq);
+                    assert!(
+                        probe.counters.gl_policed_cycles > 0,
+                        "[{mode:?}/{policy:?}/seed {seed}] the policer never engaged"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Inputs that request several outputs in the same cycle — GB virtual
+/// queues toward two outputs plus per-output BE queues — so a grant at
+/// an earlier output invalidates plans already decided for later ones.
+/// This is the sharded engine's stale-plan re-decide, which the
+/// one-hot-output scenarios above never reach.
+fn build_contended(policy: CounterPolicy, seed: u64) -> QosSwitch {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+    let mut config = SwitchConfig::builder(Geometry::new(RADIX, 128).expect("valid geometry"))
+        .policy(Policy::Ssvc(policy))
+        .gb_buffer_flits(16)
+        .be_buffer_flits(8)
+        .be_voq(true)
+        .sig_bits(3)
+        .build()
+        .expect("valid config");
+    let mut flows = Vec::new();
+    for i in 0..RADIX {
+        // Two GB flows per input, three inputs per output: every output
+        // is contended and every input contends at two outputs.
+        for hop in [1, 3] {
+            let (input, output) = (InputId::new(i), OutputId::new((i + hop) % RADIX));
+            let len = 1 << rng.index(3);
+            config
+                .reservations_mut()
+                .reserve_gb(input, output, Rate::new(0.3).expect("valid rate"), len)
+                .expect("reservation fits");
+            flows.push((input, output, len));
+        }
+    }
+    let mut switch = QosSwitch::new(config).expect("valid switch");
+    for (input, output, len) in flows {
+        switch.add_injector(
+            Injector::new(
+                Box::new(Bernoulli::new(0.35, len, rng.next_u64())),
+                Box::new(FixedDest::new(output)),
+                TrafficClass::GuaranteedBandwidth,
+            )
+            .for_input(input),
+        );
+    }
+    for i in 0..RADIX {
+        switch.add_injector(
+            Injector::new(
+                Box::new(Bernoulli::new(0.3, 2, rng.next_u64())),
+                Box::new(UniformDest::new(RADIX, rng.next_u64())),
+                TrafficClass::BestEffort,
+            )
+            .for_input(InputId::new(i)),
+        );
+    }
+    switch
+}
+
+#[test]
+fn inputs_contending_at_several_outputs_match_the_reference() {
+    for &policy in POLICIES {
+        for seed in 0..8 {
+            assert_engines_match_reference(
+                &|| build_contended(policy, 0xC0_47E4D + seed),
+                &format!("contended/{policy:?}/seed {seed}"),
+            );
+        }
+    }
+}
+
 /// A long saturated run exercising counter-policy epochs (decay, halve,
-/// reset) far past the short battery's horizon, on all three engines.
+/// reset) far past the short battery's horizon, on every engine.
 #[test]
 fn engines_match_on_long_saturated_run() {
+    let schedule = Schedule::new(Cycles::new(500), Cycles::new(8_000));
     for &policy in POLICIES {
-        let build_long = |policy| {
+        let run_long = |sel| {
             let mut switch = build(policy, Mix::GbBe, 4242);
             switch.tracer_mut().attach_ring(1 << 17);
-            switch
+            drive(&mut switch, schedule, sel);
+            observe(&switch)
         };
-        let schedule = Schedule::new(Cycles::new(500), Cycles::new(8_000));
-        let mut seq_switch = build_long(policy);
-        Runner::new(schedule).run(&mut seq_switch);
-        let seq = observe(&seq_switch);
-        let mut par_switch = build_long(policy);
-        ParRunner::new(schedule, 4).run(&mut par_switch);
-        let par = observe(&par_switch);
-        assert!(
-            seq == par,
-            "{policy:?}: long-run par divergence (events {} vs {})",
-            seq.events.len(),
-            par.events.len()
-        );
-        let mut bit_switch = build_long(policy);
-        BitparRunner::new(schedule).run(&mut bit_switch);
-        let bit = observe(&bit_switch);
-        assert!(
-            seq == bit,
-            "{policy:?}: long-run bitpar divergence (events {} vs {})",
-            seq.events.len(),
-            bit.events.len()
-        );
+        let reference = run_long(Sel::Reference);
+        for sel in [Sel::Seq, Sel::Par(4), Sel::Bitpar] {
+            let other = run_long(sel);
+            assert!(
+                reference == other,
+                "{policy:?}: long-run {sel:?} divergence (events {} vs {})",
+                reference.events.len(),
+                other.events.len()
+            );
+        }
     }
 }
 
@@ -343,11 +552,11 @@ fn fig4_switch() -> QosSwitch {
     switch
 }
 
-/// Trace-ordering golden: the JSONL traces the parallel and bitpar
-/// engines write for the fig4 scenario are byte-identical to the
-/// sequential engine's — per-shard event buffers must merge back into
-/// exactly the sequential emission order, and the word-wide decide path
-/// must grant in exactly the sequential order.
+/// Trace-ordering golden: the JSONL traces every engine writes for the
+/// fig4 scenario are byte-identical to the reference kernel's — the
+/// events the commit builds from its pre-charge snapshot must match the
+/// ones the reference pre-builds at decide time, in the same order, at
+/// any thread count.
 #[test]
 fn fig4_jsonl_trace_is_byte_identical() {
     let dir = std::env::temp_dir();
@@ -356,6 +565,7 @@ fn fig4_jsonl_trace_is_byte_identical() {
 
     let mut paths = Vec::new();
     for (label, sel) in [
+        ("reference", Sel::Reference),
         ("seq", Sel::Seq),
         ("par2", Sel::Par(2)),
         ("par8", Sel::Par(8)),
@@ -367,17 +577,7 @@ fn fig4_jsonl_trace_is_byte_identical() {
         switch
             .tracer_mut()
             .attach_jsonl(Box::new(std::io::BufWriter::new(file)));
-        match sel {
-            Sel::Seq => {
-                Runner::new(schedule).run(&mut switch);
-            }
-            Sel::Par(t) => {
-                ParRunner::new(schedule, t).run(&mut switch);
-            }
-            Sel::Bitpar => {
-                BitparRunner::new(schedule).run(&mut switch);
-            }
-        }
+        drive(&mut switch, schedule, sel);
         switch.tracer_mut().flush();
         assert!(
             switch.tracer().jsonl().and_then(|j| j.io_error()).is_none(),
@@ -392,7 +592,7 @@ fn fig4_jsonl_trace_is_byte_identical() {
         .expect("open golden")
         .read_to_end(&mut golden)
         .expect("read golden");
-    assert!(!golden.is_empty(), "sequential trace is empty");
+    assert!(!golden.is_empty(), "reference trace is empty");
     for path in &paths[1..] {
         let mut bytes = Vec::new();
         std::fs::File::open(path)
@@ -402,7 +602,7 @@ fn fig4_jsonl_trace_is_byte_identical() {
         assert_eq!(
             golden,
             bytes,
-            "parallel JSONL trace differs from sequential ({})",
+            "engine JSONL trace differs from the reference ({})",
             path.display()
         );
     }
