@@ -244,18 +244,27 @@ fn class_from_label(s: &str) -> Option<TrafficClass> {
     }
 }
 
+/// `,"<name>":` as bytes: the writer appends every key as one literal.
+macro_rules! key {
+    ($name:literal) => {
+        concat!(",\"", $name, "\":").as_bytes()
+    };
+}
+
 impl Event {
-    /// Serializes the event as one JSON object (no trailing newline).
+    /// Appends the event to `out` as one JSON object (no trailing
+    /// newline) without touching the heap beyond `out` itself: keys are
+    /// literals, numbers go through a stack digit buffer.
     ///
     /// The field set per kind is the stable schema pinned by the
-    /// golden-file test (`tests/jsonl_golden.rs`).
-    #[must_use]
-    pub fn to_jsonl(&self) -> String {
-        let mut s = format!(
-            "{{\"cycle\":{},\"kind\":\"{}\"",
-            self.cycle,
-            self.kind.label()
-        );
+    /// golden-file test (`tests/jsonl_golden.rs`). Every line written
+    /// here parses back with [`Event::from_jsonl`]: free-form label
+    /// fields are written with `"`, `\` and ASCII control bytes
+    /// replaced by `_`, since the schema has no escapes.
+    pub fn write_jsonl(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"{\"cycle\":");
+        push_u64(out, self.cycle);
+        push_label(out, key!("kind"), self.kind.label());
         match &self.kind {
             EventKind::Decision {
                 output,
@@ -263,10 +272,10 @@ impl Event {
                 contenders,
                 winner,
             } => {
-                push_num(&mut s, "output", u64::from(*output));
-                push_str(&mut s, "class", class.label());
-                push_num(&mut s, "contenders", u64::from(*contenders));
-                push_num(&mut s, "winner", u64::from(*winner));
+                push_num(out, key!("output"), *output);
+                push_label(out, key!("class"), class.label());
+                push_num(out, key!("contenders"), *contenders);
+                push_num(out, key!("winner"), *winner);
             }
             EventKind::Grant {
                 output,
@@ -275,20 +284,20 @@ impl Event {
                 len_flits,
                 waited,
             } => {
-                push_num(&mut s, "output", u64::from(*output));
-                push_num(&mut s, "input", u64::from(*input));
-                push_str(&mut s, "class", class.label());
-                push_num(&mut s, "len_flits", *len_flits);
-                push_num(&mut s, "waited", *waited);
+                push_num(out, key!("output"), *output);
+                push_num(out, key!("input"), *input);
+                push_label(out, key!("class"), class.label());
+                push_num(out, key!("len_flits"), *len_flits);
+                push_num(out, key!("waited"), *waited);
             }
             EventKind::Chained {
                 output,
                 input,
                 len_flits,
             } => {
-                push_num(&mut s, "output", u64::from(*output));
-                push_num(&mut s, "input", u64::from(*input));
-                push_num(&mut s, "len_flits", *len_flits);
+                push_num(out, key!("output"), *output);
+                push_num(out, key!("input"), *input);
+                push_num(out, key!("len_flits"), *len_flits);
             }
             EventKind::Inhibit {
                 output,
@@ -296,10 +305,10 @@ impl Event {
                 msb,
                 winner_msb,
             } => {
-                push_num(&mut s, "output", u64::from(*output));
-                push_num(&mut s, "input", u64::from(*input));
-                push_num(&mut s, "msb", *msb);
-                push_num(&mut s, "winner_msb", *winner_msb);
+                push_num(out, key!("output"), *output);
+                push_num(out, key!("input"), *input);
+                push_num(out, key!("msb"), *msb);
+                push_num(out, key!("winner_msb"), *winner_msb);
             }
             EventKind::AuxVc {
                 output,
@@ -307,18 +316,18 @@ impl Event {
                 aux,
                 saturated,
             } => {
-                push_num(&mut s, "output", u64::from(*output));
-                push_num(&mut s, "input", u64::from(*input));
-                push_num(&mut s, "aux", *aux);
-                push_bool(&mut s, "saturated", *saturated);
+                push_num(out, key!("output"), *output);
+                push_num(out, key!("input"), *input);
+                push_num(out, key!("aux"), *aux);
+                push_bool(out, key!("saturated"), *saturated);
             }
             EventKind::Decay { output, epoch } => {
-                push_num(&mut s, "output", u64::from(*output));
-                push_num(&mut s, "epoch", *epoch);
+                push_num(out, key!("output"), *output);
+                push_num(out, key!("epoch"), *epoch);
             }
             EventKind::GlPoliced { output, backlog } => {
-                push_num(&mut s, "output", u64::from(*output));
-                push_num(&mut s, "backlog", u64::from(*backlog));
+                push_num(out, key!("output"), *output);
+                push_num(out, key!("backlog"), *backlog);
             }
             EventKind::Reject {
                 input,
@@ -326,10 +335,10 @@ impl Event {
                 class,
                 reason,
             } => {
-                push_num(&mut s, "input", u64::from(*input));
-                push_num(&mut s, "output", u64::from(*output));
-                push_str(&mut s, "class", class.label());
-                push_str(&mut s, "reason", reason.label());
+                push_num(out, key!("input"), *input);
+                push_num(out, key!("output"), *output);
+                push_label(out, key!("class"), class.label());
+                push_label(out, key!("reason"), reason.label());
             }
             EventKind::Fault {
                 site,
@@ -337,23 +346,23 @@ impl Event {
                 input,
                 healed,
             } => {
-                push_str(&mut s, "site", site);
-                push_num(&mut s, "output", u64::from(*output));
-                push_num(&mut s, "input", u64::from(*input));
-                push_bool(&mut s, "healed", *healed);
+                push_text(out, key!("site"), site);
+                push_num(out, key!("output"), *output);
+                push_num(out, key!("input"), *input);
+                push_bool(out, key!("healed"), *healed);
             }
             EventKind::Detected {
                 output,
                 code,
                 detail,
             } => {
-                push_num(&mut s, "output", u64::from(*output));
-                push_str(&mut s, "code", code);
-                push_num(&mut s, "detail", *detail);
+                push_num(out, key!("output"), *output);
+                push_text(out, key!("code"), code);
+                push_num(out, key!("detail"), *detail);
             }
             EventKind::Degraded { output, mode } => {
-                push_num(&mut s, "output", u64::from(*output));
-                push_str(&mut s, "mode", mode);
+                push_num(out, key!("output"), *output);
+                push_text(out, key!("mode"), mode);
             }
             EventKind::GuaranteeRevoked {
                 output,
@@ -362,11 +371,11 @@ impl Event {
                 bound,
                 forfeited,
             } => {
-                push_num(&mut s, "output", u64::from(*output));
-                push_num(&mut s, "input", u64::from(*input));
-                push_str(&mut s, "class", class.label());
-                push_num(&mut s, "bound", *bound);
-                push_bool(&mut s, "forfeited", *forfeited);
+                push_num(out, key!("output"), *output);
+                push_num(out, key!("input"), *input);
+                push_label(out, key!("class"), class.label());
+                push_num(out, key!("bound"), *bound);
+                push_bool(out, key!("forfeited"), *forfeited);
             }
             EventKind::Readmitted {
                 output,
@@ -374,10 +383,10 @@ impl Event {
                 class,
                 action,
             } => {
-                push_num(&mut s, "output", u64::from(*output));
-                push_num(&mut s, "input", u64::from(*input));
-                push_str(&mut s, "class", class.label());
-                push_str(&mut s, "action", action);
+                push_num(out, key!("output"), *output);
+                push_num(out, key!("input"), *input);
+                push_label(out, key!("class"), class.label());
+                push_text(out, key!("action"), action);
             }
             EventKind::HopEnqueue {
                 node,
@@ -385,18 +394,15 @@ impl Event {
                 packet,
                 len_flits,
             } => {
-                push_num(&mut s, "node", u64::from(*node));
-                push_num(&mut s, "link", u64::from(*link));
-                push_num(&mut s, "packet", *packet);
-                push_num(&mut s, "len_flits", *len_flits);
+                push_num(out, key!("node"), *node);
+                push_num(out, key!("link"), *link);
+                push_num(out, key!("packet"), *packet);
+                push_num(out, key!("len_flits"), *len_flits);
             }
-            EventKind::CreditPause { link, occupancy } => {
-                push_num(&mut s, "link", u64::from(*link));
-                push_num(&mut s, "occupancy", *occupancy);
-            }
-            EventKind::CreditResume { link, occupancy } => {
-                push_num(&mut s, "link", u64::from(*link));
-                push_num(&mut s, "occupancy", *occupancy);
+            EventKind::CreditPause { link, occupancy }
+            | EventKind::CreditResume { link, occupancy } => {
+                push_num(out, key!("link"), *link);
+                push_num(out, key!("occupancy"), *occupancy);
             }
             EventKind::Drop {
                 link,
@@ -406,12 +412,12 @@ impl Event {
                 packet,
                 reason,
             } => {
-                push_num(&mut s, "link", u64::from(*link));
-                push_num(&mut s, "input", u64::from(*input));
-                push_num(&mut s, "output", u64::from(*output));
-                push_str(&mut s, "class", class.label());
-                push_num(&mut s, "packet", *packet);
-                push_str(&mut s, "reason", reason);
+                push_num(out, key!("link"), *link);
+                push_num(out, key!("input"), *input);
+                push_num(out, key!("output"), *output);
+                push_label(out, key!("class"), class.label());
+                push_num(out, key!("packet"), *packet);
+                push_text(out, key!("reason"), reason);
             }
             EventKind::NackRetransmit {
                 link,
@@ -419,32 +425,49 @@ impl Event {
                 attempt,
                 delay,
             } => {
-                push_num(&mut s, "link", u64::from(*link));
-                push_num(&mut s, "packet", *packet);
-                push_num(&mut s, "attempt", u64::from(*attempt));
-                push_num(&mut s, "delay", *delay);
+                push_num(out, key!("link"), *link);
+                push_num(out, key!("packet"), *packet);
+                push_num(out, key!("attempt"), *attempt);
+                push_num(out, key!("delay"), *delay);
             }
             EventKind::Reroute { node, dest, via } => {
-                push_num(&mut s, "node", u64::from(*node));
-                push_num(&mut s, "dest", u64::from(*dest));
-                push_num(&mut s, "via", u64::from(*via));
+                push_num(out, key!("node"), *node);
+                push_num(out, key!("dest"), *dest);
+                push_num(out, key!("via"), *via);
             }
         }
-        s.push('}');
-        s
+        out.push(b'}');
     }
 
-    /// Parses one JSONL line produced by [`Event::to_jsonl`].
+    /// [`Event::write_jsonl`] into a fresh `String`, for tests and
+    /// one-off callers; anything that writes many events appends into
+    /// one buffer instead.
+    #[must_use]
+    pub fn to_jsonl(&self) -> String {
+        let mut out = Vec::new();
+        self.write_jsonl(&mut out);
+        // The writer emits `&str` contents and ASCII only: never lossy.
+        String::from_utf8_lossy(&out).into_owned()
+    }
+
+    /// Parses one JSONL line produced by [`Event::write_jsonl`].
+    ///
+    /// The grammar is one flat object of string / unsigned-integer /
+    /// bool values: ASCII whitespace is allowed around the object and
+    /// between tokens, fields may come in any order, the first of a
+    /// duplicated key wins, unknown keys are ignored, and strings carry
+    /// no escapes. Nothing is allocated for the fixed-label kinds; the
+    /// free-form labels of the fault and drop kinds are copied out.
     ///
     /// # Errors
     ///
     /// Returns a [`ParseError`] describing the first malformed token,
-    /// missing field, or unknown kind/label.
+    /// missing field, out-of-range number, or unknown kind/label, or a
+    /// line with more than [`MAX_FIELDS`] fields.
     pub fn from_jsonl(line: &str) -> Result<Event, ParseError> {
-        let fields = parse_object(line)?;
+        let fields = Fields::parse(line)?;
         let cycle = fields.num("cycle")?;
-        let kind_label = fields.str("kind")?;
-        let kind = match kind_label {
+        let kind = match fields.str("kind")? {
             "decision" => EventKind::Decision {
                 output: fields.num32("output")?,
                 class: fields.class()?,
@@ -710,26 +733,57 @@ impl fmt::Display for Event {
     }
 }
 
-fn push_num(s: &mut String, key: &str, v: u64) {
-    s.push_str(",\"");
-    s.push_str(key);
-    s.push_str("\":");
-    s.push_str(&v.to_string());
+/// Appends `v` in decimal through a stack digit buffer.
+fn push_u64(out: &mut Vec<u8>, mut v: u64) {
+    // u64::MAX has 20 digits.
+    let mut digits = [b'0'; 20];
+    let mut start = digits.len();
+    loop {
+        // `v % 10` is below 10: the cast is exact and fits the low nibble.
+        let digit = (v % 10) as u8;
+        start = start.saturating_sub(1);
+        if let Some(slot) = digits.get_mut(start) {
+            *slot = b'0' | digit;
+        }
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(digits.get(start..).unwrap_or_default());
 }
 
-fn push_str(s: &mut String, key: &str, v: &str) {
-    s.push_str(",\"");
-    s.push_str(key);
-    s.push_str("\":\"");
-    s.push_str(v);
-    s.push('"');
+fn push_num(out: &mut Vec<u8>, key: &[u8], v: impl Into<u64>) {
+    out.extend_from_slice(key);
+    push_u64(out, v.into());
 }
 
-fn push_bool(s: &mut String, key: &str, v: bool) {
-    s.push_str(",\"");
-    s.push_str(key);
-    s.push_str("\":");
-    s.push_str(if v { "true" } else { "false" });
+/// A fixed identifier from this crate's own label tables.
+fn push_label(out: &mut Vec<u8>, key: &[u8], v: &'static str) {
+    out.extend_from_slice(key);
+    out.push(b'"');
+    out.extend_from_slice(v.as_bytes());
+    out.push(b'"');
+}
+
+/// A caller-supplied label: the bytes the parser would choke on (or
+/// that would break the one-object-per-line framing) become `_`.
+fn push_text(out: &mut Vec<u8>, key: &[u8], v: &str) {
+    out.extend_from_slice(key);
+    out.push(b'"');
+    out.extend(v.bytes().map(|b| {
+        if matches!(b, b'"' | b'\\') || b.is_ascii_control() {
+            b'_'
+        } else {
+            b
+        }
+    }));
+    out.push(b'"');
+}
+
+fn push_bool(out: &mut Vec<u8>, key: &[u8], v: bool) {
+    out.extend_from_slice(key);
+    out.extend_from_slice(if v { b"true" } else { b"false" });
 }
 
 /// Error from [`Event::from_jsonl`].
@@ -754,27 +808,146 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// One parsed JSON scalar.
-enum Scalar {
+/// Most fields [`Event::from_jsonl`] accepts on one line — twice what
+/// the widest kind (`drop`, 8 fields) writes.
+pub const MAX_FIELDS: usize = 16;
+
+/// One parsed JSON scalar, borrowing from the line.
+#[derive(Clone, Copy)]
+enum Scalar<'a> {
     Num(u64),
-    Str(String),
+    Str(&'a str),
     Bool(bool),
 }
 
-struct Fields(Vec<(String, Scalar)>);
+/// The fields of one line: a fixed stack table of borrowed slots in
+/// line order, so the first of a duplicated key is the one found.
+struct Fields<'a> {
+    slots: [(&'a str, Scalar<'a>); MAX_FIELDS],
+    len: usize,
+}
 
-impl Fields {
-    fn get(&self, key: &str) -> Result<&Scalar, ParseError> {
-        self.0
+/// The ASCII subset of `char::is_whitespace`.
+const fn is_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t'..=b'\r')
+}
+
+impl<'a> Fields<'a> {
+    /// Parses one flat JSON object of string/unsigned-integer/bool
+    /// values — exactly the subset [`Event::write_jsonl`] emits. String
+    /// values never contain escapes (the writer replaces the bytes that
+    /// would need one), so none are accepted.
+    fn parse(line: &'a str) -> Result<Self, ParseError> {
+        let bytes = line.as_bytes();
+        let skip_space = |mut at: usize| {
+            while bytes.get(at).copied().is_some_and(is_space) {
+                at += 1;
+            }
+            at
+        };
+        // The text between `at` and the next `"`, and the index after
+        // that quote. Both cuts sit next to an ASCII byte, so `get`
+        // never lands inside a UTF-8 sequence.
+        let quoted = |at: usize, unterminated: &'static str| {
+            let len = bytes
+                .get(at..)
+                .and_then(|rest| rest.iter().position(|&b| b == b'"'))
+                .ok_or_else(|| ParseError::new(unterminated))?;
+            let text = line
+                .get(at..at + len)
+                .ok_or_else(|| ParseError::new(unterminated))?;
+            Ok::<_, ParseError>((text, at + len + 1))
+        };
+
+        let mut fields = Fields {
+            slots: [("", Scalar::Bool(false)); MAX_FIELDS],
+            len: 0,
+        };
+        let mut at = skip_space(0);
+        if bytes.get(at) != Some(&b'{') {
+            return Err(ParseError::new("line is not a JSON object"));
+        }
+        at = skip_space(at + 1);
+        loop {
+            if bytes.get(at) != Some(&b'"') {
+                return Err(ParseError::new("expected quoted key"));
+            }
+            let (key, after_key) = quoted(at + 1, "unterminated key")?;
+            at = skip_space(after_key);
+            if bytes.get(at) != Some(&b':') {
+                return Err(ParseError::new(format!("missing `:` after `{key}`")));
+            }
+            at = skip_space(at + 1);
+            let rest = bytes.get(at..).unwrap_or_default();
+            let value = if rest.first() == Some(&b'"') {
+                let (text, after) = quoted(at + 1, "unterminated string value")?;
+                if text.as_bytes().contains(&b'\\') {
+                    return Err(ParseError::new("escapes are not part of the schema"));
+                }
+                at = after;
+                Scalar::Str(text)
+            } else if rest.starts_with(b"true") {
+                at += 4;
+                Scalar::Bool(true)
+            } else if rest.starts_with(b"false") {
+                at += 5;
+                Scalar::Bool(false)
+            } else {
+                let (mut n, mut overflow, mut digits) = (0u64, false, 0);
+                for d in rest
+                    .iter()
+                    .map_while(|b| b.is_ascii_digit().then(|| b - b'0'))
+                {
+                    let (tens, o1) = n.overflowing_mul(10);
+                    let (sum, o2) = tens.overflowing_add(u64::from(d));
+                    (n, overflow, digits) = (sum, overflow | o1 | o2, digits + 1);
+                }
+                if overflow || digits == 0 {
+                    return Err(ParseError::new(format!("bad value for `{key}`")));
+                }
+                at += digits;
+                Scalar::Num(n)
+            };
+            let slot = fields
+                .slots
+                .get_mut(fields.len)
+                .ok_or_else(|| ParseError::new(format!("more than {MAX_FIELDS} fields")))?;
+            *slot = (key, value);
+            fields.len += 1;
+            at = skip_space(at);
+            match bytes.get(at) {
+                Some(b',') => {
+                    at = skip_space(at + 1);
+                    if bytes.get(at) == Some(&b'}') {
+                        return Err(ParseError::new("trailing comma"));
+                    }
+                }
+                Some(b'}') => {
+                    at += 1;
+                    break;
+                }
+                Some(_) => return Err(ParseError::new("expected `,` between fields")),
+                None => return Err(ParseError::new("line is not a JSON object")),
+            }
+        }
+        if skip_space(at) != bytes.len() {
+            return Err(ParseError::new("trailing characters after the object"));
+        }
+        Ok(fields)
+    }
+
+    fn get(&self, key: &str) -> Result<Scalar<'a>, ParseError> {
+        self.slots
             .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
+            .take(self.len)
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| *v)
             .ok_or_else(|| ParseError::new(format!("missing field `{key}`")))
     }
 
     fn num(&self, key: &str) -> Result<u64, ParseError> {
         match self.get(key)? {
-            Scalar::Num(n) => Ok(*n),
+            Scalar::Num(n) => Ok(n),
             _ => Err(ParseError::new(format!("field `{key}` is not a number"))),
         }
     }
@@ -784,7 +957,7 @@ impl Fields {
             .map_err(|_| ParseError::new(format!("field `{key}` exceeds u32")))
     }
 
-    fn str(&self, key: &str) -> Result<&str, ParseError> {
+    fn str(&self, key: &str) -> Result<&'a str, ParseError> {
         match self.get(key)? {
             Scalar::Str(s) => Ok(s),
             _ => Err(ParseError::new(format!("field `{key}` is not a string"))),
@@ -793,7 +966,7 @@ impl Fields {
 
     fn boolean(&self, key: &str) -> Result<bool, ParseError> {
         match self.get(key)? {
-            Scalar::Bool(b) => Ok(*b),
+            Scalar::Bool(b) => Ok(b),
             _ => Err(ParseError::new(format!("field `{key}` is not a bool"))),
         }
     }
@@ -801,67 +974,6 @@ impl Fields {
     fn class(&self) -> Result<TrafficClass, ParseError> {
         class_from_label(self.str("class")?).ok_or_else(|| ParseError::new("unknown traffic class"))
     }
-}
-
-/// Parses one flat JSON object of string/unsigned-integer/bool values —
-/// exactly the subset [`Event::to_jsonl`] emits. String values never
-/// contain escapes (all labels are fixed identifiers), so none are
-/// accepted.
-fn parse_object(line: &str) -> Result<Fields, ParseError> {
-    let body = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|r| r.strip_suffix('}'))
-        .ok_or_else(|| ParseError::new("line is not a JSON object"))?;
-    let mut fields = Vec::new();
-    let mut rest = body.trim();
-    while !rest.is_empty() {
-        let after_quote = rest
-            .strip_prefix('"')
-            .ok_or_else(|| ParseError::new("expected quoted key"))?;
-        let key_end = after_quote
-            .find('"')
-            .ok_or_else(|| ParseError::new("unterminated key"))?;
-        let key = &after_quote[..key_end];
-        let after_key = after_quote[key_end + 1..]
-            .trim_start()
-            .strip_prefix(':')
-            .ok_or_else(|| ParseError::new(format!("missing `:` after `{key}`")))?
-            .trim_start();
-        let (value, tail) = if let Some(srest) = after_key.strip_prefix('"') {
-            let end = srest
-                .find('"')
-                .ok_or_else(|| ParseError::new("unterminated string value"))?;
-            if srest[..end].contains('\\') {
-                return Err(ParseError::new("escapes are not part of the schema"));
-            }
-            (Scalar::Str(srest[..end].to_string()), &srest[end + 1..])
-        } else if let Some(tail) = after_key.strip_prefix("true") {
-            (Scalar::Bool(true), tail)
-        } else if let Some(tail) = after_key.strip_prefix("false") {
-            (Scalar::Bool(false), tail)
-        } else {
-            let end = after_key
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(after_key.len());
-            let digits = &after_key[..end];
-            let n: u64 = digits
-                .parse()
-                .map_err(|_| ParseError::new(format!("bad value for `{key}`")))?;
-            (Scalar::Num(n), &after_key[end..])
-        };
-        fields.push((key.to_string(), value));
-        rest = tail.trim_start();
-        if let Some(r) = rest.strip_prefix(',') {
-            rest = r.trim_start();
-            if rest.is_empty() {
-                return Err(ParseError::new("trailing comma"));
-            }
-        } else if !rest.is_empty() {
-            return Err(ParseError::new("expected `,` between fields"));
-        }
-    }
-    Ok(Fields(fields))
 }
 
 #[cfg(test)]
@@ -1124,26 +1236,21 @@ mod tests {
         assert!(s.contains("waited=5"), "{s}");
     }
 
-    /// Seeded corruption fuzz over the JSONL replay path, focused on the
-    /// hop-level kinds a fabric capture is made of: whatever a damaged
-    /// `<scenario>.jsonl` looks like — flipped bytes, deletions, torn
-    /// writes, spliced junk — `from_jsonl` either reproduces an event
-    /// exactly (re-render matches) or returns a structured error. It
-    /// never panics, so a chaos campaign's replay tooling can stream a
-    /// half-written capture without crashing.
+    /// Seeded corruption fuzz over the JSONL replay path, every kind:
+    /// whatever a damaged capture looks like — flipped bytes, deletions,
+    /// torn writes, spliced junk — `from_jsonl` either reproduces an
+    /// event exactly (re-render matches) or returns a structured error.
+    /// It never panics, so `trace-report` and a chaos campaign's replay
+    /// tooling can stream a half-written capture without crashing.
     #[test]
-    fn corrupted_hop_jsonl_never_panics_and_good_lines_round_trip() {
+    fn corrupted_jsonl_never_panics_and_good_lines_round_trip() {
         use ssq_types::rng::Xoshiro256StarStar;
 
-        let hop_lines: Vec<String> = all_kinds()
-            .iter()
-            .skip(13) // hop_enqueue onward: the fabric's event taxonomy
-            .map(Event::to_jsonl)
-            .collect();
-        assert_eq!(hop_lines.len(), 6, "all six hop-level kinds covered");
+        let lines: Vec<String> = all_kinds().iter().map(Event::to_jsonl).collect();
+        assert_eq!(lines.len(), 19, "every kind covered");
         let mut rng = Xoshiro256StarStar::seed_from_u64(0x905_13);
-        for round in 0..500 {
-            let base = &hop_lines[round % hop_lines.len()];
+        for round in 0..1900 {
+            let base = &lines[round % lines.len()];
             let mut bytes = base.clone().into_bytes();
             for _ in 0..=rng.index(3) {
                 match rng.index(4) {
@@ -1190,6 +1297,466 @@ mod tests {
                 Err(e) => {
                     let _ = e.to_string();
                 }
+            }
+        }
+    }
+
+    /// The encoder this module replaced, kept as the reference the new
+    /// one is held to: plain `format!`, one arm per kind.
+    fn reference_jsonl(ev: &Event) -> String {
+        let rest = match &ev.kind {
+            EventKind::Decision {
+                output,
+                class,
+                contenders,
+                winner,
+            } => format!(
+                "\"output\":{output},\"class\":\"{}\",\"contenders\":{contenders},\
+                 \"winner\":{winner}",
+                class.label()
+            ),
+            EventKind::Grant {
+                output,
+                input,
+                class,
+                len_flits,
+                waited,
+            } => format!(
+                "\"output\":{output},\"input\":{input},\"class\":\"{}\",\
+                 \"len_flits\":{len_flits},\"waited\":{waited}",
+                class.label()
+            ),
+            EventKind::Chained {
+                output,
+                input,
+                len_flits,
+            } => format!("\"output\":{output},\"input\":{input},\"len_flits\":{len_flits}"),
+            EventKind::Inhibit {
+                output,
+                input,
+                msb,
+                winner_msb,
+            } => format!(
+                "\"output\":{output},\"input\":{input},\"msb\":{msb},\"winner_msb\":{winner_msb}"
+            ),
+            EventKind::AuxVc {
+                output,
+                input,
+                aux,
+                saturated,
+            } => format!(
+                "\"output\":{output},\"input\":{input},\"aux\":{aux},\"saturated\":{saturated}"
+            ),
+            EventKind::Decay { output, epoch } => format!("\"output\":{output},\"epoch\":{epoch}"),
+            EventKind::GlPoliced { output, backlog } => {
+                format!("\"output\":{output},\"backlog\":{backlog}")
+            }
+            EventKind::Reject {
+                input,
+                output,
+                class,
+                reason,
+            } => format!(
+                "\"input\":{input},\"output\":{output},\"class\":\"{}\",\"reason\":\"{}\"",
+                class.label(),
+                reason.label()
+            ),
+            EventKind::Fault {
+                site,
+                output,
+                input,
+                healed,
+            } => format!(
+                "\"site\":\"{site}\",\"output\":{output},\"input\":{input},\"healed\":{healed}"
+            ),
+            EventKind::Detected {
+                output,
+                code,
+                detail,
+            } => format!("\"output\":{output},\"code\":\"{code}\",\"detail\":{detail}"),
+            EventKind::Degraded { output, mode } => {
+                format!("\"output\":{output},\"mode\":\"{mode}\"")
+            }
+            EventKind::GuaranteeRevoked {
+                output,
+                input,
+                class,
+                bound,
+                forfeited,
+            } => format!(
+                "\"output\":{output},\"input\":{input},\"class\":\"{}\",\"bound\":{bound},\
+                 \"forfeited\":{forfeited}",
+                class.label()
+            ),
+            EventKind::Readmitted {
+                output,
+                input,
+                class,
+                action,
+            } => format!(
+                "\"output\":{output},\"input\":{input},\"class\":\"{}\",\"action\":\"{action}\"",
+                class.label()
+            ),
+            EventKind::HopEnqueue {
+                node,
+                link,
+                packet,
+                len_flits,
+            } => format!(
+                "\"node\":{node},\"link\":{link},\"packet\":{packet},\"len_flits\":{len_flits}"
+            ),
+            EventKind::CreditPause { link, occupancy }
+            | EventKind::CreditResume { link, occupancy } => {
+                format!("\"link\":{link},\"occupancy\":{occupancy}")
+            }
+            EventKind::Drop {
+                link,
+                input,
+                output,
+                class,
+                packet,
+                reason,
+            } => format!(
+                "\"link\":{link},\"input\":{input},\"output\":{output},\"class\":\"{}\",\
+                 \"packet\":{packet},\"reason\":\"{reason}\"",
+                class.label()
+            ),
+            EventKind::NackRetransmit {
+                link,
+                packet,
+                attempt,
+                delay,
+            } => format!(
+                "\"link\":{link},\"packet\":{packet},\"attempt\":{attempt},\"delay\":{delay}"
+            ),
+            EventKind::Reroute { node, dest, via } => {
+                format!("\"node\":{node},\"dest\":{dest},\"via\":{via}")
+            }
+        };
+        format!(
+            "{{\"cycle\":{},\"kind\":\"{}\",{rest}}}",
+            ev.cycle,
+            ev.kind.label()
+        )
+    }
+
+    /// `all_kinds()[kind]` with every number redrawn: half the draws
+    /// come from the digit-count and type boundaries, half are uniform.
+    fn random_event(rng: &mut ssq_types::rng::Xoshiro256StarStar, kind: usize) -> Event {
+        const EDGES: [u64; 7] = [
+            0,
+            9,
+            10,
+            u32::MAX as u64 - 1,
+            u32::MAX as u64,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let mut n64 = || {
+            if rng.chance(0.5) {
+                EDGES[rng.index(EDGES.len())]
+            } else {
+                rng.next_u64() >> rng.index(64)
+            }
+        };
+        let mut ev = all_kinds()[kind].clone();
+        ev.cycle = n64();
+        let mut n32 = || n64().min(u64::from(u32::MAX)) as u32;
+        match &mut ev.kind {
+            EventKind::Decision {
+                output,
+                contenders,
+                winner,
+                ..
+            } => (*output, *contenders, *winner) = (n32(), n32(), n32()),
+            EventKind::GlPoliced { output, backlog } => (*output, *backlog) = (n32(), n32()),
+            EventKind::Reroute { node, dest, via } => (*node, *dest, *via) = (n32(), n32(), n32()),
+            EventKind::Reject { input, output, .. }
+            | EventKind::Fault { input, output, .. }
+            | EventKind::Readmitted { input, output, .. } => (*input, *output) = (n32(), n32()),
+            EventKind::Degraded { output, .. } => *output = n32(),
+            _ => {}
+        }
+        let mut flip = || n64() % 2 == 0;
+        match &mut ev.kind {
+            EventKind::AuxVc { saturated: b, .. }
+            | EventKind::Fault { healed: b, .. }
+            | EventKind::GuaranteeRevoked { forfeited: b, .. } => *b = flip(),
+            _ => {}
+        }
+        match &mut ev.kind {
+            EventKind::Grant {
+                len_flits: a,
+                waited: b,
+                ..
+            }
+            | EventKind::Inhibit {
+                msb: a,
+                winner_msb: b,
+                ..
+            }
+            | EventKind::HopEnqueue {
+                packet: a,
+                len_flits: b,
+                ..
+            }
+            | EventKind::NackRetransmit {
+                packet: a,
+                delay: b,
+                ..
+            } => (*a, *b) = (n64(), n64()),
+            EventKind::Chained { len_flits: a, .. }
+            | EventKind::AuxVc { aux: a, .. }
+            | EventKind::Decay { epoch: a, .. }
+            | EventKind::Detected { detail: a, .. }
+            | EventKind::GuaranteeRevoked { bound: a, .. }
+            | EventKind::CreditPause { occupancy: a, .. }
+            | EventKind::CreditResume { occupancy: a, .. }
+            | EventKind::Drop { packet: a, .. } => *a = n64(),
+            _ => {}
+        }
+        ev
+    }
+
+    #[test]
+    fn encoder_matches_the_format_reference_on_every_kind() {
+        let mut rng = ssq_types::rng::Xoshiro256StarStar::seed_from_u64(0xC0DE_C15);
+        // One buffer for the whole run, as a sink holds it: a stale tail
+        // from a longer previous line must never leak into the next.
+        let mut line = Vec::new();
+        for round in 0..19 * 200 {
+            let ev = random_event(&mut rng, round % 19);
+            line.clear();
+            ev.write_jsonl(&mut line);
+            let want = reference_jsonl(&ev);
+            assert_eq!(String::from_utf8_lossy(&line), want);
+            assert_eq!(ev.to_jsonl(), want);
+            assert_eq!(Event::from_jsonl(&want).expect(&want), ev);
+        }
+    }
+
+    #[test]
+    fn digit_boundaries_encode_exactly() {
+        for v in [
+            0,
+            9,
+            10,
+            99,
+            100,
+            u64::from(u32::MAX),
+            u64::from(u32::MAX) + 1,
+            u64::MAX,
+        ] {
+            let mut out = b"x".to_vec();
+            push_u64(&mut out, v);
+            assert_eq!(String::from_utf8_lossy(&out), format!("x{v}"));
+        }
+    }
+
+    /// Splits a writer-produced line into its `"key":value` fields;
+    /// fixed-label lines hold no `,` inside a value.
+    fn fields_of(line: &str) -> Vec<&str> {
+        line.trim_matches(['{', '}']).split(',').collect()
+    }
+
+    #[test]
+    fn parser_accepts_shuffled_fields_and_padded_whitespace() {
+        let mut rng = ssq_types::rng::Xoshiro256StarStar::seed_from_u64(0x5_0FF1E);
+        let pads = ["", " ", "\t", "  ", " \r", "\n", "\x0b\x0c"];
+        for round in 0..19 * 50 {
+            let ev = random_event(&mut rng, round % 19);
+            let line = ev.to_jsonl();
+            let mut fields = fields_of(&line);
+            for i in (1..fields.len()).rev() {
+                fields.swap(i, rng.index(i + 1));
+            }
+            let mut pad = || pads[rng.index(pads.len())];
+            let mut text = format!("{}{{{}", pad(), pad());
+            for (i, field) in fields.iter().enumerate() {
+                let (key, value) = field.split_once(':').expect("key:value");
+                if i > 0 {
+                    text.push_str(&format!("{},{}", pad(), pad()));
+                }
+                text.push_str(&format!("{key}{}:{}{value}", pad(), pad()));
+            }
+            text.push_str(&format!("{}}}{}", pad(), pad()));
+            assert_eq!(Event::from_jsonl(&text).expect(&text), ev, "{text:?}");
+        }
+    }
+
+    #[test]
+    fn first_duplicate_key_wins() {
+        let ev = Event::from_jsonl(
+            "{\"cycle\":1,\"cycle\":2,\"kind\":\"decay\",\"kind\":\"nope\",\"output\":3,\
+             \"epoch\":4,\"epoch\":\"x\",\"output\":99999999999}",
+        )
+        .expect("later duplicates are never looked at");
+        assert_eq!(
+            ev,
+            Event {
+                cycle: 1,
+                kind: EventKind::Decay {
+                    output: 3,
+                    epoch: 4
+                },
+            }
+        );
+    }
+
+    #[test]
+    fn field_table_overflow_is_an_error_not_a_panic() {
+        let decay = "\"cycle\":1,\"kind\":\"decay\",\"output\":0,\"epoch\":0";
+        let extras = |n: usize| -> String { (0..n).map(|i| format!(",\"x{i}\":{i}")).collect() };
+        let full = format!("{{{decay}{}}}", extras(MAX_FIELDS - 4));
+        assert!(Event::from_jsonl(&full).is_ok(), "{full}");
+        for over in [1, 2, 40] {
+            let line = format!("{{{decay}{}}}", extras(MAX_FIELDS - 4 + over));
+            let e = Event::from_jsonl(&line).expect_err(&line);
+            assert!(e.to_string().contains("more than 16 fields"), "{e}");
+        }
+    }
+
+    #[test]
+    fn number_grammar_boundaries() {
+        let decay = |cycle: &str, output: &str| {
+            Event::from_jsonl(&format!(
+                "{{\"cycle\":{cycle},\"kind\":\"decay\",\"output\":{output},\"epoch\":0}}"
+            ))
+        };
+        assert_eq!(
+            decay("18446744073709551615", "4294967295").map(|e| e.cycle),
+            Ok(u64::MAX)
+        );
+        assert_eq!(
+            decay("007", "00").map(|e| e.cycle),
+            Ok(7),
+            "leading zeros as before"
+        );
+        for (cycle, output, why) in [
+            ("18446744073709551616", "0", "u64::MAX + 1"),
+            ("100000000000000000000", "0", "21 digits"),
+            ("-1", "0", "negative"),
+            ("+1", "0", "signed"),
+            ("", "0", "empty digits"),
+            ("1.5", "0", "fraction"),
+            ("1e3", "0", "exponent"),
+            ("0x10", "0", "hex"),
+            ("1", "4294967296", "u32 field holding 2^32"),
+            ("1", "18446744073709551615", "u32 field holding u64::MAX"),
+            ("1", "true", "bool in a number field"),
+            ("\"1\"", "0", "string in a number field"),
+        ] {
+            assert!(decay(cycle, output).is_err(), "{why} should not parse");
+        }
+    }
+
+    #[test]
+    fn structural_garbage_is_rejected() {
+        for bad in [
+            "{",
+            "}",
+            "{}",
+            "{ }",
+            "{,}",
+            "{\"cycle\"}",
+            "{\"cycle\":}",
+            "{\"cycle\":1",
+            "{\"cycle\":1,",
+            "{\"cycle",
+            "{\"cycle\":1 \"kind\":\"decay\"}",
+            "{\"cycle\":1,\"kind\":\"decay\",\"output\":0,\"epoch\":0}}",
+            "{\"cycle\":1,\"kind\":\"decay\",\"output\":0,\"epoch\":0} x",
+            "x{\"cycle\":1,\"kind\":\"decay\",\"output\":0,\"epoch\":0}",
+            "{\"cycle\":1,\"kind\":\"decay\",\"output\":0,\"epoch\":0}{}",
+            "{\"cycle\":1,\"kind\":\"dec\\u0061y\",\"output\":0,\"epoch\":0}",
+            "{\"cycle\":1,\"kind\":\"decay,\"output\":0,\"epoch\":0}",
+            "{\"cycle\":1,\"kind\":\"auxvc\",\"output\":0,\"input\":0,\"aux\":0,\"saturated\":truex}",
+            "{\"cycle\":1,\"kind\":\"auxvc\",\"output\":0,\"input\":0,\"aux\":0,\"saturated\":1}",
+            "{\"cycle\":1,\"kind\":\"grant\",\"output\":0,\"input\":0,\"class\":\"XX\",\
+             \"len_flits\":1,\"waited\":1}",
+            "{\"cycle\":1,\"kind\":\"d\u{e9}cay\",\"output\":0,\"epoch\":0}",
+            "\u{a0}{\"cycle\":1,\"kind\":\"decay\",\"output\":0,\"epoch\":0}",
+        ] {
+            let e = Event::from_jsonl(bad).expect_err(bad);
+            assert!(e.to_string().starts_with("trace parse error: "), "{e}");
+        }
+    }
+
+    /// Free-form labels come from callers (`pub String` fields): the
+    /// writer never emits a line its own parser rejects, whatever they
+    /// hold. The offending bytes become `_`; everything else survives.
+    #[test]
+    fn hostile_labels_are_written_parseable() {
+        let hostile = [
+            "plain",
+            "",
+            "quo\"te",
+            "back\\slash",
+            "\\\"",
+            "new\nline",
+            "tab\tcr\rnul\0del\x7f",
+            "}{,:",
+            "caf\u{e9} \u{1f980}",
+            "\\u0041",
+        ];
+        let clean = |s: &str| -> String {
+            s.chars()
+                .map(|c| {
+                    if c == '"' || c == '\\' || c.is_ascii_control() {
+                        '_'
+                    } else {
+                        c
+                    }
+                })
+                .collect()
+        };
+        for label in hostile {
+            let l = label.to_string();
+            let events = [
+                EventKind::Fault {
+                    site: l.clone(),
+                    output: 1,
+                    input: 2,
+                    healed: true,
+                },
+                EventKind::Detected {
+                    output: 1,
+                    code: l.clone(),
+                    detail: 3,
+                },
+                EventKind::Degraded {
+                    output: 1,
+                    mode: l.clone(),
+                },
+                EventKind::Readmitted {
+                    output: 1,
+                    input: 2,
+                    class: TrafficClass::GuaranteedBandwidth,
+                    action: l.clone(),
+                },
+                EventKind::Drop {
+                    link: 0,
+                    input: 1,
+                    output: 2,
+                    class: TrafficClass::BestEffort,
+                    packet: 9,
+                    reason: l.clone(),
+                },
+            ];
+            for kind in events {
+                let line = Event { cycle: 5, kind }.to_jsonl();
+                assert!(!line.contains('\n'), "{line:?} must stay one line");
+                let back = Event::from_jsonl(&line).expect(&line);
+                let got = match &back.kind {
+                    EventKind::Fault { site: s, .. }
+                    | EventKind::Detected { code: s, .. }
+                    | EventKind::Degraded { mode: s, .. }
+                    | EventKind::Readmitted { action: s, .. }
+                    | EventKind::Drop { reason: s, .. } => s.clone(),
+                    other => panic!("kind changed: {other:?}"),
+                };
+                assert_eq!(got, clean(label), "{line:?}");
+                assert_eq!(back.to_jsonl(), line, "sanitising is idempotent");
             }
         }
     }

@@ -117,6 +117,9 @@ impl TraceSink for RingSink {
 /// [`JsonlSink::io_error`] (a trace must never abort a simulation).
 pub struct JsonlSink<W: Write> {
     out: W,
+    /// The current line, reused for every event so `record` asks the
+    /// allocator for nothing once it has grown to the longest line.
+    line: Vec<u8>,
     lines: u64,
     error: Option<io::Error>,
 }
@@ -126,6 +129,7 @@ impl<W: Write> JsonlSink<W> {
     pub fn new(out: W) -> Self {
         JsonlSink {
             out,
+            line: Vec::new(),
             lines: 0,
             error: None,
         }
@@ -155,7 +159,10 @@ impl<W: Write> TraceSink for JsonlSink<W> {
         if self.error.is_some() {
             return;
         }
-        match writeln!(self.out, "{}", event.to_jsonl()) {
+        self.line.clear();
+        event.write_jsonl(&mut self.line);
+        self.line.push(b'\n');
+        match self.out.write_all(&self.line) {
             Ok(()) => self.lines += 1,
             Err(err) => self.error = Some(err),
         }

@@ -76,6 +76,13 @@ impl ParseTraceError {
     pub fn line(&self) -> usize {
         self.line
     }
+
+    /// What was wrong with that line, without the line-number prefix
+    /// `Display` adds.
+    #[must_use]
+    pub fn message(&self) -> &str {
+        &self.message
+    }
 }
 
 impl fmt::Display for ParseTraceError {

@@ -50,12 +50,13 @@ impl CounterExample {
     /// tooling consume it unchanged.
     #[must_use]
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         for event in &self.events {
-            out.push_str(&event.to_jsonl());
-            out.push('\n');
+            event.write_jsonl(&mut out);
+            out.push(b'\n');
         }
-        out
+        // The writer emits `&str` contents and ASCII only: never lossy.
+        String::from_utf8_lossy(&out).into_owned()
     }
 }
 

@@ -15,6 +15,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::io::BufRead;
 use std::process::ExitCode;
 
 use swizzle_qos::arbiter::CounterPolicy;
@@ -503,7 +504,9 @@ fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
     if let Some(path) = opts.get("replay") {
         let text = std::fs::read_to_string(path)
             .map_err(|e| err(format!("reading trace {path:?}: {e}")))?;
-        let trace: TraceFile = text.parse()?;
+        let trace = text
+            .parse::<TraceFile>()
+            .map_err(|e| err(format!("{path}:{}: {}", e.line(), e.message())))?;
         for injector in trace.into_injectors()? {
             switch.add_injector(injector);
         }
@@ -885,16 +888,27 @@ fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
 fn trace_report(args: &[String]) -> Result<(), Box<dyn Error>> {
     let opts = Opts::parse(args, &["csv"])?;
     let path = opts.get("in").unwrap_or("results/trace.jsonl");
-    let text =
-        std::fs::read_to_string(path).map_err(|e| err(format!("reading trace {path:?}: {e}")))?;
-    let mut events = Vec::new();
-    for (n, line) in text.lines().enumerate() {
+    let file =
+        std::fs::File::open(path).map_err(|e| err(format!("reading trace {path:?}: {e}")))?;
+    // Streamed: one reused line buffer feeds the summary, so memory is
+    // the summary's, not the trace's.
+    let mut reader = std::io::BufReader::with_capacity(1 << 16, file);
+    let mut summary = TraceSummary::default();
+    let mut line = String::new();
+    let mut n = 0u64;
+    loop {
+        line.clear();
+        n += 1;
+        // A line that is not UTF-8 (a binary blob) is an `InvalidData` error.
+        let read = reader.read_line(&mut line);
+        if read.map_err(|e| err(format!("{path}:{n}: {e}")))? == 0 {
+            break;
+        }
         if line.trim().is_empty() {
             continue;
         }
-        events.push(Event::from_jsonl(line).map_err(|e| err(format!("{path}:{}: {e}", n + 1)))?);
+        summary.ingest(&Event::from_jsonl(&line).map_err(|e| err(format!("{path}:{n}: {e}")))?);
     }
-    let summary = TraceSummary::from_events(events);
     if opts.flag("csv") {
         print!("{}", summary.grant_table().to_csv());
         return Ok(());
@@ -1018,6 +1032,17 @@ fn verify(args: &[String]) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
+/// Writes `events` to `path` as JSONL, the `--trace-dir` export of
+/// `ssq faults` and `ssq net`.
+fn write_trace(path: &std::path::Path, events: &[Event]) -> Result<(), Box<dyn Error>> {
+    let mut text = Vec::new();
+    for event in events {
+        event.write_jsonl(&mut text);
+        text.push(b'\n');
+    }
+    std::fs::write(path, text).map_err(|e| err(format!("writing {}: {e}", path.display())))
+}
+
 /// `ssq faults [--smoke | --scenario NAME] [--seed N] [--trace-dir DIR]`:
 /// run the chaos-campaign catalog (or one scenario) and judge each run
 /// with the two-outcome oracle. Exits non-zero on a silent violation —
@@ -1045,13 +1070,7 @@ fn faults_cmd(args: &[String]) -> Result<(), Box<dyn Error>> {
         std::fs::create_dir_all(dir).map_err(|e| err(format!("creating {dir:?}: {e}")))?;
         for r in &results {
             let path = std::path::Path::new(dir).join(format!("{}.jsonl", r.name));
-            let mut text = String::new();
-            for event in &r.events {
-                text.push_str(&event.to_jsonl());
-                text.push('\n');
-            }
-            std::fs::write(&path, text)
-                .map_err(|e| err(format!("writing {}: {e}", path.display())))?;
+            write_trace(&path, &r.events)?;
         }
         if !opts.flag("csv") {
             println!("scenario traces written to {dir}/<scenario>.jsonl");
@@ -1154,21 +1173,10 @@ fn net_cmd(args: &[String]) -> Result<(), Box<dyn Error>> {
     if let Some(dir) = opts.get("trace-dir") {
         std::fs::create_dir_all(dir).map_err(|e| err(format!("creating {dir:?}: {e}")))?;
         for r in &results {
-            let write = |path: std::path::PathBuf,
-                         events: &[swizzle_qos::trace::Event]|
-             -> Result<(), Box<dyn Error>> {
-                let mut text = String::new();
-                for event in events {
-                    text.push_str(&event.to_jsonl());
-                    text.push('\n');
-                }
-                std::fs::write(&path, text)
-                    .map_err(|e| err(format!("writing {}: {e}", path.display())))
-            };
             let dir = std::path::Path::new(dir);
-            write(dir.join(format!("{}.jsonl", r.name)), &r.fabric_events)?;
+            write_trace(&dir.join(format!("{}.jsonl", r.name)), &r.fabric_events)?;
             for (i, ring) in r.node_events.iter().enumerate() {
-                write(dir.join(format!("{}.node{i}.jsonl", r.name)), ring)?;
+                write_trace(&dir.join(format!("{}.node{i}.jsonl", r.name)), ring)?;
             }
         }
         if !opts.flag("csv") {

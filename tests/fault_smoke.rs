@@ -19,10 +19,10 @@ fn every_scenario_trace_is_loud_or_bounds_preserving() {
         // Export the scenario's trace exactly as `ssq faults --trace-dir`
         // would, then judge it from the serialized form alone.
         let path = dir.join(format!("{}.jsonl", result.name));
-        let mut text = String::new();
+        let mut text = Vec::new();
         for event in &result.events {
-            text.push_str(&event.to_jsonl());
-            text.push('\n');
+            event.write_jsonl(&mut text);
+            text.push(b'\n');
         }
         std::fs::write(&path, &text).unwrap();
 
