@@ -225,12 +225,12 @@ pub fn run_and_read_recorded(
             );
             match dumped {
                 Ok(path) => panic!(
-                    "{label}: run tripped at cycle {at}: {reason} (post-mortem at {})",
+                    "{label}: run tripped at {at}: {reason} (post-mortem at {})",
                     path.display()
                 ),
-                Err(e) => panic!(
-                    "{label}: run tripped at cycle {at}: {reason} (post-mortem write failed: {e})"
-                ),
+                Err(e) => {
+                    panic!("{label}: run tripped at {at}: {reason} (post-mortem write failed: {e})")
+                }
             }
         }
     }

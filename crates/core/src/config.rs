@@ -106,6 +106,12 @@ pub enum ConfigError {
         /// The configured depth in flits.
         depth: u64,
     },
+    /// More ports than the model's one-`u64`-per-output request words
+    /// hold (64, also the paper's high-radix ceiling).
+    RadixTooLarge {
+        /// The configured radix.
+        radix: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -128,6 +134,9 @@ impl fmt::Display for ConfigError {
             ),
             ConfigError::BufferTooSmall { which, depth } => {
                 write!(f, "{which} buffer of {depth} flits is too small")
+            }
+            ConfigError::RadixTooLarge { radix } => {
+                write!(f, "radix {radix} exceeds the 64 ports the switch models")
             }
         }
     }
@@ -320,6 +329,10 @@ impl SwitchConfig {
     ///
     /// Returns the first [`ConfigError`] found.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        let radix = self.geometry.radix();
+        if radix > 64 {
+            return Err(ConfigError::RadixTooLarge { radix });
+        }
         // Lane budget: GL needs its own lane; GB needs at least two for a
         // meaningful thermometer; BE shares the GB lanes time-wise.
         if matches!(self.policy, Policy::Ssvc(_)) {
@@ -557,8 +570,8 @@ impl SwitchConfigBuilder {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] if the lane budget, buffers, or counter
-    /// widths are inconsistent.
+    /// Returns a [`ConfigError`] if the radix, lane budget, buffers, or
+    /// counter widths are inconsistent.
     pub fn build(self) -> Result<SwitchConfig, ConfigError> {
         let sig_bits = self.sig_bits.unwrap_or_else(|| {
             // Default to the geometry's thermometer budget, floored to at
@@ -669,6 +682,14 @@ mod tests {
             err,
             ConfigError::BufferTooSmall { which: "BE", .. }
         ));
+    }
+
+    #[test]
+    fn more_than_64_ports_rejected() {
+        let wide = Geometry::new(128, 1024).unwrap();
+        let err = SwitchConfig::builder(wide).build().unwrap_err();
+        assert_eq!(err, ConfigError::RadixTooLarge { radix: 128 });
+        assert!(err.to_string().contains("radix 128"), "{err}");
     }
 
     #[test]

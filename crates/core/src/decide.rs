@@ -9,11 +9,11 @@
 //! `Lrg::peek_mask`). The result is a small `Copy` [`OutputPlan`]; the
 //! serial commit side in `switch.rs` applies its predicted winner.
 //!
-//! `CycleModel::step`, `EventModel::step_fast`, the profiled step and
-//! the sharded `shard_decide`/`shard_merge` pair all drive this one
-//! kernel, so their grant streams agree bit for bit by construction;
-//! the scalar gather-and-slice implementation in `reference.rs` is the
-//! oracle the differential batteries compare it against.
+//! `CycleModel::step`, the profiled step and the sharded
+//! `shard_decide`/`shard_merge` pair all drive this one kernel, so
+//! their grant streams agree bit for bit by construction; the scalar
+//! gather-and-slice implementation in `reference.rs` is the oracle the
+//! differential batteries compare it against.
 //!
 //! Purity here is load-bearing twice over: the sharded engine calls
 //! this concurrently from several workers through a shared `&self`, and

@@ -40,10 +40,9 @@ impl CycleProf {
         self.inner.arm(sample_every);
     }
 
-    /// Arms like [`CycleProf::arm`] and additionally attributes decide
-    /// time per output.
-    pub fn arm_detailed(&mut self, sample_every: u64, outputs: usize) {
-        self.inner.arm_detailed(sample_every, outputs);
+    /// Zeroes the accumulated totals; armed stays armed.
+    pub fn reset(&mut self) {
+        self.inner.reset();
     }
 
     /// Stops sampling; accumulated totals are kept.
@@ -57,22 +56,10 @@ impl CycleProf {
         self.inner.begin_cycle()
     }
 
-    /// Whether per-output decide attribution is on.
-    #[must_use]
-    pub fn detailed(&self) -> bool {
-        self.inner.detailed()
-    }
-
     /// Adds one lap to a kernel phase accumulator.
     #[inline]
     pub fn record_phase(&mut self, phase: usize, ns: u64) {
         self.inner.record_phase(phase, ns);
-    }
-
-    /// Adds one decide lap to an output's accumulator (detail mode).
-    #[inline]
-    pub fn record_shard(&mut self, shard: usize, ns: u64) {
-        self.inner.record_shard(shard, ns);
     }
 
     /// Snapshots the accumulated totals.
@@ -111,7 +98,7 @@ impl CycleProf {
 
     /// No-op (stub).
     #[inline(always)]
-    pub fn arm_detailed(&mut self, _sample_every: u64, _outputs: usize) {}
+    pub fn reset(&mut self) {}
 
     /// No-op (stub).
     #[inline(always)]
@@ -125,20 +112,9 @@ impl CycleProf {
         false
     }
 
-    /// Always `false` (stub).
-    #[inline(always)]
-    #[must_use]
-    pub fn detailed(&self) -> bool {
-        false
-    }
-
     /// No-op (stub).
     #[inline(always)]
     pub fn record_phase(&mut self, _phase: usize, _ns: u64) {}
-
-    /// No-op (stub).
-    #[inline(always)]
-    pub fn record_shard(&mut self, _shard: usize, _ns: u64) {}
 
     /// Always `None`: an unprofiled build has no data, which callers
     /// surface as a rebuild hint.
@@ -163,17 +139,5 @@ mod tests {
         let report = p.report().expect("feature on: always Some");
         assert_eq!(report.sampled_cycles, 1);
         assert!((report.decide_fraction().unwrap() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn detail_mode_tracks_outputs() {
-        let mut p = CycleProf::new();
-        p.arm_detailed(1, 8);
-        assert!(p.detailed());
-        assert!(p.begin_cycle());
-        p.record_shard(2, 40);
-        let report = p.report().unwrap();
-        assert_eq!(report.shards.len(), 8);
-        assert_eq!(report.shards[2].ns, 40);
     }
 }

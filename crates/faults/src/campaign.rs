@@ -4,18 +4,18 @@
 //! switch, one fault from the DESIGN.md §8 taxonomy injected at a fixed
 //! cycle (or an MTBF schedule), optionally healed, and the run judged by
 //! the two-outcome oracle ([`crate::detect::judge`]). The smoke tier
-//! ([`run_smoke`]) runs every scenario through **all three** execution
-//! engines — the sequential [`Runner`], the sharded [`ParRunner`], and
-//! the idle-skipping [`BitparRunner`] — plus the scalar reference
-//! kernel they are all held to, and asserts none ends in a silent
-//! violation; an engine divergence (verdict, counters, or trace bytes
-//! differing between the runs) is itself reported as a silent
-//! violation, making every smoke run a differential test of the fast
-//! engines under fault injection.
+//! ([`run_smoke`]) runs every scenario on the scalar reference kernel
+//! and on the two engines a watchdogged run can differ on — the
+//! sequential [`Runner`] and the sharded [`ParRunner`] (a monitored run
+//! is dense, so idle skipping has no leg here) — and asserts none ends
+//! in a silent violation; an engine divergence (verdict, counters, or
+//! trace bytes differing between the runs) is itself reported as a
+//! silent violation, making every smoke run a differential test of the
+//! kernel under fault injection.
 
 use ssq_arbiter::CounterPolicy;
 use ssq_core::{Policy, QosSwitch, SwitchConfig};
-use ssq_sim::{BitparRunner, MonitorOutcome, ParRunner, Runner, Schedule};
+use ssq_sim::{MonitorOutcome, ParRunner, Runner, Schedule};
 use ssq_trace::{Event, EventKind, JsonlSink, RingSink};
 use ssq_traffic::{FixedDest, Injector, Periodic, Saturating};
 use ssq_types::{Cycles, Geometry, InputId, OutputId, Rate, TrafficClass};
@@ -166,19 +166,6 @@ pub fn run_scenario_par(name: &str, seed: u64, threads: usize) -> Option<Scenari
         threads,
     )
     .run_monitored(&mut chaos, Cycles::new(2_000), |_, _| {});
-    Some(finish(name, chaos, &outcome))
-}
-
-/// [`run_scenario`] on the bitpar engine. Monitored runs step densely
-/// (the watchdog is per executed cycle), so this drives `step_fast`
-/// under every fault in the catalog; the result must match
-/// [`run_scenario_reference`] exactly, which [`run_smoke`] enforces.
-#[must_use]
-pub fn run_scenario_bitpar(name: &str, seed: u64) -> Option<ScenarioResult> {
-    let (switch, plan) = build_scenario(name, seed)?;
-    let mut chaos = arm(switch, plan);
-    let outcome = BitparRunner::new(Schedule::new(Cycles::new(WARMUP), Cycles::new(MEASURE)))
-        .run_monitored(&mut chaos, Cycles::new(2_000), |_, _| {});
     Some(finish(name, chaos, &outcome))
 }
 
@@ -389,13 +376,13 @@ fn build_scenario(name: &str, seed: u64) -> Option<(QosSwitch, FaultPlan)> {
 }
 
 /// Runs every catalog scenario with `seed` on the reference kernel and
-/// all three engines.
+/// both engines.
 ///
 /// Each scenario executes on the scalar reference kernel and again under
-/// the sequential runner, the parallel engine (two threads) and the
-/// bitpar engine; the reference result is returned, except that any
-/// divergence of an engine from it — verdict, injection or delivery
-/// counters, or the event trace — replaces the verdict with a
+/// the sequential runner and the parallel engine (two threads); the
+/// reference result is returned, except that any divergence of an
+/// engine from it — verdict, injection or delivery counters, or the
+/// event trace — replaces the verdict with a
 /// [`Verdict::SilentViolation`] naming the differential failure.
 #[must_use]
 pub fn run_smoke(seed: u64) -> Vec<ScenarioResult> {
@@ -407,9 +394,7 @@ pub fn run_smoke(seed: u64) -> Vec<ScenarioResult> {
             let seq = run_scenario(name, seed).expect(valid);
             let reference = differential(reference, &seq, "sequential");
             let par = run_scenario_par(name, seed, 2).expect(valid);
-            let reference = differential(reference, &par, "parallel");
-            let bit = run_scenario_bitpar(name, seed).expect(valid);
-            differential(reference, &bit, "bitpar")
+            differential(reference, &par, "parallel")
         })
         .collect()
 }
@@ -543,7 +528,6 @@ mod tests {
         assert!(run_scenario("no-such-scenario", 0).is_none());
         assert!(run_scenario_reference("no-such-scenario", 0).is_none());
         assert!(run_scenario_par("no-such-scenario", 0, 2).is_none());
-        assert!(run_scenario_bitpar("no-such-scenario", 0).is_none());
     }
 
     #[test]
@@ -571,14 +555,6 @@ mod tests {
                 );
                 assert_eq!(seq.events, par.events, "{name} @ {threads} threads");
             }
-            let bit = run_scenario_bitpar(name, 7).unwrap();
-            assert_eq!(seq.verdict, bit.verdict, "{name} @ bitpar");
-            assert_eq!(
-                seq.fault_injections, bit.fault_injections,
-                "{name} @ bitpar"
-            );
-            assert_eq!(seq.delivered_flits, bit.delivered_flits, "{name} @ bitpar");
-            assert_eq!(seq.events, bit.events, "{name} @ bitpar");
         }
     }
 }

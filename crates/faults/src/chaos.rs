@@ -7,7 +7,7 @@
 //! no special-casing.
 
 use ssq_core::QosSwitch;
-use ssq_sim::{CycleModel, EventModel, Monitored, ShardedModel};
+use ssq_sim::{CycleModel, Monitored, ShardedModel};
 use ssq_types::Cycle;
 
 use crate::plan::FaultPlan;
@@ -107,24 +107,6 @@ impl ShardedModel for ChaosSwitch {
 
     fn plan_cost(plan: &Self::Plan) -> u64 {
         QosSwitch::plan_cost(plan)
-    }
-}
-
-impl EventModel for ChaosSwitch {
-    fn step_fast(&mut self, now: Cycle) {
-        // Faults land before the step, exactly where the dense `step`
-        // applies them.
-        self.plan.apply_due(&mut self.cursor, now, &mut self.switch);
-        self.switch.step_fast(now);
-    }
-
-    fn skip_idle(&mut self, now: Cycle, limit: Cycle) -> Cycle {
-        // Scheduled faults are future activity the wrapped switch cannot
-        // see, so no skipping while any remain pending.
-        if self.cursor < self.plan.len() {
-            return now;
-        }
-        self.switch.skip_idle(now, limit)
     }
 }
 

@@ -1,11 +1,12 @@
-//! A minimal JSON reader for the BENCH trajectory documents.
+//! A minimal JSON reader.
 //!
-//! The workspace is fully offline (no serde), and the documents this
-//! crate consumes are small and machine-written, so a strict
-//! recursive-descent parser over a [`Json`] value tree is all that is
-//! needed. Objects keep their key order in a `Vec` — deterministic
-//! iteration is a workspace-wide invariant (`no-nondeterministic-order`)
-//! and the documents are tiny, so linear key lookup is fine.
+//! The workspace is fully offline (no serde), and the documents read
+//! with it — the benchmark package's result files — are small and
+//! machine-written, so a strict recursive-descent parser over a
+//! [`Json`] value tree is all that is needed. Objects keep their key
+//! order in a `Vec` — deterministic iteration is a workspace-wide
+//! invariant (`no-nondeterministic-order`) and the documents are tiny,
+//! so linear key lookup is fine.
 
 use std::fmt;
 

@@ -1,45 +1,33 @@
 //! The counter-sampled phase profiler.
 //!
-//! A [`Profiler`] owns one wall-clock accumulator per named phase plus
-//! optional per-shard accumulators for the decide phase. The embedding
-//! loop drives it with three calls:
+//! A [`Profiler`] owns one wall-clock accumulator per named phase. The
+//! embedding loop drives it with three calls:
 //!
 //! 1. [`Profiler::begin_cycle`] once per simulated cycle — disarmed
 //!    this is one branch; armed it is one counter add plus a mask test,
 //!    and the return value says whether this cycle is sampled;
 //! 2. on sampled cycles, [`Stopwatch`] laps around each phase feeding
-//!    [`Profiler::record_phase`] (and, in detail mode,
-//!    [`Profiler::record_shard`] per output);
+//!    [`Profiler::record_phase`];
 //! 3. [`Profiler::report`] at the end of the run.
 //!
 //! Sampling is counter-based (every 2^k-th cycle, `k` chosen from the
 //! requested rate) so the armed-but-unsampled hot path never touches the
-//! OS clock. Phase sets are named slices: the switch kernel uses
-//! [`KERNEL_PHASES`] (`prepare`/`decide`/`commit`), the parallel engine
-//! [`ENGINE_STAGES`] (`gather`/`decide`/`merge`); both index their
-//! `decide` at position 1, which is what [`ProfReport::decide_fraction`]
-//! reads.
+//! OS clock. The phase set is a named slice: the switch kernel uses
+//! [`KERNEL_PHASES`] (`prepare`/`decide`/`commit`).
 
 use std::time::Instant;
 
 use ssq_stats::Table;
 
-/// The sequential kernel's phase names, in cycle order.
+/// The switch kernel's phase names, in cycle order.
 pub const KERNEL_PHASES: &[&str] = &["prepare", "decide", "commit"];
-
-/// The parallel engine's stage names, in cycle order.
-pub const ENGINE_STAGES: &[&str] = &["gather", "decide", "merge"];
 
 /// Index of the prepare phase in [`KERNEL_PHASES`].
 pub const PHASE_PREPARE: usize = 0;
-/// Index of the decide phase in both phase sets.
+/// Index of the decide phase in [`KERNEL_PHASES`].
 pub const PHASE_DECIDE: usize = 1;
 /// Index of the commit phase in [`KERNEL_PHASES`].
 pub const PHASE_COMMIT: usize = 2;
-/// Index of the gather stage in [`ENGINE_STAGES`].
-pub const PHASE_GATHER: usize = 0;
-/// Index of the merge stage in [`ENGINE_STAGES`].
-pub const PHASE_MERGE: usize = 2;
 
 /// A monotonic nanosecond lap timer around one phase.
 #[derive(Debug, Clone, Copy)]
@@ -80,27 +68,20 @@ impl Acc {
         self.ns = self.ns.saturating_add(ns);
         self.samples = self.samples.saturating_add(1);
     }
-
-    fn merge(&mut self, other: Acc) {
-        self.ns = self.ns.saturating_add(other.ns);
-        self.samples = self.samples.saturating_add(other.samples);
-    }
 }
 
-/// Counter-sampled per-phase (and optionally per-shard) wall-clock
-/// accumulators. See the module docs for the driving protocol.
+/// Counter-sampled per-phase wall-clock accumulators. See the module
+/// docs for the driving protocol.
 #[derive(Debug, Clone)]
 pub struct Profiler {
     names: &'static [&'static str],
     armed: bool,
-    detail: bool,
     /// Sample when `cycles & mask == 0` (mask is `2^k - 1`).
     mask: u64,
     cycles: u64,
     sampled: u64,
     sampling: bool,
     phases: Vec<Acc>,
-    shards: Vec<Acc>,
 }
 
 impl Profiler {
@@ -110,26 +91,18 @@ impl Profiler {
         Profiler {
             names,
             armed: false,
-            detail: false,
             mask: 0,
             cycles: 0,
             sampled: 0,
             sampling: false,
             phases: vec![Acc::default(); names.len()],
-            shards: Vec::new(),
         }
     }
 
-    /// A disarmed profiler over the sequential kernel's phases.
+    /// A disarmed profiler over the switch kernel's phases.
     #[must_use]
     pub fn kernel() -> Self {
         Profiler::new(KERNEL_PHASES)
-    }
-
-    /// A disarmed profiler over the parallel engine's stages.
-    #[must_use]
-    pub fn engine() -> Self {
-        Profiler::new(ENGINE_STAGES)
     }
 
     /// Arms sampling at roughly one cycle in `sample_every` (rounded up
@@ -139,14 +112,16 @@ impl Profiler {
         self.mask = sample_every.max(1).next_power_of_two().saturating_sub(1);
     }
 
-    /// Arms like [`Profiler::arm`] and additionally attributes the
-    /// decide phase per shard (one accumulator per output).
-    pub fn arm_detailed(&mut self, sample_every: u64, shards: usize) {
-        self.arm(sample_every);
-        self.detail = true;
-        if self.shards.len() < shards {
-            self.shards.resize(shards, Acc::default());
-        }
+    /// Zeroes the accumulators and the cycle counters; armed stays
+    /// armed at the same rate. The embedding model calls this where it
+    /// resets its other statistics (the warm-up/measurement boundary),
+    /// so a profiler armed before the run reports the measured phase
+    /// only.
+    pub fn reset(&mut self) {
+        self.cycles = 0;
+        self.sampled = 0;
+        self.sampling = false;
+        self.phases.fill(Acc::default());
     }
 
     /// Stops sampling; accumulated totals are kept.
@@ -159,12 +134,6 @@ impl Profiler {
     #[must_use]
     pub fn armed(&self) -> bool {
         self.armed
-    }
-
-    /// Whether per-shard attribution is on.
-    #[must_use]
-    pub fn detailed(&self) -> bool {
-        self.detail
     }
 
     /// Advances the cycle counter and decides whether this cycle is
@@ -199,15 +168,6 @@ impl Profiler {
         }
     }
 
-    /// Adds one decide lap to a shard accumulator (detail mode; unknown
-    /// shards are ignored).
-    #[inline]
-    pub fn record_shard(&mut self, shard: usize, ns: u64) {
-        if let Some(acc) = self.shards.get_mut(shard) {
-            acc.record(ns);
-        }
-    }
-
     /// Cycles seen while armed.
     #[must_use]
     pub fn cycles(&self) -> u64 {
@@ -218,24 +178,6 @@ impl Profiler {
     #[must_use]
     pub fn sampled_cycles(&self) -> u64 {
         self.sampled
-    }
-
-    /// Folds another profiler's accumulators into this one (used to
-    /// merge per-worker profilers after a parallel run). Phases are
-    /// matched positionally; a mismatched phase set merges the common
-    /// prefix rather than panicking — accounting must never abort a run.
-    pub fn merge(&mut self, other: &Profiler) {
-        for (mine, theirs) in self.phases.iter_mut().zip(&other.phases) {
-            mine.merge(*theirs);
-        }
-        if self.shards.len() < other.shards.len() {
-            self.shards.resize(other.shards.len(), Acc::default());
-        }
-        for (mine, theirs) in self.shards.iter_mut().zip(&other.shards) {
-            mine.merge(*theirs);
-        }
-        self.cycles = self.cycles.saturating_add(other.cycles);
-        self.sampled = self.sampled.saturating_add(other.sampled);
     }
 
     /// Snapshots the accumulated totals.
@@ -250,16 +192,6 @@ impl Profiler {
                 .zip(&self.phases)
                 .map(|(name, acc)| PhaseLine {
                     name: (*name).to_string(),
-                    ns: acc.ns,
-                    samples: acc.samples,
-                })
-                .collect(),
-            shards: self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(shard, acc)| ShardLine {
-                    shard,
                     ns: acc.ns,
                     samples: acc.samples,
                 })
@@ -279,17 +211,6 @@ pub struct PhaseLine {
     pub samples: u64,
 }
 
-/// One shard's accumulated decide totals (detail mode).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardLine {
-    /// Shard (output) index.
-    pub shard: usize,
-    /// Total sampled nanoseconds.
-    pub ns: u64,
-    /// Number of laps recorded.
-    pub samples: u64,
-}
-
 /// An immutable snapshot of a [`Profiler`]'s accumulators.
 #[derive(Debug, Clone, Default)]
 pub struct ProfReport {
@@ -299,8 +220,6 @@ pub struct ProfReport {
     pub sampled_cycles: u64,
     /// Per-phase totals, in phase order.
     pub phases: Vec<PhaseLine>,
-    /// Per-shard decide totals (empty unless detail mode was armed).
-    pub shards: Vec<ShardLine>,
 }
 
 impl ProfReport {
@@ -331,8 +250,7 @@ impl ProfReport {
             .map(|p| p.ns as f64 / total as f64)
     }
 
-    /// The decide phase's share of total sampled time — Amdahl's `f`
-    /// bounding parallel speedup.
+    /// The decide phase's share of total sampled time.
     #[must_use]
     pub fn decide_fraction(&self) -> Option<f64> {
         self.fraction("decide")
@@ -348,15 +266,6 @@ impl ProfReport {
             .iter()
             .find(|p| p.name == name)
             .map(|p| p.ns as f64 / self.sampled_cycles as f64)
-    }
-
-    /// The Amdahl projection `1 / ((1 - f) + f / threads)` for the
-    /// measured decide fraction, or `None` if nothing was sampled.
-    #[must_use]
-    pub fn amdahl_projection(&self, threads: u64) -> Option<f64> {
-        let f = self.decide_fraction()?;
-        let t = threads.max(1) as f64;
-        Some(1.0 / ((1.0 - f) + f / t))
     }
 
     /// The per-phase breakdown as a table (`phase`, `ns/cycle`,
@@ -378,34 +287,6 @@ impl ProfReport {
         t
     }
 
-    /// The per-shard decide breakdown as a table (`shard`, `ns/cycle`,
-    /// `share`, `samples`); empty unless detail mode was armed.
-    #[must_use]
-    pub fn shard_table(&self) -> Table {
-        let mut t = Table::with_columns(&["shard", "decide ns/cycle", "share", "samples"]);
-        t.numeric();
-        let total: u64 = self.shards.iter().fold(0u64, |a, s| a.saturating_add(s.ns));
-        for s in &self.shards {
-            let per_cycle = if self.sampled_cycles == 0 {
-                String::from("-")
-            } else {
-                format!("{:.0}", s.ns as f64 / self.sampled_cycles as f64)
-            };
-            let share = if total == 0 {
-                String::from("-")
-            } else {
-                format!("{:.1}%", s.ns as f64 / total as f64 * 100.0)
-            };
-            t.row(vec![
-                s.shard.to_string(),
-                per_cycle,
-                share,
-                s.samples.to_string(),
-            ]);
-        }
-        t
-    }
-
     /// Renders the summary plus phase table as monospace text.
     #[must_use]
     pub fn render_text(&self) -> String {
@@ -416,9 +297,6 @@ impl ProfReport {
         out.push_str(&self.phase_table().to_text());
         if let Some(f) = self.decide_fraction() {
             out.push_str(&format!("decide fraction: {:.1}%\n", f * 100.0));
-        }
-        if !self.shards.is_empty() {
-            out.push_str(&self.shard_table().to_text());
         }
         out
     }
@@ -470,38 +348,18 @@ mod tests {
     }
 
     #[test]
-    fn detail_mode_attributes_shards() {
+    fn reset_zeroes_totals_and_stays_armed() {
         let mut p = Profiler::kernel();
-        p.arm_detailed(1, 4);
-        assert!(p.begin_cycle());
-        p.record_shard(0, 5);
-        p.record_shard(3, 15);
-        p.record_shard(99, 1); // out of range: ignored, not a panic
-        let r = p.report();
-        assert_eq!(r.shards.len(), 4);
-        assert_eq!(r.shards[0].ns, 5);
-        assert_eq!(r.shards[3].ns, 15);
-        assert_eq!(r.shards[1].ns, 0);
-        let text = r.shard_table().to_text();
-        assert!(text.contains("75.0%"), "{text}");
-    }
-
-    #[test]
-    fn merge_folds_phases_and_counts() {
-        let mut a = Profiler::engine();
-        a.arm(1);
-        assert!(a.begin_cycle());
-        a.record_phase(PHASE_GATHER, 7);
-        let mut b = Profiler::engine();
-        b.arm(1);
-        assert!(b.begin_cycle());
-        b.record_phase(PHASE_GATHER, 3);
-        b.record_phase(PHASE_MERGE, 10);
-        a.merge(&b);
-        let r = a.report();
-        assert_eq!(r.cycles, 2);
-        assert_eq!(r.phases[PHASE_GATHER].ns, 10);
-        assert_eq!(r.phases[PHASE_MERGE].ns, 10);
+        p.arm(1);
+        for _ in 0..5 {
+            assert!(p.begin_cycle());
+            p.record_phase(PHASE_DECIDE, 30);
+        }
+        p.reset();
+        assert!(p.report().is_empty());
+        assert_eq!(p.report().total_ns(), 0);
+        assert!(p.begin_cycle(), "still armed, still every cycle");
+        assert_eq!(p.report().sampled_cycles, 1);
     }
 
     #[test]
@@ -511,18 +369,6 @@ mod tests {
         let b = w.elapsed_ns();
         // Both reads are valid nanosecond counts (no panic, no wrap).
         assert!(a < u64::MAX && b < u64::MAX);
-    }
-
-    #[test]
-    fn amdahl_projection_matches_formula() {
-        let mut p = Profiler::kernel();
-        p.arm(1);
-        assert!(p.begin_cycle());
-        p.record_phase(PHASE_DECIDE, 60);
-        p.record_phase(PHASE_COMMIT, 40);
-        let r = p.report();
-        let projected = r.amdahl_projection(4).unwrap();
-        assert!((projected - 1.0 / (0.4 + 0.6 / 4.0)).abs() < 1e-9);
     }
 
     #[test]

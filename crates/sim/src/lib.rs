@@ -12,13 +12,14 @@
 //!   [`Runner::run_monitored`]) that backs the flight recorder.
 //! * [`sweep`] — runs one experiment per parameter point across threads
 //!   (std scoped threads), preserving input order in the results.
-//! * [`ShardedModel`] / [`ParRunner`] / [`with_engine`] — the sharded
-//!   parallel engine: one cycle as parallel per-shard decisions plus a
-//!   serial in-order merge, bit-identical to the sequential runner at
-//!   any thread count.
-//! * [`EventModel`] / [`BitparRunner`] — the bit-parallel engine:
-//!   word-wide mask cycles plus event-driven idle skipping, held to the
-//!   same byte-identity bar.
+//! * [`EventModel`] / [`Runner::run_skipping`] — event-driven idle
+//!   skipping (`--engine bitpar`), byte-identical to dense stepping.
+//! * [`ShardedModel`] / [`ParRunner`] — the sharded parallel engine:
+//!   one cycle as parallel per-shard decisions plus a serial in-order
+//!   merge, bit-identical to the sequential runner at any thread count.
+//!
+//! The warm-up → `begin_measurement` → measure loop exists once
+//! (`runner.rs`); every entry point above is a call into it.
 //!
 //! (The Value Change Dump writer lives in `ssq_core::vcd`, next to the
 //! switch recorder that uses it.)
@@ -27,7 +28,7 @@
 //! each cycle — rather than with a general event queue: at the saturated
 //! loads the paper studies, nearly every cycle carries events, so a
 //! dense loop is both simpler and faster. The one event-driven
-//! concession is [`BitparRunner`]'s idle skip, which jumps over
+//! concession is [`Runner::run_skipping`]'s idle skip, which jumps over
 //! provably-quiescent stretches (nothing buffered, nothing in flight)
 //! where the dense loop would burn a full cycle to decide "no requests"
 //! at every output.
@@ -60,15 +61,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bitpar;
 mod par;
-pub mod prof;
 mod runner;
 mod sweep;
 
-pub use bitpar::{BitparRunner, EventModel};
-pub use par::{with_engine, Engine, ParRunner, ShardedModel};
-pub use prof::EngineProf;
-pub use runner::{CycleModel, MonitorOutcome, Monitored, Runner, Schedule};
+pub use par::{ParRunner, ShardedModel};
+pub use runner::{CycleModel, EventModel, MonitorOutcome, Monitored, Runner, Schedule};
 pub use ssq_check::{Preflight, Report};
 pub use sweep::{sweep, sweep_with_threads};

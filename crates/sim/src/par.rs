@@ -26,11 +26,12 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
 
-use ssq_stats::ShardAccumulator;
 use ssq_types::{Cycle, Cycles};
 
-use crate::prof::EngineProf;
-use crate::runner::{CycleModel, MonitorOutcome, Monitored, Schedule};
+use crate::runner::{
+    drive_monitored, drive_observed, drive_unwatched, CycleModel, MonitorOutcome, Monitored,
+    Schedule, Stepper,
+};
 
 /// A model whose cycle splits into parallel per-shard decisions plus a
 /// serial merge.
@@ -71,8 +72,8 @@ pub trait ShardedModel: CycleModel {
     /// order to reproduce the sequential engine's effects.
     fn shard_merge(&mut self, now: Cycle, plans: Vec<Self::Plan>);
 
-    /// Relative cost estimate of a plan, for worker load accounting
-    /// only — it must not influence behaviour.
+    /// Relative cost estimate of a plan. The engine does not read it;
+    /// the benchmark's `core.plan_cost_per_cycle` work counter does.
     fn plan_cost(_plan: &Self::Plan) -> u64 {
         1
     }
@@ -170,182 +171,119 @@ struct Shared<'m, M: ShardedModel> {
 /// Claims shards from the shared cursor until none remain, depositing
 /// each plan in its slot. Runs on workers *and* the driver, so a lone
 /// thread still decides every shard through the same code path.
-fn decide_claimed<M: ShardedModel>(
-    shared: &Shared<'_, M>,
-    model: &M,
-    now: Cycle,
-    acc: &mut ShardAccumulator,
-) {
+fn decide_claimed<M: ShardedModel>(shared: &Shared<'_, M>, model: &M, now: Cycle) {
     loop {
         let shard = shared.cursor.fetch_add(1, Ordering::SeqCst);
         if shard >= shared.slots.len() {
             return;
         }
         let plan = model.shard_decide(shard, now);
-        let cost = M::plan_cost(&plan);
         *shared.slots[shard]
             .lock()
             .unwrap_or_else(|e| e.into_inner()) = Some(plan);
-        acc.record(cost);
     }
 }
 
 /// The persistent worker loop: park at the cycle barrier, decide
 /// claimed shards, park at the completion barrier, repeat until told to
-/// stop. Returns this worker's private load accounting.
-fn worker<M: ShardedModel + Send + Sync>(shared: &Shared<'_, M>) -> ShardAccumulator {
+/// stop.
+fn worker<M: ShardedModel + Send + Sync>(shared: &Shared<'_, M>) {
     let _poison_guard = PoisonOnPanic(&shared.barrier);
-    let mut acc = ShardAccumulator::new();
     loop {
-        if shared.barrier.wait().is_err() {
-            return acc;
-        }
-        if shared.stop.load(Ordering::SeqCst) {
-            return acc;
+        if shared.barrier.wait().is_err() || shared.stop.load(Ordering::SeqCst) {
+            return;
         }
         {
             let guard = shared.model.read().unwrap_or_else(|e| e.into_inner());
             let model: &M = &**guard;
             let now = Cycle::new(shared.now.load(Ordering::SeqCst));
-            decide_claimed(shared, model, now, &mut acc);
+            decide_claimed(shared, model, now);
         }
         if shared.barrier.wait().is_err() {
-            return acc;
+            return;
         }
     }
 }
 
-/// Handle the [`with_engine`] closure drives cycles through.
-///
-/// [`Engine::step`] runs one full prepare/decide/merge cycle;
-/// [`Engine::with_model`] gives serial access to the model between
-/// cycles (for observers, probes, VCD sampling, measurement
-/// boundaries). The workers are parked whenever the closure runs, so
-/// `with_model` access is exclusive without extra synchronization
-/// beyond the lock.
-pub struct Engine<'e, 'm, M: ShardedModel> {
+/// The sharded [`Stepper`]: [`Stepper::step`] runs one full
+/// prepare/decide/merge cycle, [`Stepper::with_model`] gives serial
+/// access to the model between cycles. The workers are parked whenever
+/// [`with_engine`]'s closure runs, so that access is exclusive without
+/// extra synchronization beyond the lock.
+pub(crate) struct Engine<'e, 'm, M: ShardedModel> {
     shared: &'e Shared<'m, M>,
-    acc: ShardAccumulator,
-    /// Stage profiler (zero-sized unless the `prof` feature is on;
-    /// disarmed by default even then).
-    prof: EngineProf,
 }
 
-impl<M: ShardedModel + Send + Sync> Engine<'_, '_, M> {
-    /// Runs one simulated cycle: serial prepare, parallel decide,
-    /// serial in-order merge.
+impl<M: ShardedModel + Send + Sync> Stepper for Engine<'_, '_, M> {
+    type Model = M;
+
+    /// Serial prepare, parallel decide, serial in-order merge.
     ///
     /// # Panics
     ///
     /// Panics if a worker thread panicked (the original panic is
     /// re-raised when the engine scope unwinds).
-    pub fn step(&mut self, now: Cycle) {
-        // Profiler gate: with the `prof` feature off this is a const
-        // `false` and the lap path is dead code; armed, it is one
-        // counter add plus a mask test per cycle.
-        if self.prof.begin_cycle() {
-            let mut watch = ssq_prof::Stopwatch::start();
-            self.stage_gather(now);
-            self.prof
-                .record_stage(ssq_prof::PHASE_GATHER, watch.lap_ns());
-            self.stage_decide(now);
-            self.prof
-                .record_stage(ssq_prof::PHASE_DECIDE, watch.lap_ns());
-            self.stage_merge(now);
-            self.prof
-                .record_stage(ssq_prof::PHASE_MERGE, watch.lap_ns());
-            return;
-        }
-        self.stage_gather(now);
-        self.stage_decide(now);
-        self.stage_merge(now);
-    }
-
-    /// Stage 1 — gather: serial prepare under the write lock, then
-    /// publish the cycle and reset the shard cursor for the workers.
-    fn stage_gather(&mut self, now: Cycle) {
+    fn step(&mut self, now: Cycle) {
         let shared = self.shared;
-        {
-            let mut guard = shared.model.write().unwrap_or_else(|e| e.into_inner());
-            guard.shard_prepare(now);
-        }
+        // Prepare under the write lock, then publish the cycle and
+        // reset the shard cursor for the workers.
+        self.with_model(|m| m.shard_prepare(now));
         shared.now.store(now.value(), Ordering::SeqCst);
         shared.cursor.store(0, Ordering::SeqCst);
-    }
 
-    /// Stage 2 — decide: open the cycle barrier, claim shards alongside
-    /// the workers, close the completion barrier.
-    fn stage_decide(&mut self, now: Cycle) {
-        let shared = self.shared;
+        // Decide: open the cycle barrier, claim shards alongside the
+        // workers, close the completion barrier.
         let opened = shared.barrier.wait().is_ok();
         assert!(opened, "parallel engine: a worker thread panicked");
         {
             let guard = shared.model.read().unwrap_or_else(|e| e.into_inner());
             let model: &M = &**guard;
-            decide_claimed(shared, model, now, &mut self.acc);
+            decide_claimed(shared, model, now);
         }
         let decided = shared.barrier.wait().is_ok();
         assert!(decided, "parallel engine: a worker thread panicked");
+
+        // Merge: drain the plan slots in shard order and commit them.
+        self.with_model(|model| {
+            let mut plans = Vec::with_capacity(shared.slots.len());
+            for (shard, slot) in shared.slots.iter().enumerate() {
+                let plan = slot
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .take()
+                    // A lost slot (worker died between claim and deposit)
+                    // is re-decided serially; decide is pure, so the
+                    // outcome is identical.
+                    .unwrap_or_else(|| model.shard_decide(shard, now));
+                plans.push(plan);
+            }
+            model.shard_merge(now, plans);
+        });
     }
 
-    /// Stage 3 — merge: drain the plan slots in shard order under the
-    /// write lock and commit them.
-    fn stage_merge(&mut self, now: Cycle) {
-        let shared = self.shared;
-        let mut guard = shared.model.write().unwrap_or_else(|e| e.into_inner());
-        let model: &mut M = &mut *guard;
-        let mut plans = Vec::with_capacity(shared.slots.len());
-        for (shard, slot) in shared.slots.iter().enumerate() {
-            let plan = slot
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take()
-                // A lost slot (worker died between claim and deposit)
-                // is re-decided serially; decide is pure, so the
-                // outcome is identical.
-                .unwrap_or_else(|| model.shard_decide(shard, now));
-            plans.push(plan);
-        }
-        model.shard_merge(now, plans);
-    }
-
-    /// Arms the engine-stage profiler: roughly one cycle in
-    /// `sample_every` laps a stopwatch around the gather/decide/merge
-    /// stages. A no-op unless the `prof` cargo feature is compiled in.
-    pub fn prof_arm(&mut self, sample_every: u64) {
-        self.prof.arm(sample_every);
-    }
-
-    /// The stage profiler's accumulated totals, or `None` in a build
-    /// without the `prof` feature.
-    #[must_use]
-    pub fn prof_report(&self) -> Option<ssq_prof::ProfReport> {
-        self.prof.report()
-    }
-
-    /// Serial access to the model between cycles.
-    pub fn with_model<R>(&mut self, f: impl FnOnce(&mut M) -> R) -> R {
+    fn with_model<R>(&mut self, f: impl FnOnce(&mut M) -> R) -> R {
         let mut guard = self.shared.model.write().unwrap_or_else(|e| e.into_inner());
-        f(&mut *guard)
+        f(&mut guard)
     }
 }
 
-/// Spawns `threads.max(1)` total compute threads (the calling thread
-/// plus `threads - 1` scoped workers), runs `f` with an [`Engine`]
-/// driving the model, then parks the workers and returns `f`'s result
-/// together with the merged per-worker load accounting.
+/// Runs `f` with an [`Engine`] driving the model on `threads` compute
+/// threads (the calling thread plus `threads - 1` scoped workers), then
+/// parks the workers and returns `f`'s result. `threads` is clamped to
+/// `1..=shard_count`: a thread beyond the shard count could never claim
+/// a shard, and results do not depend on the thread count.
 ///
-/// With `threads == 1` no worker is spawned and every phase runs on the
+/// With one thread no worker is spawned and every phase runs on the
 /// calling thread through the same code path, which is what makes the
 /// single-thread parallel engine a true identity check against the
 /// sequential runner.
-pub fn with_engine<M, R, F>(threads: usize, model: &mut M, f: F) -> (R, ShardAccumulator)
+pub(crate) fn with_engine<M, R, F>(threads: usize, model: &mut M, f: F) -> R
 where
     M: ShardedModel + Send + Sync,
     F: FnOnce(&mut Engine<'_, '_, M>) -> R,
 {
-    let threads = threads.max(1);
     let shards = model.shard_count();
+    let threads = threads.clamp(1, shards.max(1));
     let shared: Shared<'_, M> = Shared {
         model: RwLock::new(model),
         barrier: SpinBarrier::new(threads),
@@ -358,11 +296,7 @@ where
         let workers: Vec<_> = (1..threads)
             .map(|_| scope.spawn(|| worker(&shared)))
             .collect();
-        let mut engine = Engine {
-            shared: &shared,
-            acc: ShardAccumulator::new(),
-            prof: EngineProf::new(),
-        };
+        let mut engine = Engine { shared: &shared };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut engine)));
         shared.stop.store(true, Ordering::SeqCst);
         if result.is_err() {
@@ -374,22 +308,17 @@ where
             // sends them into the stop check.
             let _ = shared.barrier.wait();
         }
-        let mut acc = engine.acc;
         let mut worker_panic = None;
         for handle in workers {
-            match handle.join() {
-                Ok(worker_acc) => acc.merge(&worker_acc),
-                Err(payload) => {
-                    // Keep the first worker payload: it is the root
-                    // cause; the driver's own panic is the echo.
-                    worker_panic.get_or_insert(payload);
-                }
+            if let Err(payload) = handle.join() {
+                // Keep the first worker payload: it is the root cause;
+                // the driver's own panic is the echo.
+                worker_panic.get_or_insert(payload);
             }
         }
         match (result, worker_panic) {
-            (Ok(r), None) => (r, acc),
-            (Ok(_), Some(payload)) | (Err(_), Some(payload)) => std::panic::resume_unwind(payload),
-            (Err(payload), None) => std::panic::resume_unwind(payload),
+            (_, Some(payload)) | (Err(payload), None) => std::panic::resume_unwind(payload),
+            (Ok(r), None) => r,
         }
     })
 }
@@ -432,92 +361,21 @@ impl ParRunner {
     where
         M: ShardedModel + Send + Sync,
     {
-        self.run_observed(model, |_, _| {})
+        with_engine(self.threads, model, |engine| {
+            drive_unwatched(self.schedule, engine)
+        })
     }
 
     /// Parallel counterpart of
     /// [`Runner::run_observed`](crate::Runner::run_observed): `observe`
     /// runs serially after every cycle, with the workers parked.
-    pub fn run_observed<M, F>(&self, model: &mut M, mut observe: F) -> Cycle
+    pub fn run_observed<M, F>(&self, model: &mut M, observe: F) -> Cycle
     where
         M: ShardedModel + Send + Sync,
         F: FnMut(&M, Cycle),
     {
-        let warm_end = Cycle::ZERO + self.schedule.warmup();
-        let end = warm_end + self.schedule.measure();
-        let (final_cycle, _load) = with_engine(self.threads, model, |engine| {
-            let mut now = Cycle::ZERO;
-            while now < warm_end {
-                engine.step(now);
-                engine.with_model(|m| observe(m, now));
-                now = now.next();
-            }
-            engine.with_model(|m| m.begin_measurement(now));
-            while now < end {
-                engine.step(now);
-                engine.with_model(|m| observe(m, now));
-                now = now.next();
-            }
-            now
-        });
-        final_cycle
-    }
-
-    /// Like [`ParRunner::run_accounted`], but additionally arms the
-    /// engine-stage profiler at the measurement boundary (sampling one
-    /// cycle in `sample_every`) and returns its gather/decide/merge
-    /// breakdown. The report is `None` in a build without the `prof`
-    /// cargo feature — callers surface that as a rebuild hint.
-    pub fn run_profiled<M>(
-        &self,
-        model: &mut M,
-        sample_every: u64,
-    ) -> (Cycle, Option<ssq_prof::ProfReport>, ShardAccumulator)
-    where
-        M: ShardedModel + Send + Sync,
-    {
-        let warm_end = Cycle::ZERO + self.schedule.warmup();
-        let end = warm_end + self.schedule.measure();
-        let ((final_cycle, report), load) = with_engine(self.threads, model, |engine| {
-            let mut now = Cycle::ZERO;
-            while now < warm_end {
-                engine.step(now);
-                now = now.next();
-            }
-            engine.with_model(|m| m.begin_measurement(now));
-            // Arm only for the measured phase, so warm-up noise never
-            // lands in the stage accumulators.
-            engine.prof_arm(sample_every);
-            while now < end {
-                engine.step(now);
-                now = now.next();
-            }
-            (now, engine.prof_report())
-        });
-        (final_cycle, report, load)
-    }
-
-    /// Like [`ParRunner::run`], but also returns the merged per-worker
-    /// shard accounting (how many shards each thread decided, at what
-    /// cost) for load-balance diagnostics.
-    pub fn run_accounted<M>(&self, model: &mut M) -> (Cycle, ShardAccumulator)
-    where
-        M: ShardedModel + Send + Sync,
-    {
-        let warm_end = Cycle::ZERO + self.schedule.warmup();
-        let end = warm_end + self.schedule.measure();
         with_engine(self.threads, model, |engine| {
-            let mut now = Cycle::ZERO;
-            while now < warm_end {
-                engine.step(now);
-                now = now.next();
-            }
-            engine.with_model(|m| m.begin_measurement(now));
-            while now < end {
-                engine.step(now);
-                now = now.next();
-            }
-            now
+            drive_observed(self.schedule, engine, observe)
         })
     }
 
@@ -534,60 +392,15 @@ impl ParRunner {
         &self,
         model: &mut M,
         stall_window: Cycles,
-        mut observe: F,
+        observe: F,
     ) -> MonitorOutcome
     where
         M: ShardedModel + Monitored + Send + Sync,
         F: FnMut(&M, Cycle),
     {
-        assert!(stall_window.value() > 0, "stall window must be non-empty");
-        let warm_end = Cycle::ZERO + self.schedule.warmup();
-        let end = warm_end + self.schedule.measure();
-        let (outcome, _load) = with_engine(self.threads, model, |engine| {
-            let mut now = Cycle::ZERO;
-            let mut last_progress: Option<u64> = None;
-            let mut stalled_for: u64 = 0;
-            while now < end {
-                if now == warm_end {
-                    engine.with_model(|m| m.begin_measurement(now));
-                }
-                engine.step(now);
-                let (violation, progress) = engine.with_model(|m| {
-                    observe(m, now);
-                    (m.violation(), m.progress())
-                });
-                if let Some(reason) = violation {
-                    return MonitorOutcome::Tripped { at: now, reason };
-                }
-                match progress {
-                    None => {
-                        last_progress = None;
-                        stalled_for = 0;
-                    }
-                    Some(p) => {
-                        if last_progress == Some(p) {
-                            stalled_for += 1;
-                            if stalled_for >= stall_window.value() {
-                                return MonitorOutcome::Tripped {
-                                    at: now,
-                                    reason: format!(
-                                        "stall: pending work but no progress for {} cycles \
-                                         (progress measure stuck at {p})",
-                                        stall_window.value()
-                                    ),
-                                };
-                            }
-                        } else {
-                            last_progress = Some(p);
-                            stalled_for = 0;
-                        }
-                    }
-                }
-                now = now.next();
-            }
-            MonitorOutcome::Completed(now)
-        });
-        outcome
+        with_engine(self.threads, model, |engine| {
+            drive_monitored(self.schedule, engine, stall_window, observe)
+        })
     }
 }
 
@@ -600,12 +413,11 @@ mod tests {
     /// its state with the cycle, merge writes the results back in
     /// order. `step` is defined via the sharded contract, so the
     /// sequential runner and the parallel engine must agree exactly.
+    /// (The phase semantics every entry point shares are pinned in
+    /// `runner.rs`; these tests are about the threads.)
     #[derive(Clone, PartialEq, Eq, Debug)]
     struct Toy {
         outputs: Vec<u64>,
-        prepares: u64,
-        merged: u64,
-        boundary: Option<Cycle>,
         /// When set, decide panics for this shard (failure-path test).
         poison_shard: Option<usize>,
     }
@@ -614,9 +426,6 @@ mod tests {
         fn new(shards: usize) -> Self {
             Toy {
                 outputs: (0..shards as u64).collect(),
-                prepares: 0,
-                merged: 0,
-                boundary: None,
                 poison_shard: None,
             }
         }
@@ -630,9 +439,7 @@ mod tests {
                 .collect();
             self.shard_merge(now, plans);
         }
-        fn begin_measurement(&mut self, now: Cycle) {
-            self.boundary = Some(now);
-        }
+        fn begin_measurement(&mut self, _now: Cycle) {}
     }
 
     impl ShardedModel for Toy {
@@ -640,9 +447,7 @@ mod tests {
         fn shard_count(&self) -> usize {
             self.outputs.len()
         }
-        fn shard_prepare(&mut self, _now: Cycle) {
-            self.prepares += 1;
-        }
+        fn shard_prepare(&mut self, _now: Cycle) {}
         fn shard_decide(&self, shard: usize, now: Cycle) -> (usize, u64) {
             if self.poison_shard == Some(shard) {
                 panic!("poisoned shard");
@@ -657,14 +462,7 @@ mod tests {
             for (i, (shard, value)) in plans.into_iter().enumerate() {
                 assert_eq!(shard, i, "plans must arrive in shard order");
                 self.outputs[i] = value;
-                self.merged += 1;
             }
-        }
-    }
-
-    impl Monitored for Toy {
-        fn progress(&self) -> Option<u64> {
-            Some(self.merged)
         }
     }
 
@@ -682,119 +480,6 @@ mod tests {
     }
 
     #[test]
-    fn run_observed_sees_every_cycle_in_order() {
-        let schedule = Schedule::new(Cycles::new(2), Cycles::new(3));
-        let mut seen = Vec::new();
-        let mut toy = Toy::new(4);
-        let end = ParRunner::new(schedule, 2).run_observed(&mut toy, |m, now| {
-            seen.push((now.value(), m.prepares));
-        });
-        assert_eq!(end, Cycle::new(5));
-        assert_eq!(seen, vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
-        assert_eq!(toy.boundary, Some(Cycle::new(2)));
-    }
-
-    #[test]
-    fn monitored_completion_matches_sequential() {
-        let schedule = Schedule::new(Cycles::new(5), Cycles::new(20));
-        let mut seq = Toy::new(8);
-        let seq_outcome = Runner::new(schedule).run_monitored(&mut seq, Cycles::new(3), |_, _| {});
-        let mut par = Toy::new(8);
-        let par_outcome =
-            ParRunner::new(schedule, 3).run_monitored(&mut par, Cycles::new(3), |_, _| {});
-        assert_eq!(par_outcome, seq_outcome);
-        assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn monitored_stall_trips_at_the_same_cycle() {
-        /// Stops merging (and thus progressing) after a fixed number of
-        /// cycles while still holding "pending work".
-        struct Stall<MOD> {
-            inner: MOD,
-            stall_after: u64,
-            cycles: u64,
-        }
-        impl CycleModel for Stall<Toy> {
-            fn step(&mut self, now: Cycle) {
-                self.shard_prepare(now);
-                let plans: Vec<(usize, u64)> = (0..self.inner.shard_count())
-                    .map(|s| self.shard_decide(s, now))
-                    .collect();
-                self.shard_merge(now, plans);
-            }
-            fn begin_measurement(&mut self, now: Cycle) {
-                self.inner.begin_measurement(now);
-            }
-        }
-        impl ShardedModel for Stall<Toy> {
-            type Plan = (usize, u64);
-            fn shard_count(&self) -> usize {
-                self.inner.shard_count()
-            }
-            fn shard_prepare(&mut self, now: Cycle) {
-                self.cycles += 1;
-                self.inner.shard_prepare(now);
-            }
-            fn shard_decide(&self, shard: usize, now: Cycle) -> (usize, u64) {
-                self.inner.shard_decide(shard, now)
-            }
-            fn shard_merge(&mut self, now: Cycle, plans: Vec<(usize, u64)>) {
-                if self.cycles <= self.stall_after {
-                    self.inner.shard_merge(now, plans);
-                }
-            }
-        }
-        impl Monitored for Stall<Toy> {
-            fn progress(&self) -> Option<u64> {
-                Some(self.inner.merged)
-            }
-        }
-
-        let schedule = Schedule::new(Cycles::ZERO, Cycles::new(1000));
-        let make = || Stall {
-            inner: Toy::new(4),
-            stall_after: 10,
-            cycles: 0,
-        };
-        let mut seq = make();
-        let seq_outcome = Runner::new(schedule).run_monitored(&mut seq, Cycles::new(7), |_, _| {});
-        let mut par = make();
-        let par_outcome =
-            ParRunner::new(schedule, 2).run_monitored(&mut par, Cycles::new(7), |_, _| {});
-        assert_eq!(par_outcome, seq_outcome);
-        assert!(!par_outcome.is_completed(), "stall must trip");
-    }
-
-    #[test]
-    fn accounts_every_shard_exactly_once() {
-        let schedule = Schedule::new(Cycles::ZERO, Cycles::new(40));
-        let mut toy = Toy::new(16);
-        let (_, load) = ParRunner::new(schedule, 4).run_accounted(&mut toy);
-        assert_eq!(load.shards(), 40 * 16, "every shard of every cycle");
-    }
-
-    #[test]
-    fn run_profiled_is_behaviour_preserving() {
-        let schedule = Schedule::new(Cycles::new(5), Cycles::new(32));
-        let mut reference = Toy::new(8);
-        Runner::new(schedule).run(&mut reference);
-        let mut profiled = Toy::new(8);
-        let (end, report, load) = ParRunner::new(schedule, 2).run_profiled(&mut profiled, 1);
-        assert_eq!(end, Cycle::new(37));
-        assert_eq!(profiled, reference, "profiling must not change behaviour");
-        assert_eq!(load.shards(), 37 * 8, "every shard of every cycle");
-        #[cfg(feature = "prof")]
-        {
-            let r = report.expect("prof feature on: report present");
-            assert_eq!(r.sampled_cycles, 32, "armed at the measurement boundary");
-            assert!(r.phases.iter().any(|p| p.name == "gather" && p.ns > 0));
-        }
-        #[cfg(not(feature = "prof"))]
-        assert!(report.is_none(), "prof feature off: no data");
-    }
-
-    #[test]
     fn zero_threads_clamps_to_one() {
         let runner = ParRunner::new(Schedule::new(Cycles::ZERO, Cycles::new(5)), 0);
         assert_eq!(runner.threads(), 1);
@@ -804,24 +489,25 @@ mod tests {
     }
 
     #[test]
+    fn threads_beyond_the_shard_count_are_not_spawned() {
+        // Unclamped, this asks the OS for a million spinning threads.
+        let schedule = Schedule::new(Cycles::ZERO, Cycles::new(20));
+        let mut reference = Toy::new(3);
+        Runner::new(schedule).run(&mut reference);
+        let mut toy = Toy::new(3);
+        let parties = with_engine(1_000_000, &mut toy, |engine| {
+            drive_unwatched(schedule, engine);
+            engine.shared.barrier.parties
+        });
+        assert_eq!(parties, 3);
+        assert_eq!(toy, reference);
+    }
+
+    #[test]
     #[should_panic(expected = "poisoned shard")]
     fn worker_panic_propagates_instead_of_deadlocking() {
         let mut toy = Toy::new(8);
         toy.poison_shard = Some(5);
         let _ = ParRunner::new(Schedule::new(Cycles::ZERO, Cycles::new(3)), 4).run(&mut toy);
-    }
-
-    #[test]
-    fn with_engine_exposes_manual_stepping() {
-        let mut toy = Toy::new(4);
-        let ((), load) = with_engine(2, &mut toy, |engine| {
-            for c in 0..10u64 {
-                engine.step(Cycle::new(c));
-            }
-            engine.with_model(|m| m.begin_measurement(Cycle::new(10)));
-        });
-        assert_eq!(toy.prepares, 10);
-        assert_eq!(toy.boundary, Some(Cycle::new(10)));
-        assert_eq!(load.shards(), 40);
     }
 }

@@ -44,7 +44,6 @@ mod flow;
 mod histogram;
 mod running;
 mod series;
-mod shard;
 mod table;
 mod throughput;
 mod timeseries;
@@ -56,7 +55,6 @@ pub use flow::{FlowMetrics, MetricsMatrix};
 pub use histogram::Histogram;
 pub use running::RunningStats;
 pub use series::{Figure, Series};
-pub use shard::ShardAccumulator;
 pub use table::{Align, Table};
 pub use throughput::ThroughputMeter;
 pub use timeseries::TimeSeries;

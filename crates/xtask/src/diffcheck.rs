@@ -7,8 +7,8 @@
 //! reference path probes queue heads and arbitrates over request slices.
 //! Each scenario builds the same switch several times and drives the
 //! copies with the reference loop, the sequential [`Runner`], the
-//! sharded [`ParRunner`] at several thread counts, and the
-//! [`BitparRunner`], then compares every observable: the aggregate
+//! sharded [`ParRunner`] at several thread counts, and
+//! [`Runner::run_skipping`], then compares every observable: the aggregate
 //! counters, the per-flow metrics table (as CSV bytes), and the full
 //! event trace. Any difference is a verify failure — the engines'
 //! contract is bit-exactness, not statistical agreement.
@@ -17,7 +17,7 @@ use std::fmt::Write as _;
 
 use ssq_arbiter::CounterPolicy;
 use ssq_core::{Policy, QosSwitch, ReferenceKernel, SwitchConfig, SwitchCounters};
-use ssq_sim::{BitparRunner, ParRunner, Runner, Schedule};
+use ssq_sim::{ParRunner, Runner, Schedule};
 use ssq_trace::{Event, RingSink};
 use ssq_traffic::{Bernoulli, FixedDest, Injector, Periodic, Saturating, UniformDest};
 use ssq_types::{Cycle, Cycles, FlowId, Geometry, InputId, OutputId, Rate, TrafficClass};
@@ -317,7 +317,7 @@ fn run_parallel(build: fn() -> QosSwitch, threads: usize) -> Observation {
 fn run_bitpar(build: fn() -> QosSwitch) -> Observation {
     let mut switch = build();
     switch.tracer_mut().attach_ring(1 << 16);
-    BitparRunner::new(Schedule::new(Cycles::new(WARMUP), Cycles::new(MEASURE))).run(&mut switch);
+    Runner::new(Schedule::new(Cycles::new(WARMUP), Cycles::new(MEASURE))).run_skipping(&mut switch);
     observe(&switch)
 }
 

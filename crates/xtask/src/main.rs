@@ -6,9 +6,6 @@
 //! cargo run -p xtask -- lint --update-baseline  # re-grandfather current findings
 //! cargo run -p xtask -- verify                  # fast-tier model check (2x2)
 //! cargo run -p xtask -- verify --deep           # + deep tier (4x4, bounded)
-//! cargo run -p xtask -- bench                   # perf trajectory probe
-//! cargo run -p xtask -- bench --json --diff     # record BENCH_<pr>.json, gate vs prior
-//! cargo run -p xtask -- bench --quick --diff    # the scripts/check.sh regression gate
 //! ```
 //!
 //! The lint pass is the [`ssq_lint`] engine: an in-tree lexer and
@@ -26,19 +23,10 @@
 //! 4x4 deep tier), printing per-scenario state counts and failing the
 //! process on the first invariant violation (the minimal counterexample
 //! trace is printed as ssq-trace JSONL).
-//!
-//! The bench task maintains the perf-trajectory record (ROADMAP
-//! item 5): a small engine × radix × load matrix timed wall-clock, with
-//! the in-switch profiler's prepare/decide/commit breakdown (xtask
-//! compiles the model crates with the `prof` feature), written as
-//! schema-versioned `results/BENCH_<pr>.json` documents and diffed
-//! against the prior document with a configurable regression threshold
-//! (`--diff`, nonzero exit on regression).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-mod bench;
 mod diffcheck;
 
 fn main() -> ExitCode {
@@ -46,7 +34,6 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("lint") => lint(&args[1..]),
         Some("verify") => verify(&args[1..]),
-        Some("bench") => bench::run(&args[1..], &workspace_root()),
         Some(other) => {
             eprintln!("unknown task `{other}`");
             eprintln!("{USAGE}");
@@ -59,9 +46,8 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage: cargo run -p xtask -- <lint [--json] [--update-baseline] \
-     | verify [--deep] \
-     | bench [--json] [--diff] [--quick] [--threshold R] [--pr N] [--shards]>";
+const USAGE: &str =
+    "usage: cargo run -p xtask -- <lint [--json] [--update-baseline] | verify [--deep]>";
 
 /// Runs the model-checker tiers: the fast battery always, the deep
 /// battery with `--deep`. Prints one line per scenario and the first

@@ -45,15 +45,23 @@ echo "== model check + engine conformance, fast tier (xtask) =="
 # bitpar engines, which all run the one mask-native kernel.
 cargo run --quiet -p xtask -- verify
 
+echo "== sanitizer: V1-V6 asserted on the hot path under both conformance batteries =="
+# The `sanitizer` feature compiles the model checker's invariant
+# predicates into every arbitration; the two engine batteries then run
+# a few hundred seeded scenarios through them (about 20 s, debug).
+cargo test -q --features sanitizer --test bitpar_conformance --test par_conformance
+
 echo "== release build =="
+# No workspace member asks for `prof`, so this is the `ssq` that ships.
 cargo build --workspace --release
 
 echo "== fault smoke tier (ssq faults) =="
 # Every single-fault chaos scenario must either preserve its bounds or
 # revoke loudly; a silent violation fails the gate. Each scenario runs
-# on the reference kernel and all three engines (sequential, sharded
-# parallel, bitpar) — any divergence from the reference is reported as
-# a silent violation.
+# on the reference kernel, the sequential runner and the sharded
+# parallel engine (a watchdogged run is dense, so idle skipping has no
+# leg here) — any divergence from the reference is reported as a silent
+# violation.
 ./target/release/ssq faults --smoke --csv
 
 echo "== multi-hop fabric smoke tier (ssq net) =="

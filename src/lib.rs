@@ -15,7 +15,8 @@
 //!   fabric (bitlines, thermometer codes, discharge decisions, sense
 //!   amps) verified exhaustively against the behavioural arbiter.
 //! * [`traffic`] — injection processes and destination patterns.
-//! * [`sim`] — the cycle-accurate simulation kernel and sweep runner.
+//! * [`sim`] — the cycle-accurate simulation kernel: one warm-up →
+//!   measure loop behind every runner, and the sweep runner.
 //! * [`trace`] — zero-overhead-when-off event tracing, the metrics
 //!   registry, and the flight-recorder post-mortem.
 //! * [`check`] — static admission/latency/overflow analysis (`SSQ0xx`
@@ -25,10 +26,10 @@
 //!   latency-bound mathematics (Eqs. 1–3).
 //! * [`physical`] — storage (Table 1), area, and frequency (Table 2)
 //!   models.
-//! * [`prof`] — the cycle-phase profiler (zero-overhead-when-off, armed
-//!   by the `prof` cargo feature on the model crates) and the
-//!   schema-versioned `results/BENCH_<pr>.json` perf-trajectory record
-//!   behind `cargo xtask bench` and `ssq perf-report`.
+//! * [`prof`] — the cycle-phase profiler (zero-overhead-when-off,
+//!   compiled into the switch core by the `prof` cargo feature) behind
+//!   `ssq simulate --prof`, and the JSON reader the benchmark package
+//!   uses.
 //! * [`faults`] — deterministic fault injection: seeded [`faults::FaultPlan`]
 //!   schedules (scripted or MTBF mode), the [`faults::ChaosSwitch`]
 //!   harness, the two-outcome [`faults::judge`] oracle, and the

@@ -15,7 +15,7 @@
 
 use swizzle_qos::arbiter::CounterPolicy;
 use swizzle_qos::core::{Policy, QosSwitch, ReferenceKernel, SwitchConfig};
-use swizzle_qos::sim::{BitparRunner, CycleModel, EventModel, Runner, Schedule};
+use swizzle_qos::sim::{CycleModel, EventModel, Runner, Schedule};
 use swizzle_qos::trace::{Event, RingSink};
 use swizzle_qos::traffic::{Bernoulli, FixedDest, Injector, Periodic, Saturating, UniformDest};
 use swizzle_qos::types::{
@@ -214,14 +214,14 @@ fn fuzzed_patterns_with_reservation_churn_match_seq() {
                 }
             }
             seq.step_reference(at);
-            bit.step_fast(at);
+            bit.step(at);
             at = at.next();
         }
         assert_observables_match(&seq, &bit, &format!("trial {trial} (radix {radix})"));
     }
 }
 
-/// Counts how the bitpar runner spends its cycles, delegating to the
+/// Counts how the skipping runner spends its cycles, delegating to the
 /// real switch — the proof that idle skipping actually engaged.
 struct Counting<'a> {
     inner: &'a mut QosSwitch,
@@ -231,6 +231,7 @@ struct Counting<'a> {
 
 impl CycleModel for Counting<'_> {
     fn step(&mut self, now: Cycle) {
+        self.stepped += 1;
         self.inner.step(now);
     }
     fn begin_measurement(&mut self, now: Cycle) {
@@ -239,10 +240,6 @@ impl CycleModel for Counting<'_> {
 }
 
 impl EventModel for Counting<'_> {
-    fn step_fast(&mut self, now: Cycle) {
-        self.stepped += 1;
-        self.inner.step_fast(now);
-    }
     fn skip_idle(&mut self, now: Cycle, limit: Cycle) -> Cycle {
         let target = self.inner.skip_idle(now, limit);
         if target > now {
@@ -312,7 +309,7 @@ fn idle_skipping_is_byte_identical_to_dense_stepping() {
         stepped: 0,
         skipped: 0,
     };
-    let end = BitparRunner::new(idle_schedule()).run(&mut counted);
+    let end = Runner::new(idle_schedule()).run_skipping(&mut counted);
     assert_eq!(end, Cycle::new(20_500));
     assert_eq!(
         counted.stepped + counted.skipped,
@@ -370,7 +367,7 @@ fn unpredictable_sources_disable_skipping() {
         stepped: 0,
         skipped: 0,
     };
-    BitparRunner::new(schedule).run(&mut counted);
+    Runner::new(schedule).run_skipping(&mut counted);
     assert_eq!(counted.skipped, 0, "Bernoulli runs must stay dense");
     assert_eq!(counted.stepped, 4_100);
     assert_observables_match(&dense, &fast, "bernoulli dense vs fast");

@@ -4,38 +4,11 @@
 //! never panics. Driven through the real binary, since the exit code and
 //! the stderr text are the contract.
 
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::path::Path;
+use std::process::Output;
 
-fn ssq(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_ssq"))
-        .args(args)
-        .output()
-        .expect("ssq spawns")
-}
-
-/// A scratch directory of this test's own (tests run in parallel),
-/// removed when the test ends.
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(test: &str) -> Self {
-        let dir =
-            std::env::temp_dir().join(format!("ssq-cli-errors-{}-{test}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        Scratch(dir)
-    }
-
-    fn join(&self, name: &str) -> PathBuf {
-        self.0.join(name)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+mod common;
+use common::{assert_diagnosed, ssq, stderr, Scratch};
 
 /// A real trace written by `ssq simulate --trace`, as text.
 fn good_trace(dir: &Scratch) -> String {
@@ -61,25 +34,6 @@ fn good_trace(dir: &Scratch) -> String {
     let text = std::fs::read_to_string(&path).expect("trace written");
     assert!(text.lines().count() > 100, "trace too short to cut up");
     text
-}
-
-fn stderr(out: &Output) -> String {
-    String::from_utf8_lossy(&out.stderr).into_owned()
-}
-
-/// The run failed the way a user should see it: nonzero exit, an
-/// `error:` line naming `needle`, no panic message.
-fn assert_diagnosed(out: &Output, needle: &str) {
-    let err = stderr(out);
-    assert!(!out.status.success(), "should have failed: {err}");
-    assert_eq!(
-        out.status.code(),
-        Some(1),
-        "an error exit, not a crash: {err}"
-    );
-    assert!(err.starts_with("error: "), "{err}");
-    assert!(err.contains(needle), "{needle:?} not in: {err}");
-    assert!(!err.contains("panicked"), "{err}");
 }
 
 fn report(path: &Path) -> Output {

@@ -10,8 +10,8 @@
 //! The battery sweeps seeded random request matrices across all three
 //! SSVC counter policies and {BE, GB, GL} class mixes (216 scenarios),
 //! runs each through the reference loop, the sequential [`Runner`], the
-//! [`ParRunner`] at 1, 2, and 8 threads, and the [`BitparRunner`], and
-//! compares the complete observable state. Further batteries cover the
+//! [`ParRunner`] at 1, 2, and 8 threads, and [`Runner::run_skipping`],
+//! and compares the complete observable state. Further batteries cover the
 //! non-SSVC policies and the fabric-checked, GL-policed, demoted-GL and
 //! LRG-fallback modes; the final test exports the fig4-style scenario's
 //! JSONL trace through every engine and compares the files byte for
@@ -21,7 +21,7 @@ use std::io::Read as _;
 
 use swizzle_qos::arbiter::CounterPolicy;
 use swizzle_qos::core::{Policy, QosSwitch, ReferenceKernel, SwitchConfig, SwitchCounters};
-use swizzle_qos::sim::{BitparRunner, ParRunner, Runner, Schedule};
+use swizzle_qos::sim::{ParRunner, Runner, Schedule};
 use swizzle_qos::trace::{Event, RingSink};
 use swizzle_qos::traffic::{Bernoulli, FixedDest, Injector, Periodic, Saturating, UniformDest};
 use swizzle_qos::types::{
@@ -271,7 +271,7 @@ fn drive(switch: &mut QosSwitch, schedule: Schedule, sel: Sel) {
             ParRunner::new(schedule, t).run(switch);
         }
         Sel::Bitpar => {
-            BitparRunner::new(schedule).run(switch);
+            Runner::new(schedule).run_skipping(switch);
         }
     }
 }
