@@ -67,7 +67,6 @@ impl Lrg {
         let mut rows = vec![0u64; n * stride];
         for i in 0..n {
             for j in (i + 1)..n {
-                // ssq-lint: allow(mask-width-safety) — `j % 64` is < 64 by construction, so the shift stays inside the word
                 rows[i * stride + j / 64] |= 1u64 << (j % 64);
             }
         }
@@ -80,17 +79,11 @@ impl Lrg {
     ///
     /// Panics if either index is out of range or `i == j`.
     #[must_use]
-    //
-    // The range assert IS the documented contract and bounds the row
-    // indexing; the index arithmetic is `i * stride + j / 64` with both
-    // factors below the radix, far inside usize.
-    // ssq-lint: allow(panic-freedom-reachability)
     pub fn beats(&self, i: usize, j: usize) -> bool {
         assert!(
             i < self.n && j < self.n && i != j,
             "invalid pair ({i}, {j})"
         );
-        // ssq-lint: allow(mask-width-safety) — `j % 64` is < 64 by construction, so the shift stays inside the word
         self.rows[i * self.stride + j / 64] & (1u64 << (j % 64)) != 0
     }
 
@@ -127,11 +120,6 @@ impl Lrg {
     /// Panics if the arbiter has more than 64 inputs (one-word radix
     /// premise) or a candidate bit is out of range.
     #[must_use]
-    //
-    // The two asserts ARE the documented contract; they bound every set
-    // candidate bit below `n`, the length of `rows` when `stride == 1`,
-    // and the bit clear is on a checked-nonzero word.
-    // ssq-lint: allow(panic-freedom-reachability)
     pub fn peek_mask(&self, candidates: u64) -> Option<usize> {
         assert!(
             self.stride == 1,
@@ -142,7 +130,8 @@ impl Lrg {
             return None;
         }
         assert!(
-            // ssq-lint: allow(mask-width-safety) — `stride == 1` (asserted above) means n <= 64, and the n == 64 case short-circuits before the shift
+            // `stride == 1` (asserted above) means n <= 64, and the n == 64
+            // case short-circuits before the shift.
             self.n == 64 || candidates >> self.n == 0,
             "candidate bits above radix {}",
             self.n
@@ -150,12 +139,10 @@ impl Lrg {
         let mut rest = candidates;
         while rest != 0 {
             let i = rest.trailing_zeros() as usize;
-            // ssq-lint: allow(mask-width-safety) — `i` = trailing_zeros of a nonzero u64, hence < 64
             let rivals = candidates & !(1u64 << i);
             if self.rows[i] & rivals == rivals {
                 return Some(i);
             }
-            // ssq-lint: allow(mask-width-safety) — lowest-set-bit clear on a checked-nonzero word
             rest &= rest - 1;
         }
         // A strict total order always has a maximum.
@@ -170,11 +157,6 @@ impl Lrg {
     /// # Panics
     ///
     /// Panics if `winner` is out of range.
-    //
-    // The range assert IS the documented contract and bounds every row
-    // slice; the index arithmetic stays below `n * stride`, far inside
-    // usize.
-    // ssq-lint: allow(panic-freedom-reachability)
     pub fn grant(&mut self, winner: usize) {
         assert!(winner < self.n, "input {winner} out of range");
         let stride = self.stride;
@@ -182,7 +164,6 @@ impl Lrg {
             *w = 0;
         }
         let word = winner / 64;
-        // ssq-lint: allow(mask-width-safety) — `winner % 64` is < 64 by construction, so the shift stays inside the word
         let bit = 1u64 << (winner % 64);
         for other in 0..self.n {
             if other != winner {

@@ -221,6 +221,10 @@ impl SsvcArbiter {
     ///
     /// Panics if `rate` is not in `(0, 1]`.
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "quantization: a finite positive ratio, `as` saturates"
+    )]
     pub fn quantized_vtick(rate: f64, len_flits: u64) -> u64 {
         let ideal = crate::vtick_for_rate(rate, len_flits);
         (ideal.round() as u64).max(1)
@@ -242,6 +246,10 @@ impl SsvcArbiter {
     ///
     /// Panics if `rate` is not in `(0, 1]` or `slot_cycles` is zero.
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "quantization: a finite positive ratio, `as` saturates"
+    )]
     pub fn slot_vtick(rate: f64, slot_cycles: u64) -> u64 {
         assert!(slot_cycles > 0, "a packet slot spans at least one cycle");
         assert!(
@@ -350,11 +358,6 @@ impl SsvcArbiter {
     /// Panics if a candidate bit is out of range or the arbiter has more
     /// than 64 inputs (see [`Lrg::peek_mask`]).
     #[must_use]
-    //
-    // `i` is the index of a set candidate bit; the LRG tie-break asserts
-    // every candidate bit lies below the radix that sizes `aux`, which is
-    // the documented contract. The bit clear is on a checked-nonzero word.
-    // ssq-lint: allow(panic-freedom-reachability)
     pub fn peek_mask(&self, candidates: u64) -> Option<usize> {
         let lsb_bits = self.config.lsb_bits();
         let mut min_msb = u64::MAX;
@@ -368,10 +371,8 @@ impl SsvcArbiter {
                 tied = 0;
             }
             if msb == min_msb {
-                // ssq-lint: allow(mask-width-safety) — `i` = trailing_zeros of a nonzero u64, hence < 64
                 tied |= 1u64 << i;
             }
-            // ssq-lint: allow(mask-width-safety) — lowest-set-bit clear on a checked-nonzero word
             rest &= rest - 1;
         }
         self.lrg.peek_mask(tied)

@@ -19,6 +19,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 pub mod microbench;
 
@@ -285,15 +286,18 @@ pub fn reservation_vectors(count: usize, flows: usize, seed: u64) -> Vec<Vec<f64
 
 /// Prints a table with a heading, both as aligned text and as CSV when
 /// the `SSQ_CSV` environment variable is set.
+#[expect(
+    clippy::print_stdout,
+    reason = "reporting to stdout is this harness's contract with its bins and benches"
+)]
 pub fn emit(title: &str, table: &Table) {
-    // This crate's entire purpose is to render reports for its bins.
-    println!("== {title} =="); // ssq-lint: allow(no-print-in-lib)
+    println!("== {title} ==");
     if std::env::var_os("SSQ_CSV").is_some() {
         print!("{}", table.to_csv());
     } else {
         print!("{}", table.to_text());
     }
-    println!(); // ssq-lint: allow(no-print-in-lib)
+    println!();
 }
 
 #[cfg(test)]

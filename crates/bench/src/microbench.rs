@@ -21,6 +21,10 @@ const SAMPLES: usize = 7;
 /// The closure runs enough iterations to fill [`SAMPLE_BUDGET`] per
 /// sample (calibrated from a short warm-up), for [`SAMPLES`] samples,
 /// and the median per-iteration time is reported.
+#[expect(
+    clippy::print_stdout,
+    reason = "reporting to stdout is this harness's contract with its bins and benches"
+)]
 pub fn bench<F: FnMut()>(group: &str, name: &str, mut f: F) {
     // Warm up and calibrate: find how many iterations fill the budget.
     let mut iters: u64 = 1;
@@ -50,14 +54,16 @@ pub fn bench<F: FnMut()>(group: &str, name: &str, mut f: F) {
         .collect();
     samples.sort_by(|a, b| a.total_cmp(b));
     let median = samples[samples.len() / 2];
-    // Reporting to stdout is this harness's contract with the benches.
-    // ssq-lint: allow(no-print-in-lib)
     println!("{group}/{name:<24} {median:>12.1} ns/iter ({iters} iters/sample)");
 }
 
 /// Prints a benchmark group heading.
+#[expect(
+    clippy::print_stdout,
+    reason = "reporting to stdout is this harness's contract with its bins and benches"
+)]
 pub fn group(title: &str) {
-    println!("\n== {title} =="); // ssq-lint: allow(no-print-in-lib)
+    println!("\n== {title} ==");
 }
 
 #[cfg(test)]

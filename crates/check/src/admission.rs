@@ -25,7 +25,6 @@ pub struct AdmissionInput {
 /// GL allocation exceeds the channel, and [`codes::NO_BE_HEADROOM`]
 /// (warning) where the allocation is feasible but leaves less than
 /// `1 - `[`BE_HEADROOM_THRESHOLD`] for best-effort traffic.
-#[must_use]
 pub fn analyze_admission(input: &AdmissionInput) -> Report {
     let mut totals: std::collections::BTreeMap<usize, f64> = Default::default();
     for &(_, output, rate) in &input.gb {

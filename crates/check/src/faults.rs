@@ -56,7 +56,6 @@ pub fn post_fault_gl_bound(
 ///   silently converts a transient fault into a contract violation.
 ///
 /// Flows already infeasible when healthy are skipped: SSQ003 owns those.
-#[must_use]
 pub fn analyze_fault_tolerance(
     output: usize,
     input: &GlInput,

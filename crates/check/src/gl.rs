@@ -71,7 +71,6 @@ pub fn gl_burst_budgets(constraints: &[u64], l_max: u64) -> Vec<u64> {
 /// latency is below the Eq. 1 worst-case wait, and
 /// [`codes::GL_BURST_OVER_BUDGET`] (error) for flows declaring bursts
 /// above their Eq. 2/3 budget.
-#[must_use]
 pub fn analyze_gl(output: usize, input: &GlInput) -> Report {
     let mut report = Report::new();
     if input.flows.is_empty() {

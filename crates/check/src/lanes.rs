@@ -33,7 +33,6 @@ pub struct LaneInput {
 /// the same priority levels. Emits [`codes::NO_GL_LANE`] (error) when
 /// GL traffic is reserved on a geometry without the dedicated
 /// highest-priority GL lane (needs at least 3 lanes: GL + GB + BE).
-#[must_use]
 pub fn analyze_lanes(input: &LaneInput) -> Report {
     let mut report = Report::new();
     let geometry = input.geometry;

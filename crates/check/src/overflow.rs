@@ -73,7 +73,6 @@ pub fn predict(config: SsvcConfig, rate: Rate, slot_cycles: u64) -> CounterPredi
 /// win jumps more than one thermometer lane (the coarse comparison then
 /// degrades toward pure LRG), otherwise an info line stating the
 /// wins-to-saturation epoch.
-#[must_use]
 pub fn analyze_counters(input: &CounterInput) -> Report {
     let mut report = Report::new();
     if input.flows.is_empty() {

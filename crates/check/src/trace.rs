@@ -30,7 +30,6 @@ pub struct TraceSettings {
 /// Checks an observability configuration for settings that cannot
 /// produce the data they promise. Every finding is a
 /// [`codes::TRACE_CONFIG`] warning.
-#[must_use]
 pub fn analyze_trace_settings(settings: &TraceSettings) -> Report {
     let mut report = Report::new();
     let mut warn = |subject: &str, message: String| {

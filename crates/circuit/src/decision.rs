@@ -41,7 +41,6 @@ pub enum LaneDecision {
 /// assert_eq!(discharge_decision(4, 4), LaneDecision::LrgRow);       // ties lane 4
 /// assert_eq!(discharge_decision(4, 2), LaneDecision::None);         // loses to lane 2
 /// ```
-#[must_use]
 pub fn discharge_decision(msb_value: u64, lane: u64) -> LaneDecision {
     // T[lane]: 1 iff lane <= msb_value; T[lane + 1] reads 0 past the top.
     let t_lane = lane <= msb_value;
@@ -67,7 +66,6 @@ pub fn discharge_decision(msb_value: u64, lane: u64) -> LaneDecision {
 ///
 /// assert_eq!(gl_discharge_override(), LaneDecision::DischargeAll);
 /// ```
-#[must_use]
 pub fn gl_discharge_override() -> LaneDecision {
     LaneDecision::DischargeAll
 }

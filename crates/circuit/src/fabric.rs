@@ -261,7 +261,6 @@ impl InhibitFabric {
     /// exceeds the lane count, a GL request arrives with no GL lane
     /// configured, or the LRG states are sized differently from the
     /// fabric.
-    #[must_use]
     pub fn arbitrate(
         &self,
         ports: &[PortRequest],

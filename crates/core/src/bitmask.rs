@@ -11,6 +11,11 @@
 //! visits ports, which is what keeps mask-built request lists and
 //! event orders byte-identical to the gathered ones.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::indexing_slicing, clippy::arithmetic_side_effects)
+)]
+
 use std::fmt;
 
 /// A set of port indices (`0..64`) packed into one `u64`.
@@ -52,26 +57,16 @@ impl PortSet {
     ///
     /// Debug-panics if `i >= 64` (the radix ≤ 64 premise).
     #[inline]
-    //
-    // The only op is the waived shift below; `i < 64` is the
-    // debug-asserted radix premise.
-    // ssq-lint: allow(panic-freedom-reachability)
     pub fn insert(&mut self, i: usize) {
         debug_assert!(i < 64, "port {i} outside the radix <= 64 word");
-        // ssq-lint: allow(mask-width-safety) — `i` is a port id < 64 (radix premise, debug-asserted above), so the shift never overflows the u64 word
         self.0 |= 1u64 << i;
     }
 
     /// Whether port `i` is in the set.
     #[inline]
     #[must_use]
-    //
-    // The only op is the waived shift below; `i < 64` is the
-    // debug-asserted radix premise.
-    // ssq-lint: allow(panic-freedom-reachability)
     pub fn contains(self, i: usize) -> bool {
         debug_assert!(i < 64, "port {i} outside the radix <= 64 word");
-        // ssq-lint: allow(mask-width-safety) — `i` is a port id < 64 (radix premise, debug-asserted above), so the shift never overflows the u64 word
         self.0 & (1u64 << i) != 0
     }
 
@@ -127,19 +122,14 @@ impl Iterator for SetBits {
     type Item = usize;
 
     #[inline]
-    //
-    // The only arithmetic is the lowest-set-bit clear below, guarded by
-    // the zero check.
-    // ssq-lint: allow(panic-freedom-reachability)
     fn next(&mut self) -> Option<usize> {
         if self.0 == 0 {
             return None;
         }
         let i = self.0.trailing_zeros() as usize;
         // Clear the lowest set bit (Kernighan's trick): `self.0 != 0`
-        // was just checked, so the subtraction cannot underflow.
-        // ssq-lint: allow(mask-width-safety) — lowest-set-bit clear on a checked-nonzero word
-        self.0 &= self.0 - 1;
+        // was just checked, so the subtraction never wraps.
+        self.0 &= self.0.wrapping_sub(1);
         Some(i)
     }
 

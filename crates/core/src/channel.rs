@@ -1,5 +1,10 @@
 //! Output-channel state machine.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::indexing_slicing, clippy::arithmetic_side_effects)
+)]
+
 use std::fmt;
 
 use ssq_types::{InputId, OutputId, TrafficClass};
@@ -81,7 +86,7 @@ impl OutputChannel {
     ) {
         assert!(self.is_idle(), "commit on a busy channel");
         assert!(len_flits > 0, "cannot commit an empty packet");
-        self.arbitration_cycles += arbitration_cycles;
+        self.arbitration_cycles = self.arbitration_cycles.saturating_add(arbitration_cycles);
         self.state = ChannelState::Transmitting {
             input,
             class,

@@ -19,10 +19,17 @@
 //! this concurrently from several workers through a shared `&self`, and
 //! the merge phase re-calls it for any plan invalidated by an
 //! earlier-output grant. The `no-shared-mut-in-shards` lint holds this
-//! file to that contract — no lock or interior-mutability primitive may
-//! appear in the kernel, because a shard that synchronized with its
-//! siblings would reintroduce the cross-output ordering dependence the
-//! engine exists to remove.
+//! file and everything it reaches to that contract — no lock, static,
+//! clock or interior-mutability primitive may appear, because a shard
+//! that synchronized with its siblings would reintroduce the
+//! cross-output ordering dependence the engine exists to remove. The
+//! module-level clippy `deny` below keeps the kernel free of unchecked
+//! indexing and arithmetic.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::indexing_slicing, clippy::arithmetic_side_effects)
+)]
 
 use ssq_arbiter::{Arbiter, Request};
 use ssq_types::{Cycle, OutputId, TrafficClass};

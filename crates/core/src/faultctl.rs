@@ -2,28 +2,20 @@
 //!
 //! [`FaultControl`] tracks which degradations are currently in force —
 //! per-output SSVC→LRG fallback, GL demotion, and the remaining
-//! transient-retry budget under the shared
-//! [`BackoffPolicy`](crate::backoff::BackoffPolicy) — so the
+//! transient-retry budget under the shared [`BackoffPolicy`] — so the
 //! arbitration hot path can consult a single source of truth. Mutation
 //! happens only through the `QosSwitch::fault_*` methods, which pair
 //! every state change with a trace event (the `no-silent-degrade` lint
 //! holds them to it).
 //!
-//! With the `faults` cargo feature **off** (the default), the struct is
-//! a zero-sized stub and every query is an `#[inline(always)]` constant
-//! `false`: the hot path is bit-identical to an uninstrumented build,
-//! mirroring the `sanitizer` feature's contract.
+//! The state is always compiled and armed at run time: a healthy
+//! switch pays two `Vec<bool>` loads per arbitration round and one
+//! `armed` branch per grant check.
 
-#[cfg(feature = "faults")]
 use crate::backoff::{BackoffPolicy, RetryTimer};
-#[cfg(feature = "faults")]
 use ssq_types::rng::Xoshiro256StarStar;
 
 /// Per-switch fault and degradation state.
-///
-/// Held unconditionally by `QosSwitch`; zero-sized when the `faults`
-/// feature is off.
-#[cfg(feature = "faults")]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultControl {
     /// Per-output: GB arbitration has fallen back from SSVC to LRG.
@@ -42,7 +34,6 @@ pub struct FaultControl {
     armed: bool,
 }
 
-#[cfg(feature = "faults")]
 impl FaultControl {
     /// A healthy controller for `radix` outputs with the legacy fixed
     /// retry budget ([`BackoffPolicy::immediate`]).
@@ -134,52 +125,7 @@ impl FaultControl {
     }
 }
 
-// --- Feature off: a zero-sized stub; every query is const false. ------
-
-/// Per-switch fault and degradation state (stub: `faults` feature off).
-#[cfg(not(feature = "faults"))]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultControl;
-
-#[cfg(not(feature = "faults"))]
-impl FaultControl {
-    /// A healthy controller (stub).
-    #[inline(always)]
-    #[must_use]
-    pub fn new(_radix: usize, _retry_budget: u32) -> Self {
-        FaultControl
-    }
-
-    /// A healthy controller (stub; the policy is never consulted).
-    #[inline(always)]
-    #[must_use]
-    pub fn with_policy(_radix: usize, _policy: crate::backoff::BackoffPolicy) -> Self {
-        FaultControl
-    }
-
-    /// Always `false`: no fault can be armed without the feature.
-    #[inline(always)]
-    #[must_use]
-    pub fn armed(&self) -> bool {
-        false
-    }
-
-    /// Always `false` (stub).
-    #[inline(always)]
-    #[must_use]
-    pub fn lrg_fallback(&self, _o: usize) -> bool {
-        false
-    }
-
-    /// Always `false` (stub).
-    #[inline(always)]
-    #[must_use]
-    pub fn gl_demoted(&self, _o: usize) -> bool {
-        false
-    }
-}
-
-#[cfg(all(test, feature = "faults"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -68,6 +68,17 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::cast_possible_truncation
+    )
+)]
 
 pub mod analyze;
 pub mod backoff;
@@ -78,7 +89,6 @@ pub mod faultctl;
 pub mod gl;
 mod packet;
 mod port;
-pub mod prof;
 mod reservations;
 mod sanitize;
 mod switch;
@@ -91,7 +101,6 @@ pub use config::{ConfigError, Policy, SwitchConfig, SwitchConfigBuilder};
 pub use faultctl::FaultControl;
 pub use packet::Packet;
 pub use port::InputPort;
-pub use prof::CycleProf;
 pub use reservations::{GbReservation, ReadmitAction, ReadmitDecision, Reservations};
 pub use ssq_check::{Preflight, Report};
 #[doc(hidden)]

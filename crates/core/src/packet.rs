@@ -1,5 +1,10 @@
 //! In-flight packet state.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::indexing_slicing, clippy::arithmetic_side_effects)
+)]
+
 use std::fmt;
 
 use ssq_types::{Cycle, Cycles, PacketSpec};
@@ -57,7 +62,7 @@ impl Packet {
     /// Panics if called after the packet already completed.
     pub fn transmit_flit(&mut self) -> bool {
         assert!(self.remaining_flits > 0, "packet already fully transmitted");
-        self.remaining_flits -= 1;
+        self.remaining_flits = self.remaining_flits.saturating_sub(1);
         self.remaining_flits == 0
     }
 }

@@ -108,10 +108,7 @@ pub struct InputPort {
     /// currently-flapped-down) link: buffered packets stay put, but the
     /// port neither accepts new packets nor requests arbitration. The
     /// switch flips this only through its fault API, which emits the
-    /// matching trace events. Without the `faults` feature the field
-    /// does not exist and [`InputPort::is_link_up`] is a compile-time
-    /// `true`, so the hot-path link checks fold away entirely.
-    #[cfg(feature = "faults")]
+    /// matching trace events.
     link_up: bool,
 }
 
@@ -145,7 +142,6 @@ impl InputPort {
             gl: ClassQueue::new(gl_buffer_flits),
             gb_bits: 0,
             be_bits: 0,
-            #[cfg(feature = "faults")]
             link_up: true,
         }
     }
@@ -170,18 +166,10 @@ impl InputPort {
     }
 
     /// Whether the input link is up. Ports start up; only the fault
-    /// layer takes a link down (or back up). With the `faults` feature
-    /// off this is a compile-time `true`.
+    /// layer takes a link down (or back up).
     #[must_use]
     pub const fn is_link_up(&self) -> bool {
-        #[cfg(feature = "faults")]
-        {
-            self.link_up
-        }
-        #[cfg(not(feature = "faults"))]
-        {
-            true
-        }
+        self.link_up
     }
 
     /// Forces the link state — the port-level half of the link-down /
@@ -189,7 +177,6 @@ impl InputPort {
     /// a downed link just stops admitting and requesting. Callers are
     /// responsible for tracing the transition (the switch's fault API
     /// does).
-    #[cfg(feature = "faults")]
     pub fn fault_set_link(&mut self, up: bool) {
         self.link_up = up;
     }
@@ -252,14 +239,11 @@ impl InputPort {
     /// word; for the single-FIFO classes it is the head packet's
     /// destination bit (head-of-line blocking makes the word one-hot).
     #[must_use]
-    //
-    // `self.be[0]` exists for every port: `new` always allocates at
-    // least one BE queue.
-    // ssq-lint: allow(panic-freedom-reachability)
     pub fn request_bits(&self, class: TrafficClass) -> u64 {
         match class {
             TrafficClass::GuaranteedBandwidth => self.gb_bits,
             TrafficClass::BestEffort if self.be.len() > 1 => self.be_bits,
+            // `new` always allocates at least one BE queue.
             TrafficClass::BestEffort => Self::front_bit(&self.be[0]),
             TrafficClass::GuaranteedLatency => Self::front_bit(&self.gl),
         }
@@ -267,7 +251,7 @@ impl InputPort {
 
     fn front_bit(q: &ClassQueue) -> u64 {
         match q.head() {
-            // ssq-lint: allow(mask-width-safety) — output index < radix <= 64 (asserted in `new`), so the shift stays inside the word
+            // Output index < radix ≤ 64 (asserted in `new`).
             Some(p) => 1u64 << p.spec().flow().output().index(),
             None => 0,
         }
@@ -276,13 +260,9 @@ impl InputPort {
     /// Re-derives the request bit of one `(class, output)` queue after a
     /// mutation. Only the virtual-queue words carry state; the
     /// single-FIFO words are computed on demand.
-    //
-    // `o < radix` is asserted in `new` and sizes both VOQ vectors; the
-    // shift is the waived one below.
-    // ssq-lint: allow(panic-freedom-reachability)
     fn refresh_bit(&mut self, class: TrafficClass, output: OutputId) {
         let o = output.index();
-        // ssq-lint: allow(mask-width-safety) — output index < radix <= 64 (asserted in `new`), so the shift stays inside the word
+        // Output index < radix ≤ 64 (asserted in `new`).
         let bit = 1u64 << o;
         match class {
             TrafficClass::GuaranteedBandwidth => {
@@ -449,7 +429,6 @@ mod tests {
         let _ = p.transmit_head_flit(TrafficClass::GuaranteedLatency, OutputId::new(0));
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn links_start_up_and_fault_toggles_them() {
         let mut p = port();

@@ -309,7 +309,7 @@ impl QosSwitch {
                 cycle: now.value(),
                 kind: EventKind::GlPoliced {
                     output: wire(o),
-                    backlog: gl.len() as u32,
+                    backlog: wire(gl.len()),
                 },
             });
         }
@@ -522,7 +522,6 @@ impl QosSwitch {
                 let w = self.gl_lrg[o].arbitrate(now, &gl)?;
                 if let Some(outcome) = circuit {
                     let expected = outcome.winner();
-                    #[cfg(feature = "faults")]
                     if self.faultctl.armed() && (expected != Some(w) || outcome.is_multi_grant()) {
                         return self.classify_fabric_corruption(
                             output,
@@ -568,7 +567,6 @@ impl QosSwitch {
                 let w = engine.arbitrate(now, &gb)?;
                 if let Some(outcome) = circuit {
                     let expected = outcome.winner();
-                    #[cfg(feature = "faults")]
                     if self.faultctl.armed() && (expected != Some(w) || outcome.is_multi_grant()) {
                         return self.classify_fabric_corruption(
                             output,
@@ -593,7 +591,6 @@ impl QosSwitch {
                 // upward-corrupted auxVC makes its flow silently
                 // *lose* every round, which is just as much a broken
                 // guarantee as a corrupt win.
-                #[cfg(feature = "faults")]
                 if self.faultctl.armed() {
                     let mut offender = None;
                     if let GbEngine::Ssvc(ssvc) = &self.gb_engines[o] {
@@ -729,7 +726,7 @@ fn push_decision(
         kind: EventKind::Decision {
             output: wire(o),
             class,
-            contenders: contenders as u32,
+            contenders: wire(contenders),
             winner: wire(winner),
         },
     });

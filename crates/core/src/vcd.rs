@@ -124,6 +124,7 @@ impl From<VcdPhaseError> for io::Error {
 }
 
 /// Encodes a variable index as a VCD identifier (printable ASCII 33–126).
+#[expect(clippy::cast_possible_truncation, reason = "`index % 94` fits a byte")]
 fn id_code(mut index: usize) -> String {
     let mut code = String::new();
     loop {

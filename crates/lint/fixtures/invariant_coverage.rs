@@ -1,11 +1,6 @@
-// Fixture: invariant-site-coverage in the switch core (mapped to
-// crates/core/src/switch.rs). The rule looks backward only, so the
-// waived and firing sites come before the first sanitize:: call.
-
-pub fn emit_waived(&mut self) {
-    // ssq-lint: allow(invariant-site-coverage)
-    self.trace.push(EventKind::Chained);
-}
+// Fixture: invariant-site-coverage (mapped to crates/core/src/switch.rs).
+// The rule looks backward only, so the firing site comes before the
+// first sanitize:: call.
 
 pub fn emit_uncovered(&mut self) {
     self.trace.push(EventKind::Grant);

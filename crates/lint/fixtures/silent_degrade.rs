@@ -1,14 +1,9 @@
 // Fixture: no-silent-degrade in a core-crate file. The window is 25
-// lines in either direction, so the silent and waived sites sit far
-// above the announced one.
+// lines in either direction, so the silent site sits far above the
+// announced one.
 
 pub fn degrade_silently(&mut self, out: usize) {
     self.faultctl.set_gl_demoted(out);
-}
-
-pub fn degrade_waived(&mut self, out: usize) {
-    // ssq-lint: allow(no-silent-degrade)
-    self.admission.readmit(out);
 }
 
 // -- padding so the loud section below is outside the 25-line window --

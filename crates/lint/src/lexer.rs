@@ -11,12 +11,10 @@
 //! inter-token whitespace; tokens carry byte spans and 0-based line
 //! numbers, so downstream passes can always recover the original text
 //! and report precise locations. Comments and literals are real tokens
-//! (not stripped), which is what kills the regex engine's
-//! false-positive class by construction: a rule that inspects only
+//! (not stripped), which rules out a text scanner's false-positive
+//! class by construction: a rule that inspects only
 //! [`TokenKind::is_code`] tokens cannot fire inside a string or a
-//! comment, and the waiver collector reads *only* comment tokens, so a
-//! waiver marker quoted inside a string literal no longer creates a
-//! phantom suppression.
+//! comment.
 
 /// What a token is, lexically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,61 +1,120 @@
-//! # ssq-lint — token-aware static analysis for the SSQ workspace
+//! # ssq-lint — the four checks no stock lint expresses
 //!
-//! A self-contained static-analysis engine (zero external
-//! dependencies) replacing the old regex scanners in `xtask`:
+//! The workspace's static gate is stock `cargo clippy` (the disposition
+//! table is DESIGN.md §10). What stays here are four token rules that
+//! tie names *this* codebase chose to contracts from its design:
 //!
-//! * [`lexer`] — a real Rust lexer: raw strings, nested block
-//!   comments, lifetimes vs. char literals, raw identifiers. Rules see
-//!   *tokens*, so nothing fires inside a string or comment.
-//! * [`source`] — the per-file fact layer: cfg-gate line maps
-//!   (test regions, feature grants), `ssq-lint: allow(...)` waivers
-//!   (comment tokens only), and code-only line renders.
-//! * [`parse`] — a lightweight item parser: functions with qualified
-//!   names and bodies, call sites, types with attributes, statics,
-//!   feature-gated definitions.
-//! * [`graph`] — the name-resolved call graph with reachability and
-//!   explanatory paths; deliberately an over-approximation, the sound
-//!   direction for purity and panic-freedom lints. The workspace
-//!   build adds module/crate aliases so cross-crate free-fn calls
-//!   resolve instead of dead-ending at the crate boundary.
-//! * [`dataflow`] — the abstract interpreter: joint interval +
-//!   known-bits domains widened at loop heads, workspace fact
-//!   harvesting (ctor-assert field invariants with revocation, method
-//!   summaries), and per-site safety proofs that *discharge* findings
-//!   with evidence.
-//! * [`rules`] — the nine ported textual rules plus the six semantic
-//!   lints (`shard-purity`, `panic-freedom-reachability`,
-//!   `mask-width-safety`, `unchecked-hot-arith`,
-//!   `no-nondeterministic-order`, `feature-gate-hygiene`).
-//! * [`diag`] / [`baseline`] — severities, stable fingerprints, the
-//!   `--json` document (schema 2, findings plus discharge
-//!   certificates), and the checked-in baseline that keeps legacy
-//!   findings from blocking CI while new ones still fail it.
-//! * [`registry`] — rule metadata and the engine driver
-//!   ([`registry::run_sources`] over in-memory files,
-//!   [`registry::load_workspace`] for the real tree).
+//! * `invariant-site-coverage` — a grant/inhibit/chain emission in the
+//!   switch core sits within sight of a `sanitize::` check;
+//! * `no-silent-degrade` — a QoS degradation sits within sight of a
+//!   fault-family trace event;
+//! * `must-use-decision` — `*Decision` / `*Grant` / `*Outcome` types are
+//!   `#[must_use]`;
+//! * `no-shared-mut-in-shards` — the files `decide_output` reaches hold
+//!   no lock, atomic, interior mutability, static, wall clock or I/O.
 //!
-//! The no-external-deps lexer is a deliberate design decision: the
-//! build environment is offline, so the engine leans on a small
-//! hand-rolled lexer instead of `syn`/`proc-macro2`, trading full
-//! grammar fidelity for zero supply-chain surface and sub-second
-//! whole-workspace runs. See DESIGN.md §10.
+//! Under them: [`lexer`], a hand-rolled Rust lexer (the build is
+//! offline, so no `syn`), and [`source`], the per-file view that masks
+//! strings and comments and knows which lines are test code. A finding
+//! has no waiver syntax and no baseline: fix the site.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
-pub mod baseline;
-pub mod dataflow;
-pub mod diag;
-pub mod graph;
+use std::fmt;
+use std::fs;
+use std::io;
+use std::path::Path;
+
 pub mod lexer;
-pub mod parse;
-pub mod registry;
-pub mod rules;
+mod rules;
 pub mod source;
 
-pub use baseline::{Baseline, BASELINE_FILE};
-pub use diag::{render_json, Diagnostic, Discharge, Severity};
-pub use registry::{
-    load_workspace, rule_names, run_sources, EngineConfig, LintInfo, Report, LINTS,
-};
 pub use source::SourceFile;
+
+/// The rules, in listing order.
+pub const RULES: [&str; 4] = [
+    "invariant-site-coverage",
+    "must-use-decision",
+    "no-shared-mut-in-shards",
+    "no-silent-degrade",
+];
+
+/// One rule violation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Finding {
+    /// The rule that fired (one of [`RULES`]).
+    pub rule: &'static str,
+    /// Workspace-relative file path.
+    pub file: String,
+    /// 1-based line number.
+    pub line: usize,
+    /// What went wrong and what to do instead.
+    pub message: String,
+}
+
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}:{} · {} · {}",
+            self.file, self.line, self.rule, self.message
+        )
+    }
+}
+
+/// Runs every rule over in-memory sources — `(workspace-relative path,
+/// text)` pairs — and returns the findings ordered by file, line, rule.
+#[must_use]
+pub fn check_sources(sources: Vec<(String, String)>) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for (rel, text) in sources {
+        rules::check_file(&SourceFile::new(&rel, text), &mut findings);
+    }
+    findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
+    findings
+}
+
+/// Loads every workspace Rust source the rules see: the `crates/*/src`
+/// trees plus the root `src/` tree, sorted by relative path.
+///
+/// # Errors
+///
+/// Any I/O error from walking or reading the trees.
+pub fn load_workspace(root: &Path) -> io::Result<Vec<(String, String)>> {
+    let mut sources = Vec::new();
+    let crates_dir = root.join("crates");
+    if crates_dir.is_dir() {
+        for entry in fs::read_dir(&crates_dir)? {
+            let src = entry?.path().join("src");
+            if src.is_dir() {
+                collect_rs(root, &src, &mut sources)?;
+            }
+        }
+    }
+    let root_src = root.join("src");
+    if root_src.is_dir() {
+        collect_rs(root, &root_src, &mut sources)?;
+    }
+    sources.sort();
+    Ok(sources)
+}
+
+/// Recursively collects `.rs` files under `dir` as `(rel, text)`.
+fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) -> io::Result<()> {
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.is_dir() {
+            collect_rs(root, &path, out)?;
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let rel = path
+                .strip_prefix(root)
+                .unwrap_or(&path)
+                .to_string_lossy()
+                .replace('\\', "/");
+            out.push((rel, fs::read_to_string(&path)?));
+        }
+    }
+    Ok(())
+}

@@ -44,7 +44,6 @@ struct LinkLoad {
 /// Runs the SSQ013 topology admission checks for `flows` over
 /// `topology` (healthy routes). Flows with no route are reported as
 /// errors too — an unroutable guarantee is not a guarantee.
-#[must_use]
 pub fn analyze_topology(topology: &Topology, flows: &[FlowSpec]) -> Report {
     let link_up = vec![true; topology.links.len()];
     let node_up = vec![true; topology.nodes];
@@ -118,7 +117,7 @@ pub fn analyze_topology(topology: &Topology, flows: &[FlowSpec]) -> Report {
             let l_max = load.len_max.max(1);
             let l_min = load.len_min.max(1);
             let bound = bounds::gl_latency_bound(l_max, l_min, load.gl_flows, 16);
-            let needed = bound.div_ceil(l_max) as usize;
+            let needed = usize::try_from(bound.div_ceil(l_max)).unwrap_or(usize::MAX);
             if link.queue_depth < needed {
                 report.push(Diagnostic::new(
                     codes::TOPOLOGY_UNDERPROVISIONED,

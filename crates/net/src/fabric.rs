@@ -68,13 +68,16 @@ pub fn is_loud_reason(reason: &str) -> bool {
 
 /// Narrows a node/link/port index to the `u32` the trace wire format
 /// carries. Fabric indices are bounded by the topology (tens of nodes,
-/// never billions), so the cast is lossless; funneling every narrowing
-/// through here keeps the `no-lossy-index` lint meaningful everywhere
-/// else, exactly as the core switch's funnel does.
+/// never billions), so the cast is lossless; every narrowing in the
+/// crate funnels through here, exactly as in the core switch.
 #[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "fabric indices are bounded by the topology, far below u32::MAX"
+)]
 fn wire(index: usize) -> u32 {
     debug_assert!(u32::try_from(index).is_ok(), "index {index} overflows u32");
-    index as u32 // ssq-lint: allow(no-lossy-index)
+    index as u32
 }
 
 /// One end-to-end flow across the fabric.

@@ -86,6 +86,10 @@ impl NetFaultPlan {
     ///
     /// Panics when either mean time is zero.
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "an exponential draw: finite and non-negative, `as` saturates"
+    )]
     pub fn link_flaps(seed: u64, link: usize, mtbf: u64, mttr: u64, horizon: u64) -> Self {
         assert!(mtbf > 0 && mttr > 0, "mean times must be positive");
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);

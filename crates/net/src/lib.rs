@@ -22,6 +22,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::cast_possible_truncation
+    )
+)]
 
 pub mod campaign;
 pub mod check;

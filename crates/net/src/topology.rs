@@ -37,11 +37,6 @@ impl Topology {
     ///
     /// Panics when `hops` is zero.
     #[must_use]
-    //
-    // Construction-time builder: it enters the hot-path reachability set
-    // only through the `Iterator::chain` name collision, the assert is
-    // the documented contract, and the node arithmetic is bounded by the
-    // caller's hop count. ssq-lint: allow(panic-freedom-reachability)
     pub fn chain(hops: usize, discipline: LinkDiscipline) -> Self {
         assert!(hops > 0, "a chain needs at least one hop");
         let links = (0..hops)
@@ -114,7 +109,7 @@ impl Topology {
     /// after building a shape).
     #[must_use]
     pub fn map_links(mut self, f: impl Fn(LinkSpec) -> LinkSpec) -> Self {
-        self.links = self.links.into_iter().map(|l| f(l)).collect();
+        self.links = self.links.into_iter().map(f).collect();
         self
     }
 }

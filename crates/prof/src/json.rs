@@ -5,7 +5,7 @@
 //! machine-written, so a strict recursive-descent parser over a
 //! [`Json`] value tree is all that is needed. Objects keep their key
 //! order in a `Vec` — deterministic iteration is a workspace-wide
-//! invariant (`no-nondeterministic-order`) and the documents are tiny,
+//! invariant (clippy's `iter_over_hash_type`) and the documents are tiny,
 //! so linear key lookup is fine.
 
 use std::fmt;

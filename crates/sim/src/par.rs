@@ -195,7 +195,7 @@ fn worker<M: ShardedModel + Send + Sync>(shared: &Shared<'_, M>) {
         }
         {
             let guard = shared.model.read().unwrap_or_else(|e| e.into_inner());
-            let model: &M = &**guard;
+            let model: &M = &guard;
             let now = Cycle::new(shared.now.load(Ordering::SeqCst));
             decide_claimed(shared, model, now);
         }
@@ -237,7 +237,7 @@ impl<M: ShardedModel + Send + Sync> Stepper for Engine<'_, '_, M> {
         assert!(opened, "parallel engine: a worker thread panicked");
         {
             let guard = shared.model.read().unwrap_or_else(|e| e.into_inner());
-            let model: &M = &**guard;
+            let model: &M = &guard;
             decide_claimed(shared, model, now);
         }
         let decided = shared.barrier.wait().is_ok();

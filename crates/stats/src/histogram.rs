@@ -70,8 +70,8 @@ impl Histogram {
         self.sum = self.sum.saturating_add(u128::from(value));
         self.max = self.max.max(value);
         self.min = self.min.min(value);
-        let bin = (value / self.bin_width) as usize;
-        match self.bins.get_mut(bin) {
+        let bin = usize::try_from(value / self.bin_width).ok();
+        match bin.and_then(|bin| self.bins.get_mut(bin)) {
             Some(b) => *b = b.saturating_add(1),
             None => self.overflow = self.overflow.saturating_add(1),
         }
@@ -135,6 +135,10 @@ impl Histogram {
     ///
     /// Panics if `p` is outside `[0, 100]`.
     #[must_use]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a rank in 1..=count: p is asserted within [0, 100]"
+    )]
     pub fn percentile(&self, p: f64) -> Option<u64> {
         assert!(
             (0.0..=100.0).contains(&p),

@@ -14,8 +14,6 @@
 //! * [`jain_fairness_index`] and [`min_over_max`] — fairness summaries.
 //! * [`TimeSeries`] — windowed means over simulated time (convergence
 //!   and transient views).
-//! * [`BatchMeans`] — confidence intervals for steady-state metrics via
-//!   the method of batch means.
 //! * [`Table`] and [`Series`] — plain-text and CSV rendering of the rows
 //!   and series each paper figure/table reports.
 //!
@@ -36,8 +34,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::cast_possible_truncation
+    )
+)]
 
-mod batch;
 mod counter;
 mod fairness;
 mod flow;
@@ -48,7 +53,6 @@ mod table;
 mod throughput;
 mod timeseries;
 
-pub use batch::BatchMeans;
 pub use counter::Counter;
 pub use fairness::{jain_fairness_index, min_over_max};
 pub use flow::{FlowMetrics, MetricsMatrix};

@@ -37,5 +37,5 @@ pub mod sink;
 pub use event::{Event, EventKind, ParseError, RejectReason};
 pub use metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 pub use report::{FlowGrants, TraceSummary};
-pub use shard::{merge_canonical, ShardBuffer};
+pub use shard::ShardBuffer;
 pub use sink::{BoxedWriter, JsonlSink, NullSink, RingSink, TraceSink, Tracer};

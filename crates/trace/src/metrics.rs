@@ -131,7 +131,7 @@ impl MetricsRegistry {
     /// Whether cycle `now` falls on the sampling interval.
     #[must_use]
     pub const fn due(&self, now: u64) -> bool {
-        self.interval > 0 && now % self.interval == 0
+        self.interval > 0 && now.is_multiple_of(self.interval)
     }
 
     /// Appends one row of every metric's current value at cycle `now`.

@@ -15,8 +15,8 @@ use crate::event::Event;
 /// An ordered batch of events produced by one decide shard.
 ///
 /// Events within a buffer keep their push order (the order the shard's
-/// instrumentation sites fired in); buffers are totally ordered across a
-/// cycle by their shard index via [`merge_canonical`].
+/// instrumentation sites fired in); the consumer replays buffers in
+/// ascending shard index.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardBuffer {
     shard: usize,
@@ -76,21 +76,6 @@ impl ShardBuffer {
     }
 }
 
-/// Flattens per-shard buffers into the canonical serial event order:
-/// ascending shard index, push order within each shard. Buffers may
-/// arrive in any order (workers finish nondeterministically); the result
-/// is deterministic.
-#[must_use]
-pub fn merge_canonical(mut buffers: Vec<ShardBuffer>) -> Vec<Event> {
-    buffers.sort_by_key(|b| b.shard);
-    let total = buffers.iter().map(ShardBuffer::len).sum();
-    let mut out = Vec::with_capacity(total);
-    for b in buffers {
-        out.extend(b.into_events());
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,30 +101,6 @@ mod tests {
         assert_eq!(b.shard(), 3);
         let cycles: Vec<u64> = b.into_events().iter().map(|e| e.cycle).collect();
         assert_eq!(cycles, vec![1, 0], "push order, not cycle order");
-    }
-
-    #[test]
-    fn merge_orders_by_shard_regardless_of_arrival() {
-        let mut b2 = ShardBuffer::new(2);
-        b2.push(ev(5, 2));
-        let mut b0 = ShardBuffer::new(0);
-        b0.push(ev(5, 0));
-        b0.push(ev(6, 0));
-        let b1 = ShardBuffer::new(1); // empty shards are fine
-        let merged = merge_canonical(vec![b2, b0, b1]);
-        let outputs: Vec<u32> = merged
-            .iter()
-            .map(|e| match e.kind {
-                EventKind::Decay { output, .. } => output,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(outputs, vec![0, 0, 2]);
-    }
-
-    #[test]
-    fn merge_of_nothing_is_empty() {
-        assert!(merge_canonical(Vec::new()).is_empty());
     }
 
     #[test]

@@ -186,7 +186,10 @@ impl Shuffle {
             "radix {radix} must be a power of two > 1"
         );
         let bits = radix.trailing_zeros();
-        assert!(bits >= 1 && bits <= 63, "shuffle rotate width out of range");
+        assert!(
+            (1..=63).contains(&bits),
+            "shuffle rotate width out of range"
+        );
         Shuffle { bits }
     }
 }

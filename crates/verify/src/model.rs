@@ -513,7 +513,7 @@ impl Model {
                 }
             }
         }
-        if let (Some(r), Some(w)) = (rec.as_deref_mut(), winner) {
+        if let (Some(r), Some(w)) = (rec, winner) {
             let cycle = r.cycle;
             r.events.push(Event {
                 cycle,

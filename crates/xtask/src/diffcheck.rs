@@ -39,8 +39,10 @@ struct Observation {
     events: Vec<Event>,
 }
 
-/// The battery scenarios: `(name, builder)`.
-fn scenarios() -> Vec<(&'static str, fn() -> QosSwitch)> {
+/// A battery scenario: `(name, builder)`.
+type Scenario = (&'static str, fn() -> QosSwitch);
+
+fn scenarios() -> Vec<Scenario> {
     vec![
         ("lrg-uniform-be", lrg_uniform_be),
         ("ssvc-subtract-saturated-gb", ssvc_subtract_saturated_gb),
@@ -164,10 +166,7 @@ fn ssvc_fabric_checked_policed_gl() -> QosSwitch {
 /// runs on the pure-LRG fallback.
 fn ssvc_demoted_gl_lrg_fallback() -> QosSwitch {
     let mut switch = three_class(base_config(Policy::Ssvc(CounterPolicy::Halve)), 60);
-    // xtask's manifest turns `ssq-core/faults` on for exactly these calls.
-    // ssq-lint: allow(feature-gate-hygiene)
     switch.fault_demote_gl(OutputId::new(0), Cycle::ZERO);
-    // ssq-lint: allow(feature-gate-hygiene)
     switch.fault_degrade_to_lrg(OutputId::new(0), Cycle::ZERO);
     switch
 }

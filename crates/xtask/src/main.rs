@@ -1,22 +1,15 @@
 //! Workspace automation for swizzle-qos.
 //!
 //! ```text
-//! cargo run -p xtask -- lint                    # token-aware static analysis
-//! cargo run -p xtask -- lint --json             # machine-readable diagnostics
-//! cargo run -p xtask -- lint --update-baseline  # re-grandfather current findings
-//! cargo run -p xtask -- verify                  # fast-tier model check (2x2)
-//! cargo run -p xtask -- verify --deep           # + deep tier (4x4, bounded)
+//! cargo run -p xtask -- lint           # the four in-tree rules (ssq-lint)
+//! cargo run -p xtask -- verify         # fast-tier model check (2x2)
+//! cargo run -p xtask -- verify --deep  # + deep tier (4x4, bounded)
 //! ```
 //!
-//! The lint pass is the [`ssq_lint`] engine: an in-tree lexer and
-//! item/call-graph parser (no external dependencies) running the nine
-//! legacy rules token-aware plus four semantic lints (`shard-purity`,
-//! `panic-freedom-reachability`, `no-nondeterministic-order`,
-//! `feature-gate-hygiene`). Findings print as
-//! `file:line · RULE · message`; a finding can be waived in place with
-//! `// ssq-lint: allow(<rule>)` on (or immediately above) the line, and
-//! legacy findings recorded in `lint-baseline.txt` don't block CI —
-//! only *new* ones fail the pass.
+//! The lint pass runs the [`ssq_lint`] rules stock clippy cannot express
+//! (DESIGN.md §10 has the table of what clippy enforces instead).
+//! Findings print as `file:line · rule · message` and any finding fails
+//! the pass.
 //!
 //! The verify pass runs the [`ssq_verify`] bounded exhaustive model
 //! checker over the fast-tier scenario battery (and, with `--deep`, the
@@ -46,8 +39,7 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str =
-    "usage: cargo run -p xtask -- <lint [--json] [--update-baseline] | verify [--deep]>";
+const USAGE: &str = "usage: cargo run -p xtask -- <lint | verify [--deep]>";
 
 /// Runs the model-checker tiers: the fast battery always, the deep
 /// battery with `--deep`. Prints one line per scenario and the first
@@ -129,95 +121,31 @@ fn verify(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Drives the [`ssq_lint`] engine over the workspace, partitions the
-/// findings against `lint-baseline.txt`, and fails on anything new.
+/// Runs the [`ssq_lint`] rules over the workspace; any finding fails.
 fn lint(args: &[String]) -> ExitCode {
-    let mut json = false;
-    let mut update_baseline = false;
-    for arg in args {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--update-baseline" => update_baseline = true,
-            other => {
-                eprintln!("unknown lint flag `{other}`");
-                eprintln!("{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(other) = args.first() {
+        eprintln!("unknown lint flag `{other}`");
+        eprintln!("{USAGE}");
+        return ExitCode::FAILURE;
     }
-
-    let root = workspace_root();
-    let sources = match ssq_lint::load_workspace(&root) {
+    let sources = match ssq_lint::load_workspace(&workspace_root()) {
         Ok(s) => s,
         Err(err) => {
             eprintln!("cannot load workspace sources: {err}");
             return ExitCode::FAILURE;
         }
     };
-    let mut report = ssq_lint::run_sources(sources, &ssq_lint::EngineConfig::default());
-
-    let baseline_path = root.join(ssq_lint::BASELINE_FILE);
-    let baseline_text = std::fs::read_to_string(&baseline_path).unwrap_or_default();
-    let baseline = ssq_lint::Baseline::parse(&baseline_text);
-    baseline.apply(&mut report.diagnostics);
-
-    if update_baseline {
-        let rendered = ssq_lint::baseline::render(&report.diagnostics);
-        if let Err(err) = std::fs::write(&baseline_path, rendered) {
-            eprintln!("cannot write {}: {err}", baseline_path.display());
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "lint baseline updated: {} finding(s) grandfathered in {}",
-            report.diagnostics.len(),
-            baseline_path.display()
-        );
+    let files = sources.len();
+    let findings = ssq_lint::check_sources(sources);
+    if findings.is_empty() {
+        println!("lint clean: {files} files, {} rules", ssq_lint::RULES.len());
         return ExitCode::SUCCESS;
     }
-
-    if json {
-        // The JSON document goes to stdout (pipe it into results/);
-        // human summaries below go to stderr so the stream stays pure.
-        print!(
-            "{}",
-            ssq_lint::render_json(
-                &report.diagnostics,
-                &report.discharged,
-                report.files_scanned,
-                &ssq_lint::rule_names(),
-            )
-        );
+    for finding in &findings {
+        eprintln!("{finding}");
     }
-
-    let blocking = report.blocking();
-    let baselined = report.diagnostics.iter().filter(|d| d.baselined).count();
-    if blocking.is_empty() {
-        let summary = format!(
-            "lint clean: {} files, {} rules, {} baselined finding(s), {} discharged, 0 new",
-            report.files_scanned,
-            ssq_lint::LINTS.len(),
-            baselined,
-            report.discharged.len(),
-        );
-        if json {
-            eprintln!("{summary}");
-        } else {
-            println!("{summary}");
-        }
-        ExitCode::SUCCESS
-    } else {
-        for d in &blocking {
-            eprintln!("{}", d.render());
-        }
-        eprintln!(
-            "{} new lint finding(s) ({} baselined); fix them, waive with \
-             `// ssq-lint: allow(<rule>)`, or (deliberately) run \
-             `cargo xtask lint --update-baseline`",
-            blocking.len(),
-            baselined,
-        );
-        ExitCode::FAILURE
-    }
+    eprintln!("{} lint finding(s)", findings.len());
+    ExitCode::FAILURE
 }
 
 /// The workspace root: `CARGO_MANIFEST_DIR` is `crates/xtask`, two up.

@@ -112,9 +112,8 @@ OBSERVABILITY OPTIONS (simulate):
   --gl-bound N            arm the GL wait watchdog at N cycles (Eq. 1)
   --prof                  time every measured cycle's phases and print the
                           prepare/decide/commit breakdown (bitpar: of the
-                          cycles idle skipping still executes); needs a
-                          build with `--features prof`; seq and bitpar
-                          only — par has no profiler
+                          cycles idle skipping still executes); seq and
+                          bitpar only — par has no profiler
 
 TRACE-REPORT OPTIONS:
   --in FILE               JSONL trace to summarize (default
@@ -330,9 +329,8 @@ mod tests {
 
     #[test]
     fn profiled_simulate_runs_on_both_engines() {
-        // Feature-off builds print the rebuild hint; feature-on builds
-        // print the phase table. Either way the run must succeed, on
-        // both engines the profiler covers.
+        // The run must succeed on both engines the profiler covers
+        // (tests/cli_engines.rs reads the table it prints).
         let base = [
             "--radix",
             "4",

@@ -71,6 +71,22 @@ pub(crate) fn gl_bound(args: &[String]) -> Result<(), Box<dyn Error>> {
     let l_min = opts.num("l-min", 1)?;
     let n_gl = opts.num("n-gl", 1)?;
     let buffer = opts.num("buffer", 4)?;
+    if l_max == 0 {
+        return Err(err("--l-max: packets need at least one flit"));
+    }
+    if l_min == 0 || l_min > l_max {
+        return Err(err(format!(
+            "--l-min: expected 1..={l_max} (--l-max), got {l_min}"
+        )));
+    }
+    if n_gl == 0 {
+        return Err(err("--n-gl: need at least one GL injector"));
+    }
+    if buffer < l_min {
+        return Err(err(format!(
+            "--buffer: must hold one minimum-size packet ({l_min} flits), got {buffer}"
+        )));
+    }
     let scenario = GlScenario::new(l_max, l_min, n_gl, buffer);
     println!("{scenario}");
     println!(
@@ -93,6 +109,11 @@ pub(crate) fn gl_burst(args: &[String]) -> Result<(), Box<dyn Error>> {
                 .map_err(|_| err(format!("bad constraint {s:?}")))
         })
         .collect::<Result<_, _>>()?;
+    if !constraints.is_sorted() {
+        return Err(err(
+            "--constraints: list the latency constraints tightest (smallest) first",
+        ));
+    }
     let budgets = burst_budgets(&constraints, l_max);
     let mut t = Table::with_columns(&["flow", "latency constraint", "burst budget (packets)"]);
     t.numeric();
@@ -113,6 +134,11 @@ pub(crate) fn storage(args: &[String]) -> Result<(), Box<dyn Error>> {
     let width = opts.num("width", 512)? as usize;
     let flit_bytes = opts.num("flit-bytes", 64)?;
     let buf = opts.num("buffer-flits", 4)?;
+    for (flag, value) in [("flit-bytes", flit_bytes), ("buffer-flits", buf)] {
+        if value == 0 {
+            return Err(err(format!("--{flag}: must be at least 1")));
+        }
+    }
     let geometry = Geometry::new(radix, width)?;
     let model = StorageModel::new(geometry, flit_bytes, buf, buf, buf, 11, 8, 8);
     println!("{model}");

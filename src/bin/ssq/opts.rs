@@ -120,10 +120,38 @@ pub(crate) fn parse_reserve(spec: &str) -> Result<(usize, usize, f64, u64), Box<
     let input: usize = parts[0].parse().map_err(|_| err("bad input index"))?;
     let output: usize = parts[1].parse().map_err(|_| err("bad output index"))?;
     let pct: f64 = parts[2].parse().map_err(|_| err("bad percentage"))?;
-    let len: u64 = parts
-        .get(3)
-        .map_or(Ok(8), |s| s.parse().map_err(|_| err("bad packet length")))?;
+    let len = packet_len("reserve", spec, parts.get(3))?;
     Ok((input, output, pct / 100.0, len))
+}
+
+/// The optional trailing `LEN` of a `--reserve`/`--flow` spec: 8 flits
+/// when absent, at least one when given.
+fn packet_len(flag: &str, spec: &str, part: Option<&&str>) -> Result<u64, Box<dyn Error>> {
+    match part.map(|s| s.parse::<u64>()) {
+        None => Ok(8),
+        Some(Ok(len)) if len > 0 => Ok(len),
+        Some(Ok(_)) => Err(err(format!(
+            "--{flag} {spec:?}: packets need at least one flit"
+        ))),
+        Some(Err(_)) => Err(err("bad packet length")),
+    }
+}
+
+/// A port index named by `flag`'s `spec`, checked against the radix.
+pub(crate) fn port_in_range(
+    flag: &str,
+    spec: &str,
+    side: &str,
+    index: usize,
+    radix: usize,
+) -> Result<usize, Box<dyn Error>> {
+    if index < radix {
+        Ok(index)
+    } else {
+        Err(err(format!(
+            "--{flag} {spec:?}: {side} {index} is outside radix {radix}"
+        )))
+    }
 }
 
 /// Parsed `--flow` spec: input, output, class, rate (None = saturating),
@@ -144,10 +172,14 @@ pub(crate) fn parse_flow(spec: &str) -> Result<FlowSpec, Box<dyn Error>> {
     let rate = if parts[3] == "sat" {
         None
     } else {
-        Some(parts[3].parse().map_err(|_| err("bad rate"))?)
+        let rate: f64 = parts[3].parse().map_err(|_| err("bad rate"))?;
+        if !(0.0..=1.0).contains(&rate) {
+            return Err(err(format!(
+                "--flow {spec:?}: rate must be `sat` or within [0, 1] flits/cycle"
+            )));
+        }
+        Some(rate)
     };
-    let len: u64 = parts
-        .get(4)
-        .map_or(Ok(8), |s| s.parse().map_err(|_| err("bad packet length")))?;
+    let len = packet_len("flow", spec, parts.get(4))?;
     Ok((input, output, class, rate, len))
 }

@@ -12,7 +12,7 @@ use swizzle_qos::trace::{flight, MetricsRegistry, RingSink};
 use swizzle_qos::traffic::{Bernoulli, FixedDest, Injector, Saturating, TraceEvent, TraceFile};
 use swizzle_qos::types::{Cycle, Cycles, FlowId, Geometry, InputId, OutputId, Rate};
 
-use crate::opts::{err, parse_flow, parse_policy, parse_reserve, Opts};
+use crate::opts::{err, parse_flow, parse_policy, parse_reserve, port_in_range, Opts};
 
 /// The metrics the CLI samples from the switch on each
 /// `--metrics-interval` boundary.
@@ -190,8 +190,8 @@ pub(crate) fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
     for spec in opts.get_all("reserve") {
         let (input, output, rate, len) = parse_reserve(spec)?;
         config.reservations_mut().reserve_gb(
-            InputId::new(input),
-            OutputId::new(output),
+            InputId::new(port_in_range("reserve", spec, "input", input, radix)?),
+            OutputId::new(port_in_range("reserve", spec, "output", output, radix)?),
             Rate::new(rate)?,
             len,
         )?;
@@ -202,6 +202,7 @@ pub(crate) fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
             return Err(err(format!("--gl-reserve {spec:?}: expected OUT:PCT")));
         }
         let output: usize = parts[0].parse().map_err(|_| err("bad output index"))?;
+        let output = port_in_range("gl-reserve", spec, "output", output, radix)?;
         let pct: f64 = parts[1].parse().map_err(|_| err("bad percentage"))?;
         config
             .reservations_mut()
@@ -240,6 +241,8 @@ pub(crate) fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
     let mut probe = (metrics_interval > 0).then(|| MetricsProbe::new(metrics_interval));
     for (n, spec) in opts.get_all("flow").enumerate() {
         let (input, output, class, rate, len) = parse_flow(spec)?;
+        let input = port_in_range("flow", spec, "input", input, radix)?;
+        let output = port_in_range("flow", spec, "output", output, radix)?;
         let source: Box<dyn swizzle_qos::traffic::TrafficSource + Send + Sync> = match rate {
             None => Box::new(Saturating::new(len)),
             Some(r) => Box::new(Bernoulli::new(r, len, 0x55_u64 + n as u64)),
@@ -468,17 +471,8 @@ pub(crate) fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
         );
     }
     if profiling && !opts.flag("csv") {
-        match switch.prof_report() {
-            Some(r) => {
-                println!("\ncycle-phase profile (prepare/decide/commit):");
-                print!("{}", r.render_text());
-            }
-            None => println!(
-                "\n--prof: this build compiled the profiler hooks out; rebuild \
-                 with `cargo run --features prof --bin ssq -- ...` to get the \
-                 phase breakdown"
-            ),
-        }
+        println!("\ncycle-phase profile (prepare/decide/commit):");
+        print!("{}", switch.prof_report().render_text());
     }
     Ok(())
 }

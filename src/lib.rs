@@ -26,10 +26,9 @@
 //!   latency-bound mathematics (Eqs. 1–3).
 //! * [`physical`] — storage (Table 1), area, and frequency (Table 2)
 //!   models.
-//! * [`prof`] — the cycle-phase profiler (zero-overhead-when-off,
-//!   compiled into the switch core by the `prof` cargo feature) behind
-//!   `ssq simulate --prof`, and the JSON reader the benchmark package
-//!   uses.
+//! * [`prof`] — the cycle-phase profiler (always compiled, armed at
+//!   run time) behind `ssq simulate --prof`, and the JSON reader the
+//!   benchmark package uses.
 //! * [`faults`] — deterministic fault injection: seeded [`faults::FaultPlan`]
 //!   schedules (scripted or MTBF mode), the [`faults::ChaosSwitch`]
 //!   harness, the two-outcome [`faults::judge`] oracle, and the
@@ -95,6 +94,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 pub use ssq_arbiter as arbiter;
 pub use ssq_check as check;

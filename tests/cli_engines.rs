@@ -181,6 +181,39 @@ fn more_threads_than_outputs_still_finishes_with_seqs_report() {
     assert_eq!(run(&["--engine", "par", "--threads", "100000"]), run(&[]));
 }
 
+/// The profiler ships in the default build: `--prof` prints the phase
+/// table, and warm-up never shows in it. A Bernoulli flow keeps `bitpar`
+/// dense, so both engines execute — and sample — every measured cycle.
+#[test]
+fn the_default_build_profiles_every_measured_cycle() {
+    for engine in ["seq", "bitpar"] {
+        let out = ssq(&[
+            "simulate",
+            "--radix",
+            "4",
+            "--warmup",
+            "50",
+            "--cycles",
+            "500",
+            "--flow",
+            "0:0:BE:0.2:4",
+            "--prof",
+            "--engine",
+            engine,
+        ]);
+        assert!(out.status.success(), "{engine}: {}", stderr(&out));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains("profiled 500 of 500 cycles"),
+            "{engine}: {stdout}"
+        );
+        for phase in ["prepare", "decide", "commit"] {
+            let row = stdout.lines().find(|l| l.starts_with(phase));
+            assert!(row.is_some(), "{engine}: no {phase} row in: {stdout}");
+        }
+    }
+}
+
 #[test]
 fn profiling_the_par_engine_is_refused_by_name() {
     let out = ssq(&[

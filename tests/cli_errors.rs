@@ -123,3 +123,27 @@ fn simulate_replay_of_garbage_is_diagnosed() {
     std::fs::write(&blob, [0xff, 0xfe, 0x00, 0x80, b'\n', 0xc3]).expect("written");
     assert_diagnosed(&replay(&blob), "blob.trace");
 }
+
+/// Flag values the libraries reject by assertion: the CLI answers each
+/// with an `error:` naming the flag instead of reaching the panic.
+#[test]
+fn out_of_range_flag_values_are_diagnosed() {
+    let cases: &[(&[&str], &str)] = &[
+        (&["simulate", "--reserve", "9:0:10"], "--reserve"),
+        (&["simulate", "--reserve", "0:0:10:0"], "--reserve"),
+        (&["simulate", "--flow", "0:0:GB:2.0"], "--flow"),
+        (&["simulate", "--flow", "0:0:GB:-1"], "--flow"),
+        (&["simulate", "--flow", "0:0:GB:nan"], "--flow"),
+        (&["simulate", "--flow", "0:0:BE:0.1:0"], "--flow"),
+        (&["simulate", "--flow", "9:0:BE:0.1"], "--flow"),
+        (&["simulate", "--flow", "0:99:BE:0.1"], "--flow"),
+        (&["gl-bound", "--l-max", "0"], "--l-max"),
+        (&["gl-bound", "--l-min", "0"], "--l-min"),
+        (&["gl-bound", "--buffer", "0"], "--buffer"),
+        (&["gl-burst", "--constraints", "5,3"], "--constraints"),
+        (&["storage", "--flit-bytes", "0"], "--flit-bytes"),
+    ];
+    for (args, flag) in cases {
+        assert_diagnosed(&ssq(args), flag);
+    }
+}
