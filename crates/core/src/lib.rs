@@ -105,4 +105,4 @@ pub use reservations::{GbReservation, ReadmitAction, ReadmitDecision, Reservatio
 pub use ssq_check::{Preflight, Report};
 #[doc(hidden)]
 pub use switch::ReferenceKernel;
-pub use switch::{OutputPlan, QosSwitch, SwitchCounters};
+pub use switch::{InjectionWork, OutputPlan, QosSwitch, SwitchCounters};

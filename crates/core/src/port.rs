@@ -25,10 +25,15 @@ impl ClassQueue {
         }
     }
 
+    fn free_flits(&self) -> u64 {
+        // `used <= capacity` is a `push`-maintained invariant, so the
+        // subtraction is exact.
+        self.capacity_flits.saturating_sub(self.used_flits)
+    }
+
     fn has_room(&self, len_flits: u64) -> bool {
-        // Overflow-free form of `used + len <= capacity` (used <= capacity
-        // is a `push`-maintained invariant, so the subtraction is exact).
-        len_flits <= self.capacity_flits.saturating_sub(self.used_flits)
+        // Overflow-free form of `used + len <= capacity`.
+        len_flits <= self.free_flits()
     }
 
     fn push(&mut self, packet: Packet) -> bool {
@@ -186,6 +191,15 @@ impl InputPort {
     #[must_use]
     pub fn has_room(&self, class: TrafficClass, output: OutputId, len_flits: u64) -> bool {
         self.queue(class, output).has_room(len_flits)
+    }
+
+    /// Unoccupied flit slots of the queue a `class` packet headed to
+    /// `output` would join. Only [`InputPort::transmit_head_flit`] raises
+    /// it, by one per call — the bound staged injection retries are
+    /// timed against.
+    #[must_use]
+    pub fn free_flits(&self, class: TrafficClass, output: OutputId) -> u64 {
+        self.queue(class, output).free_flits()
     }
 
     /// Enqueues a packet into its class queue. Returns `false` (dropping

@@ -8,9 +8,12 @@
 //! request words and shares no decision code with `decide.rs`, so
 //! holding [`CycleModel::step`](ssq_sim::CycleModel::step) to
 //! [`QosSwitch::step_reference`] byte for byte compares two
-//! implementations rather than the kernel with itself. Only the phases
-//! that are not arbitration — prepare/inject, the transmit side, and the
-//! grant bookkeeping — are shared.
+//! implementations rather than the kernel with itself. Injection is
+//! likewise the dense form the arrival schedule replaced — every source
+//! polled and every staged head probed every cycle — so the same
+//! batteries hold the schedule and its `retry_at` timing to it. Only the
+//! clocks, the per-injector staging body, the transmit side, and the
+//! grant bookkeeping are shared.
 //!
 //! Nothing here is on a hot path: it allocates freely and is reachable
 //! only through the doc-hidden [`QosSwitch::step_reference`].
@@ -125,13 +128,16 @@ impl ssq_sim::CycleModel for ReferenceKernel<'_> {
 }
 
 impl QosSwitch {
-    /// One cycle on the scalar kernel: the shared prepare phase, then per
-    /// output a queue-probing decide followed immediately by its commit —
-    /// the oracle [`CycleModel::step`](ssq_sim::CycleModel::step) is
-    /// differentially tested against.
+    /// One cycle on the scalar kernel: the prepare phase with injection
+    /// in its dense form, then per output a queue-probing decide followed
+    /// immediately by its commit — the oracle
+    /// [`CycleModel::step`](ssq_sim::CycleModel::step) is differentially
+    /// tested against.
     #[doc(hidden)]
     pub fn step_reference(&mut self, now: Cycle) {
-        self.prepare_cycle(now);
+        self.tick_clocks(now);
+        self.inject_dense(now);
+        self.block_transmitting();
         let radix = self.config.geometry().radix();
         let busy = PortSet::from_bits(self.blocked);
         let mut blocked: Vec<bool> = (0..radix).map(|i| busy.contains(i)).collect();
@@ -139,6 +145,19 @@ impl QosSwitch {
             let output = OutputId::new(o);
             let action = self.decide_output_reference(output, now, &blocked);
             self.commit_output_reference(output, now, &mut blocked, action);
+        }
+    }
+
+    /// Injection as it was before the arrival schedule, and its oracle:
+    /// every injector's source polled every cycle
+    /// ([`Injector::poll`](ssq_traffic::Injector::poll)), every staged
+    /// head probed every cycle, over the per-injector body `inject`
+    /// shares.
+    fn inject_dense(&mut self, now: Cycle) {
+        for idx in 0..self.injectors.len() {
+            let intent = self.injectors.poll_dense(idx, now);
+            self.injection_work.polls += 1;
+            self.inject_one(idx, now, intent, true);
         }
     }
 

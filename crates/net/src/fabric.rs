@@ -873,7 +873,18 @@ impl Fabric {
     }
 
     fn tick_link(&mut self, l: usize, now: Cycle) {
-        let spec = self.links.get(l).expect("in range").spec;
+        let link = self.links.get(l).expect("in range");
+        if link.tx.is_empty()
+            && link.in_flight.is_empty()
+            && link.egress.is_empty()
+            && link.backoff.is_empty()
+            && !link.paused
+        {
+            // Nothing queued, on the wire or backing off, and no pause
+            // to lift: every branch below is a no-op, dead link or live.
+            return;
+        }
+        let spec = link.spec;
         let t = now.value();
         let policy = match spec.discipline {
             LinkDiscipline::Nack(p) => Some(p),

@@ -15,6 +15,8 @@
 //!   and [`Shuffle`].
 //! * [`Injector`]: one input port's traffic — a source, a pattern, a QoS
 //!   class, and a packet length.
+//! * [`ArrivalSchedule`]: a switch's injectors with their arrivals drawn
+//!   64 cycles ahead, so a cycle visits only the injectors that are due.
 //! * [`TraceFile`]: a diff-friendly text format for capturing and
 //!   replaying whole workloads, convertible straight into injectors.
 //!
@@ -52,7 +54,7 @@ mod pattern;
 mod source;
 mod trace_file;
 
-pub use injector::{Injector, PacketIntent};
+pub use injector::{ArrivalSchedule, Injector, PacketIntent};
 pub use pattern::{
     BitComplement, DestinationPattern, FixedDest, HotspotDest, Shuffle, Transpose, UniformDest,
 };

@@ -10,9 +10,49 @@ use ssq_types::Cycle;
 /// created — the paper's injection rates never require more (an input
 /// channel carries one flit per cycle, so sustained injection above one
 /// packet per `len` cycles is unphysical anyway).
+///
+/// `poll` is a function of the source's own state and `now`, nothing
+/// else: the switch draws arrivals a block ahead
+/// ([`TrafficSource::poll_block`]), so a poll may run up to 63 cycles
+/// before the simulation reaches its `now`, and a source must not look
+/// at anything that changes in between.
 pub trait TrafficSource {
     /// Polls the process at `now`; `Some(len_flits)` if a packet arrives.
+    /// Successive calls carry ascending `now`.
     fn poll(&mut self, now: Cycle) -> Option<u64>;
+
+    /// Polls `cycles` (at most 64) consecutive cycles from `base` in one
+    /// call: bit `c` of the returned arrival word is set iff a packet
+    /// arrives in cycle `base + c`, and the packets' lengths are appended
+    /// to `lens` in cycle order. The source is left exactly where that
+    /// many dense [`TrafficSource::poll`]s would leave it — the draws
+    /// come from its own stream in the same order — but behind a `dyn`
+    /// this is one virtual call instead of `cycles`, and a source that
+    /// predicts ([`TrafficSource::next_arrival`]) is polled only where it
+    /// says a packet is.
+    fn poll_block(&mut self, base: Cycle, cycles: u32, lens: &mut Vec<u64>) -> u64 {
+        debug_assert!(cycles <= 64, "an arrival word holds 64 cycles");
+        // Clipped once so that `base + c` cannot overflow in the loop.
+        let cycles = u64::from(cycles).min(u64::MAX - base.value());
+        let mut word = 0;
+        let mut c = 0;
+        while c < cycles {
+            let now = Cycle::new(base.value() + c);
+            match self.next_arrival(now) {
+                // Polls before a predicted arrival are no-ops by
+                // `next_arrival`'s contract.
+                Some(next) if next > now => c = c.saturating_add(next.value() - now.value()),
+                _ => {
+                    if let Some(len) = self.poll(now) {
+                        word |= 1 << c;
+                        lens.push(len);
+                    }
+                    c += 1;
+                }
+            }
+        }
+        word
+    }
 
     /// The long-run offered load in flits/cycle, if the process has one
     /// (trace replay reports `None`).

@@ -3,8 +3,8 @@
 //! crates.
 
 use ssq_traffic::{
-    Bernoulli, BitComplement, DestinationPattern, HotspotDest, OnOffBursty, Periodic, Saturating,
-    Shuffle, Trace, TrafficSource, Transpose, UniformDest,
+    Bernoulli, BimodalBernoulli, BitComplement, DestinationPattern, HotspotDest, OnOffBursty,
+    Periodic, Saturating, Shuffle, Trace, TrafficSource, Transpose, UniformDest,
 };
 use ssq_types::rng::Xoshiro256StarStar;
 use ssq_types::{Cycle, InputId};
@@ -105,6 +105,80 @@ fn trace_replay_is_faithful() {
         let flits: u64 = (0..=horizon).filter_map(|c| src.poll(Cycle::new(c))).sum();
         assert_eq!(flits, expected);
         assert_eq!(src.remaining(), 0);
+    }
+}
+
+/// One of every in-tree source, shaped by `seed`. The trace's events
+/// straddle the bases `poll_block_equals_dense_polling` draws from, so
+/// some blocks start on a stale event and some end on an exhausted one.
+fn every_source(seed: u64) -> Vec<(&'static str, Box<dyn TrafficSource>)> {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+    let mut at = rng.below(40);
+    let events = (0..12)
+        .map(|_| {
+            at += rng.range(1, 90);
+            (at, rng.range(1, 8))
+        })
+        .collect();
+    vec![
+        (
+            "bernoulli",
+            Box::new(Bernoulli::new(rng.f64(), rng.range(1, 8), seed)),
+        ),
+        (
+            "bimodal",
+            Box::new(BimodalBernoulli::new(rng.f64(), 1, 8, rng.f64(), seed)),
+        ),
+        (
+            "periodic",
+            Box::new(Periodic::new(rng.range(1, 150), rng.below(150), 2)),
+        ),
+        (
+            // Two draws per ON poll, one per OFF poll.
+            "on/off",
+            Box::new(OnOffBursty::new(rng.f64(), 4, 0.1, 0.1, seed)),
+        ),
+        ("saturating", Box::new(Saturating::new(3))),
+        ("trace", Box::new(Trace::new(events))),
+    ]
+}
+
+/// The arrival schedule's licence: `poll_block` is exactly its many
+/// dense polls — the same arrival word, the same lengths, and a source
+/// left in the same state — for every source, from bases that are not
+/// multiples of 64, over whole and partial blocks back to back.
+#[test]
+fn poll_block_equals_dense_polling() {
+    for seed in 0..8 {
+        for base in [0, 1, 37, 63, 64, 1000 + seed] {
+            let blocked = every_source(seed);
+            let dense = every_source(seed);
+            for ((name, mut blocked), (_, mut dense)) in blocked.into_iter().zip(dense) {
+                let tag = format!("{name}, seed {seed}, base {base}");
+                let mut at = base;
+                for cycles in [64, 64, 17, 1, 64] {
+                    let mut lens = vec![99]; // appended to, not cleared
+                    let word = blocked.poll_block(Cycle::new(at), cycles, &mut lens);
+                    let polls: Vec<Option<u64>> = (0..u64::from(cycles))
+                        .map(|c| dense.poll(Cycle::new(at + c)))
+                        .collect();
+                    let expect = polls
+                        .iter()
+                        .enumerate()
+                        .fold(0, |w, (c, p)| w | u64::from(p.is_some()) << c);
+                    assert_eq!(word, expect, "{tag}: arrival word from cycle {at}");
+                    let arrived: Vec<u64> = polls.into_iter().flatten().collect();
+                    assert_eq!(lens[1..], arrived, "{tag}: lengths from cycle {at}");
+                    at += u64::from(cycles);
+                }
+                // Subsequent behaviour: both are now polled densely.
+                for c in at..at + 200 {
+                    let now = Cycle::new(c);
+                    assert_eq!(blocked.next_arrival(now), dense.next_arrival(now), "{tag}");
+                    assert_eq!(blocked.poll(now), dense.poll(now), "{tag}: poll at {c}");
+                }
+            }
+        }
     }
 }
 

@@ -7,6 +7,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The gate must leave the tree as it found it. The one file it is known
+# to touch is the frozen benchmark/Cargo.lock (cargo prunes two stale
+# lines on every build of that package), so its bytes are put back
+# however the gate ends, and the last step compares `git status`.
+tree_before="$(git status --porcelain)"
+lock_before="$(mktemp)"
+cp benchmark/Cargo.lock "$lock_before"
+trap 'cp "$lock_before" benchmark/Cargo.lock; rm -f "$lock_before"' EXIT
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
@@ -63,5 +72,14 @@ echo "== frozen benchmark against this tree (qosbench) =="
 # the arbiter peeks) before the benchmark pipeline does. qosbench is
 # also the source of every performance claim (benchmark/README.md).
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
+echo "== the gate left the tree as it found it =="
+cp "$lock_before" benchmark/Cargo.lock
+tree_after="$(git status --porcelain)"
+if [ "$tree_after" != "$tree_before" ]; then
+    echo "scripts/check.sh changed the working tree:" >&2
+    diff <(echo "$tree_before") <(echo "$tree_after") >&2 || true
+    exit 1
+fi
 
 echo "All checks passed."

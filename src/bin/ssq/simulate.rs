@@ -473,6 +473,12 @@ pub(crate) fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
     if profiling && !opts.flag("csv") {
         println!("\ncycle-phase profile (prepare/decide/commit):");
         print!("{}", switch.prof_report().render_text());
+        let work = switch.injection_work();
+        println!(
+            "injection work (exact, measured window): {} source polls, {} staging probes, \
+             {} arrival-block refills",
+            work.polls, work.probes, work.refills
+        );
     }
     Ok(())
 }

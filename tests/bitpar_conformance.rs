@@ -12,12 +12,22 @@
 //!   while provably skipping most cycles at low load.
 //! * A negative control: unpredictable (Bernoulli) sources must never
 //!   allow a skip, degrading the runner to the dense fast path.
+//! * The arrival schedule where the shared battery does not reach it:
+//!   an injector added mid-block, idle skips that cross block ends over
+//!   stateful sources, staging at its fullest (a 1-flit buffer, packets
+//!   that never fit, two injectors on one queue) and frozen (a link
+//!   down, then healed) for the `retry_at` timing, and stepping that is
+//!   not consecutive. The reference kernel polls every source and
+//!   probes every staged head every cycle, so it is the densely polled
+//!   twin throughout.
 
 use swizzle_qos::arbiter::CounterPolicy;
 use swizzle_qos::core::{Policy, QosSwitch, ReferenceKernel, SwitchConfig};
 use swizzle_qos::sim::{CycleModel, EventModel, Runner, Schedule};
 use swizzle_qos::trace::{Event, RingSink};
-use swizzle_qos::traffic::{Bernoulli, FixedDest, Injector, Periodic, Saturating, UniformDest};
+use swizzle_qos::traffic::{
+    Bernoulli, FixedDest, Injector, OnOffBursty, Periodic, Saturating, Trace, UniformDest,
+};
 use swizzle_qos::types::{
     Cycle, Cycles, FlowId, Geometry, InputId, OutputId, Rate, TrafficClass, Xoshiro256StarStar,
 };
@@ -371,4 +381,258 @@ fn unpredictable_sources_disable_skipping() {
     assert_eq!(counted.skipped, 0, "Bernoulli runs must stay dense");
     assert_eq!(counted.stepped, 4_100);
     assert_observables_match(&dense, &fast, "bernoulli dense vs fast");
+}
+
+/// A radix-8 SSVC switch with one GB reservation per `(input, rate)`
+/// toward output 0 and the given GB/BE buffer depths.
+fn small_switch(buffer_flits: u64, reserved: &[(usize, f64)]) -> QosSwitch {
+    let mut config = SwitchConfig::builder(Geometry::new(8, 128).expect("valid geometry"))
+        .policy(Policy::Ssvc(CounterPolicy::SubtractRealClock))
+        .gb_buffer_flits(buffer_flits)
+        .be_buffer_flits(buffer_flits)
+        .build()
+        .expect("valid config");
+    for &(input, rate) in reserved {
+        config
+            .reservations_mut()
+            .reserve_gb(
+                InputId::new(input),
+                OutputId::new(0),
+                Rate::new(rate).expect("valid rate"),
+                1,
+            )
+            .expect("reservation fits");
+    }
+    let mut switch = QosSwitch::new(config).expect("valid switch");
+    switch.tracer_mut().attach_ring(1 << 16);
+    switch
+}
+
+fn injector(
+    source: impl swizzle_qos::traffic::TrafficSource + Send + Sync + 'static,
+    class: TrafficClass,
+    input: usize,
+    output: usize,
+) -> Injector {
+    Injector::new(
+        Box::new(source),
+        Box::new(FixedDest::new(OutputId::new(output))),
+        class,
+    )
+    .for_input(InputId::new(input))
+}
+
+/// Steps `scheduled` on the kernel and `dense` on the reference over
+/// `cycles`, applying `at_cycle` to both before each step.
+fn step_both(
+    scheduled: &mut QosSwitch,
+    dense: &mut QosSwitch,
+    cycles: std::ops::Range<u64>,
+    mut at_cycle: impl FnMut(&mut QosSwitch, Cycle),
+) {
+    for c in cycles {
+        let now = Cycle::new(c);
+        at_cycle(scheduled, now);
+        at_cycle(dense, now);
+        scheduled.step(now);
+        dense.step_reference(now);
+    }
+}
+
+/// An injector attached after `n` stepped cycles is drawn over the rest
+/// of the current block only: its first poll is cycle `n`, as it is for
+/// the reference's densely polled copy.
+#[test]
+fn an_injector_added_mid_block_matches_a_densely_polled_twin() {
+    for n in [0, 1, 37, 63, 64, 65, 200] {
+        let build = || {
+            let mut switch = small_switch(8, &[(0, 0.3)]);
+            switch.add_injector(injector(
+                Bernoulli::new(0.3, 1, 11),
+                TrafficClass::GuaranteedBandwidth,
+                0,
+                0,
+            ));
+            switch.add_injector(injector(
+                Periodic::new(40, 3, 2),
+                TrafficClass::BestEffort,
+                1,
+                2,
+            ));
+            switch
+        };
+        let (mut scheduled, mut dense) = (build(), build());
+        step_both(&mut scheduled, &mut dense, 0..400, |sw, now| {
+            if now.value() == n {
+                // Stateful, two draws a poll, and a random destination.
+                sw.add_injector(
+                    Injector::new(
+                        Box::new(OnOffBursty::new(0.6, 2, 0.05, 0.1, 5)),
+                        Box::new(UniformDest::new(8, 9)),
+                        TrafficClass::BestEffort,
+                    )
+                    .for_input(InputId::new(3)),
+                );
+                sw.add_injector(injector(
+                    Trace::new(vec![(n + 2, 1), (n + 70, 4)]),
+                    TrafficClass::BestEffort,
+                    4,
+                    5,
+                ));
+            }
+        });
+        assert!(
+            scheduled.counters().delivered_packets > 100,
+            "traffic flowed"
+        );
+        assert_observables_match(&dense, &scheduled, &format!("injector added at cycle {n}"));
+    }
+}
+
+/// Idle skips land on arrivals the block never saw and cross its end:
+/// trace events sit on both sides of the 64-cycle grid, far apart, with
+/// a periodic source between them.
+#[test]
+fn skips_past_a_block_end_match_a_densely_polled_twin() {
+    let build = || {
+        let mut switch = small_switch(8, &[(0, 0.3)]);
+        switch.add_injector(injector(
+            Trace::new(vec![
+                (3, 1),
+                (63, 2),
+                (64, 1),
+                (65, 1),
+                (127, 4),
+                (900, 1),
+                (5_000, 8),
+            ]),
+            TrafficClass::GuaranteedBandwidth,
+            0,
+            0,
+        ));
+        switch.add_injector(injector(
+            Periodic::new(333, 130, 2),
+            TrafficClass::BestEffort,
+            2,
+            6,
+        ));
+        switch
+    };
+    let schedule = Schedule::new(Cycles::new(100), Cycles::new(6_000));
+    let mut dense = build();
+    Runner::new(schedule).run(&mut ReferenceKernel(&mut dense));
+    let mut skipping = build();
+    let mut counted = Counting {
+        inner: &mut skipping,
+        stepped: 0,
+        skipped: 0,
+    };
+    Runner::new(schedule).run_skipping(&mut counted);
+    assert!(counted.skipped > 5_000, "skipped {}", counted.skipped);
+    // Measured from cycle 100: three trace events and 18 periodic ones.
+    assert_eq!(dense.counters().delivered_packets, 3 + 18);
+    assert_observables_match(&dense, &skipping, "skips across block ends");
+}
+
+/// Where staging is fullest the retry timing is exercised hardest: a
+/// saturated 1-flit buffer (the staging queue overflows and drops), a
+/// packet longer than its buffer (never fits, re-timed for ever), and
+/// two injectors feeding one queue (each shrinks the room the other's
+/// retry was timed against).
+#[test]
+fn saturated_staging_matches_the_reference_probe_for_probe() {
+    let build = || {
+        let mut switch = small_switch(1, &[(0, 0.1), (1, 0.2)]);
+        let gb = TrafficClass::GuaranteedBandwidth;
+        switch.add_injector(injector(Saturating::new(1), gb, 0, 0));
+        switch.add_injector(injector(Bernoulli::new(0.5, 1, 3), gb, 1, 0));
+        switch.add_injector(injector(Bernoulli::new(0.5, 1, 4), gb, 1, 0));
+        switch.add_injector(injector(
+            Periodic::new(50, 0, 4),
+            TrafficClass::BestEffort,
+            2,
+            3,
+        ));
+        switch
+    };
+    let (mut scheduled, mut dense) = (build(), build());
+    step_both(&mut scheduled, &mut dense, 0..3_000, |_, _| {});
+    let c = scheduled.counters();
+    assert!(c.dropped_packets > 0, "staging must overflow");
+    assert!(c.delivered_packets > 300, "the 1-flit buffers must drain");
+    assert_observables_match(&dense, &scheduled, "saturated 1-flit buffers");
+    let (timed, probed) = (scheduled.injection_work(), dense.injection_work());
+    assert!(
+        timed.probes < probed.probes && timed.polls < probed.polls,
+        "the schedule must do less work: {timed:?} vs {probed:?}"
+    );
+}
+
+/// A downed link freezes staging (nothing drains, arrivals are rejected
+/// at the source) and healing resumes it; retries timed before the
+/// fault must still be bounds after it.
+#[test]
+fn a_link_down_and_heal_run_matches_the_reference() {
+    let build = || {
+        let mut switch = small_switch(4, &[(0, 0.3), (1, 0.3)]);
+        let gb = TrafficClass::GuaranteedBandwidth;
+        switch.add_injector(injector(Bernoulli::new(0.9, 2, 21), gb, 0, 0));
+        switch.add_injector(injector(Saturating::new(2), gb, 1, 0));
+        switch
+    };
+    let (mut scheduled, mut dense) = (build(), build());
+    step_both(&mut scheduled, &mut dense, 0..1_500, |sw, now| {
+        match now.value() {
+            300 | 900 => sw.fault_set_link(InputId::new(0), false, now),
+            640 | 901 => sw.fault_set_link(InputId::new(0), true, now),
+            _ => {}
+        }
+    });
+    let rejected = ring_events(&scheduled)
+        .iter()
+        .filter(|e| format!("{e:?}").contains("LinkDown"))
+        .count();
+    assert!(rejected > 50, "arrivals during the outage are rejected");
+    assert_observables_match(&dense, &scheduled, "link down, then healed");
+}
+
+/// `step(now)` need not be consecutive where no drawn arrival is lost —
+/// the schedule keeps or redraws its block — and panics where one would
+/// be, instead of running on with arrivals dense polling never made.
+#[test]
+fn non_consecutive_steps_are_supported_or_diagnosed() {
+    let build = || {
+        let mut switch = small_switch(8, &[]);
+        switch.add_injector(injector(
+            Periodic::new(1_000, 5, 1),
+            TrafficClass::BestEffort,
+            0,
+            1,
+        ));
+        switch
+    };
+    // 10 -> 2_000 strands nothing: cycle 5 was stepped, 1_005 is not
+    // drawn yet. Dense polling of the same cycles agrees.
+    let (mut scheduled, mut dense) = (build(), build());
+    step_both(&mut scheduled, &mut dense, 0..10, |_, _| {});
+    step_both(&mut scheduled, &mut dense, 2_000..2_100, |_, _| {});
+    assert_eq!(scheduled.counters().offered_packets, 2);
+    assert_observables_match(&dense, &scheduled, "a gap with nothing due");
+
+    // 3 -> 40 would lose the packet drawn for cycle 5.
+    let mut lossy = build();
+    for c in 0..4 {
+        lossy.step(Cycle::new(c));
+    }
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        lossy.step(Cycle::new(40));
+    }));
+    let message = *caught
+        .expect_err("the lost arrival must be diagnosed")
+        .downcast::<String>()
+        .expect("panic message");
+    assert!(
+        message.contains("cycle 5 holds a pre-drawn arrival"),
+        "{message}"
+    );
 }
