@@ -474,6 +474,20 @@ impl SsvcArbiter {
         self.saturations
     }
 
+    /// How many ticks from now complete the next decay epoch — the `n`
+    /// for which the `n`-th [`Arbiter::tick`] is the next one to raise
+    /// [`SsvcArbiter::decay_epochs`], pending epoch-skip faults counted
+    /// in. `None` off the real-clock policy, which never decays on time.
+    #[must_use]
+    pub fn ticks_to_next_epoch(&self) -> Option<u64> {
+        if self.config.policy() != CounterPolicy::SubtractRealClock {
+            return None;
+        }
+        let step = self.config.msb_step();
+        let to_wrap = step.saturating_sub(self.real_lsb).max(1);
+        Some(to_wrap.saturating_add(self.skipped_epochs.saturating_mul(step)))
+    }
+
     /// Advances the real-time subcounter by `n` ticks at once,
     /// bit-identically to `n` consecutive [`Arbiter::tick`] calls —
     /// including the epoch-skip fault swallowing. `on_epoch(offset,
@@ -645,6 +659,27 @@ mod tests {
                 assert_eq!(batched.aux_vc(i), dense.aux_vc(i), "aux {i} at n={n}");
             }
         }
+    }
+
+    #[test]
+    fn ticks_to_next_epoch_names_the_tick_that_decays() {
+        for (warm, skips) in [(0, 0), (1, 0), (255, 0), (256, 0), (300, 2)] {
+            let mut ssvc = SsvcArbiter::new(cfg(CounterPolicy::SubtractRealClock), &[4, 4]);
+            for _ in 0..warm {
+                ssvc.tick();
+            }
+            ssvc.fault_skip_epochs(skips);
+            let n = ssvc.ticks_to_next_epoch().expect("real-clock policy");
+            let before = ssvc.decay_epochs();
+            for _ in 1..n {
+                ssvc.tick();
+            }
+            assert_eq!(ssvc.decay_epochs(), before, "decayed before tick {n}");
+            ssvc.tick();
+            assert_eq!(ssvc.decay_epochs(), before + 1, "tick {n} must decay");
+        }
+        let halve = SsvcArbiter::new(cfg(CounterPolicy::Halve), &[4, 4]);
+        assert_eq!(halve.ticks_to_next_epoch(), None);
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //! implementations rather than the kernel with itself. Injection is
 //! likewise the dense form the arrival schedule replaced — every source
 //! polled and every staged head probed every cycle — so the same
-//! batteries hold the schedule and its `retry_at` timing to it. Only the
-//! clocks, the per-injector staging body, the transmit side, and the
-//! grant bookkeeping are shared.
+//! batteries hold the schedule and its `retry_at` timing to it. It
+//! visits every output every cycle and rebuilds the transmit-blocked set
+//! from the channels, so it holds the kernel's work word and `busy_in`
+//! to the same standard. Only the clocks, the per-injector staging body,
+//! the transmit side, and the grant bookkeeping are shared.
 //!
 //! Nothing here is on a hot path: it allocates freely and is reachable
 //! only through the doc-hidden [`QosSwitch::step_reference`].
@@ -24,7 +26,6 @@ use ssq_trace::{Event, EventKind, ShardBuffer};
 use ssq_types::{Cycle, OutputId, TrafficClass};
 
 use super::{wire, GbEngine, QosSwitch};
-use crate::bitmask::PortSet;
 use crate::channel::ChannelState;
 use crate::config::Policy;
 use crate::sanitize;
@@ -137,10 +138,16 @@ impl QosSwitch {
     pub fn step_reference(&mut self, now: Cycle) {
         self.tick_clocks(now);
         self.inject_dense(now);
-        self.block_transmitting();
         let radix = self.config.geometry().radix();
-        let busy = PortSet::from_bits(self.blocked);
-        let mut blocked: Vec<bool> = (0..radix).map(|i| busy.contains(i)).collect();
+        self.outputs_visited += radix as u64;
+        // Inputs already transmitting cannot compete this cycle: read
+        // off the channels, not the kernel's `busy_in` word.
+        let mut blocked = vec![false; radix];
+        for channel in &self.channels {
+            if let ChannelState::Transmitting { input, .. } = channel.state() {
+                blocked[input.index()] = true;
+            }
+        }
         for o in 0..radix {
             let output = OutputId::new(o);
             let action = self.decide_output_reference(output, now, &blocked);

@@ -5,10 +5,12 @@
 //! ([`judge_path`]): every fault must end in
 //! [`Verdict::BoundsPreserved`] or an explicit, traced revocation —
 //! never a silent violation. The smoke tier ([`run_net_smoke`]) runs
-//! every scenario **twice** from the same seed and folds any
-//! divergence — verdict, counters, fabric events, per-node traces, or
-//! the loss ledger — into a [`Verdict::SilentViolation`], making each
-//! smoke run a determinism differential of the whole fabric.
+//! every scenario **twice** from the same seed — as shipped, nodes
+//! sleeping while quiescent, and on the dense oracle that steps every
+//! node every cycle — and folds any divergence — verdict, counters,
+//! fabric events, per-node traces, or the loss ledger — into a
+//! [`Verdict::SilentViolation`], making each smoke run a differential
+//! of the sleeping fabric against the dense one.
 
 use ssq_core::BackoffPolicy;
 use ssq_faults::{FaultKind, Verdict};
@@ -16,7 +18,7 @@ use ssq_sim::{MonitorOutcome, Runner, Schedule};
 use ssq_trace::Event;
 use ssq_types::{Cycles, TrafficClass};
 
-use crate::fabric::{Fabric, FabricCounters, FlowSpec};
+use crate::fabric::{DenseFabric, Fabric, FabricCounters, FlowSpec};
 use crate::fault::{NetFaultKind, NetFaultPlan};
 use crate::judge::{judge_path, PathVerdict};
 use crate::link::LinkDiscipline;
@@ -193,12 +195,19 @@ fn build_scenario(name: &str, seed: u64) -> Option<Fabric> {
 /// replays exactly from `(name, seed)`.
 #[must_use]
 pub fn run_net_scenario(name: &str, seed: u64) -> Option<NetScenarioResult> {
+    run_scenario(name, seed, false)
+}
+
+/// [`run_net_scenario`], on the dense oracle when `dense` is set.
+fn run_scenario(name: &str, seed: u64, dense: bool) -> Option<NetScenarioResult> {
     let mut fabric = build_scenario(name, seed)?;
-    let outcome: MonitorOutcome = Runner::new(Schedule::new(
-        Cycles::new(WARMUP),
-        Cycles::new(MEASURE),
-    ))
-    .run_monitored(&mut fabric, Cycles::new(STALL_WINDOW), |_, _| {});
+    let runner = Runner::new(Schedule::new(Cycles::new(WARMUP), Cycles::new(MEASURE)));
+    let stall = Cycles::new(STALL_WINDOW);
+    let outcome: MonitorOutcome = if dense {
+        runner.run_monitored(&mut DenseFabric(&mut fabric), stall, |_, _| {})
+    } else {
+        runner.run_monitored(&mut fabric, stall, |_, _| {})
+    };
     let node_events = fabric.node_events();
     let verdict = judge_path(&outcome, &node_events, fabric.events());
     let losses = fabric
@@ -216,23 +225,24 @@ pub fn run_net_scenario(name: &str, seed: u64) -> Option<NetScenarioResult> {
     })
 }
 
-/// Runs every catalog scenario twice from `seed` and folds any replay
-/// divergence into a [`Verdict::SilentViolation`] — the fabric
-/// equivalent of the single-switch engine differential.
+/// Runs every catalog scenario from `seed` twice, as shipped and on the
+/// dense oracle, and folds any divergence into a
+/// [`Verdict::SilentViolation`] — the fabric equivalent of the
+/// single-switch engine differential.
 #[must_use]
 pub fn run_net_smoke(seed: u64) -> Vec<NetScenarioResult> {
     NET_SCENARIOS
         .iter()
         .map(|(name, _)| {
-            let first = run_net_scenario(name, seed).expect("catalog names are valid");
-            let second = run_net_scenario(name, seed).expect("catalog names are valid");
-            differential(first, &second)
+            let first = run_scenario(name, seed, false).expect("catalog names are valid");
+            let oracle = run_scenario(name, seed, true).expect("catalog names are valid");
+            differential(first, &oracle)
         })
         .collect()
 }
 
-/// Compares two same-seed runs; identical runs pass through, any
-/// observable difference is reported loudly.
+/// Compares a run with its same-seed oracle run; identical runs pass
+/// through, any observable difference is reported loudly.
 fn differential(mut first: NetScenarioResult, second: &NetScenarioResult) -> NetScenarioResult {
     let mut diffs = Vec::new();
     if first.verdict != second.verdict {
@@ -259,7 +269,7 @@ fn differential(mut first: NetScenarioResult, second: &NetScenarioResult) -> Net
     }
     if !diffs.is_empty() {
         first.verdict.overall = Verdict::SilentViolation {
-            reason: format!("same-seed replay diverged: {}", diffs.join("; ")),
+            reason: format!("same-seed dense replay diverged: {}", diffs.join("; ")),
         };
     }
     first

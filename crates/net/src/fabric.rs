@@ -7,10 +7,10 @@
 //!    any topology change (emitting `reroute` events for every changed
 //!    first hop),
 //! 2. injects flow packets at their source switches,
-//! 3. steps every node's switch,
-//! 4. routes each node's deliveries — terminal packets retire with
-//!    end-to-end latency accounting, transit packets enqueue on their
-//!    next link (`hop_enqueue`),
+//! 3. steps the switch of every node that is awake (below),
+//! 4. routes each stepped node's deliveries — terminal packets retire
+//!    with end-to-end latency accounting, transit packets enqueue on
+//!    their next link (`hop_enqueue`),
 //! 5. ticks every link: backoff-ready retransmissions rejoin the
 //!    upstream queue, arrivals land in the bounded egress queue (the
 //!    discipline decides overflow), one packet launches per free wire
@@ -29,6 +29,20 @@
 //! offers an alternate path the route recomputation rides it
 //! (`reroute` events, delivery survives demoted); where it does not,
 //! injection stops until the fault heals.
+//!
+//! **Nodes sleep**: a node whose switch is quiescent after a cycle
+//! ([`QosSwitch::is_quiescent`]) is not stepped again until something
+//! touches it — a packet offered by a source or a link, a revocation, a
+//! node fault, the measurement boundary. The toucher first brings it up
+//! to date with one [`EventModel::skip_idle`] over the cycles it slept
+//! through: up to the cycle before this one when the touch comes before
+//! the step phase (the node then steps with the others), through this
+//! cycle when it comes after. Its flight-recorder ring never falls
+//! behind either: a sleeper's alarm is the stamp of its next
+//! decay-epoch event, and the cycle that reaches it catches the node up
+//! through that stamp. Every observable is what stepping every node
+//! every cycle produces, which `Fabric::step_dense` still does for the
+//! differential tests.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -36,7 +50,7 @@ use ssq_arbiter::CounterPolicy;
 use ssq_core::{
     BackoffPolicy, ConfigError, Policy, QosSwitch, RetryDecision, RetryTimer, SwitchConfig,
 };
-use ssq_sim::{CycleModel, Monitored};
+use ssq_sim::{CycleModel, EventModel, Monitored};
 use ssq_trace::{Event, EventKind};
 use ssq_types::rng::Xoshiro256StarStar;
 use ssq_types::{
@@ -205,6 +219,56 @@ pub struct FabricCounters {
     pub source_blocked: u64,
 }
 
+/// Exact counts of what a run's cycles were spent on: the work the
+/// stepping is proportional to, next to the work dense stepping would
+/// have done (`node_steps + node_cycles_slept` and `link_ticks`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FabricWork {
+    /// Switch cycles executed: one per awake node per fabric cycle.
+    pub node_steps: u64,
+    /// Node-cycles a switch slept through, batched into its next wake
+    /// (or its next decay-epoch alarm).
+    pub node_cycles_slept: u64,
+    /// Times a sleeping node was touched and caught up.
+    pub wakes: u64,
+    /// Link ticks: one per link per fabric cycle.
+    pub link_ticks: u64,
+    /// Link ticks that found nothing queued, in flight or backing off.
+    pub link_ticks_idle: u64,
+}
+
+/// Whether a node takes part in the step phase.
+#[derive(Debug, Clone, Copy)]
+enum Doze {
+    Awake,
+    /// Quiescent, and its clocks stand where the step of cycle
+    /// `from - 1` left them. `alarm` is the stamp of the next
+    /// decay-epoch event its ring is owed (`u64::MAX`: none).
+    Asleep {
+        from: u64,
+        alarm: u64,
+    },
+}
+
+impl Doze {
+    /// The state of a quiescent `node` that sleeps from cycle `from` on.
+    fn asleep(node: &QosSwitch, from: Cycle) -> Self {
+        Doze::Asleep {
+            from: from.value(),
+            alarm: node.next_traced_decay(from).map_or(u64::MAX, Cycle::value),
+        }
+    }
+}
+
+/// Brings a quiescent `node` that last ticked at cycle `from - 1` to
+/// where stepping it through cycle `to - 1` would have.
+fn catch_up(node: &mut QosSwitch, from: u64, to: Cycle) {
+    if from < to.value() {
+        let reached = node.skip_idle(Cycle::new(from), to);
+        assert_eq!(reached, to, "a sleeping node was not quiescent");
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct PacketMeta {
     flow: usize,
@@ -263,6 +327,14 @@ impl LinkState {
 pub struct Fabric {
     topology: Topology,
     nodes: Vec<QosSwitch>,
+    /// Per node, whether the step phase visits it.
+    doze: Vec<Doze>,
+    /// The first cycle a node woken now has yet to live: this cycle
+    /// until the step phase has run, the next one after it.
+    frontier: Cycle,
+    /// The buffer each stepped node's delivery log is swapped against.
+    delivered: Vec<(Cycle, PacketSpec)>,
+    work: FabricWork,
     node_up: Vec<bool>,
     links: Vec<LinkState>,
     flows: Vec<FlowState>,
@@ -395,6 +467,10 @@ impl Fabric {
 
         let links = topology.links.iter().map(|&l| LinkState::new(l)).collect();
         Ok(Fabric {
+            doze: vec![Doze::Awake; n],
+            frontier: Cycle::ZERO,
+            delivered: Vec::new(),
+            work: FabricWork::default(),
             node_up: vec![true; n],
             links,
             flows: flow_states,
@@ -438,6 +514,12 @@ impl Fabric {
         self.counters
     }
 
+    /// What the cycles so far were spent on (whole run, exact).
+    #[must_use]
+    pub fn work(&self) -> FabricWork {
+        self.work
+    }
+
     /// End-to-end stats for flow `idx` (declaration order).
     #[must_use]
     pub fn flow_stats(&self, idx: usize) -> FlowStats {
@@ -464,7 +546,9 @@ impl Fabric {
         &self.events
     }
 
-    /// Node `idx`'s switch (read-only).
+    /// Node `idx`'s switch (read-only). While the node sleeps its
+    /// clocks (`now_hint`, decay subcounters, policers) stand where its
+    /// last step left them; its queues, counters and ring are current.
     #[must_use]
     pub fn node(&self, idx: usize) -> &QosSwitch {
         &self.nodes[idx]
@@ -495,6 +579,20 @@ impl Fabric {
     #[must_use]
     pub fn routes(&self) -> &Routes {
         &self.routes
+    }
+
+    /// Touches node `n`: if it sleeps, brings it to the frontier and
+    /// returns it to the step phase.
+    fn wake(&mut self, n: usize) {
+        if let Some(Doze::Asleep { from, .. }) = self.doze.get(n).copied() {
+            catch_up(
+                self.nodes.get_mut(n).expect("in range"),
+                from,
+                self.frontier,
+            );
+            *self.doze.get_mut(n).expect("in range") = Doze::Awake;
+            self.work.wakes += 1;
+        }
     }
 
     fn apply_due_faults(&mut self, now: Cycle) {
@@ -543,6 +641,7 @@ impl Fabric {
                     }
                 }
                 NetFaultKind::NodeFault { node, kind } => {
+                    self.wake(node);
                     if let Some(switch) = self.nodes.get_mut(node) {
                         kind.apply(switch, now);
                     }
@@ -652,6 +751,7 @@ impl Fabric {
         let home = f.home_port;
         self.counters.revocations += 1;
         if let Some(port) = home {
+            self.wake(src);
             let _ = self
                 .nodes
                 .get_mut(src)
@@ -699,6 +799,7 @@ impl Fabric {
             let spec = flow.spec;
             // Retry a previously refused offer before minting another.
             if let Some(pkt) = flow.pending {
+                self.wake(spec.src);
                 let accepted = self
                     .nodes
                     .get_mut(spec.src)
@@ -760,6 +861,7 @@ impl Fabric {
             if let Some(state) = self.flows.get_mut(f) {
                 state.stats.injected_packets = state.stats.injected_packets.saturating_add(1);
             }
+            self.wake(spec.src);
             let accepted = self
                 .nodes
                 .get_mut(spec.src)
@@ -773,10 +875,19 @@ impl Fabric {
         }
     }
 
+    /// Routes what the nodes stepped this cycle delivered; a node that
+    /// slept through it delivered nothing.
     fn route_deliveries(&mut self, now: Cycle) {
+        let mut delivered = std::mem::take(&mut self.delivered);
         for n in 0..self.nodes.len() {
-            let delivered = self.nodes.get_mut(n).expect("in range").drain_deliveries();
-            for (_at, pkt) in delivered {
+            if !matches!(self.doze.get(n), Some(Doze::Awake)) {
+                continue;
+            }
+            self.nodes
+                .get_mut(n)
+                .expect("in range")
+                .swap_deliveries(&mut delivered);
+            for (_at, pkt) in delivered.drain(..) {
                 let raw = pkt.id().raw();
                 let Some(meta) = self.meta.get(&raw).copied() else {
                     continue; // not a fabric packet
@@ -816,6 +927,7 @@ impl Fabric {
                 }
             }
         }
+        self.delivered = delivered;
     }
 
     fn nack_or_drop(&mut self, l: usize, pkt: PacketSpec, policy: &BackoffPolicy, now: Cycle) {
@@ -882,6 +994,7 @@ impl Fabric {
         {
             // Nothing queued, on the wire or backing off, and no pause
             // to lift: every branch below is a no-op, dead link or live.
+            self.work.link_ticks_idle += 1;
             return;
         }
         let spec = link.spec;
@@ -1018,6 +1131,7 @@ impl Fabric {
                 pkt.len_flits(),
                 pkt.created(),
             );
+            self.wake(dst);
             if self
                 .nodes
                 .get_mut(dst)
@@ -1068,20 +1182,93 @@ fn static_path(
     Some(hops)
 }
 
-impl CycleModel for Fabric {
-    fn step(&mut self, now: Cycle) {
+impl Fabric {
+    /// One fabric cycle. With `lazy` unset no node is ever put to
+    /// sleep, so the step phase visits all of them.
+    fn run_cycle(&mut self, now: Cycle, lazy: bool) {
+        self.frontier = now;
         self.apply_due_faults(now);
         self.inject(now);
-        for node in &mut self.nodes {
-            node.step(now);
+        let mut stepped = 0;
+        for (node, doze) in self.nodes.iter_mut().zip(&mut self.doze) {
+            match *doze {
+                Doze::Awake => {
+                    node.step(now);
+                    stepped += 1;
+                }
+                // The ring is owed the decay epoch dense stepping traces
+                // this cycle: sleep on from the next one.
+                Doze::Asleep { from, alarm } if alarm <= now.value() => {
+                    catch_up(node, from, now.next());
+                    *doze = Doze::asleep(node, now.next());
+                }
+                Doze::Asleep { .. } => {}
+            }
         }
+        self.work.node_steps += stepped;
+        self.work.node_cycles_slept += self.nodes.len() as u64 - stepped;
+        self.frontier = now.next();
         self.route_deliveries(now);
         for l in 0..self.links.len() {
             self.tick_link(l, now);
         }
+        self.work.link_ticks += self.links.len() as u64;
+        if lazy {
+            for (node, doze) in self.nodes.iter().zip(&mut self.doze) {
+                if matches!(doze, Doze::Awake) && node.is_quiescent() {
+                    *doze = Doze::asleep(node, now.next());
+                }
+            }
+        }
+    }
+
+    /// [`CycleModel::step`] with every node stepped every cycle — the
+    /// oracle the sleeping fabric is differentially tested against.
+    /// Never mixed with `step` on one fabric.
+    #[doc(hidden)]
+    pub fn step_dense(&mut self, now: Cycle) {
+        self.run_cycle(now, false);
+    }
+}
+
+/// A fabric stepped densely, so the stock runners can drive the oracle
+/// through the same schedules as the fabric under test.
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct DenseFabric<'a>(pub &'a mut Fabric);
+
+impl CycleModel for DenseFabric<'_> {
+    fn step(&mut self, now: Cycle) {
+        self.0.step_dense(now);
     }
 
     fn begin_measurement(&mut self, now: Cycle) {
+        self.0.begin_measurement(now);
+    }
+}
+
+impl Monitored for DenseFabric<'_> {
+    fn progress(&self) -> Option<u64> {
+        self.0.progress()
+    }
+
+    fn violation(&self) -> Option<String> {
+        self.0.violation()
+    }
+}
+
+impl CycleModel for Fabric {
+    fn step(&mut self, now: Cycle) {
+        self.run_cycle(now, true);
+    }
+
+    /// Opens every node's statistics window, on clocks that are
+    /// current: sleepers are woken and step with the rest at `now`.
+    fn begin_measurement(&mut self, now: Cycle) {
+        self.frontier = now;
+        for n in 0..self.nodes.len() {
+            self.wake(n);
+        }
         for node in &mut self.nodes {
             node.begin_measurement(now);
         }
@@ -1372,6 +1559,58 @@ mod tests {
         assert_eq!(a.events(), b.events());
         assert_eq!(a.node_events(), b.node_events());
         assert_eq!(a.loss(), b.loss());
+    }
+
+    #[test]
+    fn a_sleeper_s_ring_is_current_without_a_flush() {
+        // Node 2 is on no path: asleep before the warm-up boundary
+        // (which falls after the first decay epoch), across it, and when
+        // the run ends, 64 cycles after the third epoch.
+        let build = || {
+            let topo = Topology::chain(2, LinkDiscipline::Credit);
+            let flows = [FlowSpec::new(0, 1, TrafficClass::GuaranteedBandwidth).every(50)];
+            Fabric::new(topo, &flows, 1).expect("valid fabric")
+        };
+        let schedule = Schedule::new(Cycles::new(600), Cycles::new(1_000));
+        let (mut lazy, mut dense) = (build(), build());
+        assert_eq!(Runner::new(schedule).run(&mut lazy), Cycle::new(1_600));
+        Runner::new(schedule).run(&mut DenseFabric(&mut dense));
+        assert!(
+            matches!(lazy.doze[2], Doze::Asleep { .. }),
+            "node 2 is awake"
+        );
+
+        let (rings, oracle) = (lazy.node_events(), dense.node_events());
+        assert_eq!(rings, oracle);
+        let stamps: Vec<u64> = rings[2].iter().map(|e| e.cycle).collect();
+        let epochs = [511, 1_023, 1_535].map(|at| [at; 8]).concat();
+        assert_eq!(stamps, epochs, "one decay event per output per epoch");
+        assert_eq!(lazy.counters(), dense.counters());
+        assert_eq!(lazy.flow_stats(0), dense.flow_stats(0));
+    }
+
+    #[test]
+    fn a_mostly_idle_mesh_steps_in_proportion_to_its_work() {
+        let topo = Topology::mesh(4, 4, LinkDiscipline::Credit);
+        let flows = [
+            FlowSpec::new(0, 3, TrafficClass::GuaranteedBandwidth).every(40),
+            FlowSpec::new(12, 15, TrafficClass::BestEffort).every(64),
+        ];
+        let mut fabric = Fabric::new(topo, &flows, 1).expect("valid fabric");
+        let links = fabric.links.len() as u64;
+        let _ = run(&mut fabric, 200, 2_000);
+        let work = fabric.work();
+        assert_eq!(work.node_steps + work.node_cycles_slept, 2_200 * 16);
+        assert_eq!(work.link_ticks, 2_200 * links);
+        // Half the nodes carry nothing; the rest idle between packets.
+        assert!(work.node_steps > 2_200, "{work:?}");
+        assert!(work.node_cycles_slept > 2_200 * 8, "{work:?}");
+        assert!(work.wakes > 100, "{work:?}");
+        assert!(
+            work.link_ticks_idle > work.link_ticks / 2 && work.link_ticks_idle < work.link_ticks,
+            "{work:?}"
+        );
+        assert!(fabric.counters().delivered_packets > 50);
     }
 
     #[test]

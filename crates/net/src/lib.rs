@@ -18,7 +18,8 @@
 //! never silently violated mid-path. [`judge_path`] rules on whole
 //! runs; [`analyze_topology`] checks the static side ("Eq. 1 per
 //! hop", code `SSQ013`); [`run_net_smoke`] drives the seeded chaos
-//! catalog twice per seed as a determinism differential.
+//! catalog twice per seed — once with sleeping nodes, once stepping
+//! every node every cycle — as a differential of the two.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,7 +42,9 @@ pub mod topology;
 
 pub use campaign::{run_net_scenario, run_net_smoke, NetScenarioResult, NET_SCENARIOS};
 pub use check::analyze_topology;
-pub use fabric::{Fabric, FabricCounters, FlowSpec, FlowStats};
+#[doc(hidden)]
+pub use fabric::DenseFabric;
+pub use fabric::{Fabric, FabricCounters, FabricWork, FlowSpec, FlowStats};
 pub use fault::{NetFaultKind, NetFaultPlan, NetFaultStep};
 pub use judge::{judge_path, PathVerdict};
 pub use link::{LinkDiscipline, LinkQueue, LinkSpec};

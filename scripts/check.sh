@@ -58,8 +58,9 @@ echo "== multi-hop fabric smoke tier (ssq net) =="
 # Every topology-fault scenario (dead links, MTBF flaps, node
 # partitions — across credit, lossy, and NACK link disciplines) must
 # either preserve its end-to-end bounds or revoke loudly at a named
-# hop. Each scenario runs twice from the same seed; any divergence is
-# reported as a silent violation.
+# hop. Each scenario runs twice from the same seed, with sleeping nodes
+# and on the dense oracle that steps every node every cycle; any
+# divergence is reported as a silent violation.
 ./target/release/ssq net --smoke --csv
 
 echo "== tests =="

@@ -124,8 +124,9 @@ pub(crate) fn faults_cmd(args: &[String]) -> Result<(), Box<dyn Error>> {
 /// `ssq net [--smoke | --scenario NAME] [--seed N] [--trace-dir DIR]`:
 /// run the multi-hop chaos catalog (or one scenario) and judge each run
 /// with the end-to-end oracle. The smoke tier runs every scenario twice
-/// from the same seed; any divergence is reported as a silent
-/// violation. Exits non-zero if any scenario's verdict is unacceptable.
+/// from the same seed, the second time on the dense oracle; any
+/// divergence is reported as a silent violation. Exits non-zero if any
+/// scenario's verdict is unacceptable.
 pub(crate) fn net_cmd(args: &[String]) -> Result<(), Box<dyn Error>> {
     use swizzle_qos::faults::Verdict;
     use swizzle_qos::net::{run_net_scenario, run_net_smoke, NET_SCENARIOS};

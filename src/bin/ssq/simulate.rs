@@ -479,6 +479,11 @@ pub(crate) fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
              {} arrival-block refills",
             work.polls, work.probes, work.refills
         );
+        let visited = switch.outputs_visited();
+        println!(
+            "output work (exact, measured window): {visited} outputs visited, {:.2} of {radix} per cycle",
+            visited as f64 / cycles as f64
+        );
     }
     Ok(())
 }

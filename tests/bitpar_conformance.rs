@@ -20,6 +20,13 @@
 //!   not consecutive. The reference kernel polls every source and
 //!   probes every staged head every cycle, so it is the densely polled
 //!   twin throughout.
+//! * The work word (`busy_out | req_out`) where it skips the most and
+//!   where it moves under the loop: radix 64 at 2.5 % load, with the
+//!   idle-skip verdicts of that run pinned to their count from before
+//!   the word existed; `Policy::FourLevel`, the only policy whose
+//!   arbitration-wait clocks ever leave zero; and a shared BE FIFO whose
+//!   head pops hand the input's request bit to a later output in the
+//!   middle of a cycle. The reference kernel visits every output.
 
 use swizzle_qos::arbiter::CounterPolicy;
 use swizzle_qos::core::{Policy, QosSwitch, ReferenceKernel, SwitchConfig};
@@ -635,4 +642,171 @@ fn non_consecutive_steps_are_supported_or_diagnosed() {
         message.contains("cycle 5 holds a pre-drawn arrival"),
         "{message}"
     );
+}
+
+/// Radix 64 at sparse-r64's load (2.5 %) and shape: per input an 8-flit
+/// GB packet every 400 cycles to its reserved output and an 8-flit BE
+/// packet every 800, each class bursting inside a seeded 16-cycle
+/// window, so most outputs have no work in most cycles and the switch
+/// is provably idle between bursts.
+fn sparse_r64() -> QosSwitch {
+    let radix = 64;
+    let mut rng = Xoshiro256StarStar::seed_from_u64(1);
+    let mut config = SwitchConfig::builder(Geometry::new(radix, 512).expect("valid geometry"))
+        .policy(Policy::Ssvc(CounterPolicy::SubtractRealClock))
+        .gb_buffer_flits(16)
+        .be_buffer_flits(16)
+        .build()
+        .expect("valid config");
+    let gb_dest: Vec<usize> = (0..radix).map(|i| (i * 7 + 3) % radix).collect();
+    for (i, &o) in gb_dest.iter().enumerate() {
+        config
+            .reservations_mut()
+            .reserve_gb(
+                InputId::new(i),
+                OutputId::new(o),
+                Rate::new(0.05).expect("valid rate"),
+                8,
+            )
+            .expect("reservation fits");
+    }
+    let mut switch = QosSwitch::new(config).expect("valid switch");
+    switch.tracer_mut().attach_ring(1 << 16);
+    let gb_burst = rng.below(100);
+    for (i, &o) in gb_dest.iter().enumerate() {
+        let gb = Periodic::new(400, gb_burst + rng.below(16), 8);
+        let be = Periodic::new(800, gb_burst + 200 + rng.below(16), 8);
+        let be_dest = rng.index(radix);
+        switch.add_injector(injector(gb, TrafficClass::GuaranteedBandwidth, i, o));
+        switch.add_injector(injector(be, TrafficClass::BestEffort, i, be_dest));
+    }
+    switch
+}
+
+/// The work word at radix 64: a cycle visits the few outputs that
+/// transmit or are requested, the reference all 64, and they agree.
+#[test]
+fn a_sparse_radix_64_switch_visits_few_outputs_and_matches_the_reference() {
+    let (mut kernel, mut dense) = (sparse_r64(), sparse_r64());
+    step_both(&mut kernel, &mut dense, 0..4_100, |_, _| {});
+    assert!(kernel.counters().delivered_packets > 900, "traffic flowed");
+    assert_observables_match(&dense, &kernel, "sparse radix 64");
+    assert_eq!(dense.outputs_visited(), 64 * 4_100);
+    let visited = kernel.outputs_visited();
+    assert!(
+        visited > 0 && visited < 3 * 4_100,
+        "the kernel visited {visited} outputs in 4100 cycles"
+    );
+}
+
+/// The idle-skip verdicts of that switch, as counted before the work
+/// word and the O(1) quiescence probe existed: which cycles are stepped
+/// and which are skipped must not move.
+#[test]
+fn sparse_radix_64_idle_skip_verdicts_are_pinned() {
+    let schedule = Schedule::new(Cycles::new(100), Cycles::new(20_000));
+    let mut dense = sparse_r64();
+    Runner::new(schedule).run(&mut ReferenceKernel(&mut dense));
+    let mut skipping = sparse_r64();
+    let mut counted = Counting {
+        inner: &mut skipping,
+        stepped: 0,
+        skipped: 0,
+    };
+    Runner::new(schedule).run_skipping(&mut counted);
+    assert_eq!(
+        (counted.stepped, counted.skipped),
+        (SPARSE_R64_STEPPED, 20_100 - SPARSE_R64_STEPPED),
+        "skip_idle verdicts moved"
+    );
+    assert_observables_match(&dense, &skipping, "sparse radix 64, skipping");
+}
+
+/// Cycles of [`sparse_r64`]'s 20 100 that hold work, measured at the
+/// commit before the work word.
+const SPARSE_R64_STEPPED: u64 = 2_123;
+
+/// `Policy::FourLevel` pays two arbitration cycles: the only policy
+/// whose decide returns `AwaitLatency`, so the only way an
+/// arbitration-wait clock is ever non-zero — between bursts here, with
+/// most outputs unvisited, and over idle stretches that are skipped.
+#[test]
+fn four_level_two_cycle_arbitration_matches_the_reference() {
+    let build = || {
+        let config = SwitchConfig::builder(Geometry::new(16, 128).expect("valid geometry"))
+            .policy(Policy::FourLevel)
+            .gb_buffer_flits(8)
+            .be_buffer_flits(8)
+            .build()
+            .expect("valid config");
+        let mut switch = QosSwitch::new(config).expect("valid switch");
+        switch.tracer_mut().attach_ring(1 << 16);
+        let (gl, gb, be) = (
+            TrafficClass::GuaranteedLatency,
+            TrafficClass::GuaranteedBandwidth,
+            TrafficClass::BestEffort,
+        );
+        // Three classes collide at output 2 every 60 cycles; outputs 9
+        // and 11 see lone packets; the rest see nothing.
+        switch.add_injector(injector(Periodic::new(60, 5, 4), gb, 0, 2));
+        switch.add_injector(injector(Periodic::new(60, 5, 4), gb, 1, 2));
+        switch.add_injector(injector(Periodic::new(60, 6, 1), gl, 3, 2));
+        switch.add_injector(injector(Periodic::new(60, 5, 2), be, 4, 2));
+        switch.add_injector(injector(Periodic::new(45, 0, 3), be, 4, 9));
+        switch.add_injector(injector(Periodic::new(170, 80, 8), gb, 7, 11));
+        switch
+    };
+    let (mut kernel, mut dense) = (build(), build());
+    step_both(&mut kernel, &mut dense, 0..3_000, |_, _| {});
+    assert!(kernel.counters().delivered_packets > 250, "traffic flowed");
+    assert_observables_match(&dense, &kernel, "four-level, stepped");
+    assert!(
+        kernel.outputs_visited() < 3 * 3_000,
+        "most outputs are idle"
+    );
+
+    let schedule = Schedule::new(Cycles::new(100), Cycles::new(2_900));
+    let mut reference = build();
+    Runner::new(schedule).run(&mut ReferenceKernel(&mut reference));
+    let mut skipping = build();
+    let mut counted = Counting {
+        inner: &mut skipping,
+        stepped: 0,
+        skipped: 0,
+    };
+    Runner::new(schedule).run_skipping(&mut counted);
+    assert!(counted.skipped > 1_000, "skipped {}", counted.skipped);
+    assert_observables_match(&reference, &skipping, "four-level, skipping");
+}
+
+/// A shared BE FIFO presents one head at a time: input 0's packets
+/// alternate between output 1 and output 5, so every packet finishing
+/// at output 1 moves input 0's request bit to a higher-numbered output
+/// in the middle of the cycle — after the work word was first read —
+/// and every one finishing at output 5 moves it back to a lower one.
+#[test]
+fn a_be_head_pop_that_requests_a_later_output_mid_cycle_matches_the_reference() {
+    let build = |chaining: bool| {
+        let config = SwitchConfig::builder(Geometry::new(8, 128).expect("valid geometry"))
+            .policy(Policy::Ssvc(CounterPolicy::SubtractRealClock))
+            .be_buffer_flits(8)
+            .packet_chaining(chaining)
+            .build()
+            .expect("valid config");
+        assert!(!config.be_voq(), "the scenario needs the shared BE FIFO");
+        let mut switch = QosSwitch::new(config).expect("valid switch");
+        switch.tracer_mut().attach_ring(1 << 16);
+        let be = TrafficClass::BestEffort;
+        switch.add_injector(injector(Periodic::new(6, 0, 1), be, 0, 1));
+        switch.add_injector(injector(Periodic::new(6, 3, 2), be, 0, 5));
+        // A rival for output 5, so the exposed head also loses rounds.
+        switch.add_injector(injector(Periodic::new(9, 1, 2), be, 3, 5));
+        switch
+    };
+    for chaining in [false, true] {
+        let (mut kernel, mut dense) = (build(chaining), build(chaining));
+        step_both(&mut kernel, &mut dense, 0..2_000, |_, _| {});
+        assert!(kernel.counters().delivered_packets > 800, "traffic flowed");
+        assert_observables_match(&dense, &kernel, &format!("BE FIFO, chaining {chaining}"));
+    }
 }
