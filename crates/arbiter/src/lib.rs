@@ -6,8 +6,6 @@
 //! | Policy | Type | Paper role |
 //! |--------|------|-----------|
 //! | [`Lrg`] | least recently granted (matrix arbiter) | Swizzle Switch default / BE class / SSVC tie-break |
-//! | [`RoundRobin`] | rotating pointer | generic baseline |
-//! | [`FixedPriority`] | static order | building block of the 4-level scheme |
 //! | [`FourLevel`] | fixed priority across 4 levels, LRG within | prior Swizzle Switch QoS (Satpathy et al., DAC'12, ref \[14]) |
 //! | [`Gsf`] | globally-synchronized frames (local adaptation) | frame-based baseline (Lee et al., ISCA'08, ref \[8]) |
 //! | [`Wrr`] | weighted round robin | static-guarantee baseline (underutilizes leftover bandwidth) |
@@ -50,24 +48,20 @@
 )]
 
 mod dwrr;
-mod fixed;
 mod four_level;
 mod gsf;
 mod lrg;
 mod request;
-mod round_robin;
 mod ssvc;
 mod virtual_clock;
 mod wfq;
 mod wrr;
 
 pub use dwrr::Dwrr;
-pub use fixed::FixedPriority;
 pub use four_level::FourLevel;
 pub use gsf::Gsf;
 pub use lrg::Lrg;
 pub use request::Request;
-pub use round_robin::RoundRobin;
 pub use ssvc::{CounterPolicy, SsvcArbiter, SsvcConfig};
 pub use virtual_clock::{vtick_for_rate, VirtualClock};
 pub use wfq::Wfq;
@@ -135,8 +129,6 @@ mod trait_tests {
     fn arbiters_are_object_safe() {
         let arbiters: Vec<Box<dyn Arbiter>> = vec![
             Box::new(Lrg::new(4)),
-            Box::new(RoundRobin::new(4)),
-            Box::new(FixedPriority::new(4)),
             Box::new(Gsf::new(&[1, 2, 3, 4], 16)),
             Box::new(Wrr::new(&[1, 2, 3, 4])),
             Box::new(Dwrr::new(&[8, 8, 8, 8])),
@@ -157,8 +149,6 @@ mod trait_tests {
     fn arbiters_are_work_conserving() {
         let mut arbiters: Vec<Box<dyn Arbiter>> = vec![
             Box::new(Lrg::new(8)),
-            Box::new(RoundRobin::new(8)),
-            Box::new(FixedPriority::new(8)),
             Box::new(Gsf::new(&[4; 8], 64)),
             Box::new(Wrr::new(&[1; 8])),
             Box::new(Dwrr::new(&[4; 8])),
@@ -190,8 +180,6 @@ mod trait_tests {
     fn decide_predicts_arbitrate_for_every_policy() {
         let mut arbiters: Vec<Box<dyn Arbiter>> = vec![
             Box::new(Lrg::new(8)),
-            Box::new(RoundRobin::new(8)),
-            Box::new(FixedPriority::new(8)),
             Box::new(FourLevel::new(8)),
             Box::new(Gsf::new(&[4; 8], 64)),
             Box::new(Wrr::new(&[1, 2, 3, 4, 1, 2, 3, 4])),

@@ -2,8 +2,8 @@
 //! the in-tree PRNG so they run without external crates.
 
 use ssq_arbiter::{
-    Arbiter, CounterPolicy, Dwrr, FixedPriority, FourLevel, Gsf, Lrg, Request, RoundRobin,
-    SsvcArbiter, SsvcConfig, VirtualClock, Wfq, Wrr,
+    Arbiter, CounterPolicy, Dwrr, FourLevel, Gsf, Lrg, Request, SsvcArbiter, SsvcConfig,
+    VirtualClock, Wfq, Wrr,
 };
 use ssq_types::rng::Xoshiro256StarStar;
 use ssq_types::Cycle;
@@ -26,8 +26,6 @@ fn request_pattern(rng: &mut Xoshiro256StarStar, n: usize) -> Vec<Request> {
 fn all_arbiters(n: usize) -> Vec<Box<dyn Arbiter>> {
     vec![
         Box::new(Lrg::new(n)),
-        Box::new(RoundRobin::new(n)),
-        Box::new(FixedPriority::new(n)),
         Box::new(FourLevel::new(n)),
         Box::new(Gsf::new(&vec![8; n], 128)),
         Box::new(Wrr::new(&vec![2; n])),

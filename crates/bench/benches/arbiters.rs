@@ -8,8 +8,8 @@
 use std::hint::black_box;
 
 use ssq_arbiter::{
-    Arbiter, CounterPolicy, Dwrr, FourLevel, Lrg, Request, RoundRobin, SsvcArbiter, SsvcConfig,
-    VirtualClock, Wfq, Wrr,
+    Arbiter, CounterPolicy, Dwrr, FourLevel, Lrg, Request, SsvcArbiter, SsvcConfig, VirtualClock,
+    Wfq, Wrr,
 };
 use ssq_bench::microbench::{bench, group};
 use ssq_types::Cycle;
@@ -25,7 +25,6 @@ fn bench_policies() {
 
     let mut arbiters: Vec<(&str, Box<dyn Arbiter>)> = vec![
         ("lrg", Box::new(Lrg::new(n))),
-        ("round_robin", Box::new(RoundRobin::new(n))),
         ("four_level", Box::new(FourLevel::new(n))),
         ("wrr", Box::new(Wrr::new(&vec![2; n]))),
         ("dwrr", Box::new(Dwrr::new(&vec![16; n]))),

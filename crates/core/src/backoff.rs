@@ -4,16 +4,15 @@
 //! (a corrupted grant is re-arbitrated through [`FaultControl`]
 //! (crate::FaultControl), DESIGN.md §8) and the ssq-net NACK link
 //! discipline (a dropped hop transfer is retransmitted, DESIGN.md §13).
-//! Both need the identical contract: a bounded number of attempts,
-//! each delayed by a deterministic, exponentially growing hold window
-//! with optional seeded jitter — and an explicit `Exhausted` verdict
-//! when the budget runs out, so the caller escalates loudly instead of
-//! retrying forever.
+//! Both need the same contract: a bounded number of attempts and an
+//! explicit `Exhausted` verdict when the budget runs out, so the caller
+//! escalates loudly instead of retrying forever.
 //!
-//! [`BackoffPolicy::immediate`] (zero delay, factor 1) degenerates to
-//! the original fixed retry countdown: every attempt fires instantly
-//! and only the budget matters. The single-switch fault campaigns pin
-//! their verdicts byte-identical under that policy.
+//! The switch always retries under [`BackoffPolicy::immediate`] (zero
+//! delay, factor 1): every attempt fires instantly and only the
+//! `fault_retry_budget` matters. NACK links configure the full policy —
+//! a deterministic, exponentially growing hold window per attempt with
+//! optional seeded jitter.
 
 use ssq_types::rng::Xoshiro256StarStar;
 
@@ -35,9 +34,8 @@ pub struct BackoffPolicy {
 }
 
 impl BackoffPolicy {
-    /// The legacy countdown: `max_retries` attempts with zero delay —
-    /// behaviourally identical to the fixed `fault_retry_budget` it
-    /// replaces.
+    /// A plain countdown: `max_retries` attempts with zero delay — the
+    /// switch's `fault_retry_budget`.
     #[must_use]
     pub const fn immediate(max_retries: u32) -> Self {
         BackoffPolicy {

@@ -6,7 +6,6 @@ use std::fmt;
 use ssq_arbiter::CounterPolicy;
 use ssq_types::{Geometry, InputId, OutputId};
 
-use crate::backoff::BackoffPolicy;
 use crate::reservations::Reservations;
 
 /// The arbitration policy driving every output channel.
@@ -152,7 +151,6 @@ impl Error for ConfigError {}
 #[derive(Debug, Clone, PartialEq)]
 pub struct SwitchConfig {
     geometry: Geometry,
-    flit_bytes: usize,
     be_buffer_flits: u64,
     gb_buffer_flits: u64,
     gl_buffer_flits: u64,
@@ -161,13 +159,11 @@ pub struct SwitchConfig {
     sig_bits: u32,
     reservations: Reservations,
     gl_policing: bool,
-    count_source_latency: bool,
     packet_chaining: bool,
     fabric_checked: bool,
     be_voq: bool,
     spare_gb_lanes: u32,
     fault_retry_budget: u32,
-    fault_backoff: Option<BackoffPolicy>,
 }
 
 impl SwitchConfig {
@@ -177,15 +173,14 @@ impl SwitchConfig {
     pub const CHAIN_LIMIT: u32 = 4;
 
     /// Starts building a configuration for the given geometry with the
-    /// paper's defaults: SSVC with the subtract-real-clock policy, 64-byte
-    /// flits, 4-flit BE/GL buffers and 4-flit GB virtual output queues
+    /// paper's defaults: SSVC with the subtract-real-clock policy,
+    /// 4-flit BE/GL buffers and 4-flit GB virtual output queues
     /// (Table 1), a 12-bit `auxVC` whose significant bits match the
     /// geometry's lane budget.
     #[must_use]
     pub fn builder(geometry: Geometry) -> SwitchConfigBuilder {
         SwitchConfigBuilder {
             geometry,
-            flit_bytes: 64,
             be_buffer_flits: 4,
             gb_buffer_flits: 4,
             gl_buffer_flits: 4,
@@ -193,13 +188,11 @@ impl SwitchConfig {
             counter_bits: 12,
             sig_bits: None,
             gl_policing: false,
-            count_source_latency: true,
             packet_chaining: false,
             fabric_checked: false,
             be_voq: false,
             spare_gb_lanes: 0,
             fault_retry_budget: 0,
-            fault_backoff: None,
         }
     }
 
@@ -207,12 +200,6 @@ impl SwitchConfig {
     #[must_use]
     pub const fn geometry(&self) -> Geometry {
         self.geometry
-    }
-
-    /// Flit width in bytes (the output channel width).
-    #[must_use]
-    pub const fn flit_bytes(&self) -> usize {
-        self.flit_bytes
     }
 
     /// Best-effort buffer depth per input, in flits.
@@ -258,13 +245,6 @@ impl SwitchConfig {
         self.gl_policing
     }
 
-    /// Whether packet latency includes time spent waiting for buffer
-    /// space at the source (default `true`).
-    #[must_use]
-    pub const fn count_source_latency(&self) -> bool {
-        self.count_source_latency
-    }
-
     /// Whether packet chaining is enabled (see
     /// [`SwitchConfigBuilder::packet_chaining`]).
     #[must_use]
@@ -298,17 +278,6 @@ impl SwitchConfig {
     #[must_use]
     pub const fn fault_retry_budget(&self) -> u32 {
         self.fault_retry_budget
-    }
-
-    /// The effective retry/timeout policy for degraded-mode
-    /// arbitration: an explicitly configured
-    /// [`SwitchConfigBuilder::fault_backoff`] policy, or the legacy
-    /// [`BackoffPolicy::immediate`] countdown derived from
-    /// [`SwitchConfigBuilder::fault_retry_budget`].
-    #[must_use]
-    pub fn fault_backoff(&self) -> BackoffPolicy {
-        self.fault_backoff
-            .unwrap_or(BackoffPolicy::immediate(self.fault_retry_budget))
     }
 
     /// The bandwidth allocation table.
@@ -403,7 +372,6 @@ impl fmt::Display for SwitchConfig {
 #[derive(Debug, Clone)]
 pub struct SwitchConfigBuilder {
     geometry: Geometry,
-    flit_bytes: usize,
     be_buffer_flits: u64,
     gb_buffer_flits: u64,
     gl_buffer_flits: u64,
@@ -411,13 +379,11 @@ pub struct SwitchConfigBuilder {
     counter_bits: u32,
     sig_bits: Option<u32>,
     gl_policing: bool,
-    count_source_latency: bool,
     packet_chaining: bool,
     fabric_checked: bool,
     be_voq: bool,
     spare_gb_lanes: u32,
     fault_retry_budget: u32,
-    fault_backoff: Option<BackoffPolicy>,
 }
 
 impl SwitchConfigBuilder {
@@ -425,13 +391,6 @@ impl SwitchConfigBuilder {
     #[must_use]
     pub fn policy(mut self, policy: Policy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Sets the flit width in bytes.
-    #[must_use]
-    pub fn flit_bytes(mut self, bytes: usize) -> Self {
-        self.flit_bytes = bytes;
         self
     }
 
@@ -481,15 +440,6 @@ impl SwitchConfigBuilder {
     #[must_use]
     pub fn gl_policing(mut self, enabled: bool) -> Self {
         self.gl_policing = enabled;
-        self
-    }
-
-    /// Chooses whether packet latency includes source queueing (waiting
-    /// for input-buffer space). Fig. 5's latency-vs-allocation curves
-    /// include it; pure switch-delay measurements may exclude it.
-    #[must_use]
-    pub fn count_source_latency(mut self, enabled: bool) -> Self {
-        self.count_source_latency = enabled;
         self
     }
 
@@ -552,20 +502,6 @@ impl SwitchConfigBuilder {
         self
     }
 
-    /// Replaces the fixed retry countdown with a full
-    /// retry/timeout/backoff policy for degraded-mode arbitration:
-    /// each transient retry opens a (possibly growing, possibly
-    /// jittered) hold window during which further detections ride the
-    /// in-flight retry instead of burning budget. The policy's
-    /// `max_retries` supersedes [`SwitchConfigBuilder::fault_retry_budget`];
-    /// [`BackoffPolicy::immediate`] reproduces the legacy countdown
-    /// exactly.
-    #[must_use]
-    pub fn fault_backoff(mut self, policy: BackoffPolicy) -> Self {
-        self.fault_backoff = Some(policy);
-        self
-    }
-
     /// Finalizes the configuration.
     ///
     /// # Errors
@@ -580,7 +516,6 @@ impl SwitchConfigBuilder {
         });
         let config = SwitchConfig {
             geometry: self.geometry,
-            flit_bytes: self.flit_bytes,
             be_buffer_flits: self.be_buffer_flits,
             gb_buffer_flits: self.gb_buffer_flits,
             gl_buffer_flits: self.gl_buffer_flits,
@@ -589,13 +524,11 @@ impl SwitchConfigBuilder {
             sig_bits,
             reservations: Reservations::new(self.geometry.radix()),
             gl_policing: self.gl_policing,
-            count_source_latency: self.count_source_latency,
             packet_chaining: self.packet_chaining,
             fabric_checked: self.fabric_checked,
             be_voq: self.be_voq,
             spare_gb_lanes: self.spare_gb_lanes,
             fault_retry_budget: self.fault_retry_budget,
-            fault_backoff: self.fault_backoff,
         };
         config.validate()?;
         Ok(config)
@@ -614,7 +547,6 @@ mod tests {
     #[test]
     fn defaults_match_the_paper() {
         let c = SwitchConfig::builder(geom()).build().unwrap();
-        assert_eq!(c.flit_bytes(), 64);
         assert_eq!(c.be_buffer_flits(), 4);
         assert_eq!(c.gb_buffer_flits(), 4);
         assert_eq!(c.gl_buffer_flits(), 4);
@@ -655,21 +587,6 @@ mod tests {
             .unwrap();
         assert_eq!(c.spare_gb_lanes(), 2);
         assert_eq!(c.fault_retry_budget(), 3);
-    }
-
-    #[test]
-    fn fault_backoff_defaults_to_the_immediate_countdown() {
-        let c = SwitchConfig::builder(geom())
-            .fault_retry_budget(3)
-            .build()
-            .unwrap();
-        assert_eq!(c.fault_backoff(), BackoffPolicy::immediate(3));
-        let policy = BackoffPolicy::exponential(5, 8, 2, 64).with_jitter(3, 42);
-        let c = SwitchConfig::builder(geom())
-            .fault_backoff(policy)
-            .build()
-            .unwrap();
-        assert_eq!(c.fault_backoff(), policy);
     }
 
     #[test]

@@ -35,17 +35,11 @@ pub struct FaultControl {
 }
 
 impl FaultControl {
-    /// A healthy controller for `radix` outputs with the legacy fixed
-    /// retry budget ([`BackoffPolicy::immediate`]).
+    /// A healthy controller for `radix` outputs with a fixed retry
+    /// budget ([`BackoffPolicy::immediate`]).
     #[must_use]
     pub fn new(radix: usize, retry_budget: u32) -> Self {
-        FaultControl::with_policy(radix, BackoffPolicy::immediate(retry_budget))
-    }
-
-    /// A healthy controller for `radix` outputs retrying under
-    /// `policy`.
-    #[must_use]
-    pub fn with_policy(radix: usize, policy: BackoffPolicy) -> Self {
+        let policy = BackoffPolicy::immediate(retry_budget);
         FaultControl {
             lrg_fallback: vec![false; radix],
             gl_demoted: vec![false; radix],
@@ -107,9 +101,9 @@ impl FaultControl {
     /// Asks the backoff policy for a retry at output `o`, cycle `now`:
     /// `true` means keep retrying (a fresh attempt was consumed, or an
     /// earlier attempt's hold window is still open); `false` means the
-    /// budget is exhausted and the caller must escalate. Under
-    /// [`BackoffPolicy::immediate`] this is exactly the legacy
-    /// countdown the fault campaigns pinned their verdicts against.
+    /// budget is exhausted and the caller must escalate. The policy is
+    /// always [`BackoffPolicy::immediate`]: a plain countdown, the one
+    /// the fault campaigns pin their verdicts against.
     pub fn try_retry(&mut self, o: usize, now: u64) -> bool {
         let Some(timer) = self.retry.get_mut(o) else {
             return false;
@@ -140,19 +134,6 @@ mod tests {
         assert_eq!(fc.retries_left(1), 2);
         // Other outputs were untouched.
         assert_eq!(fc.retries_left(0), 2);
-    }
-
-    #[test]
-    fn backoff_hold_windows_do_not_burn_budget() {
-        let policy = BackoffPolicy::exponential(1, 20, 2, 100);
-        let mut fc = FaultControl::with_policy(4, policy);
-        // One attempt opens a 20-cycle window; detections inside it
-        // ride the in-flight retry instead of escalating.
-        assert!(fc.try_retry(2, 100));
-        assert!(fc.try_retry(2, 110));
-        assert_eq!(fc.retries_left(2), 0);
-        // Past the window the budget is spent: escalate.
-        assert!(!fc.try_retry(2, 120));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use ssq_arbiter::{Arbiter, Request};
 use ssq_circuit::{ArbitrationOutcome, PortRequest};
-use ssq_trace::{Event, EventKind, ShardBuffer};
+use ssq_trace::{Event, EventKind};
 use ssq_types::{Cycle, OutputId, TrafficClass};
 
 use super::{wire, GbEngine, QosSwitch};
@@ -56,7 +56,7 @@ struct ArbPlan {
     /// The predicted `(winner, class)`, for cross-checking the commit.
     predicted: Option<(usize, TrafficClass)>,
     /// Trace events this decision emits, in canonical order.
-    events: ShardBuffer,
+    events: Vec<Event>,
     /// Events below this index (the `GlPoliced` notice) are emitted as
     /// soon as the commit reaches the arbitration; the rest only on a
     /// clean grant (a detected fault suppresses them, exactly as the
@@ -253,7 +253,7 @@ impl QosSwitch {
             }
         }
         let reqs: Vec<Request> = requesters.into_iter().map(|i| Request::new(i, 1)).collect();
-        let mut events = ShardBuffer::new(o);
+        let mut events = Vec::new();
         let predicted = self.flat_lrg[o]
             .decide(now, &reqs)
             .map(|w| (w, self.best_head_class(w, output)));
@@ -295,7 +295,7 @@ impl QosSwitch {
         for r in be {
             add(r, 0, &mut reqs);
         }
-        let mut events = ShardBuffer::new(o);
+        let mut events = Vec::new();
         let predicted = self.four_level[o].decide(now, &reqs).and_then(|w| {
             reqs.iter()
                 .find(|r| r.input() == w)
@@ -326,7 +326,7 @@ impl QosSwitch {
     ) -> ArbPlan {
         let o = output.index();
         let watch = self.watching();
-        let mut events = ShardBuffer::new(o);
+        let mut events = Vec::new();
         let policed = self.gl_policers[o].policed();
         let demoted = self.faultctl.gl_demoted(o);
         let gl_policed = policed && !gl.is_empty();
@@ -518,7 +518,6 @@ impl QosSwitch {
             events,
             pre_events,
         } = arb;
-        let events = events.into_events();
         let (pre, win) = events.split_at(pre_events);
         if gl_policed {
             self.counters.gl_policed_cycles += 1;
@@ -736,7 +735,7 @@ fn four_level_class(level: u8) -> TrafficClass {
 
 /// Buffers the `Decision` event a committed arbitration emits.
 fn push_decision(
-    events: &mut ShardBuffer,
+    events: &mut Vec<Event>,
     now: Cycle,
     o: usize,
     class: TrafficClass,

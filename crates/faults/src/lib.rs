@@ -31,4 +31,4 @@ pub mod plan;
 pub use campaign::{run_scenario, run_smoke, ScenarioResult, SCENARIOS};
 pub use chaos::ChaosSwitch;
 pub use detect::{judge, FailingWriter, Verdict};
-pub use plan::{FaultKind, FaultPlan, FaultStep};
+pub use plan::{FaultKind, FaultPlan, LinkFault, Plan, Step};

@@ -1,13 +1,14 @@
 //! Deterministic fault schedules: *what* to break, *when*, and when to
 //! heal it.
 //!
-//! A [`FaultPlan`] is an ordered list of [`FaultStep`]s, each applying
-//! one [`FaultKind`] to the switch at an absolute cycle. Plans are
-//! either scripted ([`FaultPlan::schedule`]: inject at cycle N, heal at
-//! cycle M) or generated in MTBF mode ([`FaultPlan::link_flaps`]):
-//! exponentially distributed down/up pairs drawn from the in-tree
-//! seeded generator, so a chaos campaign replays bit-identically from
-//! its seed.
+//! A [`Plan`] is an ordered list of [`Step`]s, each applying one fault
+//! kind at an absolute cycle; a [`FaultPlan`] applies [`FaultKind`]s to
+//! one switch, and `ssq_net::NetFaultPlan` is the same type over the
+//! topology faults. Plans are either scripted ([`Plan::schedule`]:
+//! inject at cycle N, heal at cycle M) or generated in MTBF mode
+//! ([`Plan::link_flaps`], for any [`LinkFault`] kind): exponentially
+//! distributed down/up pairs drawn from the in-tree seeded generator,
+//! so a chaos campaign replays bit-identically from its seed.
 
 use ssq_core::QosSwitch;
 use ssq_types::rng::Xoshiro256StarStar;
@@ -142,64 +143,64 @@ impl FaultKind {
     }
 }
 
-/// One scheduled application of a [`FaultKind`].
+/// A fault kind with a down/up pair per link — what MTBF mode flaps.
+pub trait LinkFault {
+    /// The fault that takes `link` down.
+    fn down(link: usize) -> Self;
+    /// The fault that brings `link` back up.
+    fn up(link: usize) -> Self;
+}
+
+impl LinkFault for FaultKind {
+    fn down(input: usize) -> Self {
+        FaultKind::LinkDown { input }
+    }
+
+    fn up(input: usize) -> Self {
+        FaultKind::LinkUp { input }
+    }
+}
+
+/// One scheduled application of a fault kind `K`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FaultStep {
+pub struct Step<K> {
     /// Absolute cycle (0 = first cycle of the run, warm-up included).
     pub at: u64,
     /// The fault to apply.
-    pub kind: FaultKind,
+    pub kind: K,
 }
 
-/// An ordered, deterministic fault schedule.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FaultPlan {
-    steps: Vec<FaultStep>,
+/// An ordered, deterministic schedule of fault kind `K`: the
+/// single-switch [`FaultPlan`] here, `ssq_net::NetFaultPlan` for
+/// topology faults.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Plan<K> {
+    steps: Vec<Step<K>>,
 }
 
-impl FaultPlan {
+/// A single-switch fault schedule.
+pub type FaultPlan = Plan<FaultKind>;
+
+impl<K> Default for Plan<K> {
+    fn default() -> Self {
+        Plan { steps: Vec::new() }
+    }
+}
+
+impl<K> Plan<K> {
     /// An empty plan (a healthy run).
     #[must_use]
     pub fn new() -> Self {
-        FaultPlan::default()
+        Plan::default()
     }
 
     /// Schedules `kind` at absolute cycle `at`, keeping the plan
     /// sorted. Steps at the same cycle apply in insertion order.
     #[must_use]
-    pub fn schedule(mut self, at: u64, kind: FaultKind) -> Self {
+    pub fn schedule(mut self, at: u64, kind: K) -> Self {
         let pos = self.steps.partition_point(|s| s.at <= at);
-        self.steps.insert(pos, FaultStep { at, kind });
+        self.steps.insert(pos, Step { at, kind });
         self
-    }
-
-    /// MTBF mode: generates link down/up pairs for `input`, with
-    /// exponentially distributed time-between-failures (`mtbf`) and
-    /// time-to-repair (`mttr`), until `horizon` cycles. Fully
-    /// deterministic given `seed`.
-    #[must_use]
-    pub fn link_flaps(seed: u64, input: usize, mtbf: u64, mttr: u64, horizon: u64) -> Self {
-        assert!(mtbf > 0 && mttr > 0, "mean times must be positive");
-        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        let mut exp = |mean: u64| -> u64 {
-            // Inverse-CDF exponential; clamp keeps ln's argument sane
-            // and every interval at least one cycle long.
-            let u = rng.f64().min(0.999_999_9);
-            let draw = -(1.0 - u).ln() * mean as f64;
-            (draw as u64).max(1)
-        };
-        let mut plan = FaultPlan::new();
-        let mut t = exp(mtbf);
-        while t < horizon {
-            plan = plan.schedule(t, FaultKind::LinkDown { input });
-            let up = t.saturating_add(exp(mttr));
-            if up >= horizon {
-                break;
-            }
-            plan = plan.schedule(up, FaultKind::LinkUp { input });
-            t = up.saturating_add(exp(mtbf));
-        }
-        plan
     }
 
     /// Interleaves `other` into this plan by cycle, keeping both plans'
@@ -207,7 +208,7 @@ impl FaultPlan {
     /// how overlapping-fault scenarios are built: script one fault
     /// story, merge an MTBF schedule over it.
     #[must_use]
-    pub fn merge(mut self, other: FaultPlan) -> Self {
+    pub fn merge(mut self, other: Plan<K>) -> Self {
         for step in other.steps {
             let pos = self.steps.partition_point(|s| s.at <= step.at);
             self.steps.insert(pos, step);
@@ -217,7 +218,7 @@ impl FaultPlan {
 
     /// The scheduled steps, sorted by cycle.
     #[must_use]
-    pub fn steps(&self) -> &[FaultStep] {
+    pub fn steps(&self) -> &[Step<K>] {
         &self.steps
     }
 
@@ -232,7 +233,44 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.steps.is_empty()
     }
+}
 
+impl<K: LinkFault> Plan<K> {
+    /// MTBF mode: generates down/up pairs for `link`, with
+    /// exponentially distributed time-between-failures (`mtbf`) and
+    /// time-to-repair (`mttr`), until `horizon` cycles. Fully
+    /// deterministic given `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when either mean time is zero.
+    #[must_use]
+    pub fn link_flaps(seed: u64, link: usize, mtbf: u64, mttr: u64, horizon: u64) -> Self {
+        assert!(mtbf > 0 && mttr > 0, "mean times must be positive");
+        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+        let mut exp = |mean: u64| -> u64 {
+            // Inverse-CDF exponential; clamp keeps ln's argument sane
+            // and every interval at least one cycle long.
+            let u = rng.f64().min(0.999_999_9);
+            let draw = -(1.0 - u).ln() * mean as f64;
+            (draw as u64).max(1)
+        };
+        let mut plan = Plan::new();
+        let mut t = exp(mtbf);
+        while t < horizon {
+            plan = plan.schedule(t, K::down(link));
+            let up = t.saturating_add(exp(mttr));
+            if up >= horizon {
+                break;
+            }
+            plan = plan.schedule(up, K::up(link));
+            t = up.saturating_add(exp(mtbf));
+        }
+        plan
+    }
+}
+
+impl FaultPlan {
     /// Applies every step due at or before `now`, starting from
     /// `*cursor`; advances the cursor past what was applied.
     pub fn apply_due(&self, cursor: &mut usize, now: Cycle, switch: &mut QosSwitch) {

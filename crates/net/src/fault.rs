@@ -1,16 +1,15 @@
 //! Topology-level fault plans: kill and flap links, partition nodes,
 //! and pass single-switch faults through to a specific node.
 //!
-//! [`NetFaultPlan`] mirrors the single-switch `ssq_faults::FaultPlan`
-//! idiom — an ordered, seed-replayable schedule — but its targets are
-//! fabric objects: a [`NetFaultKind::KillLink`] takes a wire down for
-//! every flow crossing it, [`NetFaultKind::PartitionNode`] isolates a
-//! whole switch, and [`NetFaultKind::NodeFault`] wraps any
-//! [`FaultKind`] from the single-switch taxonomy, so the entire
-//! DESIGN.md §8 catalog composes with topology faults.
+//! [`NetFaultPlan`] is the single-switch plan type, [`ssq_faults::Plan`]
+//! — an ordered, seed-replayable schedule — over fabric targets: a
+//! [`NetFaultKind::KillLink`] takes a wire down for every flow crossing
+//! it, [`NetFaultKind::PartitionNode`] isolates a whole switch, and
+//! [`NetFaultKind::NodeFault`] wraps any [`FaultKind`] from the
+//! single-switch taxonomy, so the entire DESIGN.md §8 catalog composes
+//! with topology faults.
 
-use ssq_faults::FaultKind;
-use ssq_types::rng::Xoshiro256StarStar;
+use ssq_faults::{FaultKind, LinkFault, Plan};
 
 /// One injectable (or healable) topology fault.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,92 +45,18 @@ pub enum NetFaultKind {
     },
 }
 
-/// One scheduled application of a [`NetFaultKind`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetFaultStep {
-    /// Absolute cycle (0 = first cycle of the run, warm-up included).
-    pub at: u64,
-    /// The fault to apply.
-    pub kind: NetFaultKind,
+impl LinkFault for NetFaultKind {
+    fn down(link: usize) -> Self {
+        NetFaultKind::KillLink { link }
+    }
+
+    fn up(link: usize) -> Self {
+        NetFaultKind::RestoreLink { link }
+    }
 }
 
 /// An ordered, deterministic topology-fault schedule.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct NetFaultPlan {
-    steps: Vec<NetFaultStep>,
-}
-
-impl NetFaultPlan {
-    /// An empty plan (a healthy fabric).
-    #[must_use]
-    pub fn new() -> Self {
-        NetFaultPlan::default()
-    }
-
-    /// Schedules `kind` at absolute cycle `at`, keeping the plan
-    /// sorted. Steps at the same cycle apply in insertion order.
-    #[must_use]
-    pub fn schedule(mut self, at: u64, kind: NetFaultKind) -> Self {
-        let pos = self.steps.partition_point(|s| s.at <= at);
-        self.steps.insert(pos, NetFaultStep { at, kind });
-        self
-    }
-
-    /// MTBF mode: kill/restore pairs for `link` with exponentially
-    /// distributed time-between-failures (`mtbf`) and time-to-repair
-    /// (`mttr`) until `horizon` cycles. Fully deterministic given
-    /// `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when either mean time is zero.
-    #[must_use]
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "an exponential draw: finite and non-negative, `as` saturates"
-    )]
-    pub fn link_flaps(seed: u64, link: usize, mtbf: u64, mttr: u64, horizon: u64) -> Self {
-        assert!(mtbf > 0 && mttr > 0, "mean times must be positive");
-        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        let mut exp = |mean: u64| -> u64 {
-            // Inverse-CDF exponential; the clamp keeps ln's argument
-            // sane and every interval at least one cycle long.
-            let u = rng.f64().min(0.999_999_9);
-            let draw = -(1.0 - u).ln() * mean as f64;
-            (draw as u64).max(1)
-        };
-        let mut plan = NetFaultPlan::new();
-        let mut t = exp(mtbf);
-        while t < horizon {
-            plan = plan.schedule(t, NetFaultKind::KillLink { link });
-            let up = t.saturating_add(exp(mttr));
-            if up >= horizon {
-                break;
-            }
-            plan = plan.schedule(up, NetFaultKind::RestoreLink { link });
-            t = up.saturating_add(exp(mtbf));
-        }
-        plan
-    }
-
-    /// The scheduled steps, sorted by cycle.
-    #[must_use]
-    pub fn steps(&self) -> &[NetFaultStep] {
-        &self.steps
-    }
-
-    /// Number of scheduled steps.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Whether the plan is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-}
+pub type NetFaultPlan = Plan<NetFaultKind>;
 
 #[cfg(test)]
 mod tests {

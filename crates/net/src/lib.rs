@@ -45,7 +45,7 @@ pub use check::analyze_topology;
 #[doc(hidden)]
 pub use fabric::DenseFabric;
 pub use fabric::{Fabric, FabricCounters, FabricWork, FlowSpec, FlowStats};
-pub use fault::{NetFaultKind, NetFaultPlan, NetFaultStep};
+pub use fault::{NetFaultKind, NetFaultPlan};
 pub use judge::{judge_path, PathVerdict};
 pub use link::{LinkDiscipline, LinkQueue, LinkSpec};
 pub use topology::{compute_routes, Routes, Topology};

@@ -31,11 +31,9 @@ pub mod event;
 pub mod flight;
 pub mod metrics;
 pub mod report;
-pub mod shard;
 pub mod sink;
 
 pub use event::{Event, EventKind, ParseError, RejectReason};
 pub use metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 pub use report::{FlowGrants, TraceSummary};
-pub use shard::ShardBuffer;
 pub use sink::{BoxedWriter, JsonlSink, NullSink, RingSink, TraceSink, Tracer};

@@ -27,7 +27,7 @@
 //!
 //! Entry points: [`verify_scenario`] checks one [`Scenario`];
 //! [`tier::fast_scenarios`] / [`tier::deep_scenarios`] are the curated
-//! suites behind `cargo xtask verify` and `ssq verify`.
+//! suites behind `ssq verify`.
 //!
 //! # Examples
 //!

@@ -1,5 +1,4 @@
-//! The curated verification tiers behind `cargo xtask verify` and
-//! `ssq verify`.
+//! The curated verification tiers behind `ssq verify`.
 //!
 //! * **Fast tier** — radix-2 switches, every class mix (all nine
 //!   `{BE, GB, GL}²` combinations) under all three counter policies

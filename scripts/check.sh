@@ -29,21 +29,23 @@ echo "== the four in-tree rules (ssq-lint via xtask) =="
 # What no stock lint expresses; any finding fails.
 cargo run --quiet -p xtask -- lint
 
-echo "== model check + engine conformance, fast tier (xtask) =="
-# The fast tier ends with the engine differential battery: every
-# scenario must be bit-identical to the scalar reference kernel
-# (QosSwitch::step_reference) on the sequential, sharded parallel, and
-# bitpar engines, which all run the one mask-native kernel.
-cargo run --quiet -p xtask -- verify
-
 echo "== sanitizer: V1-V6 asserted on the hot path under both conformance batteries =="
 # The `sanitizer` feature compiles the model checker's invariant
 # predicates into every arbitration; the two engine batteries then run
-# a few hundred seeded scenarios through them (about 20 s, debug).
+# a few hundred seeded scenarios through them (about 20 s, debug),
+# holding the sequential, sharded parallel and bitpar engines to the
+# scalar reference kernel (QosSwitch::step_reference) bit for bit. The
+# tests step below runs both batteries again without the sanitizer.
 cargo test -q --features sanitizer --test bitpar_conformance --test par_conformance
 
 echo "== release build =="
 cargo build --workspace --release
+
+echo "== model check, fast tier (ssq verify) =="
+# Every reachable state of the radix-2 scenario battery, checked
+# against the V1-V6 invariant catalog; a violation prints its minimal
+# counterexample as replayable JSONL and fails.
+./target/release/ssq verify
 
 echo "== fault smoke tier (ssq faults) =="
 # Every single-fault chaos scenario must either preserve its bounds or

@@ -166,12 +166,18 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
+    // `--help` anywhere on the line, after any subcommand, is a request
+    // for the option list, not an option.
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{USAGE}");
+        return Ok(());
+    }
     match args.first().map(String::as_str) {
         Some("simulate") => simulate(&args[1..]),
         Some("trace-report") => trace_report(&args[1..]),
         // A leading option means `simulate` was implied:
         // `ssq --trace --flow 0:0:GB:sat` just works.
-        Some(leading) if leading.starts_with("--") && leading != "--help" => simulate(args),
+        Some(leading) if leading.starts_with("--") => simulate(args),
         Some("verify") => verify(&args[1..]),
         Some("faults") => faults_cmd(&args[1..]),
         Some("net") => net_cmd(&args[1..]),
@@ -182,7 +188,7 @@ fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
             frequency();
             Ok(())
         }
-        Some("help") | Some("--help") | Some("-h") | None => {
+        Some("help") | None => {
             print!("{USAGE}");
             Ok(())
         }

@@ -40,9 +40,6 @@ impl Opts {
             let Some(key) = arg.strip_prefix("--") else {
                 return Err(err(format!("unexpected argument {arg:?}")));
             };
-            if key == "help" {
-                return Err(err("help requested"));
-            }
             if flag_names.contains(&key) {
                 flags.push(key.to_owned());
                 continue;

@@ -142,8 +142,30 @@ fn out_of_range_flag_values_are_diagnosed() {
         (&["gl-bound", "--buffer", "0"], "--buffer"),
         (&["gl-burst", "--constraints", "5,3"], "--constraints"),
         (&["storage", "--flit-bytes", "0"], "--flit-bytes"),
+        (&["verify", "--bogus"], "--bogus"),
     ];
     for (args, flag) in cases {
         assert_diagnosed(&ssq(args), flag);
+    }
+}
+
+/// `--help` after any subcommand prints the option list and succeeds.
+#[test]
+fn help_on_every_subcommand_prints_usage() {
+    for sub in [
+        "simulate",
+        "trace-report",
+        "verify",
+        "faults",
+        "net",
+        "gl-bound",
+        "gl-burst",
+        "storage",
+        "frequency",
+    ] {
+        let out = ssq(&[sub, "--help"]);
+        assert_eq!(out.status.code(), Some(0), "{sub}: {}", stderr(&out));
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains("USAGE"), "{sub} --help: {text}");
     }
 }

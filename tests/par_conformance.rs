@@ -492,13 +492,37 @@ fn inputs_contending_at_several_outputs_match_the_reference() {
 }
 
 /// A long saturated run exercising counter-policy epochs (decay, halve,
-/// reset) far past the short battery's horizon, on every engine.
+/// reset) far past the short battery's horizon, on every engine — for
+/// each counter policy, and for the two stacked modes (checked and
+/// policed; demoted GL on the LRG fallback) with all three classes.
 #[test]
 fn engines_match_on_long_saturated_run() {
     let schedule = Schedule::new(Cycles::new(500), Cycles::new(8_000));
-    for &policy in POLICIES {
+    let mut cases: Vec<(CounterPolicy, Mode, Mix)> = POLICIES
+        .iter()
+        .map(|&policy| (policy, Mode::default(), Mix::GbBe))
+        .collect();
+    cases.push((
+        CounterPolicy::SubtractRealClock,
+        Mode {
+            fabric_checked: true,
+            gl_policing: true,
+            ..Mode::default()
+        },
+        Mix::GbGlBe,
+    ));
+    cases.push((
+        CounterPolicy::Halve,
+        Mode {
+            gl_demoted: true,
+            lrg_fallback: true,
+            ..Mode::default()
+        },
+        Mix::GbGlBe,
+    ));
+    for (policy, mode, mix) in cases {
         let run_long = |sel| {
-            let mut switch = build(policy, Mix::GbBe, 4242);
+            let mut switch = build_with(Policy::Ssvc(policy), mode, mix, 4242);
             switch.tracer_mut().attach_ring(1 << 17);
             drive(&mut switch, schedule, sel);
             observe(&switch)
@@ -508,7 +532,7 @@ fn engines_match_on_long_saturated_run() {
             let other = run_long(sel);
             assert!(
                 reference == other,
-                "{policy:?}: long-run {sel:?} divergence (events {} vs {})",
+                "{policy:?}/{mode:?}: long-run {sel:?} divergence (events {} vs {})",
                 reference.events.len(),
                 other.events.len()
             );

@@ -2,11 +2,33 @@
 //! every `{BE, GB, GL}²` class mix under all three counter policies —
 //! must enumerate its complete reachable state space (`closed`) with no
 //! V1–V6 invariant violation. This is the exhaustiveness guarantee that
-//! `cargo xtask verify` relies on in `scripts/check.sh`, pinned here so
-//! `cargo test` alone catches a regression in either the arbitration
-//! pipeline or the checker.
+//! `ssq verify` gives `scripts/check.sh`, pinned here so `cargo test`
+//! alone catches a regression in either the arbitration pipeline or the
+//! checker.
 
 use swizzle_qos::verify::{tier, verify_scenario, VerifyOutcome};
+
+mod common;
+use common::{ssq, stderr};
+
+/// The gate's driver, through the real binary: exit 0, one `closed`
+/// line per scenario, then the tier's clean line.
+#[test]
+fn ssq_verify_passes_the_fast_tier() {
+    let out = ssq(&["verify"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let text = String::from_utf8_lossy(&out.stdout);
+    let count = tier::fast_scenarios().len();
+    let closed = text
+        .lines()
+        .filter(|l| l.starts_with("verify[fast] ") && l.ends_with(" closed"))
+        .count();
+    assert_eq!(closed, count, "{text}");
+    assert!(
+        text.contains(&format!("verify[fast] clean: {count} scenarios")),
+        "{text}"
+    );
+}
 
 #[test]
 fn fast_tier_is_clean_and_closed() {
