@@ -474,60 +474,28 @@ impl SsvcArbiter {
         self.saturations
     }
 
-    /// How many ticks from now complete the next decay epoch — the `n`
-    /// for which the `n`-th [`Arbiter::tick`] is the next one to raise
-    /// [`SsvcArbiter::decay_epochs`], pending epoch-skip faults counted
-    /// in. `None` off the real-clock policy, which never decays on time.
-    #[must_use]
-    pub fn ticks_to_next_epoch(&self) -> Option<u64> {
-        if self.config.policy() != CounterPolicy::SubtractRealClock {
-            return None;
-        }
-        let step = self.config.msb_step();
-        let to_wrap = step.saturating_sub(self.real_lsb).max(1);
-        Some(to_wrap.saturating_add(self.skipped_epochs.saturating_mul(step)))
-    }
-
-    /// Advances the real-time subcounter by `n` ticks at once,
-    /// bit-identically to `n` consecutive [`Arbiter::tick`] calls —
-    /// including the epoch-skip fault swallowing. `on_epoch(offset,
-    /// epochs)` fires for every decay epoch the batch performs, where
-    /// `offset` is the 0-based tick index within the batch whose wrap
-    /// caused it and `epochs` the post-decay epoch count — exactly the
-    /// sampling a dense caller would observe around each single tick.
+    /// One wrap of the real-time subcounter: the broadcast subtraction of
+    /// one MSB step from every `auxVC` (flooring at zero), counted as a
+    /// completed decay epoch — or, with an epoch-skip fault pending, the
+    /// wrap swallowed. Returns whether the counters decayed.
     ///
-    /// This is the idle-skip clock for the `bitpar` engine: instead of
-    /// `n` per-cycle ticks it walks wrap to wrap, so the cost scales
-    /// with decay epochs (rare), not skipped cycles.
-    pub fn tick_batch(&mut self, n: u64, mut on_epoch: impl FnMut(u64, u64)) {
-        if self.config.policy() != CounterPolicy::SubtractRealClock {
-            return;
+    /// [`Arbiter::tick`] calls this when its own subcounter wraps. A
+    /// caller that ticks several arbiters in lockstep may instead keep
+    /// their one shared phase itself and call this on each of them at
+    /// every wrap.
+    pub fn wrap(&mut self) -> bool {
+        if self.skipped_epochs > 0 {
+            // Epoch-skip fault: the wrap happened but the broadcast
+            // subtraction was swallowed, so counters keep climbing.
+            self.skipped_epochs -= 1;
+            return false;
         }
+        self.epochs += 1;
         let step = self.config.msb_step();
-        let mut done = 0u64;
-        while done < n {
-            // Ticks until (and including) the next wrap; `max(1)`
-            // mirrors `tick()`'s `>=` wrap guard if `real_lsb` were
-            // ever at/above the step.
-            let to_wrap = step.saturating_sub(self.real_lsb).max(1);
-            if n - done < to_wrap {
-                self.real_lsb += n - done;
-                return;
-            }
-            done += to_wrap;
-            self.real_lsb = 0;
-            if self.skipped_epochs > 0 {
-                // Epoch-skip fault: the wrap happened but the broadcast
-                // subtraction was swallowed, so counters keep climbing.
-                self.skipped_epochs -= 1;
-                continue;
-            }
-            self.epochs += 1;
-            for a in &mut self.aux {
-                *a = a.saturating_sub(step);
-            }
-            on_epoch(done - 1, self.epochs);
+        for a in &mut self.aux {
+            *a = a.saturating_sub(step);
         }
+        true
     }
 }
 
@@ -581,17 +549,7 @@ impl Arbiter for SsvcArbiter {
         self.real_lsb += 1;
         if self.real_lsb >= self.config.msb_step() {
             self.real_lsb = 0;
-            if self.skipped_epochs > 0 {
-                // Epoch-skip fault: the wrap happened but the broadcast
-                // subtraction was swallowed, so counters keep climbing.
-                self.skipped_epochs -= 1;
-                return;
-            }
-            self.epochs += 1;
-            let step = self.config.msb_step();
-            for a in &mut self.aux {
-                *a = a.saturating_sub(step);
-            }
+            let _ = self.wrap();
         }
     }
 }
@@ -637,58 +595,25 @@ mod tests {
     }
 
     #[test]
-    fn tick_batch_matches_repeated_ticks() {
-        for n in [0u64, 1, 7, 511, 512, 513, 5_000, 12_345] {
-            let mut batched = SsvcArbiter::new(cfg(CounterPolicy::SubtractRealClock), &[10, 20]);
-            let mut dense = batched.clone();
-            batched.set_aux_vc(0, 3000);
-            dense.set_aux_vc(0, 3000);
-            let mut batch_epochs = Vec::new();
-            batched.tick_batch(n, |off, epoch| batch_epochs.push((off, epoch)));
-            let mut dense_epochs = Vec::new();
-            for j in 0..n {
-                let before = dense.decay_epochs();
-                dense.tick();
-                if dense.decay_epochs() != before {
-                    dense_epochs.push((j, dense.decay_epochs()));
-                }
+    fn an_external_phase_wrapping_matches_ticking() {
+        // A caller keeping the subcounter phase itself and calling
+        // `wrap` at each wrap leaves the arbiter where ticking it would,
+        // epoch-skip faults included.
+        let c = cfg(CounterPolicy::SubtractRealClock);
+        let mut ticked = SsvcArbiter::new(c, &[10, 20]);
+        ticked.set_aux_vc(0, 3000);
+        ticked.fault_skip_epochs(2);
+        let mut wrapped = ticked.clone();
+        let mut decays = 0;
+        for n in 1..=6 * c.msb_step() {
+            ticked.tick();
+            if n % c.msb_step() == 0 && wrapped.wrap() {
+                decays += 1;
             }
-            assert_eq!(batch_epochs, dense_epochs, "epoch stream differs at n={n}");
-            assert_eq!(batched.decay_epochs(), dense.decay_epochs(), "n={n}");
-            for i in 0..2 {
-                assert_eq!(batched.aux_vc(i), dense.aux_vc(i), "aux {i} at n={n}");
-            }
+            assert_eq!(ticked.decay_epochs(), wrapped.decay_epochs(), "tick {n}");
+            assert_eq!(ticked.aux_vc(0), wrapped.aux_vc(0), "tick {n}");
         }
-    }
-
-    #[test]
-    fn ticks_to_next_epoch_names_the_tick_that_decays() {
-        for (warm, skips) in [(0, 0), (1, 0), (255, 0), (256, 0), (300, 2)] {
-            let mut ssvc = SsvcArbiter::new(cfg(CounterPolicy::SubtractRealClock), &[4, 4]);
-            for _ in 0..warm {
-                ssvc.tick();
-            }
-            ssvc.fault_skip_epochs(skips);
-            let n = ssvc.ticks_to_next_epoch().expect("real-clock policy");
-            let before = ssvc.decay_epochs();
-            for _ in 1..n {
-                ssvc.tick();
-            }
-            assert_eq!(ssvc.decay_epochs(), before, "decayed before tick {n}");
-            ssvc.tick();
-            assert_eq!(ssvc.decay_epochs(), before + 1, "tick {n} must decay");
-        }
-        let halve = SsvcArbiter::new(cfg(CounterPolicy::Halve), &[4, 4]);
-        assert_eq!(halve.ticks_to_next_epoch(), None);
-    }
-
-    #[test]
-    fn tick_batch_is_a_noop_off_the_real_clock_policy() {
-        let mut s = SsvcArbiter::new(cfg(CounterPolicy::Halve), &[10]);
-        s.set_aux_vc(0, 2000);
-        s.tick_batch(10_000, |_, _| panic!("no epochs under Halve"));
-        assert_eq!(s.aux_vc(0), 2000);
-        assert_eq!(s.decay_epochs(), 0);
+        assert_eq!((decays, wrapped.skipped_epoch_count()), (4, 0));
     }
 
     #[test]

@@ -94,10 +94,15 @@ impl OutputChannel {
         };
     }
 
-    /// Moves one flit; returns the committed `(input, class)` and whether
-    /// the packet finished (the channel returns to idle), or `None` when
-    /// the channel is idle.
-    pub fn transmit_flit(&mut self) -> Option<(InputId, TrafficClass, bool)> {
+    /// Moves `n` flits of the committed packet at once (one per cycle of
+    /// the interval they span); returns the committed `(input, class)`
+    /// and whether the packet finished (the channel returns to idle), or
+    /// `None` when the channel is idle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `n` flits remain.
+    pub fn transmit_flits(&mut self, n: u64) -> Option<(InputId, TrafficClass, bool)> {
         let ChannelState::Transmitting {
             input,
             class,
@@ -106,10 +111,13 @@ impl OutputChannel {
         else {
             return None;
         };
-        self.busy_flit_cycles = self.busy_flit_cycles.saturating_add(1);
-        // `commit` asserts len_flits > 0 and the FSM returns to Idle at 1,
-        // so remaining_flits >= 1 whenever we are Transmitting.
-        let remaining = remaining_flits.saturating_sub(1);
+        assert!(
+            remaining_flits >= n,
+            "{} has {remaining_flits} flits left, not {n}",
+            self.output
+        );
+        self.busy_flit_cycles = self.busy_flit_cycles.saturating_add(n);
+        let remaining = remaining_flits.saturating_sub(n);
         if remaining == 0 {
             self.state = ChannelState::Idle;
         } else {
@@ -169,12 +177,12 @@ mod tests {
         assert!(ch.is_idle());
         ch.commit(InputId::new(3), TrafficClass::GuaranteedBandwidth, 2, 1);
         assert!(!ch.is_idle());
-        let (i, c, done) = ch.transmit_flit().expect("busy channel transmits");
+        let (i, c, done) = ch.transmit_flits(1).expect("busy channel transmits");
         assert_eq!(
             (i, c, done),
             (InputId::new(3), TrafficClass::GuaranteedBandwidth, false)
         );
-        let (_, _, done) = ch.transmit_flit().expect("busy channel transmits");
+        let (_, _, done) = ch.transmit_flits(1).expect("busy channel transmits");
         assert!(done);
         assert!(ch.is_idle());
     }
@@ -183,11 +191,11 @@ mod tests {
     fn utilization_counters_accumulate() {
         let mut ch = OutputChannel::new(OutputId::new(1));
         ch.commit(InputId::new(0), TrafficClass::BestEffort, 3, 1);
-        while !ch.is_idle() {
-            let _ = ch.transmit_flit();
-        }
+        let _ = ch.transmit_flits(2);
+        let _ = ch.transmit_flits(1);
+        assert!(ch.is_idle());
         ch.commit(InputId::new(1), TrafficClass::BestEffort, 1, 2);
-        let _ = ch.transmit_flit();
+        let _ = ch.transmit_flits(1);
         assert_eq!(ch.busy_flit_cycles(), 4);
         assert_eq!(ch.arbitration_cycles(), 3);
         ch.reset_counters();
@@ -205,7 +213,7 @@ mod tests {
     #[test]
     fn transmit_while_idle_is_a_no_op() {
         let mut ch = OutputChannel::new(OutputId::new(0));
-        assert!(ch.transmit_flit().is_none());
+        assert!(ch.transmit_flits(1).is_none());
         assert_eq!(ch.busy_flit_cycles(), 0);
     }
 

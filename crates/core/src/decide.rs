@@ -44,8 +44,9 @@ use crate::config::Policy;
 /// strict-priority ladder (or flat policy) selected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PlanKind {
-    /// The channel is mid-packet; the commit phase moves one flit (and
-    /// handles delivery/chaining) with live state.
+    /// The channel is mid-packet; in its packet's last loop the commit
+    /// phase applies its flits and handles delivery/chaining with live
+    /// state.
     Transmit,
     /// No input requests this output: the arbitration-latency clock
     /// resets.
@@ -249,7 +250,10 @@ impl QosSwitch {
     /// service: demoted GL competes inside the GB round.
     fn decide_strict_priority(&self, output: OutputId, now: Cycle, plan: &mut OutputPlan) {
         let o = output.index();
-        let policed = self.gl_policers.get(o).is_some_and(|p| p.policed());
+        let policed = self
+            .gl_policers
+            .get(o)
+            .is_some_and(|p| p.policed(self.clock));
         plan.demoted = self.faultctl.gl_demoted(o);
         plan.gl_policed = policed && plan.gl != 0;
         let round = plan.gb | plan.demoted_gl();

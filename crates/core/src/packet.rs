@@ -55,14 +55,18 @@ impl Packet {
         now.saturating_since(self.enqueued)
     }
 
-    /// Transmits one flit; returns `true` when the packet completes.
+    /// Transmits `n` flits; returns `true` when the packet completes.
     ///
     /// # Panics
     ///
-    /// Panics if called after the packet already completed.
-    pub fn transmit_flit(&mut self) -> bool {
-        assert!(self.remaining_flits > 0, "packet already fully transmitted");
-        self.remaining_flits = self.remaining_flits.saturating_sub(1);
+    /// Panics if fewer than `n` flits remain.
+    pub fn transmit_flits(&mut self, n: u64) -> bool {
+        assert!(
+            self.remaining_flits >= n,
+            "packet has {} flits left, not {n}",
+            self.remaining_flits
+        );
+        self.remaining_flits = self.remaining_flits.saturating_sub(n);
         self.remaining_flits == 0
     }
 }
@@ -93,19 +97,19 @@ mod tests {
 
     #[test]
     fn transmission_drains_flits() {
-        let mut p = packet(3);
-        assert!(!p.transmit_flit());
-        assert!(!p.transmit_flit());
-        assert!(p.transmit_flit());
+        let mut p = packet(4);
+        assert!(!p.transmit_flits(1));
+        assert!(!p.transmit_flits(2));
+        assert_eq!(p.remaining_flits(), 1);
+        assert!(p.transmit_flits(1));
         assert_eq!(p.remaining_flits(), 0);
     }
 
     #[test]
-    #[should_panic(expected = "already fully transmitted")]
+    #[should_panic(expected = "flits left")]
     fn over_transmission_panics() {
-        let mut p = packet(1);
-        let _ = p.transmit_flit();
-        let _ = p.transmit_flit();
+        let mut p = packet(2);
+        let _ = p.transmit_flits(3);
     }
 
     #[test]

@@ -49,14 +49,14 @@ impl ClassQueue {
         self.packets.front()
     }
 
-    /// Transmits one flit of the head packet (freeing its buffer slot)
-    /// and pops the packet if it completed.
-    fn transmit_head_flit(&mut self) -> Option<Packet> {
+    /// Transmits `n` flits of the head packet (freeing their buffer
+    /// slots) and pops the packet if it completed.
+    fn transmit_head_flits(&mut self, n: u64) -> Option<Packet> {
         let head = self.packets.front_mut()?;
-        // A present head implies `used_flits >= 1`; saturating keeps the
-        // expression total without changing in-invariant behavior.
-        self.used_flits = self.used_flits.saturating_sub(1);
-        if head.transmit_flit() {
+        // The head holds at least `n` of the used flits (the packet
+        // asserts it); saturating keeps the expression total.
+        self.used_flits = self.used_flits.saturating_sub(n);
+        if head.transmit_flits(n) {
             self.packets.pop_front()
         } else {
             None
@@ -194,9 +194,8 @@ impl InputPort {
     }
 
     /// Unoccupied flit slots of the queue a `class` packet headed to
-    /// `output` would join. Only [`InputPort::transmit_head_flit`] raises
-    /// it, by one per call — the bound staged injection retries are
-    /// timed against.
+    /// `output` would join. Only [`InputPort::transmit_head_flits`]
+    /// raises it, by the flits it moves.
     #[must_use]
     pub fn free_flits(&self, class: TrafficClass, output: OutputId) -> u64 {
         self.queue(class, output).free_flits()
@@ -225,20 +224,26 @@ impl InputPort {
         q.head().filter(|p| p.spec().flow().output() == output)
     }
 
-    /// Transmits one flit of the committed head packet; returns the
+    /// Transmits `n` flits of the committed head packet; returns the
     /// packet when its last flit leaves.
     ///
     /// # Panics
     ///
     /// Panics if there is no matching head packet — the channel committed
-    /// to a queue that does not hold one, which is a scheduling bug.
-    pub fn transmit_head_flit(&mut self, class: TrafficClass, output: OutputId) -> Option<Packet> {
+    /// to a queue that does not hold one, which is a scheduling bug — or
+    /// the head has fewer than `n` flits left.
+    pub fn transmit_head_flits(
+        &mut self,
+        class: TrafficClass,
+        output: OutputId,
+        n: u64,
+    ) -> Option<Packet> {
         assert!(
             self.head(class, output).is_some(),
             "no {class} head for {output} at {}",
             self.input
         );
-        let done = self.queue_mut(class, output).transmit_head_flit();
+        let done = self.queue_mut(class, output).transmit_head_flits(n);
         if done.is_some() {
             // Only a popped packet can change which head (if any) the
             // queue presents; a flit leaving mid-packet cannot.
@@ -294,6 +299,18 @@ impl InputPort {
                 }
             }
             TrafficClass::BestEffort | TrafficClass::GuaranteedLatency => {}
+        }
+    }
+
+    /// Whether `class` packets headed to `a` and to `b` share one queue:
+    /// always for the single-FIFO classes, only for `a == b` for the
+    /// virtual-queue ones.
+    #[must_use]
+    pub(crate) fn shares_queue(&self, class: TrafficClass, a: OutputId, b: OutputId) -> bool {
+        match class {
+            TrafficClass::GuaranteedBandwidth => a == b,
+            TrafficClass::BestEffort => self.be_index(a) == self.be_index(b),
+            TrafficClass::GuaranteedLatency => true,
         }
     }
 
@@ -417,17 +434,20 @@ mod tests {
         assert!(p.try_enqueue(make(0, TrafficClass::GuaranteedLatency, 0, 4)));
         assert!(!p.has_room(TrafficClass::GuaranteedLatency, OutputId::new(0), 1));
         assert!(p
-            .transmit_head_flit(TrafficClass::GuaranteedLatency, OutputId::new(0))
+            .transmit_head_flits(TrafficClass::GuaranteedLatency, OutputId::new(0), 1)
             .is_none());
         // One flit freed mid-packet.
         assert!(p.has_room(TrafficClass::GuaranteedLatency, OutputId::new(0), 1));
-        for _ in 0..2 {
-            assert!(p
-                .transmit_head_flit(TrafficClass::GuaranteedLatency, OutputId::new(0))
-                .is_none());
-        }
+        // Two more at once.
+        assert!(p
+            .transmit_head_flits(TrafficClass::GuaranteedLatency, OutputId::new(0), 2)
+            .is_none());
+        assert_eq!(
+            p.free_flits(TrafficClass::GuaranteedLatency, OutputId::new(0)),
+            3
+        );
         let done = p
-            .transmit_head_flit(TrafficClass::GuaranteedLatency, OutputId::new(0))
+            .transmit_head_flits(TrafficClass::GuaranteedLatency, OutputId::new(0), 1)
             .expect("last flit completes the packet");
         assert_eq!(done.spec().id(), PacketId::new(0));
         assert_eq!(
@@ -440,7 +460,7 @@ mod tests {
     #[should_panic(expected = "no GL head")]
     fn transmitting_from_empty_queue_is_a_bug() {
         let mut p = port();
-        let _ = p.transmit_head_flit(TrafficClass::GuaranteedLatency, OutputId::new(0));
+        let _ = p.transmit_head_flits(TrafficClass::GuaranteedLatency, OutputId::new(0), 1);
     }
 
     #[test]
@@ -484,21 +504,19 @@ mod tests {
         // Drain the GB packet to output 1 flit by flit; the bit must drop
         // only when the queue empties.
         assert!(p
-            .transmit_head_flit(TrafficClass::GuaranteedBandwidth, OutputId::new(1))
+            .transmit_head_flits(TrafficClass::GuaranteedBandwidth, OutputId::new(1), 1)
             .is_none());
         check(&p);
         assert!(p
-            .transmit_head_flit(TrafficClass::GuaranteedBandwidth, OutputId::new(1))
+            .transmit_head_flits(TrafficClass::GuaranteedBandwidth, OutputId::new(1), 1)
             .is_some());
         check(&p);
         // Draining the BE head re-points the one-hot word at the next
         // packet's destination.
-        for _ in 0..2 {
-            let _ = p.transmit_head_flit(TrafficClass::BestEffort, OutputId::new(2));
-        }
+        let _ = p.transmit_head_flits(TrafficClass::BestEffort, OutputId::new(2), 2);
         check(&p);
         assert_eq!(p.request_bits(TrafficClass::BestEffort), 1 << 0);
-        let _ = p.transmit_head_flit(TrafficClass::GuaranteedLatency, OutputId::new(3));
+        let _ = p.transmit_head_flits(TrafficClass::GuaranteedLatency, OutputId::new(3), 1);
         check(&p);
     }
 
@@ -512,9 +530,7 @@ mod tests {
             p.request_bits(TrafficClass::BestEffort),
             (1 << 1) | (1 << 3)
         );
-        for _ in 0..2 {
-            let _ = p.transmit_head_flit(TrafficClass::BestEffort, OutputId::new(1));
-        }
+        let _ = p.transmit_head_flits(TrafficClass::BestEffort, OutputId::new(1), 2);
         assert_eq!(p.request_bits(TrafficClass::BestEffort), 1 << 3);
     }
 

@@ -14,8 +14,11 @@
 //! batteries hold the schedule and its `retry_at` timing to it. It
 //! visits every output every cycle and rebuilds the transmit-blocked set
 //! from the channels, so it holds the kernel's work word and `busy_in`
-//! to the same standard. Only the clocks, the per-injector staging body,
-//! the transmit side, and the grant bookkeeping are shared.
+//! to the same standard, and it moves one flit per transmitting channel
+//! per cycle where the kernel applies a packet's flits in batches, so it
+//! holds the transmit intervals and the staged heads' exact wakes to the
+//! per-flit timing. Only the clocks, the per-injector staging body, the
+//! packet completion, and the grant bookkeeping are shared.
 //!
 //! Nothing here is on a hot path: it allocates freely and is reachable
 //! only through the doc-hidden [`QosSwitch::step_reference`].
@@ -136,8 +139,12 @@ impl QosSwitch {
     /// tested against.
     #[doc(hidden)]
     pub fn step_reference(&mut self, now: Cycle) {
-        self.tick_clocks(now);
+        self.tick_clocks(now, 1);
         self.inject_dense(now);
+        // A switch the kernel stepped may hold flits it has not applied;
+        // from here on each loop moves exactly one per channel.
+        self.settle_all();
+        self.clock += 1;
         let radix = self.config.geometry().radix();
         self.outputs_visited += radix as u64;
         // Inputs already transmitting cannot compete this cycle: read
@@ -165,6 +172,21 @@ impl QosSwitch {
             let intent = self.injectors.poll_dense(idx, now);
             self.injection_work.polls += 1;
             self.inject_one(idx, now, intent, true);
+        }
+    }
+
+    /// Moves one flit of the packet `output`'s channel transmits, and
+    /// completes the packet on its last one.
+    fn transmit_flit_reference(&mut self, output: OutputId, now: Cycle) {
+        let o = output.index();
+        let Some((input, class, done)) = self.channels[o].transmit_flits(1) else {
+            return;
+        };
+        self.intervals[o].applied += 1;
+        let completed = self.ports[input.index()].transmit_head_flits(class, output, 1);
+        debug_assert_eq!(completed.is_some(), done, "port/channel desync");
+        if let Some(pkt) = completed {
+            self.finish_packet(output, input, class, pkt, now);
         }
     }
 
@@ -327,7 +349,7 @@ impl QosSwitch {
         let o = output.index();
         let watch = self.watching();
         let mut events = Vec::new();
-        let policed = self.gl_policers[o].policed();
+        let policed = self.gl_policers[o].policed(self.clock);
         let demoted = self.faultctl.gl_demoted(o);
         let gl_policed = policed && !gl.is_empty();
         if gl_policed && watch {
@@ -463,9 +485,10 @@ impl QosSwitch {
         !self.tracer.is_off()
     }
 
-    /// Applies one output's action: the transmit side and the grant
-    /// bookkeeping are the kernel's own (`commit_transmit`,
-    /// `commit_grant`); only the arbitration replay is the scalar one.
+    /// Applies one output's action: the completion and the grant
+    /// bookkeeping are the kernel's own (`finish_packet`,
+    /// `commit_grant`); the flit-by-flit transmit side and the
+    /// arbitration replay are the scalar ones.
     fn commit_output_reference(
         &mut self,
         output: OutputId,
@@ -475,7 +498,7 @@ impl QosSwitch {
     ) {
         let o = output.index();
         match action {
-            PlanAction::Transmit => self.commit_transmit(output, now),
+            PlanAction::Transmit => self.transmit_flit_reference(output, now),
             PlanAction::NoRequests => self.arb_wait[o] = 0,
             PlanAction::AwaitLatency => self.arb_wait[o] += 1,
             PlanAction::Arbitrate(arb) => {
@@ -565,7 +588,7 @@ impl QosSwitch {
                     );
                 }
                 let len = gl.iter().find(|r| r.input() == w)?.len_flits();
-                self.gl_policers[o].charge(len);
+                self.gl_policers[o].charge(len, self.clock);
                 self.emit_buffered(win);
                 Some((w, TrafficClass::GuaranteedLatency))
             }
@@ -665,7 +688,7 @@ impl QosSwitch {
             Route::GlBelowGb { gl } => {
                 let w = self.gl_lrg[o].arbitrate(now, &gl)?;
                 let len = gl.iter().find(|r| r.input() == w)?.len_flits();
-                self.gl_policers[o].charge(len);
+                self.gl_policers[o].charge(len, self.clock);
                 self.emit_buffered(win);
                 Some((w, TrafficClass::GuaranteedLatency))
             }

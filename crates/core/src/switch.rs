@@ -4,7 +4,8 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use ssq_arbiter::{
-    Arbiter, Dwrr, FourLevel, Gsf, Lrg, Request, SsvcArbiter, SsvcConfig, VirtualClock, Wfq, Wrr,
+    Arbiter, CounterPolicy, Dwrr, FourLevel, Gsf, Lrg, Request, SsvcArbiter, SsvcConfig,
+    VirtualClock, Wfq, Wrr,
 };
 use ssq_sim::{CycleModel, EventModel, Monitored, ShardedModel};
 use ssq_stats::{Histogram, MetricsMatrix};
@@ -15,7 +16,7 @@ use ssq_types::{Cycle, FlowId, InputId, OutputId, PacketId, PacketSpec, Rate, Tr
 use ssq_circuit::{ArbitrationOutcome, CircuitConfig, InhibitFabric, PortRequest};
 
 use crate::bitmask::PortSet;
-use crate::channel::OutputChannel;
+use crate::channel::{ChannelState, OutputChannel};
 use crate::config::{ConfigError, Policy, SwitchConfig};
 #[path = "decide.rs"]
 pub(crate) mod decide;
@@ -52,6 +53,32 @@ const STAGING_CAP_PACKETS: usize = 64;
 /// Fallback reserved rate assumed for flows the arbiter must weigh but
 /// that carry no reservation (only reachable for baseline policies).
 const DEFAULT_RATE: f64 = 0.01;
+
+/// The `retry_at` of a staged head that waits on a queue which is not
+/// draining: no clock reaches it, and the queue's next grant or
+/// chain re-times it.
+const NEVER: u64 = u64::MAX;
+
+/// The slot of clock `clock` on the 64-slot completion wheel.
+#[inline]
+fn slot(clock: u64) -> usize {
+    (clock % 64) as usize
+}
+
+/// The transmit interval of the packet an output channel is committed
+/// to, on the switch's clock: granted or chained in the output loop of
+/// cycle `g`, an `L`-flit packet moves one flit in each of the loops of
+/// cycles `g + 1 ..= g + L`. The kernel applies those flits to the
+/// channel, the queue and the packet in one batch, only when something
+/// reads them — at the latest in loop `done_at`, where it finishes the
+/// packet.
+#[derive(Debug, Clone, Copy, Default)]
+struct Interval {
+    /// The clock through which the packet's flits are applied.
+    applied: u64,
+    /// The clock of the loop that moves the last flit.
+    done_at: u64,
+}
 
 /// Aggregate event counters of one simulation window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -99,11 +126,17 @@ pub struct InjectionWork {
 /// reserved rate" (§3.4). While the counter runs more than `allowance`
 /// cycles ahead of real time, GL loses its preemptive priority — the
 /// safeguard against abuse of the highest-priority class.
+///
+/// The counter decays by one every cycle, flooring at zero. It is kept
+/// as its value at the switch clock `stamp` and decayed when read, so a
+/// cycle costs nothing: `level(t) = counter − (t − stamp)`, saturating,
+/// is what `t − stamp` single decrements would have left.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct GlPolicer {
     enabled: bool,
     rate: f64,
     counter: u64,
+    stamp: u64,
     allowance: u64,
 }
 
@@ -122,32 +155,29 @@ impl GlPolicer {
             enabled,
             rate,
             counter: 0,
+            stamp: 0,
             // Allow roughly four buffer-fulls of burst before policing.
             allowance: (4.0 * (gl_buffer_flits + 1) as f64 / rate) as u64,
         }
     }
 
-    fn tick(&mut self) {
-        self.counter = self.counter.saturating_sub(1);
-    }
-
-    /// `n` ticks at once — the policer only ever decays cycle over
-    /// cycle, so a batch of idle cycles is a single saturating subtract.
-    fn tick_batch(&mut self, n: u64) {
-        self.counter = self.counter.saturating_sub(n);
+    /// The counter at switch clock `clock` (never before `stamp`).
+    fn level(&self, clock: u64) -> u64 {
+        self.counter.saturating_sub(clock - self.stamp)
     }
 
     #[expect(
         clippy::cast_possible_truncation,
         reason = "quantization: a finite positive ratio, `as` saturates"
     )]
-    fn charge(&mut self, len_flits: u64) {
+    fn charge(&mut self, len_flits: u64, clock: u64) {
         let cost = ((len_flits + 1) as f64 / self.rate).round() as u64;
-        self.counter = self.counter.saturating_add(cost);
+        self.counter = self.level(clock).saturating_add(cost);
+        self.stamp = clock;
     }
 
-    fn policed(&self) -> bool {
-        self.enabled && self.counter > self.allowance
+    fn policed(&self, clock: u64) -> bool {
+        self.enabled && self.level(clock) > self.allowance
     }
 }
 
@@ -202,10 +232,16 @@ pub struct QosSwitch {
     /// Bit `j` of `staged[g]` ⇔ `staging[64 g + j]` is non-empty: with
     /// the schedule's due words, the injectors a cycle must visit.
     staged: Vec<u64>,
-    /// Per injector, the first cycle its staged head can fit: probed
-    /// short by `n` flits, it cannot fit for `n` cycles, because only a
-    /// transmitted flit frees room and an input sends one per cycle.
+    /// Per injector, the clock at which its staged head is next probed: probed `n` flits short on a queue that drains at least `n`
+    /// more flits, the loop after which it fits; on any other queue
+    /// [`NEVER`], until the queue's next grant or chain re-times it.
     retry_at: Vec<u64>,
+    /// Bit `j` of `asleep[g]` ⇔ `retry_at[64 g + j]` is [`NEVER`]: the
+    /// staged injectors a cycle need not even compare.
+    asleep: Vec<u64>,
+    /// Per input, its injectors: where a grant finds the staged heads
+    /// that wait on the queue it starts to drain.
+    injectors_of: Vec<Vec<usize>>,
     injection_work: InjectionWork,
     ports: Vec<InputPort>,
     channels: Vec<OutputChannel>,
@@ -229,16 +265,33 @@ pub struct QosSwitch {
     all_ports: u64,
     /// Bit `o` ⇔ channel `o` is `Transmitting`. With `busy_in` it is
     /// written where a channel changes state and nowhere else:
-    /// [`Self::commit_grant`], [`Self::try_chain`] and the packet-done
-    /// branch of [`Self::commit_transmit`].
+    /// [`Self::start_packet`] and [`Self::finish_packet`].
     busy_out: u64,
     /// Bit `i` ⇔ input `i` feeds a transmitting channel — the word of
     /// inputs that cannot compete when a cycle starts.
     busy_in: u64,
     /// Bit `o` ⇔ `xreq[o]` has a bit set in some class, kept by
-    /// [`Self::sync_port_masks`]. `busy_out | req_out` is the word of
-    /// outputs a cycle has work at.
+    /// [`Self::sync_port_masks`]. `(req_out & !busy_out) | finishing` is
+    /// the word of outputs a cycle has work at.
     req_out: u64,
+    /// Per output, the interval of the packet its channel transmits.
+    intervals: Vec<Interval>,
+    /// Per input, the output it feeds while its `busy_in` bit is set.
+    feeds: Vec<usize>,
+    /// Cycles begun, stepped or skipped: a cycle's output loop runs at
+    /// its value, its prepare at the one before. The transmit intervals,
+    /// the staged heads' retries and the GL policers run on it, and so
+    /// does the real-time subcounter all SSVC arbiters share (they are
+    /// built and ticked together): it wraps at clock `next_wrap`, and
+    /// every `epoch_len` after.
+    clock: u64,
+    next_wrap: u64,
+    /// One MSB step under `SubtractRealClock`; zero, with `next_wrap`
+    /// [`NEVER`], when nothing decays on time.
+    epoch_len: u64,
+    /// The completion wheel: bit `o` of `finish[slot(t)]` ⇔ output `o`'s
+    /// packet moves its last flit at a clock `≡ t (mod 64)`.
+    finish: [u64; 64],
     /// Outputs visited by [`Self::run_cycle`] in the current window.
     outputs_visited: u64,
     /// Transposed per-class request words, the decide kernel's input:
@@ -294,6 +347,15 @@ impl QosSwitch {
         let gb_engines = (0..radix)
             .map(|o| Self::build_engine(&config, OutputId::new(o), arb))
             .collect();
+        let epoch_len = match config.policy() {
+            Policy::Ssvc(CounterPolicy::SubtractRealClock) => SsvcConfig::new(
+                config.counter_bits(),
+                config.sig_bits(),
+                CounterPolicy::SubtractRealClock,
+            )
+            .msb_step(),
+            _ => 0,
+        };
         let gl_policers = (0..radix)
             .map(|o| {
                 GlPolicer::new(
@@ -325,6 +387,8 @@ impl QosSwitch {
             staging: Vec::new(),
             staged: Vec::new(),
             retry_at: Vec::new(),
+            asleep: Vec::new(),
+            injectors_of: vec![Vec::new(); radix],
             injection_work: InjectionWork::default(),
             ports,
             channels: (0..radix)
@@ -353,6 +417,12 @@ impl QosSwitch {
             busy_out: 0,
             busy_in: 0,
             req_out: 0,
+            intervals: vec![Interval::default(); radix],
+            feeds: vec![0; radix],
+            clock: 0,
+            next_wrap: if epoch_len == 0 { NEVER } else { epoch_len },
+            epoch_len,
+            finish: [0; 64],
             outputs_visited: 0,
             xreq: vec![[0; 3]; radix],
             mask_shadow: vec![[0; 3]; radix],
@@ -441,7 +511,9 @@ impl QosSwitch {
         );
         if self.injectors.len().is_multiple_of(64) {
             self.staged.push(0);
+            self.asleep.push(0);
         }
+        self.injectors_of[injector.input().index()].push(self.injectors.len());
         self.injectors.push(injector);
         self.staging.push(VecDeque::new());
         self.retry_at.push(0);
@@ -657,16 +729,71 @@ impl QosSwitch {
         &self.gl_metrics
     }
 
-    /// One output channel's state and utilization.
+    /// One output channel's state and utilization as of the last step,
+    /// with every flit its packet has moved counted (the kernel applies
+    /// them lazily; this reads them through).
     #[must_use]
-    pub fn channel(&self, output: OutputId) -> &OutputChannel {
-        &self.channels[output.index()]
+    pub fn channel(&self, output: OutputId) -> OutputChannel {
+        let o = output.index();
+        let mut channel = self.channels[o].clone();
+        if self.busy_out & (1 << o) != 0 {
+            let _ = channel.transmit_flits(self.unapplied(o));
+        }
+        channel
     }
 
-    /// One input port's buffer state.
+    /// Unoccupied flit slots of the queue at `input` a `class` packet
+    /// headed to `output` would join, as of the last step — the room an
+    /// external agent checks before [`QosSwitch::offer_packet`].
     #[must_use]
-    pub fn port(&self, input: InputId) -> &InputPort {
-        &self.ports[input.index()]
+    pub fn free_flits(&self, input: InputId, class: TrafficClass, output: OutputId) -> u64 {
+        let i = input.index();
+        let unapplied = self
+            .draining(i, class, output)
+            .map_or(0, |(pending, _)| pending);
+        self.ports[i].free_flits(class, output) + unapplied
+    }
+
+    /// Flits buffered at `input` across all its queues, as of the last
+    /// step.
+    #[must_use]
+    pub fn buffered_flits(&self, input: InputId) -> u64 {
+        let i = input.index();
+        let unapplied = if self.busy_in & (1 << i) == 0 {
+            0
+        } else {
+            self.unapplied(self.feeds[i])
+        };
+        self.ports[i].total_occupancy() - unapplied
+    }
+
+    /// For `input`'s `class` queue toward `output`, when it feeds a
+    /// transmitting channel: the flits that have left it but are not yet
+    /// applied, and the flits its packet has still to move.
+    fn draining(&self, i: usize, class: TrafficClass, output: OutputId) -> Option<(u64, u64)> {
+        if self.busy_in & (1 << i) == 0 {
+            return None;
+        }
+        let o = self.feeds[i];
+        let ChannelState::Transmitting {
+            class: sending,
+            remaining_flits,
+            ..
+        } = self.channels[o].state()
+        else {
+            return None;
+        };
+        if sending != class || !self.ports[i].shares_queue(class, output, OutputId::new(o)) {
+            return None;
+        }
+        let pending = self.unapplied(o);
+        Some((pending, remaining_flits - pending))
+    }
+
+    /// Flits transmitting output `o`'s packet has moved but not yet
+    /// applied.
+    fn unapplied(&self, o: usize) -> u64 {
+        self.clock - self.intervals[o].applied
     }
 
     /// Histogram of GL waiting times (enqueue → grant) at `output`; its
@@ -705,11 +832,12 @@ impl QosSwitch {
             return;
         }
         self.injection_work.refills += u64::from(self.injectors.advance(now));
+        let clock = self.clock;
         #[cfg(debug_assertions)]
         for idx in 0..self.retry_at.len() {
             // Every probe skipped before `retry_at` would have failed.
             assert!(
-                self.retry_at[idx] <= now.value()
+                self.retry_at[idx] <= clock
                     || self.staged_shortfall(idx).is_some_and(|short| short > 0),
                 "injector {idx}'s staged head fits before its retry_at"
             );
@@ -717,18 +845,18 @@ impl QosSwitch {
         for g in 0..self.staged.len() {
             let due = PortSet::from_bits(self.injectors.due(g));
             self.injection_work.polls += u64::from(due.len());
-            // A staged head probed `n` flits short cannot fit for `n`
-            // cycles: before its `retry_at` an injector is visited only
-            // for an arrival. (Branch-free: most of them are waiting.)
+            // A staged head waits for its `retry_at`, the loop after
+            // which it fits: before it an injector is visited only for
+            // an arrival. (Branch-free: most of them are waiting.)
             let mut visit = due;
-            for j in PortSet::from_bits(self.staged[g] & !due.bits()) {
-                let ready = self.retry_at[g * 64 + j] <= now.value();
+            for j in PortSet::from_bits(self.staged[g] & !due.bits() & !self.asleep[g]) {
+                let ready = self.retry_at[g * 64 + j] <= clock;
                 visit = PortSet::from_bits(visit.bits() | u64::from(ready) << j);
             }
             for j in visit {
                 let idx = g * 64 + j;
                 let intent = due.contains(j).then(|| self.injectors.take(idx));
-                self.inject_one(idx, now, intent, self.retry_at[idx] <= now.value());
+                self.inject_one(idx, now, intent, self.retry_at[idx] <= clock);
             }
         }
     }
@@ -738,9 +866,53 @@ impl QosSwitch {
     /// is staged.
     fn staged_shortfall(&self, idx: usize) -> Option<u64> {
         let head = self.staging[idx].front()?;
-        let port = &self.ports[self.injectors.input(idx).index()];
-        let free = port.free_flits(head.class(), head.flow().output());
+        let free = self.free_flits(
+            self.injectors.input(idx),
+            head.class(),
+            head.flow().output(),
+        );
         Some(head.len_flits().saturating_sub(free))
+    }
+
+    /// The `retry_at` of injector `idx`'s staged head, `short` flits
+    /// short of room: its queue frees one flit a loop while it drains and
+    /// none otherwise, so the head fits `short` loops on if the queue's
+    /// packet has that many flits left to move, and is left to the
+    /// queue's next grant or chain if not.
+    fn retry_for(&self, idx: usize, short: u64) -> u64 {
+        let left = self.staging[idx].front().and_then(|head| {
+            let i = self.injectors.input(idx).index();
+            self.draining(i, head.class(), head.flow().output())
+        });
+        match left {
+            Some((_, left)) if short <= left => self.clock + short,
+            _ => NEVER,
+        }
+    }
+
+    /// Sets injector `idx`'s `retry_at` and its `asleep` bit with it.
+    fn set_retry(&mut self, idx: usize, at: u64) {
+        self.retry_at[idx] = at;
+        let bit = 1u64 << (idx % 64);
+        if at == NEVER {
+            self.asleep[idx / 64] |= bit;
+        } else {
+            self.asleep[idx / 64] &= !bit;
+        }
+    }
+
+    /// Re-times the staged heads at `input` that are waiting, once a
+    /// grant or chain has started draining one of its queues.
+    fn wake_waiters(&mut self, input: usize) {
+        for k in 0..self.injectors_of[input].len() {
+            let idx = self.injectors_of[input][k];
+            if self.retry_at[idx] <= self.clock {
+                continue;
+            }
+            if let Some(short) = self.staged_shortfall(idx) {
+                self.set_retry(idx, self.retry_for(idx, short));
+            }
+        }
     }
 
     /// One injector's cycle: stage the packet arriving now, if any, then
@@ -829,7 +1001,7 @@ impl QosSwitch {
         while let Some(short) = self.staged_shortfall(idx) {
             self.injection_work.probes += 1;
             if short > 0 {
-                self.retry_at[idx] = now.value().saturating_add(short);
+                self.set_retry(idx, self.retry_for(idx, short));
                 break;
             }
             let Some(spec) = self.staging[idx].pop_front() else {
@@ -854,9 +1026,10 @@ impl QosSwitch {
         }
     }
 
-    /// Enqueues `packet` at its input port. Only a packet landing in an
-    /// empty queue becomes a head, so only then are the request words
-    /// re-synced; one joining a backlog changes no request bit.
+    /// Enqueues `packet` at its input port, after applying the flits
+    /// the port has sent so far. Only a packet landing in an empty queue
+    /// becomes a head, so only then are the request words re-synced; one
+    /// joining a backlog changes no request bit.
     fn enqueue(&mut self, packet: Packet) -> bool {
         let spec = packet.spec();
         let (i, class, output) = (
@@ -864,6 +1037,10 @@ impl QosSwitch {
             spec.class(),
             spec.flow().output(),
         );
+        if self.busy_in & (1 << i) != 0 {
+            let done = self.settle(self.feeds[i]);
+            debug_assert!(done.is_none(), "a packet completed outside its loop");
+        }
         let Some(port) = self.ports.get_mut(i) else {
             return false;
         };
@@ -933,17 +1110,20 @@ impl QosSwitch {
     /// traced or no output runs a real-time decay clock.
     #[must_use]
     pub fn next_traced_decay(&self, from: Cycle) -> Option<Cycle> {
-        if self.tracer.is_off() {
+        if self.tracer.is_off() || self.epoch_len == 0 {
             return None;
         }
-        let ticks = self
+        // Every arbiter wraps with the shared phase; the first to decay
+        // is the one with the fewest wraps still to swallow.
+        let swallowed = self
             .gb_engines
             .iter()
             .filter_map(|engine| match engine {
-                GbEngine::Ssvc(ssvc) => ssvc.ticks_to_next_epoch(),
+                GbEngine::Ssvc(ssvc) => Some(ssvc.skipped_epoch_count()),
                 _ => None,
             })
             .min()?;
+        let ticks = self.next_wrap - self.clock + swallowed.saturating_mul(self.epoch_len);
         // The first tick happens at `from` itself.
         Some(Cycle::new(from.value().saturating_add(ticks - 1)))
     }
@@ -954,15 +1134,48 @@ impl QosSwitch {
     /// forgot its [`Self::sync_port_masks`] call.
     #[cfg(debug_assertions)]
     fn debug_assert_masks_synced(&self) {
-        use crate::channel::ChannelState;
         let (mut busy_out, mut busy_in, mut req_out) = (0u64, 0u64, 0u64);
         for (o, (channel, row)) in self.channels.iter().zip(&self.xreq).enumerate() {
-            if let ChannelState::Transmitting { input, .. } = channel.state() {
+            if let ChannelState::Transmitting {
+                input,
+                remaining_flits,
+                ..
+            } = channel.state()
+            {
                 busy_out |= 1 << o;
                 busy_in |= 1 << input.index();
+                let Interval { applied, done_at } = self.intervals[o];
+                assert_eq!(
+                    done_at,
+                    applied + remaining_flits,
+                    "output {o}'s interval disagrees with its channel"
+                );
+                assert!(
+                    applied <= self.clock && self.clock < done_at,
+                    "output {o}'s interval {applied}..{done_at} is not open at {}",
+                    self.clock
+                );
+                assert_ne!(
+                    self.finish[slot(done_at)] & 1 << o,
+                    0,
+                    "output {o} is off the wheel"
+                );
+                assert_eq!(
+                    self.feeds[input.index()],
+                    o,
+                    "input {input} feeds another output"
+                );
             }
             req_out |= u64::from(*row != [0; 3]) << o;
         }
+        let wheel = self.finish.iter().fold(0, |all, &word| {
+            assert_eq!(all & word, 0, "an output sits on the wheel twice");
+            all | word
+        });
+        assert_eq!(
+            wheel, busy_out,
+            "the completion wheel disagrees with the channels"
+        );
         assert_eq!(
             self.busy_out, busy_out,
             "busy_out disagrees with the channels"
@@ -998,48 +1211,60 @@ impl QosSwitch {
 
     /// Phase 1 of a cycle, shared verbatim by every engine: per-cycle
     /// clocks, injection, and the transmit-blocked input word for this
-    /// cycle (left in `blocked` for the decide phase).
+    /// cycle (left in `blocked` for the decide phase); then the clock
+    /// advances to the cycle's output loop.
     fn prepare_cycle(&mut self, now: Cycle) {
-        self.tick_clocks(now);
+        self.tick_clocks(now, 1);
         self.inject(now);
         // Inputs already transmitting cannot compete this cycle: each
         // input port drives one channel's worth of flits per cycle.
         self.blocked = self.busy_in;
+        self.clock += 1;
     }
 
-    /// The per-cycle clocks: SSVC real-time subcounters with their
-    /// decay-epoch events, the other engines' ticks, the GL policers.
-    fn tick_clocks(&mut self, now: Cycle) {
-        self.now_hint = now;
-
-        // Decay-epoch deltas are only sampled while tracing, keeping
-        // the off path identical to the uninstrumented loop.
-        let watch = !self.tracer.is_off();
-        for (o, engine) in self.gb_engines.iter_mut().enumerate() {
-            match engine {
-                GbEngine::Ssvc(ssvc) => {
-                    let before = ssvc.decay_epochs();
-                    ssvc.tick();
-                    let epoch = ssvc.decay_epochs();
-                    if watch && epoch != before {
-                        self.tracer.emit(|| Event {
-                            cycle: now.value(),
-                            kind: EventKind::Decay {
-                                output: wire(o),
-                                epoch,
-                            },
-                        });
-                    }
-                }
-                other => {
-                    if let Some(a) = other.as_arbiter() {
+    /// The per-cycle clocks of cycles `now .. now + k` that the switch
+    /// clock (still at the cycle before `now`) does not carry: the shared
+    /// SSVC real-time subcounter's wraps — a pass over the arbiters only
+    /// on the cycle that reaches `next_wrap`, with its decay events at
+    /// that cycle's stamp — and the other engines' ticks. The GL policers
+    /// read their decay off the clock.
+    fn tick_clocks(&mut self, now: Cycle, k: u64) {
+        self.now_hint = Cycle::new(now.value() + k - 1);
+        // Cycle `now + j` runs at clock `clock + j + 1`.
+        while self.next_wrap <= self.clock + k {
+            self.wrap_epochs(now.value() + (self.next_wrap - self.clock - 1));
+            self.next_wrap += self.epoch_len;
+        }
+        if !matches!(self.config.policy(), Policy::Ssvc(_)) {
+            for engine in &mut self.gb_engines {
+                if let Some(a) = engine.as_arbiter() {
+                    for _ in 0..k {
                         a.tick();
                     }
                 }
             }
         }
-        for p in &mut self.gl_policers {
-            p.tick();
+    }
+
+    /// A wrap of the shared real-time subcounter, on the cycle stamped
+    /// `cycle`: every SSVC arbiter decays one epoch or swallows the wrap
+    /// (a pending epoch-skip fault), and each decay is traced, in output
+    /// order. Decay events are only built while tracing.
+    fn wrap_epochs(&mut self, cycle: u64) {
+        let watch = !self.tracer.is_off();
+        for (o, engine) in self.gb_engines.iter_mut().enumerate() {
+            if let GbEngine::Ssvc(ssvc) = engine {
+                if ssvc.wrap() && watch {
+                    let epoch = ssvc.decay_epochs();
+                    self.tracer.emit(|| Event {
+                        cycle,
+                        kind: EventKind::Decay {
+                            output: wire(o),
+                            epoch,
+                        },
+                    });
+                }
+            }
         }
     }
 
@@ -1077,27 +1302,67 @@ impl QosSwitch {
         }
     }
 
-    /// The transmit side of a cycle: moves one flit of the packet the
-    /// channel is committed to and, when it was the last one, records
-    /// the delivery and tries to chain the queue's next packet.
+    /// The transmit side of a visit. The kernel visits a transmitting
+    /// output only in the loop that moves its packet's last flit: the
+    /// packet's flits are applied, the delivery recorded, and the queue's
+    /// next packet may chain. A visit mid-packet (the sharded engine
+    /// visits every output) leaves the flits to whoever reads them.
     fn commit_transmit(&mut self, output: OutputId, now: Cycle) {
         let o = output.index();
-        let Some((input, class, done)) = self.channels.get_mut(o).and_then(|ch| ch.transmit_flit())
-        else {
+        if self
+            .intervals
+            .get(o)
+            .is_none_or(|iv| iv.done_at != self.clock)
+        {
             return;
-        };
+        }
+        match self.settle(o) {
+            Some((input, class, pkt)) => self.finish_packet(output, input, class, pkt, now),
+            None => debug_assert!(false, "output {o}'s last loop left its packet unfinished"),
+        }
+    }
+
+    /// Applies the flits output `o`'s packet has moved by the current
+    /// clock to its channel, its queue and the packet itself; returns
+    /// the packet with its `(input, class)` if that was its last one.
+    fn settle(&mut self, o: usize) -> Option<(InputId, TrafficClass, Packet)> {
+        let interval = self.intervals.get_mut(o)?;
+        let n = self.clock - interval.applied;
+        interval.applied = self.clock;
+        let (input, class, done) = self.channels.get_mut(o)?.transmit_flits(n)?;
         let completed = self
             .ports
             .get_mut(input.index())
-            .and_then(|port| port.transmit_head_flit(class, output));
+            .and_then(|port| port.transmit_head_flits(class, OutputId::new(o), n));
         debug_assert_eq!(completed.is_some(), done, "port/channel desync");
-        let Some(pkt) = completed else {
-            // Mid-packet: the head stays, so no request bit moved.
-            return;
-        };
+        completed.map(|pkt| (input, class, pkt))
+    }
+
+    /// Settles every transmitting channel.
+    fn settle_all(&mut self) {
+        for o in PortSet::from_bits(self.busy_out) {
+            let done = self.settle(o);
+            debug_assert!(done.is_none(), "a packet completed outside its loop");
+        }
+    }
+
+    /// The last flit of `pkt` left `output`: the channel goes idle,
+    /// the delivery is recorded, and the queue's next packet may chain.
+    fn finish_packet(
+        &mut self,
+        output: OutputId,
+        input: InputId,
+        class: TrafficClass,
+        pkt: Packet,
+        now: Cycle,
+    ) {
+        let o = output.index();
         // The channel went idle (a chained packet re-commits it below).
         self.busy_out &= !(1 << o);
         self.busy_in &= !(1 << input.index());
+        if let Some(interval) = self.intervals.get(o) {
+            self.finish[slot(interval.done_at)] &= !(1 << o);
+        }
         self.sync_port_masks(input.index(), class);
         let latency = now.saturating_since(pkt.spec().created());
         let flits = pkt.spec().len_flits();
@@ -1119,6 +1384,40 @@ impl QosSwitch {
         }
     }
 
+    /// Commits `output`'s channel to `input`'s `class` head of `len`
+    /// flits, granted or chained in the current loop (`arb_cycles` is
+    /// what the grant cost): the channel, the busy words, the packet's
+    /// interval with its last loop on the completion wheel, and the wake
+    /// of staged heads waiting on the queue it starts to drain.
+    fn start_packet(
+        &mut self,
+        output: OutputId,
+        input: InputId,
+        class: TrafficClass,
+        len: u64,
+        arb_cycles: u64,
+    ) {
+        let (o, i) = (output.index(), input.index());
+        let (Some(channel), Some(interval), Some(feeds)) = (
+            self.channels.get_mut(o),
+            self.intervals.get_mut(o),
+            self.feeds.get_mut(i),
+        ) else {
+            return;
+        };
+        channel.commit(input, class, len, arb_cycles);
+        let done_at = self.clock + len;
+        *interval = Interval {
+            applied: self.clock,
+            done_at,
+        };
+        *feeds = o;
+        self.finish[slot(done_at)] |= 1 << o;
+        self.busy_out |= 1 << o;
+        self.busy_in |= 1 << i;
+        self.wake_waiters(i);
+    }
+
     /// Grants `output` to `input`'s `class` head: commits the channel and
     /// emits the grant. `already_granted` is whether the input was
     /// blocked when the grant was made (the V1 sanitizer's input).
@@ -1132,9 +1431,7 @@ impl QosSwitch {
     ) {
         let o = output.index();
         let head = self.ports.get(input).and_then(|p| p.head(class, output));
-        let (Some(head), Some(channel), Some(gl_wait)) =
-            (head, self.channels.get_mut(o), self.gl_wait.get_mut(o))
-        else {
+        let (Some(head), Some(gl_wait)) = (head, self.gl_wait.get_mut(o)) else {
             // An arbitration winner always has a head packet; if that
             // invariant ever breaks, skip the grant instead of aborting
             // the sweep.
@@ -1148,9 +1445,7 @@ impl QosSwitch {
         }
         sanitize::single_grant_commit(o, input, already_granted);
         let arb_latency = self.config.policy().arbitration_cycles();
-        channel.commit(InputId::new(input), class, len, arb_latency);
-        self.busy_out |= 1 << o;
-        self.busy_in |= 1 << input;
+        self.start_packet(output, InputId::new(input), class, len, arb_latency);
         self.tracer.emit(|| Event {
             cycle: now.value(),
             kind: EventKind::Grant {
@@ -1218,7 +1513,7 @@ impl QosSwitch {
                     .head(TrafficClass::GuaranteedLatency, output)?
                     .spec()
                     .len_flits();
-                self.gl_policers.get_mut(o)?.charge(len);
+                self.gl_policers.get_mut(o)?.charge(len, self.clock);
             }
             PlanKind::GbRound => return self.commit_gb_round(output, now, plan, w),
             PlanKind::Transmit | PlanKind::NoRequests | PlanKind::AwaitLatency => return None,
@@ -1452,7 +1747,7 @@ impl QosSwitch {
         let wait = next.waiting_time(now);
         // A waiting higher class must win a real arbitration instead:
         // any bit in an outranking request word of this output (synced
-        // by `commit_transmit` just before the call).
+        // by `finish_packet` just before the call).
         let higher_waiting = self.xreq[o][class.priority() as usize + 1..]
             .iter()
             .any(|&word| word != 0);
@@ -1461,7 +1756,7 @@ impl QosSwitch {
         }
         if class == TrafficClass::GuaranteedLatency {
             self.gl_wait[o].record(wait.value());
-            self.gl_policers[o].charge(len);
+            self.gl_policers[o].charge(len, self.clock);
         }
         if class == TrafficClass::GuaranteedBandwidth {
             // Chained packets still consume the flow's virtual time /
@@ -1474,9 +1769,7 @@ impl QosSwitch {
             }
         }
         sanitize::chained_grant(o, self.chain_count[o], SwitchConfig::CHAIN_LIMIT);
-        self.channels[o].commit(input, class, len, 0);
-        self.busy_out |= 1 << o;
-        self.busy_in |= 1 << input.index();
+        self.start_packet(output, input, class, len, 0);
         self.chain_count[o] += 1;
         self.counters.chained_packets += 1;
         self.tracer.emit(|| Event {
@@ -1897,11 +2190,14 @@ impl QosSwitch {
     /// injection, the transmit-blocked word), then, for each output with
     /// work, a pure [`QosSwitch::decide_output`] against the live
     /// blocked word followed immediately by its serial commit. An output
-    /// has work when its channel transmits or some input requests it
-    /// (`busy_out | req_out`); the others are skipped, because their
-    /// decide is `NoRequests` and their commit would write
-    /// `arb_wait[o] = 0` over a value that is already 0 (DESIGN.md §9
-    /// "Outputs with work"). The work word is re-read after each
+    /// has work when it is idle and some input requests it, or when its
+    /// packet moves its last flit in this loop
+    /// (`(req_out & !busy_out) | finishing`). The others are skipped: an
+    /// idle, unrequested output's decide is `NoRequests` and its commit
+    /// would write `arb_wait[o] = 0` over a value that is already 0, and
+    /// a mid-packet output's flit is applied, with the ones before and
+    /// after it, when something reads its channel or queue (DESIGN.md
+    /// §9 "Outputs with work"). The work word is re-read after each
     /// output: a BE head finishing at one output can expose a head for a
     /// later one in the same cycle.
     ///
@@ -1918,10 +2214,14 @@ impl QosSwitch {
             self.prof.record_phase(ssq_prof::PHASE_PREPARE, lap());
         }
         let mut blocked = self.blocked;
+        // A packet longer than 64 flits comes round early, a visit whose
+        // `Transmit` commit returns at once; a grant in this loop cannot
+        // finish in it.
+        let finishing = self.finish[slot(self.clock)];
         // Bits at and below the output visited last.
         let mut passed = 0u64;
         loop {
-            let work = (self.busy_out | self.req_out) & !passed;
+            let work = ((self.req_out & !self.busy_out) | finishing) & !passed;
             if work == 0 {
                 break;
             }
@@ -1946,13 +2246,20 @@ impl QosSwitch {
     }
 
     /// Debug-only: the outputs in `skipped` (a word over the radix) are
-    /// ones a cycle need not visit — idle, unrequested, and with the
-    /// arbitration-wait clock a `NoRequests` commit would leave.
+    /// ones a cycle need not visit — idle and unrequested, or mid-packet
+    /// and not finishing — with the arbitration-wait clock a
+    /// `NoRequests` commit would leave.
     #[cfg(debug_assertions)]
     fn debug_assert_no_work(&self, skipped: u64) {
         for o in PortSet::from_bits(skipped & self.all_ports) {
-            assert!(self.channels[o].is_idle(), "skipped a busy output {o}");
-            assert_eq!(self.xreq[o], [0; 3], "skipped a requested output {o}");
+            if self.channels[o].is_idle() {
+                assert_eq!(self.xreq[o], [0; 3], "skipped a requested output {o}");
+            } else {
+                assert_ne!(
+                    self.intervals[o].done_at, self.clock,
+                    "skipped output {o} in its packet's last loop"
+                );
+            }
             assert_eq!(self.arb_wait[o], 0, "skipped output {o} mid-arbitration");
         }
     }
@@ -1977,6 +2284,8 @@ impl CycleModel for QosSwitch {
     }
 
     fn begin_measurement(&mut self, now: Cycle) {
+        // Flits moved before the boundary belong to the warm-up.
+        self.settle_all();
         self.counters = SwitchCounters::default();
         self.injection_work = InjectionWork::default();
         self.outputs_visited = 0;
@@ -2017,47 +2326,15 @@ impl EventModel for QosSwitch {
         }
         let target = limit.min(arrival);
         self.injectors.skip_to(target);
+        // The skipped cycles' clocks in one batch, their decay events
+        // at the dense stamps (cycle-major, then output: the prepare
+        // loop's order); the GL policers read theirs off the clock.
         let k = target.value() - now.value();
-        let watch = !self.tracer.is_off();
-        let radix = self.config.geometry().radix();
-        // Batched per-cycle clocks, with decay events replayed in the
-        // dense emission order: cycle-major, then output (the prepare
-        // loop's order within a cycle).
-        let mut decays: Vec<(u64, usize, u64)> = Vec::new();
-        for o in 0..radix {
-            match &mut self.gb_engines[o] {
-                GbEngine::Ssvc(ssvc) => ssvc.tick_batch(k, |offset, epoch| {
-                    if watch {
-                        decays.push((now.value() + offset, o, epoch));
-                    }
-                }),
-                other => {
-                    if let Some(a) = other.as_arbiter() {
-                        for _ in 0..k {
-                            a.tick();
-                        }
-                    }
-                }
-            }
-        }
-        decays.sort_unstable();
-        for (cycle, o, epoch) in decays {
-            self.tracer.emit(|| Event {
-                cycle,
-                kind: EventKind::Decay {
-                    output: wire(o),
-                    epoch,
-                },
-            });
-        }
-        for p in &mut self.gl_policers {
-            p.tick_batch(k);
-        }
+        self.tick_clocks(now, k);
+        self.clock += k;
         debug_assert!(self.arb_wait.iter().all(|&w| w == 0));
-        // Each skipped cycle's prepare leaves an all-clear blocked word
-        // and stamps the cycle; land exactly where the last one would.
+        // Each skipped cycle's prepare leaves an all-clear blocked word.
         self.blocked = 0;
-        self.now_hint = Cycle::new(target.value() - 1);
         target
     }
 }

@@ -384,7 +384,7 @@ impl<W: Write> SwitchVcdRecorder<W> {
             }
         }
         for i in 0..radix {
-            let occ = switch.port(InputId::new(i)).total_occupancy();
+            let occ = switch.buffered_flits(InputId::new(i));
             self.vcd
                 .change(t, self.occupancy[i], occ.min(u64::from(u16::MAX)))?;
         }

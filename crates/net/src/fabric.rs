@@ -306,6 +306,16 @@ struct LinkState {
 }
 
 impl LinkState {
+    /// Nothing queued, on the wire or backing off, and no pause to lift:
+    /// a tick would change nothing, dead link or live.
+    fn is_idle(&self) -> bool {
+        self.tx.is_empty()
+            && self.in_flight.is_empty()
+            && self.egress.is_empty()
+            && self.backoff.is_empty()
+            && !self.paused
+    }
+
     fn new(spec: LinkSpec) -> Self {
         LinkState {
             spec,
@@ -337,6 +347,11 @@ pub struct Fabric {
     work: FabricWork,
     node_up: Vec<bool>,
     links: Vec<LinkState>,
+    /// Bit `l % 64` of word `l / 64` ⇔ link `l` may have work: set where
+    /// a link gains some (a delivery joins `tx`, a retransmission its
+    /// backoff), cleared by a tick that leaves it (or finds it) idle.
+    /// Every other link's tick would be a no-op.
+    active_links: Vec<u64>,
     flows: Vec<FlowState>,
     routes: Routes,
     /// `(node, output_port)` → outgoing link index; static.
@@ -465,8 +480,9 @@ impl Fabric {
             nodes.push(switch);
         }
 
-        let links = topology.links.iter().map(|&l| LinkState::new(l)).collect();
+        let links: Vec<LinkState> = topology.links.iter().map(|&l| LinkState::new(l)).collect();
         Ok(Fabric {
+            active_links: vec![0; links.len().div_ceil(64)],
             doze: vec![Doze::Awake; n],
             frontier: Cycle::ZERO,
             delivered: Vec::new(),
@@ -912,6 +928,7 @@ impl Fabric {
                 {
                     Some(l) => {
                         self.links.get_mut(l).expect("in range").tx.push_back(pkt);
+                        self.activate(l);
                         self.events.push(Event {
                             cycle: now.value(),
                             kind: EventKind::HopEnqueue {
@@ -982,18 +999,48 @@ impl Fabric {
         let backoff = &mut self.links.get_mut(l).expect("in range").backoff;
         let pos = backoff.partition_point(|&(r, _)| r <= ready);
         backoff.insert(pos, (ready, pkt));
+        self.activate(l);
+    }
+
+    /// Puts link `l` in the link phase's visit set.
+    fn activate(&mut self, l: usize) {
+        *self.active_links.get_mut(l / 64).expect("in range") |= 1 << (l % 64);
+    }
+
+    /// The link phase: ticks the links that may have work, in ascending
+    /// order, re-reading each word after every tick as dense ticking
+    /// would see a link a tick activated further on. Every other link is
+    /// empty and unpaused, so its tick is counted idle and skipped.
+    fn tick_links(&mut self, now: Cycle) {
+        let mut visited = 0;
+        for w in 0..self.active_links.len() {
+            // Bits at and below the link ticked last.
+            let mut passed = 0u64;
+            loop {
+                let due = self.active_links.get(w).expect("in range") & !passed;
+                if due == 0 {
+                    break;
+                }
+                let b = due.trailing_zeros();
+                passed = (2u64 << b).wrapping_sub(1);
+                visited += 1;
+                let l = w * 64 + b as usize;
+                self.tick_link(l, now);
+                if self.links.get(l).expect("in range").is_idle() {
+                    *self.active_links.get_mut(w).expect("in range") &= !(1 << b);
+                }
+            }
+        }
+        let links = self.links.len() as u64;
+        self.work.link_ticks += links;
+        self.work.link_ticks_idle += links - visited;
     }
 
     fn tick_link(&mut self, l: usize, now: Cycle) {
         let link = self.links.get(l).expect("in range");
-        if link.tx.is_empty()
-            && link.in_flight.is_empty()
-            && link.egress.is_empty()
-            && link.backoff.is_empty()
-            && !link.paused
-        {
-            // Nothing queued, on the wire or backing off, and no pause
-            // to lift: every branch below is a no-op, dead link or live.
+        if link.is_idle() {
+            // Every branch below is a no-op (a link activated, then
+            // emptied by a dead wire's flush before its tick).
             self.work.link_ticks_idle += 1;
             return;
         }
@@ -1209,10 +1256,7 @@ impl Fabric {
         self.work.node_cycles_slept += self.nodes.len() as u64 - stepped;
         self.frontier = now.next();
         self.route_deliveries(now);
-        for l in 0..self.links.len() {
-            self.tick_link(l, now);
-        }
-        self.work.link_ticks += self.links.len() as u64;
+        self.tick_links(now);
         if lazy {
             for (node, doze) in self.nodes.iter().zip(&mut self.doze) {
                 if matches!(doze, Doze::Awake) && node.is_quiescent() {

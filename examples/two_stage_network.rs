@@ -134,9 +134,7 @@ fn run_single_stage() -> [u64; SOURCES] {
             let backlogged = src.rate >= 1.0;
             let fires = if backlogged { true } else { src.wants_packet() };
             if fires
-                && switch
-                    .port(input)
-                    .has_room(TrafficClass::GuaranteedBandwidth, FINAL_OUT, LEN)
+                && switch.free_flits(input, TrafficClass::GuaranteedBandwidth, FINAL_OUT) >= LEN
             {
                 let spec = src.next_spec(input, FINAL_OUT, now);
                 let _ = switch.offer_packet(spec, now);
@@ -175,11 +173,7 @@ fn run_two_stage() -> [u64; SOURCES] {
             let link = OutputId::new(i / 2);
             let backlogged = src.rate >= 1.0;
             let fires = if backlogged { true } else { src.wants_packet() };
-            if fires
-                && stage1
-                    .port(input)
-                    .has_room(TrafficClass::GuaranteedBandwidth, link, LEN)
-            {
+            if fires && stage1.free_flits(input, TrafficClass::GuaranteedBandwidth, link) >= LEN {
                 let spec = src.next_spec(input, link, now);
                 let _ = stage1.offer_packet(spec, now);
             }

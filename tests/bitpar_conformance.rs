@@ -20,23 +20,37 @@
 //!   not consecutive. The reference kernel polls every source and
 //!   probes every staged head every cycle, so it is the densely polled
 //!   twin throughout.
-//! * The work word (`busy_out | req_out`) where it skips the most and
-//!   where it moves under the loop: radix 64 at 2.5 % load, with the
-//!   idle-skip verdicts of that run pinned to their count from before
-//!   the word existed; `Policy::FourLevel`, the only policy whose
+//! * The work word (`(req_out & !busy_out) | finishing`) where it skips
+//!   the most and where it moves under the loop: radix 64 at 2.5 % load,
+//!   with the idle-skip verdicts of that run pinned to their count from
+//!   before the word existed; `Policy::FourLevel`, the only policy whose
 //!   arbitration-wait clocks ever leave zero; and a shared BE FIFO whose
 //!   head pops hand the input's request bit to a later output in the
 //!   middle of a cycle. The reference kernel visits every output.
+//! * Reads in the middle of a packet. The kernel applies a packet's
+//!   flits in one batch, when something reads them, and times a staged
+//!   head's retry to the exact cycle it fits; the reference moves one
+//!   flit per channel per cycle and probes every staged head every
+//!   cycle. Every cycle of these cases holds the kernel's settle-aware
+//!   readers (each channel, the room of every queue, each input's
+//!   occupancy) to the reference's: offers gated by the room reader on
+//!   every cycle of a drain, packets longer than the 64-slot completion
+//!   wheel, a measurement window opened mid-packet, a link downed and
+//!   healed mid-packet, a chained queue with a head waiting on it, two
+//!   injectors waiting on one BE queue, `Policy::FourLevel`, and the
+//!   waveform the VCD recorder writes.
 
 use swizzle_qos::arbiter::CounterPolicy;
-use swizzle_qos::core::{Policy, QosSwitch, ReferenceKernel, SwitchConfig};
+use swizzle_qos::core::vcd::SwitchVcdRecorder;
+use swizzle_qos::core::{ChannelState, Policy, QosSwitch, ReferenceKernel, SwitchConfig};
 use swizzle_qos::sim::{CycleModel, EventModel, Runner, Schedule};
 use swizzle_qos::trace::{Event, RingSink};
 use swizzle_qos::traffic::{
     Bernoulli, FixedDest, Injector, OnOffBursty, Periodic, Saturating, Trace, UniformDest,
 };
 use swizzle_qos::types::{
-    Cycle, Cycles, FlowId, Geometry, InputId, OutputId, Rate, TrafficClass, Xoshiro256StarStar,
+    Cycle, Cycles, FlowId, Geometry, InputId, OutputId, PacketId, PacketSpec, Rate, TrafficClass,
+    Xoshiro256StarStar,
 };
 
 /// Serialized per-flow metrics: integers verbatim, latency means as
@@ -809,4 +823,351 @@ fn a_be_head_pop_that_requests_a_later_output_mid_cycle_matches_the_reference() 
         assert!(kernel.counters().delivered_packets > 800, "traffic flowed");
         assert_observables_match(&dense, &kernel, &format!("BE FIFO, chaining {chaining}"));
     }
+}
+
+/// What an observer reads between steps: every channel (state,
+/// remaining flits, utilization counters), and per input its occupancy
+/// and the room of every queue.
+fn readings(switch: &QosSwitch) -> String {
+    use std::fmt::Write as _;
+    let radix = switch.config().geometry().radix();
+    let mut text = String::new();
+    for o in 0..radix {
+        let _ = write!(text, "{:?};", switch.channel(OutputId::new(o)));
+    }
+    for i in 0..radix {
+        let input = InputId::new(i);
+        let _ = write!(text, "{}:", switch.buffered_flits(input));
+        for class in TrafficClass::ALL {
+            for o in 0..radix {
+                let _ = write!(
+                    text,
+                    "{},",
+                    switch.free_flits(input, class, OutputId::new(o))
+                );
+            }
+        }
+    }
+    text
+}
+
+/// [`step_both`], holding the kernel's readers to the reference's after
+/// every step.
+fn step_reading_both(
+    kernel: &mut QosSwitch,
+    reference: &mut QosSwitch,
+    cycles: std::ops::Range<u64>,
+    mut at_cycle: impl FnMut(&mut QosSwitch, Cycle),
+) {
+    for c in cycles {
+        let now = Cycle::new(c);
+        at_cycle(kernel, now);
+        at_cycle(reference, now);
+        kernel.step(now);
+        reference.step_reference(now);
+        assert_eq!(
+            readings(kernel),
+            readings(reference),
+            "readers at cycle {c}"
+        );
+    }
+}
+
+/// A radix-8 switch under `policy` with GB and BE buffers of `buffer`
+/// flits, GB reservations toward output 0 for inputs 0–3, a GL
+/// allocation there, and a trace ring.
+fn deep_switch(policy: Policy, buffer: u64, chaining: bool, be_voq: bool) -> QosSwitch {
+    let mut config = SwitchConfig::builder(Geometry::new(8, 128).expect("valid geometry"))
+        .policy(policy)
+        .gb_buffer_flits(buffer)
+        .be_buffer_flits(buffer)
+        .packet_chaining(chaining)
+        .be_voq(be_voq)
+        .build()
+        .expect("valid config");
+    for (input, rate) in [(0, 0.3), (1, 0.2), (2, 0.2), (3, 0.1)] {
+        config
+            .reservations_mut()
+            .reserve_gb(
+                InputId::new(input),
+                OutputId::new(0),
+                Rate::new(rate).expect("valid rate"),
+                8,
+            )
+            .expect("reservation fits");
+    }
+    config
+        .reservations_mut()
+        .reserve_gl(OutputId::new(0), Rate::new(0.05).expect("valid rate"))
+        .expect("GL reservation fits");
+    let mut switch = QosSwitch::new(config).expect("valid switch");
+    switch.tracer_mut().attach_ring(1 << 16);
+    switch
+}
+
+const POLICIES: [Policy; 2] = [
+    Policy::Ssvc(CounterPolicy::SubtractRealClock),
+    Policy::FourLevel,
+];
+
+/// The pattern of `examples/two_stage_network.rs`: an external agent
+/// offers a packet whenever the room reader says it fits, so offers land
+/// on every cycle of a drain, in room the kernel has not yet applied.
+/// `offer_packet` must settle before it checks the buffer.
+#[test]
+fn room_gated_offers_match_the_reference_on_every_cycle_of_a_drain() {
+    for policy in POLICIES {
+        let build = || deep_switch(policy, 16, false, false);
+        let (mut kernel, mut reference) = (build(), build());
+        step_reading_both(&mut kernel, &mut reference, 0..2_500, |sw, now| {
+            // Four backlogged GB sources of 3-, 4-, 5- and 7-flit packets
+            // into output 0, and a BE one into output 2 behind them.
+            let sources = [
+                (0, 3, TrafficClass::GuaranteedBandwidth, 0),
+                (1, 4, TrafficClass::GuaranteedBandwidth, 0),
+                (2, 5, TrafficClass::GuaranteedBandwidth, 0),
+                (3, 7, TrafficClass::GuaranteedBandwidth, 0),
+                (3, 6, TrafficClass::BestEffort, 2),
+            ];
+            for (k, (i, len, class, out)) in (0..).zip(sources) {
+                let (input, output) = (InputId::new(i), OutputId::new(out));
+                if sw.free_flits(input, class, output) < len {
+                    continue;
+                }
+                let id = PacketId::new(now.value() * 8 + k);
+                let spec = PacketSpec::new(id, FlowId::new(input, output), class, len, now);
+                assert!(sw.offer_packet(spec, now), "the room reader promised room");
+            }
+        });
+        let c = kernel.counters();
+        assert!(c.delivered_packets > 400, "{policy:?}: traffic flowed");
+        assert_eq!(c.dropped_packets, 0, "{policy:?}: an offer was refused");
+        assert_observables_match(
+            &reference,
+            &kernel,
+            &format!("room-gated offers, {policy:?}"),
+        );
+    }
+}
+
+/// Packets of 64 flits and more: their last loop's wheel slot comes
+/// round before it (65 and 130 flits), or exactly at it (64).
+#[test]
+fn packets_longer_than_the_completion_wheel_match_the_reference() {
+    for policy in POLICIES {
+        let build = || {
+            let mut switch = deep_switch(policy, 256, false, false);
+            let gb = TrafficClass::GuaranteedBandwidth;
+            switch.add_injector(injector(Saturating::new(65), gb, 0, 0));
+            switch.add_injector(injector(Periodic::new(300, 7, 130), gb, 1, 0));
+            switch.add_injector(injector(Periodic::new(170, 3, 64), gb, 2, 0));
+            switch.add_injector(injector(Saturating::new(3), gb, 3, 0));
+            switch.add_injector(injector(
+                Periodic::new(97, 11, 1),
+                TrafficClass::GuaranteedLatency,
+                5,
+                0,
+            ));
+            switch.add_injector(injector(
+                Saturating::new(129),
+                TrafficClass::BestEffort,
+                6,
+                4,
+            ));
+            switch
+        };
+        let (mut kernel, mut reference) = (build(), build());
+        step_reading_both(&mut kernel, &mut reference, 0..4_000, |_, _| {});
+        assert!(
+            kernel.counters().delivered_flits > 3_000,
+            "{policy:?}: traffic flowed"
+        );
+        assert_observables_match(&reference, &kernel, &format!("long packets, {policy:?}"));
+    }
+}
+
+/// The measurement boundary falls in the middle of a 40-flit packet:
+/// its flits before the boundary are warm-up, the ones after it count
+/// toward the channel's utilization.
+#[test]
+fn a_measurement_window_opened_mid_packet_counts_the_same_utilization() {
+    let build = || {
+        let mut switch = deep_switch(
+            Policy::Ssvc(CounterPolicy::SubtractRealClock),
+            64,
+            false,
+            false,
+        );
+        let gb = TrafficClass::GuaranteedBandwidth;
+        switch.add_injector(injector(Saturating::new(40), gb, 0, 0));
+        switch.add_injector(injector(Periodic::new(60, 0, 40), gb, 1, 0));
+        switch
+    };
+    let (mut kernel, mut reference) = (build(), build());
+    let mut mid_packet = false;
+    step_reading_both(&mut kernel, &mut reference, 0..1_000, |sw, now| {
+        if now.value() == 517 {
+            mid_packet |= matches!(
+                sw.channel(OutputId::new(0)).state(),
+                ChannelState::Transmitting { remaining_flits, .. } if remaining_flits < 40
+            );
+            sw.begin_measurement(now);
+        }
+    });
+    assert!(mid_packet, "the boundary must fall mid-packet");
+    let channel = kernel.channel(OutputId::new(0));
+    assert!(channel.busy_flit_cycles() > 400, "{channel:?}");
+    assert_eq!(channel, reference.channel(OutputId::new(0)));
+    assert_observables_match(&reference, &kernel, "window opened mid-packet");
+}
+
+/// Links downed and healed while their input transmits: the packet runs
+/// on, its queue drains under a frozen staging queue, and retries timed
+/// before the fault still hold after it.
+#[test]
+fn a_link_downed_and_healed_mid_packet_matches_the_reference() {
+    let build = || {
+        let mut switch = deep_switch(
+            Policy::Ssvc(CounterPolicy::SubtractRealClock),
+            24,
+            true,
+            false,
+        );
+        let gb = TrafficClass::GuaranteedBandwidth;
+        switch.add_injector(injector(Saturating::new(20), gb, 0, 0));
+        switch.add_injector(injector(Bernoulli::new(0.6, 9, 5), gb, 1, 0));
+        switch.add_injector(injector(Saturating::new(6), TrafficClass::BestEffort, 0, 3));
+        switch
+    };
+    let (mut kernel, mut reference) = (build(), build());
+    let mut downed_mid_packet = 0;
+    step_reading_both(&mut kernel, &mut reference, 0..3_000, |sw, now| {
+        let t = now.value();
+        if t >= 100 && (t - 100) % 61 == 0 {
+            if let ChannelState::Transmitting { input, .. } = sw.channel(OutputId::new(0)).state() {
+                downed_mid_packet += 1;
+                sw.fault_set_link(input, false, now);
+            }
+        }
+        if t >= 100 && (t - 100) % 61 == 13 {
+            for i in 0..2 {
+                sw.fault_set_link(InputId::new(i), true, now);
+            }
+        }
+    });
+    assert!(
+        downed_mid_packet > 60,
+        "downed mid-packet {downed_mid_packet} times (both twins)"
+    );
+    assert_observables_match(&reference, &kernel, "links downed mid-packet");
+}
+
+/// A 7-flit queue of 4-flit packets: the head behind the one queued
+/// waits on a queue whose packet is too short to make room for it, so it
+/// sleeps until the queue's next packet starts — chained at the
+/// completion, or granted an arbitration later.
+#[test]
+fn a_chained_queue_wakes_the_head_waiting_on_it() {
+    for chaining in [true, false] {
+        let build = || {
+            let mut switch = deep_switch(
+                Policy::Ssvc(CounterPolicy::SubtractRealClock),
+                7,
+                chaining,
+                false,
+            );
+            let gb = TrafficClass::GuaranteedBandwidth;
+            switch.add_injector(injector(Saturating::new(4), gb, 0, 0));
+            switch.add_injector(injector(Saturating::new(4), gb, 1, 0));
+            switch.add_injector(injector(Periodic::new(9, 2, 3), gb, 2, 0));
+            switch
+        };
+        let (mut kernel, mut reference) = (build(), build());
+        step_reading_both(&mut kernel, &mut reference, 0..2_000, |_, _| {});
+        let c = kernel.counters();
+        assert!(c.delivered_packets > 300, "traffic flowed");
+        assert_eq!(c.chained_packets > 0, chaining, "{c:?}");
+        assert!(
+            kernel.injection_work().probes * 4 < reference.injection_work().probes,
+            "waiting heads are probed when they fit, not every cycle"
+        );
+        assert_observables_match(&reference, &kernel, &format!("chaining {chaining}"));
+    }
+}
+
+/// Two injectors of one input feed BE packets to two outputs: one
+/// shared FIFO both wait on, or (with `be_voq`) a queue each.
+#[test]
+fn two_injectors_waiting_on_one_be_queue_match_the_reference() {
+    for be_voq in [false, true] {
+        let build = || {
+            let mut switch = deep_switch(
+                Policy::Ssvc(CounterPolicy::SubtractRealClock),
+                10,
+                false,
+                be_voq,
+            );
+            let be = TrafficClass::BestEffort;
+            switch.add_injector(injector(Saturating::new(4), be, 0, 1));
+            switch.add_injector(injector(Saturating::new(3), be, 0, 2));
+            // Rivals at both outputs, so each drain waits its turn.
+            switch.add_injector(injector(Saturating::new(5), be, 4, 1));
+            switch.add_injector(injector(Periodic::new(7, 1, 2), be, 5, 2));
+            switch
+        };
+        let (mut kernel, mut reference) = (build(), build());
+        step_reading_both(&mut kernel, &mut reference, 0..2_000, |_, _| {});
+        assert!(kernel.counters().delivered_packets > 300, "traffic flowed");
+        assert_observables_match(&reference, &kernel, &format!("BE waiters, be_voq {be_voq}"));
+    }
+}
+
+/// The waveform samples every channel's remaining flits and every
+/// input's occupancy after each step, so it must read what the
+/// reference moved flit by flit.
+#[test]
+fn the_kernel_s_waveform_is_byte_identical_to_the_reference_s() {
+    let build = || {
+        let mut switch = deep_switch(
+            Policy::Ssvc(CounterPolicy::SubtractRealClock),
+            48,
+            true,
+            false,
+        );
+        let gb = TrafficClass::GuaranteedBandwidth;
+        switch.add_injector(injector(Saturating::new(13), gb, 0, 0));
+        switch.add_injector(injector(Bernoulli::new(0.5, 6, 17), gb, 1, 0));
+        switch.add_injector(injector(Saturating::new(9), TrafficClass::BestEffort, 2, 5));
+        switch.add_injector(injector(
+            Periodic::new(40, 4, 1),
+            TrafficClass::GuaranteedLatency,
+            6,
+            0,
+        ));
+        switch
+    };
+    let waveform = |reference: bool| {
+        let mut switch = build();
+        let mut out = Vec::new();
+        {
+            let mut vcd = SwitchVcdRecorder::new(&mut out, &switch).expect("in-memory sink");
+            for c in 0..1_500 {
+                let now = Cycle::new(c);
+                if reference {
+                    switch.step_reference(now);
+                } else {
+                    switch.step(now);
+                }
+                vcd.sample(&switch, now).expect("in-memory sink");
+            }
+            vcd.flush().expect("in-memory sink");
+        }
+        String::from_utf8(out).expect("VCD is text")
+    };
+    let (kernel, reference) = (waveform(false), waveform(true));
+    assert!(kernel.len() > 10_000, "the waveform moves");
+    assert!(
+        kernel == reference,
+        "the kernel's waveform differs from the reference's"
+    );
 }
