@@ -117,6 +117,11 @@ pub trait Arbiter {
     /// to run the real-time subcounter of its *subtract real clock*
     /// counter-management policy.
     fn tick(&mut self) {}
+
+    /// Notes a packet joining `input`'s queue at `now`, for the policies
+    /// that stamp packets on arrival. The default does nothing;
+    /// [`VirtualClock`] runs its arrival steps here.
+    fn note_arrival(&mut self, _input: usize, _now: Cycle) {}
 }
 
 #[cfg(test)]

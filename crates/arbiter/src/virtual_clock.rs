@@ -160,6 +160,10 @@ impl Arbiter for VirtualClock {
         // replays the full arbitration against a scratch clone.
         self.clone().arbitrate(now, requests)
     }
+
+    fn note_arrival(&mut self, input: usize, now: Cycle) {
+        let _ = self.on_arrival(input, now);
+    }
 }
 
 #[cfg(test)]

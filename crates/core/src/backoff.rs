@@ -1,18 +1,17 @@
 //! Bounded retry with exponential backoff — the shared recovery policy.
 //!
-//! Two consumers drive the same machinery: degraded-mode arbitration
-//! (a corrupted grant is re-arbitrated through [`FaultControl`]
-//! (crate::FaultControl), DESIGN.md §8) and the ssq-net NACK link
-//! discipline (a dropped hop transfer is retransmitted, DESIGN.md §13).
-//! Both need the same contract: a bounded number of attempts and an
-//! explicit `Exhausted` verdict when the budget runs out, so the caller
-//! escalates loudly instead of retrying forever.
+//! The ssq-net NACK link discipline drives it: a dropped hop transfer
+//! is retransmitted (DESIGN.md §13) under a bounded number of attempts,
+//! with an explicit `Exhausted` verdict when the budget runs out, so the
+//! caller escalates loudly instead of retrying forever. NACK links
+//! configure the full policy — a deterministic, exponentially growing
+//! hold window per attempt with optional seeded jitter.
 //!
-//! The switch always retries under [`BackoffPolicy::immediate`] (zero
-//! delay, factor 1): every attempt fires instantly and only the
-//! `fault_retry_budget` matters. NACK links configure the full policy —
-//! a deterministic, exponentially growing hold window per attempt with
-//! optional seeded jitter.
+//! The switch's degraded-mode arbitration (DESIGN.md §8) keeps the same
+//! contract in its simplest form, the one [`BackoffPolicy::immediate`]
+//! describes: zero delay and no jitter, which is a plain countdown from
+//! `fault_retry_budget` — so the switch keeps just that count, per
+//! output, in the output's record.
 
 use ssq_types::rng::Xoshiro256StarStar;
 
@@ -34,8 +33,8 @@ pub struct BackoffPolicy {
 }
 
 impl BackoffPolicy {
-    /// A plain countdown: `max_retries` attempts with zero delay — the
-    /// switch's `fault_retry_budget`.
+    /// A plain countdown: `max_retries` attempts with zero delay — how
+    /// the switch spends its `fault_retry_budget`.
     #[must_use]
     pub const fn immediate(max_retries: u32) -> Self {
         BackoffPolicy {
@@ -79,22 +78,10 @@ impl BackoffPolicy {
         self
     }
 
-    /// The attempt budget.
-    #[must_use]
-    pub const fn max_retries(&self) -> u32 {
-        self.max_retries
-    }
-
     /// The seed the jitter stream expands from.
     #[must_use]
     pub const fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Whether any retry can ever incur a nonzero hold window.
-    #[must_use]
-    pub const fn is_immediate(&self) -> bool {
-        self.base_delay == 0 && self.jitter == 0
     }
 
     /// The hold window before the 0-based `attempt`-th retry fires.
@@ -137,15 +124,7 @@ pub enum RetryDecision {
     Exhausted,
 }
 
-impl RetryDecision {
-    /// Whether the operation is still being retried (new or in-flight).
-    #[must_use]
-    pub const fn retrying(&self) -> bool {
-        !matches!(self, RetryDecision::Exhausted)
-    }
-}
-
-/// Per-subject retry bookkeeping (one per output, link, or packet).
+/// Per-subject retry bookkeeping (one per packet awaiting retransmission).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RetryTimer {
     attempts: u32,
@@ -153,15 +132,6 @@ pub struct RetryTimer {
 }
 
 impl RetryTimer {
-    /// A fresh timer with its full budget.
-    #[must_use]
-    pub const fn new() -> Self {
-        RetryTimer {
-            attempts: 0,
-            next_allowed: 0,
-        }
-    }
-
     /// Attempts consumed since the last reset.
     #[must_use]
     pub const fn attempts(&self) -> u32 {
@@ -182,7 +152,7 @@ impl RetryTimer {
                 until: self.next_allowed,
             };
         }
-        if self.attempts >= policy.max_retries() {
+        if self.attempts >= policy.max_retries {
             return RetryDecision::Exhausted;
         }
         let attempt = self.attempts;
@@ -190,12 +160,6 @@ impl RetryTimer {
         let until = now.saturating_add(policy.delay_for(attempt, rng));
         self.next_allowed = until;
         RetryDecision::Retry { until }
-    }
-
-    /// Refills the budget and clears any open hold window.
-    pub fn reset(&mut self) {
-        self.attempts = 0;
-        self.next_allowed = 0;
     }
 }
 
@@ -210,7 +174,7 @@ mod tests {
     #[test]
     fn immediate_policy_is_the_legacy_countdown() {
         let policy = BackoffPolicy::immediate(2);
-        let mut timer = RetryTimer::new();
+        let mut timer = RetryTimer::default();
         let mut r = rng();
         let pristine = r;
         assert_eq!(
@@ -223,8 +187,6 @@ mod tests {
         );
         assert_eq!(timer.decide(&policy, 10, &mut r), RetryDecision::Exhausted);
         assert_eq!(r, pristine, "jitter-free policies never touch the rng");
-        timer.reset();
-        assert!(timer.decide(&policy, 11, &mut r).retrying());
     }
 
     #[test]
@@ -241,7 +203,7 @@ mod tests {
     #[test]
     fn hold_windows_ride_the_open_attempt() {
         let policy = BackoffPolicy::exponential(2, 10, 2, 100);
-        let mut timer = RetryTimer::new();
+        let mut timer = RetryTimer::default();
         let mut r = rng();
         assert_eq!(
             timer.decide(&policy, 100, &mut r),
@@ -282,6 +244,5 @@ mod tests {
         let mut r = rng();
         assert_eq!(policy.delay_for(0, &mut r), 0);
         assert_eq!(policy.delay_for(2, &mut r), 0);
-        assert!(policy.is_immediate());
     }
 }

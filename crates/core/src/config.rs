@@ -111,6 +111,15 @@ pub enum ConfigError {
         /// The configured radix.
         radix: usize,
     },
+    /// An option is set that the chosen policy never reads: the inhibit
+    /// fabric models SSVC only, and the GL policer sits on the
+    /// strict-priority ladder that LRG and 4-level arbitration lack.
+    UnreadOption {
+        /// The builder option (`fabric_checked` or `gl_policing`).
+        option: &'static str,
+        /// The policy that ignores it.
+        policy: Policy,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -136,6 +145,9 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::RadixTooLarge { radix } => {
                 write!(f, "radix {radix} exceeds the 64 ports the switch models")
+            }
+            ConfigError::UnreadOption { option, policy } => {
+                write!(f, "{option} has no effect under the {policy} policy")
             }
         }
     }
@@ -302,6 +314,17 @@ impl SwitchConfig {
         if radix > 64 {
             return Err(ConfigError::RadixTooLarge { radix });
         }
+        let unread = if self.fabric_checked && !matches!(self.policy, Policy::Ssvc(_)) {
+            Some("fabric_checked")
+        } else if self.gl_policing && matches!(self.policy, Policy::LrgOnly | Policy::FourLevel) {
+            Some("gl_policing")
+        } else {
+            None
+        };
+        if let Some(option) = unread {
+            let policy = self.policy;
+            return Err(ConfigError::UnreadOption { option, policy });
+        }
         // Lane budget: GL needs its own lane; GB needs at least two for a
         // meaningful thermometer; BE shares the GB lanes time-wise.
         if matches!(self.policy, Policy::Ssvc(_)) {
@@ -436,7 +459,8 @@ impl SwitchConfigBuilder {
     /// auxVC counters of the GB class", §3.4); while GL usage runs ahead
     /// of its reservation the class loses its preemptive priority, the
     /// safeguard "to prevent its abuse" (§1). Off by default — the Eq. 1
-    /// latency bound assumes unpoliced priority.
+    /// latency bound assumes unpoliced priority. `LrgOnly` and
+    /// `FourLevel` have no GL priority to police and fail validation.
     #[must_use]
     pub fn gl_policing(mut self, enabled: bool) -> Self {
         self.gl_policing = enabled;
@@ -457,8 +481,9 @@ impl SwitchConfigBuilder {
     /// bit-level inhibit fabric of `ssq-circuit` *in addition to* the
     /// behavioural arbiter, panicking on any disagreement — the paper's
     /// §4.1 wire-level verification, applied continuously to live
-    /// traffic instead of offline vectors. Only meaningful with an SSVC
-    /// policy; costs roughly one extra fabric evaluation per packet.
+    /// traffic instead of offline vectors. SSVC policies only (any other
+    /// fails validation); costs roughly one extra fabric evaluation per
+    /// packet.
     #[must_use]
     pub fn fabric_checked(mut self, enabled: bool) -> Self {
         self.fabric_checked = enabled;
@@ -634,6 +659,37 @@ mod tests {
             .reserve_gl(OutputId::new(0), Rate::new(0.05).unwrap())
             .unwrap();
         assert!(config.validate().is_ok());
+    }
+
+    #[test]
+    fn options_the_policy_never_reads_are_refused() {
+        let refused = |builder: SwitchConfigBuilder, option| {
+            let err = builder.build().unwrap_err();
+            assert!(
+                matches!(err, ConfigError::UnreadOption { option: o, .. } if o == option),
+                "{err}"
+            );
+            assert!(err.to_string().contains(option), "{err}");
+        };
+        for policy in [Policy::LrgOnly, Policy::FourLevel, Policy::Wrr] {
+            let builder = SwitchConfig::builder(geom()).policy(policy);
+            refused(builder.fabric_checked(true), "fabric_checked");
+        }
+        for policy in [Policy::LrgOnly, Policy::FourLevel] {
+            let builder = SwitchConfig::builder(geom()).policy(policy);
+            refused(builder.gl_policing(true), "gl_policing");
+        }
+        // The policies that read them build.
+        assert!(SwitchConfig::builder(geom())
+            .fabric_checked(true)
+            .gl_policing(true)
+            .build()
+            .is_ok());
+        assert!(SwitchConfig::builder(geom())
+            .policy(Policy::Gsf)
+            .gl_policing(true)
+            .build()
+            .is_ok());
     }
 
     #[test]

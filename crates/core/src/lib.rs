@@ -85,7 +85,6 @@ pub mod backoff;
 pub mod bitmask;
 mod channel;
 mod config;
-pub mod faultctl;
 pub mod gl;
 mod packet;
 mod port;
@@ -98,7 +97,6 @@ pub use analyze::{AnalysisOptions, GlContract};
 pub use backoff::{BackoffPolicy, RetryDecision, RetryTimer};
 pub use channel::{ChannelState, OutputChannel};
 pub use config::{ConfigError, Policy, SwitchConfig, SwitchConfigBuilder};
-pub use faultctl::FaultControl;
 pub use packet::Packet;
 pub use port::InputPort;
 pub use reservations::{GbReservation, ReadmitAction, ReadmitDecision, Reservations};

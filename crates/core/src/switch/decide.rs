@@ -7,7 +7,7 @@
 //! request words (`xreq`) ANDed with the word of inputs allowed to
 //! compete, then the mask-native arbiters (`SsvcArbiter::peek_mask`,
 //! `Lrg::peek_mask`). The result is a small `Copy` [`OutputPlan`]; the
-//! serial commit side in `switch.rs` applies its predicted winner.
+//! serial commit side in `kernel.rs` applies its predicted winner.
 //!
 //! `CycleModel::step`, the profiled step and the sharded
 //! `shard_decide`/`shard_merge` pair all drive this one kernel, so
@@ -34,10 +34,10 @@
 use ssq_arbiter::{Arbiter, Request};
 use ssq_types::{Cycle, OutputId, TrafficClass};
 
-use super::{GbEngine, QosSwitch};
+use super::output::{Arbiters, GbEngine, Ladder, Output};
+use super::QosSwitch;
 use crate::bitmask::PortSet;
 use crate::channel::ChannelState;
-use crate::config::Policy;
 
 /// What [`QosSwitch::decide_output`] found the output doing this cycle:
 /// one of three non-arbitrating states, or the arbitration round the
@@ -196,19 +196,17 @@ impl QosSwitch {
     /// `live_links & !blocked` — so the two cheap outcomes
     /// (`NoRequests`, `AwaitLatency`) resolve in a few word ops without
     /// touching a single port. The serial commit phase (`commit_output`
-    /// in `switch.rs`) applies the returned plan — or re-calls this with
+    /// in `kernel.rs`) applies the returned plan — or re-calls this with
     /// an updated `avail` when an earlier output's grant invalidated it.
     pub(crate) fn decide_output(&self, output: OutputId, now: Cycle, avail: u64) -> OutputPlan {
-        let o = output.index();
-        let (Some(channel), Some(&wait), Some(&[be, gb, gl])) =
-            (self.channels.get(o), self.arb_wait.get(o), self.xreq.get(o))
-        else {
+        let Some(out) = self.outputs.get(output.index()) else {
             return OutputPlan::idle(PlanKind::NoRequests);
         };
-        if matches!(channel.state(), ChannelState::Transmitting { .. }) {
+        if matches!(out.channel.state(), ChannelState::Transmitting { .. }) {
             return OutputPlan::idle(PlanKind::Transmit);
         }
         // `xreq` rows are indexed by `TrafficClass::priority()`.
+        let [be, gb, gl] = out.xreq;
         let (gl, gb, be) = (gl & avail, gb & avail, be & avail);
         if gl | gb | be == 0 {
             return OutputPlan::idle(PlanKind::NoRequests);
@@ -219,28 +217,26 @@ impl QosSwitch {
             be,
             ..OutputPlan::idle(PlanKind::AwaitLatency)
         };
-        if wait.saturating_add(1) < self.config.policy().arbitration_cycles() {
+        if out.arb_wait.saturating_add(1) < self.config.policy().arbitration_cycles() {
             return plan;
         }
-        match self.config.policy() {
-            Policy::LrgOnly => {
+        match &out.arbiters {
+            Arbiters::Flat(lrg) => {
                 plan.kind = PlanKind::FlatLrg;
-                plan.predicted = self
-                    .flat_lrg
-                    .get(o)
-                    .and_then(|lrg| lrg.peek_mask(plan.requesters()))
+                plan.predicted = lrg
+                    .peek_mask(plan.requesters())
                     .map(|w| (w, plan.best_class_of(w)));
             }
-            Policy::FourLevel => {
+            Arbiters::FourLevel(arb) => {
                 plan.kind = PlanKind::FourLevel;
                 let reqs = self.four_level_requests(output, &plan);
-                plan.predicted = self
-                    .four_level
-                    .get(o)
-                    .and_then(|arb| arb.decide(now, reqs.as_slice()))
+                plan.predicted = arb
+                    .decide(now, reqs.as_slice())
                     .map(|w| (w, plan.best_class_of(w)));
             }
-            _ => self.decide_strict_priority(output, now, &mut plan),
+            Arbiters::Ladder(ladder) => {
+                self.decide_strict_priority(out, ladder, output, now, &mut plan);
+            }
         }
         plan
     }
@@ -248,32 +244,34 @@ impl QosSwitch {
     /// The strict class-priority ladder: GL > GB > policed (or demoted)
     /// GL > BE. Demotion means GL lost its dedicated lane, not its
     /// service: demoted GL competes inside the GB round.
-    fn decide_strict_priority(&self, output: OutputId, now: Cycle, plan: &mut OutputPlan) {
-        let o = output.index();
-        let policed = self
-            .gl_policers
-            .get(o)
+    fn decide_strict_priority(
+        &self,
+        out: &Output,
+        ladder: &Ladder,
+        output: OutputId,
+        now: Cycle,
+        plan: &mut OutputPlan,
+    ) {
+        let policed = ladder
+            .policer
+            .as_ref()
             .is_some_and(|p| p.policed(self.clock));
-        plan.demoted = self.faultctl.gl_demoted(o);
+        plan.demoted = out.gl_demoted();
         plan.gl_policed = policed && plan.gl != 0;
         let round = plan.gb | plan.demoted_gl();
-        let lrg_winner = |lanes: &[ssq_arbiter::Lrg], word: u64| {
-            lanes.get(o).and_then(|lrg| lrg.peek_mask(word))
-        };
         let (kind, winner, class) = if plan.gl != 0 && !policed && !plan.demoted {
-            let w = lrg_winner(&self.gl_lrg, plan.gl);
+            let w = ladder.gl.peek_mask(plan.gl);
             (PlanKind::GlPreempt, w, TrafficClass::GuaranteedLatency)
         } else if round != 0 {
-            let (kind, w) = if self.faultctl.lrg_fallback(o) {
-                (PlanKind::GbFallback, lrg_winner(&self.flat_lrg, round))
+            let (kind, w) = if out.lrg_fallback() {
+                (PlanKind::GbFallback, ladder.fallback.peek_mask(round))
             } else {
-                let w = match self.gb_engines.get(o) {
-                    Some(GbEngine::Ssvc(ssvc)) => ssvc.peek_mask(round),
-                    Some(engine) => engine.as_arbiter_ref().and_then(|arb| {
+                let w = match &ladder.gb {
+                    GbEngine::Ssvc(ssvc) => ssvc.peek_mask(round),
+                    GbEngine::Rate(engine) => {
                         let reqs = self.gb_round_requests(output, plan);
-                        arb.decide(now, reqs.as_slice())
-                    }),
-                    None => None,
+                        engine.decide(now, reqs.as_slice())
+                    }
                 };
                 (PlanKind::GbRound, w)
             };
@@ -282,11 +280,14 @@ impl QosSwitch {
             });
             (kind, w, class)
         } else if plan.gl != 0 {
-            let w = lrg_winner(&self.gl_lrg, plan.gl);
+            let w = ladder.gl.peek_mask(plan.gl);
             (PlanKind::GlBelowGb, w, TrafficClass::GuaranteedLatency)
         } else {
-            let w = lrg_winner(&self.be_lrg, plan.be);
-            (PlanKind::Be, w, TrafficClass::BestEffort)
+            (
+                PlanKind::Be,
+                ladder.be.peek_mask(plan.be),
+                TrafficClass::BestEffort,
+            )
         };
         plan.kind = kind;
         plan.predicted = winner.map(|w| (w, class));

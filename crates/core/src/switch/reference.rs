@@ -18,19 +18,20 @@
 //! per cycle where the kernel applies a packet's flits in batches, so it
 //! holds the transmit intervals and the staged heads' exact wakes to the
 //! per-flit timing. Only the clocks, the per-injector staging body, the
-//! packet completion, and the grant bookkeeping are shared.
+//! packet completion, the grant bookkeeping and the commit-time checks
+//! (the fabric cross-check, the armed-fault detectors) are shared.
 //!
 //! Nothing here is on a hot path: it allocates freely and is reachable
 //! only through the doc-hidden [`QosSwitch::step_reference`].
 
-use ssq_arbiter::{Arbiter, Request};
+use ssq_arbiter::{Arbiter, FourLevel, Lrg, Request};
 use ssq_circuit::{ArbitrationOutcome, PortRequest};
 use ssq_trace::{Event, EventKind};
 use ssq_types::{Cycle, OutputId, TrafficClass};
 
-use super::{wire, GbEngine, QosSwitch};
+use super::output::{Arbiters, GbEngine, Ladder};
+use super::{wire, QosSwitch};
 use crate::channel::ChannelState;
-use crate::config::Policy;
 use crate::sanitize;
 
 /// What `decide_output_reference` found the output doing this cycle.
@@ -150,8 +151,8 @@ impl QosSwitch {
         // Inputs already transmitting cannot compete this cycle: read
         // off the channels, not the kernel's `busy_in` word.
         let mut blocked = vec![false; radix];
-        for channel in &self.channels {
-            if let ChannelState::Transmitting { input, .. } = channel.state() {
+        for out in &self.outputs {
+            if let ChannelState::Transmitting { input, .. } = out.channel.state() {
                 blocked[input.index()] = true;
             }
         }
@@ -179,10 +180,11 @@ impl QosSwitch {
     /// completes the packet on its last one.
     fn transmit_flit_reference(&mut self, output: OutputId, now: Cycle) {
         let o = output.index();
-        let Some((input, class, done)) = self.channels[o].transmit_flits(1) else {
+        let out = &mut self.outputs[o];
+        let Some((input, class, done)) = out.channel.transmit_flits(1) else {
             return;
         };
-        self.intervals[o].applied += 1;
+        out.interval.applied += 1;
         let completed = self.ports[input.index()].transmit_head_flits(class, output, 1);
         debug_assert_eq!(completed.is_some(), done, "port/channel desync");
         if let Some(pkt) = completed {
@@ -226,7 +228,10 @@ impl QosSwitch {
         blocked: &[bool],
     ) -> PlanAction {
         let o = output.index();
-        if matches!(self.channels[o].state(), ChannelState::Transmitting { .. }) {
+        if matches!(
+            self.outputs[o].channel.state(),
+            ChannelState::Transmitting { .. }
+        ) {
             return PlanAction::Transmit;
         }
         let (gl, gb, be) = self.gather(output, blocked);
@@ -234,7 +239,7 @@ impl QosSwitch {
             return PlanAction::NoRequests;
         }
         let arb_latency = self.config.policy().arbitration_cycles();
-        if self.arb_wait[o] + 1 < arb_latency {
+        if self.outputs[o].arb_wait + 1 < arb_latency {
             return PlanAction::AwaitLatency;
         }
         self.decide_gathered(output, now, gl, gb, be)
@@ -249,10 +254,12 @@ impl QosSwitch {
         gb: Vec<Request>,
         be: Vec<Request>,
     ) -> PlanAction {
-        let arb = match self.config.policy() {
-            Policy::LrgOnly => self.decide_flat_lrg(output, now, &gl, &gb, &be),
-            Policy::FourLevel => self.decide_four_level(output, now, &gl, &gb, &be),
-            _ => self.decide_strict_priority_reference(output, now, gl, gb, be),
+        let arb = match &self.outputs[output.index()].arbiters {
+            Arbiters::Flat(lrg) => self.decide_flat_lrg(lrg, output, now, &gl, &gb, &be),
+            Arbiters::FourLevel(arb) => self.decide_four_level(arb, output, now, &gl, &gb, &be),
+            Arbiters::Ladder(ladder) => {
+                self.decide_strict_priority_reference(ladder, output, now, gl, gb, be)
+            }
         };
         PlanAction::Arbitrate(Box::new(arb))
     }
@@ -261,6 +268,7 @@ impl QosSwitch {
     /// sends its highest-class head.
     fn decide_flat_lrg(
         &self,
+        lrg: &Lrg,
         output: OutputId,
         now: Cycle,
         gl: &[Request],
@@ -276,7 +284,7 @@ impl QosSwitch {
         }
         let reqs: Vec<Request> = requesters.into_iter().map(|i| Request::new(i, 1)).collect();
         let mut events = Vec::new();
-        let predicted = self.flat_lrg[o]
+        let predicted = lrg
             .decide(now, &reqs)
             .map(|w| (w, self.best_head_class(w, output)));
         if let Some((w, class)) = predicted {
@@ -295,6 +303,7 @@ impl QosSwitch {
     /// per input, only its highest-class head competes.
     fn decide_four_level(
         &self,
+        arb: &FourLevel,
         output: OutputId,
         now: Cycle,
         gl: &[Request],
@@ -318,7 +327,7 @@ impl QosSwitch {
             add(r, 0, &mut reqs);
         }
         let mut events = Vec::new();
-        let predicted = self.four_level[o].decide(now, &reqs).and_then(|w| {
+        let predicted = arb.decide(now, &reqs).and_then(|w| {
             reqs.iter()
                 .find(|r| r.input() == w)
                 .map(|r| (w, four_level_class(r.level())))
@@ -340,6 +349,7 @@ impl QosSwitch {
     /// condition.
     fn decide_strict_priority_reference(
         &self,
+        ladder: &Ladder,
         output: OutputId,
         now: Cycle,
         gl: Vec<Request>,
@@ -349,8 +359,11 @@ impl QosSwitch {
         let o = output.index();
         let watch = self.watching();
         let mut events = Vec::new();
-        let policed = self.gl_policers[o].policed(self.clock);
-        let demoted = self.faultctl.gl_demoted(o);
+        let policed = ladder
+            .policer
+            .as_ref()
+            .is_some_and(|p| p.policed(self.clock));
+        let demoted = self.outputs[o].gl_demoted();
         let gl_policed = policed && !gl.is_empty();
         if gl_policed && watch {
             events.push(Event {
@@ -376,15 +389,16 @@ impl QosSwitch {
 
         let (route, predicted) = if !gl.is_empty() && !policed && !demoted {
             let circuit = self.fabric_decision_reference(o, &gl, &[]);
-            let predicted = self.gl_lrg[o]
+            let predicted = ladder
+                .gl
                 .decide(now, &gl)
                 .map(|w| (w, TrafficClass::GuaranteedLatency));
             if let Some((w, class)) = predicted {
                 push_decision(&mut events, now, o, class, gl.len(), w, watch);
             }
             (Route::GlPreempt { gl, circuit }, predicted)
-        } else if !gb.is_empty() && self.faultctl.lrg_fallback(o) {
-            let predicted = self.flat_lrg[o].decide(now, &gb).map(|w| {
+        } else if !gb.is_empty() && self.outputs[o].lrg_fallback() {
+            let predicted = ladder.fallback.decide(now, &gb).map(|w| {
                 if demoted_gl.contains(&w) {
                     (w, TrafficClass::GuaranteedLatency)
                 } else {
@@ -400,18 +414,19 @@ impl QosSwitch {
             // Snapshot the MSB lanes before the (future) commit mutates
             // auxVC state, so inhibit events carry the values the losers
             // are actually defeated with.
-            let msbs: Vec<(usize, u64)> = match &self.gb_engines[o] {
+            let msbs: Vec<(usize, u64)> = match &ladder.gb {
                 GbEngine::Ssvc(ssvc) if watch => gb
                     .iter()
                     .map(|r| (r.input(), ssvc.msb_value(r.input())))
                     .collect(),
                 _ => Vec::new(),
             };
-            let predicted_w = self.gb_engines[o]
-                .as_arbiter_ref()
-                .and_then(|e| e.decide(now, &gb));
+            let predicted_w = match &ladder.gb {
+                GbEngine::Ssvc(ssvc) => ssvc.decide(now, &gb),
+                GbEngine::Rate(engine) => engine.decide(now, &gb),
+            };
             let predicted = predicted_w.map(|w| {
-                if let GbEngine::Ssvc(ssvc) = &self.gb_engines[o] {
+                if let GbEngine::Ssvc(ssvc) = &ladder.gb {
                     if watch {
                         let winner_msb = msbs.iter().find(|&&(i, _)| i == w).map_or(0, |&(_, m)| m);
                         let (aux, saturated) = ssvc.preview_win(w);
@@ -454,7 +469,8 @@ impl QosSwitch {
                 predicted,
             )
         } else if !gl.is_empty() {
-            let predicted = self.gl_lrg[o]
+            let predicted = ladder
+                .gl
                 .decide(now, &gl)
                 .map(|w| (w, TrafficClass::GuaranteedLatency));
             if let Some((w, class)) = predicted {
@@ -462,7 +478,8 @@ impl QosSwitch {
             }
             (Route::GlBelowGb { gl }, predicted)
         } else {
-            let predicted = self.be_lrg[o]
+            let predicted = ladder
+                .be
                 .decide(now, &be)
                 .map(|w| (w, TrafficClass::BestEffort));
             if let Some((w, class)) = predicted {
@@ -499,10 +516,10 @@ impl QosSwitch {
         let o = output.index();
         match action {
             PlanAction::Transmit => self.transmit_flit_reference(output, now),
-            PlanAction::NoRequests => self.arb_wait[o] = 0,
-            PlanAction::AwaitLatency => self.arb_wait[o] += 1,
+            PlanAction::NoRequests => self.outputs[o].arb_wait = 0,
+            PlanAction::AwaitLatency => self.outputs[o].arb_wait += 1,
             PlanAction::Arbitrate(arb) => {
-                self.arb_wait[o] = 0;
+                self.outputs[o].arb_wait = 0;
                 if let Some((input, class)) = self.commit_arbitration_reference(output, now, *arb) {
                     self.commit_grant(output, now, input, class, blocked[input]);
                     blocked[input] = true;
@@ -548,47 +565,31 @@ impl QosSwitch {
         self.emit_buffered(pre);
         let committed = match route {
             Route::FlatLrg { reqs } => {
-                let w = self.flat_lrg[o].arbitrate(now, &reqs)?;
+                let Arbiters::Flat(lrg) = &mut self.outputs[o].arbiters else {
+                    return None;
+                };
+                let w = lrg.arbitrate(now, &reqs)?;
                 let class = self.best_head_class(w, output);
                 self.emit_buffered(win);
                 Some((w, class))
             }
             Route::FourLevel { reqs } => {
-                let w = self.four_level[o].arbitrate(now, &reqs)?;
-                let class = reqs
-                    .iter()
-                    .find(|r| r.input() == w)
-                    .map(|r| match r.level() {
-                        3 => TrafficClass::GuaranteedLatency,
-                        1 => TrafficClass::GuaranteedBandwidth,
-                        _ => TrafficClass::BestEffort,
-                    })?;
+                let Arbiters::FourLevel(arb) = &mut self.outputs[o].arbiters else {
+                    return None;
+                };
+                let w = arb.arbitrate(now, &reqs)?;
+                let class = four_level_class(reqs.iter().find(|r| r.input() == w)?.level());
                 self.emit_buffered(win);
                 Some((w, class))
             }
             Route::GlPreempt { gl, circuit } => {
-                let w = self.gl_lrg[o].arbitrate(now, &gl)?;
+                let w = self.outputs[o].ladder_mut()?.gl.arbitrate(now, &gl)?;
                 if let Some(outcome) = circuit {
-                    let expected = outcome.winner();
-                    if self.faultctl.armed() && (expected != Some(w) || outcome.is_multi_grant()) {
-                        return self.classify_fabric_corruption(
-                            output,
-                            now,
-                            TrafficClass::GuaranteedLatency,
-                            w,
-                            expected,
-                            outcome.is_multi_grant(),
-                        );
-                    }
-                    sanitize::fabric_agreement(o, expected, Some(w));
-                    assert_eq!(
-                        expected,
-                        Some(w),
-                        "fabric/behavioural GL disagreement at {output}, cycle {now}"
-                    );
+                    let class = TrafficClass::GuaranteedLatency;
+                    self.check_fabric(output, now, class, w, &outcome).ok()?;
                 }
                 let len = gl.iter().find(|r| r.input() == w)?.len_flits();
-                self.gl_policers[o].charge(len, self.clock);
+                self.outputs[o].charge_gl(len, self.clock);
                 self.emit_buffered(win);
                 Some((w, TrafficClass::GuaranteedLatency))
             }
@@ -597,7 +598,7 @@ impl QosSwitch {
                 // arbitrate by pure LRG. SSVC state is neither consulted
                 // nor advanced, and the fabric cross-check is off (the
                 // circuit no longer models the grant).
-                let w = self.flat_lrg[o].arbitrate(now, &gb)?;
+                let w = self.outputs[o].ladder_mut()?.fallback.arbitrate(now, &gb)?;
                 let class = if demoted_gl.contains(&w) {
                     TrafficClass::GuaranteedLatency
                 } else {
@@ -611,64 +612,19 @@ impl QosSwitch {
                 demoted_gl,
                 circuit,
             } => {
-                let engine = self.gb_engines[o].as_arbiter()?;
-                let w = engine.arbitrate(now, &gb)?;
+                let w = match &mut self.outputs[o].ladder_mut()?.gb {
+                    GbEngine::Ssvc(ssvc) => ssvc.arbitrate(now, &gb),
+                    GbEngine::Rate(engine) => engine.arbitrate(now, &gb),
+                }?;
+                let class = TrafficClass::GuaranteedBandwidth;
                 if let Some(outcome) = circuit {
-                    let expected = outcome.winner();
-                    if self.faultctl.armed() && (expected != Some(w) || outcome.is_multi_grant()) {
-                        return self.classify_fabric_corruption(
-                            output,
-                            now,
-                            TrafficClass::GuaranteedBandwidth,
-                            w,
-                            expected,
-                            outcome.is_multi_grant(),
-                        );
-                    }
-                    sanitize::fabric_agreement(o, expected, Some(w));
-                    assert_eq!(
-                        expected,
-                        Some(w),
-                        "fabric/behavioural GB disagreement at {output}, cycle {now}"
-                    );
+                    self.check_fabric(output, now, class, w, &outcome).ok()?;
                 }
-                // With a fault armed, the V2/V3 sanitizer predicates
-                // run unconditionally and *classify* (Detected →
-                // retry → degrade) instead of panicking. Every
-                // contender is scanned, not just the winner: an
-                // upward-corrupted auxVC makes its flow silently
-                // *lose* every round, which is just as much a broken
-                // guarantee as a corrupt win.
-                if self.faultctl.armed() {
-                    let mut offender = None;
-                    if let GbEngine::Ssvc(ssvc) = &self.gb_engines[o] {
-                        let cap = ssvc.config().saturation_cap();
-                        for r in &gb {
-                            let i = r.input();
-                            let code = ssvc.thermometer_code(i);
-                            let aux = ssvc.aux_vc(i);
-                            if !ssq_types::invariant::thermometer_well_formed(code) {
-                                offender = Some((i, "SSQV002", code));
-                                break;
-                            }
-                            if !ssq_types::invariant::aux_within_cap(aux, cap) {
-                                offender = Some((i, "SSQV003", aux));
-                                break;
-                            }
-                        }
-                    }
-                    if let Some((i, code, detail)) = offender {
-                        return self.detected_degrade(
-                            output,
-                            now,
-                            TrafficClass::GuaranteedBandwidth,
-                            i,
-                            code,
-                            detail,
-                        );
-                    }
+                let contenders = gb.iter().map(|r| r.input());
+                if let Some((i, code, detail)) = self.corrupt_contender(o, contenders) {
+                    return self.detected_degrade(output, now, class, i, code, detail);
                 }
-                if let GbEngine::Ssvc(ssvc) = &self.gb_engines[o] {
+                if let Some(ssvc) = self.outputs[o].ssvc() {
                     sanitize::gb_win(
                         o,
                         w,
@@ -686,14 +642,14 @@ impl QosSwitch {
                 Some((w, class))
             }
             Route::GlBelowGb { gl } => {
-                let w = self.gl_lrg[o].arbitrate(now, &gl)?;
+                let w = self.outputs[o].ladder_mut()?.gl.arbitrate(now, &gl)?;
                 let len = gl.iter().find(|r| r.input() == w)?.len_flits();
-                self.gl_policers[o].charge(len, self.clock);
+                self.outputs[o].charge_gl(len, self.clock);
                 self.emit_buffered(win);
                 Some((w, TrafficClass::GuaranteedLatency))
             }
             Route::Be { be } => {
-                let w = self.be_lrg[o].arbitrate(now, &be)?;
+                let w = self.outputs[o].ladder_mut()?.be.arbitrate(now, &be)?;
                 self.emit_buffered(win);
                 Some((w, TrafficClass::BestEffort))
             }
@@ -716,7 +672,12 @@ impl QosSwitch {
         gb: &[Request],
     ) -> Option<ArbitrationOutcome> {
         let fabric = self.fabric.as_ref()?;
-        let GbEngine::Ssvc(ssvc) = &self.gb_engines[o] else {
+        let Arbiters::Ladder(Ladder {
+            gb: GbEngine::Ssvc(ssvc),
+            gl: gl_lrg,
+            ..
+        }) = &self.outputs[o].arbiters
+        else {
             return None;
         };
         let radix = self.config.geometry().radix();
@@ -729,7 +690,7 @@ impl QosSwitch {
         for r in gl {
             ports[r.input()] = PortRequest::Gl;
         }
-        Some(fabric.arbitrate(&ports, ssvc.lrg(), &self.gl_lrg[o]))
+        Some(fabric.arbitrate(&ports, ssvc.lrg(), gl_lrg))
     }
 
     fn best_head_class(&self, input: usize, output: OutputId) -> TrafficClass {

@@ -1,4 +1,4 @@
-// Fixture: invariant-site-coverage (mapped to crates/core/src/switch.rs).
+// Fixture: invariant-site-coverage (mapped to crates/core/src/switch/kernel.rs).
 // The rule looks backward only, so the firing site comes before the
 // first sanitize:: call.
 

@@ -3,7 +3,7 @@
 // announced one.
 
 pub fn degrade_silently(&mut self, out: usize) {
-    self.faultctl.set_gl_demoted(out);
+    self.outputs[out].set_gl_demoted(true);
 }
 
 // -- padding so the loud section below is outside the 25-line window --
@@ -36,6 +36,6 @@ pub fn degrade_silently(&mut self, out: usize) {
 // -- end padding --
 
 pub fn degrade_loudly(&mut self, out: usize) {
-    self.faultctl.set_lrg_fallback(out);
+    self.outputs[out].set_lrg_fallback(true);
     self.trace.push(EventKind::Degraded);
 }

@@ -13,7 +13,7 @@ use crate::Finding;
 pub(crate) fn check_file(file: &SourceFile, out: &mut Vec<Finding>) {
     let rel = file.rel.as_str();
     must_use_decision(file, out);
-    if rel == "crates/core/src/switch.rs" {
+    if in_switch_core(rel) {
         invariant_site_coverage(file, out);
     }
     if in_decide_reach(rel) {
@@ -24,15 +24,26 @@ pub(crate) fn check_file(file: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
+/// The switch model's own files (`crates/core/src/switch/`), where its
+/// grants, inhibits and chains are emitted — all but the scalar oracle
+/// `reference.rs` and the test modules.
+fn in_switch_core(rel: &str) -> bool {
+    rel.strip_prefix("crates/core/src/switch/")
+        .is_some_and(|name| {
+            !matches!(name, "reference.rs" | "tests.rs") && !name.starts_with("tests/")
+        })
+}
+
 /// The files `QosSwitch::decide_output` reaches (read off the retired
-/// call graph): the arbiters and the core modules the kernel reads.
+/// call graph): the arbiters and the core modules the kernel reads —
+/// the decide file itself and the output record it reads.
 fn in_decide_reach(rel: &str) -> bool {
     const CORE: &[&str] = &[
-        "decide.rs",
+        "switch/decide.rs",
+        "switch/output.rs",
         "port.rs",
         "channel.rs",
         "bitmask.rs",
-        "faultctl.rs",
     ];
     rel.strip_prefix("crates/arbiter/src/").is_some()
         || rel

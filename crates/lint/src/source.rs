@@ -9,7 +9,7 @@ use crate::lexer::{lex, Token, TokenKind};
 /// One source file, lexed and annotated.
 pub struct SourceFile {
     /// Path relative to the workspace root, `/`-separated
-    /// (`crates/core/src/decide.rs`).
+    /// (`crates/core/src/switch/decide.rs`).
     pub rel: String,
     /// The raw source text.
     pub text: String,

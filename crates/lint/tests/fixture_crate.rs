@@ -17,11 +17,19 @@ fn sites(findings: &[Finding]) -> Vec<(&str, usize)> {
 #[test]
 fn an_emission_without_a_sanitize_check_in_sight_fires() {
     let text = include_str!("../fixtures/invariant_coverage.rs");
-    let found = check("crates/core/src/switch.rs", text);
+    let found = check("crates/core/src/switch/kernel.rs", text);
     assert_eq!(sites(&found), [("invariant-site-coverage", 6)], "{found:?}");
     assert!(found[0].message.contains("EventKind::Grant"));
-    // The rule guards the switch core only.
-    assert!(check("crates/core/src/vcd.rs", text).is_empty());
+    // The rule guards the switch core only: not its scalar oracle, its
+    // tests, or the rest of the crate.
+    for rel in [
+        "crates/core/src/vcd.rs",
+        "crates/core/src/switch/reference.rs",
+        "crates/core/src/switch/tests.rs",
+        "crates/core/src/switch/tests/faults.rs",
+    ] {
+        assert!(check(rel, text).is_empty(), "{rel}");
+    }
 }
 
 #[test]
@@ -62,11 +70,11 @@ fn impurity_fires_in_every_file_the_decide_kernel_reaches() {
     for rel in [
         "crates/arbiter/src/lrg.rs",
         "crates/arbiter/src/ssvc.rs",
-        "crates/core/src/decide.rs",
+        "crates/core/src/switch/decide.rs",
+        "crates/core/src/switch/output.rs",
         "crates/core/src/port.rs",
         "crates/core/src/channel.rs",
         "crates/core/src/bitmask.rs",
-        "crates/core/src/faultctl.rs",
     ] {
         let found = check(rel, text);
         assert!(
@@ -96,7 +104,7 @@ fn impurity_fires_in_every_file_the_decide_kernel_reaches() {
         );
     }
     // The commit side and the runners may lock, time and print.
-    for rel in ["crates/core/src/switch.rs", "crates/sim/src/par.rs"] {
+    for rel in ["crates/core/src/switch/kernel.rs", "crates/sim/src/par.rs"] {
         assert!(check(rel, text).is_empty(), "{rel}");
     }
 }
@@ -105,7 +113,7 @@ fn impurity_fires_in_every_file_the_decide_kernel_reaches() {
 fn findings_are_ordered_and_render_on_one_line() {
     let found = check_sources(vec![
         (
-            "crates/core/src/switch.rs".to_string(),
+            "crates/core/src/switch/kernel.rs".to_string(),
             include_str!("../fixtures/invariant_coverage.rs").to_string(),
         ),
         (
@@ -116,11 +124,14 @@ fn findings_are_ordered_and_render_on_one_line() {
     let files: Vec<&str> = found.iter().map(|f| f.file.as_str()).collect();
     assert_eq!(
         files,
-        ["crates/core/src/admission.rs", "crates/core/src/switch.rs"]
+        [
+            "crates/core/src/admission.rs",
+            "crates/core/src/switch/kernel.rs"
+        ]
     );
     let line = found[1].to_string();
     assert!(
-        line.starts_with("crates/core/src/switch.rs:6 · invariant-site-coverage · "),
+        line.starts_with("crates/core/src/switch/kernel.rs:6 · invariant-site-coverage · "),
         "{line}"
     );
     assert!(found.iter().all(|f| RULES.contains(&f.rule)));

@@ -12,7 +12,7 @@ fn check(rel: &str, text: &str) -> Vec<Finding> {
 #[test]
 fn quoted_event_site_does_not_need_sanitizer_coverage() {
     let found = check(
-        "crates/core/src/switch.rs",
+        "crates/core/src/switch/kernel.rs",
         "pub fn label() -> &'static str {\n    \"EventKind::Grant\" // EventKind::Inhibit\n}\n",
     );
     assert!(found.is_empty(), "{found:?}");
@@ -30,7 +30,7 @@ fn quoted_degrade_site_is_not_a_degradation() {
 #[test]
 fn shared_mut_names_in_strings_and_docs_stay_clean_in_decide() {
     let found = check(
-        "crates/core/src/decide.rs",
+        "crates/core/src/switch/decide.rs",
         "/// No `Mutex`; see std::time::Instant.\npub fn doc() -> &'static str {\n    r#\"no Mutex, RefCell, or AtomicU64 in shards\"#\n}\n",
     );
     assert!(found.is_empty(), "{found:?}");
@@ -50,7 +50,7 @@ fn real_sites_next_to_quoted_lookalikes_still_fire() {
     // Masking must not cut the other way: blanking literal bytes from
     // the line render keeps columns, so the real call is still seen.
     let found = check(
-        "crates/core/src/decide.rs",
+        "crates/core/src/switch/decide.rs",
         "pub fn f() -> u64 {\n    let _s = \"Mutex::new(0)\"; *Mutex::new(1u64).lock().unwrap()\n}\n",
     );
     assert_eq!(found.len(), 1, "{found:?}");
@@ -63,7 +63,7 @@ fn real_sites_next_to_quoted_lookalikes_still_fire() {
 #[test]
 fn test_code_is_exempt() {
     let found = check(
-        "crates/core/src/decide.rs",
+        "crates/core/src/switch/decide.rs",
         "#[cfg(test)]\nmod tests {\n    use std::sync::Mutex;\n    struct FakeGrant;\n}\n",
     );
     assert!(found.is_empty(), "{found:?}");

@@ -5,7 +5,7 @@ use std::error::Error;
 
 use swizzle_qos::check::trace::{analyze_trace_settings, TraceSettings};
 use swizzle_qos::core::vcd::SwitchVcdRecorder;
-use swizzle_qos::core::{Preflight, QosSwitch, SwitchConfig};
+use swizzle_qos::core::{ConfigError, Preflight, QosSwitch, SwitchConfig};
 use swizzle_qos::sim::{MonitorOutcome, ParRunner, Runner, Schedule};
 use swizzle_qos::stats::Table;
 use swizzle_qos::trace::{flight, MetricsRegistry, RingSink};
@@ -186,7 +186,17 @@ pub(crate) fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
         .packet_chaining(opts.flag("chaining"))
         .gl_policing(opts.flag("gl-policing"))
         .fabric_checked(opts.flag("fabric-check"))
-        .build()?;
+        .build()
+        .map_err(|e| match e {
+            ConfigError::UnreadOption { option, .. } => {
+                let flag = match option {
+                    "fabric_checked" => "--fabric-check",
+                    _ => "--gl-policing",
+                };
+                err(format!("{flag}: {e}"))
+            }
+            e => e.into(),
+        })?;
     for spec in opts.get_all("reserve") {
         let (input, output, rate, len) = parse_reserve(spec)?;
         config.reservations_mut().reserve_gb(

@@ -143,6 +143,14 @@ fn out_of_range_flag_values_are_diagnosed() {
         (&["gl-burst", "--constraints", "5,3"], "--constraints"),
         (&["storage", "--flit-bytes", "0"], "--flit-bytes"),
         (&["verify", "--bogus"], "--bogus"),
+        (
+            &["simulate", "--policy", "lrg", "--fabric-check"],
+            "--fabric-check",
+        ),
+        (
+            &["simulate", "--policy", "four-level", "--gl-policing"],
+            "--gl-policing",
+        ),
     ];
     for (args, flag) in cases {
         assert_diagnosed(&ssq(args), flag);

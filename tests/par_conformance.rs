@@ -364,15 +364,35 @@ fn non_ssvc_policies_match_the_reference() {
     }
     // Demoted GL joins the baselines' GB request list behind the GB
     // requesters; the list order is part of their arbitration state.
+    // The baselines' ladders also carry the LRG fallback and the GL
+    // policer.
     let demoted = Mode {
         gl_demoted: true,
         ..Mode::default()
     };
-    for policy in [Policy::ExactVirtualClock, Policy::Dwrr, Policy::Wfq] {
-        assert_engines_match_reference(
-            &|| build_with(policy, demoted, Mix::GbGlBe, 0xDE40),
-            &format!("{policy:?}/demoted"),
-        );
+    let fallback = Mode {
+        lrg_fallback: true,
+        ..Mode::default()
+    };
+    let policed = Mode {
+        gl_policing: true,
+        ..Mode::default()
+    };
+    let rate = [Policy::Wrr, Policy::Gsf, Policy::ExactVirtualClock];
+    for (mode, policies) in [
+        (
+            demoted,
+            [Policy::ExactVirtualClock, Policy::Dwrr, Policy::Wfq],
+        ),
+        (fallback, rate),
+        (policed, rate),
+    ] {
+        for policy in policies {
+            assert_engines_match_reference(
+                &|| build_with(policy, mode, Mix::GbGlBe, 0xDE40),
+                &format!("{policy:?}/{mode:?}"),
+            );
+        }
     }
 }
 
