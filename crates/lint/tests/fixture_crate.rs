@@ -44,7 +44,7 @@ fn a_degradation_without_a_fault_event_in_sight_fires() {
         );
         assert!(found[0].message.contains("set_gl_demoted"));
     }
-    assert!(check("crates/net/src/fabric.rs", text).is_empty());
+    assert!(check("crates/net/src/fabric/links.rs", text).is_empty());
 }
 
 #[test]

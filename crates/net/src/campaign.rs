@@ -12,10 +12,12 @@
 //! [`Verdict::SilentViolation`], making each smoke run a differential
 //! of the sleeping fabric against the dense one.
 
+use std::collections::BTreeMap;
+
 use ssq_core::BackoffPolicy;
 use ssq_faults::{FaultKind, Verdict};
 use ssq_sim::{MonitorOutcome, Runner, Schedule};
-use ssq_trace::Event;
+use ssq_trace::{DropReason, Event};
 use ssq_types::{Cycles, TrafficClass};
 
 use crate::fabric::{DenseFabric, Fabric, FabricCounters, FlowSpec};
@@ -80,8 +82,8 @@ pub struct NetScenarioResult {
     pub fabric_events: Vec<Event>,
     /// Per-node flight-recorder rings.
     pub node_events: Vec<Vec<Event>>,
-    /// `(flow, reason) -> count` loss ledger, flattened for display.
-    pub losses: Vec<(usize, String, u64)>,
+    /// The `(flow, reason) -> count` loss ledger.
+    pub losses: BTreeMap<(usize, DropReason), u64>,
 }
 
 fn gb(src: usize, dest: usize, rate: f64, period: u64) -> FlowSpec {
@@ -210,18 +212,13 @@ fn run_scenario(name: &str, seed: u64, dense: bool) -> Option<NetScenarioResult>
     };
     let node_events = fabric.node_events();
     let verdict = judge_path(&outcome, &node_events, fabric.events());
-    let losses = fabric
-        .loss()
-        .iter()
-        .map(|(&(flow, ref reason), &count)| (flow, reason.clone(), count))
-        .collect();
     Some(NetScenarioResult {
         name: name.to_string(),
         verdict,
         counters: fabric.counters(),
         fabric_events: fabric.events().to_vec(),
         node_events,
-        losses,
+        losses: fabric.loss().clone(),
     })
 }
 

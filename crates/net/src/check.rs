@@ -22,7 +22,7 @@ use ssq_types::{bounds, TrafficClass};
 
 use crate::fabric::{Fabric, FlowSpec};
 use crate::link::LinkDiscipline;
-use crate::topology::{compute_routes, Topology};
+use crate::topology::{compute_routes, route_links, Topology};
 
 impl Preflight for Fabric {
     /// The SSQ013 topology admission report (per-node SSQ001–SSQ012
@@ -55,24 +55,19 @@ pub fn analyze_topology(topology: &Topology, flows: &[FlowSpec]) -> Report {
         if flow.class == TrafficClass::BestEffort {
             continue; // BE reserves nothing; links owe it nothing.
         }
-        let mut node = flow.src;
-        let mut guard = 0;
-        while node != flow.dest {
-            let Some(l) = routes
-                .get(node)
-                .and_then(|r| r.get(flow.dest).copied().flatten())
-            else {
-                report.push(Diagnostic::new(
-                    codes::TOPOLOGY_UNDERPROVISIONED,
-                    Severity::Error,
-                    format!("flow {f}"),
-                    format!(
-                        "guaranteed flow {} -> {} has no route in the healthy topology",
-                        flow.src, flow.dest
-                    ),
-                ));
-                break;
-            };
+        let Some(path) = route_links(topology, &routes, flow.src, flow.dest) else {
+            report.push(Diagnostic::new(
+                codes::TOPOLOGY_UNDERPROVISIONED,
+                Severity::Error,
+                format!("flow {f}"),
+                format!(
+                    "guaranteed flow {} -> {} has no route in the healthy topology",
+                    flow.src, flow.dest
+                ),
+            ));
+            continue;
+        };
+        for l in path {
             let load = loads.get_mut(l).expect("route link in range");
             load.rate_sum += flow.rate;
             load.len_max = load.len_max.max(flow.len_flits);
@@ -83,12 +78,6 @@ pub fn analyze_topology(topology: &Topology, flows: &[FlowSpec]) -> Report {
             };
             if flow.class == TrafficClass::GuaranteedLatency {
                 load.gl_flows += 1;
-            }
-            let link = topology.links.get(l).expect("route link in range");
-            node = link.dst;
-            guard += 1;
-            if guard > topology.nodes {
-                break;
             }
         }
     }

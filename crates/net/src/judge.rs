@@ -21,7 +21,7 @@ use ssq_sim::MonitorOutcome;
 use ssq_trace::{Event, EventKind};
 use ssq_types::Cycle;
 
-use crate::fabric::{is_loud_reason, NO_LINK};
+use crate::fabric::NO_LINK;
 
 /// The end-to-end oracle's ruling on one fabric run.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,7 +50,7 @@ fn fabric_loudness(events: &[Event]) -> (usize, Option<(String, u64)>) {
     let mut first: Option<(String, u64)> = None;
     for e in events {
         let site = match &e.kind {
-            EventKind::Drop { link, reason, .. } if is_loud_reason(reason) => {
+            EventKind::Drop { link, reason, .. } if reason.is_loud() => {
                 if *link == NO_LINK {
                     "path".to_string()
                 } else {
@@ -153,6 +153,7 @@ pub fn judge_path(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssq_trace::DropReason;
     use ssq_types::TrafficClass;
 
     fn ev(cycle: u64, kind: EventKind) -> Event {
@@ -168,7 +169,7 @@ mod tests {
                 output: 3,
                 class: TrafficClass::GuaranteedBandwidth,
                 packet: 1,
-                reason: "link_down".to_string(),
+                reason: DropReason::LinkDown,
             },
         )
     }
@@ -221,7 +222,7 @@ mod tests {
                     output: 1,
                     class: TrafficClass::BestEffort,
                     packet: 7,
-                    reason: "queue_full".to_string(),
+                    reason: DropReason::QueueFull,
                 },
             ),
             ev(

@@ -44,8 +44,8 @@ pub use campaign::{run_net_scenario, run_net_smoke, NetScenarioResult, NET_SCENA
 pub use check::analyze_topology;
 #[doc(hidden)]
 pub use fabric::DenseFabric;
-pub use fabric::{Fabric, FabricCounters, FabricWork, FlowSpec, FlowStats};
+pub use fabric::{Fabric, FabricCounters, FabricError, FabricWork, FlowSpec, FlowStats};
 pub use fault::{NetFaultKind, NetFaultPlan};
 pub use judge::{judge_path, PathVerdict};
-pub use link::{LinkDiscipline, LinkQueue, LinkSpec};
+pub use link::{LinkDiscipline, LinkSpec};
 pub use topology::{compute_routes, Routes, Topology};

@@ -3,10 +3,12 @@
 //!
 //! A [`LinkSpec`] joins an output port of one node's switch to an input
 //! port of another. Packets launched onto the wire serialize at
-//! `capacity` flits per cycle, fly for `latency` cycles, and land in the
-//! downstream [`LinkQueue`], from which the fabric offers them to the
-//! downstream switch one per cycle. What happens when the queue is full
-//! (or the wire is dead) is the link's [`LinkDiscipline`]:
+//! `capacity` flits per cycle, fly for `latency` cycles, and land in a
+//! downstream queue of `queue_depth` packets, from which the fabric
+//! offers them to the downstream switch one per cycle. What happens when
+//! the queue is full, the downstream switch refuses, or the wire is dead
+//! is the link's [`LinkDiscipline`], applied by the fabric's one loss
+//! rule:
 //!
 //! * **Credit** — PFC-style backpressure: launches pause while the
 //!   downstream queue (plus the wire) holds `queue_depth` packets, so
@@ -18,10 +20,7 @@
 //!   copy under a shared [`BackoffPolicy`] (exponential backoff, seeded
 //!   jitter); budget exhaustion escalates to an explicit loud drop.
 
-use std::collections::VecDeque;
-
 use ssq_core::BackoffPolicy;
-use ssq_types::PacketSpec;
 
 /// What a link does with packets it cannot deliver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -133,97 +132,9 @@ impl LinkSpec {
     }
 }
 
-/// The bounded packet queue at a link's downstream end.
-///
-/// Plain FIFO semantics; the *discipline* decides what happens when
-/// [`LinkQueue::push`] is refused.
-#[derive(Debug, Clone, Default)]
-pub struct LinkQueue {
-    packets: VecDeque<PacketSpec>,
-    depth: usize,
-}
-
-impl LinkQueue {
-    /// An empty queue holding at most `depth` packets.
-    #[must_use]
-    pub fn new(depth: usize) -> Self {
-        LinkQueue {
-            packets: VecDeque::new(),
-            depth,
-        }
-    }
-
-    /// Enqueues `packet` if there is room; `false` means the queue is
-    /// full and the caller must apply the link discipline.
-    pub fn push(&mut self, packet: PacketSpec) -> bool {
-        if self.packets.len() >= self.depth {
-            return false;
-        }
-        self.packets.push_back(packet);
-        true
-    }
-
-    /// The packet at the head, if any.
-    #[must_use]
-    pub fn front(&self) -> Option<&PacketSpec> {
-        self.packets.front()
-    }
-
-    /// Removes and returns the head packet.
-    pub fn pop(&mut self) -> Option<PacketSpec> {
-        self.packets.pop_front()
-    }
-
-    /// Current occupancy in packets.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.packets.len()
-    }
-
-    /// Whether the queue is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.packets.is_empty()
-    }
-
-    /// The configured depth in packets.
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Drains every queued packet (revocation flush).
-    pub fn drain(&mut self) -> Vec<PacketSpec> {
-        self.packets.drain(..).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssq_types::{Cycle, FlowId, InputId, OutputId, PacketId, TrafficClass};
-
-    fn spec(id: u64) -> PacketSpec {
-        PacketSpec::new(
-            PacketId::new(id),
-            FlowId::new(InputId::new(0), OutputId::new(0)),
-            TrafficClass::BestEffort,
-            8,
-            Cycle::new(0),
-        )
-    }
-
-    #[test]
-    fn queue_refuses_past_depth_and_keeps_fifo_order() {
-        let mut q = LinkQueue::new(2);
-        assert!(q.push(spec(1)));
-        assert!(q.push(spec(2)));
-        assert!(!q.push(spec(3)), "third packet must be refused");
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop().unwrap().id(), PacketId::new(1));
-        assert!(q.push(spec(3)), "room after a pop");
-        assert_eq!(q.pop().unwrap().id(), PacketId::new(2));
-    }
 
     #[test]
     fn serialization_rounds_up_and_never_hits_zero() {

@@ -157,6 +157,30 @@ pub fn compute_routes(topology: &Topology, link_up: &[bool], node_up: &[bool]) -
     routes
 }
 
+/// The links a packet crosses from `src` to `dest` under `routes`, in
+/// order (empty when `src == dest`); `None` when `dest` is unreachable.
+///
+/// [`compute_routes`] builds one shortest-path tree per destination, so
+/// every hop lands one wave closer: a walk that takes its first hop
+/// reaches `dest`, and one that cannot fails there.
+#[must_use]
+pub(crate) fn route_links(
+    topology: &Topology,
+    routes: &Routes,
+    src: usize,
+    dest: usize,
+) -> Option<Vec<usize>> {
+    let mut links = Vec::new();
+    let mut node = src;
+    while node != dest {
+        let l = routes.get(node)?.get(dest).copied().flatten()?;
+        debug_assert!(links.len() < topology.nodes, "routes are not a tree");
+        links.push(l);
+        node = topology.links.get(l)?.dst;
+    }
+    Some(links)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

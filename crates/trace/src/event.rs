@@ -62,6 +62,52 @@ impl RejectReason {
     }
 }
 
+/// Why a fabric hop lost a packet. Declared in label order, so a ledger
+/// keyed on it iterates as one keyed on the label would.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum DropReason {
+    /// The wire or an endpoint node died under the packet.
+    LinkDown,
+    /// The packet stood on an output port with no outgoing link.
+    NoRoute,
+    /// A lossy link's queue, or the downstream switch, had no room.
+    QueueFull,
+    /// A NACK link spent the packet's retransmission budget.
+    RetriesExhausted,
+}
+
+impl DropReason {
+    /// Stable wire label.
+    #[must_use]
+    pub const fn label(self) -> &'static str {
+        match self {
+            DropReason::LinkDown => "link_down",
+            DropReason::NoRoute => "no_route",
+            DropReason::QueueFull => "queue_full",
+            DropReason::RetriesExhausted => "retries_exhausted",
+        }
+    }
+
+    /// Inverse of [`DropReason::label`].
+    #[must_use]
+    pub fn from_label(s: &str) -> Option<Self> {
+        match s {
+            "link_down" => Some(DropReason::LinkDown),
+            "no_route" => Some(DropReason::NoRoute),
+            "queue_full" => Some(DropReason::QueueFull),
+            "retries_exhausted" => Some(DropReason::RetriesExhausted),
+            _ => None,
+        }
+    }
+
+    /// Whether the loss is fault-attributable, and so must come with an
+    /// explicit revocation, as opposed to plain congestion.
+    #[must_use]
+    pub const fn is_loud(self) -> bool {
+        !matches!(self, DropReason::QueueFull)
+    }
+}
+
 /// The event taxonomy (DESIGN.md §6).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
@@ -181,17 +227,16 @@ pub enum EventKind {
     /// Credit/PFC-style backpressure released on `link`: the downstream
     /// queue drained to `occupancy` flits and the upstream end resumed.
     CreditResume { link: u32, occupancy: u64 },
-    /// A packet was dropped at a hop: `reason` is a stable label
-    /// (`queue_full`, `link_down`, `no_route`, `retries_exhausted`).
-    /// Per-flow loss accounting keys on (`input` → `output`, `class`)
-    /// of the end-to-end flow.
+    /// A packet was dropped at a hop, for `reason`. Per-flow loss
+    /// accounting keys on (`input` → `output`, `class`) of the
+    /// end-to-end flow.
     Drop {
         link: u32,
         input: u32,
         output: u32,
         class: TrafficClass,
         packet: u64,
-        reason: String,
+        reason: DropReason,
     },
     /// The NACK discipline scheduled retransmission `attempt` of
     /// `packet` on `link`, `delay` cycles out (bounded exponential
@@ -417,7 +462,7 @@ impl Event {
                 push_num(out, key!("output"), *output);
                 push_label(out, key!("class"), class.label());
                 push_num(out, key!("packet"), *packet);
-                push_text(out, key!("reason"), reason);
+                push_label(out, key!("reason"), reason.label());
             }
             EventKind::NackRetransmit {
                 link,
@@ -561,7 +606,8 @@ impl Event {
                 output: fields.num32("output")?,
                 class: fields.class()?,
                 packet: fields.num("packet")?,
-                reason: fields.str("reason")?.to_string(),
+                reason: DropReason::from_label(fields.str("reason")?)
+                    .ok_or_else(|| ParseError::new("unknown drop reason"))?,
             },
             "nack_retransmit" => EventKind::NackRetransmit {
                 link: fields.num32("link")?,
@@ -714,8 +760,9 @@ impl fmt::Display for Event {
                 reason,
             } => write!(
                 f,
-                "drop       link{link} in{input} -> out{output} {} pkt{packet} ({reason})",
-                class.label()
+                "drop       link{link} in{input} -> out{output} {} pkt{packet} ({})",
+                class.label(),
+                reason.label()
             ),
             EventKind::NackRetransmit {
                 link,
@@ -1124,7 +1171,7 @@ mod tests {
                     output: 0,
                     class: TrafficClass::GuaranteedBandwidth,
                     packet: 77,
-                    reason: "queue_full".to_string(),
+                    reason: DropReason::QueueFull,
                 },
             },
             Event {
@@ -1246,8 +1293,13 @@ mod tests {
     fn corrupted_jsonl_never_panics_and_good_lines_round_trip() {
         use ssq_types::rng::Xoshiro256StarStar;
 
-        let lines: Vec<String> = all_kinds().iter().map(Event::to_jsonl).collect();
+        let mut lines: Vec<String> = all_kinds().iter().map(Event::to_jsonl).collect();
         assert_eq!(lines.len(), 19, "every kind covered");
+        // A drop reason no writer emits is refused by name, not kept.
+        let unknown = lines[16].replace("queue_full", "cosmic_ray");
+        let e = Event::from_jsonl(&unknown).expect_err(&unknown);
+        assert!(e.to_string().contains("unknown drop reason"), "{e}");
+        lines.push(unknown);
         let mut rng = Xoshiro256StarStar::seed_from_u64(0x905_13);
         for round in 0..1900 {
             let base = &lines[round % lines.len()];
@@ -1418,8 +1470,9 @@ mod tests {
                 reason,
             } => format!(
                 "\"link\":{link},\"input\":{input},\"output\":{output},\"class\":\"{}\",\
-                 \"packet\":{packet},\"reason\":\"{reason}\"",
-                class.label()
+                 \"packet\":{packet},\"reason\":\"{}\"",
+                class.label(),
+                reason.label()
             ),
             EventKind::NackRetransmit {
                 link,
@@ -1734,14 +1787,6 @@ mod tests {
                     class: TrafficClass::GuaranteedBandwidth,
                     action: l.clone(),
                 },
-                EventKind::Drop {
-                    link: 0,
-                    input: 1,
-                    output: 2,
-                    class: TrafficClass::BestEffort,
-                    packet: 9,
-                    reason: l.clone(),
-                },
             ];
             for kind in events {
                 let line = Event { cycle: 5, kind }.to_jsonl();
@@ -1751,8 +1796,7 @@ mod tests {
                     EventKind::Fault { site: s, .. }
                     | EventKind::Detected { code: s, .. }
                     | EventKind::Degraded { mode: s, .. }
-                    | EventKind::Readmitted { action: s, .. }
-                    | EventKind::Drop { reason: s, .. } => s.clone(),
+                    | EventKind::Readmitted { action: s, .. } => s.clone(),
                     other => panic!("kind changed: {other:?}"),
                 };
                 assert_eq!(got, clean(label), "{line:?}");

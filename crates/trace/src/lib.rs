@@ -33,7 +33,7 @@ pub mod metrics;
 pub mod report;
 pub mod sink;
 
-pub use event::{Event, EventKind, ParseError, RejectReason};
+pub use event::{DropReason, Event, EventKind, ParseError, RejectReason};
 pub use metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 pub use report::{FlowGrants, TraceSummary};
 pub use sink::{BoxedWriter, JsonlSink, NullSink, RingSink, TraceSink, Tracer};

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use ssq_stats::Table;
 use ssq_types::TrafficClass;
 
-use crate::event::{Event, EventKind};
+use crate::event::{DropReason, Event, EventKind};
 
 /// Accumulated per-flow grant statistics.
 #[derive(Debug, Clone, Default)]
@@ -80,8 +80,8 @@ pub struct TraceSummary {
     pub hop_enqueues: BTreeMap<u32, u64>,
     /// Credit/PFC pause events per fabric link.
     pub credit_pauses: BTreeMap<u32, u64>,
-    /// Per-flow hop losses keyed by `(input, output, reason label)`.
-    pub hop_drops: BTreeMap<(u32, u32, String), u64>,
+    /// Per-flow hop losses keyed by `(input, output, reason)`.
+    pub hop_drops: BTreeMap<(u32, u32, DropReason), u64>,
     /// NACK retransmissions per fabric link.
     pub retransmits: BTreeMap<u32, u64>,
     /// Reroute decisions keyed by `(node, dest)`.
@@ -193,7 +193,7 @@ impl TraceSummary {
             } => {
                 *self
                     .hop_drops
-                    .entry((*input, *output, reason.clone()))
+                    .entry((*input, *output, *reason))
                     .or_default() += 1;
             }
             EventKind::NackRetransmit { link, .. } => {
@@ -370,7 +370,7 @@ impl TraceSummary {
         for ((input, output, reason), n) in &self.hop_drops {
             t.row(vec![
                 "drop".to_string(),
-                format!("in{input}->out{output} {reason}"),
+                format!("in{input}->out{output} {}", reason.label()),
                 n.to_string(),
             ]);
         }
@@ -618,7 +618,7 @@ mod tests {
                     output: 0,
                     class: TrafficClass::GuaranteedBandwidth,
                     packet: 10,
-                    reason: "queue_full".to_string(),
+                    reason: DropReason::QueueFull,
                 },
             },
             Event {
@@ -644,7 +644,7 @@ mod tests {
         assert!(!s.has_fault_activity());
         assert_eq!(s.hop_enqueues[&0], 1);
         assert_eq!(s.credit_pauses[&0], 1);
-        assert_eq!(s.hop_drops[&(2, 0, "queue_full".to_string())], 1);
+        assert_eq!(s.hop_drops[&(2, 0, DropReason::QueueFull)], 1);
         assert_eq!(s.retransmits[&1], 1);
         assert_eq!(s.reroutes[&(1, 3)], 1);
         let text = s.fabric_table().to_text();

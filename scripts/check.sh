@@ -60,8 +60,10 @@ echo "== fault smoke tier (ssq faults) =="
 # on the reference kernel, the sequential runner and the sharded
 # parallel engine (a watchdogged run is dense, so idle skipping has no
 # leg here) — any divergence from the reference is reported as a silent
-# violation.
-./target/release/ssq faults --smoke --csv
+# violation. The table is a golden (results/faults_smoke.csv): a moved
+# verdict, revocation or delivered-flit count fails the final git status
+# comparison.
+./target/release/ssq faults --smoke --csv | tee results/faults_smoke.csv
 
 echo "== multi-hop fabric smoke tier (ssq net) =="
 # Every topology-fault scenario (dead links, MTBF flaps, node
@@ -69,8 +71,11 @@ echo "== multi-hop fabric smoke tier (ssq net) =="
 # either preserve its end-to-end bounds or revoke loudly at a named
 # hop. Each scenario runs twice from the same seed, with sleeping nodes
 # and on the dense oracle that steps every node every cycle; any
-# divergence is reported as a silent violation.
-./target/release/ssq net --smoke --csv
+# divergence is reported as a silent violation. The table is a golden
+# (results/net_smoke.csv): a moved verdict, revocation, drop,
+# retransmit, reroute or delivered-flit count fails the final git
+# status comparison.
+./target/release/ssq net --smoke --csv | tee results/net_smoke.csv
 
 echo "== tests =="
 cargo test -q --workspace
