@@ -83,7 +83,6 @@
 pub mod analyze;
 pub mod backoff;
 pub mod bitmask;
-mod channel;
 mod config;
 pub mod gl;
 mod packet;
@@ -95,7 +94,6 @@ pub mod vcd;
 
 pub use analyze::{AnalysisOptions, GlContract};
 pub use backoff::{BackoffPolicy, RetryDecision, RetryTimer};
-pub use channel::{ChannelState, OutputChannel};
 pub use config::{ConfigError, Policy, SwitchConfig, SwitchConfigBuilder};
 pub use packet::Packet;
 pub use port::InputPort;
@@ -103,4 +101,4 @@ pub use reservations::{GbReservation, ReadmitAction, ReadmitDecision, Reservatio
 pub use ssq_check::{Preflight, Report};
 #[doc(hidden)]
 pub use switch::ReferenceKernel;
-pub use switch::{InjectionWork, OutputPlan, QosSwitch, SwitchCounters};
+pub use switch::{ChannelState, InjectionWork, OutputPlan, QosSwitch, SwitchCounters};

@@ -9,14 +9,13 @@ use std::fmt;
 
 use ssq_types::{Cycle, Cycles, PacketSpec};
 
-/// A packet inside the switch: its immutable [`PacketSpec`] plus transit
-/// state (flits still to transmit, and when it reached the head of its
-/// queue — the start of the "waiting at the switch" interval bounded by
-/// Eq. 1).
+/// A packet inside the switch: its immutable [`PacketSpec`] plus when it
+/// entered its input-port queue — the start of the "waiting at the
+/// switch" interval bounded by Eq. 1. How far its transmission has got
+/// is the output's record, not the packet's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
     spec: PacketSpec,
-    remaining_flits: u64,
     enqueued: Cycle,
 }
 
@@ -24,23 +23,13 @@ impl Packet {
     /// Wraps a freshly injected packet, recording its enqueue time.
     #[must_use]
     pub fn new(spec: PacketSpec, enqueued: Cycle) -> Self {
-        Packet {
-            spec,
-            remaining_flits: spec.len_flits(),
-            enqueued,
-        }
+        Packet { spec, enqueued }
     }
 
     /// The immutable injection-time description.
     #[must_use]
     pub const fn spec(&self) -> PacketSpec {
         self.spec
-    }
-
-    /// Flits not yet transmitted.
-    #[must_use]
-    pub const fn remaining_flits(&self) -> u64 {
-        self.remaining_flits
     }
 
     /// When the packet entered its input-port queue.
@@ -54,26 +43,11 @@ impl Packet {
     pub fn waiting_time(&self, now: Cycle) -> Cycles {
         now.saturating_since(self.enqueued)
     }
-
-    /// Transmits `n` flits; returns `true` when the packet completes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than `n` flits remain.
-    pub fn transmit_flits(&mut self, n: u64) -> bool {
-        assert!(
-            self.remaining_flits >= n,
-            "packet has {} flits left, not {n}",
-            self.remaining_flits
-        );
-        self.remaining_flits = self.remaining_flits.saturating_sub(n);
-        self.remaining_flits == 0
-    }
 }
 
 impl fmt::Display for Packet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} ({} flits left)", self.spec, self.remaining_flits)
+        write!(f, "{} (enqueued at {})", self.spec, self.enqueued)
     }
 }
 
@@ -93,23 +67,6 @@ mod tests {
             ),
             Cycle::new(12),
         )
-    }
-
-    #[test]
-    fn transmission_drains_flits() {
-        let mut p = packet(4);
-        assert!(!p.transmit_flits(1));
-        assert!(!p.transmit_flits(2));
-        assert_eq!(p.remaining_flits(), 1);
-        assert!(p.transmit_flits(1));
-        assert_eq!(p.remaining_flits(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "flits left")]
-    fn over_transmission_panics() {
-        let mut p = packet(2);
-        let _ = p.transmit_flits(3);
     }
 
     #[test]

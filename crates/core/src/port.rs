@@ -49,18 +49,11 @@ impl ClassQueue {
         self.packets.front()
     }
 
-    /// Transmits `n` flits of the head packet (freeing their buffer
-    /// slots) and pops the packet if it completed.
-    fn transmit_head_flits(&mut self, n: u64) -> Option<Packet> {
-        let head = self.packets.front_mut()?;
-        // The head holds at least `n` of the used flits (the packet
-        // asserts it); saturating keeps the expression total.
+    /// Frees the buffer slots of `n` flits the head packet has moved.
+    fn drain(&mut self, n: u64) {
+        // The head holds at least `n` of the used flits (the output's
+        // transmit interval asserts it); saturating keeps it total.
         self.used_flits = self.used_flits.saturating_sub(n);
-        if head.transmit_flits(n) {
-            self.packets.pop_front()
-        } else {
-            None
-        }
     }
 }
 
@@ -194,8 +187,8 @@ impl InputPort {
     }
 
     /// Unoccupied flit slots of the queue a `class` packet headed to
-    /// `output` would join. Only [`InputPort::transmit_head_flits`]
-    /// raises it, by the flits it moves.
+    /// `output` would join. Only [`InputPort::drain_head`] raises it, by
+    /// the flits it moves.
     #[must_use]
     pub fn free_flits(&self, class: TrafficClass, output: OutputId) -> u64 {
         self.queue(class, output).free_flits()
@@ -224,31 +217,30 @@ impl InputPort {
         q.head().filter(|p| p.spec().flow().output() == output)
     }
 
-    /// Transmits `n` flits of the committed head packet; returns the
-    /// packet when its last flit leaves.
+    /// Frees the buffer slots of `n` flits the committed head packet has
+    /// moved. The packet stays the head until [`InputPort::pop_head`].
     ///
     /// # Panics
     ///
     /// Panics if there is no matching head packet — the channel committed
-    /// to a queue that does not hold one, which is a scheduling bug — or
-    /// the head has fewer than `n` flits left.
-    pub fn transmit_head_flits(
-        &mut self,
-        class: TrafficClass,
-        output: OutputId,
-        n: u64,
-    ) -> Option<Packet> {
+    /// to a queue that does not hold one, which is a scheduling bug.
+    pub fn drain_head(&mut self, class: TrafficClass, output: OutputId, n: u64) {
         assert!(
             self.head(class, output).is_some(),
             "no {class} head for {output} at {}",
             self.input
         );
-        let done = self.queue_mut(class, output).transmit_head_flits(n);
-        if done.is_some() {
-            // Only a popped packet can change which head (if any) the
-            // queue presents; a flit leaving mid-packet cannot.
-            self.refresh_bit(class, output);
-        }
+        self.queue_mut(class, output).drain(n);
+    }
+
+    /// Removes the committed head packet once its last flit has left
+    /// (every flit already drained by [`InputPort::drain_head`]).
+    pub fn pop_head(&mut self, class: TrafficClass, output: OutputId) -> Option<Packet> {
+        self.head(class, output)?;
+        let done = self.queue_mut(class, output).packets.pop_front();
+        // Only a pop can change which head (if any) the queue presents;
+        // a flit leaving mid-packet cannot.
+        self.refresh_bit(class, output);
         done
     }
 
@@ -431,36 +423,28 @@ mod tests {
     #[test]
     fn transmission_frees_space_per_flit() {
         let mut p = port();
-        assert!(p.try_enqueue(make(0, TrafficClass::GuaranteedLatency, 0, 4)));
-        assert!(!p.has_room(TrafficClass::GuaranteedLatency, OutputId::new(0), 1));
-        assert!(p
-            .transmit_head_flits(TrafficClass::GuaranteedLatency, OutputId::new(0), 1)
-            .is_none());
-        // One flit freed mid-packet.
-        assert!(p.has_room(TrafficClass::GuaranteedLatency, OutputId::new(0), 1));
+        let (gl, out) = (TrafficClass::GuaranteedLatency, OutputId::new(0));
+        assert!(p.try_enqueue(make(0, gl, 0, 4)));
+        assert!(!p.has_room(gl, out, 1));
+        p.drain_head(gl, out, 1);
+        // One flit freed mid-packet; the packet is still the head.
+        assert!(p.has_room(gl, out, 1));
+        assert!(p.head(gl, out).is_some());
         // Two more at once.
-        assert!(p
-            .transmit_head_flits(TrafficClass::GuaranteedLatency, OutputId::new(0), 2)
-            .is_none());
-        assert_eq!(
-            p.free_flits(TrafficClass::GuaranteedLatency, OutputId::new(0)),
-            3
-        );
-        let done = p
-            .transmit_head_flits(TrafficClass::GuaranteedLatency, OutputId::new(0), 1)
-            .expect("last flit completes the packet");
+        p.drain_head(gl, out, 2);
+        assert_eq!(p.free_flits(gl, out), 3);
+        p.drain_head(gl, out, 1);
+        let done = p.pop_head(gl, out).expect("the drained head pops");
         assert_eq!(done.spec().id(), PacketId::new(0));
-        assert_eq!(
-            p.occupancy(TrafficClass::GuaranteedLatency, OutputId::new(0)),
-            0
-        );
+        assert_eq!(p.occupancy(gl, out), 0);
+        assert!(p.pop_head(gl, out).is_none());
     }
 
     #[test]
     #[should_panic(expected = "no GL head")]
     fn transmitting_from_empty_queue_is_a_bug() {
         let mut p = port();
-        let _ = p.transmit_head_flits(TrafficClass::GuaranteedLatency, OutputId::new(0), 1);
+        p.drain_head(TrafficClass::GuaranteedLatency, OutputId::new(0), 1);
     }
 
     #[test]
@@ -502,21 +486,26 @@ mod tests {
         assert!(p.try_enqueue(make(4, TrafficClass::GuaranteedLatency, 3, 1)));
         check(&p);
         // Drain the GB packet to output 1 flit by flit; the bit must drop
-        // only when the queue empties.
-        assert!(p
-            .transmit_head_flits(TrafficClass::GuaranteedBandwidth, OutputId::new(1), 1)
-            .is_none());
+        // only when the packet pops.
+        let gb = TrafficClass::GuaranteedBandwidth;
+        p.drain_head(gb, OutputId::new(1), 1);
         check(&p);
+        p.drain_head(gb, OutputId::new(1), 1);
+        check(&p);
+        assert!(p.pop_head(gb, OutputId::new(1)).is_some());
+        check(&p);
+        // Popping the BE head re-points the one-hot word at the next
+        // packet's destination.
+        p.drain_head(TrafficClass::BestEffort, OutputId::new(2), 2);
         assert!(p
-            .transmit_head_flits(TrafficClass::GuaranteedBandwidth, OutputId::new(1), 1)
+            .pop_head(TrafficClass::BestEffort, OutputId::new(2))
             .is_some());
         check(&p);
-        // Draining the BE head re-points the one-hot word at the next
-        // packet's destination.
-        let _ = p.transmit_head_flits(TrafficClass::BestEffort, OutputId::new(2), 2);
-        check(&p);
         assert_eq!(p.request_bits(TrafficClass::BestEffort), 1 << 0);
-        let _ = p.transmit_head_flits(TrafficClass::GuaranteedLatency, OutputId::new(3), 1);
+        p.drain_head(TrafficClass::GuaranteedLatency, OutputId::new(3), 1);
+        assert!(p
+            .pop_head(TrafficClass::GuaranteedLatency, OutputId::new(3))
+            .is_some());
         check(&p);
     }
 
@@ -530,7 +519,10 @@ mod tests {
             p.request_bits(TrafficClass::BestEffort),
             (1 << 1) | (1 << 3)
         );
-        let _ = p.transmit_head_flits(TrafficClass::BestEffort, OutputId::new(1), 2);
+        p.drain_head(TrafficClass::BestEffort, OutputId::new(1), 2);
+        assert!(p
+            .pop_head(TrafficClass::BestEffort, OutputId::new(1))
+            .is_some());
         assert_eq!(p.request_bits(TrafficClass::BestEffort), 1 << 3);
     }
 

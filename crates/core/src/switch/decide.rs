@@ -37,7 +37,6 @@ use ssq_types::{Cycle, OutputId, TrafficClass};
 use super::output::{Arbiters, GbEngine, Ladder, Output};
 use super::QosSwitch;
 use crate::bitmask::PortSet;
-use crate::channel::ChannelState;
 
 /// What [`QosSwitch::decide_output`] found the output doing this cycle:
 /// one of three non-arbitrating states, or the arbitration round the
@@ -202,7 +201,7 @@ impl QosSwitch {
         let Some(out) = self.outputs.get(output.index()) else {
             return OutputPlan::idle(PlanKind::NoRequests);
         };
-        if matches!(out.channel.state(), ChannelState::Transmitting { .. }) {
+        if out.interval.is_some() {
             return OutputPlan::idle(PlanKind::Transmit);
         }
         // `xreq` rows are indexed by `TrafficClass::priority()`.

@@ -298,8 +298,7 @@ impl QosSwitch {
             spec.flow().output(),
         );
         if self.busy_in & (1 << i) != 0 {
-            let done = self.settle(self.feeds[i]);
-            debug_assert!(done.is_none(), "a packet completed outside its loop");
+            self.settle(self.feeds[i]);
         }
         let Some(port) = self.ports.get_mut(i) else {
             return false;

@@ -15,7 +15,6 @@ use super::output::{Arbiters, GbEngine, Interval, Ladder, Output};
 use super::{slot, wire, InjectionWork, OutputPlan, QosSwitch, SwitchCounters};
 use crate::bitmask::PortSet;
 use crate::config::{Policy, SwitchConfig};
-use crate::packet::Packet;
 use crate::sanitize;
 
 impl QosSwitch {
@@ -112,65 +111,64 @@ impl QosSwitch {
 
     /// The transmit side of a visit. The kernel visits a transmitting
     /// output only in the loop that moves its packet's last flit: the
-    /// packet's flits are applied, the delivery recorded, and the queue's
-    /// next packet may chain. A visit mid-packet (the sharded engine
-    /// visits every output) leaves the flits to whoever reads them.
+    /// packet finishes, and the queue's next packet may chain. A visit
+    /// mid-packet (the sharded engine visits every output) leaves the
+    /// flits to whoever reads them.
     fn commit_transmit(&mut self, output: OutputId, now: Cycle) {
-        let o = output.index();
-        if self
+        let last_loop = self
             .outputs
-            .get(o)
-            .is_none_or(|out| out.interval.done_at != self.clock)
-        {
-            return;
-        }
-        match self.settle(o) {
-            Some((input, class, pkt)) => self.finish_packet(output, input, class, pkt, now),
-            None => debug_assert!(false, "output {o}'s last loop left its packet unfinished"),
+            .get(output.index())
+            .and_then(|out| out.interval)
+            .is_some_and(|tx| tx.done_at == self.clock);
+        if last_loop {
+            self.finish_packet(output, now);
         }
     }
 
-    /// Applies the flits output `o`'s packet has moved by the current
-    /// clock to its channel, its queue and the packet itself; returns
-    /// the packet with its `(input, class)` if that was its last one.
-    pub(super) fn settle(&mut self, o: usize) -> Option<(InputId, TrafficClass, Packet)> {
-        let out = self.outputs.get_mut(o)?;
-        let n = self.clock - out.interval.applied;
-        out.interval.applied = self.clock;
-        let (input, class, done) = out.channel.transmit_flits(n)?;
-        let completed = self
+    /// Frees the flits output `o`'s packet has moved by the current
+    /// clock from its queue.
+    pub(super) fn settle(&mut self, o: usize) {
+        let Some(tx) = self
+            .outputs
+            .get_mut(o)
+            .and_then(|out| out.interval.as_mut())
+        else {
+            return;
+        };
+        let n = tx.apply(self.clock);
+        if let Some(port) = self.ports.get_mut(tx.input.index()) {
+            port.drain_head(tx.class, OutputId::new(o), n);
+        }
+    }
+
+    /// The last flit of `output`'s packet has left: its flits are
+    /// freed, the head pops and the channel goes idle, the delivery is
+    /// recorded, and the queue's next packet may chain.
+    pub(super) fn finish_packet(&mut self, output: OutputId, now: Cycle) {
+        let o = output.index();
+        self.settle(o);
+        let Some(Interval {
+            input,
+            class,
+            done_at,
+            ..
+        }) = self.outputs.get_mut(o).and_then(|out| out.interval.take())
+        else {
+            debug_assert!(false, "output {o} finished without a packet");
+            return;
+        };
+        let pkt = self
             .ports
             .get_mut(input.index())
-            .and_then(|port| port.transmit_head_flits(class, OutputId::new(o), n));
-        debug_assert_eq!(completed.is_some(), done, "port/channel desync");
-        completed.map(|pkt| (input, class, pkt))
-    }
-
-    /// Settles every transmitting channel.
-    pub(super) fn settle_all(&mut self) {
-        for o in PortSet::from_bits(self.busy_out) {
-            let done = self.settle(o);
-            debug_assert!(done.is_none(), "a packet completed outside its loop");
-        }
-    }
-
-    /// The last flit of `pkt` left `output`: the channel goes idle,
-    /// the delivery is recorded, and the queue's next packet may chain.
-    pub(super) fn finish_packet(
-        &mut self,
-        output: OutputId,
-        input: InputId,
-        class: TrafficClass,
-        pkt: Packet,
-        now: Cycle,
-    ) {
-        let o = output.index();
+            .and_then(|port| port.pop_head(class, output));
         // The channel went idle (a chained packet re-commits it below).
         self.busy_out &= !(1 << o);
         self.busy_in &= !(1 << input.index());
-        if let Some(out) = self.outputs.get(o) {
-            self.finish[slot(out.interval.done_at)] &= !(1 << o);
-        }
+        self.finish[slot(done_at)] &= !(1 << o);
+        let Some(pkt) = pkt else {
+            debug_assert!(false, "output {o}'s queue lost its head");
+            return;
+        };
         self.sync_port_masks(input.index(), class);
         let latency = now.saturating_since(pkt.spec().created());
         let flits = pkt.spec().len_flits();
@@ -193,28 +191,24 @@ impl QosSwitch {
     }
 
     /// Commits `output`'s channel to `input`'s `class` head of `len`
-    /// flits, granted or chained in the current loop (`arb_cycles` is
-    /// what the grant cost): the channel, the busy words, the packet's
-    /// interval with its last loop on the completion wheel, and the wake
-    /// of staged heads waiting on the queue it starts to drain.
-    fn start_packet(
-        &mut self,
-        output: OutputId,
-        input: InputId,
-        class: TrafficClass,
-        len: u64,
-        arb_cycles: u64,
-    ) {
+    /// flits, granted or chained in the current loop: the packet's
+    /// interval with its last loop on the completion wheel, the busy
+    /// words, and the wake of staged heads waiting on the queue it starts
+    /// to drain.
+    fn start_packet(&mut self, output: OutputId, input: InputId, class: TrafficClass, len: u64) {
         let (o, i) = (output.index(), input.index());
         let (Some(out), Some(feeds)) = (self.outputs.get_mut(o), self.feeds.get_mut(i)) else {
             return;
         };
-        out.channel.commit(input, class, len, arb_cycles);
+        assert!(out.interval.is_none(), "commit on a busy {output}");
+        assert!(len > 0, "cannot commit an empty packet");
         let done_at = self.clock + len;
-        out.interval = Interval {
+        out.interval = Some(Interval {
+            input,
+            class,
             applied: self.clock,
             done_at,
-        };
+        });
         *feeds = o;
         self.finish[slot(done_at)] |= 1 << o;
         self.busy_out |= 1 << o;
@@ -249,8 +243,7 @@ impl QosSwitch {
             gl_wait.record(waited);
         }
         sanitize::single_grant_commit(o, input, already_granted);
-        let arb_latency = self.config.policy().arbitration_cycles();
-        self.start_packet(output, InputId::new(input), class, len, arb_latency);
+        self.start_packet(output, InputId::new(input), class, len);
         self.tracer.emit(|| Event {
             cycle: now.value(),
             kind: EventKind::Grant {
@@ -597,7 +590,7 @@ impl QosSwitch {
         }
         sanitize::chained_grant(o, out.chain_count, SwitchConfig::CHAIN_LIMIT);
         out.chain_count += 1;
-        self.start_packet(output, input, class, len, 0);
+        self.start_packet(output, input, class, len);
         self.counters.chained_packets += 1;
         self.tracer.emit(|| Event {
             cycle: now.value(),
@@ -677,13 +670,12 @@ impl QosSwitch {
     fn debug_assert_no_work(&self, skipped: u64) {
         for o in PortSet::from_bits(skipped & self.all_ports) {
             let out = &self.outputs[o];
-            if out.channel.is_idle() {
-                assert_eq!(out.xreq, [0; 3], "skipped a requested output {o}");
-            } else {
-                assert_ne!(
-                    out.interval.done_at, self.clock,
+            match out.interval {
+                None => assert_eq!(out.xreq, [0; 3], "skipped a requested output {o}"),
+                Some(tx) => assert_ne!(
+                    tx.done_at, self.clock,
                     "skipped output {o} in its packet's last loop"
-                );
+                ),
             }
             assert_eq!(out.arb_wait, 0, "skipped output {o} mid-arbitration");
         }
@@ -709,8 +701,6 @@ impl CycleModel for QosSwitch {
     }
 
     fn begin_measurement(&mut self, now: Cycle) {
-        // Flits moved before the boundary belong to the warm-up.
-        self.settle_all();
         self.counters = SwitchCounters::default();
         self.injection_work = InjectionWork::default();
         self.outputs_visited = 0;
@@ -718,7 +708,6 @@ impl CycleModel for QosSwitch {
         self.gb_metrics.start_window(now);
         self.gl_metrics.start_window(now);
         for out in &mut self.outputs {
-            out.channel.reset_counters();
             out.gl_wait = Histogram::new(4, 1024);
         }
         self.prof.reset();

@@ -16,7 +16,6 @@ use ssq_trace::Tracer;
 use ssq_traffic::ArrivalSchedule;
 use ssq_types::{Cycle, FlowId, InputId, OutputId, PacketId, PacketSpec, Rate, TrafficClass};
 
-use crate::channel::{ChannelState, OutputChannel};
 use crate::config::{ConfigError, Policy, SwitchConfig};
 use crate::port::InputPort;
 
@@ -30,6 +29,7 @@ mod reference;
 mod tests;
 
 pub use decide::OutputPlan;
+pub use output::ChannelState;
 use output::Output;
 pub use reference::ReferenceKernel;
 
@@ -137,8 +137,8 @@ pub struct QosSwitch {
     live_links: u64,
     /// Bit `i` set for every port of the switch.
     all_ports: u64,
-    /// Bit `o` ⇔ channel `o` is `Transmitting`. With `busy_in` it is
-    /// written where a channel changes state and nowhere else:
+    /// Bit `o` ⇔ output `o` has a transmit interval. With `busy_in` it
+    /// is written where an interval opens or closes and nowhere else:
     /// [`Self::start_packet`] and [`Self::finish_packet`].
     busy_out: u64,
     /// Bit `i` ⇔ input `i` feeds a transmitting channel — the word of
@@ -383,11 +383,6 @@ impl QosSwitch {
         self.prof.arm(sample_every);
     }
 
-    /// Stops profiler sampling; accumulated totals are kept.
-    pub fn prof_disarm(&mut self) {
-        self.prof.disarm();
-    }
-
     /// The profiler's accumulated totals (empty until armed).
     #[must_use]
     pub fn prof_report(&self) -> ssq_prof::ProfReport {
@@ -433,17 +428,12 @@ impl QosSwitch {
         &self.gl_metrics
     }
 
-    /// One output channel's state and utilization as of the last step,
-    /// with every flit its packet has moved counted (the kernel applies
-    /// them lazily; this reads them through).
+    /// One output channel's state as of the last step, with every flit
+    /// its packet has moved counted (the kernel frees them from the
+    /// queue lazily; this reads them off the transmit interval).
     #[must_use]
-    pub fn channel(&self, output: OutputId) -> OutputChannel {
-        let o = output.index();
-        let mut channel = self.outputs[o].channel.clone();
-        if self.busy_out & (1 << o) != 0 {
-            let _ = channel.transmit_flits(self.unapplied(o));
-        }
-        channel
+    pub fn channel(&self, output: OutputId) -> ChannelState {
+        self.outputs[output.index()].channel(self.clock)
     }
 
     /// Unoccupied flit slots of the queue at `input` a `class` packet
@@ -479,25 +469,19 @@ impl QosSwitch {
             return None;
         }
         let o = self.feeds[i];
-        let ChannelState::Transmitting {
-            class: sending,
-            remaining_flits,
-            ..
-        } = self.outputs[o].channel.state()
-        else {
-            return None;
-        };
-        if sending != class || !self.ports[i].shares_queue(class, output, OutputId::new(o)) {
+        let tx = self.outputs[o].interval?;
+        if tx.class != class || !self.ports[i].shares_queue(class, output, OutputId::new(o)) {
             return None;
         }
-        let pending = self.unapplied(o);
-        Some((pending, remaining_flits - pending))
+        Some((self.clock - tx.applied, tx.done_at - self.clock))
     }
 
     /// Flits transmitting output `o`'s packet has moved but not yet
     /// applied.
     fn unapplied(&self, o: usize) -> u64 {
-        self.clock - self.outputs[o].interval.applied
+        self.outputs[o]
+            .interval
+            .map_or(0, |tx| self.clock - tx.applied)
     }
 
     /// Histogram of GL waiting times (enqueue → grant) at `output`; its
@@ -582,20 +566,15 @@ impl QosSwitch {
         use crate::bitmask::PortSet;
         let (mut busy_out, mut busy_in, mut req_out) = (0u64, 0u64, 0u64);
         for (o, out) in self.outputs.iter().enumerate() {
-            if let ChannelState::Transmitting {
+            if let Some(output::Interval {
                 input,
-                remaining_flits,
+                applied,
+                done_at,
                 ..
-            } = out.channel.state()
+            }) = out.interval
             {
                 busy_out |= 1 << o;
                 busy_in |= 1 << input.index();
-                let output::Interval { applied, done_at } = out.interval;
-                assert_eq!(
-                    done_at,
-                    applied + remaining_flits,
-                    "output {o}'s interval disagrees with its channel"
-                );
                 assert!(
                     applied <= self.clock && self.clock < done_at,
                     "output {o}'s interval {applied}..{done_at} is not open at {}",
@@ -620,13 +599,16 @@ impl QosSwitch {
         });
         assert_eq!(
             wheel, busy_out,
-            "the completion wheel disagrees with the channels"
+            "the completion wheel disagrees with the intervals"
         );
         assert_eq!(
             self.busy_out, busy_out,
-            "busy_out disagrees with the channels"
+            "busy_out disagrees with the intervals"
         );
-        assert_eq!(self.busy_in, busy_in, "busy_in disagrees with the channels");
+        assert_eq!(
+            self.busy_in, busy_in,
+            "busy_in disagrees with the intervals"
+        );
         assert_eq!(self.req_out, req_out, "req_out disagrees with xreq");
         let live = PortSet::from_bits(self.live_links);
         for (i, port) in self.ports.iter().enumerate() {

@@ -3,38 +3,85 @@
 //! In the Swizzle Switch an output's arbitration state lives in that
 //! output's column — its crosspoints' auxVC counters and LRG bits, the
 //! GL usage counter, the channel it drives. [`Output`] holds it the same
-//! way: the channel and the packet it transmits, the column's class
-//! request words, the arbitration-wait and chain clocks, the fault and
-//! degradation state, and the arbiters the switch's [`Policy`] reads —
-//! and nothing a policy never reads.
+//! way: the transmit interval of the packet the channel sends, the
+//! column's class request words, the arbitration-wait and chain clocks,
+//! the fault and degradation state, and the arbiters the switch's
+//! [`Policy`] reads — and nothing a policy never reads.
 
 use ssq_arbiter::{
     Arbiter, CounterPolicy, Dwrr, FourLevel, Gsf, Lrg, SsvcArbiter, SsvcConfig, VirtualClock, Wfq,
     Wrr,
 };
 use ssq_stats::Histogram;
-use ssq_types::{InputId, OutputId, Rate};
+use ssq_types::{InputId, OutputId, Rate, TrafficClass};
 
-use crate::channel::OutputChannel;
 use crate::config::{Policy, SwitchConfig};
 
 /// Fallback reserved rate assumed for flows the arbiter must weigh but
 /// that carry no reservation (only reachable for baseline policies).
 const DEFAULT_RATE: f64 = 0.01;
 
+/// The per-cycle state of one output channel, as
+/// [`QosSwitch::channel`](super::QosSwitch::channel) reports it.
+///
+/// The cycle-accurate timing of the Swizzle Switch: a packet costs one
+/// (or, for the 4-level prior design, two) arbitration cycle(s) during
+/// which no data moves, then one cycle per flit. Back-to-back packets on
+/// a saturated channel therefore deliver `L/(L+A)` flits/cycle — the
+/// "maximum possible throughput is 0.89 flits/cycle … because this
+/// experiment uses 8-flit packet sizes" ceiling of Fig. 4.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChannelState {
+    /// No packet holds the channel; arbitration may start.
+    Idle,
+    /// A committed packet is streaming its flits.
+    Transmitting {
+        /// The granted input.
+        input: InputId,
+        /// The class of the committed packet (identifies the queue).
+        class: TrafficClass,
+        /// Flits left to move after the last step.
+        remaining_flits: u64,
+    },
+}
+
 /// The transmit interval of the packet an output channel is committed
-/// to, on the switch's clock: granted or chained in the output loop of
-/// cycle `g`, an `L`-flit packet moves one flit in each of the loops of
-/// cycles `g + 1 ..= g + L`. The kernel applies those flits to the
-/// channel, the queue and the packet in one batch, only when something
+/// to, on the switch's clock — the one record of its progress: granted
+/// or chained in the output loop of cycle `g`, an `L`-flit packet moves
+/// one flit in each of the loops of cycles `g + 1 ..= g + L`. The kernel
+/// frees those flits from the queue in one batch, only when something
 /// reads them — at the latest in loop `done_at`, where it finishes the
 /// packet.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub(super) struct Interval {
+    /// The input whose queue the packet heads.
+    pub(super) input: InputId,
+    /// The packet's class (with `input` and the output, its queue).
+    pub(super) class: TrafficClass,
     /// The clock through which the packet's flits are applied.
     pub(super) applied: u64,
     /// The clock of the loop that moves the last flit.
     pub(super) done_at: u64,
+}
+
+impl Interval {
+    /// Marks the flits moved through clock `clock` applied; returns how
+    /// many were not yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `clock` is past the packet's last loop: never more
+    /// flits applied than the packet has.
+    pub(super) fn apply(&mut self, clock: u64) -> u64 {
+        assert!(
+            clock <= self.done_at,
+            "flits applied through {clock}, past the packet's last loop {}",
+            self.done_at
+        );
+        let n = clock - self.applied;
+        self.applied = clock;
+        n
+    }
 }
 
 /// Tracks GL-class bandwidth usage at one output: "the bandwidth usage of
@@ -137,16 +184,16 @@ pub(super) enum Arbiters {
 }
 
 /// One output column. `repr(C)` keeps the declaration order: what the
-/// decide kernel and the commit read on every visit — the channel, its
+/// decide kernel and the commit read on every visit — the channel's
 /// interval, the request row, the two clocks, the two degradation flags
 /// the ladder consults and the arbiters — comes first; the retry budget
 /// (read on a detection) and the GL-wait histogram (on a GL grant)
 /// trail.
 #[repr(C)]
 pub(super) struct Output {
-    pub(super) channel: OutputChannel,
-    /// The interval of the packet the channel transmits.
-    pub(super) interval: Interval,
+    /// The interval of the packet the channel transmits; `None` while
+    /// the channel is idle.
+    pub(super) interval: Option<Interval>,
     /// The column's class request words, the decide kernel's input:
     /// `xreq[class.priority()]` has bit `i` set iff input `i` holds a
     /// head-of-queue packet of that class for this output. Maintained
@@ -177,8 +224,7 @@ impl Output {
     pub(super) fn new(config: &SwitchConfig, o: usize) -> Self {
         let output = OutputId::new(o);
         Output {
-            channel: OutputChannel::new(output),
-            interval: Interval::default(),
+            interval: None,
             xreq: [0; 3],
             arb_wait: 0,
             chain_count: 0,
@@ -187,6 +233,24 @@ impl Output {
             arbiters: arbiters(config, output),
             retries_left: config.fault_retry_budget(),
             gl_wait: Histogram::new(4, 1024),
+        }
+    }
+
+    /// The channel's state at switch clock `clock`, every flit moved by
+    /// then counted.
+    pub(super) fn channel(&self, clock: u64) -> ChannelState {
+        match self.interval {
+            None => ChannelState::Idle,
+            Some(Interval {
+                input,
+                class,
+                done_at,
+                ..
+            }) => ChannelState::Transmitting {
+                input,
+                class,
+                remaining_flits: done_at - clock,
+            },
         }
     }
 
@@ -352,5 +416,34 @@ pub(super) fn epoch_len(config: &SwitchConfig) -> u64 {
         )
         .msb_step(),
         _ => 0,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn interval() -> Interval {
+        Interval {
+            input: InputId::new(3),
+            class: TrafficClass::GuaranteedBandwidth,
+            applied: 10,
+            done_at: 14,
+        }
+    }
+
+    #[test]
+    fn apply_counts_each_flit_once() {
+        let mut tx = interval();
+        assert_eq!(tx.apply(12), 2);
+        assert_eq!(tx.apply(12), 0);
+        assert_eq!(tx.apply(14), 2);
+        assert_eq!(tx.applied, tx.done_at);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the packet's last loop")]
+    fn never_more_flits_applied_than_the_packet_has() {
+        let _ = interval().apply(15);
     }
 }

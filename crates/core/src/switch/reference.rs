@@ -13,13 +13,15 @@
 //! polled and every staged head probed every cycle — so the same
 //! batteries hold the schedule and its `retry_at` timing to it. It
 //! visits every output every cycle and rebuilds the transmit-blocked set
-//! from the channels, so it holds the kernel's work word and `busy_in`
-//! to the same standard, and it moves one flit per transmitting channel
-//! per cycle where the kernel applies a packet's flits in batches, so it
-//! holds the transmit intervals and the staged heads' exact wakes to the
-//! per-flit timing. Only the clocks, the per-injector staging body, the
-//! packet completion, the grant bookkeeping and the commit-time checks
-//! (the fabric cross-check, the armed-fault detectors) are shared.
+//! from the transmit intervals, so it holds the kernel's work word and
+//! `busy_in` to the same standard, and it moves one flit per
+//! transmitting channel per cycle — finishing a packet on its last one,
+//! never off the completion wheel — where the kernel applies a packet's
+//! flits in batches, so it holds the batches and the staged heads' exact
+//! wakes to the per-flit timing. Only the clocks, the per-injector
+//! staging body, the settle, the packet completion, the grant
+//! bookkeeping and the commit-time checks (the fabric cross-check, the
+//! armed-fault detectors) are shared.
 //!
 //! Nothing here is on a hot path: it allocates freely and is reachable
 //! only through the doc-hidden [`QosSwitch::step_reference`].
@@ -31,7 +33,6 @@ use ssq_types::{Cycle, OutputId, TrafficClass};
 
 use super::output::{Arbiters, GbEngine, Ladder};
 use super::{wire, QosSwitch};
-use crate::channel::ChannelState;
 use crate::sanitize;
 
 /// What `decide_output_reference` found the output doing this cycle.
@@ -142,19 +143,19 @@ impl QosSwitch {
     pub fn step_reference(&mut self, now: Cycle) {
         self.tick_clocks(now, 1);
         self.inject_dense(now);
+        let radix = self.config.geometry().radix();
         // A switch the kernel stepped may hold flits it has not applied;
         // from here on each loop moves exactly one per channel.
-        self.settle_all();
+        for o in 0..radix {
+            self.settle(o);
+        }
         self.clock += 1;
-        let radix = self.config.geometry().radix();
         self.outputs_visited += radix as u64;
         // Inputs already transmitting cannot compete this cycle: read
-        // off the channels, not the kernel's `busy_in` word.
+        // off the intervals, not the kernel's `busy_in` word.
         let mut blocked = vec![false; radix];
-        for out in &self.outputs {
-            if let ChannelState::Transmitting { input, .. } = out.channel.state() {
-                blocked[input.index()] = true;
-            }
+        for tx in self.outputs.iter().filter_map(|out| out.interval) {
+            blocked[tx.input.index()] = true;
         }
         for o in 0..radix {
             let output = OutputId::new(o);
@@ -179,16 +180,14 @@ impl QosSwitch {
     /// Moves one flit of the packet `output`'s channel transmits, and
     /// completes the packet on its last one.
     fn transmit_flit_reference(&mut self, output: OutputId, now: Cycle) {
-        let o = output.index();
-        let out = &mut self.outputs[o];
-        let Some((input, class, done)) = out.channel.transmit_flits(1) else {
+        let Some(tx) = self.outputs[output.index()].interval.as_mut() else {
             return;
         };
-        out.interval.applied += 1;
-        let completed = self.ports[input.index()].transmit_head_flits(class, output, 1);
-        debug_assert_eq!(completed.is_some(), done, "port/channel desync");
-        if let Some(pkt) = completed {
-            self.finish_packet(output, input, class, pkt, now);
+        tx.apply(tx.applied + 1);
+        let (input, class, last) = (tx.input, tx.class, tx.applied == tx.done_at);
+        self.ports[input.index()].drain_head(class, output, 1);
+        if last {
+            self.finish_packet(output, now);
         }
     }
 
@@ -228,10 +227,7 @@ impl QosSwitch {
         blocked: &[bool],
     ) -> PlanAction {
         let o = output.index();
-        if matches!(
-            self.outputs[o].channel.state(),
-            ChannelState::Transmitting { .. }
-        ) {
+        if self.outputs[o].interval.is_some() {
             return PlanAction::Transmit;
         }
         let (gl, gb, be) = self.gather(output, blocked);

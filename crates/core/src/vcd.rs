@@ -8,7 +8,9 @@
 //!   waveform viewer) opens directly, with value deduplication and a
 //!   definitions/changes phase machine;
 //! * [`SwitchVcdRecorder`] — declares one group of signals per output
-//!   channel (busy flag, granted input, packet class, flits remaining)
+//!   channel (busy flag, granted input, packet class, flits remaining,
+//!   read off the [`ChannelState`] that
+//!   [`QosSwitch::channel`] derives from the output's transmit interval)
 //!   and one buffer-occupancy counter per input port, then samples
 //!   them every cycle.
 //!
@@ -64,8 +66,7 @@ use std::io::{self, Write};
 
 use ssq_types::{Cycle, InputId, OutputId, TrafficClass};
 
-use crate::channel::ChannelState;
-use crate::switch::QosSwitch;
+use crate::switch::{ChannelState, QosSwitch};
 
 /// Handle to a declared VCD variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -358,8 +359,7 @@ impl<W: Write> SwitchVcdRecorder<W> {
         let radix = switch.config().geometry().radix();
         let t = now.value();
         for o in 0..radix {
-            let channel = switch.channel(OutputId::new(o));
-            match channel.state() {
+            match switch.channel(OutputId::new(o)) {
                 ChannelState::Idle => {
                     self.vcd.change(t, self.busy[o], 0)?;
                     self.vcd.change(t, self.granted_input[o], 0xFF)?;

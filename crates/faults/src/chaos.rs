@@ -49,21 +49,10 @@ impl ChaosSwitch {
         &self.switch
     }
 
-    /// Mutable access to the wrapped switch (e.g. to attach sinks).
-    pub fn switch_mut(&mut self) -> &mut QosSwitch {
-        &mut self.switch
-    }
-
     /// Unwraps the switch for post-run inspection.
     #[must_use]
     pub fn into_switch(self) -> QosSwitch {
         self.switch
-    }
-
-    /// Fault steps not yet applied.
-    #[must_use]
-    pub fn pending_faults(&self) -> usize {
-        self.plan.len() - self.cursor
     }
 }
 

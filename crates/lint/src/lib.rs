@@ -16,7 +16,9 @@
 //! Under them: [`lexer`], a hand-rolled Rust lexer (the build is
 //! offline, so no `syn`), and [`source`], the per-file view that masks
 //! strings and comments and knows which lines are test code. A finding
-//! has no waiver syntax and no baseline: fix the site.
+//! has no waiver syntax and no baseline: fix the site. A rule's scope
+//! that names a file the workspace does not have is a finding too
+//! ([`check_workspace`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,7 +50,7 @@ pub struct Finding {
     pub rule: &'static str,
     /// Workspace-relative file path.
     pub file: String,
-    /// 1-based line number.
+    /// 1-based line number; 0 when the finding is about a whole file.
     pub line: usize,
     /// What went wrong and what to do instead.
     pub message: String,
@@ -73,6 +75,28 @@ pub fn check_sources(sources: Vec<(String, String)>) -> Vec<Finding> {
         rules::check_file(&SourceFile::new(&rel, text), &mut findings);
     }
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
+    findings
+}
+
+/// Runs every rule over the workspace's sources, as [`check_sources`]
+/// does, after a finding for each file a rule's scope names that
+/// `sources` does not hold (at line 0: it is about the whole file).
+#[must_use]
+pub fn check_workspace(sources: Vec<(String, String)>) -> Vec<Finding> {
+    let mut findings: Vec<Finding> = rules::NAMED_FILES
+        .iter()
+        .flat_map(|&(rule, files)| files.iter().map(move |&file| (rule, file)))
+        .filter(|&(_, file)| !sources.iter().any(|(rel, _)| rel == file))
+        .map(|(rule, file)| Finding {
+            rule,
+            file: file.to_owned(),
+            line: 0,
+            message: "the rule's scope names this file and the workspace has none; fix \
+                      the list in crates/lint/src/rules.rs"
+                .to_owned(),
+        })
+        .collect();
+    findings.extend(check_sources(sources));
     findings
 }
 

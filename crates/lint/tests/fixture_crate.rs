@@ -3,9 +3,20 @@
 //! must fire on exactly its seeded lines — and nowhere outside that
 //! scope.
 
-use ssq_lint::{check_sources, Finding, RULES};
+use std::path::{Path, PathBuf};
 
+use ssq_lint::{check_sources, check_workspace, load_workspace, Finding, RULES};
+
+/// The workspace root, two up from this crate's manifest.
+fn root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// Runs the rules over `text` as if it were the workspace file `rel`,
+/// which must exist: a fixture fed at a path nobody has proves nothing
+/// about the scopes the real files fall in.
 fn check(rel: &str, text: &str) -> Vec<Finding> {
+    assert!(root().join(rel).is_file(), "{rel} names no workspace file");
     check_sources(vec![(rel.to_string(), text.to_string())])
 }
 
@@ -35,7 +46,10 @@ fn an_emission_without_a_sanitize_check_in_sight_fires() {
 #[test]
 fn a_degradation_without_a_fault_event_in_sight_fires() {
     let text = include_str!("../fixtures/silent_degrade.rs");
-    for rel in ["crates/core/src/admission.rs", "crates/faults/src/chaos.rs"] {
+    for rel in [
+        "crates/core/src/switch/faults.rs",
+        "crates/faults/src/chaos.rs",
+    ] {
         let found = check(rel, text);
         assert_eq!(
             sites(&found),
@@ -73,7 +87,6 @@ fn impurity_fires_in_every_file_the_decide_kernel_reaches() {
         "crates/core/src/switch/decide.rs",
         "crates/core/src/switch/output.rs",
         "crates/core/src/port.rs",
-        "crates/core/src/channel.rs",
         "crates/core/src/bitmask.rs",
     ] {
         let found = check(rel, text);
@@ -117,7 +130,7 @@ fn findings_are_ordered_and_render_on_one_line() {
             include_str!("../fixtures/invariant_coverage.rs").to_string(),
         ),
         (
-            "crates/core/src/admission.rs".to_string(),
+            "crates/core/src/switch/faults.rs".to_string(),
             include_str!("../fixtures/silent_degrade.rs").to_string(),
         ),
     ]);
@@ -125,7 +138,7 @@ fn findings_are_ordered_and_render_on_one_line() {
     assert_eq!(
         files,
         [
-            "crates/core/src/admission.rs",
+            "crates/core/src/switch/faults.rs",
             "crates/core/src/switch/kernel.rs"
         ]
     );
@@ -135,4 +148,28 @@ fn findings_are_ordered_and_render_on_one_line() {
         "{line}"
     );
     assert!(found.iter().all(|f| RULES.contains(&f.rule)));
+}
+
+#[test]
+fn a_scope_naming_a_missing_file_fails_the_workspace() {
+    let sources = load_workspace(&root()).expect("workspace sources load");
+    let stale = |found: &[Finding]| {
+        found
+            .iter()
+            .filter(|f| f.line == 0)
+            .map(|f| (f.rule, f.file.clone()))
+            .collect::<Vec<_>>()
+    };
+    // Every file the shipped scopes name exists.
+    assert_eq!(stale(&check_workspace(sources.clone())), []);
+    // Take one away, as a deleted or renamed file would.
+    let gone = "crates/core/src/switch/output.rs";
+    let without = sources.into_iter().filter(|(rel, _)| rel != gone).collect();
+    let found = check_workspace(without);
+    assert_eq!(
+        stale(&found),
+        [("no-shared-mut-in-shards", gone.to_owned())],
+        "{found:?}"
+    );
+    assert!(found[0].to_string().starts_with(&format!("{gone}:0 · ")));
 }

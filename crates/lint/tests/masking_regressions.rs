@@ -3,9 +3,17 @@
 //! not sites. The rules see code tokens only, so all of these stay
 //! clean — and the adjacent real sites still fire.
 
+use std::path::Path;
+
 use ssq_lint::{check_sources, Finding};
 
+/// Runs the rules over `text` as if it were the workspace file `rel`,
+/// which must exist.
 fn check(rel: &str, text: &str) -> Vec<Finding> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(rel);
+    assert!(path.is_file(), "{rel} names no workspace file");
     check_sources(vec![(rel.to_string(), text.to_string())])
 }
 
@@ -21,7 +29,7 @@ fn quoted_event_site_does_not_need_sanitizer_coverage() {
 #[test]
 fn quoted_degrade_site_is_not_a_degradation() {
     let found = check(
-        "crates/core/src/admission.rs",
+        "crates/core/src/switch/faults.rs",
         "pub fn help() -> &'static str {\n    \".set_gl_demoted( flips an output\" // .readmit( too\n}\n",
     );
     assert!(found.is_empty(), "{found:?}");

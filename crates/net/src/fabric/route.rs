@@ -75,7 +75,7 @@ impl FlowSpec {
         self
     }
 
-    /// Sets the injection period in cycles.
+    /// Sets the injection period in cycles; [`Fabric::new`] refuses 0.
     #[must_use]
     pub fn every(mut self, period: u64) -> Self {
         self.period = period;
@@ -102,6 +102,8 @@ impl FlowSpec {
                 "packet length {} flits outside 1..={MAX_PACKET_FLITS}",
                 self.len_flits
             ))
+        } else if self.period == 0 {
+            Some("injection period 0: the flow would never inject".to_owned())
         } else {
             None
         }
@@ -123,18 +125,6 @@ pub struct FlowStats {
     pub latency_max: u64,
     /// Packets lost anywhere along the path (all reasons).
     pub lost_packets: u64,
-}
-
-impl FlowStats {
-    /// Mean end-to-end latency over delivered packets (0 when none).
-    #[must_use]
-    pub fn latency_mean(&self) -> f64 {
-        if self.delivered_packets == 0 {
-            0.0
-        } else {
-            self.latency_sum as f64 / self.delivered_packets as f64
-        }
-    }
 }
 
 /// The output port a packet of `flow` leaves `node` by: the flow's
@@ -213,9 +203,7 @@ impl Fabric {
                     continue;
                 }
             }
-            // checked_rem folds the period-0 guard into the beat test: a
-            // zero period never injects.
-            let on_beat = now.value().checked_rem(spec.period).is_some_and(|r| r == 0);
+            let on_beat = now.value().is_multiple_of(spec.period);
             if !on_beat || !self.node_up[spec.src] || !self.node_up[spec.dest] {
                 continue;
             }

@@ -98,14 +98,16 @@ fn shared_transit_hops_aggregate_their_rates() {
 
 #[test]
 fn killed_chain_link_revokes_loudly_and_heals() {
-    // (discipline, latency and depth of link 0). The third chain's first
-    // link is long and shallow: when link 1 dies node 1 has no route and
-    // holds its egress head, so the packets still on link 0's wire land
-    // on a full queue.
+    // (discipline, latency and depth of link 0). In the last two chains
+    // the first link is long and shallow: when link 1 dies node 1 has no
+    // route and holds its egress head, so the packets still on link 0's
+    // wire land on a full queue.
+    let nack = LinkDiscipline::Nack(BackoffPolicy::exponential(8, 4, 2, 256));
     for (discipline, latency, depth) in [
         (LinkDiscipline::Credit, 1, 8),
         (LinkDiscipline::Lossy, 1, 8),
         (LinkDiscipline::Lossy, 200, 2),
+        (nack, 200, 2),
     ] {
         let topo = Topology::chain(3, discipline).map_links(|s| {
             if s.src == 0 {
@@ -151,8 +153,9 @@ fn killed_chain_link_revokes_loudly_and_heals() {
         assert!(fabric.flow_stats(0).delivered_packets > 0);
         // A packet enqueued on link 0 at `t` lands at `t + 1 + latency`.
         // Those landing after the kill wait in node 1's egress queue
-        // until it holds `depth`; until the restore the link sheds every
-        // later arrival as `queue_full`.
+        // until it holds `depth`; until the restore a lossy link sheds
+        // every later arrival as `queue_full`, and a NACK link sends it
+        // back for retransmission instead.
         let count = |kind: fn(&EventKind) -> bool, cycles: std::ops::Range<u64>| {
             fabric
                 .events()
@@ -177,12 +180,28 @@ fn killed_chain_link_revokes_loudly_and_heals() {
             },
             600..1_500,
         );
-        assert_eq!(
-            overflow,
-            landed.saturating_sub(depth),
-            "{discipline:?}: {landed} packets landed on a {depth}-deep queue"
+        let retransmits = count(
+            |k| matches!(k, EventKind::NackRetransmit { link: 0, .. }),
+            600..1_500,
         );
-        assert!(latency == 1 || overflow > 0, "the long link must overflow");
+        let overflowed = landed.saturating_sub(depth);
+        let shed = if matches!(discipline, LinkDiscipline::Nack(_)) {
+            // Every overflowing arrival goes back at least once.
+            assert_eq!(overflow, 0, "a NACK link drops no arrival as queue_full");
+            assert!(
+                retransmits >= overflowed,
+                "{retransmits} retransmits for {landed} packets on a {depth}-deep queue"
+            );
+            retransmits
+        } else {
+            assert_eq!(retransmits, 0, "{discipline:?} never retransmits");
+            assert_eq!(
+                overflow, overflowed,
+                "{discipline:?}: {landed} packets landed on a {depth}-deep queue"
+            );
+            overflow
+        };
+        assert!(latency == 1 || shed > 0, "the long link must overflow");
     }
 }
 
@@ -439,6 +458,7 @@ fn malformed_flows_are_refused_not_panicked_on() {
         ("rate", good.rate(1.5)),
         ("no route", FlowSpec::new(2, 0, GuaranteedBandwidth)),
         ("length", FlowSpec::new(0, 2, BestEffort).len_flits(0)),
+        ("period", good.every(0)),
     ];
     for (what, bad) in rows {
         let topo = Topology::chain(2, LinkDiscipline::Credit);

@@ -32,39 +32,6 @@ pub fn jain_fairness_index(allocations: &[f64]) -> f64 {
     (sum * sum) / (allocations.len() as f64 * sum_sq)
 }
 
-/// Ratio of the smallest to the largest allocation; `1.0` means perfectly
-/// balanced, `0.0` means some flow is starved.
-///
-/// Returns `1.0` for empty input and `0.0` if the maximum is zero... except
-/// that the all-zero allocation is treated as balanced (`1.0`), since no
-/// flow is disadvantaged relative to another.
-///
-/// # Examples
-///
-/// ```
-/// use ssq_stats::min_over_max;
-///
-/// assert_eq!(min_over_max(&[2.0, 4.0]), 0.5);
-/// assert_eq!(min_over_max(&[]), 1.0);
-/// assert_eq!(min_over_max(&[0.0, 0.0]), 1.0);
-/// ```
-#[must_use]
-pub fn min_over_max(allocations: &[f64]) -> f64 {
-    let Some(max) = allocations
-        .iter()
-        .copied()
-        .fold(None::<f64>, |acc, x| Some(acc.map_or(x, |m| m.max(x))))
-    else {
-        return 1.0;
-    };
-    let min = allocations.iter().copied().fold(f64::INFINITY, f64::min);
-    if max == 0.0 {
-        1.0
-    } else {
-        min / max
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,15 +65,5 @@ mod tests {
         let allocs = [0.4, 0.2, 0.1, 0.1, 0.05, 0.05, 0.05, 0.05];
         let j = jain_fairness_index(&allocs);
         assert!(j > 1.0 / 8.0 && j < 1.0);
-    }
-
-    #[test]
-    fn min_over_max_balanced() {
-        assert_eq!(min_over_max(&[5.0, 5.0, 5.0]), 1.0);
-    }
-
-    #[test]
-    fn min_over_max_starved_flow() {
-        assert_eq!(min_over_max(&[0.0, 1.0]), 0.0);
     }
 }

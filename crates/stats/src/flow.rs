@@ -4,7 +4,7 @@ use std::fmt;
 
 use ssq_types::{Cycle, Cycles, FlowId};
 
-use crate::{Histogram, RunningStats, ThroughputMeter};
+use crate::{Histogram, RunningStats};
 
 /// Default latency histogram layout: 4-cycle bins out to 4096 cycles,
 /// with exact mean/max beyond that.
@@ -32,8 +32,10 @@ pub struct FlowMetrics {
     flow: FlowId,
     latency: Histogram,
     latency_stats: RunningStats,
-    throughput: ThroughputMeter,
+    /// Where the measurement window starts.
+    window_start: Cycle,
     packets: u64,
+    flits: u64,
 }
 
 impl FlowMetrics {
@@ -44,8 +46,9 @@ impl FlowMetrics {
             flow,
             latency: Histogram::new(LATENCY_BIN_WIDTH, LATENCY_BINS),
             latency_stats: RunningStats::new(),
-            throughput: ThroughputMeter::new(),
+            window_start: Cycle::ZERO,
             packets: 0,
+            flits: 0,
         }
     }
 
@@ -59,8 +62,9 @@ impl FlowMetrics {
     pub fn start_window(&mut self, now: Cycle) {
         self.latency = Histogram::new(LATENCY_BIN_WIDTH, LATENCY_BINS);
         self.latency_stats = RunningStats::new();
-        self.throughput.start(now);
+        self.window_start = now;
         self.packets = 0;
+        self.flits = 0;
     }
 
     /// Records a delivered packet: its end-to-end latency and flit count.
@@ -68,7 +72,7 @@ impl FlowMetrics {
         self.packets = self.packets.saturating_add(1);
         self.latency.record(latency.value());
         self.latency_stats.push(latency.as_f64());
-        self.throughput.record_flits(flits);
+        self.flits = self.flits.saturating_add(flits);
     }
 
     /// Packets delivered within the window.
@@ -80,7 +84,7 @@ impl FlowMetrics {
     /// Flits delivered within the window.
     #[must_use]
     pub const fn flits(&self) -> u64 {
-        self.throughput.flits()
+        self.flits
     }
 
     /// Mean packet latency in cycles (zero if no packets arrived).
@@ -107,10 +111,16 @@ impl FlowMetrics {
         &self.latency_stats
     }
 
-    /// Accepted throughput in flits/cycle over the window ending at `now`.
+    /// Accepted throughput in flits/cycle over the window ending at `now`
+    /// (zero for an empty window) — what Fig. 4 plots on its y-axis.
     #[must_use]
     pub fn throughput(&self, now: Cycle) -> f64 {
-        self.throughput.flits_per_cycle(now)
+        let window = now.saturating_since(self.window_start).value();
+        if window == 0 {
+            0.0
+        } else {
+            self.flits as f64 / window as f64
+        }
     }
 }
 
@@ -263,6 +273,8 @@ mod tests {
         m.start_window(Cycle::new(0));
         m.record_delivery(Cycles::new(1), 50);
         assert!((m.throughput(Cycle::new(100)) - 0.5).abs() < 1e-12);
+        // An empty window reads zero, not NaN.
+        assert_eq!(m.throughput(Cycle::new(0)), 0.0);
     }
 
     #[test]

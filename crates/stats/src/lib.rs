@@ -9,9 +9,9 @@
 //! * [`Counter`] — monotonically increasing event counts.
 //! * [`RunningStats`] — streaming mean/variance/min/max (Welford).
 //! * [`Histogram`] — fixed-bin latency histograms with percentiles.
-//! * [`ThroughputMeter`] — flits delivered per cycle over a window.
-//! * [`FlowMetrics`] / [`MetricsMatrix`] — per-flow accounting.
-//! * [`jain_fairness_index`] and [`min_over_max`] — fairness summaries.
+//! * [`FlowMetrics`] / [`MetricsMatrix`] — per-flow accounting: latency,
+//!   delivered flits and accepted throughput.
+//! * [`jain_fairness_index`] — a fairness summary.
 //! * [`TimeSeries`] — windowed means over simulated time (convergence
 //!   and transient views).
 //! * [`Table`] and [`Series`] — plain-text and CSV rendering of the rows
@@ -50,15 +50,13 @@ mod histogram;
 mod running;
 mod series;
 mod table;
-mod throughput;
 mod timeseries;
 
 pub use counter::Counter;
-pub use fairness::{jain_fairness_index, min_over_max};
+pub use fairness::jain_fairness_index;
 pub use flow::{FlowMetrics, MetricsMatrix};
 pub use histogram::Histogram;
 pub use running::RunningStats;
 pub use series::{Figure, Series};
 pub use table::{Align, Table};
-pub use throughput::ThroughputMeter;
 pub use timeseries::TimeSeries;

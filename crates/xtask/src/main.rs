@@ -7,7 +7,8 @@
 //! The lint pass runs the [`ssq_lint`] rules stock clippy cannot express
 //! (DESIGN.md §10 has the table of what clippy enforces instead).
 //! Findings print as `file:line · rule · message` and any finding fails
-//! the pass. The model checker is `ssq verify`.
+//! the pass, a rule's scope naming a file the workspace does not have
+//! among them. The model checker is `ssq verify`.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -45,7 +46,7 @@ fn lint(args: &[String]) -> ExitCode {
         }
     };
     let files = sources.len();
-    let findings = ssq_lint::check_sources(sources);
+    let findings = ssq_lint::check_workspace(sources);
     if findings.is_empty() {
         println!("lint clean: {files} files, {} rules", ssq_lint::RULES.len());
         return ExitCode::SUCCESS;

@@ -825,9 +825,10 @@ fn a_be_head_pop_that_requests_a_later_output_mid_cycle_matches_the_reference() 
     }
 }
 
-/// What an observer reads between steps: every channel (state,
-/// remaining flits, utilization counters), and per input its occupancy
-/// and the room of every queue.
+/// What an observer reads between steps: every channel's
+/// [`ChannelState`] (idle, or the input, class and remaining flits
+/// derived from its transmit interval), and per input its occupancy and
+/// the room of every queue.
 fn readings(switch: &QosSwitch) -> String {
     use std::fmt::Write as _;
     let radix = switch.config().geometry().radix();
@@ -986,11 +987,11 @@ fn packets_longer_than_the_completion_wheel_match_the_reference() {
     }
 }
 
-/// The measurement boundary falls in the middle of a 40-flit packet:
-/// its flits before the boundary are warm-up, the ones after it count
-/// toward the channel's utilization.
+/// The measurement boundary falls in the middle of a 40-flit packet: the
+/// window opens on a channel the kernel has not settled, and every
+/// reading after it still equals the reference's.
 #[test]
-fn a_measurement_window_opened_mid_packet_counts_the_same_utilization() {
+fn a_measurement_window_opened_mid_packet_matches_the_reference() {
     let build = || {
         let mut switch = deep_switch(
             Policy::Ssvc(CounterPolicy::SubtractRealClock),
@@ -1008,16 +1009,17 @@ fn a_measurement_window_opened_mid_packet_counts_the_same_utilization() {
     step_reading_both(&mut kernel, &mut reference, 0..1_000, |sw, now| {
         if now.value() == 517 {
             mid_packet |= matches!(
-                sw.channel(OutputId::new(0)).state(),
+                sw.channel(OutputId::new(0)),
                 ChannelState::Transmitting { remaining_flits, .. } if remaining_flits < 40
             );
             sw.begin_measurement(now);
         }
     });
     assert!(mid_packet, "the boundary must fall mid-packet");
-    let channel = kernel.channel(OutputId::new(0));
-    assert!(channel.busy_flit_cycles() > 400, "{channel:?}");
-    assert_eq!(channel, reference.channel(OutputId::new(0)));
+    assert_eq!(
+        kernel.channel(OutputId::new(0)),
+        reference.channel(OutputId::new(0))
+    );
     assert_observables_match(&reference, &kernel, "window opened mid-packet");
 }
 
@@ -1044,7 +1046,7 @@ fn a_link_downed_and_healed_mid_packet_matches_the_reference() {
     step_reading_both(&mut kernel, &mut reference, 0..3_000, |sw, now| {
         let t = now.value();
         if t >= 100 && (t - 100) % 61 == 0 {
-            if let ChannelState::Transmitting { input, .. } = sw.channel(OutputId::new(0)).state() {
+            if let ChannelState::Transmitting { input, .. } = sw.channel(OutputId::new(0)) {
                 downed_mid_packet += 1;
                 sw.fault_set_link(input, false, now);
             }
