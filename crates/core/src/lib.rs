@@ -101,4 +101,6 @@ pub use reservations::{GbReservation, ReadmitAction, ReadmitDecision, Reservatio
 pub use ssq_check::{Preflight, Report};
 #[doc(hidden)]
 pub use switch::ReferenceKernel;
-pub use switch::{ChannelState, InjectionWork, OutputPlan, QosSwitch, SwitchCounters};
+pub use switch::{
+    ChannelState, InjectionWork, OutputPlan, QosSwitch, SwitchCounters, TransmitOnlyCycles,
+};

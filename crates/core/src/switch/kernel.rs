@@ -12,7 +12,7 @@ use ssq_types::{Cycle, InputId, OutputId, TrafficClass};
 
 use super::decide::PlanKind;
 use super::output::{Arbiters, GbEngine, Interval, Ladder, Output};
-use super::{slot, wire, InjectionWork, OutputPlan, QosSwitch, SwitchCounters};
+use super::{slot, wire, InjectionWork, OutputPlan, QosSwitch, SwitchCounters, TransmitOnlyCycles};
 use crate::bitmask::PortSet;
 use crate::config::{Policy, SwitchConfig};
 use crate::sanitize;
@@ -626,6 +626,8 @@ impl QosSwitch {
     fn run_cycle(&mut self, now: Cycle, profiled: bool) {
         let mut watch = profiled.then(ssq_prof::Stopwatch::start);
         let mut lap = move || watch.as_mut().map_or(0, ssq_prof::Stopwatch::lap_ns);
+        let transmit_only = profiled && self.transmit_only();
+        let polls = self.injection_work.polls;
         self.prepare_cycle(now);
         if profiled {
             self.prof.record_phase(ssq_prof::PHASE_PREPARE, lap());
@@ -635,6 +637,11 @@ impl QosSwitch {
         // `Transmit` commit returns at once; a grant in this loop cannot
         // finish in it.
         let finishing = self.finish[slot(self.clock)];
+        if transmit_only {
+            self.transmit_only.transmit_only += 1;
+            let arrived = self.injection_work.polls != polls;
+            self.transmit_only.clock_only += u64::from(finishing == 0 && !arrived);
+        }
         // Bits at and below the output visited last.
         let mut passed = 0u64;
         loop {
@@ -704,6 +711,7 @@ impl CycleModel for QosSwitch {
         self.counters = SwitchCounters::default();
         self.injection_work = InjectionWork::default();
         self.outputs_visited = 0;
+        self.transmit_only = TransmitOnlyCycles::default();
         self.be_metrics.start_window(now);
         self.gb_metrics.start_window(now);
         self.gl_metrics.start_window(now);

@@ -98,6 +98,24 @@ pub struct InjectionWork {
     pub refills: u64,
 }
 
+/// Stepped cycles in which nothing could arbitrate while outputs
+/// transmitted, over one measurement window: what `ssq simulate --prof`
+/// counts for sleeping through transmission (DESIGN.md §9, "Outputs
+/// with work"). Counted by the profiled cycle only, so on `seq` and
+/// `bitpar` alike, and zero unless the profiler samples every cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TransmitOnlyCycles {
+    /// Cycles that began with some output transmitting, every requested
+    /// output transmitting, nothing staged, every link up and the fault
+    /// machinery disarmed: [`QosSwitch::is_quiescent`] failed on the
+    /// busy outputs alone, or on requests that wait for them.
+    pub transmit_only: u64,
+    /// Of those, the cycles in which no packet finished and no arrival
+    /// was due (with nothing staged, no retry can be): only the clocks
+    /// moved.
+    pub clock_only: u64,
+}
+
 /// The QoS-enabled single-stage switch (see the crate-level docs for the
 /// model and an end-to-end example).
 pub struct QosSwitch {
@@ -166,6 +184,7 @@ pub struct QosSwitch {
     finish: [u64; 64],
     /// Outputs visited by [`Self::run_cycle`] in the current window.
     outputs_visited: u64,
+    transmit_only: TransmitOnlyCycles,
     /// Last-synced copy of each port's own request words
     /// ([`InputPort::request_bits`]), indexed `[input][class.priority()]`
     /// and XOR-diffed against the fresh words so the outputs' `xreq`
@@ -251,6 +270,7 @@ impl QosSwitch {
             epoch_len,
             finish: [0; 64],
             outputs_visited: 0,
+            transmit_only: TransmitOnlyCycles::default(),
             mask_shadow: vec![[0; 3]; radix],
             next_packet_id: PacketId::new(0),
             counters: SwitchCounters::default(),
@@ -410,6 +430,13 @@ impl QosSwitch {
         self.outputs_visited
     }
 
+    /// The profiled cycles of the current measurement window in which
+    /// only transmission and the clocks could move.
+    #[must_use]
+    pub fn transmit_only_cycles(&self) -> TransmitOnlyCycles {
+        self.transmit_only
+    }
+
     /// Per-flow metrics of the BE class.
     #[must_use]
     pub fn be_metrics(&self) -> &MetricsMatrix {
@@ -531,6 +558,17 @@ impl QosSwitch {
     pub fn is_quiescent(&self) -> bool {
         self.busy_out == 0
             && !self.holds_packets()
+            && self.live_links == self.all_ports
+            && !self.armed
+    }
+
+    /// Whether a step can arbitrate nothing while some output transmits:
+    /// every requested output busy, nothing staged, every link up and
+    /// the fault machinery disarmed ([`TransmitOnlyCycles`]).
+    fn transmit_only(&self) -> bool {
+        self.busy_out != 0
+            && self.req_out & !self.busy_out == 0
+            && self.staged.iter().all(|&word| word == 0)
             && self.live_links == self.all_ports
             && !self.armed
     }

@@ -13,17 +13,45 @@
 //! diff-friendly, and easy to produce from any other simulator or from a
 //! captured delivery log, making experiments portable across tools.
 //!
-//! [`TraceFile::into_injectors`] converts a trace into ready-to-attach
-//! [`Injector`]s — one per `(input, class)` pair, each built from a
-//! [`Trace`] source and a [`SequenceDest`] pattern that replays the
-//! recorded destinations in order.
+//! # Loading
+//!
+//! One line tokenizer reads every trace. Its fast path works on the
+//! bytes of the shape [`TraceFile`]'s `Display` writes: ASCII digits,
+//! `BE`/`GB`/`GL`, spaces or tabs, `\n` or `\r\n` line ends. Any other
+//! line (a `+5`, Unicode whitespace, a comment, the wrong number of
+//! fields, an overflowing number) goes through the general rules, which
+//! refuse a line that is not UTF-8. Both refuse a packet length outside
+//! `1..=`[`MAX_PACKET_FLITS`].
+//!
+//! One stream builder groups the packets into per-`(input, class)`
+//! schedules — a port replays each class stream independently, matching
+//! the per-class buffering of the switch — and turns each into an
+//! [`Injector`]: a [`Trace`] source and a [`SequenceDest`] pattern that
+//! replays the recorded destinations in order. A stream whose lines
+//! arrive out of cycle order is sorted stably, so the result equals a
+//! stable sort of the whole trace by cycle.
+//!
+//! There are two ways in, with the same tokenizer and builder:
+//! - `text.parse::<TraceFile>()` then [`TraceFile::into_injectors`],
+//!   which keeps the events for editing ([`TraceFile::merged`],
+//!   [`TraceFile::window`], ...);
+//! - [`TraceFile::read_injectors`], which streams a reader line by line
+//!   straight into the builder and never holds the text or the events.
+//!   It also refuses a port outside the switch radix.
+//!
+//! Every refusal is a [`ParseTraceError`] naming the 1-based line: a bad
+//! field, a non-UTF-8 byte, a port outside the radix, or the second of
+//! two packets one `(input, class)` stream injects in one cycle (the
+//! earliest such cycle, then file order). Only
+//! [`TraceFile::into_injectors`], which has no lines, names line 0.
 
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
+use std::io::BufRead;
 use std::str::FromStr;
 
-use ssq_types::{InputId, OutputId, TrafficClass};
+use ssq_types::{InputId, OutputId, TrafficClass, MAX_PACKET_FLITS};
 
 use crate::{DestinationPattern, Injector, Trace};
 
@@ -145,8 +173,9 @@ impl TraceFile {
     }
 
     /// Converts the trace into injectors, one per `(input, class)` pair
-    /// present in the trace (a port replays each class stream
-    /// independently, matching the per-class buffering of the switch).
+    /// present in the trace, in `(input, class)` order (a port replays
+    /// each class stream independently, matching the per-class buffering
+    /// of the switch).
     ///
     /// # Errors
     ///
@@ -154,45 +183,338 @@ impl TraceFile {
     /// any `(input, class)` stream carries two packets in one cycle —
     /// an input channel cannot accept more than one packet per cycle.
     pub fn into_injectors(self) -> Result<Vec<Injector>, ParseTraceError> {
-        use std::collections::BTreeMap;
-        /// Per-(input, class) stream: the (cycle, len) schedule plus the
-        /// destination sequence.
-        type Stream = (Vec<(u64, u64)>, VecDeque<OutputId>);
-        let mut groups: BTreeMap<(usize, u8), Stream> = BTreeMap::new();
+        let inputs = self
+            .events
+            .iter()
+            .map(|e| e.input.index().saturating_add(1))
+            .max()
+            .unwrap_or(0);
+        let mut streams = Streams::new(inputs)?;
         for e in &self.events {
-            let key = (e.input.index(), e.class.priority());
-            let entry = groups.entry(key).or_default();
-            if let Some(&(last, _)) = entry.0.last() {
-                if last == e.cycle {
+            streams.push(e, 0);
+        }
+        streams.into_injectors()
+    }
+
+    /// Reads a trace line by line and returns its injectors, exactly as
+    /// `text.parse::<TraceFile>()?.into_injectors()` would, without
+    /// holding the text or the events: each line goes straight into its
+    /// `(input, class)` stream.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParseTraceError`] naming the 1-based line of the first
+    /// line the tokenizer refuses, that cannot be read or that names a
+    /// port outside `radix`; failing those, of the second of two packets
+    /// one stream injects in one cycle (the earliest such cycle, then
+    /// file order).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ssq_traffic::TraceFile;
+    ///
+    /// let text = "0 2 5 GB 8\n17 2 5 GB 8\n40 0 5 GL 1\n";
+    /// let injectors = TraceFile::read_injectors(text.as_bytes(), 8)?;
+    /// assert_eq!(injectors.len(), 2);
+    ///
+    /// let err = TraceFile::read_injectors(text.as_bytes(), 4).unwrap_err();
+    /// assert_eq!((err.line(), err.message()), (1, "output 5 is outside radix 4"));
+    /// # Ok::<(), ssq_traffic::ParseTraceError>(())
+    /// ```
+    pub fn read_injectors(
+        mut reader: impl BufRead,
+        radix: usize,
+    ) -> Result<Vec<Injector>, ParseTraceError> {
+        let mut streams = Streams::new(radix)?;
+        let mut buf = Vec::new();
+        for line_no in 1.. {
+            buf.clear();
+            match reader.read_until(b'\n', &mut buf) {
+                Ok(0) => break,
+                Ok(_) => {}
+                Err(e) => return Err(ParseTraceError::new(line_no, format!("reading: {e}"))),
+            }
+            let line = buf.strip_suffix(b"\n").unwrap_or(&buf);
+            let Some(event) = parse_line(line, line_no)? else {
+                continue;
+            };
+            for (side, port) in [
+                ("input", event.input.index()),
+                ("output", event.output.index()),
+            ] {
+                if port >= radix {
                     return Err(ParseTraceError::new(
-                        0,
-                        format!(
-                            "input {} injects two {} packets at cycle {}",
-                            e.input, e.class, e.cycle
-                        ),
+                        line_no,
+                        format!("{side} {port} is outside radix {radix}"),
                     ));
                 }
             }
-            entry.0.push((e.cycle, e.len_flits));
-            entry.1.push_back(e.output);
+            streams.push(&event, line_no);
         }
-        Ok(groups
+        streams.into_injectors()
+    }
+}
+
+/// The per-`(input, class)` replay streams of a trace, filled one packet
+/// at a time. Slot `input × 3 + class priority`, so the injectors come
+/// out in `(input, class)` order: injector index order is part of every
+/// report.
+struct Streams {
+    slots: Vec<Stream>,
+    /// The packet a stable sort of the whole trace by cycle meets first
+    /// among those whose stream already has a packet in their cycle, as
+    /// `(cycle, line, slot)`.
+    duplicate: Option<(u64, usize, usize)>,
+}
+
+/// One `(input, class)` stream, in arrival order until
+/// [`Streams::into_injectors`] sorts it.
+#[derive(Default)]
+struct Stream {
+    /// `(cycle, len_flits)`, one per packet.
+    schedule: Vec<(u64, u64)>,
+    dests: Vec<OutputId>,
+    /// Once a packet arrives before its predecessor: its index, and the
+    /// lines of it and of every later packet, which the sort needs to
+    /// name a duplicate. Duplicates before it were noted on arrival.
+    unsorted: Option<(usize, Vec<usize>)>,
+}
+
+impl Streams {
+    fn new(inputs: usize) -> Result<Self, ParseTraceError> {
+        let too_many = || ParseTraceError::new(0, format!("no room for {inputs} input streams"));
+        let len = inputs.checked_mul(3).ok_or_else(too_many)?;
+        let mut slots = Vec::new();
+        slots.try_reserve_exact(len).map_err(|_| too_many())?;
+        slots.resize_with(len, Stream::default);
+        Ok(Streams {
+            slots,
+            duplicate: None,
+        })
+    }
+
+    /// Appends `e`, read from `line`, to its stream. Its input must be
+    /// below the `inputs` the builder was made for.
+    fn push(&mut self, e: &TraceEvent, line: usize) {
+        let slot = e.input.index() * 3 + usize::from(e.class.priority());
+        let stream = &mut self.slots[slot];
+        let last = stream.schedule.last().map(|&(cycle, _)| cycle);
+        match &mut stream.unsorted {
+            Some((_, lines)) => lines.push(line),
+            None if last.is_some_and(|last| e.cycle < last) => {
+                stream.unsorted = Some((stream.schedule.len(), vec![line]));
+            }
+            None => {}
+        }
+        stream.schedule.push((e.cycle, e.len_flits));
+        stream.dests.push(e.output);
+        if stream.unsorted.is_none() && last == Some(e.cycle) {
+            self.note_duplicate(e.cycle, line, slot);
+        }
+    }
+
+    fn note_duplicate(&mut self, cycle: u64, line: usize, slot: usize) {
+        if self
+            .duplicate
+            .is_none_or(|(c, l, _)| (cycle, line) < (c, l))
+        {
+            self.duplicate = Some((cycle, line, slot));
+        }
+    }
+
+    fn into_injectors(mut self) -> Result<Vec<Injector>, ParseTraceError> {
+        for slot in 0..self.slots.len() {
+            if let Some(duplicate) = self.slots[slot].sort() {
+                self.note_duplicate(duplicate.0, duplicate.1, slot);
+            }
+        }
+        if let Some((cycle, line, slot)) = self.duplicate {
+            return Err(ParseTraceError::new(
+                line,
+                format!(
+                    "input {} injects two {} packets at cycle {cycle}",
+                    InputId::new(slot / 3),
+                    TrafficClass::ALL[slot % 3]
+                ),
+            ));
+        }
+        Ok(self
+            .slots
             .into_iter()
-            .map(|((input, priority), (schedule, dests))| {
-                let class = match priority {
-                    0 => TrafficClass::BestEffort,
-                    1 => TrafficClass::GuaranteedBandwidth,
-                    _ => TrafficClass::GuaranteedLatency,
-                };
+            .enumerate()
+            .filter(|(_, stream)| !stream.schedule.is_empty())
+            .map(|(slot, stream)| {
                 Injector::new(
-                    Box::new(Trace::new(schedule)),
-                    Box::new(SequenceDest::new(dests)),
-                    class,
+                    Box::new(Trace::new(stream.schedule)),
+                    Box::new(SequenceDest::new(stream.dests.into())),
+                    TrafficClass::ALL[slot % 3],
                 )
-                .for_input(InputId::new(input))
+                .for_input(InputId::new(slot / 3))
             })
             .collect())
     }
+}
+
+impl Stream {
+    /// Sorts an out-of-order stream stably by cycle. Returns the
+    /// earliest `(cycle, line)` of a packet that follows one of its
+    /// cycle in file order, among those whose line was kept.
+    fn sort(&mut self) -> Option<(u64, usize)> {
+        let (from, lines) = self.unsorted.take()?;
+        let mut order: Vec<usize> = (0..self.schedule.len()).collect();
+        order.sort_by_key(|&i| self.schedule[i].0);
+        let duplicate = order
+            .windows(2)
+            .filter(|pair| pair[1] >= from && self.schedule[pair[0]].0 == self.schedule[pair[1]].0)
+            .map(|pair| (self.schedule[pair[1]].0, lines[pair[1] - from]))
+            .min();
+        self.schedule = order.iter().map(|&i| self.schedule[i]).collect();
+        self.dests = order.iter().map(|&i| self.dests[i]).collect();
+        duplicate
+    }
+}
+
+/// Tokenizes one line (without its `\n`): `None` for a blank or comment
+/// line.
+fn parse_line(line: &[u8], line_no: usize) -> Result<Option<TraceEvent>, ParseTraceError> {
+    let event = match fast_line(line) {
+        Some(event) => event,
+        None => {
+            let text = std::str::from_utf8(line)
+                .map_err(|_| ParseTraceError::new(line_no, "not valid UTF-8"))?;
+            general_line(text, line_no)?
+        }
+    };
+    match event {
+        Some(e) if e.len_flits == 0 => Err(ParseTraceError::new(line_no, "zero-length packet")),
+        Some(e) if e.len_flits > MAX_PACKET_FLITS => Err(ParseTraceError::new(
+            line_no,
+            format!(
+                "packet length {} flits outside 1..={MAX_PACKET_FLITS}",
+                e.len_flits
+            ),
+        )),
+        event => Ok(event),
+    }
+}
+
+/// The byte fast path: a blank line, or five fields separated by
+/// spaces or tabs — three numbers, a class label, a number — with an
+/// optional `\r` end. A number here is 1 to 19 ASCII digits, so it never
+/// overflows. `None` hands the line to [`general_line`].
+fn fast_line(line: &[u8]) -> Option<Option<TraceEvent>> {
+    let line = line.strip_suffix(b"\r").unwrap_or(line);
+    let mut c = Cursor { line, at: 0 };
+    c.blanks();
+    if c.at == line.len() {
+        return Some(None);
+    }
+    let cycle = c.number()?;
+    c.separator()?;
+    let input = usize::try_from(c.number()?).ok()?;
+    c.separator()?;
+    let output = usize::try_from(c.number()?).ok()?;
+    c.separator()?;
+    let class = match line.get(c.at..c.at + 2)? {
+        b"BE" => TrafficClass::BestEffort,
+        b"GB" => TrafficClass::GuaranteedBandwidth,
+        b"GL" => TrafficClass::GuaranteedLatency,
+        _ => return None,
+    };
+    c.at += 2;
+    c.separator()?;
+    let len_flits = c.number()?;
+    c.blanks();
+    (c.at == line.len()).then_some(Some(TraceEvent {
+        cycle,
+        input: InputId::new(input),
+        output: OutputId::new(output),
+        class,
+        len_flits,
+    }))
+}
+
+/// A position in a line's bytes.
+struct Cursor<'a> {
+    line: &'a [u8],
+    at: usize,
+}
+
+impl Cursor<'_> {
+    /// Skips spaces and tabs; whether there were any.
+    fn blanks(&mut self) -> bool {
+        let start = self.at;
+        while matches!(self.line.get(self.at), Some(b' ' | b'\t')) {
+            self.at += 1;
+        }
+        self.at > start
+    }
+
+    /// At least one space or tab.
+    fn separator(&mut self) -> Option<()> {
+        self.blanks().then_some(())
+    }
+
+    /// A run of 1 to 19 ASCII digits as a number.
+    fn number(&mut self) -> Option<u64> {
+        let start = self.at;
+        let mut n = 0u64;
+        while let Some(&b @ b'0'..=b'9') = self.line.get(self.at) {
+            n = n.wrapping_mul(10).wrapping_add(u64::from(b - b'0'));
+            self.at += 1;
+        }
+        (1..=19).contains(&(self.at - start)).then_some(n)
+    }
+}
+
+/// The general rules, for every line the fast path does not take: any
+/// whitespace, `+`-signed numbers, comments, and the errors.
+fn general_line(text: &str, line_no: usize) -> Result<Option<TraceEvent>, ParseTraceError> {
+    let line = text.trim();
+    if line.is_empty() || line.starts_with('#') {
+        return Ok(None);
+    }
+    let mut fields = [""; 5];
+    let mut found = 0;
+    for field in line.split_whitespace() {
+        if let Some(slot) = fields.get_mut(found) {
+            *slot = field;
+        }
+        found += 1;
+    }
+    if found != 5 {
+        return Err(ParseTraceError::new(
+            line_no,
+            format!("expected 5 fields, found {found}"),
+        ));
+    }
+    let parse_num = |s: &str, what: &str| {
+        s.parse::<u64>()
+            .map_err(|_| ParseTraceError::new(line_no, format!("invalid {what} {s:?}")))
+    };
+    let cycle = parse_num(fields[0], "cycle")?;
+    let input = parse_num(fields[1], "input")? as usize;
+    let output = parse_num(fields[2], "output")? as usize;
+    let class = match fields[3] {
+        "BE" => TrafficClass::BestEffort,
+        "GB" => TrafficClass::GuaranteedBandwidth,
+        "GL" => TrafficClass::GuaranteedLatency,
+        other => {
+            return Err(ParseTraceError::new(
+                line_no,
+                format!("unknown class {other:?} (expected BE, GB, or GL)"),
+            ))
+        }
+    };
+    let len_flits = parse_num(fields[4], "length")?;
+    Ok(Some(TraceEvent {
+        cycle,
+        input: InputId::new(input),
+        output: OutputId::new(output),
+        class,
+        len_flits,
+    }))
 }
 
 impl TraceFile {
@@ -285,48 +607,8 @@ impl FromStr for TraceFile {
 
     fn from_str(text: &str) -> Result<Self, Self::Err> {
         let mut events = Vec::new();
-        for (idx, raw) in text.lines().enumerate() {
-            let line_no = idx + 1;
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let fields: Vec<&str> = line.split_whitespace().collect();
-            if fields.len() != 5 {
-                return Err(ParseTraceError::new(
-                    line_no,
-                    format!("expected 5 fields, found {}", fields.len()),
-                ));
-            }
-            let parse_num = |s: &str, what: &str| {
-                s.parse::<u64>()
-                    .map_err(|_| ParseTraceError::new(line_no, format!("invalid {what} {s:?}")))
-            };
-            let cycle = parse_num(fields[0], "cycle")?;
-            let input = parse_num(fields[1], "input")? as usize;
-            let output = parse_num(fields[2], "output")? as usize;
-            let class = match fields[3] {
-                "BE" => TrafficClass::BestEffort,
-                "GB" => TrafficClass::GuaranteedBandwidth,
-                "GL" => TrafficClass::GuaranteedLatency,
-                other => {
-                    return Err(ParseTraceError::new(
-                        line_no,
-                        format!("unknown class {other:?} (expected BE, GB, or GL)"),
-                    ))
-                }
-            };
-            let len_flits = parse_num(fields[4], "length")?;
-            if len_flits == 0 {
-                return Err(ParseTraceError::new(line_no, "zero-length packet"));
-            }
-            events.push(TraceEvent {
-                cycle,
-                input: InputId::new(input),
-                output: OutputId::new(output),
-                class,
-                len_flits,
-            });
+        for (idx, line) in text.lines().enumerate() {
+            events.extend(parse_line(line.as_bytes(), idx + 1)?);
         }
         Ok(TraceFile::from_events(events))
     }
@@ -377,6 +659,7 @@ impl DestinationPattern for SequenceDest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssq_types::rng::Xoshiro256StarStar;
     use ssq_types::Cycle;
 
     const SAMPLE: &str = "\
@@ -427,7 +710,7 @@ mod tests {
     fn injectors_replay_the_trace_exactly() {
         let trace: TraceFile = SAMPLE.parse().unwrap();
         let mut injectors = trace.into_injectors().unwrap();
-        // Groups: (0, GL), (1, BE), (2, GB) — BTreeMap order.
+        // Streams: (0, GL), (1, BE), (2, GB) — (input, class) order.
         assert_eq!(injectors.len(), 3);
         let mut fired = Vec::new();
         for c in 0..=40u64 {
@@ -511,66 +794,70 @@ mod tests {
         assert_eq!(single.offered_load(), 0.0);
     }
 
+    /// One damaged copy of `rendered`: flipped bytes, truncations,
+    /// spliced or duplicated lines, the way a capture file breaks.
+    fn corrupted(rng: &mut Xoshiro256StarStar, rendered: &str) -> String {
+        let mut bytes = rendered.as_bytes().to_vec();
+        for _ in 0..=rng.index(4) {
+            match rng.index(5) {
+                // Flip one byte to a random printable character.
+                0 => {
+                    let at = rng.index(bytes.len());
+                    bytes[at] = 0x20 + rng.below(0x5f) as u8;
+                }
+                // Delete one byte.
+                1 => {
+                    let at = rng.index(bytes.len());
+                    bytes.remove(at);
+                }
+                // Truncate mid-file (torn write).
+                2 => bytes.truncate(rng.index(bytes.len() + 1)),
+                // Duplicate a line (double flush).
+                3 => {
+                    let text = String::from_utf8_lossy(&bytes).into_owned();
+                    let lines: Vec<&str> = text.lines().collect();
+                    if !lines.is_empty() {
+                        let at = rng.index(lines.len());
+                        let mut out = lines.clone();
+                        out.insert(at, lines[at]);
+                        bytes = out.join("\n").into_bytes();
+                    }
+                }
+                // Splice in a junk line.
+                _ => {
+                    let junk = match rng.index(4) {
+                        0 => "99 99 99 ZZ 99",
+                        1 => "not a trace line",
+                        2 => "1 2 3 GB",
+                        _ => "18446744073709551616 0 0 GB 8", // u64::MAX + 1
+                    };
+                    let at = rng.index(bytes.len() + 1);
+                    let mut spliced = bytes[..at].to_vec();
+                    spliced.extend_from_slice(b"\n");
+                    spliced.extend_from_slice(junk.as_bytes());
+                    spliced.extend_from_slice(b"\n");
+                    spliced.extend_from_slice(&bytes[at..]);
+                    bytes = spliced;
+                }
+            }
+            if bytes.is_empty() {
+                bytes.push(b'\n');
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
     /// Seeded corruption fuzz: whatever a damaged capture file looks
     /// like — flipped bytes, truncations, spliced or duplicated lines —
     /// the replay path either parses it or returns a structured
     /// [`ParseTraceError`] pointing at a real line. It never panics.
     #[test]
     fn corrupted_traces_never_panic_and_errors_carry_real_lines() {
-        use ssq_types::rng::Xoshiro256StarStar;
-
         let pristine: TraceFile = SAMPLE.parse().unwrap();
         let rendered = pristine.to_string();
         let mut rng = Xoshiro256StarStar::seed_from_u64(0xFA_075);
         for _ in 0..500 {
-            let mut bytes = rendered.clone().into_bytes();
-            for _ in 0..=rng.index(4) {
-                match rng.index(5) {
-                    // Flip one byte to a random printable character.
-                    0 => {
-                        let at = rng.index(bytes.len());
-                        bytes[at] = 0x20 + rng.below(0x5f) as u8;
-                    }
-                    // Delete one byte.
-                    1 => {
-                        let at = rng.index(bytes.len());
-                        bytes.remove(at);
-                    }
-                    // Truncate mid-file (torn write).
-                    2 => bytes.truncate(rng.index(bytes.len() + 1)),
-                    // Duplicate a line (double flush).
-                    3 => {
-                        let text = String::from_utf8_lossy(&bytes).into_owned();
-                        let lines: Vec<&str> = text.lines().collect();
-                        if !lines.is_empty() {
-                            let at = rng.index(lines.len());
-                            let mut out = lines.clone();
-                            out.insert(at, lines[at]);
-                            bytes = out.join("\n").into_bytes();
-                        }
-                    }
-                    // Splice in a junk line.
-                    _ => {
-                        let junk = match rng.index(4) {
-                            0 => "99 99 99 ZZ 99",
-                            1 => "not a trace line",
-                            2 => "1 2 3 GB",
-                            _ => "18446744073709551616 0 0 GB 8", // u64::MAX + 1
-                        };
-                        let at = rng.index(bytes.len() + 1);
-                        let mut spliced = bytes[..at].to_vec();
-                        spliced.extend_from_slice(b"\n");
-                        spliced.extend_from_slice(junk.as_bytes());
-                        spliced.extend_from_slice(b"\n");
-                        spliced.extend_from_slice(&bytes[at..]);
-                        bytes = spliced;
-                    }
-                }
-                if bytes.is_empty() {
-                    bytes.push(b'\n');
-                }
-            }
-            let text = String::from_utf8_lossy(&bytes).into_owned();
+            let text = corrupted(&mut rng, &rendered);
             match text.parse::<TraceFile>() {
                 Ok(trace) => {
                     // A parseable corruption must still replay cleanly
@@ -589,6 +876,254 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every `(cycle, input, output, class, len)` the injectors fire,
+    /// polled at each of `cycles` in ascending order (a trace source
+    /// fires only at its recorded cycles).
+    fn fired(mut injectors: Vec<Injector>, cycles: &[u64]) -> Vec<Fired> {
+        let mut fired = Vec::new();
+        for &c in cycles {
+            for inj in &mut injectors {
+                if let Some(p) = inj.poll(Cycle::new(c)) {
+                    fired.push((
+                        c,
+                        inj.input().index(),
+                        p.output.index(),
+                        p.class,
+                        p.len_flits,
+                    ));
+                }
+            }
+        }
+        fired
+    }
+
+    type Fired = (u64, usize, usize, TrafficClass, u64);
+
+    /// The distinct cycles of a trace, ascending.
+    fn cycles_of(trace: &TraceFile) -> Vec<u64> {
+        let mut cycles: Vec<u64> = trace.events().iter().map(|e| e.cycle).collect();
+        cycles.dedup();
+        cycles
+    }
+
+    /// The reader against the parse-then-convert path on one text: the
+    /// same injectors, or the same refusal. A duplicate, which
+    /// `into_injectors` can only place on line 0, must name `dup_line`.
+    fn assert_reader_matches(text: &str, radix: usize, dup_line: impl FnOnce() -> usize) {
+        // Every line the byte fast path takes reads the same under the
+        // general rules.
+        for line in text.lines() {
+            if let Some(fast) = fast_line(line.as_bytes()) {
+                assert_eq!(Ok(fast), general_line(line, 1), "{line:?}");
+            }
+        }
+        let read = TraceFile::read_injectors(text.as_bytes(), radix);
+        let trace = match text.parse::<TraceFile>() {
+            Ok(trace) => trace,
+            Err(e) => {
+                let got = read.err().unwrap_or_else(|| panic!("reader took {text:?}"));
+                assert_eq!(
+                    (got.line(), got.message()),
+                    (e.line(), e.message()),
+                    "{text:?}"
+                );
+                return;
+            }
+        };
+        let cycles = cycles_of(&trace);
+        match (trace.into_injectors(), read) {
+            (Ok(old), Ok(new)) => assert_eq!(fired(old, &cycles), fired(new, &cycles), "{text:?}"),
+            (Err(old), Err(new)) => {
+                assert_eq!(old.line(), 0);
+                assert_eq!(new.message(), old.message(), "{text:?}");
+                assert_eq!(new.line(), dup_line(), "{text:?}");
+            }
+            (old, new) => panic!(
+                "{text:?}: parse path {:?}, reader {:?}",
+                old.err(),
+                new.err()
+            ),
+        }
+    }
+
+    /// The reader and the parse path agree on the corruption corpus of
+    /// [`corrupted_traces_never_panic_and_errors_carry_real_lines`].
+    #[test]
+    fn reader_matches_the_parse_path_on_corrupted_traces() {
+        let rendered = SAMPLE.parse::<TraceFile>().unwrap().to_string();
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0xFA_075);
+        for _ in 0..500 {
+            let text = corrupted(&mut rng, &rendered);
+            let radix = text.parse::<TraceFile>().map_or(64, |t| {
+                let ports = t
+                    .events()
+                    .iter()
+                    .map(|e| e.input.index().max(e.output.index()));
+                ports.max().unwrap_or(0) + 1
+            });
+            assert_reader_matches(&text, radix, || first_duplicate_line(&text));
+        }
+    }
+
+    /// The line of the packet a stable sort of `text`'s lines by cycle
+    /// meets first whose stream already has a packet in its cycle.
+    fn first_duplicate_line(text: &str) -> usize {
+        let mut events: Vec<(TraceEvent, usize)> = text
+            .lines()
+            .enumerate()
+            .filter_map(|(idx, line)| {
+                let one: TraceFile = line.parse().unwrap();
+                one.events().first().map(|&e| (e, idx + 1))
+            })
+            .collect();
+        events.sort_by_key(|(e, _)| e.cycle);
+        let mut seen = std::collections::HashSet::new();
+        events
+            .into_iter()
+            .find(|(e, _)| !seen.insert((e.input, e.class, e.cycle)))
+            .map_or(0, |(_, line)| line)
+    }
+
+    /// A seeded trace in every shape the tokenizer reads: unsorted
+    /// lines, comments, blank lines, CRLF, tabs, `+`-signed numbers,
+    /// Unicode spaces, and now and then two packets of one stream in
+    /// one cycle.
+    fn styled_trace(rng: &mut Xoshiro256StarStar) -> String {
+        fn space(rng: &mut Xoshiro256StarStar) -> &'static str {
+            [" ", "  ", "\t", " \t ", "\u{2003}", "\u{a0}"][rng.index(6)]
+        }
+        fn number(rng: &mut Xoshiro256StarStar, lo: u64, hi: u64) -> String {
+            let n = rng.range(lo, hi);
+            if rng.index(8) == 0 {
+                format!("+{n}")
+            } else {
+                n.to_string()
+            }
+        }
+        let mut text = String::new();
+        for _ in 0..rng.index(60) {
+            match rng.index(16) {
+                0 => text.push_str("# a comment, ünïcode\n"),
+                1 => text.push_str(" \t\r\n"),
+                _ => {
+                    let fields = [
+                        number(rng, 0, 199),
+                        number(rng, 0, 3),
+                        number(rng, 0, 3),
+                        ["BE", "GB", "GL"][rng.index(3)].to_owned(),
+                        number(rng, 1, 8),
+                    ];
+                    if rng.index(8) == 0 {
+                        text.push_str(space(rng));
+                    }
+                    for (i, field) in fields.iter().enumerate() {
+                        if i > 0 {
+                            text.push_str(space(rng));
+                        }
+                        text.push_str(field);
+                    }
+                    text.push_str(if rng.index(4) == 0 { "\r\n" } else { "\n" });
+                }
+            }
+        }
+        text
+    }
+
+    /// The reader and `from_str` + `into_injectors` fire the same
+    /// packets, or refuse the same duplicate (the reader naming its
+    /// line), on seeded traces of every shape.
+    #[test]
+    fn reader_matches_the_parse_path_on_styled_traces() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0x5EED_0033);
+        let (mut replayed, mut refused) = (0, 0);
+        for _ in 0..400 {
+            let text = styled_trace(&mut rng);
+            assert_reader_matches(&text, 4, || first_duplicate_line(&text));
+            match text.parse::<TraceFile>().unwrap().into_injectors() {
+                Ok(_) => replayed += 1,
+                Err(_) => refused += 1,
+            }
+        }
+        // Both outcomes are exercised.
+        assert!(
+            replayed > 50 && refused > 50,
+            "{replayed} replayed, {refused} refused"
+        );
+    }
+
+    #[test]
+    fn reader_refuses_ports_outside_the_radix_and_long_packets() {
+        let err = |text: &str| {
+            let e = TraceFile::read_injectors(text.as_bytes(), 8).unwrap_err();
+            (e.line(), e.message().to_owned())
+        };
+        assert_eq!(err("0 9 3 GB 8"), (1, "input 9 is outside radix 8".into()));
+        assert_eq!(
+            err("\n0 1 8 GB 8"),
+            (2, "output 8 is outside radix 8".into())
+        );
+        assert_eq!(
+            err("0 1 3 GB 1025"),
+            (1, "packet length 1025 flits outside 1..=1024".into())
+        );
+        assert!("0 1 3 GB 1025".parse::<TraceFile>().is_err());
+        assert!(TraceFile::read_injectors("0 1 3 GB 1024".as_bytes(), 8).is_ok());
+        // A non-UTF-8 byte is refused wherever it is, comments included.
+        let bytes: &[u8] = b"0 1 3 GB 8\n# caf\xe9\n";
+        let e = TraceFile::read_injectors(bytes, 8).unwrap_err();
+        assert_eq!((e.line(), e.message()), (2, "not valid UTF-8"));
+    }
+
+    /// Lines just outside the fast path's shape read as the general
+    /// rules read them: `Ok(cycle)` or the error message.
+    #[test]
+    fn lines_outside_the_fast_path_follow_the_general_rules() {
+        let read = |line: &str| {
+            line.parse::<TraceFile>()
+                .map(|t| t.events()[0].cycle)
+                .map_err(|e| e.message().to_owned())
+        };
+        assert_eq!(read("+7 1 2 GB 8"), Ok(7));
+        assert_eq!(read("7\u{a0}1 2\u{2003}GB 8"), Ok(7));
+        assert_eq!(read("07 1 2 GB 008"), Ok(7));
+        assert_eq!(
+            read("10000000000000000000 1 2 GB 8"),
+            Ok(10_000_000_000_000_000_000)
+        );
+        assert_eq!(
+            read("18446744073709551616 1 2 GB 8"),
+            Err("invalid cycle \"18446744073709551616\"".into())
+        );
+        assert_eq!(read("7+1 2 GB 8"), Err("expected 5 fields, found 4".into()));
+        assert_eq!(
+            read("7 1 2 GB 8 9"),
+            Err("expected 5 fields, found 6".into())
+        );
+        assert_eq!(
+            read("7 1 2 GBX 8"),
+            Err("unknown class \"GBX\" (expected BE, GB, or GL)".into())
+        );
+        assert_eq!(
+            read("7 1 2 gb 8"),
+            Err("unknown class \"gb\" (expected BE, GB, or GL)".into())
+        );
+        assert_eq!(read("7 1 -2 GB 8"), Err("invalid output \"-2\"".into()));
+    }
+
+    #[test]
+    fn reader_names_the_earliest_duplicate_in_an_unsorted_file() {
+        let text = "9 0 1 GB 2\n5 0 1 GB 2\n9 0 2 GB 2\n5 0 3 GB 2\n3 1 1 BE 2\n";
+        let e = TraceFile::read_injectors(text.as_bytes(), 4).unwrap_err();
+        assert_eq!(
+            (e.line(), e.message()),
+            (4, "input In0 injects two GB packets at cycle 5")
+        );
+        // A later syntax error wins, as it does in the parse path.
+        let broken = format!("{text}bogus\n");
+        let e = TraceFile::read_injectors(broken.as_bytes(), 4).unwrap_err();
+        assert_eq!(e.line(), 6);
     }
 
     #[test]

@@ -227,12 +227,11 @@ pub(crate) fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
         switch.set_delivery_log(true);
     }
     if let Some(path) = opts.get("replay") {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| err(format!("reading trace {path:?}: {e}")))?;
-        let trace = text
-            .parse::<TraceFile>()
+        let file =
+            std::fs::File::open(path).map_err(|e| err(format!("reading trace {path:?}: {e}")))?;
+        let injectors = TraceFile::read_injectors(std::io::BufReader::new(file), radix)
             .map_err(|e| err(format!("{path}:{}: {}", e.line(), e.message())))?;
-        for injector in trace.into_injectors()? {
+        for injector in injectors {
             switch.add_injector(injector);
         }
     }
@@ -493,6 +492,13 @@ pub(crate) fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
         println!(
             "output work (exact, measured window): {visited} outputs visited, {:.2} of {radix} per cycle",
             visited as f64 / cycles as f64
+        );
+        let idle = switch.transmit_only_cycles();
+        println!(
+            "transmit-only cycles (exact, measured window): {} stepped cycles with every \
+             requested output busy and nothing staged, {} of them clock-only (no packet \
+             finished, no arrival due)",
+            idle.transmit_only, idle.clock_only
         );
     }
     Ok(())

@@ -740,6 +740,48 @@ fn sparse_radix_64_idle_skip_verdicts_are_pinned() {
 /// commit before the work word.
 const SPARSE_R64_STEPPED: u64 = 2_123;
 
+/// `--prof`'s transmit-only count: an 8-flit packet arbitrates in
+/// cycle 0 and moves its flits in cycles 1–8, each of which begins with
+/// every requested output busy. A 1-flit packet arrives at another
+/// output in cycle 3 and moves its flit in cycle 4; the long one's last
+/// flit moves in cycle 8. So cycles 1–8 are transmit-only, and all but
+/// 3 (an arrival), 4 and 8 (a packet finishes) are clock-only. On
+/// [`sparse_r64`] `seq` and `bitpar` count the same cycles: the ones
+/// `bitpar` skips have no output busy.
+#[test]
+fn transmit_only_cycles_are_counted_exactly_on_both_engines() {
+    let mut two = small_switch(16, &[(0, 0.5)]);
+    two.add_injector(injector(
+        Trace::new(vec![(0, 8)]),
+        TrafficClass::GuaranteedBandwidth,
+        0,
+        0,
+    ));
+    two.add_injector(injector(
+        Trace::new(vec![(3, 1)]),
+        TrafficClass::BestEffort,
+        1,
+        1,
+    ));
+    two.prof_arm(1);
+    Runner::new(Schedule::new(Cycles::ZERO, Cycles::new(20))).run(&mut two);
+    let counted = two.transmit_only_cycles();
+    assert_eq!((counted.transmit_only, counted.clock_only), (8, 5));
+
+    let schedule = Schedule::new(Cycles::new(100), Cycles::new(4_000));
+    let (mut seq, mut bitpar) = (sparse_r64(), sparse_r64());
+    seq.prof_arm(1);
+    bitpar.prof_arm(1);
+    Runner::new(schedule).run(&mut seq);
+    Runner::new(schedule).run_skipping(&mut bitpar);
+    let counted = seq.transmit_only_cycles();
+    assert_eq!(counted, bitpar.transmit_only_cycles());
+    assert!(
+        0 < counted.clock_only && counted.clock_only < counted.transmit_only,
+        "{counted:?}"
+    );
+}
+
 /// `Policy::FourLevel` pays two arbitration cycles: the only policy
 /// whose decide returns `AwaitLatency`, so the only way an
 /// arbitration-wait clock is ever non-zero — between bursts here, with

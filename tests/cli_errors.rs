@@ -122,6 +122,42 @@ fn simulate_replay_of_garbage_is_diagnosed() {
     let blob = dir.join("blob.trace");
     std::fs::write(&blob, [0xff, 0xfe, 0x00, 0x80, b'\n', 0xc3]).expect("written");
     assert_diagnosed(&replay(&blob), "blob.trace");
+
+    // Lines the switch cannot take (radix 4, at most 1 024 flits), and
+    // two packets of one stream in one cycle, named by the second's line;
+    // in an unsorted file, the earliest cycle's.
+    let cases: &[(&str, &str, &str)] = &[
+        (
+            "input.trace",
+            "0 9 3 GB 8\n",
+            "input.trace:1: input 9 is outside radix 4",
+        ),
+        (
+            "output.trace",
+            "# ports\n0 1 9 GB 8\n",
+            "output.trace:2: output 9 is outside radix 4",
+        ),
+        (
+            "long.trace",
+            "0 1 3 GB 2000\n",
+            "long.trace:1: packet length 2000 flits outside 1..=1024",
+        ),
+        (
+            "twice.trace",
+            "5 0 1 GB 2\n5 0 2 GB 2\n",
+            "twice.trace:2: input In0 injects two GB packets at cycle 5",
+        ),
+        (
+            "unsorted.trace",
+            "9 0 1 GB 2\n5 0 1 GB 2\n9 0 2 GB 2\n5 0 3 GB 2\n",
+            "unsorted.trace:4: input In0 injects two GB packets at cycle 5",
+        ),
+    ];
+    for (name, text, needle) in cases {
+        let path = dir.join(name);
+        std::fs::write(&path, text).expect("written");
+        assert_diagnosed(&replay(&path), needle);
+    }
 }
 
 /// Flag values the libraries reject by assertion: the CLI answers each

@@ -90,11 +90,11 @@ fn captured_trace_replays_to_identical_deliveries() {
         .collect();
     let text = TraceFile::from_events(events).to_string();
 
-    // Replay through the text round trip into a fresh switch.
-    let trace: TraceFile = text.parse().unwrap();
+    // Replay the text into a fresh switch through the reader
+    // `ssq simulate --replay` uses.
     let mut replay = QosSwitch::new(base_config()).unwrap();
     replay.set_delivery_log(true);
-    for injector in trace.into_injectors().unwrap() {
+    for injector in TraceFile::read_injectors(text.as_bytes(), 4).unwrap() {
         replay.add_injector(injector);
     }
     let _ = Runner::new(Schedule::new(Cycles::ZERO, Cycles::new(25_000))).run(&mut replay);
