@@ -23,7 +23,7 @@ fn bench_fabric() {
         let lrg = Lrg::new(radix);
         let reqs = ports(radix, lanes);
         bench("bitlevel_fabric", &radix.to_string(), || {
-            black_box(fabric.arbitrate(black_box(&reqs), &lrg, &lrg));
+            let _ = black_box(fabric.arbitrate(black_box(&reqs), &lrg, &lrg));
         });
     }
 }

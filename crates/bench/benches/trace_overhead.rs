@@ -123,11 +123,14 @@ fn jsonl_codec() {
     });
 }
 
+/// How a variant arms the switch's tracer before the timed loop.
+type Arm = fn(&mut QosSwitch);
+
 fn main() {
     jsonl_codec();
     for radix in [8usize, 16] {
         group(&format!("trace_overhead/{radix}"));
-        let variants: [(&str, fn(&mut QosSwitch)); 3] = [
+        let variants: [(&str, Arm); 3] = [
             ("off", |_| {}),
             ("null_sink", |s| {
                 s.tracer_mut().attach(Box::new(NullSink));

@@ -3,11 +3,11 @@
 //! budgets of Eqs. 2–3 against the latency constraints they promise.
 
 use ssq_bench::emit;
-use ssq_core::gl::{burst_budgets, latency_bound, GlScenario};
 use ssq_core::{QosSwitch, SwitchConfig};
 use ssq_sim::{Runner, Schedule};
 use ssq_stats::Table;
 use ssq_traffic::{FixedDest, Injector, Periodic, Saturating, Trace};
+use ssq_types::bounds::{gl_burst_budgets, gl_latency_bound};
 use ssq_types::{Cycles, FlowId, Geometry, InputId, OutputId, Rate, TrafficClass};
 
 const GB_LEN: u64 = 8;
@@ -88,7 +88,7 @@ fn eq1_table() -> Table {
                     .gl_wait_histogram(OutputId::new(0))
                     .max()
                     .unwrap_or(0);
-                let bound = latency_bound(GlScenario::new(GB_LEN, 1, n_gl as u64, b));
+                let bound = gl_latency_bound(GB_LEN, 1, n_gl as u64, b);
                 t.row(vec![
                     n_gl.to_string(),
                     b.to_string(),
@@ -107,7 +107,7 @@ fn burst_table() -> Table {
     // Three GL flows with ordered latency constraints burst exactly their
     // Eq. 2-3 budgets simultaneously over a saturated GB background.
     let constraints = [150u64, 300, 600];
-    let budgets = burst_budgets(&constraints, GB_LEN);
+    let budgets = gl_burst_budgets(&constraints, GB_LEN);
     let burst_at = 5_000u64;
     let geometry = Geometry::new(8, 128).expect("valid geometry");
     let mut config = SwitchConfig::builder(geometry)
@@ -189,8 +189,8 @@ fn main() {
     // The paper's worked-example shapes: a single injector with a loose
     // bound gets a large budget; splitting the bound across 8 injectors
     // shrinks each budget ~8x.
-    let one = burst_budgets(&[101], 1)[0];
-    let eight = burst_budgets(&[201; 8], 1)[0];
+    let one = gl_burst_budgets(&[101], 1)[0];
+    let eight = gl_burst_budgets(&[201; 8], 1)[0];
     println!("single 1-flit GL flow, L=101 cycles: sigma = {one} packets");
     println!("eight 1-flit GL flows, L=201 cycles: sigma = {eight} packets each");
 }

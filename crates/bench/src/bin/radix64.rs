@@ -14,11 +14,11 @@
 
 use ssq_arbiter::CounterPolicy;
 use ssq_bench::emit;
-use ssq_core::gl::{latency_bound, GlScenario};
 use ssq_core::{Policy, QosSwitch, SwitchConfig};
 use ssq_sim::{Runner, Schedule};
 use ssq_stats::{jain_fairness_index, Table};
 use ssq_traffic::{FixedDest, HotspotDest, Injector, Periodic, Saturating};
+use ssq_types::bounds::gl_latency_bound;
 use ssq_types::{Cycles, FlowId, Geometry, InputId, OutputId, Rate, TrafficClass};
 
 const RADIX: usize = 64;
@@ -144,7 +144,7 @@ fn main() {
         ),
     ]);
     let gl = switch.gl_metrics().flow(FlowId::new(InputId::new(63), HOT));
-    let gl_bound = latency_bound(GlScenario::new(LEN, 1, 1, 4));
+    let gl_bound = gl_latency_bound(LEN, 1, 1, 4);
     t.row(vec![
         "GL packets delivered / max wait / Eq.1 bound".into(),
         format!(

@@ -1,11 +1,11 @@
 //! Guaranteed-latency feasibility: the Eq. 1 worst-case waiting bound
 //! and the Eqs. 2–3 burst budgets, applied statically.
 //!
-//! The formulas come from [`ssq_types::bounds`] — the single shared
-//! implementation also consumed by `ssq-core` (simulation) and
-//! `ssq-verify` (exhaustive model checking). The worked-example tests
-//! here are kept as regression cross-checks: a change to the shared
-//! module that shifts any bound fails this analyzer's suite too.
+//! The formulas live in [`ssq_types::bounds`], the one implementation
+//! the simulator, the fabric checks and `ssq-verify` also call; this
+//! module only applies them to a configuration.
+
+use ssq_types::bounds::{gl_burst_budgets, gl_latency_bound};
 
 use crate::diag::{codes, Diagnostic, Report, Severity};
 
@@ -30,37 +30,6 @@ pub struct GlInput {
     pub buffer_flits: u64,
     /// The GL flows targeting this output.
     pub flows: Vec<GlFlowSpec>,
-}
-
-/// Eq. 1: worst-case waiting time for a buffered GL packet,
-/// `τ_GL <= l_max + N_GL·(b + ceil(b / l_min))`.
-///
-/// # Panics
-///
-/// Panics if `l_min` is zero.
-#[must_use]
-pub fn gl_latency_bound(l_max: u64, l_min: u64, n_gl: u64, buffer_flits: u64) -> u64 {
-    ssq_types::bounds::gl_latency_bound(l_max, l_min, n_gl, buffer_flits)
-}
-
-/// Eqs. 2–3: burst budgets (in packets) for GL flows with ascending
-/// latency constraints:
-///
-/// ```text
-/// σ₁ = (L₁ − l_max) / ((l_max + 1) · N)
-/// σₙ = σₙ₋₁ + (Lₙ − Lₙ₋₁) / ((l_max + 1) · (N − n))        (n > 1)
-/// ```
-///
-/// The loosest flow (`n = N`) competes with nobody beyond the bursts
-/// already granted, so its headroom converts one-for-one into packet
-/// slots.
-///
-/// # Panics
-///
-/// Panics if `constraints` is empty or not sorted ascending.
-#[must_use]
-pub fn gl_burst_budgets(constraints: &[u64], l_max: u64) -> Vec<u64> {
-    ssq_types::bounds::gl_burst_budgets(constraints, l_max)
 }
 
 /// Checks every GL flow of one output against Eq. 1 and Eqs. 2–3.
@@ -158,22 +127,6 @@ pub fn analyze_gl(output: usize, input: &GlInput) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn latency_bound_matches_the_paper_shape() {
-        // 8 inputs, 4-flit buffers, packets 1..=8 flits:
-        // 8 + 8*(4 + 4/1) = 72.
-        assert_eq!(gl_latency_bound(8, 1, 8, 4), 72);
-        // b=6, l_min=4: ceil(6/4)=2 arbitrations per buffer.
-        assert_eq!(gl_latency_bound(4, 4, 2, 6), 4 + 2 * (6 + 2));
-    }
-
-    #[test]
-    fn burst_budgets_match_worked_examples() {
-        assert_eq!(gl_burst_budgets(&[101], 1), vec![50]);
-        assert_eq!(gl_burst_budgets(&[201; 8], 1)[0], 12);
-        assert_eq!(gl_burst_budgets(&[50, 100, 400], 4), vec![3, 13, 73]);
-    }
 
     fn spec(latency: u64, burst: u64) -> GlFlowSpec {
         GlFlowSpec {

@@ -20,8 +20,8 @@
 //!   management policies ([`ssq_arbiter::CounterPolicy`]).
 //! * **Guaranteed Latency** — absolute priority from a dedicated lane,
 //!   with the worst-case waiting-time bound of Eq. 1
-//!   ([`gl::latency_bound`]) and the burst budgets of Eqs. 2–3
-//!   ([`gl::burst_budgets`]).
+//!   ([`ssq_types::bounds::gl_latency_bound`]) and the burst budgets of
+//!   Eqs. 2–3 ([`ssq_types::bounds::gl_burst_budgets`]).
 //!
 //! Baseline arbitration policies (plain LRG, exact Virtual Clock, WRR,
 //! DWRR, WFQ, and the prior 4-level fixed-priority scheme) plug into the
@@ -84,7 +84,6 @@ pub mod analyze;
 pub mod backoff;
 pub mod bitmask;
 mod config;
-pub mod gl;
 mod packet;
 mod port;
 mod reservations;
@@ -97,8 +96,9 @@ pub use backoff::{BackoffPolicy, RetryDecision, RetryTimer};
 pub use config::{ConfigError, Policy, SwitchConfig, SwitchConfigBuilder};
 pub use packet::Packet;
 pub use port::InputPort;
-pub use reservations::{GbReservation, ReadmitAction, ReadmitDecision, Reservations};
+pub use reservations::{GbReservation, ReadmitDecision, Reservations};
 pub use ssq_check::{Preflight, Report};
+pub use ssq_trace::ReadmitAction;
 #[doc(hidden)]
 pub use switch::ReferenceKernel;
 pub use switch::{

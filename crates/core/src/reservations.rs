@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use ssq_trace::ReadmitAction;
 use ssq_types::{InputId, OutputId, Rate, TrafficClass};
 
 use crate::config::ConfigError;
@@ -26,30 +27,6 @@ impl GbReservation {
     #[must_use]
     pub const fn packet_flits(self) -> u64 {
         self.packet_flits
-    }
-}
-
-/// What re-admission decided for one reservation after a fault reduced
-/// an output's capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ReadmitAction {
-    /// The reservation still fits and keeps its class.
-    Keep,
-    /// A GL allocation lost its lane and was demoted (bound forfeited).
-    Demote,
-    /// The reservation no longer fits and was removed.
-    Evict,
-}
-
-impl ReadmitAction {
-    /// Stable label used in `Readmitted` trace events.
-    #[must_use]
-    pub const fn label(self) -> &'static str {
-        match self {
-            ReadmitAction::Keep => "keep",
-            ReadmitAction::Demote => "demote",
-            ReadmitAction::Evict => "evict",
-        }
     }
 }
 

@@ -2,12 +2,13 @@
 //! (DESIGN.md §8). The degradations are per output, in the output's
 //! record; whether any fault is armed is per switch.
 
-use ssq_trace::{Event, EventKind};
+use ssq_trace::{DegradeMode, Event, EventKind, FaultSite, ReadmitAction};
+use ssq_types::invariant::Invariant;
 use ssq_types::{Cycle, InputId, OutputId, TrafficClass};
 
 use super::{wire, QosSwitch};
 use crate::port::InputPort;
-use crate::reservations::{ReadmitAction, ReadmitDecision};
+use crate::reservations::ReadmitDecision;
 
 /// Fault injection, detection handling, and recovery (DESIGN.md §8).
 ///
@@ -17,12 +18,18 @@ use crate::reservations::{ReadmitAction, ReadmitDecision};
 /// degradation → re-admission story from the JSONL trace alone.
 impl QosSwitch {
     /// Emits a [`EventKind::Fault`] and arms detection on injection.
-    fn emit_fault(&mut self, now: Cycle, site: &str, output: usize, input: usize, healed: bool) {
+    fn emit_fault(
+        &mut self,
+        now: Cycle,
+        site: FaultSite,
+        output: usize,
+        input: usize,
+        healed: bool,
+    ) {
         if !healed {
             self.counters.fault_injections += 1;
             self.armed = true;
         }
-        let site = site.to_string();
         self.tracer.emit(|| Event {
             cycle: now.value(),
             kind: EventKind::Fault {
@@ -35,8 +42,7 @@ impl QosSwitch {
     }
 
     /// Emits a [`EventKind::Degraded`] mode transition for `output`.
-    fn emit_degraded(&mut self, now: Cycle, o: usize, mode: &str) {
-        let mode = mode.to_string();
+    fn emit_degraded(&mut self, now: Cycle, o: usize, mode: DegradeMode) {
         self.tracer.emit(|| Event {
             cycle: now.value(),
             kind: EventKind::Degraded {
@@ -81,11 +87,10 @@ impl QosSwitch {
         now: Cycle,
         class: TrafficClass,
         winner: usize,
-        code: &str,
+        code: Invariant,
         detail: u64,
     ) -> Option<(usize, TrafficClass)> {
         let o = output.index();
-        let code = code.to_string();
         self.tracer.emit(|| Event {
             cycle: now.value(),
             kind: EventKind::Detected {
@@ -96,14 +101,14 @@ impl QosSwitch {
         });
         if self.outputs[o].try_retry() {
             self.counters.fault_retries += 1;
-            self.emit_degraded(now, o, "retry");
+            self.emit_degraded(now, o, DegradeMode::Retry);
             return None;
         }
         if class == TrafficClass::GuaranteedLatency {
             self.demote_gl(now, o, winner);
         } else {
             self.outputs[o].set_lrg_fallback(true);
-            self.emit_degraded(now, o, "lrg_fallback");
+            self.emit_degraded(now, o, DegradeMode::LrgFallback);
             self.revoke(now, o, winner, TrafficClass::GuaranteedBandwidth, 0);
         }
         None
@@ -114,7 +119,7 @@ impl QosSwitch {
     /// revocation event; a tripped monitor after this would be noise.
     fn demote_gl(&mut self, now: Cycle, o: usize, input: usize) {
         self.outputs[o].set_gl_demoted(true);
-        self.emit_degraded(now, o, "gl_demoted");
+        self.emit_degraded(now, o, DegradeMode::GlDemoted);
         let bound = self.gl_wait_bound.take().unwrap_or(0);
         self.revoke(now, o, input, TrafficClass::GuaranteedLatency, bound);
     }
@@ -142,7 +147,7 @@ impl QosSwitch {
     /// link heals.
     pub fn fault_set_link(&mut self, input: InputId, up: bool, now: Cycle) {
         self.set_link(input.index(), up);
-        self.emit_fault(now, "link", 0, input.index(), up);
+        self.emit_fault(now, FaultSite::Link, 0, input.index(), up);
         if up {
             self.try_disarm();
         }
@@ -165,7 +170,7 @@ impl QosSwitch {
             .as_mut()
             .expect("bitline fault injection requires a fabric_checked switch")
             .fault_stick_wire(lane, input, charged);
-        self.emit_fault(now, "bitline_stuck", 0, input, false);
+        self.emit_fault(now, FaultSite::BitlineStuck, 0, input, false);
     }
 
     /// Heals the stuck fabric wire at `(lane, input)`.
@@ -173,7 +178,7 @@ impl QosSwitch {
         if let Some(fabric) = self.fabric.as_mut() {
             fabric.heal_wire(lane, input);
         }
-        self.emit_fault(now, "bitline_stuck", 0, input, true);
+        self.emit_fault(now, FaultSite::BitlineStuck, 0, input, true);
         self.try_disarm();
     }
 
@@ -199,7 +204,7 @@ impl QosSwitch {
             panic!("auxVC fault injection requires the SSVC policy")
         };
         let raw = ssvc.fault_flip_aux_bit(input.index(), bit);
-        self.emit_fault(now, "aux_bit_flip", o, input.index(), false);
+        self.emit_fault(now, FaultSite::AuxBitFlip, o, input.index(), false);
         raw
     }
 
@@ -219,7 +224,7 @@ impl QosSwitch {
             panic!("epoch-skip fault injection requires the SSVC policy")
         };
         ssvc.fault_skip_epochs(epochs);
-        self.emit_fault(now, "epoch_skip", o, 0, false);
+        self.emit_fault(now, FaultSite::EpochSkip, o, 0, false);
     }
 
     /// Heals every persistent fault at once (stuck wires, downed
@@ -231,13 +236,13 @@ impl QosSwitch {
         if let Some(fabric) = self.fabric.as_mut() {
             if fabric.is_faulted() {
                 fabric.heal_all();
-                self.emit_fault(now, "bitline_stuck", 0, 0, true);
+                self.emit_fault(now, FaultSite::BitlineStuck, 0, 0, true);
             }
         }
         for i in 0..self.ports.len() {
             if !self.ports[i].is_link_up() {
                 self.set_link(i, true);
-                self.emit_fault(now, "link", 0, i, true);
+                self.emit_fault(now, FaultSite::Link, 0, i, true);
             }
         }
         self.armed = false;
@@ -256,7 +261,7 @@ impl QosSwitch {
             return;
         }
         self.outputs[o].set_lrg_fallback(true);
-        self.emit_degraded(now, o, "lrg_fallback");
+        self.emit_degraded(now, o, DegradeMode::LrgFallback);
         let flows: Vec<usize> = self
             .config
             .reservations()
@@ -278,7 +283,7 @@ impl QosSwitch {
         }
         self.outputs[o].set_lrg_fallback(false);
         self.outputs[o].retries_left = self.config.fault_retry_budget();
-        self.emit_degraded(now, o, "ssvc_restored");
+        self.emit_degraded(now, o, DegradeMode::SsvcRestored);
     }
 
     /// Demotes `output`'s GL class: packets keep flowing but no longer
@@ -301,7 +306,7 @@ impl QosSwitch {
             return;
         }
         self.outputs[o].set_gl_demoted(false);
-        self.emit_degraded(now, o, "gl_restored");
+        self.emit_degraded(now, o, DegradeMode::GlRestored);
     }
 
     /// Re-runs admission for `output` against the post-fault `capacity`
@@ -328,8 +333,7 @@ impl QosSwitch {
             .reservations_mut()
             .readmit(output, capacity, gl_lane_lost);
         for d in &decisions {
-            let action = d.action.label().to_string();
-            let (o, i, class) = (d.output.index(), d.input.index(), d.class);
+            let (o, i, class, action) = (d.output.index(), d.input.index(), d.class, d.action);
             self.tracer.emit(|| Event {
                 cycle: now.value(),
                 kind: EventKind::Readmitted {

@@ -8,6 +8,7 @@ use ssq_circuit::{ArbitrationOutcome, PortRequest};
 use ssq_sim::{CycleModel, EventModel, ShardedModel};
 use ssq_stats::Histogram;
 use ssq_trace::{Event, EventKind};
+use ssq_types::invariant::Invariant;
 use ssq_types::{Cycle, InputId, OutputId, TrafficClass};
 
 use super::decide::PlanKind;
@@ -429,15 +430,15 @@ impl QosSwitch {
         &self,
         o: usize,
         mut contenders: impl Iterator<Item = usize>,
-    ) -> Option<(usize, &'static str, u64)> {
+    ) -> Option<(usize, Invariant, u64)> {
         let ssvc = self.outputs.get(o)?.ssvc().filter(|_| self.armed)?;
         let cap = ssvc.config().saturation_cap();
         contenders.find_map(|i| {
             let (code, aux) = (ssvc.thermometer_code(i), ssvc.aux_vc(i));
             if !ssq_types::invariant::thermometer_well_formed(code) {
-                Some((i, "SSQV002", code))
+                Some((i, Invariant::Thermometer, code))
             } else if !ssq_types::invariant::aux_within_cap(aux, cap) {
-                Some((i, "SSQV003", aux))
+                Some((i, Invariant::AuxWidth, aux))
             } else {
                 None
             }
@@ -462,9 +463,9 @@ impl QosSwitch {
         let expected = outcome.winner();
         if self.armed && (expected != Some(winner) || outcome.is_multi_grant()) {
             let code = if outcome.is_multi_grant() {
-                "SSQV001"
+                Invariant::SingleGrant
             } else {
-                "SSQV006"
+                Invariant::GrantAgreement
             };
             let detail = expected.map_or(u64::MAX, |w| w as u64);
             let granted = self.detected_degrade(output, now, class, winner, code, detail);

@@ -387,7 +387,7 @@ impl QosSwitch {
     /// output's observed GL wait exceeds `bound` cycles, a monitored
     /// run ([`ssq_sim::Runner::run_monitored`]) trips and the flight
     /// recorder dumps. Pair with
-    /// [`latency_bound`](crate::gl::latency_bound) for Eq. 1.
+    /// [`ssq_types::bounds::gl_latency_bound`] for Eq. 1.
     pub fn set_gl_wait_bound(&mut self, bound: Option<u64>) {
         self.gl_wait_bound = bound;
     }

@@ -125,7 +125,6 @@ fn gl_packets_preempt_gb_traffic() {
 
 #[test]
 fn gl_wait_respects_eq1_bound() {
-    use crate::gl::{latency_bound, GlScenario};
     let n_gl = 4;
     let mut switch = saturating_gb_switch(
         Policy::Ssvc(ssq_arbiter::CounterPolicy::SubtractRealClock),
@@ -148,12 +147,12 @@ fn gl_wait_respects_eq1_bound() {
         );
     }
     let _ = Runner::new(Schedule::new(Cycles::new(1_000), Cycles::new(40_000))).run(&mut switch);
-    let bound = latency_bound(GlScenario::new(
+    let bound = ssq_types::bounds::gl_latency_bound(
         8, // l_max: GB packets are 8 flits
         1,
         n_gl,
         switch.config().gl_buffer_flits(),
-    ));
+    );
     let measured = switch.gl_wait_histogram(out0()).max().unwrap();
     assert!(
         measured <= bound,

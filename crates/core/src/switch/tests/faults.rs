@@ -1,7 +1,8 @@
 //! Fault-injection and degraded-mode behaviour (DESIGN.md §8).
 
 use super::*;
-use ssq_trace::RingSink;
+use ssq_trace::{DegradeMode, FaultSite, RingSink};
+use ssq_types::invariant::Invariant;
 
 fn ring_events(switch: &QosSwitch) -> Vec<Event> {
     switch.tracer().ring().map(RingSink::events).unwrap()
@@ -34,9 +35,14 @@ fn link_down_rejects_at_source_and_heals() {
             ..
         }
     )));
-    assert!(events.iter().any(
-        |e| matches!(&e.kind, EventKind::Fault { site, healed: false, .. } if site == "link")
-    ));
+    assert!(events.iter().any(|e| matches!(
+        e.kind,
+        EventKind::Fault {
+            site: FaultSite::Link,
+            healed: false,
+            ..
+        }
+    )));
     // The isolated input wins nothing once in-flight packets drain.
     assert!(
         !events
@@ -101,17 +107,25 @@ fn aux_corruption_walks_the_degradation_ladder() {
     let events = ring_events(&switch);
     let detected = events
         .iter()
-        .filter(|e| matches!(&e.kind, EventKind::Detected { code, .. } if code == "SSQV003"))
+        .filter(|e| {
+            matches!(
+                e.kind,
+                EventKind::Detected {
+                    code: Invariant::AuxWidth,
+                    ..
+                }
+            )
+        })
         .count();
     assert_eq!(detected, 2, "one detection per ladder rung");
-    let mode_count = |m: &str| {
+    let mode_count = |m: DegradeMode| {
         events
             .iter()
-            .filter(|e| matches!(&e.kind, EventKind::Degraded { mode, .. } if mode == m))
+            .filter(|e| matches!(e.kind, EventKind::Degraded { mode, .. } if mode == m))
             .count()
     };
-    assert_eq!(mode_count("retry"), 1);
-    assert_eq!(mode_count("lrg_fallback"), 1);
+    assert_eq!(mode_count(DegradeMode::Retry), 1);
+    assert_eq!(mode_count(DegradeMode::LrgFallback), 1);
     assert!(events
         .iter()
         .any(|e| matches!(e.kind, EventKind::GuaranteeRevoked { .. })));

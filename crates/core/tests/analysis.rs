@@ -1,16 +1,12 @@
 //! Cross-checks between the static analyzer (`ssq-check`) and the
-//! runtime implementations it makes predictions about:
+//! runtime it makes predictions about:
 //!
-//! - the analyzer's Eq. 1/Eq. 2–3 formulas must agree with
-//!   `ssq_core::gl` (the runtime GL admission math) everywhere;
 //! - a feasible reservation table passes `SwitchConfig::analyze`, an
 //!   over-subscribed one is rejected;
 //! - `Runner::run_checked` refuses to simulate a real [`QosSwitch`]
 //!   whose configuration carries an error-severity finding.
 
 use ssq_check::codes;
-use ssq_check::gl::{gl_burst_budgets, gl_latency_bound};
-use ssq_core::gl::{burst_budgets, latency_bound, GlScenario};
 use ssq_core::{QosSwitch, SwitchConfig};
 use ssq_sim::{Runner, Schedule};
 use ssq_types::{Cycles, Geometry, InputId, OutputId, Rate};
@@ -23,53 +19,6 @@ fn paper_config() -> SwitchConfig {
     SwitchConfig::builder(Geometry::new(8, 128).expect("valid geometry"))
         .build()
         .expect("valid config")
-}
-
-#[test]
-fn eq1_bound_agrees_with_the_runtime_formula() {
-    // The analyzer recomputes Eq. 1 independently of ssq_core::gl; the
-    // two must agree on the paper's worked example and across a grid.
-    assert_eq!(
-        gl_latency_bound(8, 1, 8, 4),
-        latency_bound(GlScenario::new(8, 1, 8, 4))
-    );
-    for l_max in [1, 2, 8, 16] {
-        for l_min in [1, 2, 4] {
-            if l_min > l_max {
-                continue;
-            }
-            for n_gl in [1, 3, 8, 63] {
-                for buffer in [1, 4, 9] {
-                    if buffer < l_min {
-                        continue; // GlScenario requires b >= l_min
-                    }
-                    assert_eq!(
-                        gl_latency_bound(l_max, l_min, n_gl, buffer),
-                        latency_bound(GlScenario::new(l_max, l_min, n_gl, buffer)),
-                        "l_max={l_max} l_min={l_min} n_gl={n_gl} b={buffer}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn eq2_eq3_budgets_agree_with_the_runtime_formula() {
-    let tables: &[(&[u64], u64)] = &[
-        (&[101], 1),
-        (&[201, 201, 201, 201, 201, 201, 201, 201], 1),
-        (&[50, 100, 400], 4),
-        (&[1000, 2000, 3000, 4000], 8),
-        (&[64, 64, 4096], 2),
-    ];
-    for &(constraints, l_max) in tables {
-        assert_eq!(
-            gl_burst_budgets(constraints, l_max),
-            burst_budgets(constraints, l_max),
-            "constraints {constraints:?}, l_max {l_max}"
-        );
-    }
 }
 
 #[test]

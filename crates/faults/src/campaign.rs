@@ -16,7 +16,7 @@
 use ssq_arbiter::CounterPolicy;
 use ssq_core::{Policy, QosSwitch, SwitchConfig};
 use ssq_sim::{MonitorOutcome, ParRunner, Runner, Schedule};
-use ssq_trace::{Event, EventKind, JsonlSink, RingSink};
+use ssq_trace::{Event, EventKind, FaultSite, JsonlSink, RingSink};
 use ssq_traffic::{FixedDest, Injector, Periodic, Saturating};
 use ssq_types::{Cycles, Geometry, InputId, OutputId, Rate, TrafficClass};
 
@@ -323,7 +323,7 @@ fn build_scenario(name: &str, seed: u64) -> Option<(QosSwitch, FaultPlan)> {
             switch.tracer_mut().emit(|| Event {
                 cycle: 0,
                 kind: EventKind::Fault {
-                    site: "sink".to_string(),
+                    site: FaultSite::Sink,
                     output: 0,
                     input: 0,
                     healed: false,

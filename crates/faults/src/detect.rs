@@ -10,7 +10,7 @@
 use std::io::{self, Write};
 
 use ssq_sim::MonitorOutcome;
-use ssq_trace::{Event, EventKind};
+use ssq_trace::{DegradeMode, Event, EventKind, ReadmitAction};
 
 /// The oracle's ruling on one fault scenario.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,12 +62,14 @@ pub fn judge(outcome: &MonitorOutcome, events: &[Event]) -> Verdict {
             EventKind::GuaranteeRevoked { .. } => revocations += 1,
             EventKind::Degraded { mode, .. } => {
                 degradations += 1;
-                if mode == "retry" {
+                if *mode == DegradeMode::Retry {
                     retry_degradations += 1;
                 }
             }
             EventKind::Detected { .. } => detections += 1,
-            EventKind::Readmitted { action, .. } if action != "keep" => degradations += 1,
+            EventKind::Readmitted { action, .. } if *action != ReadmitAction::Keep => {
+                degradations += 1;
+            }
             _ => {}
         }
     }
@@ -145,6 +147,7 @@ impl Write for FailingWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssq_types::invariant::Invariant;
     use ssq_types::{Cycle, TrafficClass};
 
     fn ev(kind: EventKind) -> Event {
@@ -172,12 +175,12 @@ mod tests {
         let events = vec![
             ev(EventKind::Detected {
                 output: 0,
-                code: "SSQV003".into(),
+                code: Invariant::AuxWidth,
                 detail: 9,
             }),
             ev(EventKind::Degraded {
                 output: 0,
-                mode: "lrg_fallback".into(),
+                mode: DegradeMode::LrgFallback,
             }),
             ev(EventKind::GuaranteeRevoked {
                 output: 0,
@@ -210,7 +213,7 @@ mod tests {
             output: 0,
             input: 2,
             class: TrafficClass::GuaranteedBandwidth,
-            action: "keep".into(),
+            action: ReadmitAction::Keep,
         })];
         assert_eq!(judge(&completed(), &events), Verdict::BoundsPreserved);
     }
@@ -222,16 +225,16 @@ mod tests {
         let events = vec![
             ev(EventKind::Detected {
                 output: 0,
-                code: "SSQV003".into(),
+                code: Invariant::AuxWidth,
                 detail: 9,
             }),
             ev(EventKind::Degraded {
                 output: 0,
-                mode: "retry".into(),
+                mode: DegradeMode::Retry,
             }),
             ev(EventKind::Degraded {
                 output: 0,
-                mode: "retry".into(),
+                mode: DegradeMode::Retry,
             }),
         ];
         let verdict = judge(&completed(), &events);
@@ -243,12 +246,12 @@ mod tests {
         let paired = vec![
             ev(EventKind::Detected {
                 output: 0,
-                code: "SSQV003".into(),
+                code: Invariant::AuxWidth,
                 detail: 9,
             }),
             ev(EventKind::Degraded {
                 output: 0,
-                mode: "retry".into(),
+                mode: DegradeMode::Retry,
             }),
         ];
         assert!(judge(&completed(), &paired).is_acceptable());

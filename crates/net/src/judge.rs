@@ -18,7 +18,7 @@
 
 use ssq_faults::{judge, Verdict};
 use ssq_sim::MonitorOutcome;
-use ssq_trace::{Event, EventKind};
+use ssq_trace::{Event, EventKind, ReadmitAction};
 use ssq_types::Cycle;
 
 use crate::fabric::NO_LINK;
@@ -73,7 +73,7 @@ fn fabric_loudness(events: &[Event]) -> (usize, Option<(String, u64)>) {
 fn first_loud_node_event(events: &[Event]) -> Option<u64> {
     events.iter().find_map(|e| match &e.kind {
         EventKind::GuaranteeRevoked { .. } | EventKind::Degraded { .. } => Some(e.cycle),
-        EventKind::Readmitted { action, .. } if action != "keep" => Some(e.cycle),
+        EventKind::Readmitted { action, .. } if *action != ReadmitAction::Keep => Some(e.cycle),
         _ => None,
     })
 }
@@ -153,7 +153,8 @@ pub fn judge_path(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssq_trace::DropReason;
+    use ssq_trace::{DegradeMode, DropReason};
+    use ssq_types::invariant::Invariant;
     use ssq_types::TrafficClass;
 
     fn ev(cycle: u64, kind: EventKind) -> Event {
@@ -288,7 +289,7 @@ mod tests {
                 1_490,
                 EventKind::Detected {
                     output: 0,
-                    code: "parity".to_string(),
+                    code: Invariant::Thermometer,
                     detail: 1,
                 },
             ),
@@ -296,7 +297,7 @@ mod tests {
                 1_490,
                 EventKind::Degraded {
                     output: 0,
-                    mode: "retry".to_string(),
+                    mode: DegradeMode::Retry,
                 },
             ),
         ];

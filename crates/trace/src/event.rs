@@ -7,12 +7,19 @@
 //! subtraction), a GL policing stall, a packet chaining, and an
 //! admission rejection. The fault family (DESIGN.md §8) — injection,
 //! detection, degradation, guarantee revocation, and re-admission —
-//! shares the same wire. The format is one flat JSON object per line —
-//! hand-serialized and hand-parsed, since the workspace is fully
-//! offline (no serde).
+//! and the multi-hop fabric's hop events share the same wire. The
+//! format is one flat JSON object per line — hand-serialized and
+//! hand-parsed, since the workspace is fully offline (no serde).
+//!
+//! Each kind is declared once, in the [`EventKind`] table below: its
+//! label, its fields in wire order, and their types. The label, the
+//! writer and the parser are generated from that table, and every
+//! string field is a [`Label`] type, so no caller can hand the writer
+//! free text.
 
 use std::fmt;
 
+use ssq_types::invariant::Invariant;
 use ssq_types::TrafficClass;
 
 /// One traced occurrence at a specific cycle.
@@ -24,82 +31,112 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// Why a packet was refused (or downgraded) at admission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RejectReason {
-    /// The per-input staging queue was full; the packet was dropped.
-    StagingOverflow,
-    /// The destination port buffer had no room; the offer was refused.
-    BufferFull,
-    /// A GB packet without a matching reservation was demoted to BE
-    /// (admitted, but not in the class it asked for).
-    Demoted,
-    /// The packet's input link is down (fault-injected or real); the
-    /// offer was refused at admission.
-    LinkDown,
-}
+/// A closed set of values, each with a stable wire label: the type of
+/// every string field of the schema.
+pub trait Label: Copy + 'static {
+    /// Every value, in declaration order.
+    const ALL: &'static [Self];
 
-impl RejectReason {
-    /// Stable wire label.
-    #[must_use]
-    pub const fn label(self) -> &'static str {
-        match self {
-            RejectReason::StagingOverflow => "staging_overflow",
-            RejectReason::BufferFull => "buffer_full",
-            RejectReason::Demoted => "demoted",
-            RejectReason::LinkDown => "link_down",
-        }
-    }
+    /// The value's stable wire label.
+    fn label(self) -> &'static str;
 
+    /// Inverse of [`Label::label`].
     fn from_label(s: &str) -> Option<Self> {
-        match s {
-            "staging_overflow" => Some(RejectReason::StagingOverflow),
-            "buffer_full" => Some(RejectReason::BufferFull),
-            "demoted" => Some(RejectReason::Demoted),
-            "link_down" => Some(RejectReason::LinkDown),
-            _ => None,
-        }
+        Self::ALL.iter().copied().find(|v| v.label() == s)
     }
 }
 
-/// Why a fabric hop lost a packet. Declared in label order, so a ledger
-/// keyed on it iterates as one keyed on the label would.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum DropReason {
-    /// The wire or an endpoint node died under the packet.
-    LinkDown,
-    /// The packet stood on an output port with no outgoing link.
-    NoRoute,
-    /// A lossy link's queue, or the downstream switch, had no room.
-    QueueFull,
-    /// A NACK link spent the packet's retransmission budget.
-    RetriesExhausted,
+/// Declares a label enum: each variant once, with its wire label, which
+/// is also how the value displays.
+macro_rules! labels {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $($(#[$doc:meta])* $variant:ident = $label:literal,)+
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $($(#[$doc])* $variant,)+
+        }
+
+        impl $name {
+            /// Stable wire label.
+            #[must_use]
+            pub const fn label(self) -> &'static str {
+                match self {
+                    $($name::$variant => $label,)+
+                }
+            }
+        }
+
+        impl Label for $name {
+            const ALL: &'static [Self] = &[$($name::$variant,)+];
+
+            fn label(self) -> &'static str {
+                $name::label(self)
+            }
+        }
+
+        impl fmt::Display for $name {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str(self.label())
+            }
+        }
+    };
+}
+
+impl Label for TrafficClass {
+    const ALL: &'static [Self] = &TrafficClass::ALL;
+
+    fn label(self) -> &'static str {
+        TrafficClass::label(self)
+    }
+}
+
+/// A `detected` event's code is the invariant's `SSQV00x` code.
+impl Label for Invariant {
+    const ALL: &'static [Self] = &Invariant::ALL;
+
+    fn label(self) -> &'static str {
+        self.code()
+    }
+}
+
+labels! {
+    /// Why a packet was refused (or downgraded) at admission.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum RejectReason {
+        /// The per-input staging queue was full; the packet was dropped.
+        StagingOverflow = "staging_overflow",
+        /// The destination port buffer had no room; the offer was refused.
+        BufferFull = "buffer_full",
+        /// A GB packet without a matching reservation was demoted to BE
+        /// (admitted, but not in the class it asked for).
+        Demoted = "demoted",
+        /// The packet's input link is down (fault-injected or real); the
+        /// offer was refused at admission.
+        LinkDown = "link_down",
+    }
+}
+
+labels! {
+    /// Why a fabric hop lost a packet. Declared in label order, so a ledger
+    /// keyed on it iterates as one keyed on the label would.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub enum DropReason {
+        /// The wire or an endpoint node died under the packet.
+        LinkDown = "link_down",
+        /// The packet stood on an output port with no outgoing link.
+        NoRoute = "no_route",
+        /// A lossy link's queue, or the downstream switch, had no room.
+        QueueFull = "queue_full",
+        /// A NACK link spent the packet's retransmission budget.
+        RetriesExhausted = "retries_exhausted",
+    }
 }
 
 impl DropReason {
-    /// Stable wire label.
-    #[must_use]
-    pub const fn label(self) -> &'static str {
-        match self {
-            DropReason::LinkDown => "link_down",
-            DropReason::NoRoute => "no_route",
-            DropReason::QueueFull => "queue_full",
-            DropReason::RetriesExhausted => "retries_exhausted",
-        }
-    }
-
-    /// Inverse of [`DropReason::label`].
-    #[must_use]
-    pub fn from_label(s: &str) -> Option<Self> {
-        match s {
-            "link_down" => Some(DropReason::LinkDown),
-            "no_route" => Some(DropReason::NoRoute),
-            "queue_full" => Some(DropReason::QueueFull),
-            "retries_exhausted" => Some(DropReason::RetriesExhausted),
-            _ => None,
-        }
-    }
-
     /// Whether the loss is fault-attributable, and so must come with an
     /// explicit revocation, as opposed to plain congestion.
     #[must_use]
@@ -108,192 +145,266 @@ impl DropReason {
     }
 }
 
-/// The event taxonomy (DESIGN.md §6).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EventKind {
-    /// An arbitration decision at an output: `winner` (an input index)
-    /// was selected among `contenders` requesters in class `class`.
-    Decision {
-        output: u32,
-        class: TrafficClass,
-        contenders: u32,
-        winner: u32,
-    },
-    /// A channel grant: the head packet of (`input` → `output`) started
-    /// transmission after waiting `waited` cycles since injection. A
-    /// grant with `class == GL` is a GL lane dispatch.
-    Grant {
-        output: u32,
-        input: u32,
-        class: TrafficClass,
-        len_flits: u64,
-        waited: u64,
-    },
-    /// A follow-on packet of the same flow chained onto the still-held
-    /// channel without re-arbitration (§4.2, ref [10]).
-    Chained {
-        output: u32,
-        input: u32,
-        len_flits: u64,
-    },
-    /// A GB requester defeated on the thermometer bitlines: its MSB
-    /// lane `msb` was inhibited by the winner's smaller `winner_msb`
-    /// (or lost the LRG tie-break at the same lane).
-    Inhibit {
-        output: u32,
-        input: u32,
-        msb: u64,
-        winner_msb: u64,
-    },
-    /// The winner's `auxVC` was charged its `Vtick`; `saturated` is set
-    /// when the counter clamped at the saturation cap (triggering the
-    /// halve/reset policies).
-    AuxVc {
-        output: u32,
-        input: u32,
-        aux: u64,
-        saturated: bool,
-    },
-    /// The real-time subcounter wrapped: every `auxVC` at this output
-    /// dropped one MSB step and all thermometer codes shifted down one
-    /// lane. `epoch` counts wraps since construction.
-    Decay { output: u32, epoch: u64 },
-    /// GL traffic was buffered at this output but the policer inhibited
-    /// it this cycle; `backlog` is the number of policed GL packets.
-    GlPoliced { output: u32, backlog: u32 },
-    /// A packet was refused or downgraded at admission.
-    Reject {
-        input: u32,
-        output: u32,
-        class: TrafficClass,
-        reason: RejectReason,
-    },
-    /// A fault was injected (`healed == false`) or healed
-    /// (`healed == true`) at the named site. `site` is a stable label
-    /// from the fault taxonomy (DESIGN.md §8): `bitline_stuck`,
-    /// `thermometer`, `aux_bit_flip`, `epoch_skip`, `link`,
-    /// `grant_bus`, `sink`.
-    Fault {
-        site: String,
-        output: u32,
-        input: u32,
-        healed: bool,
-    },
-    /// A runtime detector classified corrupted state without panicking:
-    /// `code` names the tripped predicate (`SSQV00x` from the V1–V6
-    /// catalog, or `parity` for a thermometer-lane parity mismatch) and
-    /// `detail` carries the offending value (code/aux/winner index).
-    Detected {
-        output: u32,
-        code: String,
-        detail: u64,
-    },
-    /// An output changed its degradation mode: `lrg_fallback` (SSVC →
-    /// pure LRG after a lost GB lane), `retry` (bounded
-    /// retry-with-backoff armed on transient grant-bus corruption), or
-    /// `ssvc_restored` (healed back to full SSVC).
-    Degraded { output: u32, mode: String },
-    /// A previously admitted guarantee can no longer be honored: the
-    /// flow (`input` → `output`, `class`) keeps service but its stated
-    /// bound is replaced. `forfeited` means no bound at all survives;
-    /// otherwise `bound` is the recomputed (weaker) Eq. 1 wait bound.
-    GuaranteeRevoked {
-        output: u32,
-        input: u32,
-        class: TrafficClass,
-        bound: u64,
-        forfeited: bool,
-    },
-    /// Post-fault re-admission decided this flow's fate against the
-    /// shrunken capacity: `action` is `keep`, `demote`, or `evict`.
-    Readmitted {
-        output: u32,
-        input: u32,
-        class: TrafficClass,
-        action: String,
-    },
-    /// Multi-hop fabric (DESIGN.md §13): a delivered packet entered the
-    /// egress queue of link `link` at node `node`, bound for the next
-    /// hop.
-    HopEnqueue {
-        node: u32,
-        link: u32,
-        packet: u64,
-        len_flits: u64,
-    },
-    /// Credit/PFC-style backpressure engaged on `link`: the downstream
-    /// queue reached `occupancy` flits and the upstream end paused.
-    CreditPause { link: u32, occupancy: u64 },
-    /// Credit/PFC-style backpressure released on `link`: the downstream
-    /// queue drained to `occupancy` flits and the upstream end resumed.
-    CreditResume { link: u32, occupancy: u64 },
-    /// A packet was dropped at a hop, for `reason`. Per-flow loss
-    /// accounting keys on (`input` → `output`, `class`) of the
-    /// end-to-end flow.
-    Drop {
-        link: u32,
-        input: u32,
-        output: u32,
-        class: TrafficClass,
-        packet: u64,
-        reason: DropReason,
-    },
-    /// The NACK discipline scheduled retransmission `attempt` of
-    /// `packet` on `link`, `delay` cycles out (bounded exponential
-    /// backoff, DESIGN.md §13).
-    NackRetransmit {
-        link: u32,
-        packet: u64,
-        attempt: u32,
-        delay: u64,
-    },
-    /// Traffic toward node `dest` was rerouted at `node` onto link
-    /// `via` after a topology fault removed the primary path.
-    Reroute { node: u32, dest: u32, via: u32 },
+labels! {
+    /// Where a fault was injected or healed (DESIGN.md §8).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum FaultSite {
+        /// A wire of the checked inhibit fabric stuck at charged or
+        /// discharged.
+        BitlineStuck = "bitline_stuck",
+        /// A single-event upset flipped one bit of an `auxVC` counter.
+        AuxBitFlip = "aux_bit_flip",
+        /// An output's counter-policy clock skipped epoch boundaries.
+        EpochSkip = "epoch_skip",
+        /// An input link went down or came back up.
+        Link = "link",
+        /// The trace sink itself failed.
+        Sink = "sink",
+    }
 }
 
-impl EventKind {
-    /// Stable wire label for the `"kind"` field.
-    #[must_use]
-    pub const fn label(&self) -> &'static str {
-        match self {
-            EventKind::Decision { .. } => "decision",
-            EventKind::Grant { .. } => "grant",
-            EventKind::Chained { .. } => "chained",
-            EventKind::Inhibit { .. } => "inhibit",
-            EventKind::AuxVc { .. } => "auxvc",
-            EventKind::Decay { .. } => "decay",
-            EventKind::GlPoliced { .. } => "gl_policed",
-            EventKind::Reject { .. } => "reject",
-            EventKind::Fault { .. } => "fault",
-            EventKind::Detected { .. } => "detected",
-            EventKind::Degraded { .. } => "degraded",
-            EventKind::GuaranteeRevoked { .. } => "guarantee_revoked",
-            EventKind::Readmitted { .. } => "readmitted",
-            EventKind::HopEnqueue { .. } => "hop_enqueue",
-            EventKind::CreditPause { .. } => "credit_pause",
-            EventKind::CreditResume { .. } => "credit_resume",
-            EventKind::Drop { .. } => "drop",
-            EventKind::NackRetransmit { .. } => "nack_retransmit",
-            EventKind::Reroute { .. } => "reroute",
+labels! {
+    /// An output's degradation-mode transition.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum DegradeMode {
+        /// Bounded retry-with-backoff consumed on a transient corruption.
+        Retry = "retry",
+        /// SSVC fell back to pure LRG after a lost GB lane.
+        LrgFallback = "lrg_fallback",
+        /// Full SSVC arbitration restored after the fabric healed.
+        SsvcRestored = "ssvc_restored",
+        /// The GL class was demoted and its Eq. 1 bound forfeited.
+        GlDemoted = "gl_demoted",
+        /// GL preemption restored.
+        GlRestored = "gl_restored",
+    }
+}
+
+labels! {
+    /// What re-admission decided for one reservation after a fault reduced
+    /// an output's capacity.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum ReadmitAction {
+        /// The reservation still fits and keeps its class.
+        Keep = "keep",
+        /// A GL allocation lost its lane and was demoted (bound forfeited).
+        Demote = "demote",
+        /// The reservation no longer fits and was removed.
+        Evict = "evict",
+    }
+}
+
+/// Declares [`EventKind`] from one table: each kind's docs, wire label
+/// and fields (keys are the field names, written in declaration order).
+/// Generates the enum, [`EventKind::label`], and the writer and parser
+/// arms.
+macro_rules! event_kinds {
+    (
+        $(#[$meta:meta])*
+        pub enum EventKind {
+            $($(#[$doc:meta])* $kind:ident = $label:literal { $($field:ident: $ty:ty,)+ },)+
         }
-    }
-}
+    ) => {
+        $(#[$meta])*
+        pub enum EventKind {
+            $($(#[$doc])* $kind { $($field: $ty,)+ },)+
+        }
 
-fn class_from_label(s: &str) -> Option<TrafficClass> {
-    match s {
-        "BE" => Some(TrafficClass::BestEffort),
-        "GB" => Some(TrafficClass::GuaranteedBandwidth),
-        "GL" => Some(TrafficClass::GuaranteedLatency),
-        _ => None,
-    }
-}
+        impl EventKind {
+            /// Stable wire label for the `"kind"` field.
+            #[must_use]
+            pub const fn label(&self) -> &'static str {
+                match self {
+                    $(EventKind::$kind { .. } => $label,)+
+                }
+            }
 
-/// `,"<name>":` as bytes: the writer appends every key as one literal.
-macro_rules! key {
-    ($name:literal) => {
-        concat!(",\"", $name, "\":").as_bytes()
+            /// Appends `,"<field>":<value>` for each field.
+            fn write_fields(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(EventKind::$kind { $($field,)+ } => {
+                        $(
+                            out.extend_from_slice(
+                                concat!(",\"", stringify!($field), "\":").as_bytes(),
+                            );
+                            Wire::put($field, out);
+                        )+
+                    })+
+                }
+            }
+
+            /// The kind labelled `label`, each field read from `fields`.
+            fn read_fields(label: &str, fields: &Fields<'_>) -> Result<Self, ParseError> {
+                Ok(match label {
+                    $($label => EventKind::$kind {
+                        $($field: fields.take(stringify!($field))?,)+
+                    },)+
+                    other => {
+                        return Err(ParseError::new(format!("unknown event kind `{other}`")))
+                    }
+                })
+            }
+        }
     };
+}
+
+event_kinds! {
+    /// The event taxonomy (DESIGN.md §6).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum EventKind {
+        /// An arbitration decision at an output: `winner` (an input index)
+        /// was selected among `contenders` requesters in class `class`.
+        Decision = "decision" {
+            output: u32,
+            class: TrafficClass,
+            contenders: u32,
+            winner: u32,
+        },
+        /// A channel grant: the head packet of (`input` → `output`) started
+        /// transmission after waiting `waited` cycles since injection. A
+        /// grant with `class == GL` is a GL lane dispatch.
+        Grant = "grant" {
+            output: u32,
+            input: u32,
+            class: TrafficClass,
+            len_flits: u64,
+            waited: u64,
+        },
+        /// A follow-on packet of the same flow chained onto the still-held
+        /// channel without re-arbitration (§4.2, ref \[10\]).
+        Chained = "chained" {
+            output: u32,
+            input: u32,
+            len_flits: u64,
+        },
+        /// A GB requester defeated on the thermometer bitlines: its MSB
+        /// lane `msb` was inhibited by the winner's smaller `winner_msb`
+        /// (or lost the LRG tie-break at the same lane).
+        Inhibit = "inhibit" {
+            output: u32,
+            input: u32,
+            msb: u64,
+            winner_msb: u64,
+        },
+        /// The winner's `auxVC` was charged its `Vtick`; `saturated` is set
+        /// when the counter clamped at the saturation cap (triggering the
+        /// halve/reset policies).
+        AuxVc = "auxvc" {
+            output: u32,
+            input: u32,
+            aux: u64,
+            saturated: bool,
+        },
+        /// The real-time subcounter wrapped: every `auxVC` at this output
+        /// dropped one MSB step and all thermometer codes shifted down one
+        /// lane. `epoch` counts wraps since construction.
+        Decay = "decay" {
+            output: u32,
+            epoch: u64,
+        },
+        /// GL traffic was buffered at this output but the policer inhibited
+        /// it this cycle; `backlog` is the number of policed GL packets.
+        GlPoliced = "gl_policed" {
+            output: u32,
+            backlog: u32,
+        },
+        /// A packet was refused or downgraded at admission.
+        Reject = "reject" {
+            input: u32,
+            output: u32,
+            class: TrafficClass,
+            reason: RejectReason,
+        },
+        /// A fault was injected (`healed == false`) or healed
+        /// (`healed == true`) at `site`.
+        Fault = "fault" {
+            site: FaultSite,
+            output: u32,
+            input: u32,
+            healed: bool,
+        },
+        /// A runtime detector classified corrupted state without panicking:
+        /// `code` is the tripped V1–V6 predicate (its label is the
+        /// `SSQV00x` code) and `detail` carries the offending value
+        /// (thermometer code, `auxVC`, or winner index).
+        Detected = "detected" {
+            output: u32,
+            code: Invariant,
+            detail: u64,
+        },
+        /// An output changed its degradation mode.
+        Degraded = "degraded" {
+            output: u32,
+            mode: DegradeMode,
+        },
+        /// A previously admitted guarantee can no longer be honored: the
+        /// flow (`input` → `output`, `class`) keeps service but its stated
+        /// bound is replaced. `forfeited` means no bound at all survives;
+        /// otherwise `bound` is the recomputed (weaker) Eq. 1 wait bound.
+        GuaranteeRevoked = "guarantee_revoked" {
+            output: u32,
+            input: u32,
+            class: TrafficClass,
+            bound: u64,
+            forfeited: bool,
+        },
+        /// Post-fault re-admission decided this flow's fate against the
+        /// shrunken capacity.
+        Readmitted = "readmitted" {
+            output: u32,
+            input: u32,
+            class: TrafficClass,
+            action: ReadmitAction,
+        },
+        /// Multi-hop fabric (DESIGN.md §13): a delivered packet entered the
+        /// egress queue of link `link` at node `node`, bound for the next
+        /// hop.
+        HopEnqueue = "hop_enqueue" {
+            node: u32,
+            link: u32,
+            packet: u64,
+            len_flits: u64,
+        },
+        /// Credit/PFC-style backpressure engaged on `link`: the downstream
+        /// queue reached `occupancy` flits and the upstream end paused.
+        CreditPause = "credit_pause" {
+            link: u32,
+            occupancy: u64,
+        },
+        /// Credit/PFC-style backpressure released on `link`: the downstream
+        /// queue drained to `occupancy` flits and the upstream end resumed.
+        CreditResume = "credit_resume" {
+            link: u32,
+            occupancy: u64,
+        },
+        /// A packet was dropped at a hop, for `reason`. Per-flow loss
+        /// accounting keys on (`input` → `output`, `class`) of the
+        /// end-to-end flow.
+        Drop = "drop" {
+            link: u32,
+            input: u32,
+            output: u32,
+            class: TrafficClass,
+            packet: u64,
+            reason: DropReason,
+        },
+        /// The NACK discipline scheduled retransmission `attempt` of
+        /// `packet` on `link`, `delay` cycles out (bounded exponential
+        /// backoff, DESIGN.md §13).
+        NackRetransmit = "nack_retransmit" {
+            link: u32,
+            packet: u64,
+            attempt: u32,
+            delay: u64,
+        },
+        /// Traffic toward node `dest` was rerouted at `node` onto link
+        /// `via` after a topology fault removed the primary path.
+        Reroute = "reroute" {
+            node: u32,
+            dest: u32,
+            via: u32,
+        },
+    }
 }
 
 impl Event {
@@ -303,184 +414,14 @@ impl Event {
     ///
     /// The field set per kind is the stable schema pinned by the
     /// golden-file test (`tests/jsonl_golden.rs`). Every line written
-    /// here parses back with [`Event::from_jsonl`]: free-form label
-    /// fields are written with `"`, `\` and ASCII control bytes
-    /// replaced by `_`, since the schema has no escapes.
+    /// here parses back with [`Event::from_jsonl`].
     pub fn write_jsonl(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(b"{\"cycle\":");
-        push_u64(out, self.cycle);
-        push_label(out, key!("kind"), self.kind.label());
-        match &self.kind {
-            EventKind::Decision {
-                output,
-                class,
-                contenders,
-                winner,
-            } => {
-                push_num(out, key!("output"), *output);
-                push_label(out, key!("class"), class.label());
-                push_num(out, key!("contenders"), *contenders);
-                push_num(out, key!("winner"), *winner);
-            }
-            EventKind::Grant {
-                output,
-                input,
-                class,
-                len_flits,
-                waited,
-            } => {
-                push_num(out, key!("output"), *output);
-                push_num(out, key!("input"), *input);
-                push_label(out, key!("class"), class.label());
-                push_num(out, key!("len_flits"), *len_flits);
-                push_num(out, key!("waited"), *waited);
-            }
-            EventKind::Chained {
-                output,
-                input,
-                len_flits,
-            } => {
-                push_num(out, key!("output"), *output);
-                push_num(out, key!("input"), *input);
-                push_num(out, key!("len_flits"), *len_flits);
-            }
-            EventKind::Inhibit {
-                output,
-                input,
-                msb,
-                winner_msb,
-            } => {
-                push_num(out, key!("output"), *output);
-                push_num(out, key!("input"), *input);
-                push_num(out, key!("msb"), *msb);
-                push_num(out, key!("winner_msb"), *winner_msb);
-            }
-            EventKind::AuxVc {
-                output,
-                input,
-                aux,
-                saturated,
-            } => {
-                push_num(out, key!("output"), *output);
-                push_num(out, key!("input"), *input);
-                push_num(out, key!("aux"), *aux);
-                push_bool(out, key!("saturated"), *saturated);
-            }
-            EventKind::Decay { output, epoch } => {
-                push_num(out, key!("output"), *output);
-                push_num(out, key!("epoch"), *epoch);
-            }
-            EventKind::GlPoliced { output, backlog } => {
-                push_num(out, key!("output"), *output);
-                push_num(out, key!("backlog"), *backlog);
-            }
-            EventKind::Reject {
-                input,
-                output,
-                class,
-                reason,
-            } => {
-                push_num(out, key!("input"), *input);
-                push_num(out, key!("output"), *output);
-                push_label(out, key!("class"), class.label());
-                push_label(out, key!("reason"), reason.label());
-            }
-            EventKind::Fault {
-                site,
-                output,
-                input,
-                healed,
-            } => {
-                push_text(out, key!("site"), site);
-                push_num(out, key!("output"), *output);
-                push_num(out, key!("input"), *input);
-                push_bool(out, key!("healed"), *healed);
-            }
-            EventKind::Detected {
-                output,
-                code,
-                detail,
-            } => {
-                push_num(out, key!("output"), *output);
-                push_text(out, key!("code"), code);
-                push_num(out, key!("detail"), *detail);
-            }
-            EventKind::Degraded { output, mode } => {
-                push_num(out, key!("output"), *output);
-                push_text(out, key!("mode"), mode);
-            }
-            EventKind::GuaranteeRevoked {
-                output,
-                input,
-                class,
-                bound,
-                forfeited,
-            } => {
-                push_num(out, key!("output"), *output);
-                push_num(out, key!("input"), *input);
-                push_label(out, key!("class"), class.label());
-                push_num(out, key!("bound"), *bound);
-                push_bool(out, key!("forfeited"), *forfeited);
-            }
-            EventKind::Readmitted {
-                output,
-                input,
-                class,
-                action,
-            } => {
-                push_num(out, key!("output"), *output);
-                push_num(out, key!("input"), *input);
-                push_label(out, key!("class"), class.label());
-                push_text(out, key!("action"), action);
-            }
-            EventKind::HopEnqueue {
-                node,
-                link,
-                packet,
-                len_flits,
-            } => {
-                push_num(out, key!("node"), *node);
-                push_num(out, key!("link"), *link);
-                push_num(out, key!("packet"), *packet);
-                push_num(out, key!("len_flits"), *len_flits);
-            }
-            EventKind::CreditPause { link, occupancy }
-            | EventKind::CreditResume { link, occupancy } => {
-                push_num(out, key!("link"), *link);
-                push_num(out, key!("occupancy"), *occupancy);
-            }
-            EventKind::Drop {
-                link,
-                input,
-                output,
-                class,
-                packet,
-                reason,
-            } => {
-                push_num(out, key!("link"), *link);
-                push_num(out, key!("input"), *input);
-                push_num(out, key!("output"), *output);
-                push_label(out, key!("class"), class.label());
-                push_num(out, key!("packet"), *packet);
-                push_label(out, key!("reason"), reason.label());
-            }
-            EventKind::NackRetransmit {
-                link,
-                packet,
-                attempt,
-                delay,
-            } => {
-                push_num(out, key!("link"), *link);
-                push_num(out, key!("packet"), *packet);
-                push_num(out, key!("attempt"), *attempt);
-                push_num(out, key!("delay"), *delay);
-            }
-            EventKind::Reroute { node, dest, via } => {
-                push_num(out, key!("node"), *node);
-                push_num(out, key!("dest"), *dest);
-                push_num(out, key!("via"), *via);
-            }
-        }
+        self.cycle.put(out);
+        out.extend_from_slice(b",\"kind\":\"");
+        out.extend_from_slice(self.kind.label().as_bytes());
+        out.push(b'"');
+        self.kind.write_fields(out);
         out.push(b'}');
     }
 
@@ -491,7 +432,7 @@ impl Event {
     pub fn to_jsonl(&self) -> String {
         let mut out = Vec::new();
         self.write_jsonl(&mut out);
-        // The writer emits `&str` contents and ASCII only: never lossy.
+        // The writer emits static labels and ASCII digits only: never lossy.
         String::from_utf8_lossy(&out).into_owned()
     }
 
@@ -501,8 +442,7 @@ impl Event {
     /// bool values: ASCII whitespace is allowed around the object and
     /// between tokens, fields may come in any order, the first of a
     /// duplicated key wins, unknown keys are ignored, and strings carry
-    /// no escapes. Nothing is allocated for the fixed-label kinds; the
-    /// free-form labels of the fault and drop kinds are copied out.
+    /// no escapes. Nothing is allocated on success.
     ///
     /// # Errors
     ///
@@ -511,117 +451,11 @@ impl Event {
     /// line with more than [`MAX_FIELDS`] fields.
     pub fn from_jsonl(line: &str) -> Result<Event, ParseError> {
         let fields = Fields::parse(line)?;
-        let cycle = fields.num("cycle")?;
-        let kind = match fields.str("kind")? {
-            "decision" => EventKind::Decision {
-                output: fields.num32("output")?,
-                class: fields.class()?,
-                contenders: fields.num32("contenders")?,
-                winner: fields.num32("winner")?,
-            },
-            "grant" => EventKind::Grant {
-                output: fields.num32("output")?,
-                input: fields.num32("input")?,
-                class: fields.class()?,
-                len_flits: fields.num("len_flits")?,
-                waited: fields.num("waited")?,
-            },
-            "chained" => EventKind::Chained {
-                output: fields.num32("output")?,
-                input: fields.num32("input")?,
-                len_flits: fields.num("len_flits")?,
-            },
-            "inhibit" => EventKind::Inhibit {
-                output: fields.num32("output")?,
-                input: fields.num32("input")?,
-                msb: fields.num("msb")?,
-                winner_msb: fields.num("winner_msb")?,
-            },
-            "auxvc" => EventKind::AuxVc {
-                output: fields.num32("output")?,
-                input: fields.num32("input")?,
-                aux: fields.num("aux")?,
-                saturated: fields.boolean("saturated")?,
-            },
-            "decay" => EventKind::Decay {
-                output: fields.num32("output")?,
-                epoch: fields.num("epoch")?,
-            },
-            "gl_policed" => EventKind::GlPoliced {
-                output: fields.num32("output")?,
-                backlog: fields.num32("backlog")?,
-            },
-            "reject" => EventKind::Reject {
-                input: fields.num32("input")?,
-                output: fields.num32("output")?,
-                class: fields.class()?,
-                reason: RejectReason::from_label(fields.str("reason")?)
-                    .ok_or_else(|| ParseError::new("unknown reject reason"))?,
-            },
-            "fault" => EventKind::Fault {
-                site: fields.str("site")?.to_string(),
-                output: fields.num32("output")?,
-                input: fields.num32("input")?,
-                healed: fields.boolean("healed")?,
-            },
-            "detected" => EventKind::Detected {
-                output: fields.num32("output")?,
-                code: fields.str("code")?.to_string(),
-                detail: fields.num("detail")?,
-            },
-            "degraded" => EventKind::Degraded {
-                output: fields.num32("output")?,
-                mode: fields.str("mode")?.to_string(),
-            },
-            "guarantee_revoked" => EventKind::GuaranteeRevoked {
-                output: fields.num32("output")?,
-                input: fields.num32("input")?,
-                class: fields.class()?,
-                bound: fields.num("bound")?,
-                forfeited: fields.boolean("forfeited")?,
-            },
-            "readmitted" => EventKind::Readmitted {
-                output: fields.num32("output")?,
-                input: fields.num32("input")?,
-                class: fields.class()?,
-                action: fields.str("action")?.to_string(),
-            },
-            "hop_enqueue" => EventKind::HopEnqueue {
-                node: fields.num32("node")?,
-                link: fields.num32("link")?,
-                packet: fields.num("packet")?,
-                len_flits: fields.num("len_flits")?,
-            },
-            "credit_pause" => EventKind::CreditPause {
-                link: fields.num32("link")?,
-                occupancy: fields.num("occupancy")?,
-            },
-            "credit_resume" => EventKind::CreditResume {
-                link: fields.num32("link")?,
-                occupancy: fields.num("occupancy")?,
-            },
-            "drop" => EventKind::Drop {
-                link: fields.num32("link")?,
-                input: fields.num32("input")?,
-                output: fields.num32("output")?,
-                class: fields.class()?,
-                packet: fields.num("packet")?,
-                reason: DropReason::from_label(fields.str("reason")?)
-                    .ok_or_else(|| ParseError::new("unknown drop reason"))?,
-            },
-            "nack_retransmit" => EventKind::NackRetransmit {
-                link: fields.num32("link")?,
-                packet: fields.num("packet")?,
-                attempt: fields.num32("attempt")?,
-                delay: fields.num("delay")?,
-            },
-            "reroute" => EventKind::Reroute {
-                node: fields.num32("node")?,
-                dest: fields.num32("dest")?,
-                via: fields.num32("via")?,
-            },
-            other => return Err(ParseError::new(format!("unknown event kind `{other}`"))),
+        let cycle = fields.take("cycle")?;
+        let Scalar::Str(kind) = fields.get("kind")? else {
+            return Err(ParseError::new("field `kind` is not a string"));
         };
+        let kind = EventKind::read_fields(kind, &fields)?;
         Ok(Event { cycle, kind })
     }
 }
@@ -637,8 +471,7 @@ impl fmt::Display for Event {
                 winner,
             } => write!(
                 f,
-                "decision   out{output} {} winner=in{winner} of {contenders}",
-                class.label()
+                "decision   out{output} {class} winner=in{winner} of {contenders}"
             ),
             EventKind::Grant {
                 output,
@@ -648,8 +481,7 @@ impl fmt::Display for Event {
                 waited,
             } => write!(
                 f,
-                "grant      out{output} <- in{input} {} len={len_flits} waited={waited}",
-                class.label()
+                "grant      out{output} <- in{input} {class} len={len_flits} waited={waited}"
             ),
             EventKind::Chained {
                 output,
@@ -686,12 +518,7 @@ impl fmt::Display for Event {
                 output,
                 class,
                 reason,
-            } => write!(
-                f,
-                "reject     in{input} -> out{output} {} ({})",
-                class.label(),
-                reason.label()
-            ),
+            } => write!(f, "reject     in{input} -> out{output} {class} ({reason})"),
             EventKind::Fault {
                 site,
                 output,
@@ -718,8 +545,7 @@ impl fmt::Display for Event {
                 forfeited,
             } => write!(
                 f,
-                "revoked    out{output} in{input} {} {}",
-                class.label(),
+                "revoked    out{output} in{input} {class} {}",
                 if *forfeited {
                     "bound FORFEITED".to_string()
                 } else {
@@ -731,11 +557,7 @@ impl fmt::Display for Event {
                 input,
                 class,
                 action,
-            } => write!(
-                f,
-                "readmit    out{output} in{input} {} -> {action}",
-                class.label()
-            ),
+            } => write!(f, "readmit    out{output} in{input} {class} -> {action}"),
             EventKind::HopEnqueue {
                 node,
                 link,
@@ -760,9 +582,7 @@ impl fmt::Display for Event {
                 reason,
             } => write!(
                 f,
-                "drop       link{link} in{input} -> out{output} {} pkt{packet} ({})",
-                class.label(),
-                reason.label()
+                "drop       link{link} in{input} -> out{output} {class} pkt{packet} ({reason})"
             ),
             EventKind::NackRetransmit {
                 link,
@@ -780,57 +600,80 @@ impl fmt::Display for Event {
     }
 }
 
-/// Appends `v` in decimal through a stack digit buffer.
-fn push_u64(out: &mut Vec<u8>, mut v: u64) {
-    // u64::MAX has 20 digits.
-    let mut digits = [b'0'; 20];
-    let mut start = digits.len();
-    loop {
-        // `v % 10` is below 10: the cast is exact and fits the low nibble.
-        let digit = (v % 10) as u8;
-        start = start.saturating_sub(1);
-        if let Some(slot) = digits.get_mut(start) {
-            *slot = b'0' | digit;
+/// How one field type crosses the wire: `put` appends its JSON value,
+/// `take` reads it back from the scalar parsed under `key`.
+trait Wire: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    fn take(key: &str, value: Scalar<'_>) -> Result<Self, ParseError>;
+}
+
+impl Wire for u64 {
+    /// Decimal, through a stack digit buffer.
+    fn put(&self, out: &mut Vec<u8>) {
+        // u64::MAX has 20 digits.
+        let mut digits = [b'0'; 20];
+        let mut start = digits.len();
+        let mut v = *self;
+        loop {
+            // `v % 10` is below 10: the cast is exact and fits the low nibble.
+            let digit = (v % 10) as u8;
+            start = start.saturating_sub(1);
+            if let Some(slot) = digits.get_mut(start) {
+                *slot = b'0' | digit;
+            }
+            v /= 10;
+            if v == 0 {
+                break;
+            }
         }
-        v /= 10;
-        if v == 0 {
-            break;
+        out.extend_from_slice(digits.get(start..).unwrap_or_default());
+    }
+
+    fn take(key: &str, value: Scalar<'_>) -> Result<Self, ParseError> {
+        match value {
+            Scalar::Num(n) => Ok(n),
+            _ => Err(ParseError::new(format!("field `{key}` is not a number"))),
         }
     }
-    out.extend_from_slice(digits.get(start..).unwrap_or_default());
 }
 
-fn push_num(out: &mut Vec<u8>, key: &[u8], v: impl Into<u64>) {
-    out.extend_from_slice(key);
-    push_u64(out, v.into());
+impl Wire for u32 {
+    fn put(&self, out: &mut Vec<u8>) {
+        u64::from(*self).put(out);
+    }
+
+    fn take(key: &str, value: Scalar<'_>) -> Result<Self, ParseError> {
+        u32::try_from(u64::take(key, value)?)
+            .map_err(|_| ParseError::new(format!("field `{key}` exceeds u32")))
+    }
 }
 
-/// A fixed identifier from this crate's own label tables.
-fn push_label(out: &mut Vec<u8>, key: &[u8], v: &'static str) {
-    out.extend_from_slice(key);
-    out.push(b'"');
-    out.extend_from_slice(v.as_bytes());
-    out.push(b'"');
-}
+impl Wire for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(if *self { b"true" } else { b"false" });
+    }
 
-/// A caller-supplied label: the bytes the parser would choke on (or
-/// that would break the one-object-per-line framing) become `_`.
-fn push_text(out: &mut Vec<u8>, key: &[u8], v: &str) {
-    out.extend_from_slice(key);
-    out.push(b'"');
-    out.extend(v.bytes().map(|b| {
-        if matches!(b, b'"' | b'\\') || b.is_ascii_control() {
-            b'_'
-        } else {
-            b
+    fn take(key: &str, value: Scalar<'_>) -> Result<Self, ParseError> {
+        match value {
+            Scalar::Bool(b) => Ok(b),
+            _ => Err(ParseError::new(format!("field `{key}` is not a bool"))),
         }
-    }));
-    out.push(b'"');
+    }
 }
 
-fn push_bool(out: &mut Vec<u8>, key: &[u8], v: bool) {
-    out.extend_from_slice(key);
-    out.extend_from_slice(if v { b"true" } else { b"false" });
+impl<T: Label> Wire for T {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(b'"');
+        out.extend_from_slice(self.label().as_bytes());
+        out.push(b'"');
+    }
+
+    fn take(key: &str, value: Scalar<'_>) -> Result<Self, ParseError> {
+        let Scalar::Str(s) = value else {
+            return Err(ParseError::new(format!("field `{key}` is not a string")));
+        };
+        T::from_label(s).ok_or_else(|| ParseError::new(format!("unknown `{key}` label `{s}`")))
+    }
 }
 
 /// Error from [`Event::from_jsonl`].
@@ -881,9 +724,8 @@ const fn is_space(b: u8) -> bool {
 
 impl<'a> Fields<'a> {
     /// Parses one flat JSON object of string/unsigned-integer/bool
-    /// values — exactly the subset [`Event::write_jsonl`] emits. String
-    /// values never contain escapes (the writer replaces the bytes that
-    /// would need one), so none are accepted.
+    /// values — exactly the subset [`Event::write_jsonl`] emits. Every
+    /// string the writer emits is a label, so no escapes are accepted.
     fn parse(line: &'a str) -> Result<Self, ParseError> {
         let bytes = line.as_bytes();
         let skip_space = |mut at: usize| {
@@ -992,34 +834,9 @@ impl<'a> Fields<'a> {
             .ok_or_else(|| ParseError::new(format!("missing field `{key}`")))
     }
 
-    fn num(&self, key: &str) -> Result<u64, ParseError> {
-        match self.get(key)? {
-            Scalar::Num(n) => Ok(n),
-            _ => Err(ParseError::new(format!("field `{key}` is not a number"))),
-        }
-    }
-
-    fn num32(&self, key: &str) -> Result<u32, ParseError> {
-        u32::try_from(self.num(key)?)
-            .map_err(|_| ParseError::new(format!("field `{key}` exceeds u32")))
-    }
-
-    fn str(&self, key: &str) -> Result<&'a str, ParseError> {
-        match self.get(key)? {
-            Scalar::Str(s) => Ok(s),
-            _ => Err(ParseError::new(format!("field `{key}` is not a string"))),
-        }
-    }
-
-    fn boolean(&self, key: &str) -> Result<bool, ParseError> {
-        match self.get(key)? {
-            Scalar::Bool(b) => Ok(b),
-            _ => Err(ParseError::new(format!("field `{key}` is not a bool"))),
-        }
-    }
-
-    fn class(&self) -> Result<TrafficClass, ParseError> {
-        class_from_label(self.str("class")?).ok_or_else(|| ParseError::new("unknown traffic class"))
+    /// The value under `key`, as the field type it is read into.
+    fn take<T: Wire>(&self, key: &str) -> Result<T, ParseError> {
+        T::take(key, self.get(key)?)
     }
 }
 
@@ -1100,7 +917,7 @@ mod tests {
             Event {
                 cycle: 9,
                 kind: EventKind::Fault {
-                    site: "bitline_stuck".to_string(),
+                    site: FaultSite::BitlineStuck,
                     output: 0,
                     input: 3,
                     healed: false,
@@ -1110,7 +927,7 @@ mod tests {
                 cycle: 10,
                 kind: EventKind::Detected {
                     output: 0,
-                    code: "SSQV002".to_string(),
+                    code: Invariant::Thermometer,
                     detail: 0b101,
                 },
             },
@@ -1118,7 +935,7 @@ mod tests {
                 cycle: 11,
                 kind: EventKind::Degraded {
                     output: 0,
-                    mode: "lrg_fallback".to_string(),
+                    mode: DegradeMode::LrgFallback,
                 },
             },
             Event {
@@ -1137,7 +954,7 @@ mod tests {
                     output: 0,
                     input: 2,
                     class: TrafficClass::GuaranteedBandwidth,
-                    action: "evict".to_string(),
+                    action: ReadmitAction::Evict,
                 },
             },
             Event {
@@ -1298,9 +1115,9 @@ mod tests {
         // A drop reason no writer emits is refused by name, not kept.
         let unknown = lines[16].replace("queue_full", "cosmic_ray");
         let e = Event::from_jsonl(&unknown).expect_err(&unknown);
-        assert!(e.to_string().contains("unknown drop reason"), "{e}");
+        assert!(e.to_string().contains("unknown `reason` label"), "{e}");
         lines.push(unknown);
-        let mut rng = Xoshiro256StarStar::seed_from_u64(0x905_13);
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0x0009_0513);
         for round in 0..1900 {
             let base = &lines[round % lines.len()];
             let mut bytes = base.clone().into_bytes();
@@ -1419,15 +1236,19 @@ mod tests {
                 input,
                 healed,
             } => format!(
-                "\"site\":\"{site}\",\"output\":{output},\"input\":{input},\"healed\":{healed}"
+                "\"site\":\"{}\",\"output\":{output},\"input\":{input},\"healed\":{healed}",
+                site.label()
             ),
             EventKind::Detected {
                 output,
                 code,
                 detail,
-            } => format!("\"output\":{output},\"code\":\"{code}\",\"detail\":{detail}"),
+            } => format!(
+                "\"output\":{output},\"code\":\"{}\",\"detail\":{detail}",
+                code.code()
+            ),
             EventKind::Degraded { output, mode } => {
-                format!("\"output\":{output},\"mode\":\"{mode}\"")
+                format!("\"output\":{output},\"mode\":\"{}\"", mode.label())
             }
             EventKind::GuaranteeRevoked {
                 output,
@@ -1446,8 +1267,9 @@ mod tests {
                 class,
                 action,
             } => format!(
-                "\"output\":{output},\"input\":{input},\"class\":\"{}\",\"action\":\"{action}\"",
-                class.label()
+                "\"output\":{output},\"input\":{input},\"class\":\"{}\",\"action\":\"{}\"",
+                class.label(),
+                action.label()
             ),
             EventKind::HopEnqueue {
                 node,
@@ -1493,8 +1315,9 @@ mod tests {
         )
     }
 
-    /// `all_kinds()[kind]` with every number redrawn: half the draws
-    /// come from the digit-count and type boundaries, half are uniform.
+    /// `all_kinds()[kind]` with every number and label redrawn: half the
+    /// number draws come from the digit-count and type boundaries, half
+    /// are uniform.
     fn random_event(rng: &mut ssq_types::rng::Xoshiro256StarStar, kind: usize) -> Event {
         const EDGES: [u64; 7] = [
             0,
@@ -1568,12 +1391,36 @@ mod tests {
             | EventKind::Drop { packet: a, .. } => *a = n64(),
             _ => {}
         }
+        fn pick<T: Label>(rng: &mut ssq_types::rng::Xoshiro256StarStar, v: &mut T) {
+            *v = T::ALL[rng.index(T::ALL.len())];
+        }
+        match &mut ev.kind {
+            EventKind::Decision { class, .. }
+            | EventKind::Grant { class, .. }
+            | EventKind::GuaranteeRevoked { class, .. } => pick(rng, class),
+            EventKind::Reject { class, reason, .. } => {
+                pick(rng, class);
+                pick(rng, reason);
+            }
+            EventKind::Drop { class, reason, .. } => {
+                pick(rng, class);
+                pick(rng, reason);
+            }
+            EventKind::Readmitted { class, action, .. } => {
+                pick(rng, class);
+                pick(rng, action);
+            }
+            EventKind::Fault { site, .. } => pick(rng, site),
+            EventKind::Detected { code, .. } => pick(rng, code),
+            EventKind::Degraded { mode, .. } => pick(rng, mode),
+            _ => {}
+        }
         ev
     }
 
     #[test]
     fn encoder_matches_the_format_reference_on_every_kind() {
-        let mut rng = ssq_types::rng::Xoshiro256StarStar::seed_from_u64(0xC0DE_C15);
+        let mut rng = ssq_types::rng::Xoshiro256StarStar::seed_from_u64(0x0C0D_EC15);
         // One buffer for the whole run, as a sink holds it: a stale tail
         // from a longer previous line must never leak into the next.
         let mut line = Vec::new();
@@ -1601,7 +1448,7 @@ mod tests {
             u64::MAX,
         ] {
             let mut out = b"x".to_vec();
-            push_u64(&mut out, v);
+            v.put(&mut out);
             assert_eq!(String::from_utf8_lossy(&out), format!("x{v}"));
         }
     }
@@ -1735,73 +1582,55 @@ mod tests {
         }
     }
 
-    /// Free-form labels come from callers (`pub String` fields): the
-    /// writer never emits a line its own parser rejects, whatever they
-    /// hold. The offending bytes become `_`; everything else survives.
+    /// Every label enum's `from_label` inverts its `label`, and no two
+    /// values of one enum share a label.
     #[test]
-    fn hostile_labels_are_written_parseable() {
-        let hostile = [
-            "plain",
-            "",
-            "quo\"te",
-            "back\\slash",
-            "\\\"",
-            "new\nline",
-            "tab\tcr\rnul\0del\x7f",
-            "}{,:",
-            "caf\u{e9} \u{1f980}",
-            "\\u0041",
-        ];
-        let clean = |s: &str| -> String {
-            s.chars()
-                .map(|c| {
-                    if c == '"' || c == '\\' || c.is_ascii_control() {
-                        '_'
-                    } else {
-                        c
-                    }
-                })
-                .collect()
-        };
-        for label in hostile {
-            let l = label.to_string();
-            let events = [
-                EventKind::Fault {
-                    site: l.clone(),
-                    output: 1,
-                    input: 2,
-                    healed: true,
-                },
-                EventKind::Detected {
-                    output: 1,
-                    code: l.clone(),
-                    detail: 3,
-                },
-                EventKind::Degraded {
-                    output: 1,
-                    mode: l.clone(),
-                },
-                EventKind::Readmitted {
-                    output: 1,
-                    input: 2,
-                    class: TrafficClass::GuaranteedBandwidth,
-                    action: l.clone(),
-                },
-            ];
-            for kind in events {
-                let line = Event { cycle: 5, kind }.to_jsonl();
-                assert!(!line.contains('\n'), "{line:?} must stay one line");
-                let back = Event::from_jsonl(&line).expect(&line);
-                let got = match &back.kind {
-                    EventKind::Fault { site: s, .. }
-                    | EventKind::Detected { code: s, .. }
-                    | EventKind::Degraded { mode: s, .. }
-                    | EventKind::Readmitted { action: s, .. } => s.clone(),
-                    other => panic!("kind changed: {other:?}"),
-                };
-                assert_eq!(got, clean(label), "{line:?}");
-                assert_eq!(back.to_jsonl(), line, "sanitising is idempotent");
+    fn every_label_round_trips() {
+        fn check<T: Label + PartialEq + fmt::Debug>() {
+            for (i, &v) in T::ALL.iter().enumerate() {
+                assert_eq!(T::from_label(v.label()), Some(v));
+                assert!(T::ALL[..i].iter().all(|w| w.label() != v.label()));
             }
+            assert_eq!(T::from_label("foo"), None);
+        }
+        check::<TrafficClass>();
+        check::<RejectReason>();
+        check::<DropReason>();
+        check::<FaultSite>();
+        check::<Invariant>();
+        check::<DegradeMode>();
+        check::<ReadmitAction>();
+    }
+
+    /// A label outside a field's set is a parse error that names the
+    /// field, for every string field of the schema.
+    #[test]
+    fn unknown_labels_are_refused_by_field() {
+        let kinds = all_kinds();
+        for (at, key, label) in [
+            (0, "class", "GB"),
+            (7, "reason", "staging_overflow"),
+            (8, "site", "bitline_stuck"),
+            (9, "code", "SSQV002"),
+            (10, "mode", "lrg_fallback"),
+            (12, "action", "evict"),
+            (16, "reason", "queue_full"),
+        ] {
+            let line = kinds[at].to_jsonl();
+            let field = format!("\"{key}\":\"{label}\"");
+            assert!(line.contains(&field), "{line}");
+            let bad = line.replace(&field, &format!("\"{key}\":\"foo\""));
+            let e = Event::from_jsonl(&bad).expect_err(&bad);
+            assert_eq!(
+                e.to_string(),
+                format!("trace parse error: unknown `{key}` label `foo`")
+            );
+            let bad = line.replace(&field, &format!("\"{key}\":7"));
+            let e = Event::from_jsonl(&bad).expect_err(&bad);
+            assert!(
+                e.to_string().contains(&format!("`{key}` is not a string")),
+                "{e}"
+            );
         }
     }
 }

@@ -11,7 +11,9 @@
 //! * [`Event`] / [`EventKind`] — the taxonomy (DESIGN.md §6): one event
 //!   per arbitration decision, grant, inhibit, `auxVC` update /
 //!   saturation, decay epoch, GL policing stall, packet chaining, and
-//!   admission rejection, with a stable JSONL wire format.
+//!   admission rejection, plus the fault family and the fabric's hop
+//!   events, with a stable JSONL wire format generated from one
+//!   declaration per kind. Every string field is a [`Label`] type.
 //! * [`TraceSink`] — consumers: [`NullSink`] (deleted by the
 //!   optimizer), [`RingSink`] (bounded flight recorder), [`JsonlSink`]
 //!   (streaming writer).
@@ -33,7 +35,10 @@ pub mod metrics;
 pub mod report;
 pub mod sink;
 
-pub use event::{DropReason, Event, EventKind, ParseError, RejectReason};
+pub use event::{
+    DegradeMode, DropReason, Event, EventKind, FaultSite, Label, ParseError, ReadmitAction,
+    RejectReason,
+};
 pub use metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 pub use report::{FlowGrants, TraceSummary};
 pub use sink::{BoxedWriter, JsonlSink, NullSink, RingSink, TraceSink, Tracer};

@@ -67,15 +67,15 @@ pub struct TraceSummary {
     /// Admission rejections keyed by `(input, output, reason label)`.
     pub rejects: BTreeMap<(u32, u32, &'static str), u64>,
     /// Fault injections (`false`) and heals (`true`) keyed by site label.
-    pub faults: BTreeMap<(String, bool), u64>,
-    /// Runtime detections keyed by classification code.
-    pub detections: BTreeMap<String, u64>,
-    /// Degradation transitions keyed by `(output, mode)`.
-    pub degradations: BTreeMap<(u32, String), u64>,
+    pub faults: BTreeMap<(&'static str, bool), u64>,
+    /// Runtime detections keyed by invariant code.
+    pub detections: BTreeMap<&'static str, u64>,
+    /// Degradation transitions keyed by `(output, mode label)`.
+    pub degradations: BTreeMap<(u32, &'static str), u64>,
     /// `GuaranteeRevoked` events keyed by `(input, output)`.
     pub revocations: BTreeMap<(u32, u32), u64>,
     /// Re-admission decisions keyed by action label.
-    pub readmissions: BTreeMap<String, u64>,
+    pub readmissions: BTreeMap<&'static str, u64>,
     /// Hop enqueues per fabric link (multi-hop runs only).
     pub hop_enqueues: BTreeMap<u32, u64>,
     /// Credit/PFC pause events per fabric link.
@@ -162,22 +162,22 @@ impl TraceSummary {
                     .or_default() += 1;
             }
             EventKind::Fault { site, healed, .. } => {
-                *self.faults.entry((site.clone(), *healed)).or_default() += 1;
+                *self.faults.entry((site.label(), *healed)).or_default() += 1;
             }
             EventKind::Detected { code, .. } => {
-                *self.detections.entry(code.clone()).or_default() += 1;
+                *self.detections.entry(code.code()).or_default() += 1;
             }
             EventKind::Degraded { output, mode } => {
                 *self
                     .degradations
-                    .entry((*output, mode.clone()))
+                    .entry((*output, mode.label()))
                     .or_default() += 1;
             }
             EventKind::GuaranteeRevoked { output, input, .. } => {
                 *self.revocations.entry((*input, *output)).or_default() += 1;
             }
             EventKind::Readmitted { action, .. } => {
-                *self.readmissions.entry(action.clone()).or_default() += 1;
+                *self.readmissions.entry(action.label()).or_default() += 1;
             }
             EventKind::HopEnqueue { link, .. } => {
                 *self.hop_enqueues.entry(*link).or_default() += 1;
@@ -310,10 +310,14 @@ impl TraceSummary {
         t.numeric();
         for ((site, healed), n) in &self.faults {
             let what = if *healed { "heal" } else { "inject" };
-            t.row(vec![what.to_string(), site.clone(), n.to_string()]);
+            t.row(vec![what.to_string(), site.to_string(), n.to_string()]);
         }
         for (code, n) in &self.detections {
-            t.row(vec!["detected".to_string(), code.clone(), n.to_string()]);
+            t.row(vec![
+                "detected".to_string(),
+                code.to_string(),
+                n.to_string(),
+            ]);
         }
         for ((output, mode), n) in &self.degradations {
             t.row(vec![
@@ -330,7 +334,11 @@ impl TraceSummary {
             ]);
         }
         for (action, n) in &self.readmissions {
-            t.row(vec!["readmit".to_string(), action.clone(), n.to_string()]);
+            t.row(vec![
+                "readmit".to_string(),
+                action.to_string(),
+                n.to_string(),
+            ]);
         }
         t
     }
@@ -420,7 +428,8 @@ impl TraceSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::RejectReason;
+    use crate::event::{DegradeMode, FaultSite, ReadmitAction, RejectReason};
+    use ssq_types::invariant::Invariant;
 
     fn grant(cycle: u64, input: u32, waited: u64) -> Event {
         Event {
@@ -520,7 +529,7 @@ mod tests {
             Event {
                 cycle: 1,
                 kind: EventKind::Fault {
-                    site: "bitline_stuck".to_string(),
+                    site: FaultSite::BitlineStuck,
                     output: 0,
                     input: 2,
                     healed: false,
@@ -530,7 +539,7 @@ mod tests {
                 cycle: 2,
                 kind: EventKind::Detected {
                     output: 0,
-                    code: "SSQV001".to_string(),
+                    code: Invariant::SingleGrant,
                     detail: 3,
                 },
             },
@@ -538,7 +547,7 @@ mod tests {
                 cycle: 3,
                 kind: EventKind::Degraded {
                     output: 0,
-                    mode: "lrg_fallback".to_string(),
+                    mode: DegradeMode::LrgFallback,
                 },
             },
             Event {
@@ -557,13 +566,13 @@ mod tests {
                     output: 0,
                     input: 1,
                     class: TrafficClass::GuaranteedLatency,
-                    action: "demote".to_string(),
+                    action: ReadmitAction::Demote,
                 },
             },
             Event {
                 cycle: 6,
                 kind: EventKind::Fault {
-                    site: "bitline_stuck".to_string(),
+                    site: FaultSite::BitlineStuck,
                     output: 0,
                     input: 2,
                     healed: true,
@@ -572,10 +581,10 @@ mod tests {
         ];
         let s = TraceSummary::from_events(events);
         assert!(s.has_fault_activity());
-        assert_eq!(s.faults[&("bitline_stuck".to_string(), false)], 1);
-        assert_eq!(s.faults[&("bitline_stuck".to_string(), true)], 1);
+        assert_eq!(s.faults[&("bitline_stuck", false)], 1);
+        assert_eq!(s.faults[&("bitline_stuck", true)], 1);
         assert_eq!(s.detections["SSQV001"], 1);
-        assert_eq!(s.degradations[&(0, "lrg_fallback".to_string())], 1);
+        assert_eq!(s.degradations[&(0, "lrg_fallback")], 1);
         assert_eq!(s.revocations[&(1, 0)], 1);
         assert_eq!(s.readmissions["demote"], 1);
         let text = s.fault_table().to_text();

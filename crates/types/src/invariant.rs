@@ -21,6 +21,78 @@
 //! | SSQV004 | V4 — LRG never starves a continuous requester > radix    |
 //! | SSQV005 | V5 — observed GL wait never exceeds the Eq. 1 bound      |
 //! | SSQV006 | V6 — behavioural arbiter ≡ bitline circuit model         |
+//!
+//! [`Invariant`] names one row of that table; its [`Invariant::code`] is
+//! the label a trace's `detected` event and a counterexample carry.
+
+use std::fmt;
+
+/// One invariant of the V1–V6 catalog.
+///
+/// Codes are append-only; the same strings prefix the sanitizer's
+/// assertion messages in `ssq-core`, so a post-mortem flight dump and a
+/// model-checker counterexample are grep-able by one identifier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Invariant {
+    /// V1: an output bus carries exactly one grant per cycle.
+    SingleGrant,
+    /// V2: thermometer codes stay monotone and well-formed.
+    Thermometer,
+    /// V3: `auxVC` never exceeds its configured width.
+    AuxWidth,
+    /// V4: LRG never starves a continuously-requesting BE input.
+    LrgStarvation,
+    /// V5: observed GL waiting time respects the Eq. 1 bound.
+    GlBound,
+    /// V6: behavioural arbiter and bitline circuit model agree.
+    GrantAgreement,
+}
+
+impl Invariant {
+    /// The whole catalog, V1 first.
+    pub const ALL: [Invariant; 6] = [
+        Invariant::SingleGrant,
+        Invariant::Thermometer,
+        Invariant::AuxWidth,
+        Invariant::LrgStarvation,
+        Invariant::GlBound,
+        Invariant::GrantAgreement,
+    ];
+
+    /// The stable diagnostic code (`SSQV001`..`SSQV006`), disjoint from
+    /// the analyzer's `SSQ0xx` codes.
+    #[must_use]
+    pub const fn code(self) -> &'static str {
+        match self {
+            Invariant::SingleGrant => "SSQV001",
+            Invariant::Thermometer => "SSQV002",
+            Invariant::AuxWidth => "SSQV003",
+            Invariant::LrgStarvation => "SSQV004",
+            Invariant::GlBound => "SSQV005",
+            Invariant::GrantAgreement => "SSQV006",
+        }
+    }
+
+    /// The short catalog name (`V1`..`V6`).
+    #[must_use]
+    pub const fn name(self) -> &'static str {
+        match self {
+            Invariant::SingleGrant => "V1",
+            Invariant::Thermometer => "V2",
+            Invariant::AuxWidth => "V3",
+            Invariant::LrgStarvation => "V4",
+            Invariant::GlBound => "V5",
+            Invariant::GrantAgreement => "V6",
+        }
+    }
+}
+
+/// Displays as the code.
+impl fmt::Display for Invariant {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.code())
+    }
+}
 
 /// V1 (SSQV001): an output bus carries exactly one grant per cycle.
 ///
@@ -89,6 +161,14 @@ pub fn grants_agree(behavioural: Option<usize>, circuit: Option<usize>) -> bool 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn codes_and_names_follow_the_catalog_order() {
+        for (n, inv) in (1..).zip(Invariant::ALL) {
+            assert_eq!(inv.code(), format!("SSQV00{n}"));
+            assert_eq!(inv.name(), format!("V{n}"));
+        }
+    }
 
     #[test]
     fn single_grant_requires_exactly_one_charged_sense() {

@@ -16,18 +16,16 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 
 use ssq_trace::Event;
+use ssq_types::invariant::Invariant;
 
-use crate::codes;
 use crate::model::{Model, Recording, Scenario};
 
 /// A minimal failing run: the request patterns that drive the model
 /// from reset into an invariant violation, plus the replayed trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterExample {
-    /// The violated invariant's stable `SSQV00x` code.
-    pub code: &'static str,
-    /// Short invariant name ("V1".."V6").
-    pub invariant: &'static str,
+    /// The violated invariant: its `SSQV00x` code and V1–V6 name.
+    pub invariant: Invariant,
     /// What went wrong, with concrete values.
     pub detail: String,
     /// Request pattern per cycle (bit `i` ⇔ input `i` requests); its
@@ -55,7 +53,7 @@ impl CounterExample {
             event.write_jsonl(&mut out);
             out.push(b'\n');
         }
-        // The writer emits `&str` contents and ASCII only: never lossy.
+        // The writer emits static labels and ASCII digits only: never lossy.
         String::from_utf8_lossy(&out).into_owned()
     }
 }
@@ -187,15 +185,17 @@ fn replay(
     }
     let replayed =
         replay_violation.expect("the replayed path must reproduce the violation deterministically");
-    assert_eq!(replayed.code, violation.code, "replay diverged from search");
+    assert_eq!(
+        replayed.invariant, violation.invariant,
+        "replay diverged from search"
+    );
     // Sanity: also prove the trace survives the JSONL wire format.
     debug_assert!(rec
         .events
         .iter()
         .all(|e| Event::from_jsonl(&e.to_jsonl()).as_ref() == Ok(e)));
     CounterExample {
-        code: violation.code,
-        invariant: codes::invariant_name(violation.code),
+        invariant: violation.invariant,
         detail: violation.detail.clone(),
         patterns,
         events: rec.events,
@@ -228,8 +228,7 @@ mod tests {
         scenario.tie_break = TieBreak::HighestIndex;
         let outcome = verify_scenario(&scenario);
         let cx = outcome.violation.expect("the seeded bug must be found");
-        assert_eq!(cx.code, codes::GRANT_AGREEMENT);
-        assert_eq!(cx.invariant, "V6");
+        assert_eq!(cx.invariant, Invariant::GrantAgreement);
         // Minimality: both inputs tie at auxVC 0 in the very first
         // cycle, so one cycle suffices — and BFS must find exactly that.
         assert_eq!(cx.depth(), 1);

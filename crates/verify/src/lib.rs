@@ -60,41 +60,6 @@ pub use model::{Model, ModelState, Scenario, TieBreak, Violation};
 
 use ssq_arbiter::CounterPolicy;
 
-/// Stable diagnostic codes of the invariant catalog (the `SSQV00x`
-/// namespace, disjoint from the analyzer's `SSQ0xx` codes).
-///
-/// Codes are append-only; the same strings prefix the sanitizer's
-/// assertion messages in `ssq-core` so a post-mortem flight dump and a
-/// model-checker counterexample are grep-able by one identifier.
-pub mod codes {
-    /// V1: an output bus must carry exactly one grant per cycle.
-    pub const SINGLE_GRANT: &str = "SSQV001";
-    /// V2: thermometer codes stay monotone and well-formed.
-    pub const THERMOMETER: &str = "SSQV002";
-    /// V3: `auxVC` never exceeds its configured width.
-    pub const AUX_WIDTH: &str = "SSQV003";
-    /// V4: LRG never starves a continuously-requesting BE input.
-    pub const LRG_STARVATION: &str = "SSQV004";
-    /// V5: observed GL waiting time respects the Eq. 1 bound.
-    pub const GL_BOUND: &str = "SSQV005";
-    /// V6: behavioural arbiter and bitline circuit model agree.
-    pub const GRANT_AGREEMENT: &str = "SSQV006";
-
-    /// Short human name ("V1".."V6") for a `SSQV00x` code.
-    #[must_use]
-    pub fn invariant_name(code: &str) -> &'static str {
-        match code {
-            SINGLE_GRANT => "V1",
-            THERMOMETER => "V2",
-            AUX_WIDTH => "V3",
-            LRG_STARVATION => "V4",
-            GL_BOUND => "V5",
-            GRANT_AGREEMENT => "V6",
-            _ => "V?",
-        }
-    }
-}
-
 /// All three finite-counter policies, in a stable order — every tier
 /// runs every scenario shape under each of these.
 #[must_use]
@@ -104,16 +69,4 @@ pub fn all_policies() -> [CounterPolicy; 3] {
         CounterPolicy::Halve,
         CounterPolicy::Reset,
     ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn codes_map_to_invariant_names() {
-        assert_eq!(codes::invariant_name(codes::SINGLE_GRANT), "V1");
-        assert_eq!(codes::invariant_name(codes::GRANT_AGREEMENT), "V6");
-        assert_eq!(codes::invariant_name("SSQ001"), "V?");
-    }
 }

@@ -33,9 +33,8 @@
 use ssq_arbiter::{Arbiter, CounterPolicy, Lrg, SsvcArbiter, SsvcConfig};
 use ssq_circuit::{CircuitConfig, InhibitFabric, PortRequest, ThermometerRegister};
 use ssq_trace::{Event, EventKind};
-use ssq_types::{bounds, invariant, TrafficClass};
-
-use crate::codes;
+use ssq_types::invariant::{self, Invariant};
+use ssq_types::{bounds, TrafficClass};
 
 /// How the behavioural model breaks ties between equal thermometer
 /// codes. The shipped pipeline always uses LRG; the deliberately wrong
@@ -162,8 +161,8 @@ pub struct ModelState {
 /// One invariant violation found on a transition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// The stable `SSQV00x` code (see [`crate::codes`]).
-    pub code: &'static str,
+    /// The violated invariant.
+    pub invariant: Invariant,
     /// What went wrong, with the concrete values involved.
     pub detail: String,
 }
@@ -443,7 +442,7 @@ impl Model {
                 return self.abort(
                     state,
                     Violation {
-                        code: codes::SINGLE_GRANT,
+                        invariant: Invariant::SingleGrant,
                         detail: format!(
                             "{charged} charged sense wires for pattern {pattern:#b} \
                              (expected exactly 1)"
@@ -455,7 +454,7 @@ impl Model {
                 return self.abort(
                     state,
                     Violation {
-                        code: codes::GRANT_AGREEMENT,
+                        invariant: Invariant::GrantAgreement,
                         detail: format!(
                             "behavioural arbiter granted {winner:?} but the bitline \
                              circuit granted {:?} for pattern {pattern:#b}",
@@ -533,7 +532,7 @@ impl Model {
                 return self.abort(
                     state,
                     Violation {
-                        code: codes::AUX_WIDTH,
+                        invariant: Invariant::AuxWidth,
                         detail: format!(
                             "auxVC[{i}] = {} exceeds the {}-bit cap {cap}",
                             ssvc.aux_vc(i),
@@ -564,7 +563,7 @@ impl Model {
                         return self.abort(
                             state,
                             Violation {
-                                code: codes::LRG_STARVATION,
+                                invariant: Invariant::LrgStarvation,
                                 detail: format!(
                                     "BE input {i} lost {} consecutive contested rounds \
                                      (radix {n})",
@@ -584,7 +583,7 @@ impl Model {
                         return self.abort(
                             state,
                             Violation {
-                                code: codes::GL_BOUND,
+                                invariant: Invariant::GlBound,
                                 detail: format!(
                                     "GL input {i} has waited {} cycles, above the Eq. 1 \
                                      bound of {} ({} GL inputs)",
@@ -630,7 +629,7 @@ impl Model {
         for (i, reg) in regs.iter().enumerate() {
             if !invariant::thermometer_well_formed(reg.code()) {
                 return Some(Violation {
-                    code: codes::THERMOMETER,
+                    invariant: Invariant::Thermometer,
                     detail: format!(
                         "input {i}: thermometer code {:#b} is malformed {phase}",
                         reg.code()
@@ -639,7 +638,7 @@ impl Model {
             }
             if reg.value() != ssvc.msb_value(i) {
                 return Some(Violation {
-                    code: codes::THERMOMETER,
+                    invariant: Invariant::Thermometer,
                     detail: format!(
                         "input {i}: register lane {} diverged from counter MSBs {} {phase}",
                         reg.value(),

@@ -53,8 +53,11 @@ fn gl_path_budget(hops: u64) -> u64 {
     (hops + 1) * per_switch + hops * per_wire
 }
 
+/// A topology under test: its name, its builder, and its hop count.
+type Shape = (&'static str, fn(LinkDiscipline) -> Topology, u64);
+
 fn main() {
-    let shapes: [(&str, fn(LinkDiscipline) -> Topology, u64); 2] = [
+    let shapes: [Shape; 2] = [
         ("chain-3", |d| Topology::chain(3, d), 3),
         ("fat-tree", Topology::fat_tree, 2),
     ];

@@ -12,11 +12,11 @@
 //! cargo run --example soc_interrupts --release
 //! ```
 
-use swizzle_qos::core::gl::{latency_bound, GlScenario};
 use swizzle_qos::core::{Policy, QosSwitch, SwitchConfig};
 use swizzle_qos::sim::{Runner, Schedule};
 use swizzle_qos::stats::Table;
 use swizzle_qos::traffic::{FixedDest, Injector, Periodic, Saturating};
+use swizzle_qos::types::bounds::gl_latency_bound;
 use swizzle_qos::types::{Cycles, FlowId, Geometry, InputId, OutputId, Rate, TrafficClass};
 
 const DSP_OUT: OutputId = OutputId::new(0);
@@ -121,7 +121,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             p99.to_string(),
         ]);
         if use_gl {
-            let bound = latency_bound(GlScenario::new(STREAM_LEN, 1, 2, 4));
+            let bound = gl_latency_bound(STREAM_LEN, 1, 2, 4);
             let wait = switch.gl_wait_histogram(DSP_OUT).max().unwrap_or(0);
             println!(
                 "GL worst-case wait: measured {wait} cycles <= Eq.1 bound {bound} cycles: {}",

@@ -22,8 +22,9 @@ cargo fmt --all --check
 echo "== clippy (stock lints at the scopes DESIGN.md section 10 tabulates) =="
 # The workspace lints table in Cargo.toml, the `deny` attribute at each
 # crate root and the module-level one on the decide kernel; a stale
-# `#[expect]` fails here too.
-cargo clippy --offline --workspace --lib --bins -- -D warnings
+# `#[expect]` fails here too. Every target: tests, benches and
+# examples are held to the same lints as the libraries.
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "== the four in-tree rules (ssq-lint via xtask) =="
 # What no stock lint expresses; any finding fails.

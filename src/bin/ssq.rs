@@ -184,10 +184,7 @@ fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
         Some("gl-bound") => gl_bound(&args[1..]),
         Some("gl-burst") => gl_burst(&args[1..]),
         Some("storage") => storage(&args[1..]),
-        Some("frequency") => {
-            frequency();
-            Ok(())
-        }
+        Some("frequency") => frequency(&args[1..]),
         Some("help") | None => {
             print!("{USAGE}");
             Ok(())
@@ -222,6 +219,7 @@ mod tests {
                 "1:0:10",
             ]),
             &["csv"],
+            &["radix", "width", "reserve"],
         )
         .unwrap();
         assert_eq!(opts.get("radix"), Some("16"));
@@ -233,8 +231,11 @@ mod tests {
 
     #[test]
     fn opts_reject_positional_arguments() {
-        assert!(Opts::parse(&strs(&["oops"]), &[]).is_err());
-        assert!(Opts::parse(&strs(&["--radix"]), &[]).is_err());
+        assert!(Opts::parse(&strs(&["oops"]), &[], &[]).is_err());
+        assert!(Opts::parse(&strs(&["--radix"]), &[], &["radix"]).is_err());
+        // An option the subcommand does not read is refused, not ignored.
+        assert!(Opts::parse(&strs(&["--cylces", "5"]), &[], &["cycles"]).is_err());
+        assert!(Opts::parse(&strs(&["--csv"]), &[], &["cycles"]).is_err());
     }
 
     #[test]

@@ -26,7 +26,7 @@ fn write_trace(path: &std::path::Path, events: &[Event]) -> Result<(), Box<dyn E
 pub(crate) fn faults_cmd(args: &[String]) -> Result<(), Box<dyn Error>> {
     use swizzle_qos::faults::{run_scenario, run_smoke, Verdict, SCENARIOS};
 
-    let opts = Opts::parse(args, &["smoke", "csv"])?;
+    let opts = Opts::parse(args, &["smoke", "csv"], &["scenario", "seed", "trace-dir"])?;
     let seed = opts.num("seed", 7)?;
     let results = match opts.get("scenario") {
         Some(name) => {
@@ -131,7 +131,7 @@ pub(crate) fn net_cmd(args: &[String]) -> Result<(), Box<dyn Error>> {
     use swizzle_qos::faults::Verdict;
     use swizzle_qos::net::{run_net_scenario, run_net_smoke, NET_SCENARIOS};
 
-    let opts = Opts::parse(args, &["smoke", "csv"])?;
+    let opts = Opts::parse(args, &["smoke", "csv"], &["scenario", "seed", "trace-dir"])?;
     let seed = opts.num("seed", 7)?;
     let results = match opts.get("scenario") {
         Some(name) => {

@@ -4,10 +4,10 @@
 
 use std::error::Error;
 
-use swizzle_qos::core::gl::{burst_budgets, latency_bound, GlScenario};
 use swizzle_qos::physical::{DelayModel, StorageModel, TABLE2_RADICES, TABLE2_WIDTHS};
 use swizzle_qos::stats::Table;
-use swizzle_qos::types::Geometry;
+use swizzle_qos::types::bounds::{checked_gl_latency_bound, gl_burst_budgets};
+use swizzle_qos::types::{Geometry, MAX_PACKET_FLITS};
 
 use crate::opts::{err, Opts};
 
@@ -49,8 +49,8 @@ pub(crate) fn verify(args: &[String]) -> Result<(), Box<dyn Error>> {
                 return Err(err(format!(
                     "{}: invariant {} ({}) violated at depth {}: {}",
                     outcome.scenario,
-                    cx.invariant,
-                    cx.code,
+                    cx.invariant.name(),
+                    cx.invariant.code(),
                     cx.depth(),
                     cx.detail,
                 )));
@@ -65,40 +65,52 @@ pub(crate) fn verify(args: &[String]) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-pub(crate) fn gl_bound(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let opts = Opts::parse(args, &[])?;
+/// `--l-max`, the longest packet in flits: 1..=`MAX_PACKET_FLITS`.
+fn l_max(opts: &Opts) -> Result<u64, Box<dyn Error>> {
     let l_max = opts.num("l-max", 8)?;
+    if (1..=MAX_PACKET_FLITS).contains(&l_max) {
+        Ok(l_max)
+    } else {
+        Err(err(format!(
+            "--l-max: expected 1..={MAX_PACKET_FLITS} flits, got {l_max}"
+        )))
+    }
+}
+
+pub(crate) fn gl_bound(args: &[String]) -> Result<(), Box<dyn Error>> {
+    let opts = Opts::parse(args, &[], &["l-max", "l-min", "n-gl", "buffer"])?;
+    let l_max = l_max(&opts)?;
     let l_min = opts.num("l-min", 1)?;
     let n_gl = opts.num("n-gl", 1)?;
     let buffer = opts.num("buffer", 4)?;
-    if l_max == 0 {
-        return Err(err("--l-max: packets need at least one flit"));
-    }
     if l_min == 0 || l_min > l_max {
         return Err(err(format!(
             "--l-min: expected 1..={l_max} (--l-max), got {l_min}"
         )));
     }
-    if n_gl == 0 {
-        return Err(err("--n-gl: need at least one GL injector"));
+    if !(1..=64).contains(&n_gl) {
+        return Err(err(format!(
+            "--n-gl: expected 1..=64 GL injectors (one per input), got {n_gl}"
+        )));
     }
     if buffer < l_min {
         return Err(err(format!(
             "--buffer: must hold one minimum-size packet ({l_min} flits), got {buffer}"
         )));
     }
-    let scenario = GlScenario::new(l_max, l_min, n_gl, buffer);
-    println!("{scenario}");
-    println!(
-        "Eq. 1: tau_GL <= l_max + N_GL*(b + b/l_min) = {} cycles",
-        latency_bound(scenario)
-    );
+    let bound = checked_gl_latency_bound(l_max, l_min, n_gl, buffer).ok_or_else(|| {
+        err(format!(
+            "--buffer: the Eq. 1 bound for {buffer}-flit buffers exceeds a 64-bit cycle count"
+        ))
+    })?;
+    println!("{n_gl} GL inputs, {buffer}-flit buffers, packets {l_min}..={l_max} flits");
+    println!("Eq. 1: tau_GL <= l_max + N_GL*(b + b/l_min) = {bound} cycles");
     Ok(())
 }
 
 pub(crate) fn gl_burst(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let opts = Opts::parse(args, &[])?;
-    let l_max = opts.num("l-max", 8)?;
+    let opts = Opts::parse(args, &[], &["l-max", "constraints"])?;
+    let l_max = l_max(&opts)?;
     let constraints: Vec<u64> = opts
         .get("constraints")
         .ok_or_else(|| err("--constraints is required (e.g. 150,300,600)"))?
@@ -114,7 +126,7 @@ pub(crate) fn gl_burst(args: &[String]) -> Result<(), Box<dyn Error>> {
             "--constraints: list the latency constraints tightest (smallest) first",
         ));
     }
-    let budgets = burst_budgets(&constraints, l_max);
+    let budgets = gl_burst_budgets(&constraints, l_max);
     let mut t = Table::with_columns(&["flow", "latency constraint", "burst budget (packets)"]);
     t.numeric();
     for (k, (&l, &sigma)) in constraints.iter().zip(&budgets).enumerate() {
@@ -129,7 +141,7 @@ pub(crate) fn gl_burst(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 pub(crate) fn storage(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let opts = Opts::parse(args, &[])?;
+    let opts = Opts::parse(args, &[], &["radix", "width", "flit-bytes", "buffer-flits"])?;
     let radix = opts.num("radix", 64)? as usize;
     let width = opts.num("width", 512)? as usize;
     let flit_bytes = opts.num("flit-bytes", 64)?;
@@ -155,7 +167,8 @@ pub(crate) fn storage(args: &[String]) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-pub(crate) fn frequency() {
+pub(crate) fn frequency(args: &[String]) -> Result<(), Box<dyn Error>> {
+    Opts::parse(args, &[], &[])?;
     let model = DelayModel::calibrated_32nm();
     let mut t = Table::with_columns(&["radix", "width", "SS (GHz)", "SSVC (GHz)", "slowdown"]);
     t.numeric();
@@ -171,4 +184,5 @@ pub(crate) fn frequency() {
         }
     }
     print!("{t}");
+    Ok(())
 }

@@ -32,24 +32,35 @@ pub(crate) struct Opts {
 }
 
 impl Opts {
-    pub(crate) fn parse(args: &[String], flag_names: &[&str]) -> Result<Self, Box<dyn Error>> {
-        let mut pairs = Vec::new();
-        let mut flags = Vec::new();
+    /// Parses `args` against the subcommand's `flags` (bare) and `keys`
+    /// (each followed by a value); any other `--option` is an error.
+    pub(crate) fn parse(
+        args: &[String],
+        flags: &[&str],
+        keys: &[&str],
+    ) -> Result<Self, Box<dyn Error>> {
+        let mut opts = Opts {
+            pairs: Vec::new(),
+            flags: Vec::new(),
+        };
         let mut it = args.iter();
         while let Some(arg) = it.next() {
             let Some(key) = arg.strip_prefix("--") else {
                 return Err(err(format!("unexpected argument {arg:?}")));
             };
-            if flag_names.contains(&key) {
-                flags.push(key.to_owned());
+            if flags.contains(&key) {
+                opts.flags.push(key.to_owned());
                 continue;
+            }
+            if !keys.contains(&key) {
+                return Err(err(format!("unknown option --{key}")));
             }
             let value = it
                 .next()
                 .ok_or_else(|| err(format!("--{key} needs a value")))?;
-            pairs.push((key.to_owned(), value.clone()));
+            opts.pairs.push((key.to_owned(), value.clone()));
         }
-        Ok(Opts { pairs, flags })
+        Ok(opts)
     }
 
     pub(crate) fn get(&self, key: &str) -> Option<&str> {

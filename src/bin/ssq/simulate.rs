@@ -118,6 +118,27 @@ pub(crate) fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
             "flight-recorder",
             "prof",
         ],
+        &[
+            "radix",
+            "width",
+            "cycles",
+            "warmup",
+            "policy",
+            "threads",
+            "engine",
+            "trace-out",
+            "metrics-interval",
+            "metrics-out",
+            "flight-capacity",
+            "stall-window",
+            "gl-bound",
+            "reserve",
+            "gl-reserve",
+            "capture",
+            "replay",
+            "flow",
+            "vcd",
+        ],
     )?;
     let radix = opts.num("radix", 8)? as usize;
     let width = opts.num("width", 128)? as usize;

@@ -8,7 +8,7 @@ use swizzle_qos::trace::{Event, TraceSummary};
 use crate::opts::{err, Opts};
 
 pub(crate) fn trace_report(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let opts = Opts::parse(args, &["csv"])?;
+    let opts = Opts::parse(args, &["csv"], &["in"])?;
     let path = opts.get("in").unwrap_or("results/trace.jsonl");
     let file =
         std::fs::File::open(path).map_err(|e| err(format!("reading trace {path:?}: {e}")))?;

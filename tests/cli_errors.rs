@@ -160,8 +160,27 @@ fn simulate_replay_of_garbage_is_diagnosed() {
     }
 }
 
-/// Flag values the libraries reject by assertion: the CLI answers each
-/// with an `error:` naming the flag instead of reaching the panic.
+/// A trace line whose fault site is not one the taxonomy names.
+#[test]
+fn trace_report_refuses_an_unknown_fault_site() {
+    let dir = Scratch::new("site");
+    let path = dir.join("site.jsonl");
+    let line = "{\"cycle\":1,\"kind\":\"fault\",\"site\":\"foo\",\"output\":0,\
+                \"input\":0,\"healed\":false}\n";
+    std::fs::write(&path, line).expect("trace written");
+    let out = report(&path);
+    assert_diagnosed(
+        &out,
+        "site.jsonl:1: trace parse error: unknown `site` label `foo`",
+    );
+    assert!(out.stdout.is_empty(), "no partial report before the error");
+}
+
+const U64_MAX: &str = "18446744073709551615";
+
+/// Flag values the libraries reject by assertion (or answer with a
+/// wrapped number), and options a subcommand does not read: the CLI
+/// answers each with an `error:` naming the flag.
 #[test]
 fn out_of_range_flag_values_are_diagnosed() {
     let cases: &[(&[&str], &str)] = &[
@@ -176,9 +195,35 @@ fn out_of_range_flag_values_are_diagnosed() {
         (&["gl-bound", "--l-max", "0"], "--l-max"),
         (&["gl-bound", "--l-min", "0"], "--l-min"),
         (&["gl-bound", "--buffer", "0"], "--buffer"),
+        (&["gl-bound", "--l-max", U64_MAX, "--n-gl", "2"], "--l-max"),
+        (&["gl-bound", "--l-max", "1025"], "--l-max"),
+        (&["gl-bound", "--n-gl", "65"], "--n-gl"),
+        (
+            &["gl-bound", "--n-gl", "64", "--buffer", U64_MAX],
+            "--buffer",
+        ),
         (&["gl-burst", "--constraints", "5,3"], "--constraints"),
+        (
+            &[
+                "gl-burst",
+                "--l-max",
+                U64_MAX,
+                "--constraints",
+                "5,18446744073709551615",
+            ],
+            "--l-max",
+        ),
+        (
+            &["gl-burst", "--l-max", "0", "--constraints", "5"],
+            "--l-max",
+        ),
         (&["storage", "--flit-bytes", "0"], "--flit-bytes"),
         (&["verify", "--bogus"], "--bogus"),
+        // An option the subcommand does not read is refused, not ignored.
+        (&["simulate", "--cylces", "5"], "--cylces"),
+        (&["gl-bound", "--lmax", "99"], "--lmax"),
+        (&["trace-report", "--trace", "t.jsonl"], "--trace"),
+        (&["frequency", "--radix", "8"], "--radix"),
         (
             &["simulate", "--policy", "lrg", "--fabric-check"],
             "--fabric-check",

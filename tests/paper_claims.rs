@@ -2,11 +2,11 @@
 //! through the facade API.
 
 use swizzle_qos::arbiter::CounterPolicy;
-use swizzle_qos::core::gl::{burst_budgets, latency_bound, GlScenario};
 use swizzle_qos::core::{Policy, QosSwitch, SwitchConfig};
 use swizzle_qos::physical::{AreaModel, DelayModel, StorageModel};
 use swizzle_qos::sim::{Runner, Schedule};
 use swizzle_qos::traffic::{FixedDest, Injector, Periodic, Saturating};
+use swizzle_qos::types::bounds::{gl_burst_budgets, gl_latency_bound};
 use swizzle_qos::types::{Cycle, Cycles, FlowId, Geometry, InputId, OutputId, Rate, TrafficClass};
 
 const FIG4_RATES: [f64; 8] = [0.4, 0.2, 0.1, 0.1, 0.05, 0.05, 0.05, 0.05];
@@ -196,7 +196,7 @@ fn gl_class_bound_holds_over_saturated_background() {
         );
     }
     let _ = run(&mut switch);
-    let bound = latency_bound(GlScenario::new(8, 1, 2, 4));
+    let bound = gl_latency_bound(8, 1, 2, 4);
     let measured = switch
         .gl_wait_histogram(OutputId::new(0))
         .max()
@@ -207,8 +207,8 @@ fn gl_class_bound_holds_over_saturated_background() {
 /// §3.4's worked-example shapes for the burst budgets.
 #[test]
 fn burst_budget_worked_examples() {
-    assert_eq!(burst_budgets(&[101], 1), vec![50]);
-    assert_eq!(burst_budgets(&[201; 8], 1)[0], 12);
+    assert_eq!(gl_burst_budgets(&[101], 1), vec![50]);
+    assert_eq!(gl_burst_budgets(&[201; 8], 1)[0], 12);
 }
 
 /// Table 1's bottom line: about 1 MB of storage for the largest switch.

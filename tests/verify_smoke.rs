@@ -40,7 +40,10 @@ fn fast_tier_is_clean_and_closed() {
             outcome.passed(),
             "{}: invariant violated: {:?}",
             outcome.scenario,
-            outcome.violation.as_ref().map(|cx| (cx.code, &cx.detail)),
+            outcome
+                .violation
+                .as_ref()
+                .map(|cx| (cx.invariant, &cx.detail)),
         );
         assert!(
             outcome.closed,
@@ -66,7 +69,7 @@ fn lrg_fallback_matches_the_verify_models_lrg_prediction() {
     use swizzle_qos::arbiter::CounterPolicy;
     use swizzle_qos::core::{Policy, QosSwitch, SwitchConfig};
     use swizzle_qos::sim::CycleModel;
-    use swizzle_qos::trace::{EventKind, RingSink};
+    use swizzle_qos::trace::{DegradeMode, EventKind, RingSink};
     use swizzle_qos::traffic::{FixedDest, Injector, Saturating};
     use swizzle_qos::types::{Cycle, FlowId, Geometry, InputId, OutputId, Rate, TrafficClass};
     use swizzle_qos::verify::{Model, Scenario};
@@ -182,9 +185,13 @@ fn lrg_fallback_matches_the_verify_models_lrg_prediction() {
 
     // And the degradation was loud: a mode event plus revocations.
     let events = switch.tracer().ring().map(RingSink::events).unwrap();
-    assert!(events
-        .iter()
-        .any(|e| matches!(&e.kind, EventKind::Degraded { mode, .. } if mode == "lrg_fallback")));
+    assert!(events.iter().any(|e| matches!(
+        e.kind,
+        EventKind::Degraded {
+            mode: DegradeMode::LrgFallback,
+            ..
+        }
+    )));
     assert!(events
         .iter()
         .any(|e| matches!(e.kind, EventKind::GuaranteeRevoked { .. })));
