@@ -196,8 +196,9 @@ labels! {
 
 /// Declares [`EventKind`] from one table: each kind's docs, wire label
 /// and fields (keys are the field names, written in declaration order).
-/// Generates the enum, [`EventKind::label`], and the writer and parser
-/// arms.
+/// Generates the enum, [`EventKind::label`], the writer arm, the
+/// exact-shape scan arm that reads the writer's output back, and the
+/// general parser arm.
 macro_rules! event_kinds {
     (
         $(#[$meta:meta])*
@@ -231,6 +232,19 @@ macro_rules! event_kinds {
                         )+
                     })+
                 }
+            }
+
+            /// The kind labelled `label`, its fields read from `cur` exactly
+            /// as [`EventKind::write_fields`] writes them: each key literal,
+            /// then its value, in declaration order. `None` on any other
+            /// shape.
+            fn scan_fields(label: &str, cur: &mut Cursor<'_>) -> Option<Self> {
+                Some(match label {
+                    $($label => EventKind::$kind {
+                        $($field: cur.field(concat!(",\"", stringify!($field), "\":"))?,)+
+                    },)+
+                    _ => return None,
+                })
             }
 
             /// The kind labelled `label`, each field read from `fields`.
@@ -444,12 +458,39 @@ impl Event {
     /// duplicated key wins, unknown keys are ignored, and strings carry
     /// no escapes. Nothing is allocated on success.
     ///
+    /// A line in the writer's own shape is read in one pass; any other
+    /// line goes through the general parser, which alone decides what
+    /// is an error.
+    ///
     /// # Errors
     ///
     /// Returns a [`ParseError`] describing the first malformed token,
     /// missing field, out-of-range number, or unknown kind/label, or a
     /// line with more than [`MAX_FIELDS`] fields.
     pub fn from_jsonl(line: &str) -> Result<Event, ParseError> {
+        match Event::scan(line) {
+            Some(event) => Ok(event),
+            None => Event::parse_general(line),
+        }
+    }
+
+    /// Reads `line` only if it is exactly what [`Event::write_jsonl`]
+    /// writes, plus trailing ASCII whitespace: `{"cycle":N,"kind":"L"`,
+    /// each field of kind `L` in declaration order, `}`. Every line this
+    /// accepts, [`Event::parse_general`] accepts too, as the same event:
+    /// the keys are distinct and at most 8, each number fits its field,
+    /// and each string is a label.
+    fn scan(line: &str) -> Option<Event> {
+        let mut cur = Cursor(line);
+        let cycle = cur.field("{\"cycle\":")?;
+        cur.eat(",\"kind\":\"")?;
+        let kind = EventKind::scan_fields(cur.quoted()?, &mut cur)?;
+        cur.eat("}")?;
+        cur.0.bytes().all(is_space).then_some(Event { cycle, kind })
+    }
+
+    /// The general parser: any field order, whitespace, unknown keys.
+    fn parse_general(line: &str) -> Result<Event, ParseError> {
         let fields = Fields::parse(line)?;
         let cycle = fields.take("cycle")?;
         let Scalar::Str(kind) = fields.get("kind")? else {
@@ -601,10 +642,36 @@ impl fmt::Display for Event {
 }
 
 /// How one field type crosses the wire: `put` appends its JSON value,
-/// `take` reads it back from the scalar parsed under `key`.
+/// `scan` reads back exactly what `put` wrote, and `take` reads it from
+/// the scalar the general parser found under `key`.
 trait Wire: Sized {
     fn put(&self, out: &mut Vec<u8>);
+    fn scan(cur: &mut Cursor<'_>) -> Option<Self>;
     fn take(key: &str, value: Scalar<'_>) -> Result<Self, ParseError>;
+}
+
+/// The unread rest of a line, for the exact-shape scan.
+struct Cursor<'a>(&'a str);
+
+impl<'a> Cursor<'a> {
+    /// Steps over `lit` if the rest starts with it.
+    fn eat(&mut self, lit: &str) -> Option<()> {
+        self.0 = self.0.strip_prefix(lit)?;
+        Some(())
+    }
+
+    /// Steps over `key`, then reads the value that follows it.
+    fn field<T: Wire>(&mut self, key: &str) -> Option<T> {
+        self.eat(key)?;
+        T::scan(self)
+    }
+
+    /// The text up to the next `"`, stepping over that quote.
+    fn quoted(&mut self) -> Option<&'a str> {
+        let (text, rest) = self.0.split_once('"')?;
+        self.0 = rest;
+        Some(text)
+    }
 }
 
 impl Wire for u64 {
@@ -629,6 +696,20 @@ impl Wire for u64 {
         out.extend_from_slice(digits.get(start..).unwrap_or_default());
     }
 
+    /// One or more ASCII digits; `None` on overflow.
+    fn scan(cur: &mut Cursor<'_>) -> Option<Self> {
+        let len = cur.0.bytes().take_while(u8::is_ascii_digit).count();
+        if len == 0 {
+            return None;
+        }
+        let (digits, rest) = cur.0.split_at_checked(len)?;
+        let n = digits.bytes().try_fold(0u64, |n, d| {
+            n.checked_mul(10)?.checked_add(u64::from(d - b'0'))
+        })?;
+        cur.0 = rest;
+        Some(n)
+    }
+
     fn take(key: &str, value: Scalar<'_>) -> Result<Self, ParseError> {
         match value {
             Scalar::Num(n) => Ok(n),
@@ -642,6 +723,10 @@ impl Wire for u32 {
         u64::from(*self).put(out);
     }
 
+    fn scan(cur: &mut Cursor<'_>) -> Option<Self> {
+        u32::try_from(u64::scan(cur)?).ok()
+    }
+
     fn take(key: &str, value: Scalar<'_>) -> Result<Self, ParseError> {
         u32::try_from(u64::take(key, value)?)
             .map_err(|_| ParseError::new(format!("field `{key}` exceeds u32")))
@@ -651,6 +736,14 @@ impl Wire for u32 {
 impl Wire for bool {
     fn put(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(if *self { b"true" } else { b"false" });
+    }
+
+    fn scan(cur: &mut Cursor<'_>) -> Option<Self> {
+        if cur.eat("true").is_some() {
+            Some(true)
+        } else {
+            cur.eat("false").map(|()| false)
+        }
     }
 
     fn take(key: &str, value: Scalar<'_>) -> Result<Self, ParseError> {
@@ -666,6 +759,11 @@ impl<T: Label> Wire for T {
         out.push(b'"');
         out.extend_from_slice(self.label().as_bytes());
         out.push(b'"');
+    }
+
+    fn scan(cur: &mut Cursor<'_>) -> Option<Self> {
+        cur.eat("\"")?;
+        T::from_label(cur.quoted()?)
     }
 
     fn take(key: &str, value: Scalar<'_>) -> Result<Self, ParseError> {
@@ -1017,6 +1115,26 @@ mod tests {
             let line = ev.to_jsonl();
             let back = Event::from_jsonl(&line).expect(&line);
             assert_eq!(back, ev, "{line}");
+            // The writer's own line takes the exact-shape scan, trailing
+            // whitespace and all; a line one step off that shape does not.
+            assert_eq!(Event::scan(&line).as_ref(), Some(&ev), "{line}");
+            assert_eq!(Event::scan(&format!("{line}\r\n")).as_ref(), Some(&ev));
+            let padded = format!(" {line}");
+            assert_eq!(Event::scan(&padded), None, "{padded}");
+            assert_eq!(Event::from_jsonl(&padded).as_ref(), Ok(&ev));
+            let comma = line.replace('}', ",}");
+            assert_eq!(Event::scan(&comma), None, "{comma}");
+            assert!(Event::parse_general(&comma).is_err(), "{comma}");
+        }
+        // Every label of every string field (16 is more than any label
+        // set holds), with small numbers.
+        for i in 0..16 {
+            for kind in 0..19 {
+                let mut ev = all_kinds()[kind].clone();
+                redraw(&mut ev, &mut Fixed(i as u64, i));
+                let line = ev.to_jsonl();
+                assert_eq!(Event::scan(&line).as_ref(), Some(&ev), "{line}");
+            }
         }
     }
 
@@ -1105,7 +1223,9 @@ mod tests {
     /// torn writes, spliced junk — `from_jsonl` either reproduces an
     /// event exactly (re-render matches) or returns a structured error.
     /// It never panics, so `trace-report` and a chaos campaign's replay
-    /// tooling can stream a half-written capture without crashing.
+    /// tooling can stream a half-written capture without crashing. A
+    /// damaged line the exact-shape scan still accepts is one the
+    /// general parser reads as the same event.
     #[test]
     fn corrupted_jsonl_never_panics_and_good_lines_round_trip() {
         use ssq_types::rng::Xoshiro256StarStar;
@@ -1117,12 +1237,20 @@ mod tests {
         let e = Event::from_jsonl(&unknown).expect_err(&unknown);
         assert!(e.to_string().contains("unknown `reason` label"), "{e}");
         lines.push(unknown);
+        // Every kind again with each number at its type's top, so one
+        // more digit anywhere in it is out of range.
+        for kind in 0..19 {
+            let mut ev = all_kinds()[kind].clone();
+            redraw(&mut ev, &mut Fixed(u64::MAX, kind));
+            lines.push(ev.to_jsonl());
+        }
         let mut rng = Xoshiro256StarStar::seed_from_u64(0x0009_0513);
-        for round in 0..1900 {
+        let mut scanned = 0;
+        for round in 0..39 * 500 {
             let base = &lines[round % lines.len()];
             let mut bytes = base.clone().into_bytes();
             for _ in 0..=rng.index(3) {
-                match rng.index(4) {
+                match rng.index(5) {
                     // Flip one byte to a random printable character.
                     0 => {
                         let at = rng.index(bytes.len());
@@ -1135,11 +1263,17 @@ mod tests {
                     }
                     // Truncate mid-line (torn write).
                     2 => bytes.truncate(rng.index(bytes.len() + 1)),
+                    // Insert one digit.
+                    3 => {
+                        let at = rng.index(bytes.len() + 1);
+                        bytes.insert(at, b'0' + rng.below(10) as u8);
+                    }
                     // Splice junk into the middle.
                     _ => {
-                        let junk: &[u8] = match rng.index(3) {
+                        let junk: &[u8] = match rng.index(4) {
                             0 => b"\"link\":18446744073709551616,",
                             1 => b"}{",
+                            2 => b",",
                             _ => b"\\u00",
                         };
                         let at = rng.index(bytes.len() + 1);
@@ -1154,6 +1288,12 @@ mod tests {
                 }
             }
             let text = String::from_utf8_lossy(&bytes).into_owned();
+            // The scan is a shortcut, never a second grammar: whatever it
+            // accepts, the general parser reads as the same event.
+            if let Some(ev) = Event::scan(&text) {
+                assert_eq!(Event::parse_general(&text), Ok(ev), "{text}");
+                scanned += 1;
+            }
             match Event::from_jsonl(&text) {
                 // A corruption that still parses must re-render to a
                 // line that parses back to the same event — the replay
@@ -1168,6 +1308,7 @@ mod tests {
                 }
             }
         }
+        assert!(scanned > 100, "only {scanned} mutated lines took the scan");
     }
 
     /// The encoder this module replaced, kept as the reference the new
@@ -1315,29 +1456,62 @@ mod tests {
         )
     }
 
-    /// `all_kinds()[kind]` with every number and label redrawn: half the
-    /// number draws come from the digit-count and type boundaries, half
-    /// are uniform.
-    fn random_event(rng: &mut ssq_types::rng::Xoshiro256StarStar, kind: usize) -> Event {
-        const EDGES: [u64; 7] = [
-            0,
-            9,
-            10,
-            u32::MAX as u64 - 1,
-            u32::MAX as u64,
-            u64::MAX - 1,
-            u64::MAX,
-        ];
-        let mut n64 = || {
-            if rng.chance(0.5) {
-                EDGES[rng.index(EDGES.len())]
+    /// Where [`redraw`] takes each new number and label from.
+    trait Draw {
+        fn number(&mut self) -> u64;
+        fn index(&mut self, len: usize) -> usize;
+    }
+
+    /// Half the number draws come from the digit-count and type
+    /// boundaries, half are uniform.
+    impl Draw for ssq_types::rng::Xoshiro256StarStar {
+        fn number(&mut self) -> u64 {
+            const EDGES: [u64; 7] = [
+                0,
+                9,
+                10,
+                u32::MAX as u64 - 1,
+                u32::MAX as u64,
+                u64::MAX - 1,
+                u64::MAX,
+            ];
+            if self.chance(0.5) {
+                EDGES[self.index(EDGES.len())]
             } else {
-                rng.next_u64() >> rng.index(64)
+                self.next_u64() >> self.index(64)
             }
-        };
+        }
+
+        fn index(&mut self, len: usize) -> usize {
+            ssq_types::rng::Xoshiro256StarStar::index(self, len)
+        }
+    }
+
+    /// Every number `.0` (a `u32` field clamped to `u32::MAX`), every
+    /// label the `.1`-th of its set, wrapping.
+    struct Fixed(u64, usize);
+
+    impl Draw for Fixed {
+        fn number(&mut self) -> u64 {
+            self.0
+        }
+
+        fn index(&mut self, len: usize) -> usize {
+            self.1 % len
+        }
+    }
+
+    /// `all_kinds()[kind]` with every number and label redrawn at random.
+    fn random_event(rng: &mut ssq_types::rng::Xoshiro256StarStar, kind: usize) -> Event {
         let mut ev = all_kinds()[kind].clone();
-        ev.cycle = n64();
-        let mut n32 = || n64().min(u64::from(u32::MAX)) as u32;
+        redraw(&mut ev, rng);
+        ev
+    }
+
+    /// Redraws the cycle and every field of `ev` from `draw`.
+    fn redraw(ev: &mut Event, draw: &mut impl Draw) {
+        ev.cycle = draw.number();
+        let mut n32 = || draw.number().min(u64::from(u32::MAX)) as u32;
         match &mut ev.kind {
             EventKind::Decision {
                 output,
@@ -1353,7 +1527,7 @@ mod tests {
             EventKind::Degraded { output, .. } => *output = n32(),
             _ => {}
         }
-        let mut flip = || n64() % 2 == 0;
+        let mut flip = || draw.number().is_multiple_of(2);
         match &mut ev.kind {
             EventKind::AuxVc { saturated: b, .. }
             | EventKind::Fault { healed: b, .. }
@@ -1380,7 +1554,7 @@ mod tests {
                 packet: a,
                 delay: b,
                 ..
-            } => (*a, *b) = (n64(), n64()),
+            } => (*a, *b) = (draw.number(), draw.number()),
             EventKind::Chained { len_flits: a, .. }
             | EventKind::AuxVc { aux: a, .. }
             | EventKind::Decay { epoch: a, .. }
@@ -1388,34 +1562,33 @@ mod tests {
             | EventKind::GuaranteeRevoked { bound: a, .. }
             | EventKind::CreditPause { occupancy: a, .. }
             | EventKind::CreditResume { occupancy: a, .. }
-            | EventKind::Drop { packet: a, .. } => *a = n64(),
+            | EventKind::Drop { packet: a, .. } => *a = draw.number(),
             _ => {}
         }
-        fn pick<T: Label>(rng: &mut ssq_types::rng::Xoshiro256StarStar, v: &mut T) {
-            *v = T::ALL[rng.index(T::ALL.len())];
+        fn pick<T: Label>(draw: &mut impl Draw, v: &mut T) {
+            *v = T::ALL[draw.index(T::ALL.len())];
         }
         match &mut ev.kind {
             EventKind::Decision { class, .. }
             | EventKind::Grant { class, .. }
-            | EventKind::GuaranteeRevoked { class, .. } => pick(rng, class),
+            | EventKind::GuaranteeRevoked { class, .. } => pick(draw, class),
             EventKind::Reject { class, reason, .. } => {
-                pick(rng, class);
-                pick(rng, reason);
+                pick(draw, class);
+                pick(draw, reason);
             }
             EventKind::Drop { class, reason, .. } => {
-                pick(rng, class);
-                pick(rng, reason);
+                pick(draw, class);
+                pick(draw, reason);
             }
             EventKind::Readmitted { class, action, .. } => {
-                pick(rng, class);
-                pick(rng, action);
+                pick(draw, class);
+                pick(draw, action);
             }
-            EventKind::Fault { site, .. } => pick(rng, site),
-            EventKind::Detected { code, .. } => pick(rng, code),
-            EventKind::Degraded { mode, .. } => pick(rng, mode),
+            EventKind::Fault { site, .. } => pick(draw, site),
+            EventKind::Detected { code, .. } => pick(draw, code),
+            EventKind::Degraded { mode, .. } => pick(draw, mode),
             _ => {}
         }
-        ev
     }
 
     #[test]
@@ -1450,7 +1623,24 @@ mod tests {
             let mut out = b"x".to_vec();
             v.put(&mut out);
             assert_eq!(String::from_utf8_lossy(&out), format!("x{v}"));
+            // Every kind with every number at `v` scans back exactly.
+            for kind in 0..19 {
+                let mut ev = all_kinds()[kind].clone();
+                redraw(&mut ev, &mut Fixed(v, kind));
+                let line = ev.to_jsonl();
+                assert_eq!(Event::scan(&line).as_ref(), Some(&ev), "{line}");
+            }
+            // A `u32` field takes `v` only up to `u32::MAX`, on either path.
+            let wide = format!("{{\"cycle\":{v},\"kind\":\"decay\",\"output\":{v},\"epoch\":{v}}}");
+            assert_eq!(
+                Event::scan(&wide),
+                Event::parse_general(&wide).ok(),
+                "{wide}"
+            );
+            assert_eq!(Event::scan(&wide).is_some(), v <= u64::from(u32::MAX));
         }
+        let over = "{\"cycle\":18446744073709551616,\"kind\":\"decay\",\"output\":0,\"epoch\":0}";
+        assert_eq!(Event::scan(over), None);
     }
 
     /// Splits a writer-produced line into its `"key":value` fields;

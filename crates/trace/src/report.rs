@@ -21,6 +21,9 @@ pub struct FlowGrants {
     waits: Vec<u64>,
     /// Packets that chained onto a held channel without re-arbitration.
     pub chained: u64,
+    /// [`TraceSummary::events`] as of this flow's latest grant; 0 before
+    /// its first.
+    last_grant: u64,
 }
 
 impl FlowGrants {
@@ -33,13 +36,14 @@ impl FlowGrants {
     /// Exact percentile of the observed waits (`p` in `[0, 1]`).
     #[must_use]
     pub fn percentile(&self, p: f64) -> Option<u64> {
-        if self.waits.is_empty() || !(0.0..=1.0).contains(&p) {
-            return None;
-        }
+        rank(&self.sorted_waits(), p)
+    }
+
+    /// The observed waits, ascending.
+    fn sorted_waits(&self) -> Vec<u64> {
         let mut sorted = self.waits.clone();
         sorted.sort_unstable();
-        let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-        sorted.get(idx.min(sorted.len() - 1)).copied()
+        sorted
     }
 
     /// Largest observed wait.
@@ -47,6 +51,16 @@ impl FlowGrants {
     pub fn max(&self) -> Option<u64> {
         self.waits.iter().copied().max()
     }
+}
+
+/// The wait at rank `p` (in `[0, 1]`) of `sorted`: the nearest rank to
+/// `p` of the way from the first to the last.
+fn rank(sorted: &[u64], p: f64) -> Option<u64> {
+    if sorted.is_empty() || !(0.0..=1.0).contains(&p) {
+        return None;
+    }
+    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
+    sorted.get(idx.min(sorted.len() - 1)).copied()
 }
 
 /// Everything `trace-report` prints, aggregated in one pass.
@@ -106,29 +120,26 @@ impl TraceSummary {
                 waited,
                 ..
             } => {
-                self.flows
-                    .entry((*input, *output, *class))
-                    .or_default()
-                    .waits
-                    .push(*waited);
+                let flow = self.flows.entry((*input, *output, *class)).or_default();
+                flow.waits.push(*waited);
+                flow.last_grant = self.events;
             }
             EventKind::Chained { output, input, .. } => {
-                // Class is not on the chained event; charge every class
-                // entry of the flow (in practice a flow has one class).
-                let mut found = false;
-                for ((i, o, _), g) in &mut self.flows {
-                    if i == input && o == output {
-                        g.chained += 1;
-                        found = true;
-                        break;
-                    }
-                }
-                if !found {
-                    self.flows
-                        .entry((*input, *output, TrafficClass::BestEffort))
-                        .or_default()
-                        .chained += 1;
-                }
+                // Class is not on the chained event: charge the class of
+                // the latest grant on the pair, whose packet holds the
+                // channel; BE when the trace shows no grant before it.
+                let class = TrafficClass::ALL
+                    .into_iter()
+                    .filter_map(|c| {
+                        let g = self.flows.get(&(*input, *output, c))?;
+                        (g.last_grant > 0).then_some((g.last_grant, c))
+                    })
+                    .max()
+                    .map_or(TrafficClass::BestEffort, |(_, c)| c);
+                self.flows
+                    .entry((*input, *output, class))
+                    .or_default()
+                    .chained += 1;
             }
             EventKind::Inhibit { output, input, .. } => {
                 *self.inhibits.entry((*input, *output)).or_default() += 1;
@@ -223,11 +234,10 @@ impl TraceSummary {
             "flow", "class", "grants", "chained", "p50", "p90", "p99", "max",
         ]);
         t.numeric();
+        let cell = |v: Option<u64>| v.map_or_else(|| String::from("-"), |v| v.to_string());
         for ((input, output, class), g) in &self.flows {
-            let pct = |p: f64| {
-                g.percentile(p)
-                    .map_or_else(|| String::from("-"), |v| v.to_string())
-            };
+            let sorted = g.sorted_waits();
+            let pct = |p: f64| cell(rank(&sorted, p));
             t.row(vec![
                 format!("in{input}->out{output}"),
                 class.label().to_string(),
@@ -236,7 +246,7 @@ impl TraceSummary {
                 pct(0.50),
                 pct(0.90),
                 pct(0.99),
-                g.max().map_or_else(|| String::from("-"), |v| v.to_string()),
+                cell(sorted.last().copied()),
             ]);
         }
         t
@@ -521,6 +531,39 @@ mod tests {
         );
         assert_eq!(s.decay_epochs[&0], 4);
         assert!(!s.has_fault_activity());
+    }
+
+    /// A `chained` event extends the channel its pair's latest grant
+    /// took, so it counts on that grant's class; before any grant of
+    /// the pair (a dump that starts mid-chain) it lands on BE, and that
+    /// BE row takes nothing once a grant has been seen.
+    #[test]
+    fn chained_counts_on_the_class_holding_the_channel() {
+        let lines = [
+            r#"{"cycle":1,"kind":"chained","output":2,"input":3,"len_flits":8}"#,
+            r#"{"cycle":2,"kind":"grant","output":2,"input":3,"class":"GL","len_flits":8,"waited":4}"#,
+            r#"{"cycle":3,"kind":"grant","output":2,"input":3,"class":"GB","len_flits":8,"waited":4}"#,
+            r#"{"cycle":4,"kind":"chained","output":2,"input":3,"len_flits":8}"#,
+            r#"{"cycle":5,"kind":"grant","output":2,"input":3,"class":"GL","len_flits":1,"waited":0}"#,
+            r#"{"cycle":6,"kind":"chained","output":2,"input":3,"len_flits":1}"#,
+            r#"{"cycle":7,"kind":"chained","output":2,"input":3,"len_flits":1}"#,
+        ];
+        let s = TraceSummary::from_events(
+            lines
+                .iter()
+                .map(|l| Event::from_jsonl(l).expect("valid line")),
+        );
+        let chained = |class| s.flows[&(3, 2, class)].chained;
+        assert_eq!(chained(TrafficClass::BestEffort), 1);
+        assert_eq!(chained(TrafficClass::GuaranteedBandwidth), 1);
+        assert_eq!(chained(TrafficClass::GuaranteedLatency), 2);
+        assert_eq!(
+            s.grant_table().to_csv(),
+            "flow,class,grants,chained,p50,p90,p99,max\n\
+             in3->out2,BE,0,1,-,-,-,-\n\
+             in3->out2,GB,1,1,4,4,4,4\n\
+             in3->out2,GL,2,2,4,4,4,4\n"
+        );
     }
 
     #[test]

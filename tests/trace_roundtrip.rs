@@ -1,7 +1,11 @@
 //! Cross-crate integration: capture a live workload as a trace file,
 //! replay it into a fresh switch, and verify the replay reproduces the
-//! original run exactly.
+//! original run exactly; and read a traced run's JSONL back through
+//! `ssq trace-report` whatever shape its lines take.
 
+mod common;
+
+use common::{ssq_in, Scratch};
 use swizzle_qos::arbiter::CounterPolicy;
 use swizzle_qos::core::{Policy, QosSwitch, SwitchConfig};
 use swizzle_qos::sim::{Runner, Schedule};
@@ -128,4 +132,95 @@ fn captured_trace_replays_to_identical_deliveries() {
         v
     };
     assert_eq!(creation(&deliveries), creation(&replayed));
+}
+
+/// `ssq trace-report` on a traced run's JSONL with every other line
+/// rewritten out of the writer's shape — fields rotated, whitespace
+/// padded, an unknown key added, a CRLF ending — prints byte for byte
+/// what it prints for the file as written.
+#[test]
+fn trace_report_reads_any_line_shape_to_the_same_report() {
+    let dir = Scratch::new("trace-shape");
+    let (written, rewritten) = (dir.join("written"), dir.join("rewritten"));
+    for d in [&written, &rewritten] {
+        std::fs::create_dir_all(d).expect("scratch subdir");
+    }
+    let run = ssq_in(
+        &written,
+        &[
+            "simulate",
+            "--radix",
+            "4",
+            "--cycles",
+            "3000",
+            "--warmup",
+            "100",
+            "--chaining",
+            "--reserve",
+            "0:0:40",
+            "--reserve",
+            "1:0:30",
+            "--gl-reserve",
+            "0:5",
+            "--flow",
+            "0:0:GB:sat",
+            "--flow",
+            "1:0:GB:sat",
+            "--flow",
+            "2:0:BE:sat",
+            "--flow",
+            "3:0:GL:0.01:1",
+            "--trace",
+            "--trace-out",
+            "t.jsonl",
+        ],
+    );
+    assert!(run.status.success(), "{}", common::stderr(&run));
+    let text = std::fs::read_to_string(written.join("t.jsonl")).expect("trace written");
+    for kind in ["grant", "chained", "inhibit", "auxvc", "decay", "reject"] {
+        assert!(
+            text.contains(&format!("\"kind\":\"{kind}\"")),
+            "no {kind} event"
+        );
+    }
+
+    let mut out = String::new();
+    for (n, line) in text.lines().enumerate() {
+        if n % 2 == 0 {
+            out.push_str(line);
+            out.push('\n');
+            continue;
+        }
+        // Writer lines carry labels only, so no value holds a `,`.
+        let fields: Vec<&str> = line
+            .strip_prefix('{')
+            .and_then(|l| l.strip_suffix('}'))
+            .expect("one flat object")
+            .split(',')
+            .collect();
+        let shaped = match (n / 2) % 4 {
+            0 => format!("{{{},{}}}\n", fields[1..].join(","), fields[0]),
+            1 => format!(" {{ {} }}\t\n", fields.join(" ,\t")),
+            2 => format!("{{\"note\":\"x\",{}}}\n", fields.join(",")),
+            _ => format!("{line}\r\n"),
+        };
+        assert_ne!(shaped, format!("{line}\n"));
+        out.push_str(&shaped);
+    }
+    std::fs::write(rewritten.join("t.jsonl"), out).expect("rewrite");
+
+    for args in [
+        &["trace-report", "--in", "t.jsonl"][..],
+        &["trace-report", "--in", "t.jsonl", "--csv"],
+    ] {
+        let (want, got) = (ssq_in(&written, args), ssq_in(&rewritten, args));
+        assert!(want.status.success(), "{}", common::stderr(&want));
+        assert!(got.status.success(), "{}", common::stderr(&got));
+        assert!(!want.stdout.is_empty());
+        assert_eq!(
+            String::from_utf8_lossy(&got.stdout),
+            String::from_utf8_lossy(&want.stdout),
+            "{args:?}"
+        );
+    }
 }
