@@ -218,7 +218,6 @@ pub fn run_and_read_recorded(
             let dumped = ssq_trace::flight::write_post_mortem(
                 std::path::Path::new("results"),
                 label,
-                at.value(),
                 &reason,
                 at.value(),
                 &events,

@@ -25,9 +25,6 @@
 //!   counter-management policies).
 //! * [`InhibitFabric`] — wires it all together and reports the winner the
 //!   sense amps would observe.
-//! * [`Crosspoint`] / [`CrossbarDatapath`] — the grant flip-flops and the
-//!   data routing the arbitration controls, with the one-driver-per-
-//!   output-bus invariant enforced structurally.
 //!
 //! The paper verified its circuit "with all input combinations of
 //! thermometer code vectors and valid LRG states", comparing each
@@ -68,13 +65,11 @@
 )]
 
 mod bitline;
-mod crosspoint;
 mod decision;
 mod fabric;
 mod thermometer;
 
 pub use bitline::{Bitlines, Wire};
-pub use crosspoint::{CrossbarDatapath, Crosspoint};
 pub use decision::{discharge_decision, gl_discharge_override, LaneDecision};
 pub use fabric::{
     ArbitrationOutcome, CircuitConfig, InhibitFabric, PortRequest, StuckWire, WinnerClass,

@@ -619,10 +619,10 @@ impl QosSwitch {
     /// output: a BE head finishing at one output can expose a head for a
     /// later one in the same cycle.
     ///
-    /// On a cycle the profiler elected to sample (`profiled`), a
+    /// On a cycle the armed profiler times (`profiled`), a
     /// [`Stopwatch`](ssq_prof::Stopwatch) lap feeds the profiler around
     /// each phase. Inlined into its two call sites with `profiled` a
-    /// constant, so the timer reads never touch the unsampled copy.
+    /// constant, so the timer reads never touch the unprofiled copy.
     #[inline(always)]
     fn run_cycle(&mut self, now: Cycle, profiled: bool) {
         let mut watch = profiled.then(ssq_prof::Stopwatch::start);
@@ -699,8 +699,8 @@ impl CycleModel for QosSwitch {
     fn step(&mut self, now: Cycle) {
         #[cfg(debug_assertions)]
         self.debug_assert_masks_synced();
-        // Profiler gate: disarmed, one predictable branch; armed, one
-        // counter add plus a mask test per cycle.
+        // Profiler gate: disarmed, one predictable branch; armed, every
+        // cycle is timed.
         if self.prof.begin_cycle() {
             self.run_cycle(now, true);
         } else {

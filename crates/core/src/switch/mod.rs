@@ -102,7 +102,7 @@ pub struct InjectionWork {
 /// transmitted, over one measurement window: what `ssq simulate --prof`
 /// counts for sleeping through transmission (DESIGN.md §9, "Outputs
 /// with work"). Counted by the profiled cycle only, so on `seq` and
-/// `bitpar` alike, and zero unless the profiler samples every cycle.
+/// `bitpar` alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TransmitOnlyCycles {
     /// Cycles that began with some output transmitting, every requested
@@ -392,15 +392,13 @@ impl QosSwitch {
         self.gl_wait_bound = bound;
     }
 
-    /// Arms the cycle-phase profiler: roughly one cycle in
-    /// `sample_every` (rounded up to a power of two; `0`/`1` mean every
-    /// cycle) is routed through the instrumented step path and its
-    /// prepare/decide/commit wall-clock is accumulated.
-    /// [`CycleModel::begin_measurement`] zeroes the totals with the
-    /// switch's other statistics, so arming before a run profiles its
-    /// measured phase.
-    pub fn prof_arm(&mut self, sample_every: u64) {
-        self.prof.arm(sample_every);
+    /// Arms the cycle-phase profiler: every cycle is routed through the
+    /// instrumented step path and its prepare/decide/commit wall-clock
+    /// is accumulated. [`CycleModel::begin_measurement`] zeroes the
+    /// totals with the switch's other statistics, so arming before a run
+    /// profiles its measured phase.
+    pub fn prof_arm(&mut self) {
+        self.prof.arm();
     }
 
     /// The profiler's accumulated totals (empty until armed).

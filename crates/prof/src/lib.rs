@@ -3,13 +3,13 @@
 //! Cycle-phase profiling for swizzle-qos, one branch per cycle while
 //! disarmed (DESIGN.md §11).
 //!
-//! * [`Profiler`] — a counter-sampled phase timer in the style of
-//!   ssq-trace's zero-overhead contract. Instrumented code calls
-//!   [`Profiler::begin_cycle`] once per cycle: disarmed it is a single
-//!   predictable branch, armed it is one counter add plus a mask test,
-//!   and only on sampled cycles do the [`Stopwatch`] reads run.
-//! * [`ProfReport`] — the aggregated per-phase breakdown (wall-clock
-//!   and sample counts) `ssq simulate --prof` prints.
+//! * [`Profiler`] — a three-phase (`prepare`/`decide`/`commit`) timer
+//!   in the style of ssq-trace's zero-overhead contract. Instrumented
+//!   code calls [`Profiler::begin_cycle`] once per cycle: disarmed it is
+//!   a single predictable branch; armed, every cycle is timed with
+//!   [`Stopwatch`] laps.
+//! * [`ProfReport`] — the cycle count and per-phase nanoseconds and lap
+//!   counts that `ssq simulate --prof` prints.
 //! * [`json`] — the strict JSON reader the benchmark package parses its
 //!   result documents with.
 //!

@@ -241,6 +241,44 @@ mod tests {
     }
 
     #[test]
+    fn single_sample_is_every_percentile() {
+        let mut h = Histogram::new(1, 8);
+        h.record(5);
+        for p in [0.0, 50.0, 90.0, 99.0, 100.0] {
+            assert_eq!(h.percentile(p), Some(5), "p{p}");
+        }
+        assert_eq!((h.mean(), h.max()), (5.0, Some(5)));
+    }
+
+    #[test]
+    fn p99_of_two_samples_is_the_top_bin() {
+        // Cumulative-count percentiles: with samples {7, 9} p99 lands in
+        // the top bin, not the bottom.
+        let mut h = Histogram::new(1, 64);
+        h.record(7);
+        h.record(9);
+        assert_eq!(h.percentile(99.0), Some(9));
+        assert_eq!(h.mean(), 8.0);
+    }
+
+    #[test]
+    fn saturated_bucket_percentiles_resolve_to_exact_max() {
+        // Samples past the binned range land in the overflow bucket;
+        // percentiles that fall there report the exact observed maximum,
+        // not a bin edge.
+        let mut h = Histogram::new(1, 4);
+        for _ in 0..99 {
+            h.record(1);
+        }
+        h.record(1_000); // beyond the 4-bin range
+        for p in [50.0, 90.0, 99.0] {
+            assert_eq!(h.percentile(p), Some(1), "p{p}");
+        }
+        assert_eq!(h.percentile(100.0), Some(1_000));
+        assert_eq!(h.max(), Some(1_000));
+    }
+
+    #[test]
     fn percentile_resolves_overflow_to_max() {
         let mut h = Histogram::new(1, 2);
         h.record(0);

@@ -6,7 +6,6 @@
 //! reserved rates"), and worst-case GL waiting times (Eq. 1). This crate
 //! provides the instruments those experiments need:
 //!
-//! * [`Counter`] — monotonically increasing event counts.
 //! * [`RunningStats`] — streaming mean/variance/min/max (Welford).
 //! * [`Histogram`] — fixed-bin latency histograms with percentiles.
 //! * [`FlowMetrics`] / [`MetricsMatrix`] — per-flow accounting: latency,
@@ -43,7 +42,6 @@
     )
 )]
 
-mod counter;
 mod fairness;
 mod flow;
 mod histogram;
@@ -52,7 +50,6 @@ mod series;
 mod table;
 mod timeseries;
 
-pub use counter::Counter;
 pub use fairness::jain_fairness_index;
 pub use flow::{FlowMetrics, MetricsMatrix};
 pub use histogram::Histogram;

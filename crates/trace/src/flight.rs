@@ -13,8 +13,8 @@ use crate::event::Event;
 use crate::metrics::MetricsRegistry;
 
 /// Renders a post-mortem report: the trip reason, the retained tail of
-/// the event stream (chronological), and the current value of every
-/// registered metric.
+/// the event stream (chronological), and every gauge's latest value
+/// followed by the sampled series.
 #[must_use]
 pub fn render_post_mortem(
     reason: &str,
@@ -56,8 +56,8 @@ pub fn render_post_mortem(
 /// directory if needed, and returns the path.
 ///
 /// Never clobbers an earlier post-mortem: if the primary path already
-/// exists the file is written as `flight-<name>-<seed>.txt` instead
-/// (and, should a same-seed artifact also exist, with an extra
+/// exists the file is written as `flight-<name>-<tripped_at>.txt`
+/// instead (and, should a same-cycle artifact also exist, with an extra
 /// monotonically probed `.N` suffix), so every run of a sweep keeps its
 /// own evidence.
 ///
@@ -67,7 +67,6 @@ pub fn render_post_mortem(
 pub fn write_post_mortem(
     dir: &Path,
     name: &str,
-    seed: u64,
     reason: &str,
     tripped_at: u64,
     events: &[Event],
@@ -76,11 +75,11 @@ pub fn write_post_mortem(
     std::fs::create_dir_all(dir)?;
     let mut path = dir.join(format!("flight-{name}.txt"));
     if path.exists() {
-        path = dir.join(format!("flight-{name}-{seed}.txt"));
+        path = dir.join(format!("flight-{name}-{tripped_at}.txt"));
     }
     let mut probe = 1u32;
     while path.exists() {
-        path = dir.join(format!("flight-{name}-{seed}.{probe}.txt"));
+        path = dir.join(format!("flight-{name}-{tripped_at}.{probe}.txt"));
         probe += 1;
     }
     std::fs::write(
@@ -104,10 +103,8 @@ mod tests {
                 epoch: 2,
             },
         }];
-        let mut m = MetricsRegistry::new(10);
-        let c = m.register_counter("grants");
-        m.add(c, 9);
-        m.snapshot(40);
+        let mut m = MetricsRegistry::new(10, &["grants"]);
+        m.snapshot(40, &[9.0]);
         let text = render_post_mortem(
             "stall: no progress for 1000 cycles",
             1042,
@@ -116,7 +113,7 @@ mod tests {
         );
         assert!(text.contains("stall: no progress"), "{text}");
         assert!(text.contains("decay"), "{text}");
-        assert!(text.contains("grants = 9"), "{text}");
+        assert!(text.contains("grants = 9.000"), "{text}");
         assert!(text.contains("sampled series"), "{text}");
     }
 
@@ -130,7 +127,7 @@ mod tests {
     fn write_creates_directory_and_file() {
         let dir = std::env::temp_dir().join(format!("ssq-flight-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let path = write_post_mortem(&dir, "unit", 1, "test trip", 7, &[], None).unwrap();
+        let path = write_post_mortem(&dir, "unit", "test trip", 7, &[], None).unwrap();
         assert!(path.ends_with("flight-unit.txt"));
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("test trip"));
@@ -141,11 +138,11 @@ mod tests {
     fn existing_post_mortems_are_never_clobbered() {
         let dir = std::env::temp_dir().join(format!("ssq-flight-clobber-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let first = write_post_mortem(&dir, "unit", 99, "first trip", 1, &[], None).unwrap();
+        let first = write_post_mortem(&dir, "unit", "first trip", 99, &[], None).unwrap();
         assert!(first.ends_with("flight-unit.txt"));
-        let second = write_post_mortem(&dir, "unit", 99, "second trip", 2, &[], None).unwrap();
+        let second = write_post_mortem(&dir, "unit", "second trip", 99, &[], None).unwrap();
         assert!(second.ends_with("flight-unit-99.txt"), "{second:?}");
-        let third = write_post_mortem(&dir, "unit", 99, "third trip", 3, &[], None).unwrap();
+        let third = write_post_mortem(&dir, "unit", "third trip", 99, &[], None).unwrap();
         assert!(third.ends_with("flight-unit-99.1.txt"), "{third:?}");
         // The earlier artifacts survived untouched.
         assert!(std::fs::read_to_string(&first).unwrap().contains("first"));

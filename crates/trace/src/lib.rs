@@ -1,7 +1,7 @@
 //! # ssq-trace
 //!
 //! Zero-overhead-when-off observability for the swizzle-qos switch
-//! core: structured event tracing, a sampled metrics registry, and a
+//! core: structured event tracing, a sampled gauge series, and a
 //! flight recorder for post-mortems.
 //!
 //! The paper's claims (single-cycle SSVC+LRG arbitration, latency
@@ -21,9 +21,9 @@
 //!   attached, [`Tracer::emit`] costs one predictable branch and the
 //!   event-building closure never runs — the microbench in
 //!   `crates/bench` pins this at ≤1% of the arbitration hot loop.
-//! * [`MetricsRegistry`] — named counters/gauges/histograms built on
-//!   `ssq-stats`, snapshotted on a cycle interval into a time series
-//!   rendering to text/CSV/JSON.
+//! * [`MetricsRegistry`] — gauges named when it is built, snapshotted
+//!   one row per cycle interval into a time series rendering to
+//!   text/CSV/JSON through `ssq-stats`' table.
 //! * [`flight`] — post-mortem rendering: trip reason + last N events +
 //!   metrics snapshot, written under `results/`.
 //! * [`TraceSummary`] — one-pass JSONL summarization backing the
@@ -39,6 +39,6 @@ pub use event::{
     DegradeMode, DropReason, Event, EventKind, FaultSite, Label, ParseError, ReadmitAction,
     RejectReason,
 };
-pub use metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
+pub use metrics::MetricsRegistry;
 pub use report::{FlowGrants, TraceSummary};
 pub use sink::{BoxedWriter, JsonlSink, NullSink, RingSink, TraceSink, Tracer};

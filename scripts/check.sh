@@ -14,7 +14,9 @@ cd "$(dirname "$0")/.."
 tree_before="$(git status --porcelain)"
 lock_before="$(mktemp)"
 cp benchmark/Cargo.lock "$lock_before"
-trap 'cp "$lock_before" benchmark/Cargo.lock; rm -f "$lock_before"' EXIT
+# The smoke tiers' event traces, read back by trace-report below.
+traces="$(mktemp -d)"
+trap 'cp "$lock_before" benchmark/Cargo.lock; rm -f "$lock_before"; rm -rf "$traces"' EXIT
 
 echo "== cargo fmt --check =="
 cargo fmt --all --check
@@ -64,7 +66,8 @@ echo "== fault smoke tier (ssq faults) =="
 # violation. The table is a golden (results/faults_smoke.csv): a moved
 # verdict, revocation or delivered-flit count fails the final git status
 # comparison.
-./target/release/ssq faults --smoke --csv | tee results/faults_smoke.csv
+./target/release/ssq faults --smoke --csv --trace-dir "$traces/faults" |
+    tee results/faults_smoke.csv
 
 echo "== multi-hop fabric smoke tier (ssq net) =="
 # Every topology-fault scenario (dead links, MTBF flaps, node
@@ -76,7 +79,16 @@ echo "== multi-hop fabric smoke tier (ssq net) =="
 # (results/net_smoke.csv): a moved verdict, revocation, drop,
 # retransmit, reroute or delivered-flit count fails the final git
 # status comparison.
-./target/release/ssq net --smoke --csv | tee results/net_smoke.csv
+./target/release/ssq net --smoke --csv --trace-dir "$traces/net" |
+    tee results/net_smoke.csv
+
+echo "== trace-report over the smoke tiers' traces =="
+# Every trace the two tiers just wrote (--trace-dir leaves their tables
+# as they are) must summarize, fault and fabric activity included; a
+# trace the report cannot read fails the gate.
+for trace in "$traces"/faults/*.jsonl "$traces"/net/*.jsonl; do
+    ./target/release/ssq trace-report --in "$trace" >/dev/null
+done
 
 echo "== tests =="
 cargo test -q --workspace

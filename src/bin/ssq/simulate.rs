@@ -14,43 +14,30 @@ use swizzle_qos::types::{Cycle, Cycles, FlowId, Geometry, InputId, OutputId, Rat
 
 use crate::opts::{err, parse_flow, parse_policy, parse_reserve, port_in_range, Opts};
 
-/// The metrics the CLI samples from the switch on each
-/// `--metrics-interval` boundary.
-struct MetricsProbe {
-    registry: MetricsRegistry,
-    gauges: [swizzle_qos::trace::GaugeId; 5],
-}
+/// The switch counters the CLI samples on each `--metrics-interval`
+/// boundary, in column order.
+const METRICS: [&str; 5] = [
+    "delivered_packets",
+    "delivered_flits",
+    "dropped_packets",
+    "chained_packets",
+    "gl_policed_cycles",
+];
 
-impl MetricsProbe {
-    fn new(interval: u64) -> Self {
-        let mut registry = MetricsRegistry::new(interval);
-        let gauges = [
-            registry.register_gauge("delivered_packets"),
-            registry.register_gauge("delivered_flits"),
-            registry.register_gauge("dropped_packets"),
-            registry.register_gauge("chained_packets"),
-            registry.register_gauge("gl_policed_cycles"),
-        ];
-        MetricsProbe { registry, gauges }
+/// Snapshots [`METRICS`] from the switch if `now` is on the interval.
+fn observe_metrics(registry: &mut MetricsRegistry, switch: &QosSwitch, now: Cycle) {
+    if !registry.due(now.value()) {
+        return;
     }
-
-    fn observe(&mut self, switch: &QosSwitch, now: Cycle) {
-        if !self.registry.due(now.value()) {
-            return;
-        }
-        let c = switch.counters();
-        let values = [
-            c.delivered_packets,
-            c.delivered_flits,
-            c.dropped_packets,
-            c.chained_packets,
-            c.gl_policed_cycles,
-        ];
-        for (&id, &v) in self.gauges.iter().zip(&values) {
-            self.registry.set_gauge(id, v as f64);
-        }
-        self.registry.snapshot(now.value());
-    }
+    let c = switch.counters();
+    let values = [
+        c.delivered_packets,
+        c.delivered_flits,
+        c.dropped_packets,
+        c.chained_packets,
+        c.gl_policed_cycles,
+    ];
+    registry.snapshot(now.value(), &values.map(|v| v as f64));
 }
 
 /// Creates the parent directory of `path` (if any) so output files can
@@ -268,7 +255,8 @@ pub(crate) fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
         switch.tracer_mut().attach_ring(flight_capacity.max(1));
     }
     switch.set_gl_wait_bound(gl_bound);
-    let mut probe = (metrics_interval > 0).then(|| MetricsProbe::new(metrics_interval));
+    let mut probe =
+        (metrics_interval > 0).then(|| MetricsRegistry::new(metrics_interval, &METRICS));
     for (n, spec) in opts.get_all("flow").enumerate() {
         let (input, output, class, rate, len) = parse_flow(spec)?;
         let input = port_in_range("flow", spec, "input", input, radix)?;
@@ -315,7 +303,7 @@ pub(crate) fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
     if profiling {
         // Armed before the run: `begin_measurement` zeroes the phase
         // totals with every other statistic, so warm-up never shows.
-        switch.prof_arm(1);
+        switch.prof_arm();
     }
     // A plain run's probes sample the measured phase; a monitored run's
     // record from cycle 0, so a trip during warm-up still has its
@@ -337,7 +325,7 @@ pub(crate) fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
             }
         }
         if let Some(p) = &mut probe {
-            p.observe(sw, at);
+            observe_metrics(p, sw, at);
         }
     };
     let mode = if monitored {
@@ -354,7 +342,7 @@ pub(crate) fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
         run_schedule(engine, schedule, &mut switch, mode)
     }));
     let dump = |switch: &mut QosSwitch,
-                probe: &Option<MetricsProbe>,
+                probe: &Option<MetricsRegistry>,
                 name: &str,
                 reason: &str,
                 at: u64| {
@@ -367,11 +355,10 @@ pub(crate) fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
         flight::write_post_mortem(
             std::path::Path::new("results"),
             name,
-            at,
             reason,
             at,
             &events,
-            probe.as_ref().map(|p| &p.registry),
+            probe.as_ref(),
         )
     };
     let outcome = match caught {
@@ -419,7 +406,7 @@ pub(crate) fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
     }
     if let Some(p) = &probe {
         ensure_parent(metrics_out)?;
-        let table = p.registry.to_table();
+        let table = p.to_table();
         let rendered = if metrics_out.ends_with(".json") {
             table.to_json()
         } else {
@@ -430,7 +417,7 @@ pub(crate) fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
         if !opts.flag("csv") {
             println!(
                 "metrics time series ({} samples) written to {metrics_out}",
-                p.registry.samples()
+                p.samples()
             );
         }
     }

@@ -56,5 +56,13 @@ pub(crate) fn trace_report(args: &[String]) -> Result<(), Box<dyn Error>> {
         println!("\nadmission rejections:");
         print!("{}", summary.reject_table().to_text());
     }
+    if summary.has_fault_activity() {
+        println!("\nfault activity:");
+        print!("{}", summary.fault_table().to_text());
+    }
+    if summary.has_fabric_activity() {
+        println!("\nfabric activity:");
+        print!("{}", summary.fabric_table().to_text());
+    }
     Ok(())
 }

@@ -763,15 +763,15 @@ fn transmit_only_cycles_are_counted_exactly_on_both_engines() {
         1,
         1,
     ));
-    two.prof_arm(1);
+    two.prof_arm();
     Runner::new(Schedule::new(Cycles::ZERO, Cycles::new(20))).run(&mut two);
     let counted = two.transmit_only_cycles();
     assert_eq!((counted.transmit_only, counted.clock_only), (8, 5));
 
     let schedule = Schedule::new(Cycles::new(100), Cycles::new(4_000));
     let (mut seq, mut bitpar) = (sparse_r64(), sparse_r64());
-    seq.prof_arm(1);
-    bitpar.prof_arm(1);
+    seq.prof_arm();
+    bitpar.prof_arm();
     Runner::new(schedule).run(&mut seq);
     Runner::new(schedule).run_skipping(&mut bitpar);
     let counted = seq.transmit_only_cycles();

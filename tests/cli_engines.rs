@@ -214,6 +214,136 @@ fn the_default_build_profiles_every_measured_cycle() {
     }
 }
 
+/// The bytes the run-observation outputs carry on `CONFIG` plus the
+/// replay: the `--metrics-out` series as CSV and JSON, the metrics block
+/// of a tripped run's post-mortem, and every `--prof` line but its
+/// nanosecond figures.
+#[test]
+fn the_observation_outputs_keep_their_bytes() {
+    let dir = Scratch::new("pinned");
+    let replay = dir.join("sparse.trace");
+    std::fs::write(&replay, replay_text()).expect("replay written");
+    let run = |name: &str, extra: &[&str]| {
+        let cwd = dir.join(name);
+        std::fs::create_dir_all(&cwd).expect("run dir");
+        let mut args = CONFIG.to_vec();
+        args.extend(["--replay", replay.to_str().expect("utf-8 path")]);
+        args.extend(extra);
+        (ssq_in(&cwd, &args), cwd)
+    };
+    let read = |path: &Path| std::fs::read_to_string(path).expect("output written");
+
+    for (ext, first, row_200, last) in [
+        (
+            "csv",
+            "cycle,delivered_packets,delivered_flits,dropped_packets,chained_packets,gl_policed_cycles",
+            "200,2.000,8.000,0.000,0.000,0.000",
+            "1600,59.000,215.000,0.000,0.000,0.000",
+        ),
+        (
+            "json",
+            "[",
+            "  {\"cycle\":200,\"delivered_packets\":2.000,\"delivered_flits\":8.000,\
+             \"dropped_packets\":0.000,\"chained_packets\":0.000,\"gl_policed_cycles\":0.000},",
+            "]",
+        ),
+    ] {
+        let file = format!("m.{ext}");
+        let (out, cwd) = run(ext, &["--metrics-interval", "50", "--metrics-out", &file]);
+        assert!(out.status.success(), "{ext}: {}", stderr(&out));
+        let text = read(&cwd.join(&file));
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 31 + usize::from(ext == "json"), "{text}");
+        assert_eq!(lines.first(), Some(&first), "{text}");
+        assert!(lines.contains(&row_200), "{text}");
+        assert_eq!(lines.last(), Some(&last), "{text}");
+        assert!(text.ends_with('\n'));
+    }
+
+    let (out, cwd) = run(
+        "trip",
+        &[
+            "--flight-recorder",
+            "--gl-bound",
+            "0",
+            "--metrics-interval",
+            "50",
+        ],
+    );
+    assert!(!out.status.success(), "a 0-cycle GL bound cannot hold");
+    let post_mortem = read(&cwd.join("results/flight-trip.txt"));
+    let block = post_mortem
+        .split_once("\n--- metrics at trip ---\n")
+        .map(|(_, block)| block)
+        .expect("a metrics block");
+    let rule = "-".repeat(94);
+    assert_eq!(
+        block,
+        format!(
+            "delivered_packets = 0.000\n\
+             delivered_flits = 0.000\n\
+             dropped_packets = 0.000\n\
+             chained_packets = 0.000\n\
+             gl_policed_cycles = 0.000\n\
+             \n\
+             --- sampled series ---\n\
+             cycle  delivered_packets  delivered_flits  dropped_packets  chained_packets  gl_policed_cycles\n\
+             {rule}\n\
+             0                  0.000            0.000            0.000            0.000              0.000\n"
+        )
+    );
+
+    for (engine, cycles, prepares, refills) in [("seq", 1500, 1500, 23), ("bitpar", 291, 291, 19)] {
+        let mut args: Vec<&str> = CONFIG.iter().copied().filter(|&a| a != "--csv").collect();
+        args.extend(["--replay", replay.to_str().expect("utf-8 path")]);
+        args.extend(["--prof", "--engine", engine]);
+        let out = ssq(&args);
+        assert!(out.status.success(), "{engine}: {}", stderr(&out));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let profile = stdout
+            .split_once("cycle-phase profile (prepare/decide/commit):\n")
+            .map(|(_, profile)| profile)
+            .expect("a profile");
+        // Every line with its nanosecond-derived cells left out.
+        let shape: Vec<String> = profile
+            .lines()
+            .map(|line| {
+                let cells: Vec<&str> = line.split_whitespace().collect();
+                match cells.first() {
+                    Some(&("prepare" | "decide" | "commit")) if cells.len() == 4 => {
+                        format!("{} {}", cells[0], cells[3])
+                    }
+                    _ if line.starts_with("decide fraction: ") => "decide fraction".into(),
+                    _ => line.to_string(),
+                }
+            })
+            .collect();
+        assert_eq!(
+            shape,
+            [
+                format!("profiled {cycles} of {cycles} cycles"),
+                "phase    ns/cycle  fraction  samples".into(),
+                "-".repeat(36),
+                format!("prepare {prepares}"),
+                "decide 126".into(),
+                "commit 126".into(),
+                "decide fraction".into(),
+                format!(
+                    "injection work (exact, measured window): 63 source polls, 63 staging \
+                     probes, {refills} arrival-block refills"
+                ),
+                "output work (exact, measured window): 126 outputs visited, 0.08 of 4 per cycle"
+                    .into(),
+                "transmit-only cycles (exact, measured window): 228 stepped cycles with every \
+                 requested output busy and nothing staged, 153 of them clock-only (no packet \
+                 finished, no arrival due)"
+                    .into(),
+            ],
+            "{engine}: {profile}"
+        );
+    }
+}
+
 #[test]
 fn profiling_the_par_engine_is_refused_by_name() {
     let out = ssq(&[

@@ -1,7 +1,8 @@
 //! Cross-crate integration: capture a live workload as a trace file,
 //! replay it into a fresh switch, and verify the replay reproduces the
 //! original run exactly; and read a traced run's JSONL back through
-//! `ssq trace-report` whatever shape its lines take.
+//! `ssq trace-report` whatever shape its lines take, fault and fabric
+//! activity included.
 
 mod common;
 
@@ -222,5 +223,53 @@ fn trace_report_reads_any_line_shape_to_the_same_report() {
             String::from_utf8_lossy(&want.stdout),
             "{args:?}"
         );
+    }
+}
+
+/// `ssq trace-report` prints the fault and fabric activity a trace
+/// holds, after the other sections; `--csv` stays the grant table alone.
+#[test]
+fn trace_report_prints_fault_and_fabric_activity() {
+    let dir = Scratch::new("trace-faults");
+    let cwd = dir.join("run");
+    std::fs::create_dir_all(&cwd).expect("scratch subdir");
+    for args in [
+        &["faults", "--scenario", "aux-seu", "--trace-dir", "d"][..],
+        &["net", "--scenario", "chain-nack-blip", "--trace-dir", "d"],
+    ] {
+        let run = ssq_in(&cwd, args);
+        assert!(run.status.success(), "{args:?}: {}", common::stderr(&run));
+    }
+    for (trace, tail) in [
+        (
+            "d/aux-seu.jsonl",
+            "\nfault activity:\n\
+             what                 detail  count\n\
+             ----------------------------------\n\
+             inject         aux_bit_flip      1\n\
+             detected            SSQV003      2\n\
+             degraded  out0 lrg_fallback      1\n\
+             degraded         out0 retry      1\n\
+             revoked           in0->out0      1\n",
+        ),
+        (
+            "d/chain-nack-blip.jsonl",
+            "\nfabric activity:\n\
+             what             detail  count\n\
+             ------------------------------\n\
+             hop_enqueue       link0    272\n\
+             hop_enqueue       link1    272\n\
+             hop_enqueue       link2    271\n\
+             nack_retransmit   link1      4\n",
+        ),
+    ] {
+        let text = ssq_in(&cwd, &["trace-report", "--in", trace]);
+        assert!(text.status.success(), "{trace}: {}", common::stderr(&text));
+        let text = String::from_utf8_lossy(&text.stdout);
+        assert!(text.ends_with(tail), "{trace}: {text}");
+        let csv = ssq_in(&cwd, &["trace-report", "--in", trace, "--csv"]);
+        let csv = String::from_utf8_lossy(&csv.stdout);
+        assert!(csv.starts_with("flow,class,grants,"), "{trace}: {csv}");
+        assert!(!csv.contains("activity"), "{trace}: {csv}");
     }
 }
