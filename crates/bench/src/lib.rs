@@ -155,37 +155,12 @@ pub struct FlowReading {
     pub packets: u64,
 }
 
-/// Runs `switch` through `warmup` + `measure` cycles and reads each of
-/// the first `flows` GB flows at output 0.
-#[must_use]
-pub fn run_and_read(
-    switch: &mut QosSwitch,
-    flows: usize,
-    warmup: u64,
-    measure: u64,
-) -> Vec<FlowReading> {
-    let (end, _report) = Runner::new(Schedule::new(Cycles::new(warmup), Cycles::new(measure)))
-        .run_checked(switch)
-        .expect("benchmark configurations pass static analysis");
-    read_flows(switch, flows, end)
-}
-
-/// Whether the current invocation asked for the flight recorder —
-/// either `--flight-recorder` on the command line (as passed by
-/// `scripts/reproduce.sh` for headline runs) or the
-/// `SSQ_FLIGHT_RECORDER` environment variable.
-#[must_use]
-pub fn flight_recorder_requested() -> bool {
-    std::env::args().any(|a| a == "--flight-recorder")
-        || std::env::var_os("SSQ_FLIGHT_RECORDER").is_some()
-}
-
-/// Flight-recorder-aware variant of [`run_and_read`], used by the
-/// headline reproduction binaries. When the recorder is requested
-/// ([`flight_recorder_requested`]), the run keeps the last 4096 trace
-/// events in a ring and executes under the stall watchdog; a trip dumps
-/// a post-mortem to `results/flight-<label>.txt` and panics with the
-/// reason. Otherwise it behaves exactly like [`run_and_read`].
+/// Runs `switch` through `warmup` + `measure` cycles with the flight
+/// recorder armed and reads each of the first `flows` GB flows at
+/// output 0: the run keeps the last 4096 trace events in a ring and
+/// executes under the stall watchdog, and a trip dumps a post-mortem to
+/// `results/flight-<label>.txt` and panics with the reason, instead of
+/// producing bad numbers.
 ///
 /// # Panics
 ///
@@ -199,9 +174,6 @@ pub fn run_and_read_recorded(
     warmup: u64,
     measure: u64,
 ) -> Vec<FlowReading> {
-    if !flight_recorder_requested() {
-        return run_and_read(switch, flows, warmup, measure);
-    }
     switch.tracer_mut().attach_ring(4096);
     let (outcome, _report) = Runner::new(Schedule::new(Cycles::new(warmup), Cycles::new(measure)))
         .run_checked_monitored(switch, Cycles::new(10_000))
@@ -312,7 +284,7 @@ mod tests {
             Load::Saturating,
             1,
         );
-        let readings = run_and_read(&mut switch, 8, 3_000, 30_000);
+        let readings = run_and_read_recorded("test", &mut switch, 8, 3_000, 30_000);
         let capacity = 8.0 / 9.0;
         for (r, &rate) in readings.iter().zip(&FIG4_RATES) {
             assert!(
@@ -347,7 +319,7 @@ mod tests {
             Load::Bernoulli(0.05),
             7,
         );
-        let readings = run_and_read(&mut switch, 8, 2_000, 20_000);
+        let readings = run_and_read_recorded("test", &mut switch, 8, 2_000, 20_000);
         for r in &readings {
             assert!(
                 (r.throughput - 0.05).abs() < 0.02,

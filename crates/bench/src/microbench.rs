@@ -18,9 +18,9 @@ const SAMPLES: usize = 7;
 
 /// Times `f` and prints a `group/name … ns/iter` line.
 ///
-/// The closure runs enough iterations to fill [`SAMPLE_BUDGET`] per
-/// sample (calibrated from a short warm-up), for [`SAMPLES`] samples,
-/// and the median per-iteration time is reported.
+/// The closure runs enough iterations to fill a 20 ms sample
+/// (calibrated from a short warm-up), for seven samples, and the median
+/// per-iteration time is reported.
 #[expect(
     clippy::print_stdout,
     reason = "reporting to stdout is this harness's contract with its bins and benches"

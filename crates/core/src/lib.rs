@@ -95,7 +95,6 @@ pub use analyze::{AnalysisOptions, GlContract};
 pub use backoff::{BackoffPolicy, RetryDecision, RetryTimer};
 pub use config::{ConfigError, Policy, SwitchConfig, SwitchConfigBuilder};
 pub use packet::Packet;
-pub use port::InputPort;
 pub use reservations::{GbReservation, ReadmitDecision, Reservations};
 pub use ssq_check::{Preflight, Report};
 pub use ssq_trace::ReadmitAction;

@@ -2,7 +2,6 @@
 //! one GL queue (the buffering organization of Table 1).
 
 use std::collections::VecDeque;
-use std::fmt;
 
 use ssq_types::{InputId, OutputId, TrafficClass};
 
@@ -66,58 +65,22 @@ impl ClassQueue {
 /// * a single **GL** FIFO ("GL class packets should be buffered
 ///   separately from GB class packets", §3.2).
 ///
-/// # Examples
-///
-/// ```
-/// use ssq_core::{InputPort, Packet};
-/// use ssq_types::*;
-///
-/// let mut port = InputPort::new(InputId::new(0), 4, 4, 16, 4);
-/// let spec = PacketSpec::new(
-///     PacketId::new(0),
-///     FlowId::new(InputId::new(0), OutputId::new(2)),
-///     TrafficClass::GuaranteedBandwidth,
-///     8,
-///     Cycle::ZERO,
-/// );
-/// assert!(port.try_enqueue(Packet::new(spec, Cycle::ZERO)));
-/// assert!(port
-///     .head(TrafficClass::GuaranteedBandwidth, OutputId::new(2))
-///     .is_some());
-/// ```
+/// The port holds queues only. Which outputs its heads request lives in
+/// the switch's per-output request rows, and whether its link is up in
+/// the switch's live-links word.
 #[derive(Debug, Clone)]
-pub struct InputPort {
+pub(crate) struct InputPort {
     input: InputId,
     /// One shared FIFO (length 1) or per-output virtual queues (length
     /// `radix`) — see [`InputPort::with_be_voq`].
     be: Vec<ClassQueue>,
     gb: Vec<ClassQueue>,
     gl: ClassQueue,
-    /// Request word for the GB VOQs: bit `o` ⇔ `gb[o]` holds a packet.
-    /// Maintained incrementally at the two queue mutation points so the
-    /// bitpar engine reads per-port requests in O(1) instead of probing
-    /// `radix` queue heads.
-    gb_bits: u64,
-    /// Same for BE when running per-output virtual queues; unused (0) in
-    /// the single-FIFO organization, where the request word is the head
-    /// packet's destination bit.
-    be_bits: u64,
-    /// Link state of the input channel. `false` models a downed (or
-    /// currently-flapped-down) link: buffered packets stay put, but the
-    /// port neither accepts new packets nor requests arbitration. The
-    /// switch flips this only through its fault API, which emits the
-    /// matching trace events.
-    link_up: bool,
 }
 
 impl InputPort {
     /// Creates a port for `input` on a switch with `radix` outputs and
     /// the given buffer depths in flits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `radix` is zero or exceeds 64 (the paper's high-radix
-    /// ceiling, and the word width the request bitmaps rely on).
     #[must_use]
     pub fn new(
         input: InputId,
@@ -126,11 +89,6 @@ impl InputPort {
         gb_buffer_flits: u64,
         gl_buffer_flits: u64,
     ) -> Self {
-        assert!(radix > 0, "radix must be positive");
-        assert!(
-            radix <= 64,
-            "radix {radix} exceeds the paper's 64-port ceiling"
-        );
         InputPort {
             input,
             be: vec![ClassQueue::new(be_buffer_flits)],
@@ -138,9 +96,6 @@ impl InputPort {
                 .map(|_| ClassQueue::new(gb_buffer_flits))
                 .collect(),
             gl: ClassQueue::new(gl_buffer_flits),
-            gb_bits: 0,
-            be_bits: 0,
-            link_up: true,
         }
     }
 
@@ -153,37 +108,7 @@ impl InputPort {
         self.be = (0..radix)
             .map(|_| ClassQueue::new(be_buffer_flits))
             .collect();
-        self.be_bits = 0;
         self
-    }
-
-    /// The port's input id.
-    #[must_use]
-    pub const fn input(&self) -> InputId {
-        self.input
-    }
-
-    /// Whether the input link is up. Ports start up; only the fault
-    /// layer takes a link down (or back up).
-    #[must_use]
-    pub const fn is_link_up(&self) -> bool {
-        self.link_up
-    }
-
-    /// Forces the link state — the port-level half of the link-down /
-    /// flapping fault model. Buffered packets are retained either way;
-    /// a downed link just stops admitting and requesting. Callers are
-    /// responsible for tracing the transition (the switch's fault API
-    /// does).
-    pub fn fault_set_link(&mut self, up: bool) {
-        self.link_up = up;
-    }
-
-    /// Whether a packet of `len_flits` flits of `class` headed to
-    /// `output` would fit right now.
-    #[must_use]
-    pub fn has_room(&self, class: TrafficClass, output: OutputId, len_flits: u64) -> bool {
-        self.queue(class, output).has_room(len_flits)
     }
 
     /// Unoccupied flit slots of the queue a `class` packet headed to
@@ -199,11 +124,7 @@ impl InputPort {
     pub fn try_enqueue(&mut self, packet: Packet) -> bool {
         let class = packet.spec().class();
         let output = packet.spec().flow().output();
-        let accepted = self.queue_mut(class, output).push(packet);
-        if accepted {
-            self.refresh_bit(class, output);
-        }
-        accepted
+        self.queue_mut(class, output).push(packet)
     }
 
     /// The head packet of `class` that is requesting `output`, if any.
@@ -215,6 +136,15 @@ impl InputPort {
     pub fn head(&self, class: TrafficClass, output: OutputId) -> Option<&Packet> {
         let q = self.queue(class, output);
         q.head().filter(|p| p.spec().flow().output() == output)
+    }
+
+    /// The destination of the front packet in the queue a `class`
+    /// packet headed to `output` would join, if the queue holds one:
+    /// `output` itself for a virtual queue, any output for a shared FIFO.
+    #[must_use]
+    pub fn front(&self, class: TrafficClass, output: OutputId) -> Option<OutputId> {
+        let q = self.queue(class, output);
+        q.head().map(|p| p.spec().flow().output())
     }
 
     /// Frees the buffer slots of `n` flits the committed head packet has
@@ -237,80 +167,19 @@ impl InputPort {
     /// (every flit already drained by [`InputPort::drain_head`]).
     pub fn pop_head(&mut self, class: TrafficClass, output: OutputId) -> Option<Packet> {
         self.head(class, output)?;
-        let done = self.queue_mut(class, output).packets.pop_front();
-        // Only a pop can change which head (if any) the queue presents;
-        // a flit leaving mid-packet cannot.
-        self.refresh_bit(class, output);
-        done
-    }
-
-    /// The per-output request word of `class`: bit `o` set iff
-    /// [`InputPort::head`]`(class, OutputId::new(o))` is `Some`. For the
-    /// virtual-queue classes this reads the incrementally maintained
-    /// word; for the single-FIFO classes it is the head packet's
-    /// destination bit (head-of-line blocking makes the word one-hot).
-    #[must_use]
-    pub fn request_bits(&self, class: TrafficClass) -> u64 {
-        match class {
-            TrafficClass::GuaranteedBandwidth => self.gb_bits,
-            TrafficClass::BestEffort if self.be.len() > 1 => self.be_bits,
-            // `new` always allocates at least one BE queue.
-            TrafficClass::BestEffort => Self::front_bit(&self.be[0]),
-            TrafficClass::GuaranteedLatency => Self::front_bit(&self.gl),
-        }
-    }
-
-    fn front_bit(q: &ClassQueue) -> u64 {
-        match q.head() {
-            // Output index < radix ≤ 64 (asserted in `new`).
-            Some(p) => 1u64 << p.spec().flow().output().index(),
-            None => 0,
-        }
-    }
-
-    /// Re-derives the request bit of one `(class, output)` queue after a
-    /// mutation. Only the virtual-queue words carry state; the
-    /// single-FIFO words are computed on demand.
-    fn refresh_bit(&mut self, class: TrafficClass, output: OutputId) {
-        let o = output.index();
-        // Output index < radix ≤ 64 (asserted in `new`).
-        let bit = 1u64 << o;
-        match class {
-            TrafficClass::GuaranteedBandwidth => {
-                if self.gb[o].head().is_some() {
-                    self.gb_bits |= bit;
-                } else {
-                    self.gb_bits &= !bit;
-                }
-            }
-            TrafficClass::BestEffort if self.be.len() > 1 => {
-                if self.be[o].head().is_some() {
-                    self.be_bits |= bit;
-                } else {
-                    self.be_bits &= !bit;
-                }
-            }
-            TrafficClass::BestEffort | TrafficClass::GuaranteedLatency => {}
-        }
+        self.queue_mut(class, output).packets.pop_front()
     }
 
     /// Whether `class` packets headed to `a` and to `b` share one queue:
     /// always for the single-FIFO classes, only for `a == b` for the
     /// virtual-queue ones.
     #[must_use]
-    pub(crate) fn shares_queue(&self, class: TrafficClass, a: OutputId, b: OutputId) -> bool {
+    pub fn shares_queue(&self, class: TrafficClass, a: OutputId, b: OutputId) -> bool {
         match class {
             TrafficClass::GuaranteedBandwidth => a == b,
             TrafficClass::BestEffort => self.be_index(a) == self.be_index(b),
             TrafficClass::GuaranteedLatency => true,
         }
-    }
-
-    /// Flits currently buffered in `class` toward `output` (for BE/GL the
-    /// shared queue's total occupancy).
-    #[must_use]
-    pub fn occupancy(&self, class: TrafficClass, output: OutputId) -> u64 {
-        self.queue(class, output).used_flits
     }
 
     /// Total flits buffered at this port across all classes and outputs.
@@ -346,19 +215,6 @@ impl InputPort {
             TrafficClass::GuaranteedBandwidth => &mut self.gb[output.index()],
             TrafficClass::GuaranteedLatency => &mut self.gl,
         }
-    }
-}
-
-impl fmt::Display for InputPort {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: BE {}f, GB {}f, GL {}f buffered",
-            self.input,
-            self.be.iter().map(|q| q.used_flits).sum::<u64>(),
-            self.gb.iter().map(|q| q.used_flits).sum::<u64>(),
-            self.gl.used_flits
-        )
     }
 }
 
@@ -406,7 +262,10 @@ mod tests {
         let mut p = port();
         assert!(p.try_enqueue(make(0, TrafficClass::GuaranteedBandwidth, 0, 8)));
         assert!(!p.try_enqueue(make(1, TrafficClass::GuaranteedBandwidth, 0, 1)));
-        assert!(!p.has_room(TrafficClass::GuaranteedBandwidth, OutputId::new(0), 1));
+        assert_eq!(
+            p.free_flits(TrafficClass::GuaranteedBandwidth, OutputId::new(0)),
+            0
+        );
     }
 
     #[test]
@@ -425,10 +284,10 @@ mod tests {
         let mut p = port();
         let (gl, out) = (TrafficClass::GuaranteedLatency, OutputId::new(0));
         assert!(p.try_enqueue(make(0, gl, 0, 4)));
-        assert!(!p.has_room(gl, out, 1));
+        assert_eq!(p.free_flits(gl, out), 0);
         p.drain_head(gl, out, 1);
         // One flit freed mid-packet; the packet is still the head.
-        assert!(p.has_room(gl, out, 1));
+        assert_eq!(p.free_flits(gl, out), 1);
         assert!(p.head(gl, out).is_some());
         // Two more at once.
         p.drain_head(gl, out, 2);
@@ -436,7 +295,7 @@ mod tests {
         p.drain_head(gl, out, 1);
         let done = p.pop_head(gl, out).expect("the drained head pops");
         assert_eq!(done.spec().id(), PacketId::new(0));
-        assert_eq!(p.occupancy(gl, out), 0);
+        assert_eq!(p.free_flits(gl, out), 4);
         assert!(p.pop_head(gl, out).is_none());
     }
 
@@ -445,91 +304,6 @@ mod tests {
     fn transmitting_from_empty_queue_is_a_bug() {
         let mut p = port();
         p.drain_head(TrafficClass::GuaranteedLatency, OutputId::new(0), 1);
-    }
-
-    #[test]
-    fn links_start_up_and_fault_toggles_them() {
-        let mut p = port();
-        assert!(p.is_link_up());
-        assert!(p.try_enqueue(make(0, TrafficClass::BestEffort, 1, 2)));
-        p.fault_set_link(false);
-        assert!(!p.is_link_up());
-        // Buffered traffic is retained across the outage.
-        assert_eq!(p.total_occupancy(), 2);
-        p.fault_set_link(true);
-        assert!(p.is_link_up());
-    }
-
-    #[test]
-    fn request_bits_mirror_head_probes() {
-        let mut p = port();
-        let check = |p: &InputPort| {
-            for class in [
-                TrafficClass::BestEffort,
-                TrafficClass::GuaranteedBandwidth,
-                TrafficClass::GuaranteedLatency,
-            ] {
-                let mut expect = 0u64;
-                for o in 0..4 {
-                    if p.head(class, OutputId::new(o)).is_some() {
-                        expect |= 1 << o;
-                    }
-                }
-                assert_eq!(p.request_bits(class), expect, "{class} word diverged");
-            }
-        };
-        check(&p);
-        assert!(p.try_enqueue(make(0, TrafficClass::GuaranteedBandwidth, 1, 2)));
-        assert!(p.try_enqueue(make(1, TrafficClass::GuaranteedBandwidth, 3, 2)));
-        assert!(p.try_enqueue(make(2, TrafficClass::BestEffort, 2, 2)));
-        assert!(p.try_enqueue(make(3, TrafficClass::BestEffort, 0, 2)));
-        assert!(p.try_enqueue(make(4, TrafficClass::GuaranteedLatency, 3, 1)));
-        check(&p);
-        // Drain the GB packet to output 1 flit by flit; the bit must drop
-        // only when the packet pops.
-        let gb = TrafficClass::GuaranteedBandwidth;
-        p.drain_head(gb, OutputId::new(1), 1);
-        check(&p);
-        p.drain_head(gb, OutputId::new(1), 1);
-        check(&p);
-        assert!(p.pop_head(gb, OutputId::new(1)).is_some());
-        check(&p);
-        // Popping the BE head re-points the one-hot word at the next
-        // packet's destination.
-        p.drain_head(TrafficClass::BestEffort, OutputId::new(2), 2);
-        assert!(p
-            .pop_head(TrafficClass::BestEffort, OutputId::new(2))
-            .is_some());
-        check(&p);
-        assert_eq!(p.request_bits(TrafficClass::BestEffort), 1 << 0);
-        p.drain_head(TrafficClass::GuaranteedLatency, OutputId::new(3), 1);
-        assert!(p
-            .pop_head(TrafficClass::GuaranteedLatency, OutputId::new(3))
-            .is_some());
-        check(&p);
-    }
-
-    #[test]
-    fn request_bits_track_be_voq() {
-        let mut p = port().with_be_voq(4, 4);
-        assert!(p.try_enqueue(make(0, TrafficClass::BestEffort, 1, 2)));
-        assert!(p.try_enqueue(make(1, TrafficClass::BestEffort, 3, 2)));
-        // Per-output BE queues request both destinations at once.
-        assert_eq!(
-            p.request_bits(TrafficClass::BestEffort),
-            (1 << 1) | (1 << 3)
-        );
-        p.drain_head(TrafficClass::BestEffort, OutputId::new(1), 2);
-        assert!(p
-            .pop_head(TrafficClass::BestEffort, OutputId::new(1))
-            .is_some());
-        assert_eq!(p.request_bits(TrafficClass::BestEffort), 1 << 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "64-port ceiling")]
-    fn radix_above_word_width_is_rejected() {
-        let _ = InputPort::new(InputId::new(0), 65, 4, 4, 4);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use ssq_types::invariant::Invariant;
 use ssq_types::{Cycle, InputId, OutputId, TrafficClass};
 
 use super::{wire, QosSwitch};
-use crate::port::InputPort;
+use crate::bitmask::PortSet;
 use crate::reservations::ReadmitDecision;
 
 /// Fault injection, detection handling, and recovery (DESIGN.md §8).
@@ -52,11 +52,10 @@ impl QosSwitch {
         });
     }
 
-    /// Flips `input`'s link state at the port and in the live-links word
-    /// the decide kernel masks requests with.
+    /// Flips `input`'s bit in the live-links word, which injection,
+    /// chaining and the decide kernel read.
     fn set_link(&mut self, input: usize, up: bool) {
-        self.ports[input].fault_set_link(up);
-        // `input` just indexed `ports`, whose length is the radix ≤ 64.
+        // `input` is a port of the switch: below its radix ≤ 64.
         let bit = 1u64 << input;
         if up {
             self.live_links |= bit;
@@ -70,7 +69,7 @@ impl QosSwitch {
     /// explicitly restored.
     fn try_disarm(&mut self) {
         let fabric_ok = self.fabric.as_ref().is_none_or(|f| !f.is_faulted());
-        let links_ok = self.ports.iter().all(InputPort::is_link_up);
+        let links_ok = self.live_links == self.all_ports;
         if fabric_ok && links_ok {
             self.armed = false;
         }
@@ -142,9 +141,10 @@ impl QosSwitch {
     /// Takes `input`'s link down (`up == false`) or brings it back up.
     ///
     /// Down means the port neither admits new packets (injection
-    /// rejects with [`RejectReason::LinkDown`]) nor competes in
-    /// arbitration; buffered packets are retained and resume when the
-    /// link heals.
+    /// rejects with
+    /// [`RejectReason::LinkDown`](ssq_trace::RejectReason::LinkDown))
+    /// nor competes in arbitration; buffered packets are retained and
+    /// resume when the link heals.
     pub fn fault_set_link(&mut self, input: InputId, up: bool, now: Cycle) {
         self.set_link(input.index(), up);
         self.emit_fault(now, FaultSite::Link, 0, input.index(), up);
@@ -239,11 +239,9 @@ impl QosSwitch {
                 self.emit_fault(now, FaultSite::BitlineStuck, 0, 0, true);
             }
         }
-        for i in 0..self.ports.len() {
-            if !self.ports[i].is_link_up() {
-                self.set_link(i, true);
-                self.emit_fault(now, FaultSite::Link, 0, i, true);
-            }
+        for i in PortSet::from_bits(self.all_ports & !self.live_links) {
+            self.set_link(i, true);
+            self.emit_fault(now, FaultSite::Link, 0, i, true);
         }
         self.armed = false;
         let budget = self.config.fault_retry_budget();

@@ -1,6 +1,6 @@
 //! Injection: injectors and their staging queues, the arrival-schedule
-//! visit, the staged heads' retry timing, and the enqueue that keeps the
-//! outputs' request words in sync with the queue heads.
+//! visit, the staged heads' retry timing, and the enqueue that sets the
+//! outputs' request rows when a packet becomes a queue head.
 
 use std::collections::VecDeque;
 
@@ -180,7 +180,7 @@ impl QosSwitch {
         drain: bool,
     ) {
         let input = self.injectors.input(idx);
-        if !self.ports[input.index()].is_link_up() {
+        if !self.link_up(input.index()) {
             // A downed link rejects new packets at the source and
             // freezes staged ones; the arrival process itself keeps
             // ticking so healing resumes deterministically.
@@ -288,8 +288,8 @@ impl QosSwitch {
 
     /// Enqueues `packet` at its input port, after applying the flits
     /// the port has sent so far. Only a packet landing in an empty queue
-    /// becomes a head, so only then are the request words re-synced; one
-    /// joining a backlog changes no request bit.
+    /// becomes a head, so only then does it set a request bit; one
+    /// joining a backlog changes none.
     fn enqueue(&mut self, packet: Packet) -> bool {
         let spec = packet.spec();
         let (i, class, output) = (
@@ -303,40 +303,25 @@ impl QosSwitch {
         let Some(port) = self.ports.get_mut(i) else {
             return false;
         };
-        let new_head = port.occupancy(class, output) == 0;
+        let new_head = port.front(class, output).is_none();
         let accepted = port.try_enqueue(packet);
         if accepted && new_head {
-            self.sync_port_masks(i, class);
+            self.set_request(i, class, output.index(), true);
         }
         accepted
     }
 
-    /// Reconciles the transposed request words with port `i`'s current
-    /// `class` word after one of its queue heads changed (an enqueue
-    /// into an empty queue, a packet pop — a flit leaving mid-packet
-    /// keeps the head and needs no sync). XOR against the shadow copy
-    /// makes the update O(set bits in the delta): a head pop or push
-    /// changes at most a couple of output bits.
-    pub(super) fn sync_port_masks(&mut self, i: usize, class: TrafficClass) {
-        let c = class.priority() as usize;
-        let (Some(port), Some(shadow)) = (
-            self.ports.get(i),
-            self.mask_shadow.get_mut(i).and_then(|s| s.get_mut(c)),
-        ) else {
+    /// Sets (`on`) or clears input `i`'s bit in output `o`'s `class`
+    /// request row, and `o`'s `req_out` bit with the row. Called where a
+    /// queue head changes and nowhere else: an enqueue into an empty
+    /// queue, and a pop (a flit leaving mid-packet keeps the head).
+    pub(super) fn set_request(&mut self, i: usize, class: TrafficClass, o: usize, on: bool) {
+        let Some(row) = self.outputs.get_mut(o).map(|out| &mut out.xreq) else {
             return;
         };
-        let fresh = port.request_bits(class);
-        let delta = fresh ^ *shadow;
-        *shadow = fresh;
-        // `i` indexed `ports`, whose length is the radix ≤ 64.
-        let mut bit = PortSet::EMPTY;
-        bit.insert(i);
-        for o in PortSet::from_bits(delta) {
-            if let Some(row) = self.outputs.get_mut(o).map(|out| &mut out.xreq) {
-                row[c] ^= bit.bits();
-                // `o` indexed `outputs`, whose length is the radix ≤ 64.
-                self.req_out = self.req_out & !(1 << o) | u64::from(*row != [0; 3]) << o;
-            }
-        }
+        let c = class.priority() as usize;
+        // `i` and `o` are ports of the switch: below its radix ≤ 64.
+        row[c] = row[c] & !(1 << i) | u64::from(on) << i;
+        self.req_out = self.req_out & !(1 << o) | u64::from(*row != [0; 3]) << o;
     }
 }

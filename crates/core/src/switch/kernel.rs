@@ -158,19 +158,25 @@ impl QosSwitch {
             debug_assert!(false, "output {o} finished without a packet");
             return;
         };
+        let i = input.index();
         let pkt = self
             .ports
-            .get_mut(input.index())
+            .get_mut(i)
             .and_then(|port| port.pop_head(class, output));
         // The channel went idle (a chained packet re-commits it below).
         self.busy_out &= !(1 << o);
-        self.busy_in &= !(1 << input.index());
+        self.busy_in &= !(1 << i);
         self.finish[slot(done_at)] &= !(1 << o);
         let Some(pkt) = pkt else {
             debug_assert!(false, "output {o}'s queue lost its head");
             return;
         };
-        self.sync_port_masks(input.index(), class);
+        // The queue's next packet, if any, is its new head: the same
+        // output for a virtual queue, its own for a shared FIFO.
+        self.set_request(i, class, o, false);
+        if let Some(next) = self.ports.get(i).and_then(|port| port.front(class, output)) {
+            self.set_request(i, class, next.index(), true);
+        }
         let latency = now.saturating_since(pkt.spec().created());
         let flits = pkt.spec().len_flits();
         let counters = &mut self.counters;
@@ -552,7 +558,7 @@ impl QosSwitch {
         if self.outputs[o].chain_count >= SwitchConfig::CHAIN_LIMIT {
             return false;
         }
-        if !self.ports[input.index()].is_link_up() {
+        if !self.link_up(input.index()) {
             // The link died mid-burst: no chained grant across it.
             return false;
         }
@@ -562,8 +568,8 @@ impl QosSwitch {
         let len = next.spec().len_flits();
         let wait = next.waiting_time(now);
         // A waiting higher class must win a real arbitration instead:
-        // any bit in an outranking request word of this output (synced
-        // by `finish_packet` just before the call).
+        // any bit in an outranking request row of this output (set by
+        // `finish_packet` just before the call).
         let higher_waiting = self.outputs[o].xreq[class.priority() as usize + 1..]
             .iter()
             .any(|&word| word != 0);
@@ -777,7 +783,7 @@ impl ShardedModel for QosSwitch {
 
     /// Commits the plans in output order against the blocked set the
     /// decides ran with. A plan invalidated by an earlier output's grant
-    /// is re-decided inside [`QosSwitch::commit_output`] with the
+    /// is re-decided inside `QosSwitch::commit_output` with the
     /// updated picture — exactly the decision the sequential loop would
     /// have made at that point, which is why the engines agree at any
     /// thread count.

@@ -16,6 +16,7 @@ use ssq_trace::Tracer;
 use ssq_traffic::ArrivalSchedule;
 use ssq_types::{Cycle, FlowId, InputId, OutputId, PacketId, PacketSpec, Rate, TrafficClass};
 
+use crate::bitmask::PortSet;
 use crate::config::{ConfigError, Policy, SwitchConfig};
 use crate::port::InputPort;
 
@@ -151,7 +152,9 @@ pub struct QosSwitch {
     /// each grant the commit phase makes (bit `i` ⇔ input `i`).
     blocked: u64,
     /// The word of inputs whose link is up — all ones over the radix
-    /// (`all_ports`) until the fault layer takes a link down.
+    /// (`all_ports`) until the fault layer takes a link down. The only
+    /// record of link state: a downed input neither admits packets nor
+    /// competes, and its buffered packets stay put.
     live_links: u64,
     /// Bit `i` set for every port of the switch.
     all_ports: u64,
@@ -163,8 +166,8 @@ pub struct QosSwitch {
     /// inputs that cannot compete when a cycle starts.
     busy_in: u64,
     /// Bit `o` ⇔ output `o`'s `xreq` has a bit set in some class, kept by
-    /// [`Self::sync_port_masks`]. `(req_out & !busy_out) | finishing` is
-    /// the word of outputs a cycle has work at.
+    /// [`Self::set_request`] beside the row. `(req_out & !busy_out) |
+    /// finishing` is the word of outputs a cycle has work at.
     req_out: u64,
     /// Per input, the output it feeds while its `busy_in` bit is set.
     feeds: Vec<usize>,
@@ -185,11 +188,6 @@ pub struct QosSwitch {
     /// Outputs visited by [`Self::run_cycle`] in the current window.
     outputs_visited: u64,
     transmit_only: TransmitOnlyCycles,
-    /// Last-synced copy of each port's own request words
-    /// ([`InputPort::request_bits`]), indexed `[input][class.priority()]`
-    /// and XOR-diffed against the fresh words so the outputs' `xreq`
-    /// updates cost O(changed bits) per mutation.
-    mask_shadow: Vec<[u64; 3]>,
     next_packet_id: PacketId,
     counters: SwitchCounters,
     be_metrics: MetricsMatrix,
@@ -271,7 +269,6 @@ impl QosSwitch {
             finish: [0; 64],
             outputs_visited: 0,
             transmit_only: TransmitOnlyCycles::default(),
-            mask_shadow: vec![[0; 3]; radix],
             next_packet_id: PacketId::new(0),
             counters: SwitchCounters::default(),
             be_metrics: MetricsMatrix::new(radix),
@@ -362,7 +359,8 @@ impl QosSwitch {
         &self.config
     }
 
-    /// The last cycle passed to [`CycleModel::step`] — where a run got
+    /// The last cycle passed to
+    /// [`CycleModel::step`](ssq_sim::CycleModel::step) — where a run got
     /// to when it ended (or aborted).
     #[must_use]
     pub fn now_hint(&self) -> Cycle {
@@ -394,9 +392,10 @@ impl QosSwitch {
 
     /// Arms the cycle-phase profiler: every cycle is routed through the
     /// instrumented step path and its prepare/decide/commit wall-clock
-    /// is accumulated. [`CycleModel::begin_measurement`] zeroes the
-    /// totals with the switch's other statistics, so arming before a run
-    /// profiles its measured phase.
+    /// is accumulated.
+    /// [`CycleModel::begin_measurement`](ssq_sim::CycleModel::begin_measurement)
+    /// zeroes the totals with the switch's other statistics, so arming
+    /// before a run profiles its measured phase.
     pub fn prof_arm(&mut self) {
         self.prof.arm();
     }
@@ -549,8 +548,9 @@ impl QosSwitch {
     /// Whether a step would change nothing but the clocks: no channel
     /// transmitting, nothing buffered or staged, every link up and the
     /// fault machinery disarmed. A handful of word tests, so a caller
-    /// may ask every cycle. What [`EventModel::skip_idle`] requires of
-    /// the switch itself (it also asks the injectors for their next
+    /// may ask every cycle. What
+    /// [`EventModel::skip_idle`](ssq_sim::EventModel::skip_idle) requires
+    /// of the switch itself (it also asks the injectors for their next
     /// arrival).
     #[must_use]
     pub fn is_quiescent(&self) -> bool {
@@ -593,13 +593,18 @@ impl QosSwitch {
         Some(Cycle::new(from.value().saturating_add(ticks - 1)))
     }
 
-    /// Debug-only cross-check that the incrementally maintained words
-    /// (request words and their shadow, live links) agree with a
-    /// from-scratch recomputation — catches any queue-mutation site that
-    /// forgot its [`Self::sync_port_masks`] call.
+    /// Whether input `i`'s link is up.
+    fn link_up(&self, i: usize) -> bool {
+        PortSet::from_bits(self.live_links).contains(i)
+    }
+
+    /// Debug-only cross-check of the incrementally maintained words
+    /// against a from-scratch recomputation: the transmit words against
+    /// the intervals, and every request row against the queue heads —
+    /// catches any queue-mutation site that forgot its
+    /// [`Self::set_request`] call.
     #[cfg(debug_assertions)]
     fn debug_assert_masks_synced(&self) {
-        use crate::bitmask::PortSet;
         let (mut busy_out, mut busy_in, mut req_out) = (0u64, 0u64, 0u64);
         for (o, out) in self.outputs.iter().enumerate() {
             if let Some(output::Interval {
@@ -646,29 +651,19 @@ impl QosSwitch {
             "busy_in disagrees with the intervals"
         );
         assert_eq!(self.req_out, req_out, "req_out disagrees with xreq");
-        let live = PortSet::from_bits(self.live_links);
-        for (i, port) in self.ports.iter().enumerate() {
-            assert_eq!(
-                live.contains(i),
-                port.is_link_up(),
-                "live-links bit {i} disagrees with the port"
-            );
+        for (o, out) in self.outputs.iter().enumerate() {
             for class in TrafficClass::ALL {
-                let c = class.priority() as usize;
-                let fresh = PortSet::from_bits(port.request_bits(class));
-                assert_eq!(
-                    self.mask_shadow[i][c],
-                    fresh.bits(),
-                    "stale {class:?} shadow word for input {i}: a queue \
-                     mutation site is missing sync_port_masks"
-                );
-                for (o, out) in self.outputs.iter().enumerate() {
-                    assert_eq!(
-                        PortSet::from_bits(out.xreq[c]).contains(i),
-                        fresh.contains(o),
-                        "xreq[{o}][{c}] bit {i} disagrees with the queue head"
-                    );
+                let mut row = PortSet::EMPTY;
+                for (i, port) in self.ports.iter().enumerate() {
+                    if port.head(class, OutputId::new(o)).is_some() {
+                        row.insert(i);
+                    }
                 }
+                assert_eq!(
+                    out.xreq[class.priority() as usize],
+                    row.bits(),
+                    "output {o}'s {class:?} request row disagrees with the queue heads"
+                );
             }
         }
     }

@@ -196,10 +196,10 @@ pub(super) struct Output {
     pub(super) interval: Option<Interval>,
     /// The column's class request words, the decide kernel's input:
     /// `xreq[class.priority()]` has bit `i` set iff input `i` holds a
-    /// head-of-queue packet of that class for this output. Maintained
-    /// incrementally whenever a queue head changes
-    /// (`QosSwitch::sync_port_masks`), so a decide reads one row instead
-    /// of probing `radix` queue heads.
+    /// head-of-queue packet of that class for this output: the switch's
+    /// only record of who requests what. Maintained incrementally
+    /// whenever a queue head changes (`QosSwitch::set_request`), so a
+    /// decide reads one row instead of probing `radix` queue heads.
     pub(super) xreq: [u64; 3],
     /// Cycles requesters have waited out the arbitration latency.
     pub(super) arb_wait: u64,

@@ -201,7 +201,7 @@ impl QosSwitch {
         let mut gb = Vec::new();
         let mut be = Vec::new();
         for (i, port) in self.ports.iter().enumerate() {
-            if blocked[i] || !port.is_link_up() {
+            if blocked[i] || !self.link_up(i) {
                 continue;
             }
             if let Some(p) = port.head(TrafficClass::GuaranteedLatency, output) {

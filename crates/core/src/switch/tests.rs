@@ -574,6 +574,118 @@ fn be_voq_removes_head_of_line_blocking() {
     assert!(voq > fifo + 0.1, "VOQ gain missing: {fifo:.3} -> {voq:.3}");
 }
 
+/// Input `i`'s bit in output `o`'s `class` request row.
+fn requests(switch: &QosSwitch, i: usize, o: usize, class: TrafficClass) -> bool {
+    switch.outputs[o].xreq[class.priority() as usize] & 1 << i != 0
+}
+
+/// Offers input `i` a `class` packet of `len` flits for output `o`.
+fn offer(switch: &mut QosSwitch, i: usize, o: usize, class: TrafficClass, len: u64, now: u64) {
+    use ssq_types::{PacketId, PacketSpec};
+    let flow = FlowId::new(InputId::new(i), OutputId::new(o));
+    let spec = PacketSpec::new(PacketId::new(now), flow, class, len, Cycle::new(now));
+    assert!(switch.offer_packet(spec, Cycle::new(now)), "{spec} refused");
+}
+
+/// Runs the debug auditor on `switch` (nothing in a release build).
+fn audit(_switch: &QosSwitch) {
+    #[cfg(debug_assertions)]
+    _switch.debug_assert_masks_synced();
+}
+
+/// The request rows are the only record of who requests what: each is
+/// set where a packet becomes a queue head and cleared where it pops,
+/// and the debug auditor, which re-derives every row from the queue
+/// heads, runs at the start of every step and after the last one.
+#[test]
+fn request_rows_follow_the_queue_heads() {
+    let radix4 = |be_voq: bool| {
+        let config = SwitchConfig::builder(Geometry::new(4, 128).unwrap())
+            .policy(Policy::LrgOnly)
+            .be_voq(be_voq)
+            .build()
+            .unwrap();
+        QosSwitch::new(config).unwrap()
+    };
+    let (be, gb) = (TrafficClass::BestEffort, TrafficClass::GuaranteedBandwidth);
+
+    // A GB head drains a flit a cycle; its bit drops only when it pops.
+    let mut switch = radix4(false);
+    offer(&mut switch, 1, 2, gb, 4, 0);
+    assert!(requests(&switch, 1, 2, gb) && switch.req_out == 1 << 2);
+    let mut now = 0;
+    let mut freed = Vec::new();
+    while switch.counters().delivered_packets == 0 {
+        assert!(
+            requests(&switch, 1, 2, gb),
+            "cycle {now}: dropped before the pop"
+        );
+        switch.step(Cycle::new(now));
+        freed.push(switch.free_flits(InputId::new(1), gb, OutputId::new(2)));
+        now += 1;
+    }
+    audit(&switch);
+    assert!(!requests(&switch, 1, 2, gb) && switch.req_out == 0);
+    // Granted in the first cycle, then one flit a cycle.
+    assert_eq!(freed, [0, 1, 2, 3, 4]);
+
+    // A shared BE FIFO's pop re-points the input's bit at the next
+    // packet's output.
+    let mut switch = radix4(false);
+    offer(&mut switch, 1, 0, be, 2, 0);
+    offer(&mut switch, 1, 3, be, 2, 0);
+    assert!(requests(&switch, 1, 0, be) && !requests(&switch, 1, 3, be));
+    let mut now = 0;
+    while switch.counters().delivered_packets == 0 {
+        switch.step(Cycle::new(now));
+        now += 1;
+    }
+    audit(&switch);
+    assert!(!requests(&switch, 1, 0, be) && requests(&switch, 1, 3, be));
+    assert_eq!(switch.req_out, 1 << 3);
+
+    // A port with per-output BE queues requests two outputs at once,
+    // and each bit drops with its own packet.
+    let mut switch = radix4(true);
+    offer(&mut switch, 2, 1, be, 2, 0);
+    offer(&mut switch, 2, 3, be, 2, 0);
+    assert!(requests(&switch, 2, 1, be) && requests(&switch, 2, 3, be));
+    assert_eq!(switch.req_out, 1 << 1 | 1 << 3);
+    let mut now = 0;
+    while switch.counters().delivered_packets < 2 {
+        switch.step(Cycle::new(now));
+        let delivered = switch.counters().delivered_packets;
+        assert_eq!(u64::from(switch.req_out.count_ones()), 2 - delivered);
+        now += 1;
+    }
+    audit(&switch);
+    assert!(switch.outputs.iter().all(|out| out.xreq == [0; 3]));
+
+    // A downed link masks the input without touching its request: the
+    // packet stays buffered and requesting, and is served once the
+    // link is back.
+    let mut switch = radix4(false);
+    offer(&mut switch, 0, 1, gb, 2, 0);
+    switch.fault_set_link(InputId::new(0), false, Cycle::ZERO);
+    assert!(!switch.link_up(0) && switch.link_up(1));
+    for now in 0..10 {
+        switch.step(Cycle::new(now));
+        assert!(requests(&switch, 0, 1, gb), "cycle {now}: request lost");
+        assert_eq!(switch.channel(OutputId::new(1)), ChannelState::Idle);
+    }
+    audit(&switch);
+    switch.fault_set_link(InputId::new(0), true, Cycle::new(10));
+    assert!(switch.link_up(0) && !switch.armed);
+    let mut now = 10;
+    while switch.counters().delivered_packets == 0 {
+        assert!(now < 20, "the healed input was never served");
+        switch.step(Cycle::new(now));
+        now += 1;
+    }
+    audit(&switch);
+    assert_eq!(switch.req_out, 0);
+}
+
 /// Fabric-in-the-loop: a mixed GB+GL run where every arbitration is
 /// double-checked against the bit-level inhibit fabric. Any
 /// behavioural/circuit divergence panics inside step().

@@ -249,7 +249,7 @@ fn heal_all_disarms_and_refills_retries() {
     switch.outputs[0].retries_left = 0;
     switch.fault_heal_all(Cycle::new(3));
     assert!(!switch.armed);
-    assert!(switch.ports[1].is_link_up());
+    assert!(switch.link_up(1));
     assert_eq!(switch.outputs[0].retries_left, 2);
 }
 

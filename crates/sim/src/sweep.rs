@@ -1,8 +1,7 @@
 //! Thread-parallel parameter sweeps.
 
 /// Runs `f` once per parameter point, spreading points across up to
-/// `std::thread::available_parallelism()` scoped threads (overridable
-/// via the `SSQ_SWEEP_THREADS` environment variable), and returns the
+/// `std::thread::available_parallelism()` scoped threads, and returns the
 /// results **in input order** — the result is a pure function of
 /// `params` and `f`, never of the machine's core count.
 ///
@@ -25,22 +24,8 @@ where
     R: Send,
     F: Fn(&P) -> R + Sync,
 {
-    sweep_with_threads(params, default_threads(), f)
-}
-
-/// Thread count [`sweep`] uses: the `SSQ_SWEEP_THREADS` environment
-/// variable when set to a positive integer, else the machine's
-/// available parallelism.
-fn default_threads() -> usize {
-    std::env::var("SSQ_SWEEP_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&t| t > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
+    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    sweep_with_threads(params, threads, f)
 }
 
 /// [`sweep`] with an explicit thread count (clamped to at least one).

@@ -28,6 +28,11 @@ echo "== clippy (stock lints at the scopes DESIGN.md section 10 tabulates) =="
 # examples are held to the same lints as the libraries.
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== rustdoc: every intra-doc link resolves =="
+# A link to a missing or private item is an error, so a deletion or a
+# move that leaves a doc pointing at nothing fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== the four in-tree rules (ssq-lint via xtask) =="
 # What no stock lint expresses; any finding fails.
 cargo run --quiet -p xtask -- lint

@@ -32,18 +32,13 @@ BINARIES=(
 
 cargo build --release -p ssq-bench
 
-# Headline reproductions run with the flight recorder armed: a stalled
-# or guarantee-violating run dumps its last trace events to
-# results/flight-<bin>.txt instead of silently producing bad numbers.
-FLIGHT_RECORDED=(fig4 fig5 rate_adherence)
-
+# The headline reproductions (fig4, fig5, rate_adherence) always run
+# with the flight recorder armed: a stalled or guarantee-violating run
+# dumps its last trace events to results/flight-<bin>.txt instead of
+# silently producing bad numbers.
 for bin in "${BINARIES[@]}"; do
   echo "== $bin =="
-  args=()
-  if [[ " ${FLIGHT_RECORDED[*]} " == *" $bin "* ]]; then
-    args+=(--flight-recorder)
-  fi
-  cargo run --release --quiet -p ssq-bench --bin "$bin" -- ${args[@]+"${args[@]}"} | tee "results/$bin.txt"
+  cargo run --release --quiet -p ssq-bench --bin "$bin" | tee "results/$bin.txt"
   echo
 done
 

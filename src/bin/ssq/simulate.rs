@@ -26,9 +26,13 @@ const METRICS: [&str; 5] = [
 
 /// Snapshots [`METRICS`] from the switch if `now` is on the interval.
 fn observe_metrics(registry: &mut MetricsRegistry, switch: &QosSwitch, now: Cycle) {
-    if !registry.due(now.value()) {
-        return;
+    if registry.due(now.value()) {
+        snapshot_metrics(registry, switch, now);
     }
+}
+
+/// Snapshots [`METRICS`] from the switch at `now`.
+fn snapshot_metrics(registry: &mut MetricsRegistry, switch: &QosSwitch, now: Cycle) {
     let c = switch.counters();
     let values = [
         c.delivered_packets,
@@ -341,11 +345,19 @@ pub(crate) fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         run_schedule(engine, schedule, &mut switch, mode)
     }));
+    // The post-mortem's metrics are the switch's at `at`: a row is
+    // taken there unless the observer already took it. `observed`: the
+    // observer saw cycle `at`'s step end (a trip is found after it; a
+    // panic cuts the step short).
     let dump = |switch: &mut QosSwitch,
-                probe: &Option<MetricsRegistry>,
+                probe: &mut Option<MetricsRegistry>,
                 name: &str,
                 reason: &str,
-                at: u64| {
+                at: Cycle,
+                observed: bool| {
+        if let Some(p) = probe.as_mut().filter(|p| !(observed && p.due(at.value()))) {
+            snapshot_metrics(p, switch, at);
+        }
         switch.tracer_mut().flush();
         let events = switch
             .tracer()
@@ -356,7 +368,7 @@ pub(crate) fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
             std::path::Path::new("results"),
             name,
             reason,
-            at,
+            at.value(),
             &events,
             probe.as_ref(),
         )
@@ -365,13 +377,14 @@ pub(crate) fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
         Ok(outcome) => outcome,
         Err(panic) => {
             if monitored {
-                let at = switch.now_hint().value();
+                let at = switch.now_hint();
                 match dump(
                     &mut switch,
-                    &probe,
+                    &mut probe,
                     "panic",
                     "panic during simulation (failed debug assertion?)",
                     at,
+                    false,
                 ) {
                     Ok(path) => eprintln!("flight recorder dumped to {}", path.display()),
                     Err(e) => eprintln!("flight recorder dump failed: {e}"),
@@ -386,7 +399,7 @@ pub(crate) fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
     let now = match outcome {
         MonitorOutcome::Completed(at) => at,
         MonitorOutcome::Tripped { at, reason } => {
-            let path = dump(&mut switch, &probe, "trip", &reason, at.value())
+            let path = dump(&mut switch, &mut probe, "trip", &reason, at, true)
                 .map_err(|e| err(format!("writing post-mortem: {e}")))?;
             return Err(err(format!(
                 "run tripped at {at}: {reason}\npost-mortem written to {}",

@@ -42,8 +42,10 @@ pub(crate) fn trace_report(args: &[String]) -> Result<(), Box<dyn Error>> {
             return Ok(());
         }
     }
-    println!("\nper-flow grant latency (cycles):");
-    print!("{}", summary.grant_table().to_text());
+    if !summary.flows.is_empty() {
+        println!("\nper-flow grant latency (cycles):");
+        print!("{}", summary.grant_table().to_text());
+    }
     if !summary.inhibits.is_empty() {
         println!("\ninhibits and auxVC saturations:");
         print!("{}", summary.contention_table().to_text());

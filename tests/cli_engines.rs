@@ -271,17 +271,24 @@ fn the_observation_outputs_keep_their_bytes() {
         ],
     );
     assert!(!out.status.success(), "a 0-cycle GL bound cannot hold");
+    assert!(
+        stderr(&out).contains("run tripped at cycle 48"),
+        "{}",
+        stderr(&out)
+    );
     let post_mortem = read(&cwd.join("results/flight-trip.txt"));
     let block = post_mortem
         .split_once("\n--- metrics at trip ---\n")
         .map(|(_, block)| block)
         .expect("a metrics block");
+    // The block is the switch's at the trip, not at the last interval
+    // boundary before it: the trip cycle's row ends the series.
     let rule = "-".repeat(94);
     assert_eq!(
         block,
         format!(
-            "delivered_packets = 0.000\n\
-             delivered_flits = 0.000\n\
+            "delivered_packets = 3.000\n\
+             delivered_flits = 12.000\n\
              dropped_packets = 0.000\n\
              chained_packets = 0.000\n\
              gl_policed_cycles = 0.000\n\
@@ -289,7 +296,8 @@ fn the_observation_outputs_keep_their_bytes() {
              --- sampled series ---\n\
              cycle  delivered_packets  delivered_flits  dropped_packets  chained_packets  gl_policed_cycles\n\
              {rule}\n\
-             0                  0.000            0.000            0.000            0.000              0.000\n"
+             0                  0.000            0.000            0.000            0.000              0.000\n\
+             48                 3.000           12.000            0.000            0.000              0.000\n"
         )
     );
 

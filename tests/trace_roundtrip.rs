@@ -267,6 +267,9 @@ fn trace_report_prints_fault_and_fabric_activity() {
         assert!(text.status.success(), "{trace}: {}", common::stderr(&text));
         let text = String::from_utf8_lossy(&text.stdout);
         assert!(text.ends_with(tail), "{trace}: {text}");
+        // A hop trace has no grants, so no grant table either.
+        let grants = text.contains("per-flow grant latency");
+        assert_eq!(grants, trace.ends_with("aux-seu.jsonl"), "{trace}: {text}");
         let csv = ssq_in(&cwd, &["trace-report", "--in", trace, "--csv"]);
         let csv = String::from_utf8_lossy(&csv.stdout);
         assert!(csv.starts_with("flow,class,grants,"), "{trace}: {csv}");
