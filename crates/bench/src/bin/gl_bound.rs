@@ -13,11 +13,11 @@ use ssq_types::{Cycles, FlowId, Geometry, InputId, OutputId, Rate, TrafficClass}
 const GB_LEN: u64 = 8;
 
 /// Builds an 8×8 rig where `8 − n_gl` inputs run saturated GB traffic and
-/// `n_gl` inputs inject GL packets of `gl_len` flits.
+/// `n_gl` inputs inject GL packets, input `8 − n_gl + k` from
+/// `gl_source(k)`.
 fn gl_rig(
     n_gl: usize,
     gl_buffer: u64,
-    gl_len: u64,
     gl_source: impl Fn(usize) -> Box<dyn ssq_traffic::TrafficSource + Send + Sync>,
 ) -> QosSwitch {
     let geometry = Geometry::new(8, 128).expect("valid geometry");
@@ -61,7 +61,6 @@ fn gl_rig(
             .for_input(InputId::new(gb_inputs + k)),
         );
     }
-    let _ = gl_len;
     switch
 }
 
@@ -81,7 +80,7 @@ fn eq1_table() -> Table {
     for &n_gl in &[1usize, 2, 4] {
         for &b in &[4u64, 8] {
             for (load_name, make) in [("colliding bursts", colliding), ("saturating", saturating)] {
-                let mut switch = gl_rig(n_gl, b, 1, make);
+                let mut switch = gl_rig(n_gl, b, make);
                 let _ = Runner::new(Schedule::new(Cycles::new(2_000), Cycles::new(60_000)))
                     .run(&mut switch);
                 let measured = switch

@@ -5,8 +5,8 @@
 use std::collections::VecDeque;
 
 use ssq_trace::{Event, EventKind, RejectReason};
-use ssq_traffic::{Injector, PacketIntent};
-use ssq_types::{Cycle, FlowId, PacketSpec, TrafficClass};
+use ssq_traffic::{Injector, PacketIntent, ParseTraceError, Replay};
+use ssq_types::{Cycle, FlowId, InputId, PacketSpec, TrafficClass};
 
 use super::{wire, QosSwitch, NEVER};
 use crate::bitmask::PortSet;
@@ -20,17 +20,55 @@ const STAGING_CAP_PACKETS: usize = 64;
 
 impl QosSwitch {
     /// Attaches a traffic injector to its input port.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input is not a port of the switch.
     pub fn add_injector(&mut self, injector: Injector) {
+        self.attach(injector.input());
+        self.injectors.push(injector);
+    }
+
+    /// Attaches a replayed trace's injectors to their input ports, one
+    /// per non-empty `(input, class)` stream in `(input, class)` order
+    /// ([`ArrivalSchedule::push_replay`](ssq_traffic::ArrivalSchedule::push_replay)).
+    /// A file sorted by cycle is read
+    /// during the run, a block at a time; a line of it that no longer
+    /// reads as it did ends the replay there, and
+    /// [`QosSwitch::replay_error`] names it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a stream's input is not a port of the switch (open the
+    /// replay with the switch's radix).
+    pub fn add_replay(&mut self, replay: Replay) {
+        let first = self.injectors.len();
+        self.injectors.push_replay(replay);
+        for idx in first..self.injectors.len() {
+            self.attach(self.injectors.input(idx));
+        }
+    }
+
+    /// The first fault a replay added with [`QosSwitch::add_replay`] met
+    /// during the run, naming its line: once there is one, no further
+    /// replayed packet arrives, so a report of the run is not the file's.
+    #[must_use]
+    pub fn replay_error(&self) -> Option<&ParseTraceError> {
+        self.injectors.replay_error()
+    }
+
+    /// The injection state of the next injector, which feeds `input`.
+    fn attach(&mut self, input: InputId) {
         assert!(
-            injector.input().index() < self.config.geometry().radix(),
+            input.index() < self.config.geometry().radix(),
             "injector input out of range"
         );
-        if self.injectors.len().is_multiple_of(64) {
+        let idx = self.staging.len();
+        if idx.is_multiple_of(64) {
             self.staged.push(0);
             self.asleep.push(0);
         }
-        self.injectors_of[injector.input().index()].push(self.injectors.len());
-        self.injectors.push(injector);
+        self.injectors_of[input.index()].push(idx);
         self.staging.push(VecDeque::new());
         self.retry_at.push(0);
     }

@@ -2,7 +2,8 @@
 
 use ssq_types::{Cycle, InputId, OutputId, TrafficClass};
 
-use crate::{DestinationPattern, TrafficSource};
+use crate::replay::Feed;
+use crate::{DestinationPattern, ParseTraceError, Replay, TrafficSource};
 
 /// A packet the injector wants to create this cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,7 +116,11 @@ impl Injector {
 /// ([`TrafficSource::poll_block`]:
 /// same stream, same order, one `dyn` call) and transposes the arrival
 /// words into per-cycle *due* words — bit `j` of group `g`'s word for a
-/// cycle is set iff injector `64 g + j` has a packet arriving then. The
+/// cycle is set iff injector `64 g + j` has a packet arriving then. A
+/// [`Replay`] of a file sorted by cycle is fed in bulk instead: at each
+/// block draw its feeder reads the file up to the first line past the
+/// block and files each line's packet under the line's `(input, class)`
+/// injector ([`ArrivalSchedule::push_replay`]). The
 /// switch calls [`ArrivalSchedule::advance`] once per cycle, reads the
 /// due words and [`ArrivalSchedule::take`]s exactly the due arrivals, in
 /// ascending injector order.
@@ -127,7 +132,10 @@ impl Injector {
 /// sequence than dense polling produces.
 #[derive(Debug)]
 pub struct ArrivalSchedule {
-    injectors: Vec<Injector>,
+    lanes: Vec<Lane>,
+    /// The bulk feeders of the streamed replays, each with the index of
+    /// its first lane.
+    feeds: Vec<(usize, Feed)>,
     /// The drawn block is `base..end`; cycles before `cursor` have been
     /// stepped (or skipped as idle). `base == end` before the first draw.
     base: u64,
@@ -137,9 +145,9 @@ pub struct ArrivalSchedule {
     due: Vec<u64>,
     /// Bit `cycle - base` set iff any injector is due in `cycle`.
     any: u64,
-    /// Lengths of the block's drawn arrivals, each injector's run in
-    /// cycle order; `lens[next[idx]]` is injector `idx`'s next one. One
-    /// buffer for all, sized at `push` and reused across blocks.
+    /// Lengths of the block's drawn arrivals, each polled injector's run
+    /// in cycle order; `lens[next[idx]]` is injector `idx`'s next one.
+    /// One buffer for all, sized at `push` and reused across blocks.
     lens: Vec<u64>,
     next: Vec<usize>,
     /// The earliest arrival at or after `end`, asked of the sources as
@@ -150,7 +158,8 @@ pub struct ArrivalSchedule {
 impl Default for ArrivalSchedule {
     fn default() -> Self {
         ArrivalSchedule {
-            injectors: Vec::new(),
+            lanes: Vec::new(),
+            feeds: Vec::new(),
             base: 0,
             cursor: 0,
             end: 0,
@@ -168,13 +177,13 @@ impl ArrivalSchedule {
     /// Number of injectors.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.injectors.len()
+        self.lanes.len()
     }
 
     /// Whether the schedule holds no injector.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.injectors.is_empty()
+        self.lanes.is_empty()
     }
 
     /// The input port injector `idx` feeds.
@@ -184,19 +193,17 @@ impl ArrivalSchedule {
     /// Panics if `idx` is out of range (as do the other `idx` methods).
     #[must_use]
     pub fn input(&self, idx: usize) -> InputId {
-        self.injectors[idx].input
+        match &self.lanes[idx] {
+            Lane::Polled(injector) => injector.input,
+            Lane::Fed { input, .. } => *input,
+        }
     }
 
     /// Adds an injector. Mid-block it is drawn over the rest of the
     /// block only, so its first poll is the next cycle to be stepped —
     /// the same first poll a densely polled injector would get.
     pub fn push(&mut self, injector: Injector) {
-        let idx = self.injectors.len();
-        if idx.is_multiple_of(64) {
-            self.due.resize(self.due.len() + 64, 0);
-        }
-        self.injectors.push(injector);
-        self.next.push(0);
+        let idx = self.add(Lane::Polled(injector));
         // Room for a packet per injector per cycle of a block, taken
         // here so that no refill ever allocates.
         self.lens
@@ -204,9 +211,57 @@ impl ArrivalSchedule {
         self.draw(idx);
     }
 
-    /// Draws injector `idx` over `cursor..end` and files its arrivals.
+    /// Adds a replay's injectors, one per non-empty `(input, class)`
+    /// stream in `(input, class)` order, drawn from the next cycle to be
+    /// stepped as [`ArrivalSchedule::push`] draws one. A file sorted by
+    /// cycle is read from here on, a block at a time: a line that no
+    /// longer reads as [`Replay::open`] read it, or an I/O error, ends
+    /// the replay's arrivals there and is kept as
+    /// [`ArrivalSchedule::replay_error`].
+    pub fn push_replay(&mut self, replay: Replay) {
+        let feed = match replay.into_parts() {
+            Ok(feed) => feed,
+            Err(injectors) => return injectors.into_iter().for_each(|i| self.push(i)),
+        };
+        let (first, at) = (self.lanes.len(), self.feeds.len());
+        for lane in 0..feed.streams.len() {
+            let (input, class) = feed.stream(lane);
+            self.add(Lane::Fed {
+                input,
+                class,
+                feed: at,
+                lane,
+            });
+        }
+        self.feeds.push((first, feed));
+        self.fill(at);
+    }
+
+    /// The first fault a streamed replay met during the run: a line that
+    /// no longer read as [`Replay::open`] read it, or could not be read.
+    #[must_use]
+    pub fn replay_error(&self) -> Option<&ParseTraceError> {
+        self.feeds.iter().find_map(|(_, feed)| feed.error())
+    }
+
+    /// Appends `lane` undrawn; its index.
+    fn add(&mut self, lane: Lane) -> usize {
+        let idx = self.lanes.len();
+        if idx.is_multiple_of(64) {
+            self.due.resize(self.due.len() + 64, 0);
+        }
+        self.lanes.push(lane);
+        self.next.push(0);
+        idx
+    }
+
+    /// Draws injector `idx` over `cursor..end` and files its arrivals,
+    /// if it is polled: a fed one's feed files them.
     fn draw(&mut self, idx: usize) {
-        let source = &mut self.injectors[idx].source;
+        let Lane::Polled(injector) = &mut self.lanes[idx] else {
+            return;
+        };
+        let source = &mut injector.source;
         let first = self.cursor - self.base;
         if self.cursor < self.end {
             // At most 64 cycles, so the narrowing is exact.
@@ -223,6 +278,20 @@ impl ArrivalSchedule {
         }
         let next = source.next_arrival(Cycle::new(self.end));
         self.after = self.after.zip(next).map(|(a, t)| a.min(t.value()));
+    }
+
+    /// Has feed `f` read its packets of `cursor..end`, setting each one's
+    /// due bit.
+    fn fill(&mut self, f: usize) {
+        let (first, feed) = &mut self.feeds[f];
+        let (due, any, base) = (&mut self.due, &mut self.any, self.base);
+        feed.fill(self.cursor, self.end, |lane, cycle| {
+            let (idx, t) = (*first + lane, cycle - base);
+            due[idx / 64 * 64 + t as usize] |= 1 << (idx % 64);
+            *any |= 1 << t;
+        });
+        let next = feed.next_cycle();
+        self.after = self.after.map(|a| a.min(next));
     }
 
     /// Drawn arrivals in `from..to` (clipped to the block), as offsets
@@ -280,8 +349,11 @@ impl ArrivalSchedule {
             self.any = 0;
             self.lens.clear();
             self.after = Some(u64::MAX);
-            for idx in 0..self.injectors.len() {
+            for idx in 0..self.lanes.len() {
                 self.draw(idx);
+            }
+            for f in 0..self.feeds.len() {
+                self.fill(f);
             }
         }
         self.cursor = now.wrapping_add(1);
@@ -299,21 +371,48 @@ impl ArrivalSchedule {
     /// The arrival injector `idx` is due this cycle. Call once per set
     /// bit of [`ArrivalSchedule::due`], in ascending order.
     pub fn take(&mut self, idx: usize) -> PacketIntent {
-        let len_flits = self.lens[self.next[idx]];
-        self.next[idx] += 1;
-        self.injectors[idx].intent(len_flits)
+        match &mut self.lanes[idx] {
+            Lane::Polled(injector) => {
+                let len_flits = self.lens[self.next[idx]];
+                self.next[idx] += 1;
+                injector.intent(len_flits)
+            }
+            &mut Lane::Fed {
+                class, feed, lane, ..
+            } => {
+                let (len_flits, output) = self.feeds[feed].1.packet(lane, self.cursor - 1);
+                PacketIntent {
+                    output,
+                    class,
+                    len_flits,
+                }
+            }
+        }
     }
 
     /// Dense form, for an oracle that polls every injector every cycle
-    /// ([`Injector::poll`]); never mixed with [`ArrivalSchedule::advance`]
-    /// inside a drawn block.
+    /// ([`Injector::poll`]; a fed injector's first poll of a cycle reads
+    /// its replay up to that cycle); never mixed with
+    /// [`ArrivalSchedule::advance`] inside a drawn block.
     ///
     /// # Panics
     ///
     /// Panics if `now` was already drawn.
     pub fn poll_dense(&mut self, idx: usize, now: Cycle) -> Option<PacketIntent> {
         assert!(now.value() >= self.end, "{now} is already drawn ahead");
-        self.injectors[idx].poll(now)
+        match &mut self.lanes[idx] {
+            Lane::Polled(injector) => injector.poll(now),
+            &mut Lane::Fed {
+                class, feed, lane, ..
+            } => self.feeds[feed]
+                .1
+                .poll(lane, now.value())
+                .map(|(len_flits, output)| PacketIntent {
+                    output,
+                    class,
+                    len_flits,
+                }),
+        }
     }
 
     /// The earliest cycle at or after `now` (the next cycle to step) in
@@ -335,6 +434,20 @@ impl ArrivalSchedule {
             self.base + u64::from(due.trailing_zeros())
         }))
     }
+}
+
+/// One injector of a schedule.
+#[derive(Debug)]
+enum Lane {
+    /// Drawn by polling its source a block at a time.
+    Polled(Injector),
+    /// Stream `lane` of feed `feed`, which files its arrivals.
+    Fed {
+        input: InputId,
+        class: TrafficClass,
+        feed: usize,
+        lane: usize,
+    },
 }
 
 impl std::fmt::Debug for Injector {

@@ -19,6 +19,8 @@
 //!   64 cycles ahead, so a cycle visits only the injectors that are due.
 //! * [`TraceFile`]: a diff-friendly text format for capturing and
 //!   replaying whole workloads, convertible straight into injectors.
+//! * [`Replay`]: a trace file checked for replay; sorted by cycle, it is
+//!   read into the arrival schedule a block at a time.
 //!
 //! All randomness is drawn from per-source seeded generators, so every
 //! experiment is reproducible from its seed.
@@ -51,6 +53,7 @@
 
 mod injector;
 mod pattern;
+mod replay;
 mod source;
 mod trace_file;
 
@@ -58,6 +61,7 @@ pub use injector::{ArrivalSchedule, Injector, PacketIntent};
 pub use pattern::{
     BitComplement, DestinationPattern, FixedDest, HotspotDest, Shuffle, Transpose, UniformDest,
 };
+pub use replay::Replay;
 pub use source::{
     Bernoulli, BimodalBernoulli, OnOffBursty, Periodic, Saturating, Trace, TrafficSource,
 };

@@ -17,27 +17,31 @@
 //!
 //! One line tokenizer reads every trace. Its fast path works on the
 //! bytes of the shape [`TraceFile`]'s `Display` writes: ASCII digits,
-//! `BE`/`GB`/`GL`, spaces or tabs, `\n` or `\r\n` line ends. Any other
-//! line (a `+5`, Unicode whitespace, a comment, the wrong number of
-//! fields, an overflowing number) goes through the general rules, which
-//! refuse a line that is not UTF-8. Both refuse a packet length outside
+//! `BE`/`GB`/`GL`, spaces or tabs, `\n` or `\r\n` line ends. A reader's
+//! line is tokenized in place in the reader's buffer. Any other line (a
+//! `+5`, Unicode whitespace, a comment, the wrong number of fields, an
+//! overflowing number) goes through the general rules, which refuse a
+//! line that is not UTF-8. Both refuse a packet length outside
 //! `1..=`[`MAX_PACKET_FLITS`].
 //!
-//! One stream builder groups the packets into per-`(input, class)`
-//! schedules — a port replays each class stream independently, matching
-//! the per-class buffering of the switch — and turns each into an
-//! [`Injector`]: a [`Trace`] source and a [`SequenceDest`] pattern that
-//! replays the recorded destinations in order. A stream whose lines
-//! arrive out of cycle order is sorted stably, so the result equals a
-//! stable sort of the whole trace by cycle.
-//!
-//! There are two ways in, with the same tokenizer and builder:
+//! A port replays each `(input, class)` stream independently, matching
+//! the per-class buffering of the switch: a trace becomes one
+//! [`Injector`] per non-empty stream, in `(input, class)` order, and the
+//! packets arrive as a stable sort of the whole trace by cycle orders
+//! them. There are two ways in:
 //! - `text.parse::<TraceFile>()` then [`TraceFile::into_injectors`],
 //!   which keeps the events for editing ([`TraceFile::merged`],
-//!   [`TraceFile::window`], ...);
-//! - [`TraceFile::read_injectors`], which streams a reader line by line
-//!   straight into the builder and never holds the text or the events.
-//!   It also refuses a port outside the switch radix.
+//!   [`TraceFile::window`], ...). One stream builder groups them into
+//!   per-stream schedules, each an [`Injector`] of a [`Trace`] source and
+//!   a [`SequenceDest`] pattern that replays the recorded destinations
+//!   in order.
+//! - [`Replay::open`](crate::Replay::open), the replay path (`ssq
+//!   simulate --replay`), which never holds the text or the events. One
+//!   tokenize-only pass checks the file, refusing a port outside the
+//!   switch radix too, and finds whether it is sorted by cycle. A sorted
+//!   file is rewound and read again during the run, one 64-cycle block
+//!   at a time, straight into the switch's arrival schedule; an unsorted
+//!   one goes line by line into the stream builder.
 //!
 //! Every refusal is a [`ParseTraceError`] naming the 1-based line: a bad
 //! field, a non-UTF-8 byte, a port outside the radix, or the second of
@@ -92,7 +96,7 @@ pub struct ParseTraceError {
 }
 
 impl ParseTraceError {
-    fn new(line: usize, message: impl Into<String>) -> Self {
+    pub(crate) fn new(line: usize, message: impl Into<String>) -> Self {
         ParseTraceError {
             line,
             message: message.into(),
@@ -199,7 +203,8 @@ impl TraceFile {
     /// Reads a trace line by line and returns its injectors, exactly as
     /// `text.parse::<TraceFile>()?.into_injectors()` would, without
     /// holding the text or the events: each line goes straight into its
-    /// `(input, class)` stream.
+    /// `(input, class)` stream. [`Replay::open`](crate::Replay::open)
+    /// builds an unsorted file's injectors here.
     ///
     /// # Errors
     ///
@@ -208,52 +213,125 @@ impl TraceFile {
     /// port outside `radix`; failing those, of the second of two packets
     /// one stream injects in one cycle (the earliest such cycle, then
     /// file order).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ssq_traffic::TraceFile;
-    ///
-    /// let text = "0 2 5 GB 8\n17 2 5 GB 8\n40 0 5 GL 1\n";
-    /// let injectors = TraceFile::read_injectors(text.as_bytes(), 8)?;
-    /// assert_eq!(injectors.len(), 2);
-    ///
-    /// let err = TraceFile::read_injectors(text.as_bytes(), 4).unwrap_err();
-    /// assert_eq!((err.line(), err.message()), (1, "output 5 is outside radix 4"));
-    /// # Ok::<(), ssq_traffic::ParseTraceError>(())
-    /// ```
-    pub fn read_injectors(
-        mut reader: impl BufRead,
+    pub(crate) fn read_injectors(
+        reader: impl BufRead,
         radix: usize,
     ) -> Result<Vec<Injector>, ParseTraceError> {
         let mut streams = Streams::new(radix)?;
-        let mut buf = Vec::new();
-        for line_no in 1.. {
-            buf.clear();
-            match reader.read_until(b'\n', &mut buf) {
-                Ok(0) => break,
-                Ok(_) => {}
-                Err(e) => return Err(ParseTraceError::new(line_no, format!("reading: {e}"))),
-            }
-            let line = buf.strip_suffix(b"\n").unwrap_or(&buf);
-            let Some(event) = parse_line(line, line_no)? else {
-                continue;
-            };
-            for (side, port) in [
-                ("input", event.input.index()),
-                ("output", event.output.index()),
-            ] {
-                if port >= radix {
-                    return Err(ParseTraceError::new(
-                        line_no,
-                        format!("{side} {port} is outside radix {radix}"),
-                    ));
-                }
-            }
-            streams.push(&event, line_no);
+        let mut lines = Lines::new(reader);
+        while let Some(event) = lines.next_event()? {
+            check_ports(&event, radix, lines.line())?;
+            streams.push(&event, lines.line());
         }
         streams.into_injectors()
     }
+}
+
+/// A trace's packet lines, tokenized one at a time from a reader. A
+/// line that lies whole in the reader's buffer is tokenized there; only
+/// one that crosses the buffer's end is copied out.
+pub(crate) struct Lines<R> {
+    reader: R,
+    /// The last line read, when it crossed the end of the buffer.
+    spill: Vec<u8>,
+    /// 1-based number of the last line read.
+    line: usize,
+}
+
+impl<R: BufRead> Lines<R> {
+    pub(crate) fn new(reader: R) -> Self {
+        Lines {
+            reader,
+            spill: Vec::new(),
+            line: 0,
+        }
+    }
+
+    /// 1-based number of the last line read.
+    pub(crate) fn line(&self) -> usize {
+        self.line
+    }
+
+    pub(crate) fn into_inner(self) -> R {
+        self.reader
+    }
+
+    /// The next packet line's event, past any blank and comment lines;
+    /// `None` at the end of the file.
+    pub(crate) fn next_event(&mut self) -> Result<Option<TraceEvent>, ParseTraceError> {
+        loop {
+            let line_no = self.line + 1;
+            let reading =
+                |e: std::io::Error| ParseTraceError::new(line_no, format!("reading: {e}"));
+            let buf = match self.reader.fill_buf() {
+                Ok(buf) => buf,
+                // Retried, as `read_until` retries it.
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(reading(e)),
+            };
+            if buf.is_empty() {
+                return Ok(None);
+            }
+            self.line = line_no;
+            let event = if let Some((event, len)) = scan_line(buf) {
+                self.reader.consume(len);
+                check_len(event, line_no)?
+            } else if let Some(end) = buf.iter().position(|&b| b == b'\n') {
+                let event = parse_line(&buf[..end], line_no);
+                self.reader.consume(end + 1);
+                event?
+            } else {
+                self.spill.clear();
+                self.reader
+                    .read_until(b'\n', &mut self.spill)
+                    .map_err(reading)?;
+                let line = self.spill.strip_suffix(b"\n").unwrap_or(&self.spill);
+                parse_line(line, line_no)?
+            };
+            if event.is_some() {
+                return Ok(event);
+            }
+        }
+    }
+}
+
+/// Refuses an event, read from `line`, whose input or output is not a
+/// port of a radix-`radix` switch.
+#[inline]
+pub(crate) fn check_ports(
+    e: &TraceEvent,
+    radix: usize,
+    line: usize,
+) -> Result<(), ParseTraceError> {
+    for (side, port) in [("input", e.input.index()), ("output", e.output.index())] {
+        if port >= radix {
+            return Err(ParseTraceError::new(
+                line,
+                format!("{side} {port} is outside radix {radix}"),
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The stream slot of an event: `input × 3 + class priority`, so that
+/// slots ascend in `(input, class)` order.
+#[inline]
+pub(crate) fn slot(e: &TraceEvent) -> usize {
+    e.input.index() * 3 + usize::from(e.class.priority())
+}
+
+/// The refusal of the packet on `line`: its stream `slot` already
+/// injects one in `cycle`.
+pub(crate) fn two_packets(cycle: u64, line: usize, slot: usize) -> ParseTraceError {
+    ParseTraceError::new(
+        line,
+        format!(
+            "input {} injects two {} packets at cycle {cycle}",
+            InputId::new(slot / 3),
+            TrafficClass::ALL[slot % 3]
+        ),
+    )
 }
 
 /// The per-`(input, class)` replay streams of a trace, filled one packet
@@ -297,7 +375,7 @@ impl Streams {
     /// Appends `e`, read from `line`, to its stream. Its input must be
     /// below the `inputs` the builder was made for.
     fn push(&mut self, e: &TraceEvent, line: usize) {
-        let slot = e.input.index() * 3 + usize::from(e.class.priority());
+        let slot = slot(e);
         let stream = &mut self.slots[slot];
         let last = stream.schedule.last().map(|&(cycle, _)| cycle);
         match &mut stream.unsorted {
@@ -330,14 +408,7 @@ impl Streams {
             }
         }
         if let Some((cycle, line, slot)) = self.duplicate {
-            return Err(ParseTraceError::new(
-                line,
-                format!(
-                    "input {} injects two {} packets at cycle {cycle}",
-                    InputId::new(slot / 3),
-                    TrafficClass::ALL[slot % 3]
-                ),
-            ));
+            return Err(two_packets(cycle, line, slot));
         }
         Ok(self
             .slots
@@ -386,6 +457,15 @@ fn parse_line(line: &[u8], line_no: usize) -> Result<Option<TraceEvent>, ParseTr
             general_line(text, line_no)?
         }
     };
+    check_len(event, line_no)
+}
+
+/// Refuses a packet length outside `1..=`[`MAX_PACKET_FLITS`].
+#[inline]
+fn check_len(
+    event: Option<TraceEvent>,
+    line_no: usize,
+) -> Result<Option<TraceEvent>, ParseTraceError> {
     match event {
         Some(e) if e.len_flits == 0 => Err(ParseTraceError::new(line_no, "zero-length packet")),
         Some(e) if e.len_flits > MAX_PACKET_FLITS => Err(ParseTraceError::new(
@@ -406,33 +486,23 @@ fn parse_line(line: &[u8], line_no: usize) -> Result<Option<TraceEvent>, ParseTr
 fn fast_line(line: &[u8]) -> Option<Option<TraceEvent>> {
     let line = line.strip_suffix(b"\r").unwrap_or(line);
     let mut c = Cursor { line, at: 0 };
-    c.blanks();
-    if c.at == line.len() {
-        return Some(None);
+    let event = c.event()?;
+    (c.at == line.len()).then_some(event)
+}
+
+/// The byte fast path on the front of a reader's buffer, which holds
+/// the next line and perhaps more: the line's reading and its length
+/// with its `\n`, exactly as [`fast_line`] reads the line. `None` when
+/// the fast path does not take the line or the buffer ends before its
+/// `\n`.
+#[inline]
+fn scan_line(buf: &[u8]) -> Option<(Option<TraceEvent>, usize)> {
+    let mut c = Cursor { line: buf, at: 0 };
+    let event = c.event()?;
+    if c.line.get(c.at) == Some(&b'\r') {
+        c.at += 1;
     }
-    let cycle = c.number()?;
-    c.separator()?;
-    let input = usize::try_from(c.number()?).ok()?;
-    c.separator()?;
-    let output = usize::try_from(c.number()?).ok()?;
-    c.separator()?;
-    let class = match line.get(c.at..c.at + 2)? {
-        b"BE" => TrafficClass::BestEffort,
-        b"GB" => TrafficClass::GuaranteedBandwidth,
-        b"GL" => TrafficClass::GuaranteedLatency,
-        _ => return None,
-    };
-    c.at += 2;
-    c.separator()?;
-    let len_flits = c.number()?;
-    c.blanks();
-    (c.at == line.len()).then_some(Some(TraceEvent {
-        cycle,
-        input: InputId::new(input),
-        output: OutputId::new(output),
-        class,
-        len_flits,
-    }))
+    (c.line.get(c.at) == Some(&b'\n')).then_some((event, c.at + 1))
 }
 
 /// A position in a line's bytes.
@@ -442,7 +512,41 @@ struct Cursor<'a> {
 }
 
 impl Cursor<'_> {
+    /// Blanks, then the five fields and blanks, unless a `\r`, a `\n`
+    /// or the end follows the first blanks (a blank line: `Some(None)`).
+    #[inline]
+    fn event(&mut self) -> Option<Option<TraceEvent>> {
+        self.blanks();
+        if matches!(self.line.get(self.at), None | Some(b'\r' | b'\n')) {
+            return Some(None);
+        }
+        let cycle = self.number()?;
+        self.separator()?;
+        let input = usize::try_from(self.number()?).ok()?;
+        self.separator()?;
+        let output = usize::try_from(self.number()?).ok()?;
+        self.separator()?;
+        let class = match self.line.get(self.at..self.at + 2)? {
+            b"BE" => TrafficClass::BestEffort,
+            b"GB" => TrafficClass::GuaranteedBandwidth,
+            b"GL" => TrafficClass::GuaranteedLatency,
+            _ => return None,
+        };
+        self.at += 2;
+        self.separator()?;
+        let len_flits = self.number()?;
+        self.blanks();
+        Some(Some(TraceEvent {
+            cycle,
+            input: InputId::new(input),
+            output: OutputId::new(output),
+            class,
+            len_flits,
+        }))
+    }
+
     /// Skips spaces and tabs; whether there were any.
+    #[inline]
     fn blanks(&mut self) -> bool {
         let start = self.at;
         while matches!(self.line.get(self.at), Some(b' ' | b'\t')) {
@@ -452,11 +556,13 @@ impl Cursor<'_> {
     }
 
     /// At least one space or tab.
+    #[inline]
     fn separator(&mut self) -> Option<()> {
         self.blanks().then_some(())
     }
 
     /// A run of 1 to 19 ASCII digits as a number.
+    #[inline]
     fn number(&mut self) -> Option<u64> {
         let start = self.at;
         let mut n = 0u64;
@@ -659,6 +765,7 @@ impl DestinationPattern for SequenceDest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ArrivalSchedule;
     use ssq_types::rng::Xoshiro256StarStar;
     use ssq_types::Cycle;
 
@@ -908,37 +1015,47 @@ mod tests {
         cycles
     }
 
-    /// The reader against the parse-then-convert path on one text: the
-    /// same injectors, or the same refusal. A duplicate, which
-    /// `into_injectors` can only place on line 0, must name `dup_line`.
+    /// The reader and the replay path against the parse-then-convert
+    /// path on one text: the same injectors, or the same refusal. A
+    /// duplicate, which `into_injectors` can only place on line 0, must
+    /// name `dup_line`.
     fn assert_reader_matches(text: &str, radix: usize, dup_line: impl FnOnce() -> usize) {
         // Every line the byte fast path takes reads the same under the
-        // general rules.
+        // general rules, and in place in a buffer that holds more.
         for line in text.lines() {
             if let Some(fast) = fast_line(line.as_bytes()) {
                 assert_eq!(Ok(fast), general_line(line, 1), "{line:?}");
             }
+            let buffered = format!("{line}\n0 0 0 GB 1\n");
+            if let Some((scanned, len)) = scan_line(buffered.as_bytes()) {
+                assert_eq!(Some(scanned), fast_line(line.as_bytes()), "{line:?}");
+                assert_eq!(len, line.len() + 1, "{line:?}");
+            }
         }
         let read = TraceFile::read_injectors(text.as_bytes(), radix);
+        let refusal = |e: &ParseTraceError| (e.line(), e.message().to_owned());
         let trace = match text.parse::<TraceFile>() {
             Ok(trace) => trace,
             Err(e) => {
                 let got = read.err().unwrap_or_else(|| panic!("reader took {text:?}"));
-                assert_eq!(
-                    (got.line(), got.message()),
-                    (e.line(), e.message()),
-                    "{text:?}"
-                );
+                assert_eq!(refusal(&got), refusal(&e), "{text:?}");
+                assert_eq!(replayed(text, radix, &[]), Err(refusal(&e)), "{text:?}");
                 return;
             }
         };
         let cycles = cycles_of(&trace);
+        let replay = replayed(text, radix, &cycles);
         match (trace.into_injectors(), read) {
-            (Ok(old), Ok(new)) => assert_eq!(fired(old, &cycles), fired(new, &cycles), "{text:?}"),
+            (Ok(old), Ok(new)) => {
+                let old = fired(old, &cycles);
+                assert_eq!(old, fired(new, &cycles), "{text:?}");
+                assert_eq!(Ok(old), replay, "{text:?}");
+            }
             (Err(old), Err(new)) => {
                 assert_eq!(old.line(), 0);
                 assert_eq!(new.message(), old.message(), "{text:?}");
                 assert_eq!(new.line(), dup_line(), "{text:?}");
+                assert_eq!(replay, Err(refusal(&new)), "{text:?}");
             }
             (old, new) => panic!(
                 "{text:?}: parse path {:?}, reader {:?}",
@@ -946,6 +1063,37 @@ mod tests {
                 new.err()
             ),
         }
+    }
+
+    /// What the replay path makes of `text`: the packets its injectors
+    /// fire at each of `cycles`, drawn a block at a time and polled
+    /// densely alike, or its refusal.
+    fn replayed(text: &str, radix: usize, cycles: &[u64]) -> Result<Vec<Fired>, (usize, String)> {
+        let open = || {
+            crate::Replay::open(std::io::Cursor::new(text.to_owned()), radix)
+                .map_err(|e| (e.line(), e.message().to_owned()))
+        };
+        let (mut drawn, mut dense) = (ArrivalSchedule::default(), ArrivalSchedule::default());
+        drawn.push_replay(open()?);
+        dense.push_replay(open()?);
+        let (mut fired, mut polled) = (Vec::new(), Vec::new());
+        for &c in cycles {
+            let now = Cycle::new(c);
+            drawn.advance(now);
+            for idx in 0..drawn.len() {
+                let input = drawn.input(idx).index();
+                let out =
+                    |p: crate::PacketIntent| (c, input, p.output.index(), p.class, p.len_flits);
+                if drawn.due(idx / 64) >> (idx % 64) & 1 == 1 {
+                    fired.push(out(drawn.take(idx)));
+                }
+                polled.extend(dense.poll_dense(idx, now).map(out));
+            }
+        }
+        assert_eq!(fired, polled, "{text:?}");
+        assert_eq!(drawn.replay_error(), None, "{text:?}");
+        assert_eq!(dense.replay_error(), None, "{text:?}");
+        Ok(fired)
     }
 
     /// The reader and the parse path agree on the corruption corpus of
@@ -984,6 +1132,28 @@ mod tests {
             .into_iter()
             .find(|(e, _)| !seen.insert((e.input, e.class, e.cycle)))
             .map_or(0, |(_, line)| line)
+    }
+
+    /// `text` with its packet lines stably sorted by cycle, each line
+    /// kept as written and the other lines where they were.
+    fn sorted_by_cycle(text: &str) -> String {
+        let cycle = |line: &str| {
+            line.parse::<TraceFile>()
+                .ok()
+                .and_then(|t| t.events().first().map(|e| e.cycle))
+        };
+        let mut packets: Vec<&str> = text
+            .split_inclusive('\n')
+            .filter(|l| cycle(l).is_some())
+            .collect();
+        packets.sort_by_key(|l| cycle(l));
+        let mut packets = packets.into_iter();
+        text.split_inclusive('\n')
+            .map(|l| match cycle(l) {
+                Some(_) => packets.next().unwrap_or_default(),
+                None => l,
+            })
+            .collect()
     }
 
     /// A seeded trace in every shape the tokenizer reads: unsorted
@@ -1037,19 +1207,23 @@ mod tests {
     #[test]
     fn reader_matches_the_parse_path_on_styled_traces() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(0x5EED_0033);
-        let (mut replayed, mut refused) = (0, 0);
+        let (mut replayed, mut refused, mut streamed) = (0, 0, 0);
         for _ in 0..400 {
             let text = styled_trace(&mut rng);
             assert_reader_matches(&text, 4, || first_duplicate_line(&text));
+            let sorted = sorted_by_cycle(&text);
+            assert_reader_matches(&sorted, 4, || first_duplicate_line(&sorted));
+            let replay = crate::Replay::open(std::io::Cursor::new(sorted), 4);
+            streamed += u32::from(replay.is_ok_and(|r| r.is_streamed()));
             match text.parse::<TraceFile>().unwrap().into_injectors() {
                 Ok(_) => replayed += 1,
                 Err(_) => refused += 1,
             }
         }
-        // Both outcomes are exercised.
+        // Both outcomes are exercised, and sorted files replay streamed.
         assert!(
-            replayed > 50 && refused > 50,
-            "{replayed} replayed, {refused} refused"
+            replayed > 50 && refused > 50 && streamed > 50,
+            "{replayed} replayed, {refused} refused, {streamed} streamed"
         );
     }
 

@@ -95,6 +95,24 @@ for trace in "$traces"/faults/*.jsonl "$traces"/net/*.jsonl; do
     ./target/release/ssq trace-report --in "$trace" >/dev/null
 done
 
+echo "== replay: a sorted capture and its unsorted regrouping report alike =="
+# A capture is sorted by cycle, so --replay reads it during the run, a
+# block at a time; regrouped by input (a stable sort, so each stream
+# keeps its order) it is no longer sorted, and --replay builds its
+# streams up front. Both shipped paths, through the real binary, must
+# print the same report.
+replay_args=(--radix 8 --cycles 4000 --warmup 200 --reserve 1:1:30 --gl-reserve 3:10)
+./target/release/ssq simulate "${replay_args[@]}" --flow 0:1:BE:0.3:4 \
+    --flow 1:1:GB:0.25:8 --flow 2:3:GL:0.05:1 --flow 5:3:BE:0.2:2 \
+    --capture "$traces/capture.trace" --csv >/dev/null
+LC_ALL=C sort -s -k2,2n "$traces/capture.trace" >"$traces/regrouped.trace"
+./target/release/ssq simulate "${replay_args[@]}" --replay "$traces/capture.trace" \
+    --csv >"$traces/sorted.csv"
+./target/release/ssq simulate "${replay_args[@]}" --replay "$traces/regrouped.trace" \
+    --csv >"$traces/regrouped.csv"
+cmp "$traces/sorted.csv" "$traces/regrouped.csv"
+[ "$(wc -l <"$traces/sorted.csv")" -gt 1 ] # rows, not a header alone
+
 echo "== tests =="
 cargo test -q --workspace
 

@@ -9,7 +9,9 @@ use swizzle_qos::core::{ConfigError, Preflight, QosSwitch, SwitchConfig};
 use swizzle_qos::sim::{MonitorOutcome, ParRunner, Runner, Schedule};
 use swizzle_qos::stats::Table;
 use swizzle_qos::trace::{flight, MetricsRegistry, RingSink};
-use swizzle_qos::traffic::{Bernoulli, FixedDest, Injector, Saturating, TraceEvent, TraceFile};
+use swizzle_qos::traffic::{
+    Bernoulli, FixedDest, Injector, Replay, Saturating, TraceEvent, TraceFile,
+};
 use swizzle_qos::types::{Cycle, Cycles, FlowId, Geometry, InputId, OutputId, Rate};
 
 use crate::opts::{err, parse_flow, parse_policy, parse_reserve, port_in_range, Opts};
@@ -238,14 +240,13 @@ pub(crate) fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
     if opts.get("capture").is_some() {
         switch.set_delivery_log(true);
     }
-    if let Some(path) = opts.get("replay") {
+    let replay_path = opts.get("replay");
+    if let Some(path) = replay_path {
         let file =
             std::fs::File::open(path).map_err(|e| err(format!("reading trace {path:?}: {e}")))?;
-        let injectors = TraceFile::read_injectors(std::io::BufReader::new(file), radix)
+        let replay = Replay::open(std::io::BufReader::new(file), radix)
             .map_err(|e| err(format!("{path}:{}: {}", e.line(), e.message())))?;
-        for injector in injectors {
-            switch.add_injector(injector);
-        }
+        switch.add_replay(replay);
     }
     if tracing {
         ensure_parent(trace_out)?;
@@ -393,6 +394,11 @@ pub(crate) fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
             std::panic::resume_unwind(panic);
         }
     };
+    // A sorted replay is read during the run: a line that no longer
+    // reads as it did ends its arrivals, and the run is not the file's.
+    if let (Some(path), Some(e)) = (replay_path, switch.replay_error()) {
+        return Err(err(format!("{path}:{}: {}", e.line(), e.message())));
+    }
     if let Some(e) = vcd_error {
         return Err(err(format!("writing vcd: {e}")));
     }

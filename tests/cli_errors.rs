@@ -158,6 +158,58 @@ fn simulate_replay_of_garbage_is_diagnosed() {
         std::fs::write(&path, text).expect("written");
         assert_diagnosed(&replay(&path), needle);
     }
+
+    // The same refusals past the first block of an otherwise sorted
+    // file, which is read a block at a time during the run: each is
+    // found before the run starts, with nothing on stdout. So is a
+    // duplicate in a file that turns unsorted after 200 sorted lines.
+    let sorted = |cycles: std::ops::Range<u64>| -> Vec<String> {
+        cycles
+            .map(|c| format!("{c} {} {} GB 1", c % 4, (c * 3) % 4))
+            .collect()
+    };
+    let with = |mut lines: Vec<String>, at: usize, line: &str| {
+        lines.insert(at, line.to_owned());
+        lines.join("\n") + "\n"
+    };
+    let late: [(&str, String, String); 4] = [
+        (
+            "late-token.trace",
+            with(sorted(0..1_500), 1_200, "1200 1 2 GX 1"),
+            "late-token.trace:1201: unknown class \"GX\" (expected BE, GB, or GL)".into(),
+        ),
+        (
+            "late-port.trace",
+            with(sorted(0..1_500), 1_300, "1300 9 2 GB 1"),
+            "late-port.trace:1301: input 9 is outside radix 4".into(),
+        ),
+        (
+            "late-twice.trace",
+            with(sorted(0..1_500), 1_401, "1400 0 3 GB 2"),
+            "late-twice.trace:1402: input In0 injects two GB packets at cycle 1400".into(),
+        ),
+        (
+            "turns-unsorted.trace",
+            with(sorted(0..1_100), 200, "50 2 3 GB 2"),
+            "turns-unsorted.trace:201: input In2 injects two GB packets at cycle 50".into(),
+        ),
+    ];
+    for (name, text, needle) in late {
+        let path = dir.join(name);
+        std::fs::write(&path, text).expect("written");
+        let out = ssq(&[
+            "simulate",
+            "--radix",
+            "4",
+            "--cycles",
+            "10",
+            "--csv",
+            "--replay",
+            path.to_str().expect("utf-8 path"),
+        ]);
+        assert_diagnosed(&out, &needle);
+        assert!(out.stdout.is_empty(), "{name}: no report before the error");
+    }
 }
 
 /// A trace line whose fault site is not one the taxonomy names.

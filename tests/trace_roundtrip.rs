@@ -10,7 +10,9 @@ use common::{ssq_in, Scratch};
 use swizzle_qos::arbiter::CounterPolicy;
 use swizzle_qos::core::{Policy, QosSwitch, SwitchConfig};
 use swizzle_qos::sim::{Runner, Schedule};
-use swizzle_qos::traffic::{Bernoulli, FixedDest, Injector, TraceEvent, TraceFile, UniformDest};
+use swizzle_qos::traffic::{
+    Bernoulli, FixedDest, Injector, Replay, TraceEvent, TraceFile, UniformDest,
+};
 use swizzle_qos::types::{Cycle, Cycles, FlowId, Geometry, InputId, OutputId, Rate, TrafficClass};
 
 fn base_config() -> SwitchConfig {
@@ -95,13 +97,13 @@ fn captured_trace_replays_to_identical_deliveries() {
         .collect();
     let text = TraceFile::from_events(events).to_string();
 
-    // Replay the text into a fresh switch through the reader
+    // Replay the text into a fresh switch through the replay path
     // `ssq simulate --replay` uses.
     let mut replay = QosSwitch::new(base_config()).unwrap();
     replay.set_delivery_log(true);
-    for injector in TraceFile::read_injectors(text.as_bytes(), 4).unwrap() {
-        replay.add_injector(injector);
-    }
+    let file = Replay::open(std::io::Cursor::new(text), 4).unwrap();
+    assert!(file.is_streamed(), "a capture is sorted by cycle");
+    replay.add_replay(file);
     let _ = Runner::new(Schedule::new(Cycles::ZERO, Cycles::new(25_000))).run(&mut replay);
     let replayed = replay.drain_deliveries();
 
