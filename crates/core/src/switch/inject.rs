@@ -32,10 +32,10 @@ impl QosSwitch {
     /// Attaches a replayed trace's injectors to their input ports, one
     /// per non-empty `(input, class)` stream in `(input, class)` order
     /// ([`ArrivalSchedule::push_replay`](ssq_traffic::ArrivalSchedule::push_replay)).
-    /// A file sorted by cycle is read
-    /// during the run, a block at a time; a line of it that no longer
-    /// reads as it did ends the replay there, and
-    /// [`QosSwitch::replay_error`] names it.
+    /// The replay is read during the run, a block at a time. One added
+    /// after its first packet's cycle delivers nothing, and a line that
+    /// no longer reads as it did ends the replay there;
+    /// [`QosSwitch::replay_error`] names the line either way.
     ///
     /// # Panics
     ///
@@ -49,9 +49,9 @@ impl QosSwitch {
         }
     }
 
-    /// The first fault a replay added with [`QosSwitch::add_replay`] met
-    /// during the run, naming its line: once there is one, no further
-    /// replayed packet arrives, so a report of the run is not the file's.
+    /// The first fault a replay added with [`QosSwitch::add_replay`] met,
+    /// naming its line: once there is one, no further replayed packet
+    /// arrives, so a report of the run is not the file's.
     #[must_use]
     pub fn replay_error(&self) -> Option<&ParseTraceError> {
         self.injectors.replay_error()

@@ -117,10 +117,10 @@ impl Injector {
 /// same stream, same order, one `dyn` call) and transposes the arrival
 /// words into per-cycle *due* words — bit `j` of group `g`'s word for a
 /// cycle is set iff injector `64 g + j` has a packet arriving then. A
-/// [`Replay`] of a file sorted by cycle is fed in bulk instead: at each
-/// block draw its feeder reads the file up to the first line past the
-/// block and files each line's packet under the line's `(input, class)`
-/// injector ([`ArrivalSchedule::push_replay`]). The
+/// [`Replay`] is fed in bulk instead: at each block draw its feeder
+/// reads the file up to the first line past the block and files each
+/// line's packet under the line's `(input, class)` injector
+/// ([`ArrivalSchedule::push_replay`]). The
 /// switch calls [`ArrivalSchedule::advance`] once per cycle, reads the
 /// due words and [`ArrivalSchedule::take`]s exactly the due arrivals, in
 /// ascending injector order.
@@ -133,8 +133,8 @@ impl Injector {
 #[derive(Debug)]
 pub struct ArrivalSchedule {
     lanes: Vec<Lane>,
-    /// The bulk feeders of the streamed replays, each with the index of
-    /// its first lane.
+    /// The bulk feeders of the replays, each with the index of its first
+    /// lane.
     feeds: Vec<(usize, Feed)>,
     /// The drawn block is `base..end`; cycles before `cursor` have been
     /// stepped (or skipped as idle). `base == end` before the first draw.
@@ -213,16 +213,14 @@ impl ArrivalSchedule {
 
     /// Adds a replay's injectors, one per non-empty `(input, class)`
     /// stream in `(input, class)` order, drawn from the next cycle to be
-    /// stepped as [`ArrivalSchedule::push`] draws one. A file sorted by
-    /// cycle is read from here on, a block at a time: a line that no
-    /// longer reads as [`Replay::open`] read it, or an I/O error, ends
-    /// the replay's arrivals there and is kept as
+    /// stepped as [`ArrivalSchedule::push`] draws one. The replay is read
+    /// from here on, a block at a time. A replay whose first packet's
+    /// cycle has already passed delivers nothing; neither does the rest
+    /// of one whose line no longer reads as [`Replay::open`] read it, or
+    /// whose read fails. The refusal is kept as
     /// [`ArrivalSchedule::replay_error`].
     pub fn push_replay(&mut self, replay: Replay) {
-        let feed = match replay.into_parts() {
-            Ok(feed) => feed,
-            Err(injectors) => return injectors.into_iter().for_each(|i| self.push(i)),
-        };
+        let feed = replay.into_feed(self.cursor);
         let (first, at) = (self.lanes.len(), self.feeds.len());
         for lane in 0..feed.streams.len() {
             let (input, class) = feed.stream(lane);
@@ -237,8 +235,9 @@ impl ArrivalSchedule {
         self.fill(at);
     }
 
-    /// The first fault a streamed replay met during the run: a line that
-    /// no longer read as [`Replay::open`] read it, or could not be read.
+    /// The first fault a replay met: its first packet's cycle had passed
+    /// when it was added, or a line no longer read as [`Replay::open`]
+    /// read it, or could not be read.
     #[must_use]
     pub fn replay_error(&self) -> Option<&ParseTraceError> {
         self.feeds.iter().find_map(|(_, feed)| feed.error())

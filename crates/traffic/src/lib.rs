@@ -19,8 +19,8 @@
 //!   64 cycles ahead, so a cycle visits only the injectors that are due.
 //! * [`TraceFile`]: a diff-friendly text format for capturing and
 //!   replaying whole workloads, convertible straight into injectors.
-//! * [`Replay`]: a trace file checked for replay; sorted by cycle, it is
-//!   read into the arrival schedule a block at a time.
+//! * [`Replay`]: a trace file checked for replay, then read into the
+//!   arrival schedule a block at a time.
 //!
 //! All randomness is drawn from per-source seeded generators, so every
 //! experiment is reproducible from its seed.
@@ -65,4 +65,4 @@ pub use replay::Replay;
 pub use source::{
     Bernoulli, BimodalBernoulli, OnOffBursty, Periodic, Saturating, Trace, TrafficSource,
 };
-pub use trace_file::{ParseTraceError, SequenceDest, TraceEvent, TraceFile};
+pub use trace_file::{ParseTraceError, TraceEvent, TraceFile};

@@ -1,13 +1,13 @@
-//! A trace file opened for replay: checked once, then, when it is sorted
-//! by cycle, read into the arrival schedule one block at a time.
+//! A trace file opened for replay: checked once, then read into the
+//! arrival schedule one block at a time.
 
 use std::fmt;
-use std::io::{BufRead, Seek};
+use std::io::{BufRead, Cursor, Seek};
 
 use ssq_types::{InputId, OutputId, TrafficClass};
 
 use crate::trace_file::{check_ports, slot, two_packets, Lines};
-use crate::{Injector, ParseTraceError, TraceEvent, TraceFile};
+use crate::{ParseTraceError, TraceEvent, TraceFile};
 
 /// A trace file checked for replay into a switch
 /// ([`ArrivalSchedule::push_replay`](crate::ArrivalSchedule::push_replay)).
@@ -16,10 +16,11 @@ use crate::{Injector, ParseTraceError, TraceEvent, TraceFile};
 /// keeping one cycle per `(input, class)` stream. A file sorted by cycle
 /// is then rewound and read again during the run, one 64-cycle block at
 /// a time, so replay memory is bounded by a block, not by the file. An
-/// unsorted file is read into per-stream [`Injector`]s instead, as
-/// [`TraceFile::into_injectors`] builds them. Either way the switch gets
-/// one injector per non-empty `(input, class)` stream, in `(input,
-/// class)` order, replaying the packets exactly as those injectors do.
+/// unsorted file is read again and sorted by cycle in memory, and the
+/// run reads that copy the same way. Either way the switch gets one
+/// injector per non-empty `(input, class)` stream, in `(input, class)`
+/// order, replaying the packets exactly as
+/// [`TraceFile::into_injectors`] builds them.
 ///
 /// # Examples
 ///
@@ -27,28 +28,25 @@ use crate::{Injector, ParseTraceError, TraceEvent, TraceFile};
 /// use std::io::Cursor;
 /// use ssq_traffic::Replay;
 ///
-/// let text = "0 2 5 GB 8\n17 2 5 GB 8\n40 0 5 GL 1\n";
-/// let replay = Replay::open(Cursor::new(text), 8)?;
-/// assert!(replay.is_streamed());
+/// // Not sorted by cycle: sorted in memory, then replayed alike.
+/// let text = "17 2 5 GB 8\n0 2 5 GB 8\n40 0 5 GL 1\n";
+/// let _replay = Replay::open(Cursor::new(text), 8)?;
 ///
 /// let err = Replay::open(Cursor::new(text), 4).unwrap_err();
 /// assert_eq!((err.line(), err.message()), (1, "output 5 is outside radix 4"));
 /// # Ok::<(), ssq_traffic::ParseTraceError>(())
 /// ```
 #[derive(Debug)]
-pub struct Replay(Kind);
-
-#[derive(Debug)]
-enum Kind {
-    /// Sorted by cycle: read during the run.
-    Streamed(Box<Feed>),
-    /// Unsorted: read into injectors up front.
-    Built(Vec<Injector>),
+pub struct Replay {
+    feed: Feed,
+    /// The cycle and line of the earliest packet.
+    first: Option<(u64, usize)>,
 }
 
 impl Replay {
     /// Checks the trace `reader` holds for a radix-`radix` switch and
-    /// rewinds it for the run.
+    /// rewinds it for the run; an unsorted one is read again instead and
+    /// sorted by cycle in memory.
     ///
     /// # Errors
     ///
@@ -61,59 +59,131 @@ impl Replay {
     where
         R: BufRead + Seek + Send + Sync + 'static,
     {
-        let no_room = || ParseTraceError::new(0, format!("no room for {radix} input streams"));
-        let slots = radix.checked_mul(3).ok_or_else(no_room)?;
-        // Per stream slot, the cycle of its last packet so far.
-        let mut last: Vec<Option<u64>> = Vec::new();
-        last.try_reserve_exact(slots).map_err(|_| no_room())?;
-        last.resize(slots, None);
+        let mut check = Check::new(radix)?;
         let mut lines = Lines::new(reader);
-        let (mut cycle, mut packets, mut duplicate) = (0, 0u64, None);
         let sorted = loop {
-            let Some(e) = lines.next_event()? else {
-                break true;
-            };
-            check_ports(&e, radix, lines.line())?;
-            if e.cycle < cycle {
-                break false;
+            match next_packet(&mut lines, radix)? {
+                None => break true,
+                Some(e) if !check.push(&e, lines.line()) => break false,
+                Some(_) => {}
             }
-            cycle = e.cycle;
-            packets += 1;
-            let slot = slot(&e);
-            if last[slot] == Some(e.cycle) {
-                duplicate.get_or_insert((e.cycle, lines.line(), slot));
-            }
-            last[slot] = Some(e.cycle);
         };
         let mut reader = lines.into_inner();
         reader
             .rewind()
             .map_err(|e| ParseTraceError::new(1, format!("rewinding: {e}")))?;
-        if !sorted {
-            return TraceFile::read_injectors(reader, radix)
-                .map(|injectors| Replay(Kind::Built(injectors)));
+        if sorted {
+            return check.into_replay(Box::new(reader), radix);
         }
-        if let Some((cycle, line, slot)) = duplicate {
+        let mut lines = Lines::new(reader);
+        let mut packets = Vec::new();
+        while let Some(e) = next_packet(&mut lines, radix)? {
+            packets.push((e, lines.line()));
+        }
+        packets.sort_by_key(|(e, _)| e.cycle);
+        let mut check = Check::new(radix)?;
+        for (e, line) in &packets {
+            check.push(e, *line);
+        }
+        let sorted = TraceFile::from_events(packets.into_iter().map(|(e, _)| e).collect());
+        let text = Cursor::new(sorted.to_string().into_bytes());
+        check.into_replay(Box::new(text), radix)
+    }
+
+    /// The feed, stopped if the first packet's cycle is before `cursor`,
+    /// the first cycle the schedule will step.
+    pub(crate) fn into_feed(self, cursor: u64) -> Feed {
+        let mut feed = self.feed;
+        if let Some((cycle, line)) = self.first.filter(|&(cycle, _)| cycle < cursor) {
+            feed.stop(ParseTraceError::new(
+                line,
+                format!(
+                    "the replay was added at cycle {cursor}, after this packet's cycle {cycle}"
+                ),
+            ));
+        }
+        feed
+    }
+}
+
+/// The next packet line's event, refused if it names a port outside
+/// `radix`.
+fn next_packet<R: BufRead>(
+    lines: &mut Lines<R>,
+    radix: usize,
+) -> Result<Option<TraceEvent>, ParseTraceError> {
+    let event = lines.next_event()?;
+    if let Some(e) = &event {
+        check_ports(e, radix, lines.line())?;
+    }
+    Ok(event)
+}
+
+/// The check of a trace's packets in cycle order: one packet per
+/// `(input, class)` stream per cycle.
+struct Check {
+    /// Per stream slot, the cycle of its last packet so far.
+    last: Vec<Option<u64>>,
+    /// The cycle of the last packet.
+    cycle: u64,
+    packets: u64,
+    /// The cycle and line of the first packet.
+    first: Option<(u64, usize)>,
+    /// The first packet whose stream already has one in its cycle, as
+    /// `(cycle, line, slot)`.
+    duplicate: Option<(u64, usize, usize)>,
+}
+
+impl Check {
+    fn new(radix: usize) -> Result<Self, ParseTraceError> {
+        let no_room = || ParseTraceError::new(0, format!("no room for {radix} input streams"));
+        let slots = radix.checked_mul(3).ok_or_else(no_room)?;
+        let mut last = Vec::new();
+        last.try_reserve_exact(slots).map_err(|_| no_room())?;
+        last.resize(slots, None);
+        Ok(Check {
+            last,
+            cycle: 0,
+            packets: 0,
+            first: None,
+            duplicate: None,
+        })
+    }
+
+    /// Checks packet `e`, read from `line`; `false`, checking nothing,
+    /// when its cycle is before the last packet's.
+    fn push(&mut self, e: &TraceEvent, line: usize) -> bool {
+        if e.cycle < self.cycle {
+            return false;
+        }
+        self.cycle = e.cycle;
+        self.packets += 1;
+        self.first.get_or_insert((e.cycle, line));
+        let slot = slot(e);
+        if self.last[slot] == Some(e.cycle) {
+            self.duplicate.get_or_insert((e.cycle, line, slot));
+        }
+        self.last[slot] = Some(e.cycle);
+        true
+    }
+
+    /// The replay of the checked packets, which `reader` holds in cycle
+    /// order, or the refusal of the first duplicate.
+    fn into_replay(
+        self,
+        reader: Box<dyn BufRead + Send + Sync>,
+        radix: usize,
+    ) -> Result<Replay, ParseTraceError> {
+        if let Some((cycle, line, slot)) = self.duplicate {
             return Err(two_packets(cycle, line, slot));
         }
-        let streams = (0..slots).filter(|&s| last[s].is_some()).collect();
-        let feed = Feed::new(Box::new(reader), radix, streams, packets);
-        Ok(Replay(Kind::Streamed(Box::new(feed))))
-    }
-
-    /// Whether the file is sorted by cycle and so is read during the run,
-    /// a block at a time; `false` when its injectors were built up front.
-    #[must_use]
-    pub fn is_streamed(&self) -> bool {
-        matches!(self.0, Kind::Streamed(_))
-    }
-
-    /// The feed of a sorted file, or the injectors of an unsorted one.
-    pub(crate) fn into_parts(self) -> Result<Feed, Vec<Injector>> {
-        match self.0 {
-            Kind::Streamed(feed) => Ok(*feed),
-            Kind::Built(injectors) => Err(injectors),
-        }
+        let streams = (0..self.last.len())
+            .filter(|&s| self.last[s].is_some())
+            .collect();
+        Ok(Replay {
+            feed: Feed::new(reader, radix, streams, self.packets),
+            first: self.first,
+        })
     }
 }
 
@@ -373,7 +443,6 @@ mod tests {
 
     /// Replays `replay` on a radix-4 schedule stepped over cycles 0..300.
     fn run(replay: Replay) -> Run {
-        assert!(replay.is_streamed());
         let mut schedule = ArrivalSchedule::default();
         schedule.push_replay(replay);
         let mut arrived = Vec::new();
@@ -485,27 +554,38 @@ mod tests {
         assert_eq!(error, Some((3, "reading: the disk went away".to_owned())));
     }
 
-    /// A stream whose next packet's cycle has passed when the schedule
-    /// first reaches it stays silent, as a `Trace` source does; the other
-    /// streams replay on.
+    /// A replay added after its first packet's cycle has passed is
+    /// refused whole, naming that packet's line in the file (in an
+    /// unsorted file too) and both cycles; one added in time replays.
     #[test]
-    fn a_replay_pushed_late_silences_the_streams_it_missed() {
-        let mut schedule = ArrivalSchedule::default();
-        schedule.advance(Cycle::new(0));
-        schedule.skip_to(Cycle::new(6));
-        let replay = Replay::open(Cursor::new(CHECKED), 4).expect("checked");
-        schedule.push_replay(replay);
-        let mut arrived = Vec::new();
-        for c in 6..300 {
-            schedule.advance(Cycle::new(c));
-            for idx in 0..schedule.len() {
-                if schedule.due(0) >> idx & 1 == 1 {
-                    let _ = schedule.take(idx);
-                    arrived.push((c, schedule.input(idx).index()));
+    fn a_replay_pushed_late_is_refused() {
+        let unsorted = "70 0 1 GB 2\n5 1 2 BE 3\n140 2 3 GL 1\n";
+        let late = |cycle: u64| {
+            format!("the replay was added at cycle 6, after this packet's cycle {cycle}")
+        };
+        for (text, pushed_at, want) in [
+            (CHECKED, 6, (vec![], Some((1, late(0))))),
+            (unsorted, 6, (vec![], Some((2, late(5))))),
+            (unsorted, 5, (vec![(5, 1), (70, 0), (140, 2)], None)),
+        ] {
+            let mut schedule = ArrivalSchedule::default();
+            schedule.advance(Cycle::new(0));
+            schedule.skip_to(Cycle::new(pushed_at));
+            let replay = Replay::open(Cursor::new(text), 4).expect("checked");
+            schedule.push_replay(replay);
+            let mut arrived = Vec::new();
+            for c in pushed_at..300 {
+                schedule.advance(Cycle::new(c));
+                for idx in 0..schedule.len() {
+                    if schedule.due(0) >> idx & 1 == 1 {
+                        let _ = schedule.take(idx);
+                        arrived.push((c, schedule.input(idx).index()));
+                    }
                 }
             }
+            let error = schedule.replay_error();
+            let error = error.map(|e| (e.line(), e.message().to_owned()));
+            assert_eq!((arrived, error), want, "{text:?} at {pushed_at}");
         }
-        assert_eq!(arrived, [(140, 2)]);
-        assert_eq!(schedule.replay_error(), None);
     }
 }

@@ -304,6 +304,11 @@ impl TrafficSource for Saturating {
 /// Replays an explicit `(cycle, len_flits)` schedule — used by the GL
 /// burst-budget experiments (Eqs. 2–3), where the workload is "σ packets
 /// back to back at cycle T".
+///
+/// It is polled from the cycle its injector is added on. An event whose
+/// cycle has passed by then is never delivered, and silences the events
+/// after it too; nothing counts or reports them. (A
+/// [`Replay`](crate::Replay) added late is refused instead.)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     /// Remaining events, ascending by cycle.

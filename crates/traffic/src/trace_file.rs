@@ -28,20 +28,17 @@
 //! the per-class buffering of the switch: a trace becomes one
 //! [`Injector`] per non-empty stream, in `(input, class)` order, and the
 //! packets arrive as a stable sort of the whole trace by cycle orders
-//! them. There are two ways in:
-//! - `text.parse::<TraceFile>()` then [`TraceFile::into_injectors`],
-//!   which keeps the events for editing ([`TraceFile::merged`],
-//!   [`TraceFile::window`], ...). One stream builder groups them into
-//!   per-stream schedules, each an [`Injector`] of a [`Trace`] source and
-//!   a [`SequenceDest`] pattern that replays the recorded destinations
-//!   in order.
-//! - [`Replay::open`](crate::Replay::open), the replay path (`ssq
-//!   simulate --replay`), which never holds the text or the events. One
-//!   tokenize-only pass checks the file, refusing a port outside the
-//!   switch radix too, and finds whether it is sorted by cycle. A sorted
-//!   file is rewound and read again during the run, one 64-cycle block
-//!   at a time, straight into the switch's arrival schedule; an unsorted
-//!   one goes line by line into the stream builder.
+//! them. The replay path (`ssq simulate --replay`) is
+//! [`Replay::open`](crate::Replay::open): one tokenize-only pass checks
+//! the file, refusing a port outside the switch radix too, and finds
+//! whether it is sorted by cycle. A sorted file is rewound and read
+//! again during the run, one 64-cycle block at a time, straight into
+//! the switch's arrival schedule; an unsorted one is read again, sorted
+//! by cycle in memory and read from there the same way.
+//! `text.parse::<TraceFile>()` then [`TraceFile::into_injectors`] builds
+//! the same streams up front, each an [`Injector`] of a [`Trace`]
+//! source and a pattern that replays the recorded destinations in
+//! order.
 //!
 //! Every refusal is a [`ParseTraceError`] naming the 1-based line: a bad
 //! field, a non-UTF-8 byte, a port outside the radix, or the second of
@@ -193,38 +190,45 @@ impl TraceFile {
             .map(|e| e.input.index().saturating_add(1))
             .max()
             .unwrap_or(0);
-        let mut streams = Streams::new(inputs)?;
+        let too_many = || ParseTraceError::new(0, format!("no room for {inputs} input streams"));
+        let len = inputs.checked_mul(3).ok_or_else(too_many)?;
+        // Per stream slot `input × 3 + class priority`, so the injectors
+        // come out in `(input, class)` order: injector index order is
+        // part of every report.
+        let mut streams: Vec<Stream> = Vec::new();
+        streams.try_reserve_exact(len).map_err(|_| too_many())?;
+        streams.resize_with(len, Stream::default);
         for e in &self.events {
-            streams.push(e, 0);
+            let slot = slot(e);
+            let stream = &mut streams[slot];
+            if stream.schedule.last().map(|&(cycle, _)| cycle) == Some(e.cycle) {
+                return Err(two_packets(e.cycle, 0, slot));
+            }
+            stream.schedule.push((e.cycle, e.len_flits));
+            stream.dests.push_back(e.output);
         }
-        streams.into_injectors()
+        Ok(streams
+            .into_iter()
+            .enumerate()
+            .filter(|(_, stream)| !stream.schedule.is_empty())
+            .map(|(slot, stream)| {
+                Injector::new(
+                    Box::new(Trace::new(stream.schedule)),
+                    Box::new(SequenceDest::new(stream.dests)),
+                    TrafficClass::ALL[slot % 3],
+                )
+                .for_input(InputId::new(slot / 3))
+            })
+            .collect())
     }
+}
 
-    /// Reads a trace line by line and returns its injectors, exactly as
-    /// `text.parse::<TraceFile>()?.into_injectors()` would, without
-    /// holding the text or the events: each line goes straight into its
-    /// `(input, class)` stream. [`Replay::open`](crate::Replay::open)
-    /// builds an unsorted file's injectors here.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseTraceError`] naming the 1-based line of the first
-    /// line the tokenizer refuses, that cannot be read or that names a
-    /// port outside `radix`; failing those, of the second of two packets
-    /// one stream injects in one cycle (the earliest such cycle, then
-    /// file order).
-    pub(crate) fn read_injectors(
-        reader: impl BufRead,
-        radix: usize,
-    ) -> Result<Vec<Injector>, ParseTraceError> {
-        let mut streams = Streams::new(radix)?;
-        let mut lines = Lines::new(reader);
-        while let Some(event) = lines.next_event()? {
-            check_ports(&event, radix, lines.line())?;
-            streams.push(&event, lines.line());
-        }
-        streams.into_injectors()
-    }
+/// One `(input, class)` stream of a trace.
+#[derive(Default)]
+struct Stream {
+    /// `(cycle, len_flits)`, one per packet.
+    schedule: Vec<(u64, u64)>,
+    dests: VecDeque<OutputId>,
 }
 
 /// A trace's packet lines, tokenized one at a time from a reader. A
@@ -332,118 +336,6 @@ pub(crate) fn two_packets(cycle: u64, line: usize, slot: usize) -> ParseTraceErr
             TrafficClass::ALL[slot % 3]
         ),
     )
-}
-
-/// The per-`(input, class)` replay streams of a trace, filled one packet
-/// at a time. Slot `input × 3 + class priority`, so the injectors come
-/// out in `(input, class)` order: injector index order is part of every
-/// report.
-struct Streams {
-    slots: Vec<Stream>,
-    /// The packet a stable sort of the whole trace by cycle meets first
-    /// among those whose stream already has a packet in their cycle, as
-    /// `(cycle, line, slot)`.
-    duplicate: Option<(u64, usize, usize)>,
-}
-
-/// One `(input, class)` stream, in arrival order until
-/// [`Streams::into_injectors`] sorts it.
-#[derive(Default)]
-struct Stream {
-    /// `(cycle, len_flits)`, one per packet.
-    schedule: Vec<(u64, u64)>,
-    dests: Vec<OutputId>,
-    /// Once a packet arrives before its predecessor: its index, and the
-    /// lines of it and of every later packet, which the sort needs to
-    /// name a duplicate. Duplicates before it were noted on arrival.
-    unsorted: Option<(usize, Vec<usize>)>,
-}
-
-impl Streams {
-    fn new(inputs: usize) -> Result<Self, ParseTraceError> {
-        let too_many = || ParseTraceError::new(0, format!("no room for {inputs} input streams"));
-        let len = inputs.checked_mul(3).ok_or_else(too_many)?;
-        let mut slots = Vec::new();
-        slots.try_reserve_exact(len).map_err(|_| too_many())?;
-        slots.resize_with(len, Stream::default);
-        Ok(Streams {
-            slots,
-            duplicate: None,
-        })
-    }
-
-    /// Appends `e`, read from `line`, to its stream. Its input must be
-    /// below the `inputs` the builder was made for.
-    fn push(&mut self, e: &TraceEvent, line: usize) {
-        let slot = slot(e);
-        let stream = &mut self.slots[slot];
-        let last = stream.schedule.last().map(|&(cycle, _)| cycle);
-        match &mut stream.unsorted {
-            Some((_, lines)) => lines.push(line),
-            None if last.is_some_and(|last| e.cycle < last) => {
-                stream.unsorted = Some((stream.schedule.len(), vec![line]));
-            }
-            None => {}
-        }
-        stream.schedule.push((e.cycle, e.len_flits));
-        stream.dests.push(e.output);
-        if stream.unsorted.is_none() && last == Some(e.cycle) {
-            self.note_duplicate(e.cycle, line, slot);
-        }
-    }
-
-    fn note_duplicate(&mut self, cycle: u64, line: usize, slot: usize) {
-        if self
-            .duplicate
-            .is_none_or(|(c, l, _)| (cycle, line) < (c, l))
-        {
-            self.duplicate = Some((cycle, line, slot));
-        }
-    }
-
-    fn into_injectors(mut self) -> Result<Vec<Injector>, ParseTraceError> {
-        for slot in 0..self.slots.len() {
-            if let Some(duplicate) = self.slots[slot].sort() {
-                self.note_duplicate(duplicate.0, duplicate.1, slot);
-            }
-        }
-        if let Some((cycle, line, slot)) = self.duplicate {
-            return Err(two_packets(cycle, line, slot));
-        }
-        Ok(self
-            .slots
-            .into_iter()
-            .enumerate()
-            .filter(|(_, stream)| !stream.schedule.is_empty())
-            .map(|(slot, stream)| {
-                Injector::new(
-                    Box::new(Trace::new(stream.schedule)),
-                    Box::new(SequenceDest::new(stream.dests.into())),
-                    TrafficClass::ALL[slot % 3],
-                )
-                .for_input(InputId::new(slot / 3))
-            })
-            .collect())
-    }
-}
-
-impl Stream {
-    /// Sorts an out-of-order stream stably by cycle. Returns the
-    /// earliest `(cycle, line)` of a packet that follows one of its
-    /// cycle in file order, among those whose line was kept.
-    fn sort(&mut self) -> Option<(u64, usize)> {
-        let (from, lines) = self.unsorted.take()?;
-        let mut order: Vec<usize> = (0..self.schedule.len()).collect();
-        order.sort_by_key(|&i| self.schedule[i].0);
-        let duplicate = order
-            .windows(2)
-            .filter(|pair| pair[1] >= from && self.schedule[pair[0]].0 == self.schedule[pair[1]].0)
-            .map(|pair| (self.schedule[pair[1]].0, lines[pair[1] - from]))
-            .min();
-        self.schedule = order.iter().map(|&i| self.schedule[i]).collect();
-        self.dests = order.iter().map(|&i| self.dests[i]).collect();
-        duplicate
-    }
 }
 
 /// Tokenizes one line (without its `\n`): `None` for a blank or comment
@@ -623,91 +515,6 @@ fn general_line(text: &str, line_no: usize) -> Result<Option<TraceEvent>, ParseT
     }))
 }
 
-impl TraceFile {
-    /// Merges another trace into this one (stable by cycle; same-cycle
-    /// events keep `self` first).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ssq_traffic::TraceFile;
-    ///
-    /// let a: TraceFile = "0 0 1 GB 4".parse()?;
-    /// let b: TraceFile = "5 1 1 BE 2".parse()?;
-    /// let merged = a.merged(b);
-    /// assert_eq!(merged.len(), 2);
-    /// # Ok::<(), ssq_traffic::ParseTraceError>(())
-    /// ```
-    #[must_use]
-    pub fn merged(mut self, other: TraceFile) -> TraceFile {
-        self.events.extend(other.events);
-        TraceFile::from_events(self.events)
-    }
-
-    /// Keeps only the events matching `predicate` — slice a workload by
-    /// class, port, or length without re-generating it.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ssq_traffic::TraceFile;
-    /// use ssq_types::TrafficClass;
-    ///
-    /// let t: TraceFile = "0 0 1 GB 4\n1 0 1 GL 1".parse()?;
-    /// let gl_only = t.filtered(|e| e.class == TrafficClass::GuaranteedLatency);
-    /// assert_eq!(gl_only.len(), 1);
-    /// # Ok::<(), ssq_traffic::ParseTraceError>(())
-    /// ```
-    #[must_use]
-    pub fn filtered(self, predicate: impl FnMut(&TraceEvent) -> bool) -> TraceFile {
-        let mut predicate = predicate;
-        TraceFile {
-            events: self.events.into_iter().filter(|e| predicate(e)).collect(),
-        }
-    }
-
-    /// Keeps the events in `[start, end)` cycles and rebases them so the
-    /// window starts at cycle 0 — extract a steady-state excerpt from a
-    /// long capture.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start >= end`.
-    #[must_use]
-    pub fn window(self, start: u64, end: u64) -> TraceFile {
-        assert!(start < end, "empty window {start}..{end}");
-        TraceFile {
-            events: self
-                .events
-                .into_iter()
-                .filter(|e| (start..end).contains(&e.cycle))
-                .map(|mut e| {
-                    e.cycle -= start;
-                    e
-                })
-                .collect(),
-        }
-    }
-
-    /// Total flits in the trace.
-    #[must_use]
-    pub fn total_flits(&self) -> u64 {
-        self.events.iter().map(|e| e.len_flits).sum()
-    }
-
-    /// Offered load in flits/cycle over the trace's span (zero for traces
-    /// shorter than two cycles).
-    #[must_use]
-    pub fn offered_load(&self) -> f64 {
-        match (self.events.first(), self.events.last()) {
-            (Some(first), Some(last)) if last.cycle > first.cycle => {
-                self.total_flits() as f64 / (last.cycle - first.cycle + 1) as f64
-            }
-            _ => 0.0,
-        }
-    }
-}
-
 impl FromStr for TraceFile {
     type Err = ParseTraceError;
 
@@ -735,22 +542,15 @@ impl fmt::Display for TraceFile {
 /// Used by [`TraceFile::into_injectors`]; panics if asked for more
 /// destinations than were recorded, which would mean the paired source
 /// produced more packets than the trace contains — a logic error.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SequenceDest {
+#[derive(Debug)]
+pub(crate) struct SequenceDest {
     remaining: VecDeque<OutputId>,
 }
 
 impl SequenceDest {
     /// Creates the pattern from the recorded destination sequence.
-    #[must_use]
-    pub fn new(remaining: VecDeque<OutputId>) -> Self {
+    pub(crate) fn new(remaining: VecDeque<OutputId>) -> Self {
         SequenceDest { remaining }
-    }
-
-    /// Destinations not yet consumed.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.remaining.len()
     }
 }
 
@@ -855,50 +655,6 @@ mod tests {
     fn same_cycle_different_classes_allowed() {
         let trace: TraceFile = "5 0 1 GB 2\n5 0 2 GL 1".parse().unwrap();
         assert_eq!(trace.into_injectors().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn merged_traces_interleave_by_cycle() {
-        let a: TraceFile = "0 0 1 GB 4\n10 0 1 GB 4".parse().unwrap();
-        let b: TraceFile = "5 1 2 BE 2".parse().unwrap();
-        let m = a.merged(b);
-        let cycles: Vec<u64> = m.events().iter().map(|e| e.cycle).collect();
-        assert_eq!(cycles, vec![0, 5, 10]);
-        assert_eq!(m.total_flits(), 10);
-    }
-
-    #[test]
-    fn filtered_keeps_matching_events() {
-        let t: TraceFile = SAMPLE.parse().unwrap();
-        let gb = t
-            .clone()
-            .filtered(|e| e.class == TrafficClass::GuaranteedBandwidth);
-        assert_eq!(gb.len(), 2);
-        let none = t.filtered(|_| false);
-        assert!(none.is_empty());
-    }
-
-    #[test]
-    fn window_rebases_cycles() {
-        let t: TraceFile = SAMPLE.parse().unwrap(); // cycles 0, 12, 17, 40
-        let w = t.window(10, 20);
-        let cycles: Vec<u64> = w.events().iter().map(|e| e.cycle).collect();
-        assert_eq!(cycles, vec![2, 7]);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty window")]
-    fn window_rejects_inverted_range() {
-        let t: TraceFile = SAMPLE.parse().unwrap();
-        let _ = t.window(20, 20);
-    }
-
-    #[test]
-    fn offered_load_over_span() {
-        let t: TraceFile = "0 0 1 GB 4\n9 0 1 GB 4".parse().unwrap();
-        assert!((t.offered_load() - 0.8).abs() < 1e-12);
-        let single: TraceFile = "5 0 1 GB 4".parse().unwrap();
-        assert_eq!(single.offered_load(), 0.0);
     }
 
     /// One damaged copy of `rendered`: flipped bytes, truncations,
@@ -1015,10 +771,9 @@ mod tests {
         cycles
     }
 
-    /// The reader and the replay path against the parse-then-convert
-    /// path on one text: the same injectors, or the same refusal. A
-    /// duplicate, which `into_injectors` can only place on line 0, must
-    /// name `dup_line`.
+    /// The replay path against the parse-then-convert path on one text:
+    /// the same packets, or the same refusal. A duplicate, which
+    /// `into_injectors` can only place on line 0, must name `dup_line`.
     fn assert_reader_matches(text: &str, radix: usize, dup_line: impl FnOnce() -> usize) {
         // Every line the byte fast path takes reads the same under the
         // general rules, and in place in a buffer that holds more.
@@ -1032,36 +787,23 @@ mod tests {
                 assert_eq!(len, line.len() + 1, "{line:?}");
             }
         }
-        let read = TraceFile::read_injectors(text.as_bytes(), radix);
-        let refusal = |e: &ParseTraceError| (e.line(), e.message().to_owned());
         let trace = match text.parse::<TraceFile>() {
             Ok(trace) => trace,
             Err(e) => {
-                let got = read.err().unwrap_or_else(|| panic!("reader took {text:?}"));
-                assert_eq!(refusal(&got), refusal(&e), "{text:?}");
-                assert_eq!(replayed(text, radix, &[]), Err(refusal(&e)), "{text:?}");
+                let refusal = (e.line(), e.message().to_owned());
+                assert_eq!(replayed(text, radix, &[]), Err(refusal), "{text:?}");
                 return;
             }
         };
         let cycles = cycles_of(&trace);
         let replay = replayed(text, radix, &cycles);
-        match (trace.into_injectors(), read) {
-            (Ok(old), Ok(new)) => {
-                let old = fired(old, &cycles);
-                assert_eq!(old, fired(new, &cycles), "{text:?}");
-                assert_eq!(Ok(old), replay, "{text:?}");
+        match trace.into_injectors() {
+            Ok(injectors) => assert_eq!(Ok(fired(injectors, &cycles)), replay, "{text:?}"),
+            Err(e) => {
+                assert_eq!(e.line(), 0);
+                let refusal = (dup_line(), e.message().to_owned());
+                assert_eq!(replay, Err(refusal), "{text:?}");
             }
-            (Err(old), Err(new)) => {
-                assert_eq!(old.line(), 0);
-                assert_eq!(new.message(), old.message(), "{text:?}");
-                assert_eq!(new.line(), dup_line(), "{text:?}");
-                assert_eq!(replay, Err(refusal(&new)), "{text:?}");
-            }
-            (old, new) => panic!(
-                "{text:?}: parse path {:?}, reader {:?}",
-                old.err(),
-                new.err()
-            ),
         }
     }
 
@@ -1096,7 +838,7 @@ mod tests {
         Ok(fired)
     }
 
-    /// The reader and the parse path agree on the corruption corpus of
+    /// The replay and the parse path agree on the corruption corpus of
     /// [`corrupted_traces_never_panic_and_errors_carry_real_lines`].
     #[test]
     fn reader_matches_the_parse_path_on_corrupted_traces() {
@@ -1201,53 +943,70 @@ mod tests {
         text
     }
 
-    /// The reader and `from_str` + `into_injectors` fire the same
-    /// packets, or refuse the same duplicate (the reader naming its
-    /// line), on seeded traces of every shape.
+    /// The replay and `from_str` + `into_injectors` fire the same
+    /// packets, or refuse the same duplicate (the replay naming its
+    /// line), on seeded traces of every shape, unsorted and sorted.
     #[test]
     fn reader_matches_the_parse_path_on_styled_traces() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(0x5EED_0033);
-        let (mut replayed, mut refused, mut streamed) = (0, 0, 0);
+        let (mut replayed, mut refused, mut unsorted) = (0, 0, 0);
         for _ in 0..400 {
             let text = styled_trace(&mut rng);
             assert_reader_matches(&text, 4, || first_duplicate_line(&text));
             let sorted = sorted_by_cycle(&text);
             assert_reader_matches(&sorted, 4, || first_duplicate_line(&sorted));
-            let replay = crate::Replay::open(std::io::Cursor::new(sorted), 4);
-            streamed += u32::from(replay.is_ok_and(|r| r.is_streamed()));
             match text.parse::<TraceFile>().unwrap().into_injectors() {
                 Ok(_) => replayed += 1,
                 Err(_) => refused += 1,
             }
+            unsorted += u32::from(sorted != text);
         }
-        // Both outcomes are exercised, and sorted files replay streamed.
+        // Both outcomes are exercised, on unsorted files as well.
         assert!(
-            replayed > 50 && refused > 50 && streamed > 50,
-            "{replayed} replayed, {refused} refused, {streamed} streamed"
+            replayed > 50 && refused > 50 && unsorted > 200,
+            "{replayed} replayed, {refused} refused, {unsorted} unsorted"
         );
     }
 
+    /// `Replay::open` of `bytes` at radix `radix`.
+    fn open(bytes: &[u8], radix: usize) -> Result<crate::Replay, ParseTraceError> {
+        crate::Replay::open(std::io::Cursor::new(bytes.to_vec()), radix)
+    }
+
+    /// The `(line, message)` of `open`'s refusal.
+    fn refusal(bytes: &[u8], radix: usize) -> (usize, String) {
+        let e = open(bytes, radix).unwrap_err();
+        (e.line(), e.message().to_owned())
+    }
+
+    /// Each refusal reads the same whether the file is sorted or turns
+    /// unsorted before the refused line.
     #[test]
     fn reader_refuses_ports_outside_the_radix_and_long_packets() {
-        let err = |text: &str| {
-            let e = TraceFile::read_injectors(text.as_bytes(), 8).unwrap_err();
-            (e.line(), e.message().to_owned())
-        };
-        assert_eq!(err("0 9 3 GB 8"), (1, "input 9 is outside radix 8".into()));
-        assert_eq!(
-            err("\n0 1 8 GB 8"),
-            (2, "output 8 is outside radix 8".into())
-        );
-        assert_eq!(
-            err("0 1 3 GB 1025"),
-            (1, "packet length 1025 flits outside 1..=1024".into())
-        );
+        for head in ["", "5 0 1 GB 2\n3 0 1 GB 2\n"] {
+            let err = |text: &str| {
+                let (line, message) = refusal(format!("{head}{text}").as_bytes(), 8);
+                (line - head.lines().count(), message)
+            };
+            assert_eq!(err("0 9 3 GB 8"), (1, "input 9 is outside radix 8".into()));
+            assert_eq!(
+                err("\n0 1 8 GB 8"),
+                (2, "output 8 is outside radix 8".into())
+            );
+            assert_eq!(
+                err("0 1 3 GB 1025"),
+                (1, "packet length 1025 flits outside 1..=1024".into())
+            );
+            assert!(open(format!("{head}0 1 3 GB 1024").as_bytes(), 8).is_ok());
+            // A non-UTF-8 byte is refused wherever it is, comments included.
+            let bytes = [head.as_bytes(), b"0 1 3 GB 8\n# caf\xe9\n"].concat();
+            let (line, message) = refusal(&bytes, 8);
+            assert_eq!(
+                (line - head.lines().count(), &*message),
+                (2, "not valid UTF-8")
+            );
+        }
         assert!("0 1 3 GB 1025".parse::<TraceFile>().is_err());
-        assert!(TraceFile::read_injectors("0 1 3 GB 1024".as_bytes(), 8).is_ok());
-        // A non-UTF-8 byte is refused wherever it is, comments included.
-        let bytes: &[u8] = b"0 1 3 GB 8\n# caf\xe9\n";
-        let e = TraceFile::read_injectors(bytes, 8).unwrap_err();
-        assert_eq!((e.line(), e.message()), (2, "not valid UTF-8"));
     }
 
     /// Lines just outside the fast path's shape read as the general
@@ -1289,15 +1048,13 @@ mod tests {
     #[test]
     fn reader_names_the_earliest_duplicate_in_an_unsorted_file() {
         let text = "9 0 1 GB 2\n5 0 1 GB 2\n9 0 2 GB 2\n5 0 3 GB 2\n3 1 1 BE 2\n";
-        let e = TraceFile::read_injectors(text.as_bytes(), 4).unwrap_err();
         assert_eq!(
-            (e.line(), e.message()),
-            (4, "input In0 injects two GB packets at cycle 5")
+            refusal(text.as_bytes(), 4),
+            (4, "input In0 injects two GB packets at cycle 5".into())
         );
         // A later syntax error wins, as it does in the parse path.
         let broken = format!("{text}bogus\n");
-        let e = TraceFile::read_injectors(broken.as_bytes(), 4).unwrap_err();
-        assert_eq!(e.line(), 6);
+        assert_eq!(refusal(broken.as_bytes(), 4).0, 6);
     }
 
     #[test]
@@ -1305,7 +1062,6 @@ mod tests {
         let mut p = SequenceDest::new(VecDeque::from(vec![OutputId::new(3), OutputId::new(1)]));
         assert_eq!(p.dest(InputId::new(0)), OutputId::new(3));
         assert_eq!(p.dest(InputId::new(0)), OutputId::new(1));
-        assert_eq!(p.remaining(), 0);
     }
 
     #[test]

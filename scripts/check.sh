@@ -98,9 +98,10 @@ done
 echo "== replay: a sorted capture and its unsorted regrouping report alike =="
 # A capture is sorted by cycle, so --replay reads it during the run, a
 # block at a time; regrouped by input (a stable sort, so each stream
-# keeps its order) it is no longer sorted, and --replay builds its
-# streams up front. Both shipped paths, through the real binary, must
-# print the same report.
+# keeps its order) it is no longer sorted, and --replay sorts it by
+# cycle in memory, then reads that copy the same way. The two reports,
+# through the real binary, must be the same: this is the end-to-end
+# check of that sort.
 replay_args=(--radix 8 --cycles 4000 --warmup 200 --reserve 1:1:30 --gl-reserve 3:10)
 ./target/release/ssq simulate "${replay_args[@]}" --flow 0:1:BE:0.3:4 \
     --flow 1:1:GB:0.25:8 --flow 2:3:GL:0.05:1 --flow 5:3:BE:0.2:2 \

@@ -394,8 +394,8 @@ pub(crate) fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
             std::panic::resume_unwind(panic);
         }
     };
-    // A sorted replay is read during the run: a line that no longer
-    // reads as it did ends its arrivals, and the run is not the file's.
+    // A replay is read during the run: a line that no longer reads as it
+    // did ends its arrivals, and the run is not the file's.
     if let (Some(path), Some(e)) = (replay_path, switch.replay_error()) {
         return Err(err(format!("{path}:{}: {}", e.line(), e.message())));
     }
@@ -455,7 +455,7 @@ pub(crate) fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
         let trace = TraceFile::from_events(events);
         std::fs::write(path, trace.to_string())
             .map_err(|e| err(format!("writing capture {path:?}: {e}")))?;
-        println!("captured {} delivered packets to {path}", trace.len());
+        eprintln!("captured {} delivered packets to {path}", trace.len());
     }
 
     // Report.

@@ -181,6 +181,40 @@ fn more_threads_than_outputs_still_finishes_with_seqs_report() {
     assert_eq!(run(&["--engine", "par", "--threads", "100000"]), run(&[]));
 }
 
+/// `--capture` reports the file it wrote on stderr, so the stdout of a
+/// `--csv` run is the CSV report alone, as it is without a capture.
+#[test]
+fn a_captured_csv_run_prints_the_csv_alone() {
+    let dir = Scratch::new("capture");
+    let capture = dir.join("capture.trace");
+    let capture = capture.to_str().expect("utf-8 path");
+    let args = [
+        "simulate",
+        "--radix",
+        "4",
+        "--cycles",
+        "300",
+        "--csv",
+        "--flow",
+        "0:1:BE:0.2:4",
+    ];
+    let plain = ssq(&args);
+    let captured = ssq(&[&args[..], &["--capture", capture]].concat());
+    assert!(captured.status.success(), "{}", stderr(&captured));
+    let stdout = String::from_utf8_lossy(&captured.stdout);
+    assert_eq!(
+        stdout.lines().next(),
+        Some("flow,class,packets,throughput (flits/cycle),mean latency,max latency")
+    );
+    assert_eq!(captured.stdout, plain.stdout);
+    assert!(
+        stderr(&captured).starts_with("captured "),
+        "{}",
+        stderr(&captured)
+    );
+    assert!(std::fs::read_to_string(capture).is_ok_and(|t| t.lines().count() > 10));
+}
+
 /// The profiler ships in the default build: `--prof` prints the phase
 /// table, and warm-up never shows in it. A Bernoulli flow keeps `bitpar`
 /// dense, so both engines execute — and sample — every measured cycle.

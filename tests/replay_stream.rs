@@ -1,10 +1,11 @@
-//! The streamed replay of a trace sorted by cycle against the replay the
-//! trace's own injectors give (`text.parse::<TraceFile>()` then
-//! `into_injectors`), on the sequential runner, the idle-skipping one
-//! and the scalar reference kernel: the same report rows, counters,
-//! injection work, skipped cycles and JSONL trace bytes. And the
-//! streamed replay reads the file lazily: never more than the first line
-//! past the open 64-cycle block, plus one reader buffer.
+//! The streamed replay of a trace, sorted by cycle or regrouped by
+//! input, against the replay the trace's own injectors give
+//! (`text.parse::<TraceFile>()` then `into_injectors`), on the
+//! sequential runner, the idle-skipping one and the scalar reference
+//! kernel: the same report rows, counters, injection work, skipped
+//! cycles and JSONL trace bytes. And the streamed replay of a sorted
+//! file reads it lazily: never more than the first line past the open
+//! 64-cycle block, plus one reader buffer.
 
 use std::io::{BufReader, Cursor, Read, Seek, SeekFrom, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -107,6 +108,22 @@ fn sorted_trace(seed: u64) -> String {
     text
 }
 
+/// `text`'s packet lines regrouped by input, each stream keeping its
+/// order: a file no longer sorted by cycle, as `sort -s -k2,2n` makes
+/// of a capture.
+fn regrouped(text: &str) -> String {
+    let input = |line: &str| {
+        let trace = line.parse::<TraceFile>().expect("parses");
+        trace.events().first().map(|e| e.input)
+    };
+    let mut packets: Vec<&str> = text
+        .split_inclusive('\n')
+        .filter(|l| input(l).is_some())
+        .collect();
+    packets.sort_by_key(|l| input(l));
+    packets.concat()
+}
+
 /// `--flow`-style injectors added after the replay: none, a periodic GL
 /// source (the switch still sleeps through idle stretches), or a
 /// Bernoulli BE source (it never does).
@@ -206,7 +223,6 @@ fn run(text: &str, streamed: bool, engine: Engine, flows: Flows, cycles: u64) ->
     switch.tracer_mut().attach_jsonl(Box::new(sink.clone()));
     if streamed {
         let replay = Replay::open(Cursor::new(text.to_owned()), RADIX).expect("checked");
-        assert!(replay.is_streamed(), "a sorted trace is streamed");
         switch.add_replay(replay);
     } else {
         let trace: TraceFile = text.parse().expect("parses");
@@ -263,6 +279,13 @@ fn run(text: &str, streamed: bool, engine: Engine, flows: Flows, cycles: u64) ->
 fn a_streamed_replay_matches_the_built_one_on_every_engine() {
     for seed in 0..4 {
         let text = sorted_trace(seed);
+        let unsorted = regrouped(&text);
+        let cycles: Vec<u64> = unsorted
+            .lines()
+            .map(|l| l.split_whitespace().next().expect("a packet line"))
+            .map(|c| c.parse().expect("a cycle"))
+            .collect();
+        assert!(!cycles.is_sorted(), "seed {seed}: regrouped stays sorted");
         for (engine, flows, cycles) in [
             (Engine::Seq, Flows::None, 7_000),
             (Engine::Seq, Flows::Bernoulli, 7_000),
@@ -273,26 +296,29 @@ fn a_streamed_replay_matches_the_built_one_on_every_engine() {
         ] {
             let tag = format!("seed {seed}, {engine:?}, {flows:?}, {cycles} cycles");
             let built = run(&text, false, engine, flows, cycles);
-            let streamed = run(&text, true, engine, flows, cycles);
             assert!(built.counters.delivered_packets > 100, "{tag}: too thin");
             assert!(!built.jsonl.is_empty(), "{tag}: nothing traced");
             if let (Engine::Bitpar, Flows::None | Flows::Periodic) = (engine, flows) {
                 assert!(built.skipped > 1_000, "{tag}: skipped {}", built.skipped);
             }
-            let facts = |o: &Outcome| (o.counters, o.work, o.skipped);
-            assert_eq!(facts(&streamed), facts(&built), "{tag}");
-            assert_eq!(streamed.rows, built.rows, "{tag}");
-            let diverged = streamed
-                .jsonl
-                .iter()
-                .zip(&built.jsonl)
-                .position(|(a, b)| a != b);
-            assert_eq!(diverged, None, "{tag}: JSONL traces differ at that byte");
-            assert_eq!(
-                streamed.jsonl.len(),
-                built.jsonl.len(),
-                "{tag}: JSONL lengths"
-            );
+            for (file, order) in [(&text, "sorted"), (&unsorted, "regrouped")] {
+                let streamed = run(file, true, engine, flows, cycles);
+                let tag = format!("{tag}, {order}");
+                let facts = |o: &Outcome| (o.counters, o.work, o.skipped);
+                assert_eq!(facts(&streamed), facts(&built), "{tag}");
+                assert_eq!(streamed.rows, built.rows, "{tag}");
+                let diverged = streamed
+                    .jsonl
+                    .iter()
+                    .zip(&built.jsonl)
+                    .position(|(a, b)| a != b);
+                assert_eq!(diverged, None, "{tag}: JSONL traces differ at that byte");
+                assert_eq!(
+                    streamed.jsonl.len(),
+                    built.jsonl.len(),
+                    "{tag}: JSONL lengths"
+                );
+            }
         }
     }
 }
@@ -344,7 +370,6 @@ fn a_streamed_replay_reads_one_block_ahead() {
         consumed: Arc::clone(&consumed),
     };
     let replay = Replay::open(BufReader::with_capacity(BUFFER, file), RADIX).expect("checked");
-    assert!(replay.is_streamed());
     let mut switch = QosSwitch::new(config()).expect("valid switch");
     switch.add_replay(replay);
     let mut checked = 0;
