@@ -98,11 +98,11 @@ pub trait Arbiter {
     /// Predicts the winner [`Arbiter::arbitrate`] would pick for the same
     /// `requests` at the same `now`, **without mutating state**.
     ///
-    /// This is the decision half of the decide/commit split the sharded
-    /// execution engine relies on: every shard calls `decide` in parallel
-    /// against an immutable switch snapshot, and the serial merge phase
-    /// replays the winning choice through `arbitrate` (or a policy's
-    /// dedicated commit entry point). The contract is exact agreement:
+    /// This is the decision half of the switch kernel's decide/commit
+    /// split: every output is decided against state the decide phase only
+    /// reads (on several threads under `ssq_sim::ParRunner`), and the
+    /// serial commit replays the winning choice through `arbitrate` (or
+    /// a policy's dedicated commit entry point). The contract is exact agreement:
     /// for any state S, `S.decide(now, reqs) == S.arbitrate(now, reqs)`
     /// where the right-hand side runs on a clone of S.
     ///

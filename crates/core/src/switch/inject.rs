@@ -23,9 +23,17 @@ impl QosSwitch {
     ///
     /// # Panics
     ///
-    /// Panics if the input is not a port of the switch.
+    /// Panics if the input is not a port of the switch, or if the
+    /// injector's next packet is due in a cycle the switch has already
+    /// stepped past ([`ArrivalSchedule::push`](ssq_traffic::ArrivalSchedule::push)):
+    /// a [`Trace`](ssq_traffic::Trace) added after its next event.
     pub fn add_injector(&mut self, injector: Injector) {
         self.attach(injector.input());
+        if self.clock > 0 {
+            // Only a schedule with injectors follows the steps: bring
+            // it to the next cycle, where the new injector starts.
+            self.injectors.skip_to(self.now_hint.next());
+        }
         self.injectors.push(injector);
     }
 

@@ -337,6 +337,29 @@ fn trace_injection_is_exact() {
     assert_eq!(switch.be_metrics().flow(flow).max_latency(), Some(4));
 }
 
+/// A trace whose next event's cycle has passed could deliver nothing:
+/// it is refused, not silenced.
+#[test]
+#[should_panic(expected = "injector added at cycle 20: its next packet was due at cycle 10")]
+fn a_trace_added_after_its_next_event_is_refused() {
+    let config = SwitchConfig::builder(geometry()).build().unwrap();
+    let mut switch = QosSwitch::new(config).unwrap();
+    for c in 0..20 {
+        switch.step(Cycle::new(c));
+    }
+    switch.add_injector(
+        Injector::new(
+            Box::new(Trace::new(vec![(10, 4), (100, 4)])),
+            Box::new(FixedDest::new(out0())),
+            TrafficClass::BestEffort,
+        )
+        .for_input(InputId::new(5)),
+    );
+    for c in 20..200 {
+        switch.step(Cycle::new(c));
+    }
+}
+
 #[test]
 fn measurement_window_resets_statistics() {
     let mut switch = saturating_gb_switch(Policy::LrgOnly, &FIG4_RATES);

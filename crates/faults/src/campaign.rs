@@ -5,17 +5,15 @@
 //! cycle (or an MTBF schedule), optionally healed, and the run judged by
 //! the two-outcome oracle ([`crate::detect::judge`]). The smoke tier
 //! ([`run_smoke`]) runs every scenario on the scalar reference kernel
-//! and on the two engines a watchdogged run can differ on — the
-//! sequential [`Runner`] and the sharded [`ParRunner`] (a monitored run
-//! is dense, so idle skipping has no leg here) — and asserts none ends
-//! in a silent violation; an engine divergence (verdict, counters, or
-//! trace bytes differing between the runs) is itself reported as a
-//! silent violation, making every smoke run a differential test of the
-//! kernel under fault injection.
+//! and on the sequential [`Runner`] (a monitored run is dense, so idle
+//! skipping has no leg here) and asserts none ends in a silent
+//! violation; a divergence between the two (verdict, counters, or trace
+//! bytes) is itself reported as a silent violation, making every smoke
+//! run a differential test of the kernel under fault injection.
 
 use ssq_arbiter::CounterPolicy;
 use ssq_core::{Policy, QosSwitch, SwitchConfig};
-use ssq_sim::{MonitorOutcome, ParRunner, Runner, Schedule};
+use ssq_sim::{Runner, Schedule};
 use ssq_trace::{Event, EventKind, FaultSite, JsonlSink, RingSink};
 use ssq_traffic::{FixedDest, Injector, Periodic, Saturating};
 use ssq_types::{Cycles, Geometry, InputId, OutputId, Rate, TrafficClass};
@@ -132,11 +130,7 @@ fn add_gl(config: &mut SwitchConfig, switch_rate: f64) {
 /// seed-independent), so a campaign replays exactly from `(name, seed)`.
 #[must_use]
 pub fn run_scenario(name: &str, seed: u64) -> Option<ScenarioResult> {
-    let (switch, plan) = build_scenario(name, seed)?;
-    let mut chaos = arm(switch, plan);
-    let outcome = Runner::new(Schedule::new(Cycles::new(WARMUP), Cycles::new(MEASURE)))
-        .run_monitored(&mut chaos, Cycles::new(2_000), |_, _| {});
-    Some(finish(name, chaos, &outcome))
+    run(name, seed, false)
 }
 
 /// [`run_scenario`] on the scalar reference kernel
@@ -146,35 +140,20 @@ pub fn run_scenario(name: &str, seed: u64) -> Option<ScenarioResult> {
 /// other; the reference path shares no decision code with it.
 #[must_use]
 pub fn run_scenario_reference(name: &str, seed: u64) -> Option<ScenarioResult> {
-    let (switch, plan) = build_scenario(name, seed)?;
-    let mut chaos = arm(switch, plan).on_reference_kernel();
+    run(name, seed, true)
+}
+
+/// Runs scenario `name` under the watchdog, on the reference kernel if
+/// `reference`, and judges it.
+fn run(name: &str, seed: u64, reference: bool) -> Option<ScenarioResult> {
+    let (mut switch, plan) = build_scenario(name, seed)?;
+    switch.tracer_mut().attach_ring(1 << 17);
+    let mut chaos = ChaosSwitch::new(switch, plan);
+    if reference {
+        chaos = chaos.on_reference_kernel();
+    }
     let outcome = Runner::new(Schedule::new(Cycles::new(WARMUP), Cycles::new(MEASURE)))
         .run_monitored(&mut chaos, Cycles::new(2_000), |_, _| {});
-    Some(finish(name, chaos, &outcome))
-}
-
-/// [`run_scenario`] on the sharded parallel engine with `threads`
-/// compute threads. The result must match [`run_scenario_reference`]
-/// exactly — same verdict, same counters, same trace — which
-/// [`run_smoke`] enforces on every scenario.
-#[must_use]
-pub fn run_scenario_par(name: &str, seed: u64, threads: usize) -> Option<ScenarioResult> {
-    let (switch, plan) = build_scenario(name, seed)?;
-    let mut chaos = arm(switch, plan);
-    let outcome = ParRunner::new(
-        Schedule::new(Cycles::new(WARMUP), Cycles::new(MEASURE)),
-        threads,
-    )
-    .run_monitored(&mut chaos, Cycles::new(2_000), |_, _| {});
-    Some(finish(name, chaos, &outcome))
-}
-
-fn arm(mut switch: QosSwitch, plan: FaultPlan) -> ChaosSwitch {
-    switch.tracer_mut().attach_ring(1 << 17);
-    ChaosSwitch::new(switch, plan)
-}
-
-fn finish(name: &str, chaos: ChaosSwitch, outcome: &MonitorOutcome) -> ScenarioResult {
     let switch = chaos.into_switch();
     let events = switch
         .tracer()
@@ -185,15 +164,15 @@ fn finish(name: &str, chaos: ChaosSwitch, outcome: &MonitorOutcome) -> ScenarioR
     if let Some(err) = switch.tracer().jsonl().and_then(JsonlSink::io_error) {
         notes.push(format!("sink fault detected (sticky): {err}"));
     }
-    let verdict = judge(outcome, &events);
-    ScenarioResult {
+    let verdict = judge(&outcome, &events);
+    Some(ScenarioResult {
         name: name.to_string(),
         verdict,
         fault_injections: switch.counters().fault_injections,
         delivered_flits: switch.counters().delivered_flits,
         notes,
         events,
-    }
+    })
 }
 
 fn build_scenario(name: &str, seed: u64) -> Option<(QosSwitch, FaultPlan)> {
@@ -376,13 +355,11 @@ fn build_scenario(name: &str, seed: u64) -> Option<(QosSwitch, FaultPlan)> {
 }
 
 /// Runs every catalog scenario with `seed` on the reference kernel and
-/// both engines.
+/// the sequential runner.
 ///
-/// Each scenario executes on the scalar reference kernel and again under
-/// the sequential runner and the parallel engine (two threads); the
-/// reference result is returned, except that any divergence of an
-/// engine from it — verdict, injection or delivery counters, or the
-/// event trace — replaces the verdict with a
+/// The reference result is returned, except that any divergence of the
+/// sequential run from it — verdict, injection or delivery counters, or
+/// the event trace — replaces the verdict with a
 /// [`Verdict::SilentViolation`] naming the differential failure.
 #[must_use]
 pub fn run_smoke(seed: u64) -> Vec<ScenarioResult> {
@@ -392,49 +369,47 @@ pub fn run_smoke(seed: u64) -> Vec<ScenarioResult> {
             let valid = "catalog names are valid";
             let reference = run_scenario_reference(name, seed).expect(valid);
             let seq = run_scenario(name, seed).expect(valid);
-            let reference = differential(reference, &seq, "sequential");
-            let par = run_scenario_par(name, seed, 2).expect(valid);
-            differential(reference, &par, "parallel")
+            differential(reference, &seq)
         })
         .collect()
 }
 
-/// Folds an engine's rerun into the reference result: identical runs
-/// pass through; any observable difference is the one failure mode this
-/// subsystem exists to rule out, reported loudly.
-fn differential(mut seq: ScenarioResult, other: &ScenarioResult, engine: &str) -> ScenarioResult {
+/// Folds the sequential rerun into the reference result: identical
+/// runs pass through; any observable difference is the one failure mode
+/// this subsystem exists to rule out, reported loudly.
+fn differential(mut oracle: ScenarioResult, seq: &ScenarioResult) -> ScenarioResult {
     let mut diffs = Vec::new();
-    if seq.verdict != other.verdict {
-        diffs.push(format!("verdict {:?} vs {:?}", seq.verdict, other.verdict));
+    if oracle.verdict != seq.verdict {
+        diffs.push(format!("verdict {:?} vs {:?}", oracle.verdict, seq.verdict));
     }
-    if seq.fault_injections != other.fault_injections {
+    if oracle.fault_injections != seq.fault_injections {
         diffs.push(format!(
             "fault_injections {} vs {}",
-            seq.fault_injections, other.fault_injections
+            oracle.fault_injections, seq.fault_injections
         ));
     }
-    if seq.delivered_flits != other.delivered_flits {
+    if oracle.delivered_flits != seq.delivered_flits {
         diffs.push(format!(
             "delivered_flits {} vs {}",
-            seq.delivered_flits, other.delivered_flits
+            oracle.delivered_flits, seq.delivered_flits
         ));
     }
-    if seq.events != other.events {
+    if oracle.events != seq.events {
         diffs.push(format!(
             "event trace ({} vs {} events)",
-            seq.events.len(),
-            other.events.len()
+            oracle.events.len(),
+            seq.events.len()
         ));
     }
     if !diffs.is_empty() {
-        seq.verdict = Verdict::SilentViolation {
+        oracle.verdict = Verdict::SilentViolation {
             reason: format!(
-                "{engine} engine diverged from the reference kernel: {}",
+                "sequential engine diverged from the reference kernel: {}",
                 diffs.join("; ")
             ),
         };
     }
-    seq
+    oracle
 }
 
 #[cfg(test)]
@@ -527,34 +502,19 @@ mod tests {
     fn unknown_scenario_is_none() {
         assert!(run_scenario("no-such-scenario", 0).is_none());
         assert!(run_scenario_reference("no-such-scenario", 0).is_none());
-        assert!(run_scenario_par("no-such-scenario", 0, 2).is_none());
     }
 
     #[test]
-    fn parallel_engine_matches_sequential_under_faults() {
+    fn the_sequential_engine_matches_the_reference_under_faults() {
         // The armed-fault paths (fabric corruption classification,
         // degraded-mode scans) are the hardest cases for the shared
-        // decide/commit kernel: they mutate mid-arbitration. Hold every
-        // engine bit-exact to the reference kernel through them, the
-        // parallel one at 1 and 4 threads.
+        // decide/commit kernel: they mutate mid-arbitration. Hold the
+        // engine bit-exact to the reference kernel through them.
         for name in ["bitline-stuck-0", "bitline-stuck-1", "gl-lane-lost"] {
-            let seq = run_scenario_reference(name, 7).unwrap();
-            let dense = run_scenario(name, 7).unwrap();
-            assert_eq!(seq.verdict, dense.verdict, "{name} @ seq");
-            assert_eq!(seq.events, dense.events, "{name} @ seq");
-            for threads in [1, 4] {
-                let par = run_scenario_par(name, 7, threads).unwrap();
-                assert_eq!(seq.verdict, par.verdict, "{name} @ {threads} threads");
-                assert_eq!(
-                    seq.fault_injections, par.fault_injections,
-                    "{name} @ {threads} threads"
-                );
-                assert_eq!(
-                    seq.delivered_flits, par.delivered_flits,
-                    "{name} @ {threads} threads"
-                );
-                assert_eq!(seq.events, par.events, "{name} @ {threads} threads");
-            }
+            let reference = run_scenario_reference(name, 7).unwrap();
+            let seq = run_scenario(name, 7).unwrap();
+            assert_eq!(reference.verdict, seq.verdict, "{name}");
+            assert_eq!(reference.events, seq.events, "{name}");
         }
     }
 }

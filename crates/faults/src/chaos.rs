@@ -7,7 +7,7 @@
 //! no special-casing.
 
 use ssq_core::QosSwitch;
-use ssq_sim::{CycleModel, Monitored, ShardedModel};
+use ssq_sim::{CycleModel, Monitored};
 use ssq_types::Cycle;
 
 use crate::plan::FaultPlan;
@@ -43,12 +43,6 @@ impl ChaosSwitch {
         self
     }
 
-    /// The wrapped switch.
-    #[must_use]
-    pub fn switch(&self) -> &QosSwitch {
-        &self.switch
-    }
-
     /// Unwraps the switch for post-run inspection.
     #[must_use]
     pub fn into_switch(self) -> QosSwitch {
@@ -68,34 +62,6 @@ impl CycleModel for ChaosSwitch {
 
     fn begin_measurement(&mut self, now: Cycle) {
         self.switch.begin_measurement(now);
-    }
-}
-
-impl ShardedModel for ChaosSwitch {
-    type Plan = ssq_core::OutputPlan;
-
-    fn shard_count(&self) -> usize {
-        self.switch.shard_count()
-    }
-
-    fn shard_prepare(&mut self, now: Cycle) {
-        // Faults land in the serial prepare phase, exactly where the
-        // sequential `step` applies them, so both engines see identical
-        // pre-decision state.
-        self.plan.apply_due(&mut self.cursor, now, &mut self.switch);
-        self.switch.shard_prepare(now);
-    }
-
-    fn shard_decide(&self, shard: usize, now: Cycle) -> Self::Plan {
-        self.switch.shard_decide(shard, now)
-    }
-
-    fn shard_merge(&mut self, now: Cycle, plans: Vec<Self::Plan>) {
-        self.switch.shard_merge(now, plans);
-    }
-
-    fn plan_cost(plan: &Self::Plan) -> u64 {
-        QosSwitch::plan_cost(plan)
     }
 }
 

@@ -10,7 +10,7 @@
 use std::io::{self, Write};
 
 use ssq_sim::MonitorOutcome;
-use ssq_trace::{DegradeMode, Event, EventKind, ReadmitAction};
+use ssq_trace::{DegradeMode, Event, EventKind};
 
 /// The oracle's ruling on one fault scenario.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,17 +60,16 @@ pub fn judge(outcome: &MonitorOutcome, events: &[Event]) -> Verdict {
     for e in events {
         match &e.kind {
             EventKind::GuaranteeRevoked { .. } => revocations += 1,
-            EventKind::Degraded { mode, .. } => {
-                degradations += 1;
-                if *mode == DegradeMode::Retry {
-                    retry_degradations += 1;
-                }
-            }
+            kind if kind.is_loud() => degradations += 1,
             EventKind::Detected { .. } => detections += 1,
-            EventKind::Readmitted { action, .. } if *action != ReadmitAction::Keep => {
-                degradations += 1;
-            }
             _ => {}
+        }
+        if let EventKind::Degraded {
+            mode: DegradeMode::Retry,
+            ..
+        } = e.kind
+        {
+            retry_degradations += 1;
         }
     }
     // Composition check: a transient retry is consumed once per
@@ -147,6 +146,7 @@ impl Write for FailingWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssq_trace::ReadmitAction;
     use ssq_types::invariant::Invariant;
     use ssq_types::{Cycle, TrafficClass};
 

@@ -18,7 +18,7 @@
 
 use ssq_faults::{judge, Verdict};
 use ssq_sim::MonitorOutcome;
-use ssq_trace::{Event, EventKind, ReadmitAction};
+use ssq_trace::{Event, EventKind};
 use ssq_types::Cycle;
 
 use crate::fabric::NO_LINK;
@@ -68,16 +68,6 @@ fn fabric_loudness(events: &[Event]) -> (usize, Option<(String, u64)>) {
     (degradations, first)
 }
 
-/// First loud node-level event (`guarantee_revoked`, `degraded`, or a
-/// non-keep `readmitted`) in `events`, as `(cycle)`.
-fn first_loud_node_event(events: &[Event]) -> Option<u64> {
-    events.iter().find_map(|e| match &e.kind {
-        EventKind::GuaranteeRevoked { .. } | EventKind::Degraded { .. } => Some(e.cycle),
-        EventKind::Readmitted { action, .. } if *action != ReadmitAction::Keep => Some(e.cycle),
-        _ => None,
-    })
-}
-
 /// Judges a fabric run: per-hop verdicts from each node's own trace,
 /// and a whole-path verdict that also hears the fabric's hop events.
 ///
@@ -118,7 +108,10 @@ pub fn judge_path(
     let node_first = node_events
         .iter()
         .enumerate()
-        .filter_map(|(i, ev)| first_loud_node_event(ev).map(|at| (format!("node{i}"), at)))
+        .filter_map(|(i, ev)| {
+            let at = ev.iter().find(|e| e.kind.is_loud())?.cycle;
+            Some((format!("node{i}"), at))
+        })
         .min_by_key(|&(_, at)| at);
     let first_loud = match (node_first, fabric_first) {
         (Some(n), Some(f)) => Some(if n.1 <= f.1 { n } else { f }),

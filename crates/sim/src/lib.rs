@@ -16,7 +16,8 @@
 //!   skipping (`--engine bitpar`), byte-identical to dense stepping.
 //! * [`ShardedModel`] / [`ParRunner`] — the sharded parallel engine:
 //!   one cycle as parallel per-shard decisions plus a serial in-order
-//!   merge, bit-identical to the sequential runner at any thread count.
+//!   merge, bit-identical to [`Runner::run`] at any thread count. No
+//!   `ssq simulate` engine selects it; qosbench (`benchmark/`) times it.
 //!
 //! The warm-up → `begin_measurement` → measure loop exists once
 //! (`runner.rs`); every entry point above is a call into it.

@@ -26,12 +26,9 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
 
-use ssq_types::{Cycle, Cycles};
+use ssq_types::Cycle;
 
-use crate::runner::{
-    drive_monitored, drive_observed, drive_unwatched, CycleModel, MonitorOutcome, Monitored,
-    Schedule, Stepper,
-};
+use crate::runner::{drive_unwatched, CycleModel, Schedule, Stepper};
 
 /// A model whose cycle splits into parallel per-shard decisions plus a
 /// serial merge.
@@ -324,9 +321,9 @@ where
 }
 
 /// Drives a [`ShardedModel`] through a [`Schedule`] on the parallel
-/// engine, mirroring [`Runner`](crate::Runner)'s phase semantics
-/// exactly — same cycles, same measurement boundary, same observer and
-/// watchdog hooks — so the two are drop-in interchangeable.
+/// engine, mirroring [`Runner::run`](crate::Runner::run)'s phase
+/// semantics exactly — same cycles, same measurement boundary — so the
+/// two are drop-in interchangeable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParRunner {
     schedule: Schedule,
@@ -344,18 +341,6 @@ impl ParRunner {
         }
     }
 
-    /// The schedule this runner executes.
-    #[must_use]
-    pub const fn schedule(&self) -> Schedule {
-        self.schedule
-    }
-
-    /// Total compute threads, including the calling thread.
-    #[must_use]
-    pub const fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Parallel counterpart of [`Runner::run`](crate::Runner::run).
     pub fn run<M>(&self, model: &mut M) -> Cycle
     where
@@ -365,49 +350,13 @@ impl ParRunner {
             drive_unwatched(self.schedule, engine)
         })
     }
-
-    /// Parallel counterpart of
-    /// [`Runner::run_observed`](crate::Runner::run_observed): `observe`
-    /// runs serially after every cycle, with the workers parked.
-    pub fn run_observed<M, F>(&self, model: &mut M, observe: F) -> Cycle
-    where
-        M: ShardedModel + Send + Sync,
-        F: FnMut(&M, Cycle),
-    {
-        with_engine(self.threads, model, |engine| {
-            drive_observed(self.schedule, engine, observe)
-        })
-    }
-
-    /// Parallel counterpart of
-    /// [`Runner::run_monitored`](crate::Runner::run_monitored), with
-    /// identical watchdog semantics: violations trip immediately, an
-    /// unchanged progress measure over pending work trips after
-    /// `stall_window` cycles, idle phases reset the window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stall_window` is empty.
-    pub fn run_monitored<M, F>(
-        &self,
-        model: &mut M,
-        stall_window: Cycles,
-        observe: F,
-    ) -> MonitorOutcome
-    where
-        M: ShardedModel + Monitored + Send + Sync,
-        F: FnMut(&M, Cycle),
-    {
-        with_engine(self.threads, model, |engine| {
-            drive_monitored(self.schedule, engine, stall_window, observe)
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runner::{Runner, Schedule};
+    use ssq_types::Cycles;
 
     /// A deterministic toy sharded model: each shard's decide hashes
     /// its state with the cycle, merge writes the results back in
@@ -482,7 +431,7 @@ mod tests {
     #[test]
     fn zero_threads_clamps_to_one() {
         let runner = ParRunner::new(Schedule::new(Cycles::ZERO, Cycles::new(5)), 0);
-        assert_eq!(runner.threads(), 1);
+        assert_eq!(runner, ParRunner::new(runner.schedule, 1));
         let mut toy = Toy::new(3);
         let end = runner.run(&mut toy);
         assert_eq!(end, Cycle::new(5));

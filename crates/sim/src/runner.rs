@@ -1,8 +1,8 @@
 //! The synchronous cycle loop.
 //!
 //! Written once, in `drive`: every public entry point — [`Runner`]'s
-//! and [`ParRunner`](crate::ParRunner)'s — hands it a `Stepper` and at
-//! most one per-cycle hook, and differs in nothing else.
+//! and [`ParRunner::run`](crate::ParRunner::run) — hands it a `Stepper`
+//! and at most one per-cycle hook, and differs in nothing else.
 
 use std::fmt;
 
@@ -294,7 +294,7 @@ pub(crate) fn drive_unwatched<S: Stepper>(schedule: Schedule, stepper: &mut S) -
 }
 
 /// [`drive`] under a [`Watchdog`], `observe` running before its check.
-pub(crate) fn drive_monitored<S, F>(
+fn drive_monitored<S, F>(
     schedule: Schedule,
     stepper: &mut S,
     stall_window: Cycles,
@@ -317,7 +317,7 @@ where
 }
 
 /// [`drive`] with an observer that never ends the run.
-pub(crate) fn drive_observed<S, F>(schedule: Schedule, stepper: &mut S, mut observe: F) -> Cycle
+fn drive_observed<S, F>(schedule: Schedule, stepper: &mut S, mut observe: F) -> Cycle
 where
     S: Stepper,
     F: FnMut(&S::Model, Cycle),
@@ -541,22 +541,16 @@ mod tests {
         RunObserved,
         RunMonitored,
         ParRun(usize),
-        ParObserved(usize),
-        ParMonitored(usize),
     }
     use Entry::*;
 
-    const ENTRIES: [Entry; 10] = [
+    const ENTRIES: [Entry; 6] = [
         Run,
         RunSkipping,
         RunObserved,
         RunMonitored,
         ParRun(1),
         ParRun(2),
-        ParObserved(1),
-        ParObserved(2),
-        ParMonitored(1),
-        ParMonitored(2),
     ];
 
     impl Entry {
@@ -564,7 +558,7 @@ mod tests {
             !matches!(self, Run | RunSkipping | ParRun(_))
         }
         fn monitors(self) -> bool {
-            matches!(self, RunMonitored | ParMonitored(_))
+            self == RunMonitored
         }
     }
 
@@ -581,15 +575,12 @@ mod tests {
         let observe = |m: &Toy, now: Cycle| observed.push((now.value(), m.stepped.len()));
         let window = Cycles::new(window);
         let seq = Runner::new(schedule);
-        let par = |threads| ParRunner::new(schedule, threads);
         let outcome = match entry {
             Run => MonitorOutcome::Completed(seq.run(&mut toy)),
             RunSkipping => MonitorOutcome::Completed(seq.run_skipping(&mut toy)),
             RunObserved => MonitorOutcome::Completed(seq.run_observed(&mut toy, observe)),
             RunMonitored => seq.run_monitored(&mut toy, window, observe),
-            ParRun(t) => MonitorOutcome::Completed(par(t).run(&mut toy)),
-            ParObserved(t) => MonitorOutcome::Completed(par(t).run_observed(&mut toy, observe)),
-            ParMonitored(t) => par(t).run_monitored(&mut toy, window, observe),
+            ParRun(t) => MonitorOutcome::Completed(ParRunner::new(schedule, t).run(&mut toy)),
         };
         Seen {
             outcome,

@@ -145,6 +145,22 @@ impl DropReason {
     }
 }
 
+impl EventKind {
+    /// Whether a switch's trace event renegotiates a guarantee out loud:
+    /// a `guarantee_revoked`, a `degraded`, or a `readmitted` that does
+    /// not keep the reservation. The single-switch and fabric oracles
+    /// both judge a node's record by this. (A fabric `drop` is loud by
+    /// [`DropReason::is_loud`].)
+    #[must_use]
+    pub fn is_loud(&self) -> bool {
+        match self {
+            EventKind::GuaranteeRevoked { .. } | EventKind::Degraded { .. } => true,
+            EventKind::Readmitted { action, .. } => *action != ReadmitAction::Keep,
+            _ => false,
+        }
+    }
+}
+
 labels! {
     /// Where a fault was injected or healed (DESIGN.md §8).
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -1769,6 +1785,47 @@ mod tests {
         ] {
             let e = Event::from_jsonl(bad).expect_err(bad);
             assert!(e.to_string().starts_with("trace parse error: "), "{e}");
+        }
+    }
+
+    /// Which kinds are loud, by label; a `readmitted` by its action too.
+    #[test]
+    fn loudness_is_decided_per_kind() {
+        let table = [
+            ("decision", false),
+            ("grant", false),
+            ("chained", false),
+            ("inhibit", false),
+            ("auxvc", false),
+            ("decay", false),
+            ("gl_policed", false),
+            ("reject", false),
+            ("fault", false),
+            ("detected", false),
+            ("degraded", true),
+            ("guarantee_revoked", true),
+            ("readmitted", true),
+            ("hop_enqueue", false),
+            ("credit_pause", false),
+            ("credit_resume", false),
+            ("drop", false),
+            ("nack_retransmit", false),
+            ("reroute", false),
+        ];
+        let kinds = all_kinds();
+        assert_eq!(kinds.len(), table.len());
+        for (ev, (label, loud)) in kinds.iter().zip(table) {
+            assert_eq!(ev.kind.label(), label);
+            assert_eq!(ev.kind.is_loud(), loud, "{label}");
+        }
+        for &action in ReadmitAction::ALL {
+            let kind = EventKind::Readmitted {
+                output: 0,
+                input: 2,
+                class: TrafficClass::GuaranteedBandwidth,
+                action,
+            };
+            assert_eq!(kind.is_loud(), action != ReadmitAction::Keep, "{action}");
         }
     }
 

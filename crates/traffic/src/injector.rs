@@ -49,8 +49,8 @@ pub struct Injector {
 impl Injector {
     /// Creates an injector. The owning input port is attached later with
     /// [`Injector::for_input`] (defaults to input 0). The boxed source
-    /// and pattern are `Send + Sync` so a switch holding injectors can be
-    /// snapshotted immutably across the parallel engine's decide shards.
+    /// and pattern are `Send + Sync` so that a switch holding injectors
+    /// is too: `ssq_sim::ParRunner::run` shares it with its decide threads.
     #[must_use]
     pub fn new(
         source: Box<dyn TrafficSource + Send + Sync>,
@@ -202,7 +202,20 @@ impl ArrivalSchedule {
     /// Adds an injector. Mid-block it is drawn over the rest of the
     /// block only, so its first poll is the next cycle to be stepped —
     /// the same first poll a densely polled injector would get.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the injector's source predicts a packet before that
+    /// cycle ([`TrafficSource::next_arrival`]): a [`Trace`](crate::Trace)
+    /// added after its next event's cycle, which could deliver nothing.
     pub fn push(&mut self, injector: Injector) {
+        if let Some(due) = injector.source.next_arrival(Cycle::new(self.cursor)) {
+            assert!(
+                due.value() >= self.cursor,
+                "injector added at cycle {}: its next packet was due at {due}, which has passed",
+                self.cursor
+            );
+        }
         let idx = self.add(Lane::Polled(injector));
         // Room for a packet per injector per cycle of a block, taken
         // here so that no refill ever allocates.
@@ -462,7 +475,7 @@ impl std::fmt::Debug for Injector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Bernoulli, FixedDest, Periodic, Saturating, Transpose, UniformDest};
+    use crate::{Bernoulli, FixedDest, Periodic, Saturating, Trace, Transpose, UniformDest};
 
     fn random_injector(seed: u64) -> Injector {
         Injector::new(
@@ -516,6 +529,21 @@ mod tests {
             }
         }
         assert_eq!(refills, 7, "blocks start at 5, 69, ..., 389");
+    }
+
+    #[test]
+    #[should_panic(expected = "injector added at cycle 21: its next packet was due at cycle 20")]
+    fn a_trace_pushed_after_its_next_event_is_refused() {
+        let mut schedule = ArrivalSchedule::default();
+        schedule.push(periodic_injector(1000, 999));
+        for c in 0..21 {
+            schedule.advance(Cycle::new(c));
+        }
+        schedule.push(Injector::new(
+            Box::new(Trace::new(vec![(20, 1), (30, 1)])),
+            Box::new(FixedDest::new(OutputId::new(0))),
+            TrafficClass::BestEffort,
+        ));
     }
 
     #[test]

@@ -65,7 +65,11 @@ pub trait TrafficSource {
     /// `None` (the default) means unpredictable: the process draws
     /// randomness every poll, so every cycle must be polled densely and
     /// the idle-skip engine cannot jump it. `Some(Cycle::new(u64::MAX))`
-    /// means the process will never produce another packet.
+    /// means the process will never produce another packet. A cycle
+    /// before `now` is a packet that was due then and that no later poll
+    /// delivers ([`Trace`] polled past its next event);
+    /// [`ArrivalSchedule::push`](crate::ArrivalSchedule::push) refuses
+    /// such a source.
     ///
     /// The contract backing the idle skip: if `next_arrival(now)` is
     /// `Some(t)` with `t > now`, then for every cycle `c` in `now..t`,
@@ -305,10 +309,11 @@ impl TrafficSource for Saturating {
 /// burst-budget experiments (Eqs. 2–3), where the workload is "σ packets
 /// back to back at cycle T".
 ///
-/// It is polled from the cycle its injector is added on. An event whose
-/// cycle has passed by then is never delivered, and silences the events
-/// after it too; nothing counts or reports them. (A
-/// [`Replay`](crate::Replay) added late is refused instead.)
+/// It is polled from the cycle its injector is added on, and delivers
+/// each event in its own cycle only. A trace whose next event's cycle
+/// has passed by then could deliver nothing more, so
+/// [`ArrivalSchedule::push`](crate::ArrivalSchedule::push) refuses it
+/// (as a switch refuses a [`Replay`](crate::Replay) added late).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     /// Remaining events, ascending by cycle.
@@ -357,14 +362,11 @@ impl TrafficSource for Trace {
         }
     }
 
-    fn next_arrival(&self, now: Cycle) -> Option<Cycle> {
-        match self.events.get(self.next) {
-            // A pending event in the past can never match `poll`'s
-            // equality test again, so the source is permanently silent —
-            // exactly like an exhausted schedule.
-            Some(&(cycle, _)) if cycle >= now.value() => Some(Cycle::new(cycle)),
-            _ => Some(Cycle::new(u64::MAX)),
-        }
+    fn next_arrival(&self, _now: Cycle) -> Option<Cycle> {
+        // A pending event before `now` is reported as it is: `poll`'s
+        // equality test can never match it again.
+        let cycle = self.events.get(self.next).map_or(u64::MAX, |&(c, _)| c);
+        Some(Cycle::new(cycle))
     }
 }
 
@@ -445,12 +447,17 @@ mod tests {
     }
 
     #[test]
-    fn stale_trace_event_predicts_never() {
+    fn stale_trace_event_is_reported_in_the_past() {
         // An unmatched past event can never fire again under dense
-        // polling, and the prediction must say so rather than point
-        // backwards in time.
+        // polling; the prediction points at it, so a schedule can refuse
+        // the source instead of losing its packets without a word.
         let t = Trace::new(vec![(5, 1)]);
-        assert_eq!(t.next_arrival(Cycle::new(6)), Some(Cycle::new(u64::MAX)));
+        assert_eq!(t.next_arrival(Cycle::new(6)), Some(Cycle::new(5)));
+        let exhausted = Trace::new(Vec::new());
+        assert_eq!(
+            exhausted.next_arrival(Cycle::new(6)),
+            Some(Cycle::new(u64::MAX))
+        );
     }
 
     #[test]

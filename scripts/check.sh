@@ -65,12 +65,11 @@ echo "== model check, fast tier (ssq verify) =="
 echo "== fault smoke tier (ssq faults) =="
 # Every single-fault chaos scenario must either preserve its bounds or
 # revoke loudly; a silent violation fails the gate. Each scenario runs
-# on the reference kernel, the sequential runner and the sharded
-# parallel engine (a watchdogged run is dense, so idle skipping has no
-# leg here) — any divergence from the reference is reported as a silent
-# violation. The table is a golden (results/faults_smoke.csv): a moved
-# verdict, revocation or delivered-flit count fails the final git status
-# comparison.
+# on the reference kernel and on the sequential runner (a watchdogged
+# run is dense, so idle skipping has no leg here) — any divergence from
+# the reference is reported as a silent violation. The table is a
+# golden (results/faults_smoke.csv): a moved verdict, revocation or
+# delivered-flit count fails the final git status comparison.
 ./target/release/ssq faults --smoke --csv --trace-dir "$traces/faults" |
     tee results/faults_smoke.csv
 

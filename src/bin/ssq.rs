@@ -75,10 +75,7 @@ SIMULATE OPTIONS:
   --engine NAME           how the one cycle kernel is driven: seq
                           (default), every cycle; bitpar, seq that jumps
                           provably idle stretches (dense again under any
-                          probe or watchdog); par, decides on worker
-                          threads — all bit-identical
-  --threads N             worker threads for --engine par (default: the
-                          machine's available parallelism)
+                          probe or watchdog) — both bit-identical
   --reserve IN:OUT:PCT[:LEN]   GB reservation, PCT of the output's bandwidth
                                for IN's packets of LEN flits (LEN default 8)
   --gl-reserve OUT:PCT    GL class reservation at OUT
@@ -112,8 +109,7 @@ OBSERVABILITY OPTIONS (simulate):
   --gl-bound N            arm the GL wait watchdog at N cycles (Eq. 1)
   --prof                  time every measured cycle's phases and print the
                           prepare/decide/commit breakdown (bitpar: of the
-                          cycles idle skipping still executes); seq and
-                          bitpar only — par has no profiler
+                          cycles idle skipping still executes)
 
 TRACE-REPORT OPTIONS:
   --in FILE               JSONL trace to summarize (default
@@ -358,12 +354,6 @@ mod tests {
         let mut monitored = strs(&base);
         monitored.push("--flight-recorder".to_owned());
         simulate(&monitored).unwrap();
-        // The kernel profiler never sees a cycle under the sharded
-        // engine: refused rather than reported as an empty table.
-        let mut par = strs(&base);
-        par.extend(strs(&["--engine", "par", "--threads", "2"]));
-        let e = simulate(&par).expect_err("--prof --engine par");
-        assert!(e.to_string().contains("--prof"), "got: {e}");
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::error::Error;
 use swizzle_qos::check::trace::{analyze_trace_settings, TraceSettings};
 use swizzle_qos::core::vcd::SwitchVcdRecorder;
 use swizzle_qos::core::{ConfigError, Preflight, QosSwitch, SwitchConfig};
-use swizzle_qos::sim::{MonitorOutcome, ParRunner, Runner, Schedule};
+use swizzle_qos::sim::{MonitorOutcome, Runner, Schedule};
 use swizzle_qos::stats::Table;
 use swizzle_qos::trace::{flight, MetricsRegistry, RingSink};
 use swizzle_qos::traffic::{
@@ -62,8 +62,6 @@ fn ensure_parent(path: &str) -> Result<(), Box<dyn Error>> {
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Engine {
     Seq,
-    /// The sharded engine on this many threads.
-    Par(usize),
     Bitpar,
 }
 
@@ -86,14 +84,10 @@ fn run_schedule<F: FnMut(&QosSwitch, Cycle)>(
 ) -> MonitorOutcome {
     use MonitorOutcome::Completed;
     let seq = Runner::new(schedule);
-    let par = |threads| ParRunner::new(schedule, threads);
     match (engine, mode) {
         (Engine::Seq, Mode::Plain) => Completed(seq.run(switch)),
         (Engine::Bitpar, Mode::Plain) => Completed(seq.run_skipping(switch)),
-        (Engine::Par(t), Mode::Plain) => Completed(par(t).run(switch)),
-        (Engine::Par(t), Mode::Probed(f)) => Completed(par(t).run_observed(switch, f)),
         (_, Mode::Probed(f)) => Completed(seq.run_observed(switch, f)),
-        (Engine::Par(t), Mode::Monitored(w, f)) => par(t).run_monitored(switch, w, f),
         (_, Mode::Monitored(w, f)) => seq.run_monitored(switch, w, f),
     }
 }
@@ -117,7 +111,6 @@ pub(crate) fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
             "cycles",
             "warmup",
             "policy",
-            "threads",
             "engine",
             "trace-out",
             "metrics-interval",
@@ -141,19 +134,12 @@ pub(crate) fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
     }
     let warmup = opts.num("warmup", 5_000)?;
     let policy = parse_policy(opts.get("policy").unwrap_or("ssvc-subtract"))?;
-    let threads = match opts.num("threads", 0)? as usize {
-        0 => std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
-        n => n,
-    };
     let engine = match opts.get("engine").unwrap_or("seq") {
         "seq" => Engine::Seq,
-        "par" => Engine::Par(threads),
         "bitpar" => Engine::Bitpar,
         other => {
             return Err(err(format!(
-                "--engine: expected seq, par, or bitpar, got {other:?}"
+                "--engine: expected seq or bitpar, got {other:?}"
             )))
         }
     };
@@ -174,12 +160,6 @@ pub(crate) fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
         ),
     };
     let profiling = opts.flag("prof");
-    if profiling && matches!(engine, Engine::Par(_)) {
-        return Err(err(
-            "--prof: the cycle-phase profiler covers --engine seq and bitpar; the par \
-             engine has no profiler (qosbench's sim.par2_cycles_per_s measures it)",
-        ));
-    }
     let trace_diag = analyze_trace_settings(&TraceSettings {
         tracing,
         trace_out: opts.get("trace-out").map(str::to_owned),

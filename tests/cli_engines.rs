@@ -12,11 +12,7 @@ mod common;
 use common::{assert_diagnosed, ssq, ssq_in, stderr, Scratch};
 
 /// `(name, --engine options)`; `seq` first — it is the reference.
-const ENGINES: [(&str, &[&str]); 3] = [
-    ("seq", &[]),
-    ("par", &["--engine", "par", "--threads", "2"]),
-    ("bitpar", &["--engine", "bitpar"]),
-];
+const ENGINES: [(&str, &[&str]); 2] = [("seq", &[]), ("bitpar", &["--engine", "bitpar"])];
 
 /// `(name, the option naming the file the mode writes, its other options)`.
 const MODES: [(&str, Option<&str>, &[&str]); 5] = [
@@ -168,17 +164,19 @@ fn a_radix_beyond_the_model_is_a_config_error() {
     assert_diagnosed(&out, "radix 128 exceeds");
 }
 
+/// The sharded engine is a library runner only: `simulate` names the
+/// engines it drives, and `--threads` is no option of it.
 #[test]
-fn more_threads_than_outputs_still_finishes_with_seqs_report() {
-    let run = |engine: &[&str]| {
-        let mut args = vec!["simulate", "--radix", "4", "--cycles", "300", "--csv"];
-        args.extend(["--flow", "0:1:BE:sat:4", "--flow", "2:1:BE:0.2:4"]);
-        args.extend(engine);
-        let out = ssq(&args);
-        assert!(out.status.success(), "{}", stderr(&out));
-        out.stdout
-    };
-    assert_eq!(run(&["--engine", "par", "--threads", "100000"]), run(&[]));
+fn the_par_engine_and_its_threads_option_are_not_offered() {
+    let base = ["simulate", "--radix", "4", "--cycles", "10"];
+    assert_diagnosed(
+        &ssq(&[&base[..], &["--engine", "par"]].concat()),
+        "--engine: expected seq or bitpar, got \"par\"",
+    );
+    assert_diagnosed(
+        &ssq(&[&base[..], &["--threads", "2"]].concat()),
+        "unknown option --threads",
+    );
 }
 
 /// `--capture` reports the file it wrote on stderr, so the stdout of a
@@ -386,13 +384,15 @@ fn the_observation_outputs_keep_their_bytes() {
     }
 }
 
+/// `--prof --engine par` is refused as an engine, by name, before the
+/// profiler is looked at.
 #[test]
 fn profiling_the_par_engine_is_refused_by_name() {
     let out = ssq(&[
         "simulate", "--radix", "4", "--cycles", "10", "--prof", "--engine", "par",
     ]);
-    assert_diagnosed(&out, "--prof: ");
-    assert!(stderr(&out).contains("par"), "{}", stderr(&out));
+    assert_diagnosed(&out, "--engine: expected seq or bitpar, got \"par\"");
+    assert!(!stderr(&out).contains("--prof"), "{}", stderr(&out));
 }
 
 #[test]
