@@ -383,8 +383,9 @@ impl SsvcArbiter {
     /// after the `Vtick` charge **and** any saturation-triggered policy
     /// action, exactly as [`SsvcArbiter::commit_win`] would leave it.
     ///
-    /// The sharded engine uses this to pre-build counter-update trace
-    /// events during the pure decide phase; the
+    /// The traced decide paths (`QosSwitch`'s kernel and its scalar
+    /// reference) use this to build the `auxvc` trace event from the
+    /// winner's counter before the charge is committed; the
     /// `preview_win_matches_commit_win` test pins the agreement.
     #[must_use]
     pub fn preview_win(&self, winner: usize) -> (u64, bool) {

@@ -26,7 +26,6 @@ pub mod microbench;
 use ssq_core::{Policy, QosSwitch, SwitchConfig};
 use ssq_sim::{MonitorOutcome, Runner, Schedule};
 use ssq_stats::Table;
-use ssq_trace::RingSink;
 use ssq_traffic::{Bernoulli, FixedDest, Injector, OnOffBursty, Saturating};
 use ssq_types::{Cycle, Cycles, FlowId, Geometry, InputId, OutputId, Rate, TrafficClass};
 
@@ -182,17 +181,12 @@ pub fn run_and_read_recorded(
         MonitorOutcome::Completed(end) => read_flows(switch, flows, end),
         MonitorOutcome::Tripped { at, reason } => {
             switch.tracer_mut().flush();
-            let events = switch
-                .tracer()
-                .ring()
-                .map(RingSink::events)
-                .unwrap_or_default();
             let dumped = ssq_trace::flight::write_post_mortem(
                 std::path::Path::new("results"),
                 label,
                 &reason,
                 at.value(),
-                &events,
+                switch.tracer().ring(),
                 None,
             );
             match dumped {

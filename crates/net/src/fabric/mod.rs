@@ -465,8 +465,9 @@ impl Fabric {
         self.nodes.len()
     }
 
-    /// Drains each node's flight-recorder ring into per-node event
-    /// vectors (call once, after the run).
+    /// A copy of each node's flight-recorder ring, decoded into per-node
+    /// event vectors (oldest first). The rings stay as they are, so every
+    /// call decodes and copies them all again.
     #[must_use]
     pub fn node_events(&self) -> Vec<Vec<Event>> {
         self.nodes

@@ -476,3 +476,57 @@ fn malformed_flows_are_refused_not_panicked_on() {
         "{err}"
     );
 }
+
+/// The node rings store packed events, not 40-byte `Event`s: on a 4×4
+/// credit mesh carrying the benchmark's `fabric-mesh16` traffic shape
+/// (per node a GB flow to its mirror node and a BE flow two hops away,
+/// plus corner-to-corner GL flows) the rings hold at most 12 bytes per
+/// retained event, counted from their allocations.
+#[test]
+fn node_rings_hold_about_eight_bytes_per_event() {
+    let (rows, cols) = (4, 4);
+    let n = rows * cols;
+    let mut flows = Vec::new();
+    for node in 0..n {
+        flows.push(
+            FlowSpec::new(node, n - 1 - node, TrafficClass::GuaranteedBandwidth)
+                .ports(4, 4)
+                .rate(0.1)
+                .every(80),
+        );
+        let two_hops = (0..n)
+            .find(|&o| (o / cols).abs_diff(node / cols) + (o % cols).abs_diff(node % cols) == 2)
+            .expect("a 4x4 mesh has a node two hops from each");
+        flows.push(
+            FlowSpec::new(node, two_hops, TrafficClass::BestEffort)
+                .ports(5, 5)
+                .rate(0.05)
+                .every(160),
+        );
+    }
+    let corners = [0, cols - 1, n - cols, n - 1];
+    for (k, &corner) in corners.iter().enumerate() {
+        flows.push(
+            FlowSpec::new(corner, corners[3 - k], TrafficClass::GuaranteedLatency)
+                .ports(6, 6)
+                .rate(0.02)
+                .every(400),
+        );
+    }
+    let topo = Topology::mesh(rows, cols, LinkDiscipline::Credit);
+    let mut fabric = Fabric::new(topo, &flows, 1).expect("valid fabric");
+    Runner::new(Schedule::new(Cycles::new(1_000), Cycles::new(20_000))).run(&mut fabric);
+    let rings: Vec<&ssq_trace::RingSink> = (0..n)
+        .map(|i| {
+            fabric
+                .node(i)
+                .tracer()
+                .ring()
+                .expect("every node is recorded")
+        })
+        .collect();
+    let events: usize = rings.iter().map(|r| r.len()).sum();
+    let bytes: usize = rings.iter().map(|r| r.retained_bytes()).sum();
+    assert!(events > 16 * 1_000, "{events} events");
+    assert!(bytes <= 12 * events, "{bytes} B for {events} events");
+}

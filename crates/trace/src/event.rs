@@ -40,6 +40,10 @@ pub trait Label: Copy + 'static {
     /// The value's stable wire label.
     fn label(self) -> &'static str;
 
+    /// The value's index in [`Label::ALL`]: how a flight-recorder ring
+    /// stores it.
+    fn ordinal(self) -> u8;
+
     /// Inverse of [`Label::label`].
     fn from_label(s: &str) -> Option<Self> {
         Self::ALL.iter().copied().find(|v| v.label() == s)
@@ -76,6 +80,10 @@ macro_rules! labels {
             fn label(self) -> &'static str {
                 $name::label(self)
             }
+
+            fn ordinal(self) -> u8 {
+                self as u8
+            }
         }
 
         impl fmt::Display for $name {
@@ -92,6 +100,10 @@ impl Label for TrafficClass {
     fn label(self) -> &'static str {
         TrafficClass::label(self)
     }
+
+    fn ordinal(self) -> u8 {
+        self as u8
+    }
 }
 
 /// A `detected` event's code is the invariant's `SSQV00x` code.
@@ -100,6 +112,10 @@ impl Label for Invariant {
 
     fn label(self) -> &'static str {
         self.code()
+    }
+
+    fn ordinal(self) -> u8 {
+        self as u8
     }
 }
 
@@ -213,8 +229,8 @@ labels! {
 /// Declares [`EventKind`] from one table: each kind's docs, wire label
 /// and fields (keys are the field names, written in declaration order).
 /// Generates the enum, [`EventKind::label`], the writer arm, the
-/// exact-shape scan arm that reads the writer's output back, and the
-/// general parser arm.
+/// exact-shape scan arm that reads the writer's output back, the
+/// general parser arm, and the flight-recorder ring's packed form.
 macro_rules! event_kinds {
     (
         $(#[$meta:meta])*
@@ -227,7 +243,53 @@ macro_rules! event_kinds {
             $($(#[$doc])* $kind { $($field: $ty,)+ },)+
         }
 
+        /// A kind without its fields; its discriminant is the kind's
+        /// ordinal in the packed form.
+        #[derive(Clone, Copy)]
+        enum Tag {
+            $($kind,)+
+        }
+
+        /// Every tag, indexed by ordinal.
+        const TAGS: &[Tag] = &[$(Tag::$kind,)+];
+
         impl EventKind {
+            /// Most bytes [`EventKind::pack`] writes for any kind.
+            const PACKED_MAX: usize = {
+                let widths = [$(0 $(+ <$ty as Wire>::PACKED_MAX)+,)+];
+                let mut widest = 0;
+                let mut i = 0;
+                while i < widths.len() {
+                    if widths[i] > widest {
+                        widest = widths[i];
+                    }
+                    i += 1;
+                }
+                1 + widest
+            };
+
+            /// Appends the kind's ordinal, then each field's packed form
+            /// in declaration order.
+            fn pack(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(EventKind::$kind { $($field,)+ } => {
+                        out.push(Tag::$kind as u8);
+                        $(Wire::pack($field, out);)+
+                    })+
+                }
+            }
+
+            /// Reads back what [`EventKind::pack`] wrote, stepping `bytes`
+            /// past it; `None` if `bytes` does not start with a packed kind.
+            fn unpack(bytes: &mut &[u8]) -> Option<Self> {
+                let tag = *TAGS.get(usize::from(take_byte(bytes)?))?;
+                Some(match tag {
+                    $(Tag::$kind => EventKind::$kind {
+                        $($field: Wire::unpack(bytes)?,)+
+                    },)+
+                })
+            }
+
             /// Stable wire label for the `"kind"` field.
             #[must_use]
             pub const fn label(&self) -> &'static str {
@@ -505,6 +567,29 @@ impl Event {
         cur.0.bytes().all(is_space).then_some(Event { cycle, kind })
     }
 
+    /// Most bytes [`Event::pack`] writes.
+    pub(crate) const PACKED_MAX: usize = <u64 as Wire>::PACKED_MAX + EventKind::PACKED_MAX;
+
+    /// Appends the event's packed form, as a flight-recorder ring stores
+    /// it: the cycle as its wrapping difference from `prev_cycle` (the
+    /// cycle of the event packed before it; LEB128), then the kind's
+    /// ordinal and its fields, each `u32` / `u64` in LEB128, each `bool`
+    /// in one byte and each label as its [`Label::ordinal`]. Nothing is
+    /// looked up by name.
+    pub(crate) fn pack(&self, prev_cycle: u64, out: &mut Vec<u8>) {
+        self.cycle.wrapping_sub(prev_cycle).pack(out);
+        self.kind.pack(out);
+    }
+
+    /// Reads back the event [`Event::pack`] wrote against `prev_cycle`,
+    /// stepping `bytes` past it; `None` once `bytes` is spent (or holds
+    /// anything else).
+    pub(crate) fn unpack(prev_cycle: u64, bytes: &mut &[u8]) -> Option<Event> {
+        let cycle = prev_cycle.wrapping_add(u64::unpack(bytes)?);
+        let kind = EventKind::unpack(bytes)?;
+        Some(Event { cycle, kind })
+    }
+
     /// The general parser: any field order, whitespace, unknown keys.
     fn parse_general(line: &str) -> Result<Event, ParseError> {
         let fields = Fields::parse(line)?;
@@ -659,11 +744,23 @@ impl fmt::Display for Event {
 
 /// How one field type crosses the wire: `put` appends its JSON value,
 /// `scan` reads back exactly what `put` wrote, and `take` reads it from
-/// the scalar the general parser found under `key`.
+/// the scalar the general parser found under `key`. `pack` appends the
+/// value's binary form (at most `PACKED_MAX` bytes) for a flight-recorder
+/// ring, and `unpack` reads it back.
 trait Wire: Sized {
+    const PACKED_MAX: usize;
     fn put(&self, out: &mut Vec<u8>);
     fn scan(cur: &mut Cursor<'_>) -> Option<Self>;
     fn take(key: &str, value: Scalar<'_>) -> Result<Self, ParseError>;
+    fn pack(&self, out: &mut Vec<u8>);
+    fn unpack(bytes: &mut &[u8]) -> Option<Self>;
+}
+
+/// The first byte of `bytes`, stepping past it.
+fn take_byte(bytes: &mut &[u8]) -> Option<u8> {
+    let (&first, rest) = bytes.split_first()?;
+    *bytes = rest;
+    Some(first)
 }
 
 /// The unread rest of a line, for the exact-shape scan.
@@ -732,6 +829,36 @@ impl Wire for u64 {
             _ => Err(ParseError::new(format!("field `{key}` is not a number"))),
         }
     }
+
+    /// LEB128: seven bits a byte, low first, the top bit set on every
+    /// byte but the last.
+    const PACKED_MAX: usize = 10;
+
+    fn pack(&self, out: &mut Vec<u8>) {
+        let mut v = *self;
+        while v >= 0x80 {
+            // The low seven bits: the cast is exact.
+            out.push((v & 0x7f) as u8 | 0x80);
+            v >>= 7;
+        }
+        // Below 0x80: the cast is exact.
+        out.push(v as u8);
+    }
+
+    fn unpack(bytes: &mut &[u8]) -> Option<Self> {
+        let (mut v, mut shift) = (0, 0);
+        loop {
+            let byte = take_byte(bytes)?;
+            v |= u64::from(byte & 0x7f) << shift;
+            if byte < 0x80 {
+                return Some(v);
+            }
+            shift += 7;
+            if shift >= 64 {
+                return None;
+            }
+        }
+    }
 }
 
 impl Wire for u32 {
@@ -746,6 +873,16 @@ impl Wire for u32 {
     fn take(key: &str, value: Scalar<'_>) -> Result<Self, ParseError> {
         u32::try_from(u64::take(key, value)?)
             .map_err(|_| ParseError::new(format!("field `{key}` exceeds u32")))
+    }
+
+    const PACKED_MAX: usize = 5;
+
+    fn pack(&self, out: &mut Vec<u8>) {
+        u64::from(*self).pack(out);
+    }
+
+    fn unpack(bytes: &mut &[u8]) -> Option<Self> {
+        u32::try_from(u64::unpack(bytes)?).ok()
     }
 }
 
@@ -768,6 +905,20 @@ impl Wire for bool {
             _ => Err(ParseError::new(format!("field `{key}` is not a bool"))),
         }
     }
+
+    const PACKED_MAX: usize = 1;
+
+    fn pack(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+
+    fn unpack(bytes: &mut &[u8]) -> Option<Self> {
+        match take_byte(bytes)? {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
+    }
 }
 
 impl<T: Label> Wire for T {
@@ -787,6 +938,16 @@ impl<T: Label> Wire for T {
             return Err(ParseError::new(format!("field `{key}` is not a string")));
         };
         T::from_label(s).ok_or_else(|| ParseError::new(format!("unknown `{key}` label `{s}`")))
+    }
+
+    const PACKED_MAX: usize = 1;
+
+    fn pack(&self, out: &mut Vec<u8>) {
+        out.push(self.ordinal());
+    }
+
+    fn unpack(bytes: &mut &[u8]) -> Option<Self> {
+        T::ALL.get(usize::from(take_byte(bytes)?)).copied()
     }
 }
 
@@ -955,10 +1116,11 @@ impl<'a> Fields<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn all_kinds() -> Vec<Event> {
+    /// One event of each kind, in table order.
+    pub(crate) fn all_kinds() -> Vec<Event> {
         vec![
             Event {
                 cycle: 1,
@@ -1473,7 +1635,7 @@ mod tests {
     }
 
     /// Where [`redraw`] takes each new number and label from.
-    trait Draw {
+    pub(crate) trait Draw {
         fn number(&mut self) -> u64;
         fn index(&mut self, len: usize) -> usize;
     }
@@ -1505,7 +1667,7 @@ mod tests {
 
     /// Every number `.0` (a `u32` field clamped to `u32::MAX`), every
     /// label the `.1`-th of its set, wrapping.
-    struct Fixed(u64, usize);
+    pub(crate) struct Fixed(pub(crate) u64, pub(crate) usize);
 
     impl Draw for Fixed {
         fn number(&mut self) -> u64 {
@@ -1518,14 +1680,14 @@ mod tests {
     }
 
     /// `all_kinds()[kind]` with every number and label redrawn at random.
-    fn random_event(rng: &mut ssq_types::rng::Xoshiro256StarStar, kind: usize) -> Event {
+    pub(crate) fn random_event(rng: &mut ssq_types::rng::Xoshiro256StarStar, kind: usize) -> Event {
         let mut ev = all_kinds()[kind].clone();
         redraw(&mut ev, rng);
         ev
     }
 
     /// Redraws the cycle and every field of `ev` from `draw`.
-    fn redraw(ev: &mut Event, draw: &mut impl Draw) {
+    pub(crate) fn redraw(ev: &mut Event, draw: &mut impl Draw) {
         ev.cycle = draw.number();
         let mut n32 = || draw.number().min(u64::from(u32::MAX)) as u32;
         match &mut ev.kind {
@@ -1829,13 +1991,15 @@ mod tests {
         }
     }
 
-    /// Every label enum's `from_label` inverts its `label`, and no two
-    /// values of one enum share a label.
+    /// Every label enum's `from_label` inverts its `label`, no two
+    /// values of one enum share a label, and each value's ordinal is its
+    /// index in `ALL`.
     #[test]
     fn every_label_round_trips() {
         fn check<T: Label + PartialEq + fmt::Debug>() {
             for (i, &v) in T::ALL.iter().enumerate() {
                 assert_eq!(T::from_label(v.label()), Some(v));
+                assert_eq!(usize::from(v.ordinal()), i, "{v:?}");
                 assert!(T::ALL[..i].iter().all(|w| w.label() != v.label()));
             }
             assert_eq!(T::from_label("foo"), None);

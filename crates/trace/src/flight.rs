@@ -1,38 +1,45 @@
 //! Flight-recorder post-mortem rendering.
 //!
 //! When the runner trips (stall, violated GL bound) or a debug assert
-//! fires, the last N events from the [`RingSink`](crate::RingSink)
-//! plus the latest metrics snapshot are rendered into one artifact
-//! under `results/` — so a failed run leaves evidence instead of
-//! nothing.
+//! fires, the last N events from the [`RingSink`] plus the latest
+//! metrics snapshot are rendered into one artifact under `results/` —
+//! so a failed run leaves evidence instead of nothing.
 
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::event::Event;
 use crate::metrics::MetricsRegistry;
+use crate::sink::RingSink;
 
-/// Renders a post-mortem report: the trip reason, the retained tail of
-/// the event stream (chronological), and every gauge's latest value
-/// followed by the sampled series.
+/// Renders a post-mortem report: the trip reason, how many events the
+/// ring retained of how many it recorded, the retained tail of the event
+/// stream (chronological), and every gauge's latest value followed by
+/// the sampled series. `ring` is the run's flight recorder, if one was
+/// attached.
 #[must_use]
 pub fn render_post_mortem(
     reason: &str,
     tripped_at: u64,
-    events: &[Event],
+    ring: Option<&RingSink>,
     metrics: Option<&MetricsRegistry>,
 ) -> String {
+    let events = ring.map(RingSink::events).unwrap_or_default();
+    let recorded = ring.map_or(0, RingSink::total_recorded);
+    let evicted = recorded - events.len() as u64;
     let mut out = String::new();
     out.push_str("=== flight recorder post-mortem ===\n");
     out.push_str(&format!("reason : {reason}\n"));
     out.push_str(&format!("cycle  : {tripped_at}\n"));
-    out.push_str(&format!("events : {} retained\n", events.len()));
+    out.push_str(&format!(
+        "events : {} retained of {recorded} recorded ({evicted} evicted)\n",
+        events.len()
+    ));
     out.push('\n');
     if events.is_empty() {
         out.push_str("(no events retained — was the flight recorder attached?)\n");
     } else {
         out.push_str("--- last events (oldest first) ---\n");
-        for ev in events {
+        for ev in &events {
             out.push_str(&ev.to_string());
             out.push('\n');
         }
@@ -69,7 +76,7 @@ pub fn write_post_mortem(
     name: &str,
     reason: &str,
     tripped_at: u64,
-    events: &[Event],
+    ring: Option<&RingSink>,
     metrics: Option<&MetricsRegistry>,
 ) -> io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
@@ -82,33 +89,36 @@ pub fn write_post_mortem(
         path = dir.join(format!("flight-{name}-{tripped_at}.{probe}.txt"));
         probe += 1;
     }
-    std::fs::write(
-        &path,
-        render_post_mortem(reason, tripped_at, events, metrics),
-    )?;
+    std::fs::write(&path, render_post_mortem(reason, tripped_at, ring, metrics))?;
     Ok(path)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventKind;
+    use crate::event::{Event, EventKind};
+    use crate::sink::TraceSink;
 
-    #[test]
-    fn render_includes_reason_events_and_metrics() {
-        let events = vec![Event {
-            cycle: 42,
+    fn decay(cycle: u64) -> Event {
+        Event {
+            cycle,
             kind: EventKind::Decay {
                 output: 1,
                 epoch: 2,
             },
-        }];
+        }
+    }
+
+    #[test]
+    fn render_includes_reason_events_and_metrics() {
+        let mut ring = RingSink::new(8);
+        ring.record(&decay(42));
         let mut m = MetricsRegistry::new(10, &["grants"]);
         m.snapshot(40, &[9.0]);
         let text = render_post_mortem(
             "stall: no progress for 1000 cycles",
             1042,
-            &events,
+            Some(&ring),
             Some(&m),
         );
         assert!(text.contains("stall: no progress"), "{text}");
@@ -119,15 +129,41 @@ mod tests {
 
     #[test]
     fn empty_ring_is_called_out() {
-        let text = render_post_mortem("assert", 0, &[], None);
+        let text = render_post_mortem("assert", 0, None, None);
         assert!(text.contains("no events retained"), "{text}");
+        assert!(text.contains("events : 0 retained of 0 recorded (0 evicted)\n"));
+    }
+
+    /// The header says how much of the run the ring no longer holds.
+    #[test]
+    fn the_header_counts_what_the_ring_evicted() {
+        let mut ring = RingSink::new(4);
+        for cycle in 0..3 {
+            ring.record(&decay(cycle));
+        }
+        let text = render_post_mortem("trip", 3, Some(&ring), None);
+        assert!(
+            text.contains("events : 3 retained of 3 recorded (0 evicted)\n"),
+            "{text}"
+        );
+        for cycle in 3..10 {
+            ring.record(&decay(cycle));
+        }
+        let text = render_post_mortem("trip", 10, Some(&ring), None);
+        assert!(
+            text.contains("events : 4 retained of 10 recorded (6 evicted)\n"),
+            "{text}"
+        );
+        let lines: Vec<&str> = text.lines().skip_while(|l| !l.starts_with("---")).collect();
+        let kept: Vec<String> = (6..10).map(|c| decay(c).to_string()).collect();
+        assert_eq!(lines[1..], kept, "{text}");
     }
 
     #[test]
     fn write_creates_directory_and_file() {
         let dir = std::env::temp_dir().join(format!("ssq-flight-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let path = write_post_mortem(&dir, "unit", "test trip", 7, &[], None).unwrap();
+        let path = write_post_mortem(&dir, "unit", "test trip", 7, None, None).unwrap();
         assert!(path.ends_with("flight-unit.txt"));
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("test trip"));
@@ -138,11 +174,11 @@ mod tests {
     fn existing_post_mortems_are_never_clobbered() {
         let dir = std::env::temp_dir().join(format!("ssq-flight-clobber-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let first = write_post_mortem(&dir, "unit", "first trip", 99, &[], None).unwrap();
+        let first = write_post_mortem(&dir, "unit", "first trip", 99, None, None).unwrap();
         assert!(first.ends_with("flight-unit.txt"));
-        let second = write_post_mortem(&dir, "unit", "second trip", 99, &[], None).unwrap();
+        let second = write_post_mortem(&dir, "unit", "second trip", 99, None, None).unwrap();
         assert!(second.ends_with("flight-unit-99.txt"), "{second:?}");
-        let third = write_post_mortem(&dir, "unit", "third trip", 99, &[], None).unwrap();
+        let third = write_post_mortem(&dir, "unit", "third trip", 99, None, None).unwrap();
         assert!(third.ends_with("flight-unit-99.1.txt"), "{third:?}");
         // The earlier artifacts survived untouched.
         assert!(std::fs::read_to_string(&first).unwrap().contains("first"));

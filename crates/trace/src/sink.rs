@@ -7,6 +7,7 @@
 //! a load-and-branch — the microbench in `crates/bench` holds this to
 //! ≤1% of the arbitration hot loop.
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, Write};
 
@@ -34,16 +35,66 @@ impl TraceSink for NullSink {
 
 /// Bounded in-memory flight recorder: keeps the most recent
 /// `capacity` events, evicting the oldest on overflow.
+///
+/// The events are stored packed (`Event::pack`, generated from the event
+/// table beside the JSONL writer), about 8 B each where an [`Event`]
+/// takes 40, in blocks of up to 256 events each (or `capacity`, if that
+/// is smaller). Each event's cycle is stored as its wrapping difference
+/// from the block's previous event. One block is filled at a time; when
+/// it is full it joins a deque of full blocks, and the next one is the
+/// oldest full block, cleared, once the newer blocks already hold
+/// `capacity` events, else a new one. A wrapped ring thus reuses its
+/// blocks in place: a reused block's buffer grows, by an eighth, only
+/// when its new events pack larger than its old ones did. The ring holds
+/// between `capacity` and `capacity` + two blocks of events, and
+/// [`RingSink::events`] decodes
+/// the blocks and drops the surplus at the front: it returns exactly the
+/// last `capacity` events recorded.
+///
+/// # Examples
+///
+/// ```
+/// use ssq_trace::{Event, EventKind, RingSink, TraceSink};
+///
+/// let mut ring = RingSink::new(300);
+/// for cycle in 0..1_000 {
+///     ring.record(&Event {
+///         cycle,
+///         kind: EventKind::Decay { output: 0, epoch: cycle },
+///     });
+/// }
+/// assert_eq!(ring.len(), 300);
+/// assert_eq!(ring.total_recorded(), 1_000);
+/// assert_eq!(ring.events()[0].cycle, 700);
+/// // Less than the 40-byte `Event`s themselves would take.
+/// assert!(ring.retained_bytes() < 300 * std::mem::size_of::<Event>());
+/// ```
 #[derive(Debug, Clone)]
 pub struct RingSink {
-    buf: Vec<Event>,
+    /// Full blocks, oldest first.
+    full: VecDeque<Block>,
+    /// The block being filled: the newest events.
+    open: Block,
     capacity: usize,
-    /// Index the next event overwrites once the buffer is full.
-    next: usize,
+    /// Events per block: 256, or `capacity` if that is smaller.
+    block_len: usize,
     total: u64,
 }
 
+/// Up to `block_len` packed events.
+#[derive(Debug, Clone, Default)]
+struct Block {
+    bytes: Vec<u8>,
+    /// Events packed into `bytes`.
+    len: usize,
+    /// The cycle of the last event, which the next one is packed against.
+    last_cycle: u64,
+}
+
 impl RingSink {
+    /// Most events one block holds.
+    const BLOCK_LEN: usize = 256;
+
     /// Creates a recorder holding at most `capacity` events.
     ///
     /// # Panics
@@ -53,9 +104,10 @@ impl RingSink {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "flight recorder needs capacity > 0");
         RingSink {
-            buf: Vec::with_capacity(capacity.min(1024)),
+            full: VecDeque::new(),
+            open: Block::default(),
             capacity,
-            next: 0,
+            block_len: capacity.min(Self::BLOCK_LEN),
             total: 0,
         }
     }
@@ -69,13 +121,13 @@ impl RingSink {
     /// Events currently retained.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.buf.len()
+        usize::try_from(self.total).map_or(self.capacity, |total| total.min(self.capacity))
     }
 
     /// Whether nothing has been recorded yet.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+    pub const fn is_empty(&self) -> bool {
+        self.total == 0
     }
 
     /// Total events ever recorded, including evicted ones.
@@ -84,28 +136,83 @@ impl RingSink {
         self.total
     }
 
+    /// Heap bytes the ring holds: each block's buffer at its allocated
+    /// capacity, plus the deque's slots. An exact count, for pricing the
+    /// recorder beside a stopwatch.
+    #[must_use]
+    pub fn retained_bytes(&self) -> usize {
+        let buffers: usize = self.blocks().map(|b| b.bytes.capacity()).sum();
+        buffers + self.full.capacity() * std::mem::size_of::<Block>()
+    }
+
     /// The retained events in chronological order (oldest first).
     #[must_use]
     pub fn events(&self) -> Vec<Event> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        if self.buf.len() == self.capacity {
-            out.extend_from_slice(&self.buf[self.next..]);
-            out.extend_from_slice(&self.buf[..self.next]);
-        } else {
-            out.extend_from_slice(&self.buf);
+        let held: usize = self.blocks().map(|b| b.len).sum();
+        let mut surplus = held - self.len();
+        let mut out = Vec::with_capacity(self.len());
+        for block in self.blocks() {
+            let (mut bytes, mut prev) = (block.bytes.as_slice(), 0);
+            while let Some(event) = Event::unpack(prev, &mut bytes) {
+                prev = event.cycle;
+                if surplus == 0 {
+                    out.push(event);
+                } else {
+                    surplus -= 1;
+                }
+            }
         }
         out
+    }
+
+    /// Every block, oldest first.
+    fn blocks(&self) -> impl Iterator<Item = &Block> {
+        self.full.iter().chain(std::iter::once(&self.open))
+    }
+
+    /// Moves the full open block into the deque and opens the next: the
+    /// oldest full block, cleared, once the blocks after it hold
+    /// `capacity` events; before that, a new block sized like the one
+    /// just filled.
+    fn open_next(&mut self) {
+        let next = if self.full.len() * self.block_len >= self.capacity {
+            self.full.pop_front()
+        } else {
+            None
+        };
+        let next = match next {
+            Some(Block { mut bytes, .. }) => {
+                bytes.clear();
+                Block {
+                    bytes,
+                    ..Block::default()
+                }
+            }
+            None => Block {
+                bytes: Vec::with_capacity(self.open.bytes.len() + Event::PACKED_MAX),
+                ..Block::default()
+            },
+        };
+        self.full.push_back(std::mem::replace(&mut self.open, next));
     }
 }
 
 impl TraceSink for RingSink {
     fn record(&mut self, event: &Event) {
-        if self.buf.len() < self.capacity {
-            self.buf.push(event.clone());
-        } else {
-            self.buf[self.next] = event.clone();
+        if self.open.len == self.block_len {
+            self.open_next();
         }
-        self.next = (self.next + 1) % self.capacity;
+        let block = &mut self.open;
+        // Grow by an eighth, never by doubling: a block ends within an
+        // eighth (plus one event) of what it holds.
+        if block.bytes.capacity() - block.bytes.len() < Event::PACKED_MAX {
+            block
+                .bytes
+                .reserve_exact(block.bytes.len() / 8 + Event::PACKED_MAX);
+        }
+        event.pack(block.last_cycle, &mut block.bytes);
+        block.last_cycle = event.cycle;
+        block.len += 1;
         self.total += 1;
     }
 }
@@ -385,6 +492,118 @@ mod tests {
         }
         let cycles: Vec<u64> = r.events().iter().map(|e| e.cycle).collect();
         assert_eq!(cycles, vec![0, 1, 2]);
+    }
+
+    /// A seeded stream over every kind: first each kind with every label
+    /// of its fields and every number at 0, `u32::MAX` and `u64::MAX`,
+    /// then random events. Cycles walk: they repeat, step forward, go
+    /// backwards, jump by `u64::MAX` (one back, wrapping) and land on 0
+    /// and `u64::MAX`.
+    fn stream(seed: u64, len: usize) -> Vec<Event> {
+        use crate::event::tests::{all_kinds, random_event, redraw, Fixed};
+        use ssq_types::rng::Xoshiro256StarStar;
+
+        let mut events = Vec::with_capacity(len);
+        for (i, edge) in [0, u64::from(u32::MAX), u64::MAX].into_iter().enumerate() {
+            for label in 0..16 {
+                for mut ev in all_kinds() {
+                    redraw(&mut ev, &mut Fixed(edge, label + i));
+                    events.push(ev);
+                }
+            }
+        }
+        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+        let mut cycle = 0u64;
+        while events.len() < len {
+            let kind = rng.index(19);
+            let mut ev = random_event(&mut rng, kind);
+            cycle = match rng.index(8) {
+                0 => cycle,
+                1 => cycle.wrapping_sub(rng.below(1_000)),
+                2 => cycle.wrapping_add(u64::MAX),
+                3 => [0, u64::MAX][rng.index(2)],
+                4 => rng.next_u64(),
+                _ => cycle.wrapping_add(rng.below(40)),
+            };
+            ev.cycle = cycle;
+            events.push(ev);
+        }
+        events.truncate(len);
+        events
+    }
+
+    /// The block ring against a plain `VecDeque<Event>` of the last
+    /// `capacity` events, after every push (for the largest capacity,
+    /// on the pushes around each block boundary from one block short of
+    /// full, around the first reuse, and every 4 096th), and a
+    /// clone taken mid-stream continuing as the original does.
+    #[test]
+    fn ring_matches_a_plain_deque_on_seeded_streams() {
+        for (seed, capacity) in [1, 2, 255, 256, 257, 1000, 1 << 15].into_iter().enumerate() {
+            let events = stream(seed as u64, capacity + 3 * 256 + 500);
+            let mut ring = RingSink::new(capacity);
+            let mut model = std::collections::VecDeque::new();
+            let mut twin = None;
+            for (i, ev) in events.iter().enumerate() {
+                if i == events.len() / 2 {
+                    twin = Some(ring.clone());
+                }
+                ring.record(ev);
+                model.push_back(ev.clone());
+                if model.len() > capacity {
+                    model.pop_front();
+                }
+                assert_eq!(ring.len(), model.len(), "capacity {capacity}, push {i}");
+                assert!(!ring.is_empty());
+                assert_eq!(ring.total_recorded(), i as u64 + 1);
+                let pushed = i + 1;
+                let check = capacity <= 1000
+                    || pushed % 4096 == 0
+                    || (pushed + 256 >= capacity && pushed % 256 <= 1)
+                    || pushed.abs_diff(capacity + 256) <= 2;
+                if let Some(twin) = twin.as_mut() {
+                    twin.record(ev);
+                    assert_eq!(twin.total_recorded(), ring.total_recorded());
+                    if check {
+                        assert!(twin.events().iter().eq(model.iter()), "clone, push {i}");
+                    }
+                }
+                if check {
+                    let got = ring.events();
+                    assert!(got.iter().eq(model.iter()), "capacity {capacity}, push {i}");
+                }
+            }
+            assert!(twin.is_some());
+        }
+    }
+
+    #[test]
+    fn an_empty_ring_holds_nothing() {
+        let r = RingSink::new(3);
+        assert!(r.is_empty());
+        assert_eq!(r.len(), 0);
+        assert_eq!(r.events(), Vec::new());
+        assert_eq!(r.retained_bytes(), 0);
+    }
+
+    /// Once a ring has wrapped, a stream that repeats itself asks the
+    /// allocator for nothing more: its blocks are reused in place.
+    #[test]
+    fn a_wrapped_ring_reuses_its_blocks() {
+        let events = stream(9, 512);
+        let mut r = RingSink::new(1000);
+        let feed = |r: &mut RingSink, rounds| {
+            for _ in 0..rounds {
+                for ev in &events {
+                    r.record(ev);
+                }
+            }
+        };
+        feed(&mut r, 6);
+        let settled = r.retained_bytes();
+        assert!(settled > 0);
+        feed(&mut r, 6);
+        assert_eq!(r.retained_bytes(), settled);
     }
 
     #[test]

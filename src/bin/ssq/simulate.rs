@@ -8,7 +8,7 @@ use swizzle_qos::core::vcd::SwitchVcdRecorder;
 use swizzle_qos::core::{ConfigError, Preflight, QosSwitch, SwitchConfig};
 use swizzle_qos::sim::{MonitorOutcome, Runner, Schedule};
 use swizzle_qos::stats::Table;
-use swizzle_qos::trace::{flight, MetricsRegistry, RingSink};
+use swizzle_qos::trace::{flight, MetricsRegistry};
 use swizzle_qos::traffic::{
     Bernoulli, FixedDest, Injector, Replay, Saturating, TraceEvent, TraceFile,
 };
@@ -340,17 +340,12 @@ pub(crate) fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
             snapshot_metrics(p, switch, at);
         }
         switch.tracer_mut().flush();
-        let events = switch
-            .tracer()
-            .ring()
-            .map(RingSink::events)
-            .unwrap_or_default();
         flight::write_post_mortem(
             std::path::Path::new("results"),
             name,
             reason,
             at.value(),
-            &events,
+            switch.tracer().ring(),
             probe.as_ref(),
         )
     };

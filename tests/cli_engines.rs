@@ -8,6 +8,8 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
+use swizzle_qos::trace::Event;
+
 mod common;
 use common::{assert_diagnosed, ssq, ssq_in, stderr, Scratch};
 
@@ -143,6 +145,58 @@ fn a_tripped_run_reads_the_same_on_every_engine() {
     assert!(String::from_utf8_lossy(post_mortem).contains("Eq. 1 bound of 0"));
     for engine in &ENGINES[1..] {
         assert_eq!(trip(*engine), seq, "{}", engine.0);
+    }
+}
+
+/// The flight recorder holds what the trace stream says happened: a
+/// tripped run's post-mortem lists exactly the last `--flight-capacity`
+/// events of its own `--trace-out` file, rendered, and its header counts
+/// the rest as evicted. Output 0 is kept busy with GB and BE packets, so
+/// the 300-event ring has reused its oldest block before a lone GL
+/// packet arrives mid-transmission and trips the 0-cycle bound.
+#[test]
+fn a_post_mortem_lists_the_last_events_of_its_runs_trace() {
+    let dir = Scratch::new("ring-vs-trace");
+    let replay = dir.join("busy.trace");
+    let mut text = String::new();
+    for cycle in (0..1650).step_by(6) {
+        writeln!(text, "{cycle} 0 0 GB 4\n{cycle} 1 0 BE 2").expect("string write");
+        if cycle == 1296 {
+            writeln!(text, "1300 2 0 GL 1").expect("string write");
+        }
+    }
+    std::fs::write(&replay, text).expect("replay written");
+    for (engine, options) in ENGINES {
+        let cwd = dir.join(engine);
+        std::fs::create_dir_all(&cwd).expect("cell dir");
+        let mut args = CONFIG.to_vec();
+        args.extend(["--replay", replay.to_str().expect("utf-8 path")]);
+        args.extend(options);
+        args.extend(["--trace", "--trace-out", "trace.jsonl", "--flight-recorder"]);
+        args.extend(["--flight-capacity", "300", "--gl-bound", "0"]);
+        let out = ssq_in(&cwd, &args);
+        assert!(stderr(&out).starts_with("error: run tripped at cycle 1301"));
+        let trace = std::fs::read_to_string(cwd.join("trace.jsonl")).expect("trace");
+        let events: Vec<String> = trace
+            .lines()
+            .map(|line| Event::from_jsonl(line).expect(line).to_string())
+            .collect();
+        assert!(events.len() > 3 * 256, "{engine}: only {}", events.len());
+        let post_mortem =
+            std::fs::read_to_string(cwd.join("results/flight-trip.txt")).expect("post-mortem");
+        let header = format!(
+            "events : 300 retained of {} recorded ({} evicted)\n",
+            events.len(),
+            events.len() - 300
+        );
+        assert!(post_mortem.contains(&header), "{engine}: {post_mortem}");
+        let listed: Vec<&str> = post_mortem
+            .lines()
+            .skip_while(|l| *l != "--- last events (oldest first) ---")
+            .skip(1)
+            .take_while(|l| !l.is_empty())
+            .collect();
+        assert_eq!(listed, events[events.len() - 300..], "{engine}");
     }
 }
 
