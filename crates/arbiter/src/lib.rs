@@ -100,8 +100,7 @@ pub trait Arbiter {
     ///
     /// This is the decision half of the switch kernel's decide/commit
     /// split: every output is decided against state the decide phase only
-    /// reads (on several threads under `ssq_sim::ParRunner`), and the
-    /// serial commit replays the winning choice through `arbitrate` (or
+    /// reads, and the commit replays the winning choice through `arbitrate` (or
     /// a policy's dedicated commit entry point). The contract is exact agreement:
     /// for any state S, `S.decide(now, reqs) == S.arbitrate(now, reqs)`
     /// where the right-hand side runs on a clone of S.

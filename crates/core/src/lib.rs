@@ -81,7 +81,6 @@
 )]
 
 pub mod analyze;
-pub mod backoff;
 pub mod bitmask;
 mod config;
 mod packet;
@@ -92,7 +91,6 @@ mod switch;
 pub mod vcd;
 
 pub use analyze::{AnalysisOptions, GlContract};
-pub use backoff::{BackoffPolicy, RetryDecision, RetryTimer};
 pub use config::{ConfigError, Policy, SwitchConfig, SwitchConfigBuilder};
 pub use packet::Packet;
 pub use reservations::{GbReservation, ReadmitDecision, Reservations};

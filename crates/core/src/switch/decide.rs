@@ -15,14 +15,14 @@
 //! gather-and-slice implementation in `reference.rs` is the oracle the
 //! differential batteries compare it against.
 //!
-//! Purity here is load-bearing twice over: the sharded engine calls
-//! this concurrently from several workers through a shared `&self`, and
-//! the merge phase re-calls it for any plan invalidated by an
+//! Purity here is load-bearing twice over: the sharded phase split
+//! decides every output through a shared `&self` before it commits any,
+//! and the merge phase re-calls it for any plan invalidated by an
 //! earlier-output grant. The `no-shared-mut-in-shards` lint holds this
 //! file and everything it reaches to that contract — no lock, static,
-//! clock or interior-mutability primitive may appear, because a shard
-//! that synchronized with its siblings would reintroduce the
-//! cross-output ordering dependence the engine exists to remove. The
+//! clock or interior-mutability primitive may appear, because a decide
+//! that carried state from one output to the next would reintroduce
+//! the cross-output ordering dependence the split exists to remove. The
 //! module-level clippy `deny` below keeps the kernel free of unchecked
 //! indexing and arithmetic.
 

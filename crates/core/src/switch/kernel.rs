@@ -5,7 +5,7 @@
 
 use ssq_arbiter::{Arbiter, Request};
 use ssq_circuit::{ArbitrationOutcome, PortRequest};
-use ssq_sim::{CycleModel, EventModel, ShardedModel};
+use ssq_sim::{CycleModel, ShardedModel};
 use ssq_stats::Histogram;
 use ssq_trace::{Event, EventKind};
 use ssq_types::invariant::Invariant;
@@ -113,7 +113,7 @@ impl QosSwitch {
     /// The transmit side of a visit. The kernel visits a transmitting
     /// output only in the loop that moves its packet's last flit: the
     /// packet finishes, and the queue's next packet may chain. A visit
-    /// mid-packet (the sharded engine visits every output) leaves the
+    /// mid-packet (the sharded phase split visits every output) leaves the
     /// flits to whoever reads them.
     fn commit_transmit(&mut self, output: OutputId, now: Cycle) {
         let last_loop = self
@@ -699,9 +699,9 @@ impl QosSwitch {
 impl CycleModel for QosSwitch {
     /// One cycle on the shared decide/commit kernel
     /// (`QosSwitch::decide_output` reading the request words, the
-    /// commit applying each predicted winner). The sharded engine runs
-    /// the same kernel with all decides hoisted before all commits (see
-    /// the [`ShardedModel`] impl), so the engines agree bit for bit.
+    /// commit applying each predicted winner). The [`ShardedModel`] impl
+    /// runs the same kernel with all decides hoisted before all commits,
+    /// so the two agree bit for bit.
     fn step(&mut self, now: Cycle) {
         #[cfg(debug_assertions)]
         self.debug_assert_masks_synced();
@@ -727,9 +727,7 @@ impl CycleModel for QosSwitch {
         }
         self.prof.reset();
     }
-}
 
-impl EventModel for QosSwitch {
     /// Quiescence probe and batched clock advance. The switch is
     /// skippable when it [is quiescent](QosSwitch::is_quiescent) —
     /// nothing buffered, staged, or in flight, every link up, the fault
@@ -785,8 +783,8 @@ impl ShardedModel for QosSwitch {
     /// decides ran with. A plan invalidated by an earlier output's grant
     /// is re-decided inside `QosSwitch::commit_output` with the
     /// updated picture — exactly the decision the sequential loop would
-    /// have made at that point, which is why the engines agree at any
-    /// thread count.
+    /// have made at that point, which is why the phase split agrees with
+    /// [`CycleModel::step`].
     fn shard_merge(&mut self, now: Cycle, plans: Vec<OutputPlan>) {
         let mut blocked = self.blocked;
         for (o, plan) in plans.into_iter().enumerate() {

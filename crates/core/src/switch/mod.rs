@@ -549,7 +549,7 @@ impl QosSwitch {
     /// transmitting, nothing buffered or staged, every link up and the
     /// fault machinery disarmed. A handful of word tests, so a caller
     /// may ask every cycle. What
-    /// [`EventModel::skip_idle`](ssq_sim::EventModel::skip_idle) requires
+    /// [`CycleModel::skip_idle`](ssq_sim::CycleModel::skip_idle) requires
     /// of the switch itself (it also asks the injectors for their next
     /// arrival).
     #[must_use]

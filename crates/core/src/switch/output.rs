@@ -212,8 +212,7 @@ pub(super) struct Output {
     gl_demoted: bool,
     pub(super) arbiters: Arbiters,
     /// Transient retries left before a detection degrades the output: a
-    /// plain countdown from `fault_retry_budget`, the zero-delay,
-    /// jitter-free `BackoffPolicy::immediate`.
+    /// plain countdown from `fault_retry_budget`.
     pub(super) retries_left: u32,
     /// GL waiting times (enqueue → grant).
     pub(super) gl_wait: Histogram,

@@ -167,9 +167,9 @@ fn invariant_site_coverage(file: &SourceFile, out: &mut Vec<Finding>) {
 
 /// `no-shared-mut-in-shards`: everything `decide_output` reaches must
 /// stay a pure function of the prepared snapshot — no locks, atomics,
-/// interior mutability, statics, wall clock or I/O. The sharded
-/// engine's determinism argument (DESIGN.md §9) rests on it: workers
-/// call the kernel concurrently through a shared `&self`.
+/// interior mutability, statics, wall clock or I/O. The sharded phase
+/// split's determinism argument (DESIGN.md §9) rests on it: every
+/// output is decided through a shared `&self` before any commit.
 fn no_shared_mut_in_shards(file: &SourceFile, out: &mut Vec<Finding>) {
     const NAMES: &[&str] = &[
         "Mutex",

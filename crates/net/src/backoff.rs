@@ -1,17 +1,10 @@
-//! Bounded retry with exponential backoff — the shared recovery policy.
+//! Bounded retry with exponential backoff, for NACK links.
 //!
-//! The ssq-net NACK link discipline drives it: a dropped hop transfer
-//! is retransmitted (DESIGN.md §13) under a bounded number of attempts,
-//! with an explicit `Exhausted` verdict when the budget runs out, so the
-//! caller escalates loudly instead of retrying forever. NACK links
-//! configure the full policy — a deterministic, exponentially growing
-//! hold window per attempt with optional seeded jitter.
-//!
-//! The switch's degraded-mode arbitration (DESIGN.md §8) keeps the same
-//! contract in its simplest form, the one [`BackoffPolicy::immediate`]
-//! describes: zero delay and no jitter, which is a plain countdown from
-//! `fault_retry_budget` — so the switch keeps just that count, per
-//! output, in the output's record.
+//! A dropped hop transfer on a NACK link is retransmitted (DESIGN.md
+//! §13) under a bounded number of attempts, with an explicit `Exhausted`
+//! verdict when the budget runs out, so the caller escalates loudly
+//! instead of retrying forever. Each attempt waits a deterministic,
+//! exponentially growing hold window with optional seeded jitter.
 
 use ssq_types::rng::Xoshiro256StarStar;
 
@@ -33,20 +26,6 @@ pub struct BackoffPolicy {
 }
 
 impl BackoffPolicy {
-    /// A plain countdown: `max_retries` attempts with zero delay — how
-    /// the switch spends its `fault_retry_budget`.
-    #[must_use]
-    pub const fn immediate(max_retries: u32) -> Self {
-        BackoffPolicy {
-            max_retries,
-            base_delay: 0,
-            factor: 1,
-            max_delay: 0,
-            jitter: 0,
-            seed: 0,
-        }
-    }
-
     /// An exponential policy: the `k`-th retry waits
     /// `min(base_delay * factor^k, max_delay)` cycles. A `factor` of 1
     /// gives a constant delay; a `base_delay` of 0 fires immediately
@@ -172,8 +151,8 @@ mod tests {
     }
 
     #[test]
-    fn immediate_policy_is_the_legacy_countdown() {
-        let policy = BackoffPolicy::immediate(2);
+    fn a_zero_delay_policy_is_a_plain_countdown() {
+        let policy = BackoffPolicy::exponential(2, 0, 1, 0);
         let mut timer = RetryTimer::default();
         let mut r = rng();
         let pristine = r;

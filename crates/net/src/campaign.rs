@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use ssq_core::BackoffPolicy;
+use crate::backoff::BackoffPolicy;
 use ssq_faults::{FaultKind, Verdict};
 use ssq_sim::{MonitorOutcome, Runner, Schedule};
 use ssq_trace::{DropReason, Event};

@@ -6,7 +6,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use ssq_core::{BackoffPolicy, RetryDecision, RetryTimer};
+use crate::backoff::{BackoffPolicy, RetryDecision, RetryTimer};
 use ssq_trace::{DropReason, Event, EventKind};
 use ssq_types::{Cycle, FlowId, InputId, OutputId, PacketSpec};
 

@@ -40,7 +40,7 @@
 //! ([`QosSwitch::is_quiescent`]) is not stepped again until something
 //! touches it — a packet offered by a source or a link, a revocation, a
 //! node fault, the measurement boundary. The toucher first brings it up
-//! to date with one [`EventModel::skip_idle`] over the cycles it slept
+//! to date with one [`CycleModel::skip_idle`] over the cycles it slept
 //! through: up to the cycle before this one when the touch comes before
 //! the step phase (the node then steps with the others), through this
 //! cycle when it comes after. Its flight-recorder ring never falls
@@ -60,7 +60,7 @@ use std::fmt;
 
 use ssq_arbiter::CounterPolicy;
 use ssq_core::{ConfigError, Policy, QosSwitch, SwitchConfig};
-use ssq_sim::{CycleModel, EventModel, Monitored};
+use ssq_sim::{CycleModel, Monitored};
 use ssq_trace::{DropReason, Event};
 use ssq_types::rng::Xoshiro256StarStar;
 use ssq_types::{Cycle, Geometry, InputId, OutputId, PacketSpec, Rate, TrafficClass};

@@ -2,9 +2,9 @@
 //! rule, sleeping, and the refusal of malformed flows.
 
 use super::*;
+use crate::backoff::BackoffPolicy;
 use crate::fault::NetFaultKind;
 use crate::link::{LinkDiscipline, LinkSpec};
-use ssq_core::BackoffPolicy;
 use ssq_sim::{MonitorOutcome, Runner, Schedule};
 use ssq_trace::EventKind;
 use ssq_types::Cycles;

@@ -9,7 +9,7 @@
 //!   the upstream switch holds its packets.
 //! * **Lossy** — overflow drops, accounted per flow and per reason.
 //! * **NACK** — drops are retransmitted under a bounded
-//!   [`ssq_core::BackoffPolicy`]; only exhaustion is loud.
+//!   [`BackoffPolicy`]; only exhaustion is loud.
 //!
 //! The point of the crate is the *end-to-end* extension of the
 //! two-outcome contract: a per-output guarantee admitted at a source
@@ -32,6 +32,7 @@
     )
 )]
 
+pub mod backoff;
 pub mod campaign;
 pub mod check;
 pub mod fabric;
@@ -40,6 +41,7 @@ pub mod judge;
 pub mod link;
 pub mod topology;
 
+pub use backoff::{BackoffPolicy, RetryDecision, RetryTimer};
 pub use campaign::{run_net_scenario, run_net_smoke, NetScenarioResult, NET_SCENARIOS};
 pub use check::analyze_topology;
 #[doc(hidden)]

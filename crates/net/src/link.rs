@@ -20,7 +20,7 @@
 //!   copy under a shared [`BackoffPolicy`] (exponential backoff, seeded
 //!   jitter); budget exhaustion escalates to an explicit loud drop.
 
-use ssq_core::BackoffPolicy;
+use crate::backoff::BackoffPolicy;
 
 /// What a link does with packets it cannot deliver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -151,7 +151,7 @@ mod tests {
         assert_eq!(LinkDiscipline::Credit.label(), "credit");
         assert_eq!(LinkDiscipline::Lossy.label(), "lossy");
         assert_eq!(
-            LinkDiscipline::Nack(BackoffPolicy::immediate(3)).label(),
+            LinkDiscipline::Nack(BackoffPolicy::exponential(3, 0, 1, 0)).label(),
             "nack"
         );
     }

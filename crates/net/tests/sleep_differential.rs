@@ -10,8 +10,8 @@
 //! decay-epoch events a sleeper is owed and their stamps included — the
 //! loss ledger and every flow's statistics.
 
-use ssq_core::BackoffPolicy;
 use ssq_faults::FaultKind;
+use ssq_net::BackoffPolicy;
 use ssq_net::{
     DenseFabric, Fabric, FlowSpec, LinkDiscipline, NetFaultKind, NetFaultPlan, Topology,
 };

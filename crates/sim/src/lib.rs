@@ -6,18 +6,21 @@
 //!
 //! * [`Schedule`] — warm-up and measurement phases in cycles.
 //! * [`CycleModel`] — anything steppable one cycle at a time with a
-//!   stats-reset hook at the warm-up/measurement boundary.
+//!   stats-reset hook at the warm-up/measurement boundary, and an
+//!   optional proof that a stretch of cycles is idle
+//!   ([`CycleModel::skip_idle`]).
 //! * [`Runner`] — drives a model through a schedule, optionally under
 //!   a stall/violation watchdog ([`Monitored`],
 //!   [`Runner::run_monitored`]) that backs the flight recorder.
 //! * [`sweep`] — runs one experiment per parameter point across threads
 //!   (std scoped threads), preserving input order in the results.
-//! * [`EventModel`] / [`Runner::run_skipping`] — event-driven idle
-//!   skipping (`--engine bitpar`), byte-identical to dense stepping.
-//! * [`ShardedModel`] / [`ParRunner`] — the sharded parallel engine:
-//!   one cycle as parallel per-shard decisions plus a serial in-order
-//!   merge, bit-identical to [`Runner::run`] at any thread count. No
-//!   `ssq simulate` engine selects it; qosbench (`benchmark/`) times it.
+//! * [`Runner::run_skipping`] — event-driven idle skipping
+//!   (`--engine bitpar`), byte-identical to dense stepping.
+//! * [`ShardedModel`] / [`ParRunner`] — a cycle split into prepare,
+//!   per-shard decide and in-order merge, run on the calling thread and
+//!   bit-identical to [`Runner::run`]. No `ssq simulate` engine selects
+//!   it; qosbench (`benchmark/`) times it. [`EventModel`] is likewise
+//!   only a name that package still uses.
 //!
 //! The warm-up → `begin_measurement` → measure loop exists once
 //! (`runner.rs`); every entry point above is a call into it.

@@ -1,8 +1,9 @@
 //! The synchronous cycle loop.
 //!
 //! Written once, in `drive`: every public entry point — [`Runner`]'s
-//! and [`ParRunner::run`](crate::ParRunner::run) — hands it a `Stepper`
-//! and at most one per-cycle hook, and differs in nothing else.
+//! and [`ParRunner::run`](crate::ParRunner::run) — hands it the model,
+//! whether idle cycles may be skipped and at most one per-cycle hook,
+//! and differs in nothing else.
 
 use std::fmt;
 
@@ -70,31 +71,33 @@ pub trait CycleModel {
     /// Called once at the warm-up/measurement boundary; implementations
     /// reset their statistics (not their state) here.
     fn begin_measurement(&mut self, now: Cycle);
-}
-
-/// A [`CycleModel`] that can prove stretches of cycles idle and jump
-/// them.
-///
-/// The contract is strict byte-identity: `skip_idle(now, limit)` must
-/// either report no skip (returning `now`) or advance the model over
-/// `now..target` leaving it in exactly the state `target - now` dense
-/// steps would — trace events and their cycle stamps included.
-pub trait EventModel: CycleModel {
-    /// [`CycleModel::step`] under its pre-PR-14 name, when the word-wide
-    /// kernel was a second implementation. Nothing in this workspace
-    /// calls or overrides it; the frozen benchmark package still spans
-    /// it.
-    fn step_fast(&mut self, now: Cycle) {
-        self.step(now);
-    }
 
     /// If the model is quiescent at `now`, batches the pure clock
     /// effects of the skippable cycles and returns the first cycle in
     /// `(now, limit]` that needs dense execution (`limit` itself when
     /// nothing will happen this phase). Returns `now` when the model
-    /// cannot prove quiescence, in which case nothing was advanced.
-    fn skip_idle(&mut self, now: Cycle, limit: Cycle) -> Cycle;
+    /// cannot prove quiescence, in which case nothing was advanced —
+    /// the default, for a model that never skips.
+    ///
+    /// The contract is strict byte-identity: a skip to `target` leaves
+    /// the model in exactly the state `target - now` dense steps would,
+    /// trace events and their cycle stamps included.
+    fn skip_idle(&mut self, now: Cycle, _limit: Cycle) -> Cycle {
+        now
+    }
 }
+
+/// [`CycleModel::step`] under its old name, from when the word-wide
+/// kernel was a second implementation. Every model has it; nothing in
+/// this workspace calls it, the frozen benchmark package still does.
+pub trait EventModel: CycleModel {
+    /// [`CycleModel::step`].
+    fn step_fast(&mut self, now: Cycle) {
+        self.step(now);
+    }
+}
+
+impl<M: CycleModel + ?Sized> EventModel for M {}
 
 /// A model the runner can watch for stalls and invariant violations —
 /// the hooks behind the flight recorder's trip wire.
@@ -182,97 +185,45 @@ impl Watchdog {
     }
 }
 
-/// How [`drive`] advances a model: one dense cycle at a time, over idle
-/// stretches where the model can prove them, or on the sharded engine.
-pub(crate) trait Stepper {
-    /// The model being driven.
-    type Model: CycleModel + ?Sized;
-
-    /// Executes cycle `now`.
-    fn step(&mut self, now: Cycle);
-
-    /// Jumps over provably idle cycles: the first cycle in
-    /// `(now, limit]` that needs [`Stepper::step`], or `now` when this
-    /// cycle does.
-    fn skip(&mut self, now: Cycle, _limit: Cycle) -> Cycle {
-        now
-    }
-
-    /// Serial access to the model between cycles.
-    fn with_model<R>(&mut self, f: impl FnOnce(&mut Self::Model) -> R) -> R;
-}
-
-/// Every cycle through [`CycleModel::step`].
-struct Dense<'a, M: ?Sized>(&'a mut M);
-
-impl<M: CycleModel + ?Sized> Stepper for Dense<'_, M> {
-    type Model = M;
-
-    fn step(&mut self, now: Cycle) {
-        self.0.step(now);
-    }
-
-    fn with_model<R>(&mut self, f: impl FnOnce(&mut M) -> R) -> R {
-        f(self.0)
-    }
-}
-
-/// [`Dense`] plus [`EventModel::skip_idle`].
-struct Skipping<'a, M: ?Sized>(&'a mut M);
-
-impl<M: EventModel + ?Sized> Stepper for Skipping<'_, M> {
-    type Model = M;
-
-    fn step(&mut self, now: Cycle) {
-        self.0.step(now);
-    }
-
-    fn skip(&mut self, now: Cycle, limit: Cycle) -> Cycle {
-        self.0.skip_idle(now, limit)
-    }
-
-    fn with_model<R>(&mut self, f: impl FnOnce(&mut M) -> R) -> R {
-        f(self.0)
-    }
-}
-
 /// The cycle loop, written once: warm-up, `begin_measurement`, then the
 /// measured phase. Returns the cycle reached and, if `after_step` ended
 /// the run early, its reason (the cycle is then the one it fired at).
 ///
 /// `after_step` sees the model after every executed cycle — observers
 /// and the watchdog both live there. Both are defined per executed
-/// cycle, so with a hook the run is dense; without one, idle stretches
-/// are jumped wherever the stepper can prove them. A jump is clamped to
-/// its phase, so `begin_measurement` fires at the same cycle either way.
+/// cycle, so a run with a hook is dense and only an unwatched one sets
+/// `skip`: idle stretches are then jumped wherever
+/// [`CycleModel::skip_idle`] proves them. A jump is clamped to its
+/// phase, so `begin_measurement` fires at the same cycle either way.
 #[inline]
-fn drive<S, F>(
+fn drive<M, F>(
     schedule: Schedule,
-    stepper: &mut S,
+    model: &mut M,
+    skip: bool,
     mut after_step: Option<F>,
 ) -> (Cycle, Option<String>)
 where
-    S: Stepper,
-    F: FnMut(&S::Model, Cycle) -> Option<String>,
+    M: CycleModel + ?Sized,
+    F: FnMut(&M, Cycle) -> Option<String>,
 {
     let warm_end = Cycle::ZERO + schedule.warmup();
     let end = warm_end + schedule.measure();
     let mut now = Cycle::ZERO;
     for phase_end in [warm_end, end] {
         if phase_end == end {
-            stepper.with_model(|m| m.begin_measurement(now));
+            model.begin_measurement(now);
         }
         while now < phase_end {
-            if after_step.is_none() {
-                let next = stepper.skip(now, phase_end);
+            if skip {
+                let next = model.skip_idle(now, phase_end);
                 if next > now {
                     now = next;
                     continue;
                 }
             }
-            stepper.step(now);
+            model.step(now);
             if let Some(hook) = &mut after_step {
-                if let Some(reason) = stepper.with_model(|m| hook(m, now)) {
+                if let Some(reason) = hook(model, now) {
                     return (now, Some(reason));
                 }
             }
@@ -283,50 +234,14 @@ where
 }
 
 /// [`drive`] with nobody watching: the one run that may jump idle cycles.
-#[inline]
-pub(crate) fn drive_unwatched<S: Stepper>(schedule: Schedule, stepper: &mut S) -> Cycle {
+fn drive_unwatched<M: CycleModel + ?Sized>(schedule: Schedule, model: &mut M, skip: bool) -> Cycle {
     drive(
         schedule,
-        stepper,
-        None::<fn(&S::Model, Cycle) -> Option<String>>,
+        model,
+        skip,
+        None::<fn(&M, Cycle) -> Option<String>>,
     )
     .0
-}
-
-/// [`drive`] under a [`Watchdog`], `observe` running before its check.
-fn drive_monitored<S, F>(
-    schedule: Schedule,
-    stepper: &mut S,
-    stall_window: Cycles,
-    mut observe: F,
-) -> MonitorOutcome
-where
-    S: Stepper,
-    S::Model: Monitored,
-    F: FnMut(&S::Model, Cycle),
-{
-    let mut watchdog = Watchdog::new(stall_window);
-    let hook = |m: &S::Model, now: Cycle| {
-        observe(m, now);
-        watchdog.check(m)
-    };
-    match drive(schedule, stepper, Some(hook)) {
-        (at, Some(reason)) => MonitorOutcome::Tripped { at, reason },
-        (end, None) => MonitorOutcome::Completed(end),
-    }
-}
-
-/// [`drive`] with an observer that never ends the run.
-fn drive_observed<S, F>(schedule: Schedule, stepper: &mut S, mut observe: F) -> Cycle
-where
-    S: Stepper,
-    F: FnMut(&S::Model, Cycle),
-{
-    let hook = |m: &S::Model, now: Cycle| {
-        observe(m, now);
-        None
-    };
-    drive(schedule, stepper, Some(hook)).0
 }
 
 /// Drives a [`CycleModel`] through a [`Schedule`].
@@ -351,27 +266,31 @@ impl Runner {
     /// Runs the model from cycle 0 through the full schedule and returns
     /// the cycle after the last step (== [`Schedule::total`]).
     pub fn run<M: CycleModel + ?Sized>(&self, model: &mut M) -> Cycle {
-        drive_unwatched(self.schedule, &mut Dense(model))
+        drive_unwatched(self.schedule, model, false)
     }
 
     /// Like [`Runner::run`], but jumps over the stretches the model
-    /// proves idle ([`EventModel::skip_idle`]) instead of stepping
+    /// proves idle ([`CycleModel::skip_idle`]) instead of stepping
     /// through them — `--engine bitpar`. A jump never crosses the
     /// warm-up boundary, so `begin_measurement` fires at the same cycle
     /// as under [`Runner::run`].
-    pub fn run_skipping<M: EventModel + ?Sized>(&self, model: &mut M) -> Cycle {
-        drive_unwatched(self.schedule, &mut Skipping(model))
+    pub fn run_skipping<M: CycleModel + ?Sized>(&self, model: &mut M) -> Cycle {
+        drive_unwatched(self.schedule, model, true)
     }
 
     /// Like [`Runner::run`], but invokes `observe(model, now)` after every
     /// step — the hook VCD recorders, time-series samplers, and live
     /// monitors attach to without hand-rolling the phase logic.
-    pub fn run_observed<M, F>(&self, model: &mut M, observe: F) -> Cycle
+    pub fn run_observed<M, F>(&self, model: &mut M, mut observe: F) -> Cycle
     where
         M: CycleModel + ?Sized,
         F: FnMut(&M, Cycle),
     {
-        drive_observed(self.schedule, &mut Dense(model), observe)
+        let hook = |m: &M, now: Cycle| {
+            observe(m, now);
+            None
+        };
+        drive(self.schedule, model, false, Some(hook)).0
     }
 
     /// Runs the model's static preflight analysis
@@ -416,13 +335,21 @@ impl Runner {
         &self,
         model: &mut M,
         stall_window: Cycles,
-        observe: F,
+        mut observe: F,
     ) -> MonitorOutcome
     where
         M: Monitored + ?Sized,
         F: FnMut(&M, Cycle),
     {
-        drive_monitored(self.schedule, &mut Dense(model), stall_window, observe)
+        let mut watchdog = Watchdog::new(stall_window);
+        let hook = |m: &M, now: Cycle| {
+            observe(m, now);
+            watchdog.check(m)
+        };
+        match drive(self.schedule, model, false, Some(hook)) {
+            (at, Some(reason)) => MonitorOutcome::Tripped { at, reason },
+            (end, None) => MonitorOutcome::Completed(end),
+        }
     }
 
     /// [`Runner::run_checked`] with the [`Runner::run_monitored`]
@@ -457,8 +384,7 @@ mod tests {
 
     /// A scripted model implementing every trait a runner can ask for,
     /// which logs what the runner did to it. `step` is defined through
-    /// the sharded contract, so all three steppers execute the same
-    /// cycle.
+    /// the sharded contract, so every runner executes the same cycle.
     #[derive(Clone, Debug, Default, PartialEq, Eq)]
     struct Toy {
         /// Dense work is due on multiples of this; the cycles between
@@ -489,6 +415,15 @@ mod tests {
             assert_eq!(self.boundary, None, "begin_measurement fires once");
             self.boundary = Some(now.value());
         }
+        fn skip_idle(&mut self, now: Cycle, limit: Cycle) -> Cycle {
+            if self.busy_every == 0 || now.value().is_multiple_of(self.busy_every) {
+                return now;
+            }
+            let next_busy = now.value().next_multiple_of(self.busy_every);
+            let target = next_busy.min(limit.value());
+            self.jumps.push((now.value(), target));
+            Cycle::new(target)
+        }
     }
 
     impl ShardedModel for Toy {
@@ -511,18 +446,6 @@ mod tests {
         }
     }
 
-    impl EventModel for Toy {
-        fn skip_idle(&mut self, now: Cycle, limit: Cycle) -> Cycle {
-            if self.busy_every == 0 || now.value().is_multiple_of(self.busy_every) {
-                return now;
-            }
-            let next_busy = now.value().next_multiple_of(self.busy_every);
-            let target = next_busy.min(limit.value());
-            self.jumps.push((now.value(), target));
-            Cycle::new(target)
-        }
-    }
-
     impl Monitored for Toy {
         fn progress(&self) -> Option<u64> {
             (!self.idle).then_some(self.progress)
@@ -540,22 +463,15 @@ mod tests {
         RunSkipping,
         RunObserved,
         RunMonitored,
-        ParRun(usize),
+        ParRun,
     }
     use Entry::*;
 
-    const ENTRIES: [Entry; 6] = [
-        Run,
-        RunSkipping,
-        RunObserved,
-        RunMonitored,
-        ParRun(1),
-        ParRun(2),
-    ];
+    const ENTRIES: [Entry; 5] = [Run, RunSkipping, RunObserved, RunMonitored, ParRun];
 
     impl Entry {
         fn observes(self) -> bool {
-            !matches!(self, Run | RunSkipping | ParRun(_))
+            !matches!(self, Run | RunSkipping | ParRun)
         }
         fn monitors(self) -> bool {
             self == RunMonitored
@@ -580,7 +496,7 @@ mod tests {
             RunSkipping => MonitorOutcome::Completed(seq.run_skipping(&mut toy)),
             RunObserved => MonitorOutcome::Completed(seq.run_observed(&mut toy, observe)),
             RunMonitored => seq.run_monitored(&mut toy, window, observe),
-            ParRun(t) => MonitorOutcome::Completed(ParRunner::new(schedule, t).run(&mut toy)),
+            ParRun => MonitorOutcome::Completed(ParRunner::new(schedule, 2).run(&mut toy)),
         };
         Seen {
             outcome,

@@ -49,8 +49,9 @@ pub struct Injector {
 impl Injector {
     /// Creates an injector. The owning input port is attached later with
     /// [`Injector::for_input`] (defaults to input 0). The boxed source
-    /// and pattern are `Send + Sync` so that a switch holding injectors
-    /// is too: `ssq_sim::ParRunner::run` shares it with its decide threads.
+    /// and pattern are `Send + Sync`, so a switch holding injectors is
+    /// too. No runner needs that since the sharded engine lost its
+    /// decide threads; the bounds stay until an API change drops them.
     #[must_use]
     pub fn new(
         source: Box<dyn TrafficSource + Send + Sync>,

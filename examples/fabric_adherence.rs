@@ -13,7 +13,7 @@
 //! cargo run --example fabric_adherence --release
 //! ```
 
-use swizzle_qos::core::BackoffPolicy;
+use swizzle_qos::net::BackoffPolicy;
 use swizzle_qos::net::{Fabric, FlowSpec, LinkDiscipline, Topology};
 use swizzle_qos::sim::{Runner, Schedule};
 use swizzle_qos::stats::Table;

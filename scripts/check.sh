@@ -37,14 +37,14 @@ echo "== the four in-tree rules (ssq-lint via xtask) =="
 # What no stock lint expresses; any finding fails.
 cargo run --quiet -p xtask -- lint
 
-echo "== sanitizer: V1-V6 asserted on the hot path under both conformance batteries =="
+echo "== sanitizer: V1-V6 asserted on the hot path under the conformance battery =="
 # The `sanitizer` feature compiles the model checker's invariant
-# predicates into every arbitration; the two engine batteries then run
-# a few hundred seeded scenarios through them (about 20 s, debug),
-# holding the sequential, sharded parallel and bitpar engines to the
-# scalar reference kernel (QosSwitch::step_reference) bit for bit. The
-# tests step below runs both batteries again without the sanitizer.
-cargo test -q --features sanitizer --test bitpar_conformance --test par_conformance
+# predicates into every arbitration; the engine battery then runs a few
+# hundred seeded scenarios through them (about 20 s, debug), holding
+# the sequential, sharded and bitpar engines to the scalar reference
+# kernel (QosSwitch::step_reference) bit for bit. The tests step below
+# runs the battery again without the sanitizer.
+cargo test -q --features sanitizer --test kernel_conformance
 
 echo "== release build =="
 cargo build --workspace --release
@@ -119,8 +119,9 @@ cargo test -q --workspace
 echo "== frozen benchmark against this tree (qosbench) =="
 # benchmark/ is a package of its own with a path dependency on this
 # tree and may not change with it: building and testing it here catches
-# public-API drift (CycleModel, EventModel, ShardedModel, the runners,
-# the arbiter peeks) before the benchmark pipeline does. qosbench is
+# public-API drift (CycleModel and its skip_idle, EventModel::step_fast,
+# ShardedModel, Runner and ParRunner, the arbiter peeks) before the
+# benchmark pipeline does. qosbench is
 # also the source of every performance claim (benchmark/README.md).
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 

@@ -357,31 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn armed_gl_bound_of_zero_trips_and_dumps() {
-        let args = strs(&[
-            "simulate",
-            "--radix",
-            "4",
-            "--cycles",
-            "2000",
-            "--warmup",
-            "100",
-            "--gl-reserve",
-            "0:10",
-            "--flow",
-            "0:0:GL:0.05:1",
-            "--flow",
-            "1:0:BE:sat:8",
-            "--flight-recorder",
-            "--gl-bound",
-            "0",
-            "--csv",
-        ]);
-        let e = run(&args).expect_err("a 0-cycle GL bound cannot hold");
-        assert!(e.to_string().contains("post-mortem"), "got: {e}");
-    }
-
-    #[test]
     fn gl_subcommands_compute() {
         gl_bound(&strs(&["--n-gl", "4", "--buffer", "8"])).unwrap();
         gl_burst(&strs(&["--constraints", "150,300,600"])).unwrap();

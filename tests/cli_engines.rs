@@ -140,7 +140,8 @@ fn a_tripped_run_reads_the_same_on_every_engine() {
     assert!(!seq.success, "a 0-cycle GL bound cannot hold");
     assert!(seq.stderr.starts_with("error: run tripped at cycle "));
     assert!(!seq.stderr.contains("cycle cycle"), "{}", seq.stderr);
-    assert!(seq.stderr.contains("results/flight-trip.txt"));
+    let written = "post-mortem written to results/flight-trip.txt";
+    assert!(seq.stderr.contains(written), "{}", seq.stderr);
     let post_mortem = seq.file.as_ref().expect("post-mortem written");
     assert!(String::from_utf8_lossy(post_mortem).contains("Eq. 1 bound of 0"));
     for engine in &ENGINES[1..] {

@@ -1,33 +1,52 @@
-//! Kernel and bitpar-engine conformance beyond the shared battery in
-//! `par_conformance.rs`, every baseline taken from the scalar reference
-//! kernel (`QosSwitch::step_reference`):
+//! Differential conformance: every engine — the sequential
+//! [`Runner::run`], the sharded [`ParRunner::run`] and the idle-skipping
+//! [`Runner::run_skipping`] (`--engine bitpar`) — must be
+//! **byte-identical** to the scalar reference kernel
+//! (`QosSwitch::step_reference`, driven through [`ReferenceKernel`]):
+//! same grants, same counters, same per-flow metrics, same trace events,
+//! on every scenario. The engines all run the one mask-native
+//! decide/commit kernel, so comparing them with each other would compare
+//! the kernel with itself; the reference path probes queue heads and
+//! arbitrates over request slices, sharing no decision code with it.
 //!
-//! * A seeded property test fuzzing random request patterns over radices
-//!   2–64 — random class mixes, buffer shapes, per-port feature toggles,
-//!   and **mid-run reservation renegotiation** — stepping the reference
-//!   and word-wide kernels in lockstep and demanding identical grants.
-//! * Idle-skip conformance: event-driven stepping must produce
-//!   byte-identical observables to dense reference stepping —
-//!   decay-epoch events and flight-recorder cycle stamps included —
-//!   while provably skipping most cycles at low load.
-//! * A negative control: unpredictable (Bernoulli) sources must never
-//!   allow a skip, degrading the runner to the dense fast path.
-//! * The arrival schedule where the shared battery does not reach it:
-//!   an injector added mid-block, idle skips that cross block ends over
-//!   stateful sources, staging at its fullest (a 1-flit buffer, packets
-//!   that never fit, two injectors on one queue) and frozen (a link
-//!   down, then healed) for the `retry_at` timing, and stepping that is
-//!   not consecutive. The reference kernel polls every source and
-//!   probes every staged head every cycle, so it is the densely polled
-//!   twin throughout.
-//! * The work word (`(req_out & !busy_out) | finishing`) where it skips
-//!   the most and where it moves under the loop: radix 64 at 2.5 % load,
-//!   with the idle-skip verdicts of that run pinned to their count from
-//!   before the word existed; `Policy::FourLevel`, the only policy whose
-//!   arbitration-wait clocks ever leave zero; and a shared BE FIFO whose
-//!   head pops hand the input's request bit to a later output in the
-//!   middle of a cycle. The reference kernel visits every output.
-//! * Reads in the middle of a packet. The kernel applies a packet's
+//! One harness serves every test: an [`Observation`] of a finished run
+//! (counters, [`metrics_csv`], the trace ring), one [`Counting`]
+//! wrapper that tallies stepped and skipped cycles, and one [`drive`]
+//! over the four engines. The scenario families:
+//!
+//! * **Seeded batteries through every engine.** Random request matrices
+//!   across all three SSVC counter policies and {BE, GB, GL} class mixes
+//!   (216 scenarios); the non-SSVC policies; the fabric-checked,
+//!   GL-policed, demoted-GL and LRG-fallback modes, alone and stacked;
+//!   inputs contending at several outputs (the sharded merge's stale-plan
+//!   re-decide); a long saturated run past many counter epochs; and the
+//!   fig4-style scenario's JSONL trace, compared byte for byte.
+//! * **The stepped kernel against the reference, cycle by cycle.** A
+//!   seeded property test over radices 2–64 with random class mixes,
+//!   buffer shapes, per-port feature toggles and **mid-run reservation
+//!   renegotiation**.
+//! * **Idle skipping.** Event-driven stepping must produce byte-identical
+//!   observables to dense reference stepping — decay-epoch events and
+//!   flight-recorder cycle stamps included — while provably skipping
+//!   most cycles at low load; unpredictable (Bernoulli) sources must
+//!   never allow a skip.
+//! * **The arrival schedule** where the seeded batteries do not reach
+//!   it: an injector added mid-block, idle skips that cross block ends
+//!   over stateful sources, staging at its fullest (a 1-flit buffer,
+//!   packets that never fit, two injectors on one queue) and frozen (a
+//!   link down, then healed) for the `retry_at` timing, and stepping
+//!   that is not consecutive. The reference kernel polls every source
+//!   and probes every staged head every cycle, so it is the densely
+//!   polled twin throughout.
+//! * **The work word** (`(req_out & !busy_out) | finishing`) where it
+//!   skips the most and where it moves under the loop: radix 64 at
+//!   2.5 % load, with the idle-skip verdicts of that run pinned to their
+//!   count from before the word existed; `Policy::FourLevel`, the only
+//!   policy whose arbitration-wait clocks ever leave zero; and a shared
+//!   BE FIFO whose head pops hand the input's request bit to a later
+//!   output in the middle of a cycle. The reference kernel visits every
+//!   output.
+//! * **Reads in the middle of a packet.** The kernel applies a packet's
 //!   flits in one batch, when something reads them, and times a staged
 //!   head's retry to the exact cycle it fits; the reference moves one
 //!   flit per channel per cycle and probes every staged head every
@@ -40,10 +59,14 @@
 //!   injectors waiting on one BE queue, `Policy::FourLevel`, and the
 //!   waveform the VCD recorder writes.
 
+use std::io::Read as _;
+
 use swizzle_qos::arbiter::CounterPolicy;
 use swizzle_qos::core::vcd::SwitchVcdRecorder;
-use swizzle_qos::core::{ChannelState, Policy, QosSwitch, ReferenceKernel, SwitchConfig};
-use swizzle_qos::sim::{CycleModel, EventModel, Runner, Schedule};
+use swizzle_qos::core::{
+    ChannelState, Policy, QosSwitch, ReferenceKernel, SwitchConfig, SwitchCounters,
+};
+use swizzle_qos::sim::{CycleModel, ParRunner, Runner, Schedule};
 use swizzle_qos::trace::{Event, RingSink};
 use swizzle_qos::traffic::{
     Bernoulli, FixedDest, Injector, OnOffBursty, Periodic, Saturating, Trace, UniformDest,
@@ -53,8 +76,21 @@ use swizzle_qos::types::{
     Xoshiro256StarStar,
 };
 
-/// Serialized per-flow metrics: integers verbatim, latency means as
-/// `f64` bit patterns, so any divergence is a byte divergence.
+// ---------------------------------------------------------------------
+// The harness.
+// ---------------------------------------------------------------------
+
+/// One run's complete observable state.
+#[derive(PartialEq)]
+struct Observation {
+    counters: SwitchCounters,
+    metrics: String,
+    events: Vec<Event>,
+}
+
+/// Per-flow metrics across all three classes, serialized exactly:
+/// integers verbatim, latency means as `f64` bit patterns, so any
+/// divergence is a byte divergence.
 fn metrics_csv(switch: &QosSwitch) -> String {
     use std::fmt::Write as _;
     let radix = switch.config().geometry().radix();
@@ -85,6 +121,7 @@ fn metrics_csv(switch: &QosSwitch) -> String {
     csv
 }
 
+/// The trace ring's events, oldest first (none without a ring).
 fn ring_events(switch: &QosSwitch) -> Vec<Event> {
     switch
         .tracer()
@@ -93,22 +130,640 @@ fn ring_events(switch: &QosSwitch) -> Vec<Event> {
         .unwrap_or_default()
 }
 
-fn assert_observables_match(seq: &QosSwitch, bit: &QosSwitch, tag: &str) {
-    assert_eq!(seq.counters(), bit.counters(), "{tag}: counters diverged");
+fn observe(switch: &QosSwitch) -> Observation {
+    Observation {
+        counters: switch.counters(),
+        metrics: metrics_csv(switch),
+        events: ring_events(switch),
+    }
+}
+
+fn assert_identical(reference: &Observation, other: &Observation, tag: &str) {
     assert_eq!(
-        metrics_csv(seq),
-        metrics_csv(bit),
+        reference.counters, other.counters,
+        "{tag}: counters diverged"
+    );
+    assert_eq!(
+        reference.metrics, other.metrics,
         "{tag}: per-flow metrics diverged"
     );
-    let (se, be) = (ring_events(seq), ring_events(bit));
-    assert_eq!(se.len(), be.len(), "{tag}: event counts diverged");
-    for (n, (a, b)) in se.iter().zip(be.iter()).enumerate() {
+    assert_eq!(
+        reference.events.len(),
+        other.events.len(),
+        "{tag}: event counts diverged"
+    );
+    for (n, (a, b)) in reference.events.iter().zip(&other.events).enumerate() {
         assert_eq!(a, b, "{tag}: first event divergence at index {n}");
     }
 }
 
+/// [`assert_identical`] on two finished switches.
+fn assert_observables_match(reference: &QosSwitch, other: &QosSwitch, tag: &str) {
+    assert_identical(&observe(reference), &observe(other), tag);
+}
+
+/// Counts how a runner spends its cycles, delegating to the real switch
+/// — the proof that idle skipping engaged, or that it did not.
+struct Counting<'a> {
+    inner: &'a mut QosSwitch,
+    stepped: u64,
+    skipped: u64,
+}
+
+impl CycleModel for Counting<'_> {
+    fn step(&mut self, now: Cycle) {
+        self.stepped += 1;
+        self.inner.step(now);
+    }
+    fn begin_measurement(&mut self, now: Cycle) {
+        self.inner.begin_measurement(now);
+    }
+    fn skip_idle(&mut self, now: Cycle, limit: Cycle) -> Cycle {
+        let target = self.inner.skip_idle(now, limit);
+        self.skipped += target.value() - now.value();
+        target
+    }
+}
+
+/// Runs `switch` through `schedule` on the skipping runner and returns
+/// how many cycles it stepped and how many it skipped.
+fn run_skipping_counted(switch: &mut QosSwitch, schedule: Schedule) -> (u64, u64) {
+    let mut counted = Counting {
+        inner: switch,
+        stepped: 0,
+        skipped: 0,
+    };
+    Runner::new(schedule).run_skipping(&mut counted);
+    (counted.stepped, counted.skipped)
+}
+
+/// Which engine drives a run.
+#[derive(Clone, Copy, Debug)]
+enum Engine {
+    /// The scalar oracle: `QosSwitch::step_reference` in a dense loop.
+    Reference,
+    /// [`Runner::run`]: one `step` a cycle.
+    Seq,
+    /// [`ParRunner::run`]: prepare, decide every output, merge in order.
+    Sharded,
+    /// [`Runner::run_skipping`]: `seq` plus idle skipping.
+    Bitpar,
+}
+
+/// The engines held to the reference, per scenario.
+const ENGINES: [Engine; 3] = [Engine::Seq, Engine::Sharded, Engine::Bitpar];
+
+fn drive(switch: &mut QosSwitch, schedule: Schedule, engine: Engine) {
+    match engine {
+        Engine::Reference => {
+            Runner::new(schedule).run(&mut ReferenceKernel(switch));
+        }
+        Engine::Seq => {
+            Runner::new(schedule).run(switch);
+        }
+        Engine::Sharded => {
+            ParRunner::new(schedule, 1).run(switch);
+        }
+        Engine::Bitpar => {
+            Runner::new(schedule).run_skipping(switch);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Seeded batteries through every engine.
+// ---------------------------------------------------------------------
+
+const RADIX: usize = 8;
+const WARMUP: u64 = 50;
+const MEASURE: u64 = 400;
+
+/// Which traffic classes a scenario mixes.
+#[derive(Clone, Copy, Debug)]
+enum Mix {
+    BeOnly,
+    GbBe,
+    GbGlBe,
+}
+
+const COUNTER_POLICIES: &[CounterPolicy] = &[
+    CounterPolicy::SubtractRealClock,
+    CounterPolicy::Halve,
+    CounterPolicy::Reset,
+];
+const MIXES: &[Mix] = &[Mix::BeOnly, Mix::GbBe, Mix::GbGlBe];
+/// Seeds per (policy, mix) cell: 3 × 3 × 24 = 216 scenarios total.
+const SEEDS_PER_CELL: u64 = 24;
+
+/// Builds one seeded random scenario. Reservations, request matrix,
+/// rates, and packet lengths are all drawn from the scenario's own
+/// deterministic generator, so a scenario is a pure function of
+/// `(policy, mix, seed)` and every engine receives an identical copy.
+fn build(policy: CounterPolicy, mix: Mix, seed: u64) -> QosSwitch {
+    build_with(Policy::Ssvc(policy), Mode::default(), mix, seed)
+}
+
+/// Switch-level modes the seeded scenarios can be built in.
+#[derive(Clone, Copy, Debug, Default)]
+struct Mode {
+    /// Cross-check every GB/GL arbitration against the inhibit fabric.
+    fabric_checked: bool,
+    /// Police GL, and make the GL flow abusive enough to trip it.
+    gl_policing: bool,
+    /// GL lost its lane at the hot output: it competes inside GB rounds.
+    gl_demoted: bool,
+    /// The hot output's GB rounds run on the pure-LRG fallback.
+    lrg_fallback: bool,
+}
+
+fn build_with(policy: Policy, mode: Mode, mix: Mix, seed: u64) -> QosSwitch {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+    let mut config = SwitchConfig::builder(Geometry::new(RADIX, 128).expect("valid geometry"))
+        .policy(policy)
+        .gb_buffer_flits(16)
+        .be_buffer_flits(16)
+        .sig_bits(3)
+        .fabric_checked(mode.fabric_checked)
+        .gl_policing(mode.gl_policing)
+        .build()
+        .expect("valid config");
+
+    // GB reservations: 2-4 flows contending for one hot output.
+    let hot = OutputId::new(rng.index(RADIX));
+    let mut gb_inputs = Vec::new();
+    if !matches!(mix, Mix::BeOnly) {
+        let flows = 2 + rng.index(3);
+        let budget = 0.2 + 0.6 * rng.f64();
+        for _ in 0..flows {
+            let mut input = InputId::new(rng.index(RADIX));
+            while gb_inputs.contains(&input) {
+                input = InputId::new(rng.index(RADIX));
+            }
+            let len = 1 << rng.index(4);
+            config
+                .reservations_mut()
+                .reserve_gb(
+                    input,
+                    hot,
+                    Rate::new(budget / flows as f64).expect("valid rate"),
+                    len,
+                )
+                .expect("reservation fits");
+            gb_inputs.push(input);
+        }
+    }
+    if matches!(mix, Mix::GbGlBe) {
+        config
+            .reservations_mut()
+            .reserve_gl(hot, Rate::new(0.02 + 0.06 * rng.f64()).expect("valid rate"))
+            .expect("GL reservation fits");
+    }
+
+    let mut switch = QosSwitch::new(config).expect("valid switch");
+    if mode.gl_demoted {
+        switch.fault_demote_gl(hot, Cycle::ZERO);
+    }
+    if mode.lrg_fallback {
+        switch.fault_degrade_to_lrg(hot, Cycle::ZERO);
+    }
+
+    // GB traffic: saturating sources pinned to the reserved output.
+    for &input in &gb_inputs {
+        let len = 1 << rng.index(4);
+        switch.add_injector(
+            Injector::new(
+                Box::new(Saturating::new(len)),
+                Box::new(FixedDest::new(hot)),
+                TrafficClass::GuaranteedBandwidth,
+            )
+            .for_input(input),
+        );
+    }
+    // One GL flow from an unreserved input, when the mix has GL.
+    if matches!(mix, Mix::GbGlBe) {
+        let mut input = InputId::new(rng.index(RADIX));
+        while gb_inputs.contains(&input) {
+            input = InputId::new(rng.index(RADIX));
+        }
+        let (interval, phase) = (rng.range(40, 150), rng.below(20));
+        let source: Box<dyn swizzle_qos::traffic::TrafficSource + Send + Sync> = if mode.gl_policing
+        {
+            Box::new(Saturating::new(2))
+        } else {
+            Box::new(Periodic::new(interval, phase, 1))
+        };
+        switch.add_injector(
+            Injector::new(
+                source,
+                Box::new(FixedDest::new(hot)),
+                TrafficClass::GuaranteedLatency,
+            )
+            .for_input(input),
+        );
+        if mode.gl_demoted {
+            // A GB requester that also holds GL heads: inside the GB
+            // round it must compete (and win) as GB, not as demoted GL.
+            switch.add_injector(
+                Injector::new(
+                    Box::new(Periodic::new(interval + 7, phase, 1)),
+                    Box::new(FixedDest::new(hot)),
+                    TrafficClass::GuaranteedLatency,
+                )
+                .for_input(gb_inputs[0]),
+            );
+        }
+        gb_inputs.push(input);
+    }
+    // BE background: every remaining input fires with some probability,
+    // either at the hot output or uniformly.
+    for i in 0..RADIX {
+        let input = InputId::new(i);
+        if gb_inputs.contains(&input) || !rng.chance(0.7) {
+            continue;
+        }
+        let rate = 0.1 + 0.6 * rng.f64();
+        let len = 1 << rng.index(3);
+        let dest: Box<dyn swizzle_qos::traffic::DestinationPattern + Send + Sync> =
+            if rng.chance(0.5) {
+                Box::new(FixedDest::new(hot))
+            } else {
+                Box::new(UniformDest::new(RADIX, rng.next_u64()))
+            };
+        switch.add_injector(
+            Injector::new(
+                Box::new(Bernoulli::new(rate, len, rng.next_u64())),
+                dest,
+                TrafficClass::BestEffort,
+            )
+            .for_input(input),
+        );
+    }
+    switch
+}
+
+fn run_engine(mut switch: QosSwitch, engine: Engine) -> Observation {
+    switch.tracer_mut().attach_ring(1 << 16);
+    drive(
+        &mut switch,
+        Schedule::new(Cycles::new(WARMUP), Cycles::new(MEASURE)),
+        engine,
+    );
+    observe(&switch)
+}
+
+/// Holds every engine to the reference kernel on one scenario.
+fn assert_engines_match_reference(build: &dyn Fn() -> QosSwitch, scenario: &str) {
+    let reference = run_engine(build(), Engine::Reference);
+    assert!(
+        reference.counters.delivered_flits > 0,
+        "[{scenario}] scenario delivered nothing"
+    );
+    for engine in ENGINES {
+        let other = run_engine(build(), engine);
+        assert_identical(&reference, &other, &format!("[{scenario} @ {engine:?}]"));
+    }
+}
+
+/// The headline battery: 216 seeded scenarios, each run through the
+/// reference kernel, the sequential engine, the sharded engine and the
+/// bitpar engine — every observable identical across all four runs.
+#[test]
+fn engines_are_bit_identical_across_seeded_scenarios() {
+    for &policy in COUNTER_POLICIES {
+        for &mix in MIXES {
+            for s in 0..SEEDS_PER_CELL {
+                // Spread cells across seed space so no two cells share
+                // a generator stream.
+                let seed = s
+                    .wrapping_add(0x9E37_79B9 * (policy as u64 + 1))
+                    .wrapping_add(0xC2B2_AE35 * (mix as u64 + 1));
+                assert_engines_match_reference(
+                    &|| build(policy, mix, seed),
+                    &format!("{policy:?}/{mix:?}/seed {seed}"),
+                );
+            }
+        }
+    }
+}
+
+/// The policies the headline battery never builds: the slice-protocol
+/// baselines reach the kernel through the stack request buffer, and the
+/// flat/four-level policies through their own rounds.
+#[test]
+fn non_ssvc_policies_match_the_reference() {
+    for policy in [
+        Policy::LrgOnly,
+        Policy::FourLevel,
+        Policy::ExactVirtualClock,
+        Policy::Gsf,
+        Policy::Wrr,
+        Policy::Dwrr,
+        Policy::Wfq,
+    ] {
+        for seed in 0..6 {
+            assert_engines_match_reference(
+                &|| build_with(policy, Mode::default(), Mix::GbGlBe, 0xBA5E + seed),
+                &format!("{policy:?}/seed {seed}"),
+            );
+        }
+    }
+    // Demoted GL joins the baselines' GB request list behind the GB
+    // requesters; the list order is part of their arbitration state.
+    // The baselines' ladders also carry the LRG fallback and the GL
+    // policer.
+    let demoted = Mode {
+        gl_demoted: true,
+        ..Mode::default()
+    };
+    let fallback = Mode {
+        lrg_fallback: true,
+        ..Mode::default()
+    };
+    let policed = Mode {
+        gl_policing: true,
+        ..Mode::default()
+    };
+    let rate = [Policy::Wrr, Policy::Gsf, Policy::ExactVirtualClock];
+    for (mode, policies) in [
+        (
+            demoted,
+            [Policy::ExactVirtualClock, Policy::Dwrr, Policy::Wfq],
+        ),
+        (fallback, rate),
+        (policed, rate),
+    ] {
+        for policy in policies {
+            assert_engines_match_reference(
+                &|| build_with(policy, mode, Mix::GbGlBe, 0xDE40),
+                &format!("{policy:?}/{mode:?}"),
+            );
+        }
+    }
+}
+
+/// The kernel's remaining branches: the fabric cross-check at commit,
+/// the GL policer (policed GL below GB), demoted GL inside the GB round,
+/// and the pure-LRG fallback — alone and stacked.
+#[test]
+fn checked_policed_and_degraded_modes_match_the_reference() {
+    let modes = [
+        Mode {
+            fabric_checked: true,
+            ..Mode::default()
+        },
+        Mode {
+            gl_policing: true,
+            ..Mode::default()
+        },
+        Mode {
+            gl_demoted: true,
+            ..Mode::default()
+        },
+        Mode {
+            lrg_fallback: true,
+            ..Mode::default()
+        },
+        Mode {
+            fabric_checked: true,
+            gl_policing: true,
+            ..Mode::default()
+        },
+        Mode {
+            gl_demoted: true,
+            lrg_fallback: true,
+            ..Mode::default()
+        },
+    ];
+    for mode in modes {
+        for &policy in COUNTER_POLICIES {
+            for seed in 0..4 {
+                let build = || build_with(Policy::Ssvc(policy), mode, Mix::GbGlBe, 0x30DE + seed);
+                assert_engines_match_reference(&build, &format!("{mode:?}/{policy:?}/seed {seed}"));
+                if mode.gl_policing {
+                    let probe = run_engine(build(), Engine::Seq);
+                    assert!(
+                        probe.counters.gl_policed_cycles > 0,
+                        "[{mode:?}/{policy:?}/seed {seed}] the policer never engaged"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Inputs that request several outputs in the same cycle — GB virtual
+/// queues toward two outputs plus per-output BE queues — so a grant at
+/// an earlier output invalidates plans already decided for later ones.
+/// This is the sharded engine's stale-plan re-decide, which the
+/// one-hot-output scenarios above never reach.
+fn build_contended(policy: CounterPolicy, seed: u64) -> QosSwitch {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+    let mut config = SwitchConfig::builder(Geometry::new(RADIX, 128).expect("valid geometry"))
+        .policy(Policy::Ssvc(policy))
+        .gb_buffer_flits(16)
+        .be_buffer_flits(8)
+        .be_voq(true)
+        .sig_bits(3)
+        .build()
+        .expect("valid config");
+    let mut flows = Vec::new();
+    for i in 0..RADIX {
+        // Two GB flows per input, three inputs per output: every output
+        // is contended and every input contends at two outputs.
+        for hop in [1, 3] {
+            let (input, output) = (InputId::new(i), OutputId::new((i + hop) % RADIX));
+            let len = 1 << rng.index(3);
+            config
+                .reservations_mut()
+                .reserve_gb(input, output, Rate::new(0.3).expect("valid rate"), len)
+                .expect("reservation fits");
+            flows.push((input, output, len));
+        }
+    }
+    let mut switch = QosSwitch::new(config).expect("valid switch");
+    for (input, output, len) in flows {
+        switch.add_injector(
+            Injector::new(
+                Box::new(Bernoulli::new(0.35, len, rng.next_u64())),
+                Box::new(FixedDest::new(output)),
+                TrafficClass::GuaranteedBandwidth,
+            )
+            .for_input(input),
+        );
+    }
+    for i in 0..RADIX {
+        switch.add_injector(
+            Injector::new(
+                Box::new(Bernoulli::new(0.3, 2, rng.next_u64())),
+                Box::new(UniformDest::new(RADIX, rng.next_u64())),
+                TrafficClass::BestEffort,
+            )
+            .for_input(InputId::new(i)),
+        );
+    }
+    switch
+}
+
+#[test]
+fn inputs_contending_at_several_outputs_match_the_reference() {
+    for &policy in COUNTER_POLICIES {
+        for seed in 0..8 {
+            assert_engines_match_reference(
+                &|| build_contended(policy, 0xC0_47E4D + seed),
+                &format!("contended/{policy:?}/seed {seed}"),
+            );
+        }
+    }
+}
+
+/// A long saturated run exercising counter-policy epochs (decay, halve,
+/// reset) far past the short battery's horizon, on every engine — for
+/// each counter policy, and for the two stacked modes (checked and
+/// policed; demoted GL on the LRG fallback) with all three classes.
+#[test]
+fn engines_match_on_long_saturated_run() {
+    let schedule = Schedule::new(Cycles::new(500), Cycles::new(8_000));
+    let mut cases: Vec<(CounterPolicy, Mode, Mix)> = COUNTER_POLICIES
+        .iter()
+        .map(|&policy| (policy, Mode::default(), Mix::GbBe))
+        .collect();
+    cases.push((
+        CounterPolicy::SubtractRealClock,
+        Mode {
+            fabric_checked: true,
+            gl_policing: true,
+            ..Mode::default()
+        },
+        Mix::GbGlBe,
+    ));
+    cases.push((
+        CounterPolicy::Halve,
+        Mode {
+            gl_demoted: true,
+            lrg_fallback: true,
+            ..Mode::default()
+        },
+        Mix::GbGlBe,
+    ));
+    for (policy, mode, mix) in cases {
+        let run_long = |engine| {
+            let mut switch = build_with(Policy::Ssvc(policy), mode, mix, 4242);
+            switch.tracer_mut().attach_ring(1 << 17);
+            drive(&mut switch, schedule, engine);
+            observe(&switch)
+        };
+        let reference = run_long(Engine::Reference);
+        for engine in ENGINES {
+            let other = run_long(engine);
+            assert!(
+                reference == other,
+                "{policy:?}/{mode:?}: long-run {engine:?} divergence (events {} vs {})",
+                reference.events.len(),
+                other.events.len()
+            );
+        }
+    }
+}
+
+/// Builds the fig4-style saturated-GB scenario used by the paper's
+/// throughput figure: eight saturating GB flows with skewed reserved
+/// rates, all contending for output 0.
+fn fig4_switch() -> QosSwitch {
+    const FIG4_RATES: [f64; 8] = [0.4, 0.2, 0.1, 0.1, 0.05, 0.05, 0.05, 0.05];
+    let mut config = SwitchConfig::builder(Geometry::new(RADIX, 128).expect("valid geometry"))
+        .policy(Policy::Ssvc(CounterPolicy::SubtractRealClock))
+        .gb_buffer_flits(16)
+        .sig_bits(4)
+        .build()
+        .expect("valid config");
+    for (i, &r) in FIG4_RATES.iter().enumerate() {
+        config
+            .reservations_mut()
+            .reserve_gb(
+                InputId::new(i),
+                OutputId::new(0),
+                Rate::new(r).expect("valid rate"),
+                8,
+            )
+            .expect("reservation fits");
+    }
+    let mut switch = QosSwitch::new(config).expect("valid switch");
+    for i in 0..RADIX {
+        switch.add_injector(
+            Injector::new(
+                Box::new(Saturating::new(8)),
+                Box::new(FixedDest::new(OutputId::new(0))),
+                TrafficClass::GuaranteedBandwidth,
+            )
+            .for_input(InputId::new(i)),
+        );
+    }
+    switch
+}
+
+/// Trace-ordering golden: the JSONL traces every engine writes for the
+/// fig4 scenario are byte-identical to the reference kernel's — the
+/// events the commit builds from its pre-charge snapshot must match the
+/// ones the reference pre-builds at decide time, in the same order.
+#[test]
+fn fig4_jsonl_trace_is_byte_identical() {
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let schedule = Schedule::new(Cycles::new(200), Cycles::new(3_000));
+
+    let mut paths = Vec::new();
+    for (label, engine) in [
+        ("reference", Engine::Reference),
+        ("seq", Engine::Seq),
+        ("sharded", Engine::Sharded),
+        ("bitpar", Engine::Bitpar),
+    ] {
+        let path = dir.join(format!("ssq-fig4-conformance-{pid}-{label}.jsonl"));
+        let file = std::fs::File::create(&path).expect("create trace file");
+        let mut switch = fig4_switch();
+        switch
+            .tracer_mut()
+            .attach_jsonl(Box::new(std::io::BufWriter::new(file)));
+        drive(&mut switch, schedule, engine);
+        switch.tracer_mut().flush();
+        assert!(
+            switch.tracer().jsonl().and_then(|j| j.io_error()).is_none(),
+            "trace write failed for {label}"
+        );
+        drop(switch);
+        paths.push(path);
+    }
+
+    let mut golden = Vec::new();
+    std::fs::File::open(&paths[0])
+        .expect("open golden")
+        .read_to_end(&mut golden)
+        .expect("read golden");
+    assert!(!golden.is_empty(), "reference trace is empty");
+    for path in &paths[1..] {
+        let mut bytes = Vec::new();
+        std::fs::File::open(path)
+            .expect("open engine trace")
+            .read_to_end(&mut bytes)
+            .expect("read engine trace");
+        assert_eq!(
+            golden,
+            bytes,
+            "engine JSONL trace differs from the reference ({})",
+            path.display()
+        );
+    }
+    for path in paths {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+// ---------------------------------------------------------------------
+// The stepped kernel against the reference, cycle by cycle.
+// ---------------------------------------------------------------------
+
 /// One seeded random switch over a random radix in 2..=64. The scenario
-/// is a pure function of the seed, so the sequential and bitpar copies
+/// is a pure function of the seed, so the reference and kernel copies
 /// are identical at construction.
 fn build_fuzz(seed: u64) -> (QosSwitch, usize) {
     let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
@@ -252,33 +907,9 @@ fn fuzzed_patterns_with_reservation_churn_match_seq() {
     }
 }
 
-/// Counts how the skipping runner spends its cycles, delegating to the
-/// real switch — the proof that idle skipping actually engaged.
-struct Counting<'a> {
-    inner: &'a mut QosSwitch,
-    stepped: u64,
-    skipped: u64,
-}
-
-impl CycleModel for Counting<'_> {
-    fn step(&mut self, now: Cycle) {
-        self.stepped += 1;
-        self.inner.step(now);
-    }
-    fn begin_measurement(&mut self, now: Cycle) {
-        self.inner.begin_measurement(now);
-    }
-}
-
-impl EventModel for Counting<'_> {
-    fn skip_idle(&mut self, now: Cycle, limit: Cycle) -> Cycle {
-        let target = self.inner.skip_idle(now, limit);
-        if target > now {
-            self.skipped += target.value() - now.value();
-        }
-        target
-    }
-}
+// ---------------------------------------------------------------------
+// Idle skipping.
+// ---------------------------------------------------------------------
 
 /// A low-load, fully periodic scenario: GB heartbeats and a GL
 /// interrupt source on an SSVC-subtract switch, so the skipped
@@ -331,26 +962,19 @@ fn idle_schedule() -> Schedule {
 fn idle_skipping_is_byte_identical_to_dense_stepping() {
     let mut dense = periodic_switch();
     dense.tracer_mut().attach_ring(1 << 16);
-    Runner::new(idle_schedule()).run(&mut ReferenceKernel(&mut dense));
+    drive(&mut dense, idle_schedule(), Engine::Reference);
 
     let mut skipping = periodic_switch();
     skipping.tracer_mut().attach_ring(1 << 16);
-    let mut counted = Counting {
-        inner: &mut skipping,
-        stepped: 0,
-        skipped: 0,
-    };
-    let end = Runner::new(idle_schedule()).run_skipping(&mut counted);
-    assert_eq!(end, Cycle::new(20_500));
+    let (stepped, skipped) = run_skipping_counted(&mut skipping, idle_schedule());
     assert_eq!(
-        counted.stepped + counted.skipped,
+        stepped + skipped,
         20_500,
         "every cycle either stepped or skipped"
     );
     assert!(
-        counted.skipped > 15_000,
-        "low-load run must skip most cycles (skipped {} of 20500)",
-        counted.skipped
+        skipped > 15_000,
+        "low-load run must skip most cycles (skipped {skipped} of 20500)"
     );
 
     assert!(dense.counters().delivered_packets > 0, "traffic flowed");
@@ -390,17 +1014,12 @@ fn unpredictable_sources_disable_skipping() {
     let schedule = Schedule::new(Cycles::new(100), Cycles::new(4_000));
 
     let mut dense = build();
-    Runner::new(schedule).run(&mut ReferenceKernel(&mut dense));
+    drive(&mut dense, schedule, Engine::Reference);
 
     let mut fast = build();
-    let mut counted = Counting {
-        inner: &mut fast,
-        stepped: 0,
-        skipped: 0,
-    };
-    Runner::new(schedule).run_skipping(&mut counted);
-    assert_eq!(counted.skipped, 0, "Bernoulli runs must stay dense");
-    assert_eq!(counted.stepped, 4_100);
+    let (stepped, skipped) = run_skipping_counted(&mut fast, schedule);
+    assert_eq!(skipped, 0, "Bernoulli runs must stay dense");
+    assert_eq!(stepped, 4_100);
     assert_observables_match(&dense, &fast, "bernoulli dense vs fast");
 }
 
@@ -541,15 +1160,10 @@ fn skips_past_a_block_end_match_a_densely_polled_twin() {
     };
     let schedule = Schedule::new(Cycles::new(100), Cycles::new(6_000));
     let mut dense = build();
-    Runner::new(schedule).run(&mut ReferenceKernel(&mut dense));
+    drive(&mut dense, schedule, Engine::Reference);
     let mut skipping = build();
-    let mut counted = Counting {
-        inner: &mut skipping,
-        stepped: 0,
-        skipped: 0,
-    };
-    Runner::new(schedule).run_skipping(&mut counted);
-    assert!(counted.skipped > 5_000, "skipped {}", counted.skipped);
+    let (_, skipped) = run_skipping_counted(&mut skipping, schedule);
+    assert!(skipped > 5_000, "skipped {skipped}");
     // Measured from cycle 100: three trace events and 18 periodic ones.
     assert_eq!(dense.counters().delivered_packets, 3 + 18);
     assert_observables_match(&dense, &skipping, "skips across block ends");
@@ -720,16 +1334,10 @@ fn a_sparse_radix_64_switch_visits_few_outputs_and_matches_the_reference() {
 fn sparse_radix_64_idle_skip_verdicts_are_pinned() {
     let schedule = Schedule::new(Cycles::new(100), Cycles::new(20_000));
     let mut dense = sparse_r64();
-    Runner::new(schedule).run(&mut ReferenceKernel(&mut dense));
+    drive(&mut dense, schedule, Engine::Reference);
     let mut skipping = sparse_r64();
-    let mut counted = Counting {
-        inner: &mut skipping,
-        stepped: 0,
-        skipped: 0,
-    };
-    Runner::new(schedule).run_skipping(&mut counted);
     assert_eq!(
-        (counted.stepped, counted.skipped),
+        run_skipping_counted(&mut skipping, schedule),
         (SPARSE_R64_STEPPED, 20_100 - SPARSE_R64_STEPPED),
         "skip_idle verdicts moved"
     );
@@ -764,7 +1372,11 @@ fn transmit_only_cycles_are_counted_exactly_on_both_engines() {
         1,
     ));
     two.prof_arm();
-    Runner::new(Schedule::new(Cycles::ZERO, Cycles::new(20))).run(&mut two);
+    drive(
+        &mut two,
+        Schedule::new(Cycles::ZERO, Cycles::new(20)),
+        Engine::Seq,
+    );
     let counted = two.transmit_only_cycles();
     assert_eq!((counted.transmit_only, counted.clock_only), (8, 5));
 
@@ -772,8 +1384,8 @@ fn transmit_only_cycles_are_counted_exactly_on_both_engines() {
     let (mut seq, mut bitpar) = (sparse_r64(), sparse_r64());
     seq.prof_arm();
     bitpar.prof_arm();
-    Runner::new(schedule).run(&mut seq);
-    Runner::new(schedule).run_skipping(&mut bitpar);
+    drive(&mut seq, schedule, Engine::Seq);
+    drive(&mut bitpar, schedule, Engine::Bitpar);
     let counted = seq.transmit_only_cycles();
     assert_eq!(counted, bitpar.transmit_only_cycles());
     assert!(
@@ -823,15 +1435,10 @@ fn four_level_two_cycle_arbitration_matches_the_reference() {
 
     let schedule = Schedule::new(Cycles::new(100), Cycles::new(2_900));
     let mut reference = build();
-    Runner::new(schedule).run(&mut ReferenceKernel(&mut reference));
+    drive(&mut reference, schedule, Engine::Reference);
     let mut skipping = build();
-    let mut counted = Counting {
-        inner: &mut skipping,
-        stepped: 0,
-        skipped: 0,
-    };
-    Runner::new(schedule).run_skipping(&mut counted);
-    assert!(counted.skipped > 1_000, "skipped {}", counted.skipped);
+    let (_, skipped) = run_skipping_counted(&mut skipping, schedule);
+    assert!(skipped > 1_000, "skipped {skipped}");
     assert_observables_match(&reference, &skipping, "four-level, skipping");
 }
 
@@ -948,7 +1555,7 @@ fn deep_switch(policy: Policy, buffer: u64, chaining: bool, be_voq: bool) -> Qos
     switch
 }
 
-const POLICIES: [Policy; 2] = [
+const DEEP_POLICIES: [Policy; 2] = [
     Policy::Ssvc(CounterPolicy::SubtractRealClock),
     Policy::FourLevel,
 ];
@@ -959,7 +1566,7 @@ const POLICIES: [Policy; 2] = [
 /// `offer_packet` must settle before it checks the buffer.
 #[test]
 fn room_gated_offers_match_the_reference_on_every_cycle_of_a_drain() {
-    for policy in POLICIES {
+    for policy in DEEP_POLICIES {
         let build = || deep_switch(policy, 16, false, false);
         let (mut kernel, mut reference) = (build(), build());
         step_reading_both(&mut kernel, &mut reference, 0..2_500, |sw, now| {
@@ -997,7 +1604,7 @@ fn room_gated_offers_match_the_reference_on_every_cycle_of_a_drain() {
 /// round before it (65 and 130 flits), or exactly at it (64).
 #[test]
 fn packets_longer_than_the_completion_wheel_match_the_reference() {
-    for policy in POLICIES {
+    for policy in DEEP_POLICIES {
         let build = || {
             let mut switch = deep_switch(policy, 256, false, false);
             let gb = TrafficClass::GuaranteedBandwidth;

@@ -15,7 +15,7 @@ use swizzle_qos::arbiter::CounterPolicy;
 use swizzle_qos::core::{
     InjectionWork, Policy, QosSwitch, ReferenceKernel, SwitchConfig, SwitchCounters,
 };
-use swizzle_qos::sim::{CycleModel, EventModel, Runner, Schedule};
+use swizzle_qos::sim::{CycleModel, Runner, Schedule};
 use swizzle_qos::traffic::{Bernoulli, FixedDest, Injector, Periodic, Replay, TraceFile};
 use swizzle_qos::types::{
     Cycle, Cycles, FlowId, Geometry, InputId, OutputId, Rate, TrafficClass, Xoshiro256StarStar,
@@ -177,9 +177,6 @@ impl CycleModel for Counting<'_> {
     fn begin_measurement(&mut self, now: Cycle) {
         self.inner.begin_measurement(now);
     }
-}
-
-impl EventModel for Counting<'_> {
     fn skip_idle(&mut self, now: Cycle, limit: Cycle) -> Cycle {
         let target = self.inner.skip_idle(now, limit);
         self.skipped += target.value() - now.value();
