@@ -42,9 +42,10 @@ echo "== sanitizer: V1-V6 asserted on the hot path under the conformance battery
 # predicates into every arbitration; the engine battery then runs a few
 # hundred seeded scenarios through them (about 20 s, debug), holding
 # the sequential, sharded and bitpar engines to the scalar reference
-# kernel (QosSwitch::step_reference) bit for bit. The tests step below
-# runs the battery again without the sanitizer.
-cargo test -q --features sanitizer --test kernel_conformance
+# kernel (QosSwitch::step_reference) bit for bit, and the kernel's VCD
+# waveform against the reference's. The tests step below runs both again
+# without the sanitizer.
+cargo test -q --features sanitizer --test kernel_conformance --test bitpar_conformance
 
 echo "== release build =="
 cargo build --workspace --release

@@ -357,6 +357,40 @@ mod tests {
     }
 
     #[test]
+    fn armed_gl_bound_of_zero_trips_and_dumps() {
+        let args = strs(&[
+            "simulate",
+            "--radix",
+            "4",
+            "--cycles",
+            "2000",
+            "--warmup",
+            "100",
+            "--gl-reserve",
+            "0:10",
+            "--flow",
+            "0:0:GL:0.05:1",
+            "--flow",
+            "1:0:BE:sat:8",
+            "--flight-recorder",
+            "--gl-bound",
+            "0",
+            "--csv",
+        ]);
+        let e = run(&args).expect_err("a 0-cycle GL bound cannot hold");
+        let message = e.to_string();
+        // The dump lands in the package's `results/`; take it back out
+        // so a test run leaves the checkout as it found it.
+        let dumped = message
+            .split_once("post-mortem written to ")
+            .map(|(_, path)| std::path::PathBuf::from(path.trim()));
+        if let Some(path) = &dumped {
+            std::fs::remove_file(path).expect("the post-mortem was written");
+        }
+        assert!(dumped.is_some(), "got: {message}");
+    }
+
+    #[test]
     fn gl_subcommands_compute() {
         gl_bound(&strs(&["--n-gl", "4", "--buffer", "8"])).unwrap();
         gl_burst(&strs(&["--constraints", "150,300,600"])).unwrap();
