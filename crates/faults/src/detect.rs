@@ -7,6 +7,7 @@
 //! three-way [`Verdict`]; the campaign driver asserts the third arm is
 //! never reached.
 
+use std::borrow::Borrow;
 use std::io::{self, Write};
 
 use ssq_sim::MonitorOutcome;
@@ -50,14 +51,16 @@ impl Verdict {
 /// A `Tripped` outcome is acceptable only when the trace already
 /// recorded a revocation or degradation for it; a completed run is
 /// [`Verdict::BoundsPreserved`] exactly when no guarantee machinery
-/// fired.
+/// fired. `events` is read once, in order: a slice or `Vec` of events,
+/// or a ring's [`ssq_trace::RingSink::iter`] decoding as it goes.
 #[must_use]
-pub fn judge(outcome: &MonitorOutcome, events: &[Event]) -> Verdict {
+pub fn judge(outcome: &MonitorOutcome, events: impl IntoIterator<Item: Borrow<Event>>) -> Verdict {
     let mut revocations = 0;
     let mut degradations = 0;
     let mut detections = 0;
     let mut retry_degradations = 0;
     for e in events {
+        let e = e.borrow();
         match &e.kind {
             EventKind::GuaranteeRevoked { .. } => revocations += 1,
             kind if kind.is_loud() => degradations += 1,

@@ -78,9 +78,10 @@ pub struct NetScenarioResult {
     pub verdict: PathVerdict,
     /// Whole-fabric counters at the end of the run.
     pub counters: FabricCounters,
-    /// Fabric-level hop events, for JSONL export.
+    /// Fabric-level hop events, decoded, for JSONL export and the
+    /// dense-oracle differential.
     pub fabric_events: Vec<Event>,
-    /// Per-node flight-recorder rings.
+    /// Per-node flight-recorder rings, decoded, likewise.
     pub node_events: Vec<Vec<Event>>,
     /// The `(flow, reason) -> count` loss ledger.
     pub losses: BTreeMap<(usize, DropReason), u64>,
@@ -210,14 +211,14 @@ fn run_scenario(name: &str, seed: u64, dense: bool) -> Option<NetScenarioResult>
     } else {
         runner.run_monitored(&mut fabric, stall, |_, _| {})
     };
-    let node_events = fabric.node_events();
-    let verdict = judge_path(&outcome, &node_events, fabric.events());
+    let rings = fabric.node_events();
+    let verdict = judge_path(&outcome, &rings, fabric.events());
     Some(NetScenarioResult {
         name: name.to_string(),
         verdict,
         counters: fabric.counters(),
-        fabric_events: fabric.events().to_vec(),
-        node_events,
+        fabric_events: fabric.events().events(),
+        node_events: rings.iter().map(|ring| ring.events()).collect(),
         losses: fabric.loss().clone(),
     })
 }

@@ -3,7 +3,7 @@
 //! makes, and the loud revocation a flow's first fault-attributable loss
 //! triggers at its source.
 
-use ssq_trace::{DropReason, Event, EventKind};
+use ssq_trace::{DropReason, Event, EventKind, TraceSink};
 use ssq_types::{Cycle, OutputId, PacketSpec, TrafficClass};
 
 use super::{wire, Fabric};
@@ -76,7 +76,7 @@ impl Fabric {
             for (dest, pair) in old_row.iter().zip(new_row).enumerate() {
                 if let (Some(o), Some(nl)) = pair {
                     if o != nl {
-                        self.events.push(Event {
+                        self.events.record(&Event {
                             cycle: now.value(),
                             kind: EventKind::Reroute {
                                 node: wire(node),
@@ -126,7 +126,7 @@ impl Fabric {
             ),
         };
         self.counters.dropped_packets += 1;
-        self.events.push(Event {
+        self.events.record(&Event {
             cycle: now.value(),
             kind: EventKind::Drop {
                 link,

@@ -7,7 +7,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::backoff::{BackoffPolicy, RetryDecision, RetryTimer};
-use ssq_trace::{DropReason, Event, EventKind};
+use ssq_trace::{DropReason, Event, EventKind, TraceSink};
 use ssq_types::{Cycle, FlowId, InputId, OutputId, PacketSpec};
 
 use super::route::next_port;
@@ -93,7 +93,7 @@ impl Fabric {
             RetryDecision::Retry { until } => {
                 retries.insert(raw, timer);
                 self.counters.retransmits += 1;
-                self.events.push(Event {
+                self.events.record(&Event {
                     cycle: now.value(),
                     kind: EventKind::NackRetransmit {
                         link: wire(l),
@@ -225,7 +225,7 @@ impl Fabric {
             };
             if let Some(kind) = kind {
                 link.paused = full;
-                self.events.push(Event { cycle: t, kind });
+                self.events.record(&Event { cycle: t, kind });
             }
         }
         self.offer_egress_head(l, now);

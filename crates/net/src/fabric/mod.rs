@@ -61,7 +61,7 @@ use std::fmt;
 use ssq_arbiter::CounterPolicy;
 use ssq_core::{ConfigError, Policy, QosSwitch, SwitchConfig};
 use ssq_sim::{CycleModel, Monitored};
-use ssq_trace::{DropReason, Event};
+use ssq_trace::{DropReason, RingSink};
 use ssq_types::rng::Xoshiro256StarStar;
 use ssq_types::{Cycle, Geometry, InputId, OutputId, PacketSpec, Rate, TrafficClass};
 
@@ -248,7 +248,8 @@ pub struct Fabric {
     /// delivered or dropped.
     flow_of: BTreeMap<u64, usize>,
     next_seq: u64,
-    events: Vec<Event>,
+    /// The hop log: an unbounded ring, packed and never evicting.
+    events: RingSink,
     counters: FabricCounters,
     loss: BTreeMap<(usize, DropReason), u64>,
     rng: Xoshiro256StarStar,
@@ -392,7 +393,7 @@ impl Fabric {
             cursor: 0,
             flow_of: BTreeMap::new(),
             next_seq: 0,
-            events: Vec::new(),
+            events: RingSink::new(usize::MAX),
             counters: FabricCounters::default(),
             loss: BTreeMap::new(),
             rng: Xoshiro256StarStar::seed_from_u64(seed),
@@ -445,9 +446,12 @@ impl Fabric {
     }
 
     /// Fabric-level hop events (`hop_enqueue`, `credit_pause`/`resume`,
-    /// `drop`, `nack_retransmit`, `reroute`), in emission order.
+    /// `drop`, `nack_retransmit`, `reroute`), in emission order: the hop
+    /// log itself, borrowed. It is a [`RingSink`] of capacity
+    /// `usize::MAX`, so it never evicts and holds every event of the run,
+    /// packed at about 10 B each; [`RingSink::iter`] decodes them in order.
     #[must_use]
-    pub fn events(&self) -> &[Event] {
+    pub fn events(&self) -> &RingSink {
         &self.events
     }
 
@@ -465,18 +469,17 @@ impl Fabric {
         self.nodes.len()
     }
 
-    /// A copy of each node's flight-recorder ring, decoded into per-node
-    /// event vectors (oldest first). The rings stay as they are, so every
-    /// call decodes and copies them all again.
+    /// Each node's flight-recorder ring, in node order: the rings
+    /// themselves, borrowed, not a copy. A ring holds its node's last
+    /// 32 768 events; [`RingSink::iter`] decodes them oldest first.
     #[must_use]
-    pub fn node_events(&self) -> Vec<Vec<Event>> {
+    pub fn node_events(&self) -> Vec<&RingSink> {
         self.nodes
             .iter()
             .map(|n| {
                 n.tracer()
                     .ring()
-                    .map(ssq_trace::RingSink::events)
-                    .unwrap_or_default()
+                    .expect("Fabric::new arms a ring on every node")
             })
             .collect()
     }

@@ -2,7 +2,7 @@
 //! port at every node, the class a packet travels in there, and the
 //! routing of what the switches delivered.
 
-use ssq_trace::{DropReason, Event, EventKind};
+use ssq_trace::{DropReason, Event, EventKind, TraceSink};
 use ssq_types::{
     Cycle, FlowId, InputId, OutputId, PacketId, PacketSpec, TrafficClass, MAX_PACKET_FLITS,
 };
@@ -263,7 +263,7 @@ impl Fabric {
                     Some(&l) => {
                         self.links[l].tx.push_back(pkt);
                         self.activate(l);
-                        self.events.push(Event {
+                        self.events.record(&Event {
                             cycle: now.value(),
                             kind: EventKind::HopEnqueue {
                                 node: wire(n),

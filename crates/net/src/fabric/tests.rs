@@ -9,6 +9,11 @@ use ssq_sim::{MonitorOutcome, Runner, Schedule};
 use ssq_trace::EventKind;
 use ssq_types::Cycles;
 
+/// Each ring's events, decoded, for comparing two fabrics' rings.
+fn decoded(rings: &[&RingSink]) -> Vec<Vec<ssq_trace::Event>> {
+    rings.iter().map(|ring| ring.events()).collect()
+}
+
 fn run(fabric: &mut Fabric, warmup: u64, measure: u64) -> MonitorOutcome {
     Runner::new(Schedule::new(Cycles::new(warmup), Cycles::new(measure))).run_monitored(
         fabric,
@@ -345,8 +350,8 @@ fn runs_replay_identically_from_their_seed() {
     let ob = run(&mut b, 200, 3_000);
     assert_eq!(format!("{oa:?}"), format!("{ob:?}"));
     assert_eq!(a.counters(), b.counters());
-    assert_eq!(a.events(), b.events());
-    assert_eq!(a.node_events(), b.node_events());
+    assert_eq!(a.events().events(), b.events().events());
+    assert_eq!(decoded(&a.node_events()), decoded(&b.node_events()));
     assert_eq!(a.loss(), b.loss());
 }
 
@@ -369,7 +374,7 @@ fn a_sleeper_s_ring_is_current_without_a_flush() {
         "node 2 is awake"
     );
 
-    let (rings, oracle) = (lazy.node_events(), dense.node_events());
+    let (rings, oracle) = (decoded(&lazy.node_events()), decoded(&dense.node_events()));
     assert_eq!(rings, oracle);
     let stamps: Vec<u64> = rings[2].iter().map(|e| e.cycle).collect();
     let epochs = [511, 1_023, 1_535].map(|at| [at; 8]).concat();
@@ -477,13 +482,10 @@ fn malformed_flows_are_refused_not_panicked_on() {
     );
 }
 
-/// The node rings store packed events, not 40-byte `Event`s: on a 4×4
-/// credit mesh carrying the benchmark's `fabric-mesh16` traffic shape
-/// (per node a GB flow to its mirror node and a BE flow two hops away,
-/// plus corner-to-corner GL flows) the rings hold at most 12 bytes per
-/// retained event, counted from their allocations.
-#[test]
-fn node_rings_hold_about_eight_bytes_per_event() {
+/// A 4×4 credit mesh carrying the benchmark's `fabric-mesh16` traffic
+/// shape (per node a GB flow to its mirror node and a BE flow two hops
+/// away, plus corner-to-corner GL flows), run for 1 000 + 20 000 cycles.
+fn mesh16() -> Fabric {
     let (rows, cols) = (4, 4);
     let n = rows * cols;
     let mut flows = Vec::new();
@@ -516,17 +518,40 @@ fn node_rings_hold_about_eight_bytes_per_event() {
     let topo = Topology::mesh(rows, cols, LinkDiscipline::Credit);
     let mut fabric = Fabric::new(topo, &flows, 1).expect("valid fabric");
     Runner::new(Schedule::new(Cycles::new(1_000), Cycles::new(20_000))).run(&mut fabric);
-    let rings: Vec<&ssq_trace::RingSink> = (0..n)
-        .map(|i| {
-            fabric
-                .node(i)
-                .tracer()
-                .ring()
-                .expect("every node is recorded")
-        })
-        .collect();
+    fabric
+}
+
+/// The node rings store packed events, not 40-byte `Event`s: on the
+/// [`mesh16`] run they hold at most 12 bytes per retained event, counted
+/// from their allocations. `node_events` lends those very rings.
+#[test]
+fn node_rings_hold_about_eight_bytes_per_event() {
+    let fabric = mesh16();
+    let rings = fabric.node_events();
+    assert_eq!(rings.len(), 16);
+    for (i, ring) in rings.iter().enumerate() {
+        let own = fabric
+            .node(i)
+            .tracer()
+            .ring()
+            .expect("every node is recorded");
+        assert!(std::ptr::eq(*ring, own), "node {i}: a copy, not the ring");
+    }
     let events: usize = rings.iter().map(|r| r.len()).sum();
     let bytes: usize = rings.iter().map(|r| r.retained_bytes()).sum();
     assert!(events > 16 * 1_000, "{events} events");
     assert!(bytes <= 12 * events, "{bytes} B for {events} events");
+}
+
+/// The hop log is packed too, not a `Vec` of 40-byte `Event`s: on the
+/// same run it holds every hop event at most 14 bytes each.
+#[test]
+fn the_hop_log_holds_about_ten_bytes_per_event() {
+    let fabric = mesh16();
+    let log = fabric.events();
+    let events = log.len();
+    assert_eq!(events as u64, log.total_recorded(), "the hop log evicted");
+    assert!(events > 10_000, "{events} events");
+    let bytes = log.retained_bytes();
+    assert!(bytes <= 14 * events, "{bytes} B for {events} events");
 }

@@ -18,7 +18,7 @@
 
 use ssq_faults::{judge, Verdict};
 use ssq_sim::MonitorOutcome;
-use ssq_trace::{Event, EventKind};
+use ssq_trace::{EventKind, RingSink};
 use ssq_types::Cycle;
 
 use crate::fabric::NO_LINK;
@@ -45,10 +45,10 @@ impl PathVerdict {
 
 /// Loud fabric-event accounting: `(degradations, first_loud)` where a
 /// loud event is a fault-attributable drop or a reroute.
-fn fabric_loudness(events: &[Event]) -> (usize, Option<(String, u64)>) {
+fn fabric_loudness(events: &RingSink) -> (usize, Option<(String, u64)>) {
     let mut degradations = 0;
     let mut first: Option<(String, u64)> = None;
-    for e in events {
+    for e in events.iter() {
         let site = match &e.kind {
             EventKind::Drop { link, reason, .. } if reason.is_loud() => {
                 if *link == NO_LINK {
@@ -71,20 +71,38 @@ fn fabric_loudness(events: &[Event]) -> (usize, Option<(String, u64)>) {
 /// Judges a fabric run: per-hop verdicts from each node's own trace,
 /// and a whole-path verdict that also hears the fabric's hop events.
 ///
-/// `node_events[i]` is node `i`'s flight-recorder ring
-/// ([`crate::Fabric::node_events`]); `fabric_events` is
-/// [`crate::Fabric::events`].
+/// `node_rings[i]` is node `i`'s flight-recorder ring and `hop_log` the
+/// fabric's hop events, both read in place
+/// ([`crate::Fabric::node_events`] and [`crate::Fabric::events`]): each
+/// ring is decoded once, one event at a time, and nothing is copied.
+/// The verdict hears only what the rings still hold. A node ring that
+/// has wrapped has evicted its oldest events, and a loud event among
+/// those goes unheard; the hop log never evicts.
 #[must_use]
 pub fn judge_path(
     outcome: &MonitorOutcome,
-    node_events: &[Vec<Event>],
-    fabric_events: &[Event],
+    node_rings: &[&RingSink],
+    hop_log: &RingSink,
 ) -> PathVerdict {
     // Per-hop verdicts judge each ring in isolation against a
     // completed outcome: a hop is "loud" or "quiet" on its own record;
-    // trip attribution belongs to the whole path.
+    // trip attribution belongs to the whole path. The same pass notes
+    // each ring's first loud event.
     let completed = MonitorOutcome::Completed(Cycle::ZERO);
-    let per_node: Vec<Verdict> = node_events.iter().map(|ev| judge(&completed, ev)).collect();
+    let mut node_first: Option<(String, u64)> = None;
+    let mut per_node = Vec::with_capacity(node_rings.len());
+    for (i, ring) in node_rings.iter().enumerate() {
+        let mut first = None;
+        let events = ring.iter().inspect(|e| {
+            if first.is_none() && e.kind.is_loud() {
+                first = Some(e.cycle);
+            }
+        });
+        per_node.push(judge(&completed, events));
+        if let Some(at) = first.filter(|&at| node_first.as_ref().is_none_or(|n| at < n.1)) {
+            node_first = Some((format!("node{i}"), at));
+        }
+    }
 
     let mut revocations = 0;
     let mut degradations = 0;
@@ -101,18 +119,10 @@ pub fn judge_path(
             detections += t;
         }
     }
-    let (fabric_degradations, fabric_first) = fabric_loudness(fabric_events);
+    let (fabric_degradations, fabric_first) = fabric_loudness(hop_log);
     degradations += fabric_degradations;
 
     // Earliest loud site across nodes and fabric.
-    let node_first = node_events
-        .iter()
-        .enumerate()
-        .filter_map(|(i, ev)| {
-            let at = ev.iter().find(|e| e.kind.is_loud())?.cycle;
-            Some((format!("node{i}"), at))
-        })
-        .min_by_key(|&(_, at)| at);
     let first_loud = match (node_first, fabric_first) {
         (Some(n), Some(f)) => Some(if n.1 <= f.1 { n } else { f }),
         (a, b) => a.or(b),
@@ -146,12 +156,25 @@ pub fn judge_path(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssq_trace::{DegradeMode, DropReason};
+    use ssq_trace::{DegradeMode, DropReason, Event, TraceSink};
     use ssq_types::invariant::Invariant;
     use ssq_types::TrafficClass;
 
     fn ev(cycle: u64, kind: EventKind) -> Event {
         Event { cycle, kind }
+    }
+
+    /// An unbounded ring holding `events`, as a fabric's hop log does.
+    fn ring(events: &[Event]) -> RingSink {
+        let mut ring = RingSink::new(usize::MAX);
+        for e in events {
+            ring.record(e);
+        }
+        ring
+    }
+
+    fn quiet() -> RingSink {
+        ring(&[])
     }
 
     fn loud_drop(cycle: u64, link: u32) -> Event {
@@ -181,8 +204,8 @@ mod tests {
 
     #[test]
     fn quiet_run_preserves_bounds_on_every_hop() {
-        let nodes = vec![Vec::new(), Vec::new(), Vec::new()];
-        let v = judge_path(&completed(), &nodes, &[]);
+        let (a, b, c) = (quiet(), quiet(), quiet());
+        let v = judge_path(&completed(), &[&a, &b, &c], &quiet());
         assert_eq!(v.overall, Verdict::BoundsPreserved);
         assert!(v.per_node.iter().all(|n| *n == Verdict::BoundsPreserved));
         assert_eq!(v.first_violation, None);
@@ -191,8 +214,8 @@ mod tests {
 
     #[test]
     fn loud_fabric_drop_makes_the_path_revoked_with_its_hop() {
-        let nodes = vec![Vec::new(), Vec::new()];
-        let v = judge_path(&completed(), &nodes, &[loud_drop(1_502, 1)]);
+        let (a, b) = (quiet(), quiet());
+        let v = judge_path(&completed(), &[&a, &b], &ring(&[loud_drop(1_502, 1)]));
         assert!(matches!(
             v.overall,
             Verdict::Revoked {
@@ -207,7 +230,7 @@ mod tests {
 
     #[test]
     fn queue_full_and_retransmits_stay_quiet() {
-        let fabric = vec![
+        let fabric = ring(&[
             ev(
                 10,
                 EventKind::Drop {
@@ -235,14 +258,15 @@ mod tests {
                     occupancy: 8,
                 },
             ),
-        ];
-        let v = judge_path(&completed(), &[Vec::new()], &fabric);
+        ]);
+        let v = judge_path(&completed(), &[&quiet()], &fabric);
         assert_eq!(v.overall, Verdict::BoundsPreserved);
     }
 
     #[test]
     fn tripped_with_no_loud_record_is_a_silent_violation() {
-        let v = judge_path(&tripped(2_000), &[Vec::new(), Vec::new()], &[]);
+        let (a, b) = (quiet(), quiet());
+        let v = judge_path(&tripped(2_000), &[&a, &b], &quiet());
         assert!(matches!(v.overall, Verdict::SilentViolation { .. }));
         assert_eq!(v.first_violation, Some(("path".to_string(), 2_000)));
         assert!(!v.is_acceptable());
@@ -250,7 +274,7 @@ mod tests {
 
     #[test]
     fn tripped_with_a_revocation_on_record_is_loud() {
-        let node0 = vec![ev(
+        let node0 = ring(&[ev(
             1_500,
             EventKind::GuaranteeRevoked {
                 output: 0,
@@ -259,8 +283,8 @@ mod tests {
                 bound: 0,
                 forfeited: true,
             },
-        )];
-        let v = judge_path(&tripped(3_000), &[node0, Vec::new()], &[]);
+        )]);
+        let v = judge_path(&tripped(3_000), &[&node0, &quiet()], &quiet());
         assert!(matches!(v.overall, Verdict::Revoked { revocations: 1, .. }));
         assert_eq!(
             v.per_node[0],
@@ -277,7 +301,7 @@ mod tests {
     fn earliest_loud_site_wins_between_node_and_fabric() {
         // A retry degradation rides its pairing detection (the judge's
         // composition rule flags an unpaired one as double-counting).
-        let node1 = vec![
+        let node1 = ring(&[
             ev(
                 1_490,
                 EventKind::Detected {
@@ -293,8 +317,12 @@ mod tests {
                     mode: DegradeMode::Retry,
                 },
             ),
-        ];
-        let v = judge_path(&completed(), &[Vec::new(), node1], &[loud_drop(1_502, 0)]);
+        ]);
+        let v = judge_path(
+            &completed(),
+            &[&quiet(), &node1],
+            &ring(&[loud_drop(1_502, 0)]),
+        );
         assert_eq!(v.first_violation, Some(("node1".to_string(), 1_490)));
         assert!(matches!(
             v.overall,
@@ -307,15 +335,15 @@ mod tests {
 
     #[test]
     fn reroutes_are_loud_degradations() {
-        let fabric = vec![ev(
+        let fabric = ring(&[ev(
             900,
             EventKind::Reroute {
                 node: 0,
                 dest: 3,
                 via: 2,
             },
-        )];
-        let v = judge_path(&completed(), &[Vec::new()], &fabric);
+        )]);
+        let v = judge_path(&completed(), &[&quiet()], &fabric);
         assert!(matches!(
             v.overall,
             Verdict::Revoked {
@@ -324,5 +352,57 @@ mod tests {
             }
         ));
         assert_eq!(v.first_violation, Some(("node0".to_string(), 900)));
+    }
+
+    /// A node ring that has wrapped is judged on exactly what it still
+    /// holds: a revocation evicted from it goes unheard, and the first
+    /// loud site is the earliest retained one.
+    #[test]
+    fn a_wrapped_ring_is_judged_on_its_retained_events() {
+        let revoked = |cycle| {
+            ev(
+                cycle,
+                EventKind::GuaranteeRevoked {
+                    output: 0,
+                    input: 4,
+                    class: TrafficClass::GuaranteedBandwidth,
+                    bound: 0,
+                    forfeited: true,
+                },
+            )
+        };
+        let decay = |cycle| {
+            ev(
+                cycle,
+                EventKind::Decay {
+                    output: 0,
+                    epoch: cycle,
+                },
+            )
+        };
+        let mut node0 = RingSink::new(300);
+        let stream: Vec<Event> = std::iter::once(revoked(10))
+            .chain((11..600).map(decay))
+            .chain([revoked(700), revoked(701)])
+            .collect();
+        for e in &stream {
+            node0.record(e);
+        }
+        assert!(
+            node0.total_recorded() > node0.len() as u64,
+            "the ring wrapped"
+        );
+        let retained = &stream[stream.len() - node0.len()..];
+        let v = judge_path(&completed(), &[&node0], &quiet());
+        assert_eq!(v.per_node[0], ssq_faults::judge(&completed(), retained));
+        assert_eq!(
+            v.overall,
+            Verdict::Revoked {
+                revocations: 2,
+                degradations: 0,
+                detections: 0
+            }
+        );
+        assert_eq!(v.first_violation, Some(("node0".to_string(), 700)));
     }
 }

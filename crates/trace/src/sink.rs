@@ -47,9 +47,12 @@ impl TraceSink for NullSink {
 /// blocks in place: a reused block's buffer grows, by an eighth, only
 /// when its new events pack larger than its old ones did. The ring holds
 /// between `capacity` and `capacity` + two blocks of events, and
-/// [`RingSink::events`] decodes
-/// the blocks and drops the surplus at the front: it returns exactly the
-/// last `capacity` events recorded.
+/// [`RingSink::iter`] decodes the blocks and skips the surplus at the
+/// front: it yields exactly the last `capacity` events recorded.
+///
+/// A ring of capacity `usize::MAX` never evicts: it is an append-only
+/// packed log, which is how a fabric keeps its hop events
+/// (`ssq_net::Fabric::events`).
 ///
 /// # Examples
 ///
@@ -145,24 +148,29 @@ impl RingSink {
         buffers + self.full.capacity() * std::mem::size_of::<Block>()
     }
 
-    /// The retained events in chronological order (oldest first).
+    /// The retained events in chronological order (oldest first),
+    /// decoded one at a time as the iterator is advanced: a reader that
+    /// streams them holds one [`Event`] at a time, not a copy of the ring.
+    pub fn iter(&self) -> impl Iterator<Item = Event> + '_ {
+        let held: usize = self.blocks().map(|b| b.len).sum();
+        let surplus = held - self.len();
+        self.blocks()
+            .flat_map(|block| {
+                let (mut bytes, mut prev) = (block.bytes.as_slice(), 0);
+                std::iter::from_fn(move || {
+                    let event = Event::unpack(prev, &mut bytes)?;
+                    prev = event.cycle;
+                    Some(event)
+                })
+            })
+            .skip(surplus)
+    }
+
+    /// The retained events in chronological order (oldest first):
+    /// [`RingSink::iter`], collected.
     #[must_use]
     pub fn events(&self) -> Vec<Event> {
-        let held: usize = self.blocks().map(|b| b.len).sum();
-        let mut surplus = held - self.len();
-        let mut out = Vec::with_capacity(self.len());
-        for block in self.blocks() {
-            let (mut bytes, mut prev) = (block.bytes.as_slice(), 0);
-            while let Some(event) = Event::unpack(prev, &mut bytes) {
-                prev = event.cycle;
-                if surplus == 0 {
-                    out.push(event);
-                } else {
-                    surplus -= 1;
-                }
-            }
-        }
-        out
+        self.iter().collect()
     }
 
     /// Every block, oldest first.
@@ -536,7 +544,8 @@ mod tests {
     /// `capacity` events, after every push (for the largest capacity,
     /// on the pushes around each block boundary from one block short of
     /// full, around the first reuse, and every 4 096th), and a
-    /// clone taken mid-stream continuing as the original does.
+    /// clone taken mid-stream continuing as the original does; read both
+    /// ways, decoded into a `Vec` and streamed by `iter`.
     #[test]
     fn ring_matches_a_plain_deque_on_seeded_streams() {
         for (seed, capacity) in [1, 2, 255, 256, 257, 1000, 1 << 15].into_iter().enumerate() {
@@ -566,15 +575,38 @@ mod tests {
                     assert_eq!(twin.total_recorded(), ring.total_recorded());
                     if check {
                         assert!(twin.events().iter().eq(model.iter()), "clone, push {i}");
+                        assert!(
+                            twin.iter().eq(model.iter().cloned()),
+                            "clone iter, push {i}"
+                        );
                     }
                 }
                 if check {
                     let got = ring.events();
                     assert!(got.iter().eq(model.iter()), "capacity {capacity}, push {i}");
+                    assert!(
+                        ring.iter().eq(model.iter().cloned()),
+                        "capacity {capacity}, iter, push {i}"
+                    );
                 }
             }
             assert!(twin.is_some());
         }
+    }
+
+    /// A `usize::MAX` ring is an append-only log: fed more than three
+    /// blocks, it still holds its first event and everything after it.
+    #[test]
+    fn an_unbounded_ring_never_evicts() {
+        let events = stream(11, 3 * 256 + 100);
+        let mut r = RingSink::new(usize::MAX);
+        for ev in &events {
+            r.record(ev);
+        }
+        assert_eq!(r.len() as u64, r.total_recorded());
+        assert_eq!(r.len(), events.len());
+        assert_eq!(r.iter().next().as_ref(), events.first());
+        assert!(r.iter().eq(events.iter().cloned()));
     }
 
     #[test]

@@ -121,8 +121,9 @@ echo "== frozen benchmark against this tree (qosbench) =="
 # benchmark/ is a package of its own with a path dependency on this
 # tree and may not change with it: building and testing it here catches
 # public-API drift (CycleModel and its skip_idle, EventModel::step_fast,
-# ShardedModel, Runner and ParRunner, the arbiter peeks) before the
-# benchmark pipeline does. qosbench is
+# ShardedModel, Runner and ParRunner, the arbiter peeks, Fabric::events,
+# Fabric::node_events and judge_path) before the benchmark pipeline
+# does. qosbench is
 # also the source of every performance claim (benchmark/README.md).
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 

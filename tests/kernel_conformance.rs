@@ -16,11 +16,13 @@
 //!
 //! * **Seeded batteries through every engine.** Random request matrices
 //!   across all three SSVC counter policies and {BE, GB, GL} class mixes
-//!   (216 scenarios); the non-SSVC policies; the fabric-checked,
-//!   GL-policed, demoted-GL and LRG-fallback modes, alone and stacked;
-//!   inputs contending at several outputs (the sharded merge's stale-plan
-//!   re-decide); a long saturated run past many counter epochs; and the
-//!   fig4-style scenario's JSONL trace, compared byte for byte.
+//!   (216 scenarios, 72 of them again on sparse periodic sources whose
+//!   idle gaps the bitpar engine skips); the non-SSVC policies; the
+//!   fabric-checked, GL-policed, demoted-GL and LRG-fallback modes, alone
+//!   and stacked; inputs contending at several outputs (the sharded
+//!   merge's stale-plan re-decide); a long saturated run past many
+//!   counter epochs; and the fig4-style scenario's JSONL trace, compared
+//!   byte for byte.
 //! * **The stepped kernel against the reference, cycle by cycle.** A
 //!   seeded property test over radices 2–64 with random class mixes,
 //!   buffer shapes, per-port feature toggles and **mid-run reservation
@@ -213,7 +215,9 @@ enum Engine {
 /// The engines held to the reference, per scenario.
 const ENGINES: [Engine; 3] = [Engine::Seq, Engine::Sharded, Engine::Bitpar];
 
-fn drive(switch: &mut QosSwitch, schedule: Schedule, engine: Engine) {
+/// Runs `switch` through `schedule` on `engine`; returns how many
+/// cycles it skipped (only `Bitpar` ever does).
+fn drive(switch: &mut QosSwitch, schedule: Schedule, engine: Engine) -> u64 {
     match engine {
         Engine::Reference => {
             Runner::new(schedule).run(&mut ReferenceKernel(switch));
@@ -224,10 +228,9 @@ fn drive(switch: &mut QosSwitch, schedule: Schedule, engine: Engine) {
         Engine::Sharded => {
             ParRunner::new(schedule, 1).run(switch);
         }
-        Engine::Bitpar => {
-            Runner::new(schedule).run_skipping(switch);
-        }
+        Engine::Bitpar => return run_skipping_counted(switch, schedule).1,
     }
+    0
 }
 
 // ---------------------------------------------------------------------
@@ -254,6 +257,8 @@ const COUNTER_POLICIES: &[CounterPolicy] = &[
 const MIXES: &[Mix] = &[Mix::BeOnly, Mix::GbBe, Mix::GbGlBe];
 /// Seeds per (policy, mix) cell: 3 × 3 × 24 = 216 scenarios total.
 const SEEDS_PER_CELL: u64 = 24;
+/// Seeds per cell that also run on sparse periodic sources: 72 scenarios.
+const SPARSE_SEEDS_PER_CELL: u64 = 8;
 
 /// Builds one seeded random scenario. Reservations, request matrix,
 /// rates, and packet lengths are all drawn from the scenario's own
@@ -274,6 +279,10 @@ struct Mode {
     gl_demoted: bool,
     /// The hot output's GB rounds run on the pure-LRG fallback.
     lrg_fallback: bool,
+    /// Periodic sources at low load in place of saturating GB and
+    /// Bernoulli BE ones: the switch drains between arrivals it can
+    /// predict, so the `Bitpar` leg skips the gaps.
+    sparse: bool,
 }
 
 fn build_with(policy: Policy, mode: Mode, mix: Mix, seed: u64) -> QosSwitch {
@@ -327,12 +336,18 @@ fn build_with(policy: Policy, mode: Mode, mix: Mix, seed: u64) -> QosSwitch {
         switch.fault_degrade_to_lrg(hot, Cycle::ZERO);
     }
 
-    // GB traffic: saturating sources pinned to the reserved output.
+    // GB traffic pinned to the reserved output: saturating sources, or
+    // periodic ones when sparse.
     for &input in &gb_inputs {
         let len = 1 << rng.index(4);
+        let source: Box<dyn swizzle_qos::traffic::TrafficSource + Send + Sync> = if mode.sparse {
+            Box::new(Periodic::new(rng.range(60, 200), rng.below(60), len))
+        } else {
+            Box::new(Saturating::new(len))
+        };
         switch.add_injector(
             Injector::new(
-                Box::new(Saturating::new(len)),
+                source,
                 Box::new(FixedDest::new(hot)),
                 TrafficClass::GuaranteedBandwidth,
             )
@@ -389,46 +404,57 @@ fn build_with(policy: Policy, mode: Mode, mix: Mix, seed: u64) -> QosSwitch {
             } else {
                 Box::new(UniformDest::new(RADIX, rng.next_u64()))
             };
-        switch.add_injector(
-            Injector::new(
-                Box::new(Bernoulli::new(rate, len, rng.next_u64())),
-                dest,
-                TrafficClass::BestEffort,
-            )
-            .for_input(input),
-        );
+        let source: Box<dyn swizzle_qos::traffic::TrafficSource + Send + Sync> = if mode.sparse {
+            Box::new(Periodic::new(rng.range(80, 300), rng.below(100), len))
+        } else {
+            Box::new(Bernoulli::new(rate, len, rng.next_u64()))
+        };
+        switch.add_injector(Injector::new(source, dest, TrafficClass::BestEffort).for_input(input));
     }
     switch
 }
 
-fn run_engine(mut switch: QosSwitch, engine: Engine) -> Observation {
+/// Runs one scenario on `engine`: its observation, and the cycles the
+/// engine skipped.
+fn run_engine(mut switch: QosSwitch, engine: Engine) -> (Observation, u64) {
     switch.tracer_mut().attach_ring(1 << 16);
-    drive(
+    let skipped = drive(
         &mut switch,
         Schedule::new(Cycles::new(WARMUP), Cycles::new(MEASURE)),
         engine,
     );
-    observe(&switch)
+    (observe(&switch), skipped)
 }
 
-/// Holds every engine to the reference kernel on one scenario.
-fn assert_engines_match_reference(build: &dyn Fn() -> QosSwitch, scenario: &str) {
-    let reference = run_engine(build(), Engine::Reference);
+/// Holds every engine to the reference kernel on one scenario; returns
+/// the cycles the `Bitpar` leg skipped.
+fn assert_engines_match_reference(build: &dyn Fn() -> QosSwitch, scenario: &str) -> u64 {
+    let (reference, _) = run_engine(build(), Engine::Reference);
     assert!(
         reference.counters.delivered_flits > 0,
         "[{scenario}] scenario delivered nothing"
     );
+    let mut skipped = 0;
     for engine in ENGINES {
-        let other = run_engine(build(), engine);
+        let (other, skips) = run_engine(build(), engine);
         assert_identical(&reference, &other, &format!("[{scenario} @ {engine:?}]"));
+        skipped += skips;
     }
+    skipped
 }
 
 /// The headline battery: 216 seeded scenarios, each run through the
 /// reference kernel, the sequential engine, the sharded engine and the
 /// bitpar engine — every observable identical across all four runs.
+/// Saturating and Bernoulli sources never let the bitpar engine skip,
+/// so the first `SPARSE_SEEDS_PER_CELL` seeds of every cell run once
+/// more on sparse periodic sources, where it must skip in every one.
 #[test]
 fn engines_are_bit_identical_across_seeded_scenarios() {
+    let sparse = Mode {
+        sparse: true,
+        ..Mode::default()
+    };
     for &policy in COUNTER_POLICIES {
         for &mix in MIXES {
             for s in 0..SEEDS_PER_CELL {
@@ -441,6 +467,14 @@ fn engines_are_bit_identical_across_seeded_scenarios() {
                     &|| build(policy, mix, seed),
                     &format!("{policy:?}/{mix:?}/seed {seed}"),
                 );
+                if s < SPARSE_SEEDS_PER_CELL {
+                    let scenario = format!("{policy:?}/{mix:?}/sparse/seed {seed}");
+                    let skips = assert_engines_match_reference(
+                        &|| build_with(Policy::Ssvc(policy), sparse, mix, seed),
+                        &scenario,
+                    );
+                    assert!(skips > 0, "[{scenario}] the bitpar leg never skipped");
+                }
             }
         }
     }
@@ -540,7 +574,7 @@ fn checked_policed_and_degraded_modes_match_the_reference() {
                 let build = || build_with(Policy::Ssvc(policy), mode, Mix::GbGlBe, 0x30DE + seed);
                 assert_engines_match_reference(&build, &format!("{mode:?}/{policy:?}/seed {seed}"));
                 if mode.gl_policing {
-                    let probe = run_engine(build(), Engine::Seq);
+                    let (probe, _) = run_engine(build(), Engine::Seq);
                     assert!(
                         probe.counters.gl_policed_cycles > 0,
                         "[{mode:?}/{policy:?}/seed {seed}] the policer never engaged"
