@@ -151,8 +151,10 @@ impl Lrg {
 
     /// Records that `winner` was granted: it now loses to every other
     /// input (becomes most recently granted). In matrix terms this is
-    /// the move-to-back rotation: clear the winner's row, set its column
-    /// bit in every other row.
+    /// the move-to-back rotation: set the winner's column bit in every
+    /// row, then clear the winner's row. Setting it in the winner's own
+    /// row too, before the clear, keeps the loop free of a branch, so the
+    /// one-word case is a straight OR over the rows.
     ///
     /// # Panics
     ///
@@ -160,16 +162,17 @@ impl Lrg {
     pub fn grant(&mut self, winner: usize) {
         assert!(winner < self.n, "input {winner} out of range");
         let stride = self.stride;
-        for w in &mut self.rows[winner * stride..(winner + 1) * stride] {
-            *w = 0;
-        }
-        let word = winner / 64;
         let bit = 1u64 << (winner % 64);
-        for other in 0..self.n {
-            if other != winner {
-                self.rows[other * stride + word] |= bit;
+        if stride == 1 {
+            for row in &mut self.rows {
+                *row |= bit;
+            }
+        } else {
+            for row in self.rows.chunks_exact_mut(stride) {
+                row[winner / 64] |= bit;
             }
         }
+        self.rows[winner * stride..(winner + 1) * stride].fill(0);
     }
 
     /// The current total priority order, highest first. Costs O(n²); meant
@@ -346,6 +349,34 @@ mod tests {
                     lrg.grant(rng.index(n));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn grants_match_a_move_to_back_priority_list() {
+        use ssq_types::rng::Xoshiro256StarStar;
+
+        for n in [1usize, 2, 3, 63, 64, 65, 130] {
+            let mut rng = Xoshiro256StarStar::seed_from_u64(0x17_6a + n as u64);
+            let mut lrg = Lrg::new(n);
+            // The reference: the priority order itself, highest first; a
+            // winner moves to the back.
+            let mut order: Vec<usize> = (0..n).collect();
+            for round in 0..300 {
+                let winner = rng.index(n);
+                lrg.grant(winner);
+                order.retain(|&i| i != winner);
+                order.push(winner);
+                for (a, &i) in order.iter().enumerate() {
+                    for &j in &order[a + 1..] {
+                        assert!(
+                            lrg.beats(i, j) && !lrg.beats(j, i),
+                            "n={n} round={round}: {i} must outrank {j}"
+                        );
+                    }
+                }
+            }
+            assert_eq!(lrg.priority_order(), order, "n={n}");
         }
     }
 

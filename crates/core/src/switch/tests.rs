@@ -1016,3 +1016,126 @@ fn healthy_saturated_run_never_trips_the_watchdog() {
 
 /// Fault-injection and degraded-mode behaviour (DESIGN.md §8).
 mod faults;
+
+/// A radix-64 switch shaped like the `dense-r64` workload: 56 inputs
+/// each send a GB flow to a reserved output and two BE flows, and the
+/// other 8 send single-flit GL packets to the 8 GL outputs. Returns the
+/// switch and how many distinct (class, flow) pairs it injects.
+fn dense_r64_shaped() -> (QosSwitch, usize) {
+    use ssq_types::rng::Xoshiro256StarStar;
+    const RADIX: usize = 64;
+    let mut rng = Xoshiro256StarStar::seed_from_u64(1);
+    let mut perm = || {
+        let mut p: Vec<usize> = (0..RADIX).collect();
+        for i in (1..RADIX).rev() {
+            p.swap(i, rng.index(i + 1));
+        }
+        p
+    };
+    let (gb, be1, be2) = (perm(), perm(), perm());
+    let mut config = SwitchConfig::builder(Geometry::new(RADIX, RADIX * 8).unwrap())
+        .gb_buffer_flits(16)
+        .be_buffer_flits(16)
+        .build()
+        .unwrap();
+    let gl_inputs: Vec<usize> = (0..RADIX / 8).map(|g| g * 8 + 3).collect();
+    let mut flows = Vec::new();
+    for i in (0..RADIX).filter(|i| !gl_inputs.contains(i)) {
+        config
+            .reservations_mut()
+            .reserve_gb(
+                InputId::new(i),
+                OutputId::new(gb[i]),
+                Rate::new(0.4).unwrap(),
+                8,
+            )
+            .unwrap();
+        flows.push((i, gb[i], TrafficClass::GuaranteedBandwidth, 0.42, 8));
+        flows.push((i, be1[i], TrafficClass::BestEffort, 0.21, 8));
+        flows.push((i, be2[i], TrafficClass::BestEffort, 0.14, 8));
+    }
+    for (g, &i) in gl_inputs.iter().enumerate() {
+        config
+            .reservations_mut()
+            .reserve_gl(OutputId::new(g * 8), Rate::new(0.05).unwrap())
+            .unwrap();
+        flows.push((i, g * 8, TrafficClass::GuaranteedLatency, 0.01, 1));
+    }
+    let mut switch = QosSwitch::new(config).unwrap();
+    for (n, &(i, o, class, rate, len)) in flows.iter().enumerate() {
+        switch.add_injector(
+            Injector::new(
+                Box::new(Bernoulli::new(rate, len, 0x55 + n as u64)),
+                Box::new(FixedDest::new(OutputId::new(o))),
+                class,
+            )
+            .for_input(InputId::new(i)),
+        );
+    }
+    let distinct: std::collections::BTreeSet<_> = flows
+        .iter()
+        .map(|&(i, o, class, ..)| (i, o, class.priority()))
+        .collect();
+    (switch, distinct.len())
+}
+
+#[test]
+fn per_flow_metrics_are_held_for_the_flows_that_delivered() {
+    let (mut switch, injected) = dense_r64_shaped();
+    switch.set_delivery_log(true);
+    let end = Runner::new(Schedule::new(Cycles::ZERO, Cycles::new(3_000))).run(&mut switch);
+    let delivered: std::collections::BTreeSet<_> = switch
+        .drain_deliveries()
+        .iter()
+        .map(|(_, spec)| (spec.class().priority(), spec.flow()))
+        .collect();
+    let matrices = [
+        (TrafficClass::BestEffort, switch.be_metrics()),
+        (TrafficClass::GuaranteedBandwidth, switch.gb_metrics()),
+        (TrafficClass::GuaranteedLatency, switch.gl_metrics()),
+    ];
+    let held: usize = matrices.iter().map(|(_, m)| m.len()).sum();
+    // Exactly one record per (class, flow) that delivered: no record for
+    // the 3 × 4 096 − held crosspoints that did not.
+    assert_eq!(held, delivered.len());
+    assert!(
+        held <= injected,
+        "{held} records for {injected} injected flows"
+    );
+    for (class, m) in matrices {
+        let mut with_packets = 0;
+        for i in 0..64 {
+            for o in 0..64 {
+                let flow = FlowId::new(InputId::new(i), OutputId::new(o));
+                let f = m.flow(flow);
+                let is_delivered = delivered.contains(&(class.priority(), flow));
+                assert_eq!(f.packets() > 0, is_delivered, "{class:?} {flow}");
+                if !is_delivered {
+                    assert_eq!((f.packets(), f.flits()), (0, 0));
+                    assert_eq!((f.throughput(end), f.mean_latency()), (0.0, 0.0));
+                    assert_eq!(f.max_latency(), None);
+                }
+                with_packets += usize::from(f.packets() > 0);
+            }
+        }
+        assert_eq!(with_packets, m.len(), "{class:?}");
+    }
+    // This seed's flows: 110 BE (two of the 112 BE injectors share a
+    // crosspoint), 56 GB and 8 GL.
+    let lens = [
+        switch.be_metrics().len(),
+        switch.gb_metrics().len(),
+        switch.gl_metrics().len(),
+    ];
+    assert_eq!(lens, [110, 56, 8]);
+    // Guaranteed latencies stay low, so a GB or GL record holds a few
+    // dozen latency bins of the 1 024 the layout allows.
+    for m in [switch.gb_metrics(), switch.gl_metrics()] {
+        assert!(
+            m.allocated_bins() <= 64 * m.len(),
+            "{} bins",
+            m.allocated_bins()
+        );
+    }
+    assert!(switch.be_metrics().allocated_bins() <= 1024 * switch.be_metrics().len());
+}

@@ -23,14 +23,17 @@ use std::fmt;
 /// assert_eq!(h.overflow(), 1); // 400 exceeds the binned range
 /// ```
 ///
-/// The bin vector is allocated by the first [`Histogram::record`] (or a
-/// [`Histogram::merge`] that brings samples in): a switch keeps one
-/// histogram per flow and class, and most of them never see a sample.
+/// The bin vector grows on demand, up to `num_bins`: it holds the bins
+/// up to the highest one a sample has landed in, and every bin past it
+/// reads as zero. A switch keeps one histogram per flow and class, and
+/// one per output; most never see a sample, and a flow whose latencies
+/// stay low holds a few dozen bins, not the full range.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     bin_width: u64,
     num_bins: usize,
-    /// Empty until the first sample arrives, then `num_bins` long.
+    /// Bins `0..=h`, where `h` is the highest bin any sample landed in
+    /// (so the last entry is never zero); empty before the first.
     bins: Vec<u64>,
     overflow: u64,
     count: u64,
@@ -46,7 +49,7 @@ impl Histogram {
     ///
     /// Panics if `bin_width` or `num_bins` is zero.
     #[must_use]
-    pub fn new(bin_width: u64, num_bins: usize) -> Self {
+    pub const fn new(bin_width: u64, num_bins: usize) -> Self {
         assert!(bin_width > 0, "bin width must be positive");
         assert!(num_bins > 0, "need at least one bin");
         Histogram {
@@ -63,18 +66,42 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
-        if self.bins.is_empty() {
-            self.bins = vec![0; self.num_bins];
-        }
         self.count = self.count.saturating_add(1);
         self.sum = self.sum.saturating_add(u128::from(value));
         self.max = self.max.max(value);
         self.min = self.min.min(value);
-        let bin = usize::try_from(value / self.bin_width).ok();
-        match bin.and_then(|bin| self.bins.get_mut(bin)) {
-            Some(b) => *b = b.saturating_add(1),
-            None => self.overflow = self.overflow.saturating_add(1),
+        match usize::try_from(value / self.bin_width) {
+            Ok(bin) if bin < self.num_bins => {
+                self.grow_to(bin + 1);
+                self.bins[bin] = self.bins[bin].saturating_add(1);
+            }
+            _ => self.overflow = self.overflow.saturating_add(1),
         }
+    }
+
+    /// Makes bins `0..len` addressable (`len <= num_bins`). Capacity
+    /// doubles, capped at `num_bins`, so a run of rising samples costs
+    /// a logarithmic number of reallocations and never more than the
+    /// eager layout's memory.
+    fn grow_to(&mut self, len: usize) {
+        if len <= self.bins.len() {
+            return;
+        }
+        if len > self.bins.capacity() {
+            let target = len
+                .max(self.bins.capacity().saturating_mul(2))
+                .min(self.num_bins);
+            self.bins.reserve_exact(target - self.bins.len());
+        }
+        self.bins.resize(len, 0);
+    }
+
+    /// Bins the histogram has room for now: its bin vector's capacity,
+    /// at most `num_bins` (the footprint a caller can count; a missing
+    /// bin reads as zero).
+    #[must_use]
+    pub fn allocated_bins(&self) -> usize {
+        self.bins.capacity()
     }
 
     /// Number of samples recorded.
@@ -126,8 +153,8 @@ impl Histogram {
     }
 
     /// Approximate `p`-th percentile (`0.0..=100.0`), resolved to the upper
-    /// edge of the bin containing it. Overflowed samples resolve to the
-    /// exact maximum.
+    /// edge of the bin containing it. Overflowed samples (and so any rank
+    /// past the highest allocated bin) resolve to the exact maximum.
     ///
     /// Returns `None` when empty.
     ///
@@ -178,6 +205,7 @@ impl Histogram {
         if self.bins.is_empty() {
             self.bins.clone_from(&other.bins);
         } else {
+            self.grow_to(other.bins.len());
             for (a, b) in self.bins.iter_mut().zip(&other.bins) {
                 *a += b;
             }
@@ -365,6 +393,141 @@ mod tests {
         c.merge(&Histogram::new(10, 4));
         assert_eq!(c, Histogram::new(10, 4));
         assert_eq!(c.min(), None);
+    }
+
+    /// The layout the on-demand bins replace: every bin allocated up
+    /// front. The reference for `on_demand_bins_read_like_the_eager_layout`.
+    struct Eager {
+        width: u64,
+        bins: Vec<u64>,
+        overflow: u64,
+        count: u64,
+        max: u64,
+    }
+
+    impl Eager {
+        fn new(width: u64, num_bins: usize) -> Self {
+            Eager {
+                width,
+                bins: vec![0; num_bins],
+                overflow: 0,
+                count: 0,
+                max: 0,
+            }
+        }
+
+        fn record(&mut self, v: u64) {
+            self.count += 1;
+            self.max = self.max.max(v);
+            match self.bins.get_mut((v / self.width) as usize) {
+                Some(b) => *b += 1,
+                None => self.overflow += 1,
+            }
+        }
+
+        fn merge(&mut self, other: &Eager) {
+            for (a, b) in self.bins.iter_mut().zip(&other.bins) {
+                *a += b;
+            }
+            self.overflow += other.overflow;
+            self.count += other.count;
+            self.max = self.max.max(other.max);
+        }
+
+        fn percentile(&self, p: f64) -> Option<u64> {
+            if self.count == 0 {
+                return None;
+            }
+            let target = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
+            let mut seen = 0;
+            for (i, &n) in self.bins.iter().enumerate() {
+                seen += n;
+                if seen >= target {
+                    return Some((i as u64 + 1) * self.width - 1);
+                }
+            }
+            Some(self.max)
+        }
+
+        fn iter(&self) -> Vec<(u64, u64)> {
+            let nonzero = self.bins.iter().enumerate().filter(|(_, &n)| n > 0);
+            nonzero.map(|(i, &n)| (i as u64 * self.width, n)).collect()
+        }
+    }
+
+    fn assert_reads_alike(h: &Histogram, e: &Eager, what: &str) {
+        assert_eq!(h.count(), e.count, "{what}: count");
+        assert_eq!(h.overflow(), e.overflow, "{what}: overflow");
+        assert_eq!(h.iter().collect::<Vec<_>>(), e.iter(), "{what}: iter");
+        for p in [0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0] {
+            assert_eq!(h.percentile(p), e.percentile(p), "{what}: p{p}");
+        }
+        assert!(h.allocated_bins() <= e.bins.len(), "{what}: over-allocated");
+    }
+
+    #[test]
+    fn on_demand_bins_read_like_the_eager_layout() {
+        use ssq_types::rng::Xoshiro256StarStar;
+
+        for seed in 0..40u64 {
+            let mut rng = Xoshiro256StarStar::seed_from_u64(0xb1_75 + seed);
+            let width = 1 + rng.below(8);
+            let num_bins = 1 + rng.below(300) as usize;
+            // Samples reach past the binned range so overflow is exercised.
+            let top = width * num_bins as u64 * 5 / 4 + 1;
+            let (mut ha, mut hb) = (
+                Histogram::new(width, num_bins),
+                Histogram::new(width, num_bins),
+            );
+            let (mut ea, mut eb) = (Eager::new(width, num_bins), Eager::new(width, num_bins));
+            for step in 0..rng.below(400) {
+                // Skewed low, as latencies are, with a rare far tail.
+                let v = if rng.below(10) == 0 {
+                    rng.below(top)
+                } else {
+                    rng.below(top / 8 + 1)
+                };
+                if step % 3 == 0 {
+                    hb.record(v);
+                    eb.record(v);
+                } else {
+                    ha.record(v);
+                    ea.record(v);
+                }
+                assert_reads_alike(&ha, &ea, &format!("seed {seed} step {step}"));
+            }
+            assert_reads_alike(&hb, &eb, &format!("seed {seed} b"));
+            // Merge both ways: the longer bin vector into the shorter and
+            // the shorter into the longer.
+            let mut hba = hb.clone();
+            hba.merge(&ha);
+            ha.merge(&hb);
+            ea.merge(&eb);
+            assert_reads_alike(&ha, &ea, &format!("seed {seed} a+b"));
+            assert_reads_alike(&hba, &ea, &format!("seed {seed} b+a"));
+            assert_eq!(ha, hba, "seed {seed}: merge order shows in equality");
+        }
+    }
+
+    #[test]
+    fn low_samples_hold_few_bins() {
+        // A flow whose latencies stay under 100 cycles, in 4-cycle bins of
+        // a 1 024-bin layout: 25 bins in use, rounded up to a power of two.
+        let mut h = Histogram::new(4, 1024);
+        for v in (0..100).rev() {
+            h.record(v);
+        }
+        assert_eq!(h.allocated_bins(), 25);
+        let mut rising = Histogram::new(4, 1024);
+        for v in 0..100 {
+            rising.record(v);
+        }
+        assert!(rising.allocated_bins() <= 32, "{}", rising.allocated_bins());
+        // Never more than the layout, however far the samples reach.
+        rising.record(4 * 1023);
+        rising.record(1 << 40);
+        assert_eq!(rising.allocated_bins(), 1024);
+        assert_eq!(rising.overflow(), 1);
     }
 
     #[test]

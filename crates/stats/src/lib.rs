@@ -7,9 +7,11 @@
 //! provides the instruments those experiments need:
 //!
 //! * [`RunningStats`] — streaming mean/variance/min/max (Welford).
-//! * [`Histogram`] — fixed-bin latency histograms with percentiles.
+//! * [`Histogram`] — fixed-bin latency histograms with percentiles,
+//!   their bins allocated as samples reach them.
 //! * [`FlowMetrics`] / [`MetricsMatrix`] — per-flow accounting: latency,
-//!   delivered flits and accepted throughput.
+//!   delivered flits and accepted throughput, held only for the flows
+//!   that record something.
 //! * [`jain_fairness_index`] — a fairness summary.
 //! * [`TimeSeries`] — windowed means over simulated time (convergence
 //!   and transient views).

@@ -13,12 +13,21 @@ use ssq_types::TrafficClass;
 
 use crate::event::{DropReason, Event, EventKind};
 
-/// Accumulated per-flow grant statistics.
+/// Waits below this many cycles are counted in [`FlowGrants`]' dense
+/// array; longer ones go to its ordered spill.
+const DENSE_WAITS: usize = 4096;
+
+/// Accumulated per-flow grant statistics: exact counts of each grant
+/// wait, in memory bounded by the longest wait rather than the grant
+/// count.
 #[derive(Debug, Clone, Default)]
 pub struct FlowGrants {
-    /// Grant waiting times (cycles from injection to channel grant),
-    /// sorted on demand.
-    waits: Vec<u64>,
+    /// `dense[w]` grants waited `w` cycles (`w < DENSE_WAITS`). Grown on
+    /// demand to the longest such wait, so its last entry is non-zero.
+    dense: Vec<u64>,
+    /// Grants per wait of `DENSE_WAITS` cycles or more.
+    spill: BTreeMap<u64, u64>,
+    grants: u64,
     /// Packets that chained onto a held channel without re-arbitration.
     pub chained: u64,
     /// [`TraceSummary::events`] as of this flow's latest grant; 0 before
@@ -27,40 +36,57 @@ pub struct FlowGrants {
 }
 
 impl FlowGrants {
+    /// Counts one grant that waited `waited` cycles.
+    fn record(&mut self, waited: u64) {
+        self.grants += 1;
+        match usize::try_from(waited) {
+            Ok(w) if w < DENSE_WAITS => {
+                if w >= self.dense.len() {
+                    self.dense.resize(w + 1, 0);
+                }
+                self.dense[w] += 1;
+            }
+            _ => *self.spill.entry(waited).or_default() += 1,
+        }
+    }
+
     /// Number of grants observed.
     #[must_use]
     pub fn grants(&self) -> u64 {
-        self.waits.len() as u64
+        self.grants
     }
 
-    /// Exact percentile of the observed waits (`p` in `[0, 1]`).
+    /// Exact percentile of the observed waits (`p` in `[0, 1]`): the
+    /// wait at the nearest rank to `p` of the way from the shortest to
+    /// the longest.
     #[must_use]
     pub fn percentile(&self, p: f64) -> Option<u64> {
-        rank(&self.sorted_waits(), p)
+        if self.grants == 0 || !(0.0..=1.0).contains(&p) {
+            return None;
+        }
+        let rank = ((self.grants - 1) as f64 * p).round() as u64;
+        self.nth(rank.min(self.grants - 1))
     }
 
-    /// The observed waits, ascending.
-    fn sorted_waits(&self) -> Vec<u64> {
-        let mut sorted = self.waits.clone();
-        sorted.sort_unstable();
-        sorted
+    /// The wait of rank `k` (0-based) in ascending order.
+    fn nth(&self, k: u64) -> Option<u64> {
+        let dense = self.dense.iter().enumerate().map(|(w, &n)| (w as u64, n));
+        let spill = self.spill.iter().map(|(&w, &n)| (w, n));
+        let mut seen = 0;
+        dense.chain(spill).find_map(|(w, n)| {
+            seen += n;
+            (seen > k).then_some(w)
+        })
     }
 
     /// Largest observed wait.
     #[must_use]
     pub fn max(&self) -> Option<u64> {
-        self.waits.iter().copied().max()
+        match self.spill.last_key_value() {
+            Some((&w, _)) => Some(w),
+            None => self.dense.len().checked_sub(1).map(|w| w as u64),
+        }
     }
-}
-
-/// The wait at rank `p` (in `[0, 1]`) of `sorted`: the nearest rank to
-/// `p` of the way from the first to the last.
-fn rank(sorted: &[u64], p: f64) -> Option<u64> {
-    if sorted.is_empty() || !(0.0..=1.0).contains(&p) {
-        return None;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted.get(idx.min(sorted.len() - 1)).copied()
 }
 
 /// Everything `trace-report` prints, aggregated in one pass.
@@ -121,7 +147,7 @@ impl TraceSummary {
                 ..
             } => {
                 let flow = self.flows.entry((*input, *output, *class)).or_default();
-                flow.waits.push(*waited);
+                flow.record(*waited);
                 flow.last_grant = self.events;
             }
             EventKind::Chained { output, input, .. } => {
@@ -236,8 +262,7 @@ impl TraceSummary {
         t.numeric();
         let cell = |v: Option<u64>| v.map_or_else(|| String::from("-"), |v| v.to_string());
         for ((input, output, class), g) in &self.flows {
-            let sorted = g.sorted_waits();
-            let pct = |p: f64| cell(rank(&sorted, p));
+            let pct = |p: f64| cell(g.percentile(p));
             t.row(vec![
                 format!("in{input}->out{output}"),
                 class.label().to_string(),
@@ -246,7 +271,7 @@ impl TraceSummary {
                 pct(0.50),
                 pct(0.90),
                 pct(0.99),
-                cell(sorted.last().copied()),
+                cell(g.max()),
             ]);
         }
         t
@@ -464,6 +489,53 @@ mod tests {
         assert_eq!(g.percentile(0.99), Some(98));
         assert_eq!(g.max(), Some(99));
         assert_eq!(s.span, Some((0, 99)));
+    }
+
+    /// The wait at rank `p` of `sorted`: the nearest rank to `p` of the
+    /// way from the first to the last (what a sorted list of every wait
+    /// gives, the reference for the counted form).
+    fn nearest_rank(sorted: &[u64], p: f64) -> Option<u64> {
+        let last = sorted.len().checked_sub(1)?;
+        sorted
+            .get(((last as f64 * p).round() as usize).min(last))
+            .copied()
+    }
+
+    #[test]
+    fn counted_waits_read_like_a_sorted_list_of_every_wait() {
+        use ssq_types::rng::Xoshiro256StarStar;
+
+        for seed in 0..60u64 {
+            let mut rng = Xoshiro256StarStar::seed_from_u64(0x9a17 + seed);
+            let mut g = FlowGrants::default();
+            let mut waits = Vec::new();
+            let n = rng.below(500);
+            for _ in 0..n {
+                // Mostly short waits, some near the dense cap, a few past it.
+                let w = match rng.below(20) {
+                    0 => DENSE_WAITS as u64 + rng.below(3 * DENSE_WAITS as u64),
+                    1 => DENSE_WAITS as u64 - 1 - rng.below(4),
+                    _ => rng.below(64 << (seed % 4)),
+                };
+                g.record(w);
+                waits.push(w);
+            }
+            waits.sort_unstable();
+            assert_eq!(g.grants(), n, "seed {seed}");
+            assert_eq!(g.max(), waits.last().copied(), "seed {seed}");
+            for p in [0.0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0] {
+                assert_eq!(g.percentile(p), nearest_rank(&waits, p), "seed {seed} p{p}");
+            }
+            assert_eq!(g.percentile(1.5), None);
+        }
+        let mut huge = FlowGrants::default();
+        huge.record(u64::MAX);
+        huge.record(0);
+        assert_eq!(
+            (huge.percentile(1.0), huge.max()),
+            (Some(u64::MAX), Some(u64::MAX))
+        );
+        assert_eq!(huge.percentile(0.0), Some(0));
     }
 
     #[test]

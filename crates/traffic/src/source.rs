@@ -98,10 +98,23 @@ pub trait TrafficSource {
 pub struct Bernoulli {
     rate: f64,
     len_flits: u64,
-    /// Per-cycle packet probability, `rate / len_flits`: divided once
-    /// here instead of on every poll.
-    packet_prob: f64,
+    /// A packet arrives when a draw's top 53 bits fall below this:
+    /// [`bernoulli_threshold`] of the per-cycle probability `rate /
+    /// len_flits`, computed once here instead of dividing and converting
+    /// to a float on every poll.
+    threshold: u64,
     rng: Xoshiro256StarStar,
+}
+
+/// The integer form of the test `rng.f64() < p`. `f64()` is `x · 2⁻⁵³`
+/// for the draw's top 53 bits `x`, exactly (`x < 2⁵³` is representable,
+/// and scaling by a power of two is exact), so the test is `x < p · 2⁵³`
+/// over the reals, which for a whole `x` is `x < ⌈p · 2⁵³⌉`. That product
+/// is exact in `f64` too, so the threshold is.
+fn bernoulli_threshold(p: f64) -> u64 {
+    debug_assert!((0.0..=1.0).contains(&p));
+    // A whole number in [0, 2^53]: the cast is exact.
+    (p * 9_007_199_254_740_992.0).ceil() as u64
 }
 
 impl Bernoulli {
@@ -118,19 +131,35 @@ impl Bernoulli {
         Bernoulli {
             rate,
             len_flits,
-            packet_prob: rate / len_flits as f64,
+            threshold: bernoulli_threshold(rate / len_flits as f64),
             rng: Xoshiro256StarStar::seed_from_u64(seed),
         }
+    }
+
+    /// Whether the next draw brings a packet: exactly `rng.f64() <
+    /// rate / len_flits`, drawing the same value.
+    fn fires(&mut self) -> bool {
+        (self.rng.next_u64() >> 11) < self.threshold
     }
 }
 
 impl TrafficSource for Bernoulli {
     fn poll(&mut self, _now: Cycle) -> Option<u64> {
-        if self.rng.f64() < self.packet_prob {
-            Some(self.len_flits)
-        } else {
-            None
+        self.fires().then_some(self.len_flits)
+    }
+
+    /// One draw per cycle, as `cycles` polls would make, in a loop with
+    /// no virtual call and no prediction to consult.
+    fn poll_block(&mut self, _base: Cycle, cycles: u32, lens: &mut Vec<u64>) -> u64 {
+        debug_assert!(cycles <= 64, "an arrival word holds 64 cycles");
+        let mut word = 0;
+        for c in 0..cycles.min(64) {
+            if self.fires() {
+                word |= 1 << c;
+                lens.push(self.len_flits);
+            }
         }
+        word
     }
 
     fn offered_load(&self) -> Option<f64> {
@@ -473,6 +502,57 @@ mod tests {
             None,
             "RNG-per-poll sources must force dense stepping"
         );
+    }
+
+    #[test]
+    fn the_integer_threshold_is_the_float_test() {
+        let two53 = 9_007_199_254_740_992.0;
+        let mut ps = vec![0.0, 1.0, 1.0 / two53, 3.0 / 8.0, 12_345.0 / two53];
+        // The workloads' per-cycle rates: flits/cycle over packet length.
+        for (rate, len) in [(0.2, 4), (0.5, 1), (0.9, 8), (0.35, 3), (0.3, 4), (0.05, 1)] {
+            ps.push(rate / f64::from(len));
+        }
+        for (k, &p) in ps.iter().enumerate() {
+            let t = bernoulli_threshold(p);
+            // The edges: the draws either side of the threshold.
+            for x in [t.saturating_sub(1), t, t + 1, 0, (1 << 53) - 1] {
+                let x = x.min((1 << 53) - 1);
+                let float = (x as f64) * (1.0 / two53) < p;
+                assert_eq!(x < t, float, "p={p} x={x}");
+            }
+            let mut rng = Xoshiro256StarStar::seed_from_u64(0x7e57 + k as u64);
+            for _ in 0..100_000 {
+                let mut twin = rng;
+                assert_eq!((rng.next_u64() >> 11) < t, twin.f64() < p, "p={p}");
+            }
+        }
+        assert_eq!(bernoulli_threshold(0.0), 0);
+        assert_eq!(bernoulli_threshold(1.0), 1 << 53);
+        assert_eq!(bernoulli_threshold(1.0 / two53), 1);
+        assert_eq!(bernoulli_threshold(3.0 / 8.0), 3 << 50);
+    }
+
+    #[test]
+    fn bernoulli_poll_block_is_64_dense_polls() {
+        for (rate, len, seed) in [(0.2, 4, 0x55), (0.5, 1, 1), (0.9, 8, 7), (1.0, 2, 3)] {
+            let mut blocked = Bernoulli::new(rate, len, seed);
+            let mut dense = blocked.clone();
+            for block in 0..50u64 {
+                let base = Cycle::new(block * 64);
+                let cycles = if block % 7 == 3 { 17 } else { 64 };
+                let mut lens = Vec::new();
+                let word = blocked.poll_block(base, cycles, &mut lens);
+                let mut want_word = 0u64;
+                let mut want_lens = Vec::new();
+                for c in 0..cycles {
+                    if let Some(l) = dense.poll(Cycle::new(base.value() + u64::from(c))) {
+                        want_word |= 1 << c;
+                        want_lens.push(l);
+                    }
+                }
+                assert_eq!((word, &lens), (want_word, &want_lens), "block {block}");
+            }
+        }
     }
 
     #[test]

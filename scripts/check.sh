@@ -12,6 +12,9 @@ cd "$(dirname "$0")/.."
 # lines on every build of that package), so its bytes are put back
 # however the gate ends, and the last step compares `git status`.
 tree_before="$(git status --porcelain)"
+# `.gitignore` lists /results, so the plain status above cannot see a new
+# file that a step leaves there; list results/ with its ignored files too.
+results_before="$(git status --porcelain --ignored -- results/)"
 lock_before="$(mktemp)"
 cp benchmark/Cargo.lock "$lock_before"
 # The smoke tiers' event traces, read back by trace-report below.
@@ -133,6 +136,12 @@ tree_after="$(git status --porcelain)"
 if [ "$tree_after" != "$tree_before" ]; then
     echo "scripts/check.sh changed the working tree:" >&2
     diff <(echo "$tree_before") <(echo "$tree_after") >&2 || true
+    exit 1
+fi
+results_after="$(git status --porcelain --ignored -- results/)"
+if [ "$results_after" != "$results_before" ]; then
+    echo "scripts/check.sh left files in results/:" >&2
+    diff <(echo "$results_before") <(echo "$results_after") >&2 || true
     exit 1
 fi
 
