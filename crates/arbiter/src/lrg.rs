@@ -154,7 +154,9 @@ impl Lrg {
     /// the move-to-back rotation: set the winner's column bit in every
     /// row, then clear the winner's row. Setting it in the winner's own
     /// row too, before the clear, keeps the loop free of a branch, so the
-    /// one-word case is a straight OR over the rows.
+    /// one-word case is a straight OR over the rows, which the general
+    /// loop's per-row index is not (about 6 % of a radix-64 run's CPU,
+    /// EXPERIMENTS.md "Statistics sized by flows").
     ///
     /// # Panics
     ///

@@ -148,20 +148,6 @@ impl TrafficSource for Bernoulli {
         self.fires().then_some(self.len_flits)
     }
 
-    /// One draw per cycle, as `cycles` polls would make, in a loop with
-    /// no virtual call and no prediction to consult.
-    fn poll_block(&mut self, _base: Cycle, cycles: u32, lens: &mut Vec<u64>) -> u64 {
-        debug_assert!(cycles <= 64, "an arrival word holds 64 cycles");
-        let mut word = 0;
-        for c in 0..cycles.min(64) {
-            if self.fires() {
-                word |= 1 << c;
-                lens.push(self.len_flits);
-            }
-        }
-        word
-    }
-
     fn offered_load(&self) -> Option<f64> {
         Some(self.rate)
     }
@@ -530,29 +516,6 @@ mod tests {
         assert_eq!(bernoulli_threshold(1.0), 1 << 53);
         assert_eq!(bernoulli_threshold(1.0 / two53), 1);
         assert_eq!(bernoulli_threshold(3.0 / 8.0), 3 << 50);
-    }
-
-    #[test]
-    fn bernoulli_poll_block_is_64_dense_polls() {
-        for (rate, len, seed) in [(0.2, 4, 0x55), (0.5, 1, 1), (0.9, 8, 7), (1.0, 2, 3)] {
-            let mut blocked = Bernoulli::new(rate, len, seed);
-            let mut dense = blocked.clone();
-            for block in 0..50u64 {
-                let base = Cycle::new(block * 64);
-                let cycles = if block % 7 == 3 { 17 } else { 64 };
-                let mut lens = Vec::new();
-                let word = blocked.poll_block(base, cycles, &mut lens);
-                let mut want_word = 0u64;
-                let mut want_lens = Vec::new();
-                for c in 0..cycles {
-                    if let Some(l) = dense.poll(Cycle::new(base.value() + u64::from(c))) {
-                        want_word |= 1 << c;
-                        want_lens.push(l);
-                    }
-                }
-                assert_eq!((word, &lens), (want_word, &want_lens), "block {block}");
-            }
-        }
     }
 
     #[test]
